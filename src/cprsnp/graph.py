@@ -24,6 +24,7 @@ Example
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -88,9 +89,15 @@ class Instance:
             if (a.tail, a.head) in seen_pairs:
                 raise GraphError(f"parallel arc ({a.tail},{a.head})")
             seen_pairs.add((a.tail, a.head))
+            if not math.isfinite(a.cost):
+                raise GraphError(f"non-finite cost on arc ({a.tail},{a.head})")
             if a.cost < 0:
                 raise GraphError(f"negative cost on arc ({a.tail},{a.head})")
-            if a.capacity < 0 or int(a.capacity) != a.capacity:
+            if (
+                not math.isfinite(a.capacity)
+                or a.capacity < 0
+                or int(a.capacity) != a.capacity
+            ):
                 raise GraphError(
                     f"capacity of arc ({a.tail},{a.head}) must be a nonnegative integer"
                 )

@@ -42,9 +42,12 @@ class ParseError(ValueError):
 
 def _number(token: str, line_no: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(line_no, f"{what} {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"{what} {token!r} is not finite")
+    return value
 
 
 def _positive_int(token: str, line_no: int, what: str) -> int:

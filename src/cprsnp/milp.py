@@ -1,9 +1,12 @@
 """Small exact MILP kernel.
 
-LP relaxations are solved with HiGHS dual simplex through
-``scipy.optimize.linprog`` (basic solutions, 1e-7 feasibility tolerance,
-anti-cycling safeguards built in).  Binary/integer models go through a
-hand-rolled branch and bound:
+Every LP relaxation of a model is solved by one persistent HiGHS dual
+simplex instance (the binding that ships inside scipy): the model is passed
+once, column-wise, and each later solve changes only column bounds, so the
+simplex restarts from the previous basis instead of from scratch.  Solutions
+are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is off and the
+solver prints nothing.  Binary/integer models go through a hand-rolled
+branch and bound on top of that instance:
 
 * branching on the most fractional integer variable, ties by lowest index,
 * best-bound node selection, ties by depth (deeper first) then insertion,
@@ -11,8 +14,8 @@ hand-rolled branch and bound:
 * optional warm start: a candidate assignment is checked against the model
   and installed as the initial incumbent when feasible.
 
-Everything is deterministic for a fixed model: no randomized choices, no
-threads.
+Everything is deterministic for a fixed model: no randomized choices, serial
+simplex, and the same sequence of bound changes on every run.
 """
 
 from __future__ import annotations
@@ -21,15 +24,38 @@ import enum
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.optimize  # noqa: F401
 from scipy import sparse
-from scipy.optimize import linprog
+
+# scipy.optimize is imported on its own first: reaching it only through the
+# submodule import below made importing cprsnp about 60 ms slower (scipy
+# 1.17.1, Python 3.11, 2-core x86_64 VM).
+try:
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+    )
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        "cprsnp needs the HiGHS binding scipy.optimize._highspy._core, "
+        "which ships with scipy>=1.17.1"
+    ) from exc
+
+_OPTIONS = (
+    ("output_flag", False),
+    ("presolve", "off"),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),  # serial dual simplex
+)
 
 INT_TOL = 1e-6
-FEAS_TOL = 1e-7
 
 
 class MilpError(ValueError):
@@ -93,6 +119,8 @@ class MilpModel:
         ub: float = math.inf,
         integer: bool = False,
     ) -> int:
+        if math.isnan(lb) or math.isnan(ub) or lb == math.inf or ub == -math.inf:
+            raise MilpError(f"variable {name}: invalid bounds [{lb}, {ub}]")
         if lb > ub:
             raise MilpError(f"variable {name}: lb {lb} > ub {ub}")
         idx = len(self._lb)
@@ -127,9 +155,11 @@ class MilpModel:
         self._cache = None
 
     def set_objective(self, coeffs: Mapping[int, float], minimize: bool = True) -> None:
-        for var in coeffs:
+        for var, coef in coeffs.items():
             if not 0 <= var < len(self._lb):
                 raise MilpError(f"objective references unknown variable {var}")
+            if not math.isfinite(coef):
+                raise MilpError("objective coefficients must be finite")
         self._objective = {int(v): float(c) for v, c in coeffs.items() if c != 0.0}
         self.minimize = minimize
         self._cache = None
@@ -144,37 +174,11 @@ class MilpModel:
     def num_constraints(self) -> int:
         return len(self._constraints)
 
-    def constraint_names(self) -> list[str]:
-        return [c.name for c in self._constraints]
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._lb), np.array(self._ub)
 
     def integer_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._integer, dtype=bool))
-
-    def lp_text(self) -> str:
-        """Plain-text dump in LP style, for debugging."""
-        lines = [("Minimize" if self.minimize else "Maximize")]
-        terms = [
-            f"{c:+g} {self._var_names[v]}" for v, c in sorted(self._objective.items())
-        ]
-        lines.append("  " + (" ".join(terms) if terms else "0"))
-        lines.append("Subject To")
-        for con in self._constraints:
-            body = " ".join(
-                f"{c:+g} {self._var_names[v]}" for v, c in sorted(con.coeffs.items())
-            )
-            lines.append(f"  {con.name}: {body or '0'} {con.sense} {con.rhs:g}")
-        lines.append("Bounds")
-        for i, (lo, hi) in enumerate(zip(self._lb, self._ub)):
-            lines.append(f"  {lo:g} <= {self._var_names[i]} <= {hi:g}")
-        ints = [self._var_names[i] for i in self.integer_indices()]
-        if ints:
-            lines.append("Integers")
-            lines.append("  " + " ".join(ints))
-        lines.append("End")
-        return "\n".join(lines)
 
     def check_assignment(self, values: Sequence[float], tol: float = 1e-6) -> bool:
         """True iff the assignment satisfies bounds, integrality, and rows."""
@@ -204,72 +208,131 @@ class MilpModel:
     # -- matrix assembly (cached) --------------------------------------
 
     def _matrices(self):
+        """``(c, start, index, value, row_lower, row_upper)``: the objective
+        in the model's own sense and the rows column-wise, each row kept in
+        its sense as ``row_lower <= A x <= row_upper``."""
         if self._cache is not None:
             return self._cache
         n = self.num_vars
         c = np.zeros(n)
         for v, coef in self._objective.items():
             c[v] = coef
-        rows_ub: list[tuple[dict[int, float], float]] = []
-        rows_eq: list[tuple[dict[int, float], float]] = []
-        for con in self._constraints:
-            if con.sense == "<=":
-                rows_ub.append((con.coeffs, con.rhs))
-            elif con.sense == ">=":
-                rows_ub.append(({v: -k for v, k in con.coeffs.items()}, -con.rhs))
-            else:
-                rows_eq.append((con.coeffs, con.rhs))
-
-        def build(rows):
-            if not rows:
-                return None, None
-            data, ri, ci, rhs = [], [], [], []
-            for r, (coeffs, b) in enumerate(rows):
-                rhs.append(b)
-                for v, k in coeffs.items():
-                    ri.append(r)
-                    ci.append(v)
-                    data.append(k)
-            mat = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
-            return mat, np.array(rhs)
-
-        a_ub, b_ub = build(rows_ub)
-        a_eq, b_eq = build(rows_eq)
-        self._cache = (c, a_ub, b_ub, a_eq, b_eq)
+        m = self.num_constraints
+        row_lo = np.full(m, -math.inf)
+        row_hi = np.full(m, math.inf)
+        data, ri, ci = [], [], []
+        for r, con in enumerate(self._constraints):
+            if con.sense != "<=":
+                row_lo[r] = con.rhs
+            if con.sense != ">=":
+                row_hi[r] = con.rhs
+            for v, k in con.coeffs.items():
+                ri.append(r)
+                ci.append(v)
+                data.append(k)
+        mat = sparse.csc_matrix((data, (ri, ci)), shape=(m, n))
+        self._cache = (
+            c,
+            mat.indptr.astype(np.int32),
+            mat.indices.astype(np.int32),
+            mat.data.astype(float),
+            row_lo,
+            row_hi,
+        )
         return self._cache
 
 
-def _run_lp(model: MilpModel, lb: np.ndarray, ub: np.ndarray):
-    c, a_ub, b_ub, a_eq, b_eq = model._matrices()
-    sign = 1.0 if model.minimize else -1.0
-    res = linprog(
-        sign * c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack((lb, ub)),
-        method="highs-ds",
+class _Relaxation:
+    """The LP relaxation of one model, held by one HiGHS instance.
+
+    The model is passed once; each :meth:`solve` changes only the column
+    bounds, so the dual simplex restarts from the previous basis.
+    ``objective`` is in the internal minimization sense.
+    """
+
+    def __init__(self, model: MilpModel):
+        self.model = model
+        self.sign = 1.0 if model.minimize else -1.0
+        self.cols = np.arange(model.num_vars, dtype=np.int32)
+        self.highs = _open(model, self.sign, *model.bounds())
+
+    def solve(self, lb: np.ndarray, ub: np.ndarray):
+        """``(status, objective, values)`` of the relaxation under the given
+        column bounds; objective and values are None unless OPTIMAL."""
+        highs = self.highs
+        highs.changeColsBounds(self.cols.size, self.cols, lb, ub)
+        highs.run()
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kOptimal:
+            x = np.array(highs.getSolution().col_value)
+            return SolveStatus.OPTIMAL, highs.getInfo().objective_function_value, x
+        if status == HighsModelStatus.kInfeasible:
+            return SolveStatus.INFEASIBLE, None, None
+        if status == HighsModelStatus.kUnbounded:
+            return SolveStatus.UNBOUNDED, None, None
+        if status == HighsModelStatus.kUnboundedOrInfeasible:
+            return _classify_cold(self.model, lb, ub), None, None
+        raise MilpError(
+            f"LP solver failed on {self.model.name}: {highs.modelStatusToString(status)}"
+        )
+
+
+def _open(model: MilpModel, sign: float, lb: np.ndarray, ub: np.ndarray):
+    """A HiGHS instance loaded with the model's relaxation under the given
+    column bounds and objective ``sign * c`` (0 drops the objective): serial
+    dual simplex, no presolve (its reductions would discard the basis),
+    silent."""
+    c, start, index, value, row_lo, row_hi = model._matrices()
+    lp = HighsLp()
+    lp.num_col_ = c.size
+    lp.num_row_ = row_lo.size
+    lp.col_cost_ = sign * c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = row_lo
+    lp.row_upper_ = row_hi
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kColwise
+    matrix.num_col_ = c.size
+    matrix.num_row_ = row_lo.size
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
+    highs = _Highs()
+    for option, setting in _OPTIONS:
+        if highs.setOptionValue(option, setting) != HighsStatus.kOk:
+            raise MilpError(f"HiGHS rejected option {option}={setting!r}")
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise MilpError(f"HiGHS rejected the model {model.name}")
+    return highs
+
+
+def _classify_cold(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> SolveStatus:
+    """Decide a dual-infeasible relaxation from scratch: with a zero
+    objective the LP cannot be unbounded, so a feasible point proves the
+    original unbounded and its absence proves it infeasible."""
+    highs = _open(model, 0.0, lb, ub)
+    highs.run()
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kOptimal:
+        return SolveStatus.UNBOUNDED
+    if status == HighsModelStatus.kInfeasible:
+        return SolveStatus.INFEASIBLE
+    raise MilpError(
+        f"LP solver failed on {model.name}: {highs.modelStatusToString(status)}"
     )
-    return res, sign
 
 
 def solve_lp(model: MilpModel) -> SolveResult:
     """Solve the continuous relaxation exactly; integrality flags are ignored."""
     t0 = time.perf_counter()
-    lb, ub = model.bounds()
-    res, sign = _run_lp(model, lb, ub)
+    lp = _Relaxation(model)
+    status, objective, x = lp.solve(*model.bounds())
     dt = time.perf_counter() - t0
-    if res.status == 0:
-        obj = sign * float(res.fun)
-        return SolveResult(
-            SolveStatus.OPTIMAL, obj, np.array(res.x), bound=obj, gap=0.0, seconds=dt
-        )
-    if res.status == 2:
-        return SolveResult(SolveStatus.INFEASIBLE, None, None, seconds=dt)
-    if res.status == 3:
-        return SolveResult(SolveStatus.UNBOUNDED, None, None, seconds=dt)
-    raise MilpError(f"LP solver failed on {model.name}: {res.message}")
+    if status == SolveStatus.OPTIMAL:
+        obj = lp.sign * objective
+        return SolveResult(status, obj, x, bound=obj, gap=0.0, seconds=dt)
+    return SolveResult(status, None, None, seconds=dt)
 
 
 def _gap(objective: float, bound: float) -> float:
@@ -292,7 +355,8 @@ def solve_mip(
     t0 = time.perf_counter()
     lb0, ub0 = model.bounds()
     int_idx = model.integer_indices()
-    sign = 1.0 if model.minimize else -1.0
+    lp = _Relaxation(model)
+    sign = lp.sign
 
     def out_of_time() -> bool:
         return time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
@@ -331,21 +395,17 @@ def solve_mip(
             break
         if out_of_time():
             return finish(SolveStatus.FEASIBLE, [parent_bound] + [h[0] for h in heap])
-        res, _ = _run_lp(model, nlb, nub)
+        status, node_bound, x = lp.solve(nlb, nub)
         nodes += 1
-        if res.status == 2:
+        if status == SolveStatus.INFEASIBLE:
             continue
-        if res.status == 3:
+        if status == SolveStatus.UNBOUNDED:
             if int_idx.size == 0 or not root_handled:
                 return SolveResult(
                     SolveStatus.UNBOUNDED, None, None, seconds=time.perf_counter() - t0,
                     nodes=nodes,
                 )
             raise MilpError(f"unbounded node LP in {model.name}")
-        if res.status != 0:
-            raise MilpError(f"LP solver failed on {model.name}: {res.message}")
-        node_bound = float(res.fun)  # internal min sense
-        x = np.array(res.x)
         if node_bound >= best_obj - 1e-9:
             root_handled = True
             continue
@@ -363,11 +423,10 @@ def solve_mip(
             rounded = np.clip(np.round(x[int_idx]), lb0[int_idx], ub0[int_idx])
             rlb[int_idx] = rounded
             rub[int_idx] = rounded
-            hres, _ = _run_lp(model, rlb, rub)
-            if hres.status == 0 and float(hres.fun) < best_obj:
-                hx = np.array(hres.x)
+            hstatus, hobj, hx = lp.solve(rlb, rub)
+            if hstatus == SolveStatus.OPTIMAL and hobj < best_obj:
                 if model.check_assignment(hx):
-                    best_obj = float(hres.fun)
+                    best_obj = hobj
                     best_x = hx
         # most fractional first, ties by lowest variable index
         scores = np.minimum(frac[fractional], 1.0 - frac[fractional])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 from .graph import AugmentedInstance, CutSet, max_flow
@@ -33,6 +34,10 @@ from .formulations import (
 from .milp import SolveStatus, solve_mip
 
 BRUTE_FORCE_LIMIT = 100_000
+# the enumeration reads the clock once per this many subsets: an overrun
+# stays within that many max flows, and an enumeration shorter than that
+# always finishes, so even a zero budget gets its probe incumbent
+CLOCK_POLL_SUBSETS = 64
 
 
 class SeparationTimeout(RuntimeError):
@@ -116,12 +121,19 @@ def separate_scenario(
     below demand.  Small candidate sets are enumerated outright; larger ones
     go through the attacker MIP and the winning attack is re-checked."""
     _require_canonical(aug, design)
+    t0 = time.perf_counter()
     candidates = _attack_candidates(aug, design)
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
         best_value: int | None = None
         best: tuple[int, ...] = ()
-        for combo in itertools.combinations(candidates, size):
+        for i, combo in enumerate(itertools.combinations(candidates, size)):
+            if (
+                i % CLOCK_POLL_SUBSETS == CLOCK_POLL_SUBSETS - 1
+                and time_limit_s is not None
+                and time.perf_counter() - t0 > time_limit_s
+            ):
+                raise SeparationTimeout("scenario enumeration hit the time limit")
             flow = max_flow(aug, design.mask(aug, failed=combo)).value
             if best_value is None or flow < best_value:
                 best_value, best = flow, combo

@@ -1,0 +1,58 @@
+"""Command line: exit codes for bad numbers, and what reaches fd 1 and fd 2."""
+
+import re
+
+import pytest
+
+from conftest import triangle
+from cprsnp import cli
+from cprsnp.engine import FORMULATIONS
+from cprsnp.instances import generate, write_instance
+
+
+@pytest.mark.parametrize(
+    "arc", ["a 1 3 nan 1", "a 1 3 inf 1", "a 1 3 2 nan", "a 1 3 2 inf"]
+)
+def test_non_finite_number_exits_with_input_error(tmp_path, capsys, arc):
+    text = write_instance(triangle())
+    assert "a 1 3 2 1" in text
+    path = tmp_path / "bad.txt"
+    path.write_text(text.replace("a 1 3 2 1", arc), encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_solve_writes_only_the_report_to_stdout(tmp_path, capfd, formulation):
+    # file-descriptor capture: native solver output would show up here too
+    path = tmp_path / "small.txt"
+    path.write_text(
+        write_instance(generate(7, 2, 14, "random", seed=1, k=1, kp=1)),
+        encoding="utf-8",
+    )
+    outs = []
+    for _ in range(2):
+        argv = ["solve", "--instance", str(path), "--formulation", formulation]
+        assert cli.main(argv) == cli.EXIT_OK
+        out, err = capfd.readouterr()
+        assert re.fullmatch(r"time \d+\.\ds\n", err)
+        lines = out.splitlines()
+        status = [i for i, line in enumerate(lines) if line.startswith("status=")]
+        assert len(status) == 1
+        at = status[0]
+        assert lines[at] == "status=Optimal cost=59 gap=0.0000"
+        assert at >= 1
+        for line in lines[:at]:
+            assert re.fullmatch(
+                rf"formulation={formulation} iter=\d+ master_obj=\S+ sep_value=\S+ "
+                r"rows_added=\d+ cols_added=\d+",
+                line,
+            )
+        design = lines[at + 1 :]
+        assert design
+        for line in design:
+            assert re.fullmatch(r"[yp] \d+ \d+", line)
+        outs.append(out)
+    assert outs[0] == outs[1]

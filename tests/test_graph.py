@@ -30,6 +30,11 @@ def test_instance_rejects_bad_structure():
         Instance(2, (Arc(0, 1, -1, 1),), **good)
     with pytest.raises(GraphError):
         Instance(2, (Arc(0, 1, 1, -2),), **good)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(GraphError):
+            Instance(2, (Arc(0, 1, bad, 1),), **good)
+        with pytest.raises(GraphError):
+            Instance(2, (Arc(0, 1, 1, bad),), **good)
     with pytest.raises(GraphError):
         Instance(2, (Arc(0, 1, 1, 1),), root=0, terminals=(0,), k=0, kp=0)
     with pytest.raises(GraphError):

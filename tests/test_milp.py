@@ -1,11 +1,25 @@
-"""LP/MIP kernel: correctness against enumeration, statuses, determinism."""
+"""LP/MIP kernel: correctness against enumeration and against cold linprog
+solves, statuses, determinism."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cprsnp.milp import MilpError, MilpModel, SolveStatus, solve_lp, solve_mip
+from cprsnp.milp import (
+    MilpError,
+    MilpModel,
+    SolveStatus,
+    _classify_cold,
+    _Relaxation,
+    solve_lp,
+    solve_mip,
+)
 
 
 def knapsack(values, weights, cap, minimize=False) -> MilpModel:
@@ -180,6 +194,13 @@ def test_model_validation_errors():
         model.add_constr({x: float("nan")}, "<=", 1.0)
     with pytest.raises(MilpError):
         model.set_objective({x + 5: 1})
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(MilpError):
+            model.set_objective({x: bad})
+    for lb, ub in ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
+                   (-math.inf, -math.inf)):
+        with pytest.raises(MilpError):
+            model.add_var("bad", lb=lb, ub=ub)
 
 
 def test_check_assignment_and_objective_value():
@@ -188,3 +209,139 @@ def test_check_assignment_and_objective_value():
     assert not model.check_assignment([1, 1, 1])  # weight 6 > 5
     assert not model.check_assignment([0.5, 0, 0])  # fractional integer var
     assert model.objective_value([1, 1, 0]) == pytest.approx(9.0)
+
+
+# ---------------------------------------------------------------------------
+# cross-check: the persistent warm-started HiGHS instance against a cold
+# scipy.optimize.linprog(method="highs-ds") solve of the same LP
+
+
+def _cold_linprog(model: MilpModel, lb, ub):
+    """(status, objective) of a cold linprog solve, in the model's sense."""
+    sign = 1.0 if model.minimize else -1.0
+    n = model.num_vars
+    c = np.zeros(n)
+    for v, k in model._objective.items():
+        c[v] = sign * k
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in model._constraints:
+        row = np.zeros(n)
+        for v, k in con.coeffs.items():
+            row[v] = k
+        if con.sense == "<=":
+            a_ub.append(row)
+            b_ub.append(con.rhs)
+        elif con.sense == ">=":
+            a_ub.append(-row)
+            b_ub.append(-con.rhs)
+        else:
+            a_eq.append(row)
+            b_eq.append(con.rhs)
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=list(zip(lb, ub)),
+        method="highs-ds",
+    )
+    if res.status == 0:
+        return SolveStatus.OPTIMAL, sign * res.fun
+    assert res.status == 2, res.message  # bounded LPs: optimal or infeasible
+    return SolveStatus.INFEASIBLE, None
+
+
+@st.composite
+def bounded_programs(draw, integer_share=0.0):
+    n = draw(st.integers(1, 6))
+    minimize = draw(st.booleans())
+    model = MilpModel("drawn", minimize=minimize)
+    for i in range(n):
+        lb = draw(st.integers(-3, 2))
+        width = draw(st.integers(0, 4))
+        binary = draw(st.floats(0, 1)) < integer_share
+        if binary:
+            model.add_var(lb=0.0, ub=1.0, integer=True)
+        else:
+            model.add_var(lb=float(lb), ub=float(lb + width))
+    coef = st.integers(-4, 4)
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        model.add_constr(
+            {v: draw(coef) for v in support},
+            draw(st.sampled_from(["<=", ">=", "="])),
+            draw(st.integers(-4, 6)),
+        )
+    model.set_objective({v: draw(coef) for v in range(n)}, minimize=minimize)
+    return model
+
+
+def _assert_agrees(model, got_status, got_objective, lb, ub):
+    want_status, want_objective = _cold_linprog(model, lb, ub)
+    assert got_status == want_status
+    if want_status == SolveStatus.OPTIMAL:
+        assert got_objective == pytest.approx(want_objective, abs=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=bounded_programs(), data=st.data())
+def test_warm_started_lp_matches_cold_linprog(model, data):
+    relaxation = _Relaxation(model)
+    lb, ub = model.bounds()
+    for step in range(data.draw(st.integers(1, 6))):
+        if step:
+            var = data.draw(st.integers(0, model.num_vars - 1))
+            lo = data.draw(st.integers(int(lb[var]), int(ub[var])))
+            hi = data.draw(st.integers(lo, int(ub[var])))
+            lb, ub = lb.copy(), ub.copy()
+            lb[var], ub[var] = lo, hi
+        status, objective, x = relaxation.solve(lb, ub)
+        got = None if objective is None else relaxation.sign * objective
+        _assert_agrees(model, status, got, lb, ub)
+        if status == SolveStatus.OPTIMAL:
+            assert np.all(x >= lb - 1e-7) and np.all(x <= ub + 1e-7)
+
+
+def test_cold_classification_of_dual_infeasible_lps():
+    # the fallback for an "unbounded or infeasible" simplex verdict
+    model = MilpModel(minimize=False)
+    x = model.add_var("x")
+    y = model.add_var("y", ub=1.0)
+    model.set_objective({x: 1, y: 1}, minimize=False)
+    model.add_constr({x: 1, y: -1}, ">=", 0)
+    assert _classify_cold(model, *model.bounds()) == SolveStatus.UNBOUNDED
+    model.add_constr({y: 1}, ">=", 2)
+    assert _classify_cold(model, *model.bounds()) == SolveStatus.INFEASIBLE
+
+
+def _enumerate_mixed(model: MilpModel):
+    """Best objective over every binary pattern, each completed by a cold
+    linprog solve of the continuous part; None if no pattern is feasible."""
+    lb0, ub0 = model.bounds()
+    ints = model.integer_indices()
+    sign = 1.0 if model.minimize else -1.0
+    best = None
+    for bits in itertools.product((0.0, 1.0), repeat=ints.size):
+        lb, ub = lb0.copy(), ub0.copy()
+        lb[ints] = bits
+        ub[ints] = bits
+        status, objective = _cold_linprog(model, lb, ub)
+        if status == SolveStatus.OPTIMAL and (
+            best is None or sign * objective < sign * best
+        ):
+            best = objective
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=bounded_programs(integer_share=0.5))
+def test_mixed_mip_matches_enumeration(model):
+    res = solve_mip(model)
+    brute = _enumerate_mixed(model)
+    if brute is None:
+        assert res.status == SolveStatus.INFEASIBLE
+    else:
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(brute, abs=1e-6)
+        assert model.check_assignment(res.values)

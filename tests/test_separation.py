@@ -1,6 +1,7 @@
 """Separation oracles: soundness, completeness, and mutual agreement."""
 
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,17 @@ def test_separation_timeout_raised():
         separate_scenario(aug, design, time_limit_s=0.0, brute_force_limit=0)
     with pytest.raises(SeparationTimeout):
         separate_bilevel(aug, design, time_limit_s=0.0)
+
+
+def test_brute_force_enumeration_polls_its_deadline():
+    # 30-3-60 at (3,1): 34,220 subsets, several seconds of max flows in full
+    inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=1, uniform_capacity=3)
+    aug = augment(inst)
+    design = Design.canonical(aug, range(aug.arc_count))
+    t0 = time.perf_counter()
+    with pytest.raises(SeparationTimeout):
+        separate_scenario(aug, design, time_limit_s=0.5)
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_strengthen_keeps_violation_valid():
