@@ -1,8 +1,16 @@
 """Delayed constraint-and-column generation driver.
 
 One loop serves all three formulations: solve the restricted master as a
-MIP, ask the matching oracle whether the optimal design survives every
+MIP, ask the formulation's oracle whether the optimal design survives every
 attack, and either stop (optimal), grow the master, or run out of time.
+
+A formulation plugs in as one small class, chosen once from its name in
+:data:`FORMULATION_CLASSES`.  Its constructor seeds the master, ``master()``
+builds the restricted master, ``separate(design, time_limit_s)`` runs the
+oracle, and ``add(violation, design)`` records the violation, raising
+:class:`EngineError` when the master stalls.  The loop itself logs how many
+rows and columns each violation added, as the size difference between
+consecutive masters.
 
 The master optimum is a lower bound that never decreases; a survivable
 incumbent built upfront (exact protection search on the all-arcs design)
@@ -21,12 +29,12 @@ from .graph import AugmentedInstance, ArcMask, CutSet, max_flow
 from .formulations import (
     CutRows,
     Design,
-    ExtremePoint,
     FailureScenario,
     build_bilevel_master,
     build_cutset_master,
     build_flow_master,
     count_cut_rows,
+    worst_subset,
 )
 from .milp import SolveStatus, solve_mip
 from .separation import (
@@ -39,9 +47,6 @@ from .separation import strengthen as strengthen_point
 
 log = logging.getLogger(__name__)
 
-FORMULATIONS = ("cutset", "flow", "bilevel")
-
-
 class EngineError(RuntimeError):
     """The generation loop reached a state that should be impossible."""
 
@@ -50,11 +55,8 @@ class EngineError(RuntimeError):
 class EngineOptions:
     time_limit_s: float = 2000.0
     strengthen: bool = True
-    seed: int = 0
     scenario_brute_limit: int = 100_000
     lazy_cut_row_limit: int = 20_000
-    cutset_row_cap: int = 10**6
-    weighted_gamma: bool = True
 
 
 @dataclass(frozen=True)
@@ -96,76 +98,120 @@ class Solution:
         return [rec.line(self.formulation, include_time) for rec in self.log]
 
 
-def initial_rows(aug: AugmentedInstance, formulation: str):
-    """Seed objects for the restricted master.
-
-    cutset: the single cut separating the root from everything else;
-    flow: the lexicographically first k-subset of initial arcs;
-    bilevel: nothing.
-    """
-    if formulation == "cutset":
-        side = frozenset(range(aug.vertex_count)) - {aug.root}
-        return [CutSet.from_sink_side(aug, side)]
-    if formulation == "flow":
-        first = tuple(range(min(aug.k, aug.initial_arc_count)))
-        return [FailureScenario.of(aug, first)]
-    if formulation == "bilevel":
-        return []
-    raise ValueError(f"unknown formulation {formulation!r}")
+# The formulations.  Each is seeded in its constructor and grown by ``add``.
+# The build_*_master functions and the oracles are called through this
+# module's globals, where the benchmark's per-layer trace
+# (perfbench/tracer.py) wraps them.
 
 
-def _worst_subset(aug: AugmentedInstance, cut: CutSet, design: Design) -> tuple[int, ...]:
-    """Deletion subset realizing eval_MS for the design: top-k capacities
-    among the cut's selected unprotected non-fictive arcs."""
-    vulnerable = sorted(
-        (
-            a
-            for a in cut.arcs
-            if not aug.is_fictive(a)
-            and a in design.selected
-            and a not in design.protected
-        ),
-        key=lambda a: (-aug.arcs[a].capacity, a),
-    )
-    return tuple(sorted(vulnerable[: aug.k]))
-
-
-class _CutPool:
-    """Cut bookkeeping for the cut-set master, including lazy large cuts."""
+class CutsetFormulation:
+    """Cuts found so far.  A cut whose full enumeration would exceed
+    ``lazy_cut_row_limit`` rows is lazy: it starts with the worst deletion
+    subset of the design that violated it and gains one subset per repeat."""
 
     def __init__(self, aug: AugmentedInstance, options: EngineOptions):
         self.aug = aug
         self.options = options
-        self.entries: dict[frozenset[int], CutRows] = {}
+        # seed: the cut separating the root from everything else
+        side = frozenset(range(aug.vertex_count)) - {aug.root}
+        root = CutSet.from_sink_side(aug, side)
+        self.cuts = {side: CutRows(root, () if self._lazy(root) else None)}
 
-    def master_cuts(self) -> list[CutRows]:
-        return list(self.entries.values())
+    def _lazy(self, cut: CutSet) -> bool:
+        return count_cut_rows(self.aug, cut) > self.options.lazy_cut_row_limit
 
-    def seed(self, cut: CutSet) -> None:
-        """Install a cut with no design context (lazy cuts start rowless)."""
-        rows = count_cut_rows(self.aug, cut)
-        lazy = rows > self.options.lazy_cut_row_limit
-        self.entries[cut.sink_side] = CutRows(cut, () if lazy else None)
+    def master(self):
+        return build_cutset_master(self.aug, list(self.cuts.values()))
 
-    def add(self, cut: CutSet, design: Design) -> int:
-        """Record a violated cut; returns the number of rows this adds."""
-        key = cut.sink_side
-        if key not in self.entries:
-            rows = count_cut_rows(self.aug, cut)
-            if rows <= self.options.lazy_cut_row_limit:
-                self.entries[key] = CutRows(cut, None)
-                return rows + 1
-            subset = _worst_subset(self.aug, cut, design)
-            self.entries[key] = CutRows(cut, (subset,))
-            return 2
-        entry = self.entries[key]
+    def separate(self, design: Design, time_limit_s: float):
+        return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
+
+    def add(self, violation, design: Design) -> None:
+        cut = violation.cut
+        entry = self.cuts.get(cut.sink_side)
+        if entry is None:
+            lazy = self._lazy(cut)
+            subsets = (worst_subset(self.aug, cut, design),) if lazy else None
+            self.cuts[cut.sink_side] = CutRows(cut, subsets)
+            return
         if entry.subsets is None:
             raise EngineError("fully enumerated cut separated twice")
-        subset = _worst_subset(self.aug, cut, design)
+        subset = worst_subset(self.aug, cut, design)
         if subset in entry.subsets:
             raise EngineError("cut row separated twice; master is stalled")
-        self.entries[key] = CutRows(entry.cut, entry.subsets + (subset,))
-        return 1
+        self.cuts[cut.sink_side] = CutRows(entry.cut, entry.subsets + (subset,))
+
+
+class FlowFormulation:
+    """Failure scenarios found so far, seeded with the lexicographically
+    first k-subset of initial arcs."""
+
+    def __init__(self, aug: AugmentedInstance, options: EngineOptions):
+        self.aug = aug
+        self.options = options
+        first = tuple(range(min(aug.k, aug.initial_arc_count)))
+        self.scenarios = [FailureScenario.of(aug, first)]
+
+    def master(self):
+        return build_flow_master(self.aug, self.scenarios)
+
+    def separate(self, design: Design, time_limit_s: float):
+        return separate_scenario(
+            self.aug,
+            design,
+            time_limit_s=time_limit_s,
+            brute_force_limit=self.options.scenario_brute_limit,
+        )
+
+    def add(self, violation, design: Design) -> None:
+        if violation.scenario in self.scenarios:
+            raise EngineError("scenario separated twice; master is stalled")
+        self.scenarios.append(violation.scenario)
+
+
+class BilevelFormulation:
+    """Attacker vertices found so far, starting from none; each violated
+    vertex is strengthened before it is returned, unless switched off."""
+
+    def __init__(self, aug: AugmentedInstance, options: EngineOptions):
+        self.aug = aug
+        self.options = options
+        self.points = []
+
+    def master(self):
+        return build_bilevel_master(self.aug, self.points)
+
+    def separate(self, design: Design, time_limit_s: float):
+        deadline = time.perf_counter() + time_limit_s
+        violation = separate_bilevel(self.aug, design, time_limit_s=time_limit_s)
+        if violation is not None and self.options.strengthen:
+            violation = strengthen_point(
+                self.aug,
+                design,
+                violation,
+                time_limit_s=deadline - time.perf_counter(),
+            )
+        return violation
+
+    def add(self, violation, design: Design) -> None:
+        if violation.point in self.points:
+            raise EngineError("extreme point separated twice; master is stalled")
+        self.points.append(violation.point)
+
+
+FORMULATION_CLASSES = {
+    "cutset": CutsetFormulation,
+    "flow": FlowFormulation,
+    "bilevel": BilevelFormulation,
+}
+FORMULATIONS = tuple(FORMULATION_CLASSES)
+
+
+def formulation_for(aug: AugmentedInstance, name: str, options: EngineOptions):
+    """The seeded formulation called ``name``."""
+    if name not in FORMULATION_CLASSES:
+        raise ValueError(f"unknown formulation {name!r}")
+    return FORMULATION_CLASSES[name](aug, options)
 
 
 def _feasible_incumbent(
@@ -206,8 +252,7 @@ def solve(
     options: EngineOptions = EngineOptions(),
 ) -> Solution:
     """Run generation to optimality, infeasibility, or the time limit."""
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"unknown formulation {formulation!r}")
+    form = formulation_for(aug, formulation, options)
     t0 = time.perf_counter()
     demand = aug.demand
     records: list[IterationRecord] = []
@@ -258,40 +303,22 @@ def solve(
         gap = max(0.0, (upper - lower) / max(abs(upper), 1e-9))
         return finish(SolveStatus.FEASIBLE, incumbent, upper, gap)
 
-    cut_pool = _CutPool(aug, options)
-    scenarios: list[FailureScenario] = []
-    points: list[ExtremePoint] = []
-    seen_scenarios: set[frozenset[int]] = set()
-    for obj in initial_rows(aug, formulation):
-        if formulation == "cutset":
-            cut_pool.seed(obj)
-        elif formulation == "flow":
-            scenarios.append(obj)
-            seen_scenarios.add(obj.arcs)
     log.info(
-        "formulation=%s start demand=%d arcs=%d k=%d kp=%d seed=%d strengthen=%s",
+        "formulation=%s start demand=%d arcs=%d k=%d kp=%d strengthen=%s",
         formulation,
         demand,
         aug.arc_count,
         aug.k,
         aug.kp,
-        options.seed,
         options.strengthen,
     )
 
+    master = form.master()
     iteration = 0
     while True:
         iteration += 1
         if remaining() <= 0:
             return timeout_solution()
-        if formulation == "cutset":
-            master = build_cutset_master(
-                aug, cut_pool.master_cuts(), row_cap=options.cutset_row_cap
-            )
-        elif formulation == "flow":
-            master = build_flow_master(aug, scenarios)
-        else:
-            master = build_bilevel_master(aug, points)
         warm = master.completion(incumbent) if incumbent is not None else None
         res = solve_mip(master.model, time_limit_s=remaining(), incumbent=warm)
         if res.status == SolveStatus.INFEASIBLE:
@@ -313,25 +340,7 @@ def solve(
             )
             return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
         try:
-            if formulation == "cutset":
-                violation = separate_cutset(aug, design, time_limit_s=remaining())
-            elif formulation == "flow":
-                violation = separate_scenario(
-                    aug,
-                    design,
-                    time_limit_s=remaining(),
-                    brute_force_limit=options.scenario_brute_limit,
-                )
-            else:
-                violation = separate_bilevel(aug, design, time_limit_s=remaining())
-                if violation is not None and options.strengthen:
-                    violation = strengthen_point(
-                        aug,
-                        design,
-                        violation,
-                        time_limit_s=remaining(),
-                        weighted_gamma=options.weighted_gamma,
-                    )
+            violation = form.separate(design, remaining())
         except SeparationTimeout:
             return timeout_solution()
 
@@ -346,32 +355,17 @@ def solve(
             log.info(rec.line(formulation, include_time=True))
             return finish(SolveStatus.OPTIMAL, design, cost, 0.0)
 
-        if formulation == "cutset":
-            rows_added = cut_pool.add(violation.cut, design)
-            cols_added = 1
-        elif formulation == "flow":
-            if violation.scenario.arcs in seen_scenarios:
-                raise EngineError("scenario separated twice; master is stalled")
-            seen_scenarios.add(violation.scenario.arcs)
-            scenarios.append(violation.scenario)
-            rows_added = (
-                aug.vertex_count - 1 + aug.arc_count + len(violation.scenario.arcs)
-            )
-            cols_added = aug.arc_count
-        else:
-            if violation.point in points:
-                raise EngineError("extreme point separated twice; master is stalled")
-            points.append(violation.point)
-            rows_added = 1
-            cols_added = 0
+        form.add(violation, design)
+        grown = form.master()
         records.append(
             IterationRecord(
                 iteration,
                 res.objective,
                 float(violation.value),
-                rows_added,
-                cols_added,
+                grown.model.num_constraints - master.model.num_constraints,
+                grown.model.num_vars - master.model.num_vars,
                 elapsed(),
             )
         )
         log.info(records[-1].line(formulation, include_time=True))
+        master = grown

@@ -11,6 +11,13 @@ protection variables ``p``:
 * attacker-expansion master ("bilevel"): one row per extreme point of the
   attacker/min-cut polytope, generated on demand.
 
+All three start from one design block: the ``y`` columns, then the ``p``
+columns, the cost objective and the protection budget as row 0.  Each
+master is a :class:`Master` over that block and only adds its own rows
+and columns after it, so :meth:`Master.completion` fills in ``y``/``p`` and
+a subclass only its own columns.  The flow and attacker-expansion masters
+also share the ``p <= y`` rows; the cut-set master has none.
+
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
 """
@@ -169,23 +176,28 @@ class CutRows:
 # evaluation helpers
 
 
-def eval_MS(
-    aug: AugmentedInstance, cut: CutSet, design: Design, k: int | None = None
-) -> int:
-    """Worst capacity loss of the cut: the k largest capacities among its
-    selected, unprotected, non-fictive arcs (all of them if fewer than k)."""
-    k = aug.k if k is None else k
+def worst_subset(
+    aug: AugmentedInstance, cut: CutSet, design: Design
+) -> tuple[int, ...]:
+    """The cut's worst deletion subset under the design: its k largest
+    capacities among selected, unprotected, non-fictive arcs (all of them if
+    fewer than k), ties to the lower index, returned in index order."""
     vulnerable = sorted(
         (
-            aug.arcs[a].capacity
+            a
             for a in cut.arcs
             if not aug.is_fictive(a)
             and a in design.selected
             and a not in design.protected
         ),
-        reverse=True,
+        key=lambda a: (-aug.arcs[a].capacity, a),
     )
-    return int(sum(vulnerable[:k]))
+    return tuple(sorted(vulnerable[: aug.k]))
+
+
+def eval_MS(aug: AugmentedInstance, cut: CutSet, design: Design) -> int:
+    """Worst capacity loss of the cut: the capacity of its worst subset."""
+    return int(sum(aug.arcs[a].capacity for a in worst_subset(aug, cut, design)))
 
 
 def cut_residual(aug: AugmentedInstance, cut: CutSet, design: Design) -> int:
@@ -220,70 +232,58 @@ def point_row_value(
     return total
 
 
-def _subset_rows(
-    m_arcs: Sequence[int], k: int, include_smaller: bool
-) -> Iterable[tuple[int, ...]]:
-    top = min(k, len(m_arcs))
-    sizes = range(1, top + 1) if include_smaller else ([top] if top else [])
-    for size in sizes:
-        yield from itertools.combinations(m_arcs, size)
-
-
-def count_cut_rows(
-    aug: AugmentedInstance,
-    cut: CutSet,
-    k: int | None = None,
-    include_smaller: bool = True,
-) -> int:
+def count_cut_rows(aug: AugmentedInstance, cut: CutSet, k: int | None = None) -> int:
     """Number of deletion-subset rows full enumeration would emit for a cut."""
     k = aug.k if k is None else k
     m = sum(1 for a in cut.arcs if not aug.is_fictive(a))
-    top = min(k, m)
-    sizes = range(1, top + 1) if include_smaller else ([top] if top else [])
-    return int(sum(math.comb(m, j) for j in sizes))
+    return int(sum(math.comb(m, j) for j in range(1, min(k, m) + 1)))
 
 
 # ---------------------------------------------------------------------------
 # master builders
 
 
-def _add_design_vars(model: MilpModel, aug: AugmentedInstance):
-    y_var = []
-    p_var = []
-    for a in range(aug.arc_count):
-        fict = aug.is_fictive(a)
-        y_var.append(
-            model.add_var(f"y{a}", lb=1.0 if fict else 0.0, ub=1.0, integer=True)
-        )
-    for a in range(aug.arc_count):
-        fict = aug.is_fictive(a)
-        p_var.append(
-            model.add_var(f"p{a}", lb=0.0, ub=0.0 if fict else 1.0, integer=True)
-        )
-    model.set_objective(
-        {y_var[a]: aug.arcs[a].cost for a in range(aug.arc_count)}, minimize=True
-    )
-    return y_var, p_var
+def _design_block(name: str, aug: AugmentedInstance):
+    """A model holding the block every master starts with: the y columns,
+    then the p columns (fictive arcs always selected, never protected), the
+    cost objective, and the protection budget as row 0."""
+    model = MilpModel(name)
+    m = aug.arc_count
+    fictive = [aug.is_fictive(a) for a in range(m)]
+    y_var = [
+        model.add_var(f"y{a}", lb=float(fictive[a]), ub=1.0, integer=True)
+        for a in range(m)
+    ]
+    p_var = [
+        model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
+        for a in range(m)
+    ]
+    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)}, minimize=True)
+    model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
+    return model, y_var, p_var
 
 
-def _design_from(aug: AugmentedInstance, y_var, p_var, values) -> Design:
-    sel = {a for a in range(aug.arc_count) if values[y_var[a]] > 0.5}
-    prot = {a for a in range(aug.arc_count) if values[p_var[a]] > 0.5}
-    return Design.canonical(aug, sel, prot)
+def _add_protect_selected(model: MilpModel, aug: AugmentedInstance, y_var, p_var):
+    """Rows ``p_a <= y_a``: only selected initial arcs can be protected."""
+    for a in aug.initial_arcs:
+        model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
 
 
 @dataclass
-class CutsetMaster:
+class Master:
+    """A restricted master: the design block plus the rows and columns of
+    one formulation.  This is the whole attacker-expansion master; the
+    cut-set and flow masters add their own columns after the first 2m."""
+
     model: MilpModel
     y_var: list[int]
     p_var: list[int]
-    loss_var: list[int]
-    cut_subsets: list[tuple[tuple[int, ...], ...]]
-    cuts: list[CutSet]
     aug: AugmentedInstance
 
     def design_from(self, values) -> Design:
-        return _design_from(self.aug, self.y_var, self.p_var, values)
+        sel = {a for a in range(self.aug.arc_count) if values[self.y_var[a]] > 0.5}
+        prot = {a for a in range(self.aug.arc_count) if values[self.p_var[a]] > 0.5}
+        return Design.canonical(self.aug, sel, prot)
 
     def completion(self, design: Design) -> np.ndarray | None:
         """Full assignment extending a design, if one is feasible."""
@@ -291,6 +291,21 @@ class CutsetMaster:
         for a in range(self.aug.arc_count):
             x[self.y_var[a]] = 1.0 if a in design.selected else 0.0
             x[self.p_var[a]] = 1.0 if a in design.protected else 0.0
+        if not self._complete(x, design):
+            return None
+        return x if self.model.check_assignment(x) else None
+
+    def _complete(self, x: np.ndarray, design: Design) -> bool:
+        """Fill this master's own columns of ``x``; False if none fit."""
+        return True
+
+
+@dataclass
+class CutsetMaster(Master):
+    loss_var: list[int]
+    cut_subsets: list[tuple[tuple[int, ...], ...]]
+
+    def _complete(self, x: np.ndarray, design: Design) -> bool:
         for ci, subsets in enumerate(self.cut_subsets):
             loss = 0
             for sub in subsets:
@@ -298,41 +313,30 @@ class CutsetMaster:
                     loss,
                     sum(
                         self.aug.arcs[a].capacity
-                        * (
-                            (a in design.selected) - (a in design.protected)
-                        )
+                        * ((a in design.selected) - (a in design.protected))
                         for a in sub
                     ),
                 )
             x[self.loss_var[ci]] = float(loss)
-        return x if self.model.check_assignment(x) else None
+        return True
 
 
 def build_cutset_master(
     aug: AugmentedInstance,
     cuts: Sequence[CutSet | CutRows],
-    include_strengthening_rows: bool = True,
     row_cap: int = DEFAULT_ROW_CAP,
 ) -> CutsetMaster:
     """Selection/protection master constrained by the given cuts.
 
     Each cut contributes a surviving-capacity row and one row per deletion
-    subset bounding its loss variable from below.  ``include_strengthening_rows``
-    also emits rows for subsets smaller than k, which keeps the model exact
-    when protection is allowed off the selection and when a cut has fewer
-    than k deletable arcs.
+    subset bounding its loss variable from below.  Full enumeration also
+    emits rows for subsets smaller than k, which keeps the model exact when
+    protection is allowed off the selection and when a cut has fewer than k
+    deletable arcs.
     """
-    model = MilpModel("cutset_master")
-    y_var, p_var = _add_design_vars(model, aug)
-    model.add_constr(
-        {p_var[a]: 1.0 for a in range(aug.arc_count)},
-        "<=",
-        float(aug.kp),
-        "protection_budget",
-    )
+    model, y_var, p_var = _design_block("cutset_master", aug)
     loss_var: list[int] = []
     cut_subsets: list[tuple[tuple[int, ...], ...]] = []
-    cut_list: list[CutSet] = []
     for ci, entry in enumerate(cuts):
         if isinstance(entry, CutRows):
             cut, explicit = entry.cut, entry.subsets
@@ -341,14 +345,16 @@ def build_cutset_master(
         if cut.sink_side == frozenset({aug.sink}):
             raise FormulationError("cut isolating only the super sink is not allowed")
         if explicit is None:
-            n_rows = count_cut_rows(aug, cut, include_smaller=include_strengthening_rows)
+            n_rows = count_cut_rows(aug, cut)
             if n_rows > row_cap:
                 raise FormulationError(
                     f"cut needs {n_rows} rows, above the cap {row_cap}"
                 )
             non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
             subsets = tuple(
-                _subset_rows(non_fictive, aug.k, include_strengthening_rows)
+                sub
+                for size in range(1, min(aug.k, len(non_fictive)) + 1)
+                for sub in itertools.combinations(non_fictive, size)
             )
         else:
             subsets = tuple(tuple(sorted(sub)) for sub in explicit)
@@ -358,45 +364,32 @@ def build_cutset_master(
         mvar = model.add_var(f"loss{ci}", lb=0.0)
         loss_var.append(mvar)
         cut_subsets.append(subsets)
-        cut_list.append(cut)
         coeffs = {y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
         coeffs[mvar] = -1.0
-        model.add_constr(coeffs, ">=", float(aug.demand), f"cut{ci}_capacity")
-        for si, sub in enumerate(subsets):
+        model.add_constr(coeffs, ">=", float(aug.demand))
+        for sub in subsets:
             row = {mvar: 1.0}
             for a in sub:
                 u = float(aug.arcs[a].capacity)
                 row[y_var[a]] = row.get(y_var[a], 0.0) - u
                 row[p_var[a]] = row.get(p_var[a], 0.0) + u
-            model.add_constr(row, ">=", 0.0, f"cut{ci}_loss{si}")
-    return CutsetMaster(model, y_var, p_var, loss_var, cut_subsets, cut_list, aug)
+            model.add_constr(row, ">=", 0.0)
+    return CutsetMaster(model, y_var, p_var, aug, loss_var, cut_subsets)
 
 
 @dataclass
-class FlowMaster:
-    model: MilpModel
-    y_var: list[int]
-    p_var: list[int]
+class FlowMaster(Master):
     x_var: list[list[int]]
     scenarios: list[FailureScenario]
-    aug: AugmentedInstance
 
-    def design_from(self, values) -> Design:
-        return _design_from(self.aug, self.y_var, self.p_var, values)
-
-    def completion(self, design: Design) -> np.ndarray | None:
-        x = np.zeros(self.model.num_vars)
-        for a in range(self.aug.arc_count):
-            x[self.y_var[a]] = 1.0 if a in design.selected else 0.0
-            x[self.p_var[a]] = 1.0 if a in design.protected else 0.0
+    def _complete(self, x: np.ndarray, design: Design) -> bool:
         for fi, scenario in enumerate(self.scenarios):
-            mask = design.mask(self.aug, failed=scenario.arcs)
-            result = max_flow(self.aug, mask)
+            result = max_flow(self.aug, design.mask(self.aug, failed=scenario.arcs))
             if result.value < self.aug.demand:
-                return None
+                return False
             for a in range(self.aug.arc_count):
                 x[self.x_var[fi][a]] = float(result.flow[a])
-        return x if self.model.check_assignment(x) else None
+        return True
 
 
 def build_flow_master(
@@ -411,18 +404,8 @@ def build_flow_master(
         if sc.arcs in seen:
             raise FormulationError("duplicate failure scenario")
         seen.add(sc.arcs)
-    model = MilpModel("flow_master")
-    y_var, p_var = _add_design_vars(model, aug)
-    model.add_constr(
-        {p_var[a]: 1.0 for a in range(aug.arc_count)},
-        "<=",
-        float(aug.kp),
-        "protection_budget",
-    )
-    for a in aug.initial_arcs:
-        model.add_constr(
-            {p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0, f"p_le_y{a}"
-        )
+    model, y_var, p_var = _design_block("flow_master", aug)
+    _add_protect_selected(model, aug, y_var, p_var)
     x_var: list[list[int]] = []
     in_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
     out_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
@@ -441,64 +424,27 @@ def build_flow_master(
             row = {xs[a]: 1.0 for a in in_arcs[v]}
             for a in out_arcs[v]:
                 row[xs[a]] = row.get(xs[a], 0.0) - 1.0
-            model.add_constr(row, "=", 0.0, f"balance{fi}_v{v}")
-        model.add_constr(
-            {xs[a]: 1.0 for a in in_arcs[aug.sink]},
-            "=",
-            float(aug.demand),
-            f"balance{fi}_sink",
-        )
+            model.add_constr(row, "=", 0.0)
+        sink_row = {xs[a]: 1.0 for a in in_arcs[aug.sink]}
+        model.add_constr(sink_row, "=", float(aug.demand))
         for a in range(aug.arc_count):
             model.add_constr(
-                {xs[a]: 1.0, y_var[a]: -float(aug.arcs[a].capacity)},
-                "<=",
-                0.0,
-                f"cap{fi}_a{a}",
+                {xs[a]: 1.0, y_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
             )
         for a in scenario.sorted_arcs():
             model.add_constr(
-                {xs[a]: 1.0, p_var[a]: -float(aug.arcs[a].capacity)},
-                "<=",
-                0.0,
-                f"failcap{fi}_a{a}",
+                {xs[a]: 1.0, p_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
             )
-    return FlowMaster(model, y_var, p_var, x_var, list(scenarios), aug)
-
-
-@dataclass
-class BilevelMaster:
-    model: MilpModel
-    y_var: list[int]
-    p_var: list[int]
-    points: list[ExtremePoint]
-    aug: AugmentedInstance
-
-    def design_from(self, values) -> Design:
-        return _design_from(self.aug, self.y_var, self.p_var, values)
-
-    def completion(self, design: Design) -> np.ndarray | None:
-        x = np.zeros(self.model.num_vars)
-        for a in range(self.aug.arc_count):
-            x[self.y_var[a]] = 1.0 if a in design.selected else 0.0
-            x[self.p_var[a]] = 1.0 if a in design.protected else 0.0
-        return x if self.model.check_assignment(x) else None
+    return FlowMaster(model, y_var, p_var, aug, x_var, list(scenarios))
 
 
 def build_bilevel_master(
     aug: AugmentedInstance, points: Sequence[ExtremePoint]
-) -> BilevelMaster:
+) -> Master:
     """Selection/protection master with one guarantee row per attacker vertex."""
-    model = MilpModel("bilevel_master")
-    y_var, p_var = _add_design_vars(model, aug)
-    model.add_constr(
-        {p_var[a]: 1.0 for a in range(aug.arc_count)},
-        "<=",
-        float(aug.kp),
-        "protection_budget",
-    )
-    for a in aug.initial_arcs:
-        model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0, f"p_le_y{a}")
-    for h, pt in enumerate(points):
+    model, y_var, p_var = _design_block("bilevel_master", aug)
+    _add_protect_selected(model, aug, y_var, p_var)
+    for pt in points:
         pt.validate(aug)
         row: dict[int, float] = {}
         const = 0.0
@@ -509,8 +455,8 @@ def build_bilevel_master(
             if pt.gam[a]:
                 row[p_var[a]] = u * pt.gam[a]
             const += u * pt.gam[a] - u * pt.ell[a]
-        model.add_constr(row, ">=", float(aug.demand) - const, f"point{h}")
-    return BilevelMaster(model, y_var, p_var, list(points), aug)
+        model.add_constr(row, ">=", float(aug.demand) - const)
+    return Master(model, y_var, p_var, aug)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +517,7 @@ def build_2lp(aug: AugmentedInstance, design: Design) -> TwoLpModel:
         hi = 0.0 if v == aug.sink else 1.0
         mu_var.append(model.add_var(f"mu{v}", lo, hi))
     ell_var = [model.add_var(f"ell{a}", 0.0, 1.0) for a in range(m)]
-    model.add_constr({b_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k), "attack_budget")
+    model.add_constr({b_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k))
     for a, arc in enumerate(aug.arcs):
         model.add_constr(
             {
@@ -582,15 +528,11 @@ def build_2lp(aug: AugmentedInstance, design: Design) -> TwoLpModel:
             },
             ">=",
             0.0,
-            f"dual{a}",
         )
-        model.add_constr({ell_var[a]: 1.0, b_var[a]: -1.0}, "<=", 0.0, f"lin_b{a}")
-        model.add_constr({ell_var[a]: 1.0, gam_var[a]: -1.0}, "<=", 0.0, f"lin_g{a}")
+        model.add_constr({ell_var[a]: 1.0, b_var[a]: -1.0}, "<=", 0.0)
+        model.add_constr({ell_var[a]: 1.0, gam_var[a]: -1.0}, "<=", 0.0)
         model.add_constr(
-            {ell_var[a]: 1.0, gam_var[a]: -1.0, b_var[a]: -1.0},
-            ">=",
-            -1.0,
-            f"lin_bg{a}",
+            {ell_var[a]: 1.0, gam_var[a]: -1.0, b_var[a]: -1.0}, ">=", -1.0
         )
     obj: dict[int, float] = {}
     for a, arc in enumerate(aug.arcs):
@@ -650,9 +592,8 @@ def _cut_search_base(aug: AugmentedInstance, name: str) -> CutSearchModel:
             },
             ">=",
             0.0,
-            f"dual{a}",
         )
-    model.add_constr({gam_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k), "drop_budget")
+    model.add_constr({gam_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k))
     return CutSearchModel(model, lam_var, gam_var, mu_var, aug)
 
 
@@ -696,7 +637,7 @@ def build_strengthening(
             row[search.lam_var[a]] = u
         if a in design.protected:
             row[search.gam_var[a]] = u if weighted_gamma else 1.0
-    search.model.add_constr(row, "<=", float(aug.demand) - 1.0, "below_demand")
+    search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
     search.model.set_objective(
         {search.lam_var[a]: 1.0 for a in range(aug.arc_count)}, minimize=True
     )
@@ -741,11 +682,11 @@ def build_inner_flow(
         row = {x_var[a]: 1.0 for a in in_arcs[v]}
         for a in out_arcs[v]:
             row[x_var[a]] = row.get(x_var[a], 0.0) - 1.0
-        model.add_constr(row, "=", 0.0, f"balance{v}")
+        model.add_constr(row, "=", 0.0)
     for a in aug.initial_arcs:
         u = float(aug.arcs[a].capacity)
         limit = u * (1.0 - (a in failed) + (a in design.protected))
-        model.add_constr({x_var[a]: 1.0}, "<=", limit, f"attack_cap{a}")
+        model.add_constr({x_var[a]: 1.0}, "<=", limit)
     obj = {x_var[a]: 1.0 for a in out_arcs[aug.root]}
     for a in in_arcs[aug.root]:
         obj[x_var[a]] = obj.get(x_var[a], 0.0) - 1.0

@@ -159,9 +159,6 @@ class AugmentedInstance:
     def capacities(self) -> np.ndarray:
         return np.array([a.capacity for a in self.arcs], dtype=np.int64)
 
-    def costs(self) -> np.ndarray:
-        return np.array([a.cost for a in self.arcs], dtype=np.float64)
-
     def arc_index(self, tail: int, head: int) -> int:
         for i, a in enumerate(self.arcs):
             if a.tail == tail and a.head == head:

@@ -93,7 +93,6 @@ class _Constraint:
     coeffs: dict[int, float]
     sense: str
     rhs: float
-    name: str
 
 
 class MilpModel:
@@ -105,7 +104,6 @@ class MilpModel:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
-        self._var_names: list[str] = []
         self._objective: dict[int, float] = {}
         self._constraints: list[_Constraint] = []
         self._cache: tuple | None = None
@@ -127,17 +125,10 @@ class MilpModel:
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._integer.append(bool(integer))
-        self._var_names.append(name if name is not None else f"x{idx}")
         self._cache = None
         return idx
 
-    def add_constr(
-        self,
-        coeffs: Mapping[int, float],
-        sense: str,
-        rhs: float,
-        name: str | None = None,
-    ) -> None:
+    def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
         if sense not in ("<=", ">=", "="):
             raise MilpError(f"unknown sense {sense!r}")
         if not math.isfinite(rhs):
@@ -150,8 +141,7 @@ class MilpModel:
                 raise MilpError("constraint coefficients must be finite")
             if coef != 0.0:
                 clean[int(var)] = float(coef)
-        cname = name if name is not None else f"c{len(self._constraints)}"
-        self._constraints.append(_Constraint(clean, sense, float(rhs), cname))
+        self._constraints.append(_Constraint(clean, sense, float(rhs)))
         self._cache = None
 
     def set_objective(self, coeffs: Mapping[int, float], minimize: bool = True) -> None:

@@ -7,7 +7,17 @@ import pytest
 from conftest import corpus, triangle
 
 from cprsnp import augment
-from cprsnp.engine import EngineOptions, FORMULATIONS, initial_rows, solve
+from cprsnp.engine import (
+    BilevelFormulation,
+    CutsetFormulation,
+    EngineError,
+    EngineOptions,
+    FORMULATIONS,
+    FlowFormulation,
+    formulation_for,
+    solve,
+)
+from cprsnp.formulations import Design
 from cprsnp.graph import CutSet
 from cprsnp.milp import SolveStatus
 from cprsnp.verify import is_survivable
@@ -75,32 +85,54 @@ def test_triangle_no_failures(formulation):
 
 def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
-    (cut,) = initial_rows(aug, "cutset")
-    assert isinstance(cut, CutSet)
-    assert cut.sink_side == frozenset(range(1, aug.vertex_count))
+    (entry,) = CutsetFormulation(aug, FAST).cuts.values()
+    assert isinstance(entry.cut, CutSet)
+    assert entry.cut.sink_side == frozenset(range(1, aug.vertex_count))
 
 
 def test_initial_rows_flow_clamps_to_candidates():
     aug = augment(triangle(k=2, kp=0))
-    (scenario,) = initial_rows(aug, "flow")
+    (scenario,) = FlowFormulation(aug, FAST).scenarios
     assert scenario.arcs == frozenset({0, 1})
 
     wide = augment(triangle(k=3, kp=0))
-    (scenario,) = initial_rows(wide, "flow")
+    (scenario,) = FlowFormulation(wide, FAST).scenarios
     assert len(scenario.arcs) == wide.initial_arc_count
 
 
 def test_initial_rows_bilevel_empty():
     aug = augment(triangle(k=1, kp=0))
-    assert initial_rows(aug, "bilevel") == []
+    assert BilevelFormulation(aug, FAST).points == []
 
 
 def test_unknown_formulation_rejected():
     aug = augment(triangle(k=1, kp=0))
     with pytest.raises(ValueError):
-        initial_rows(aug, "benders")
+        formulation_for(aug, "benders", FAST)
     with pytest.raises(ValueError):
         solve(aug, "benders", FAST)
+
+
+@pytest.mark.parametrize(
+    "formulation, options",
+    [
+        ("cutset", FAST),
+        ("cutset", EngineOptions(time_limit_s=60.0, lazy_cut_row_limit=0)),
+        ("flow", FAST),
+        ("bilevel", FAST),
+    ],
+)
+def test_repeated_violation_stalls(formulation, options):
+    # both root arcs survive the seeded root cut, but losing the direct arc
+    # cuts the terminal off, so every oracle objects with a fresh violation
+    aug = augment(triangle(k=1, kp=0))
+    design = Design.canonical(aug, [0, 1])
+    form = formulation_for(aug, formulation, options)
+    violation = form.separate(design, 60.0)
+    assert violation is not None
+    form.add(violation, design)
+    with pytest.raises(EngineError):
+        form.add(violation, design)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +180,11 @@ def test_lazy_cut_pool_still_converges():
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.cost == pytest.approx(expected)
         assert is_survivable(aug, sol.design)
+        # a new lazy cut brings its loss column, capacity row and one subset
+        # row; a known lazy cut gains only one subset row
+        grown = {(r.rows_added, r.columns_added) for r in sol.log[:-1]}
+        assert (1, 0) in grown
+        assert grown <= {(1, 0), (2, 1)}
 
 
 def test_scenario_separation_via_mip():

@@ -120,8 +120,50 @@ def test_count_cut_rows():
     cut = CutSet.from_sink_side(aug, {2, 3})  # two initial arcs cross
     assert count_cut_rows(aug, cut) == 2
     assert count_cut_rows(aug, cut, k=2) == 3
-    assert count_cut_rows(aug, cut, k=2, include_smaller=False) == 1
     assert count_cut_rows(aug, cut, k=0) == 0
+
+
+# ---------------------------------------------------------------------------
+# the design block shared by the three masters
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_masters_share_the_design_block(seed):
+    aug = small_instance(seed, k=1, kp=1)
+    design = Design.canonical(aug, aug.initial_arcs)
+    attack = build_2lp(aug, design)
+    point = attack.extract_point(solve_mip(attack.model).values)
+    masters = [
+        build_cutset_master(aug, all_cuts(aug)[:2]),
+        build_flow_master(aug, [FailureScenario.of(aug, [0])]),
+        build_bilevel_master(aug, [point]),
+    ]
+    m2 = 2 * aug.arc_count
+
+    def block(model):
+        lb, ub = model.bounds()
+        integer = [i for i in model.integer_indices() if i < m2]
+        cost = [model._objective.get(i, 0.0) for i in range(m2)]
+        row0 = model._constraints[0]
+        return (
+            list(lb[:m2]),
+            list(ub[:m2]),
+            integer,
+            cost,
+            (row0.coeffs, row0.sense, row0.rhs),
+        )
+
+    first = block(masters[0].model)
+    assert first[2] == list(range(m2))  # every design column is binary
+    # the budget row spans every p column; fictive ones are fixed at zero
+    budget = {aug.arc_count + a: 1.0 for a in range(aug.arc_count)}
+    assert first[4] == (budget, "<=", aug.kp)
+    for master in masters:
+        assert master.model.num_vars >= m2
+        assert block(master.model) == first
+        # the base completion fills y/p, each master its own columns
+        optimum = master.design_from(solve_mip(master.model).values)
+        assert master.design_from(master.completion(optimum)) == optimum
 
 
 # ---------------------------------------------------------------------------
