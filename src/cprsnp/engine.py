@@ -14,8 +14,9 @@ consecutive masters.
 
 The master optimum is a lower bound that never decreases; a survivable
 incumbent built upfront (exact protection search on the all-arcs design)
-provides the upper bound, warm starts every master solve, and is what a
-timeout falls back to.
+provides the upper bound, and is what a timeout falls back to.  Every
+master solve is pruned by the incumbent's cost: a master with no design
+strictly cheaper than the incumbent proves the incumbent optimal.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .separation import strengthen as strengthen_point
 
 log = logging.getLogger(__name__)
 
+# a cut whose full enumeration would exceed this many rows is added lazily
+LAZY_CUT_ROW_LIMIT = 20_000
+
+
 class EngineError(RuntimeError):
     """The generation loop reached a state that should be impossible."""
 
@@ -55,8 +60,6 @@ class EngineError(RuntimeError):
 class EngineOptions:
     time_limit_s: float = 2000.0
     strengthen: bool = True
-    scenario_brute_limit: int = 100_000
-    lazy_cut_row_limit: int = 20_000
 
 
 @dataclass(frozen=True)
@@ -106,19 +109,18 @@ class Solution:
 
 class CutsetFormulation:
     """Cuts found so far.  A cut whose full enumeration would exceed
-    ``lazy_cut_row_limit`` rows is lazy: it starts with the worst deletion
+    :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it starts with the worst deletion
     subset of the design that violated it and gains one subset per repeat."""
 
     def __init__(self, aug: AugmentedInstance, options: EngineOptions):
         self.aug = aug
-        self.options = options
         # seed: the cut separating the root from everything else
         side = frozenset(range(aug.vertex_count)) - {aug.root}
         root = CutSet.from_sink_side(aug, side)
         self.cuts = {side: CutRows(root, () if self._lazy(root) else None)}
 
     def _lazy(self, cut: CutSet) -> bool:
-        return count_cut_rows(self.aug, cut) > self.options.lazy_cut_row_limit
+        return count_cut_rows(self.aug, cut) > LAZY_CUT_ROW_LIMIT
 
     def master(self):
         return build_cutset_master(self.aug, list(self.cuts.values()))
@@ -148,7 +150,6 @@ class FlowFormulation:
 
     def __init__(self, aug: AugmentedInstance, options: EngineOptions):
         self.aug = aug
-        self.options = options
         first = tuple(range(min(aug.k, aug.initial_arc_count)))
         self.scenarios = [FailureScenario.of(aug, first)]
 
@@ -156,12 +157,7 @@ class FlowFormulation:
         return build_flow_master(self.aug, self.scenarios)
 
     def separate(self, design: Design, time_limit_s: float):
-        return separate_scenario(
-            self.aug,
-            design,
-            time_limit_s=time_limit_s,
-            brute_force_limit=self.options.scenario_brute_limit,
-        )
+        return separate_scenario(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
         if violation.scenario in self.scenarios:
@@ -214,20 +210,13 @@ def formulation_for(aug: AugmentedInstance, name: str, options: EngineOptions):
     return FORMULATION_CLASSES[name](aug, options)
 
 
-def _feasible_incumbent(
-    aug: AugmentedInstance, options: EngineOptions, remaining
-) -> Design | None:
+def _feasible_incumbent(aug: AugmentedInstance, remaining) -> Design | None:
     """Survivable design used as upper bound: all arcs plus a protection
     search branching on witness scenarios (the all-arcs selection is
     protectable iff the instance is feasible at all)."""
 
     def probe(design: Design, budget: int) -> Design | None:
-        violation = separate_scenario(
-            aug,
-            design,
-            time_limit_s=remaining(),
-            brute_force_limit=options.scenario_brute_limit,
-        )
+        violation = separate_scenario(aug, design, time_limit_s=remaining())
         if violation is None:
             return design
         if budget == 0:
@@ -288,7 +277,7 @@ def solve(
         return finish(SolveStatus.INFEASIBLE, None, None, None)
 
     try:
-        incumbent = _feasible_incumbent(aug, options, remaining)
+        incumbent = _feasible_incumbent(aug, remaining)
     except SeparationTimeout:
         incumbent = None  # ran out of time while probing; unresolved
     else:
@@ -319,10 +308,14 @@ def solve(
         iteration += 1
         if remaining() <= 0:
             return timeout_solution()
-        warm = master.completion(incumbent) if incumbent is not None else None
-        res = solve_mip(master.model, time_limit_s=remaining(), incumbent=warm)
+        # without an incumbent, upper is math.inf and prunes nothing
+        res = solve_mip(master.model, time_limit_s=remaining(), cutoff=upper)
         if res.status == SolveStatus.INFEASIBLE:
-            return finish(SolveStatus.INFEASIBLE, None, None, None)
+            if incumbent is None:
+                return finish(SolveStatus.INFEASIBLE, None, None, None)
+            # no design is strictly cheaper than the incumbent
+            records.append(IterationRecord(iteration, upper, None, 0, 0, elapsed()))
+            return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
         if res.status != SolveStatus.OPTIMAL:
             if res.bound is not None:
                 lower = max(lower, res.bound)

@@ -14,9 +14,8 @@ protection variables ``p``:
 All three start from one design block: the ``y`` columns, then the ``p``
 columns, the cost objective and the protection budget as row 0.  Each
 master is a :class:`Master` over that block and only adds its own rows
-and columns after it, so :meth:`Master.completion` fills in ``y``/``p`` and
-a subclass only its own columns.  The flow and attacker-expansion masters
-also share the ``p <= y`` rows; the cut-set master has none.
+and columns after it.  The flow and attacker-expansion masters also share
+the ``p <= y`` rows; the cut-set master has none.
 
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
@@ -29,9 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .graph import ArcMask, AugmentedInstance, CutSet, max_flow
+from .graph import ArcMask, AugmentedInstance, CutSet
 from .milp import MilpModel
 
 DEFAULT_ROW_CAP = 10**6
@@ -272,8 +269,8 @@ def _add_protect_selected(model: MilpModel, aug: AugmentedInstance, y_var, p_var
 @dataclass
 class Master:
     """A restricted master: the design block plus the rows and columns of
-    one formulation.  This is the whole attacker-expansion master; the
-    cut-set and flow masters add their own columns after the first 2m."""
+    one formulation (the cut-set and flow masters add their own columns
+    after the first 2m)."""
 
     model: MilpModel
     y_var: list[int]
@@ -285,47 +282,12 @@ class Master:
         prot = {a for a in range(self.aug.arc_count) if values[self.p_var[a]] > 0.5}
         return Design.canonical(self.aug, sel, prot)
 
-    def completion(self, design: Design) -> np.ndarray | None:
-        """Full assignment extending a design, if one is feasible."""
-        x = np.zeros(self.model.num_vars)
-        for a in range(self.aug.arc_count):
-            x[self.y_var[a]] = 1.0 if a in design.selected else 0.0
-            x[self.p_var[a]] = 1.0 if a in design.protected else 0.0
-        if not self._complete(x, design):
-            return None
-        return x if self.model.check_assignment(x) else None
-
-    def _complete(self, x: np.ndarray, design: Design) -> bool:
-        """Fill this master's own columns of ``x``; False if none fit."""
-        return True
-
-
-@dataclass
-class CutsetMaster(Master):
-    loss_var: list[int]
-    cut_subsets: list[tuple[tuple[int, ...], ...]]
-
-    def _complete(self, x: np.ndarray, design: Design) -> bool:
-        for ci, subsets in enumerate(self.cut_subsets):
-            loss = 0
-            for sub in subsets:
-                loss = max(
-                    loss,
-                    sum(
-                        self.aug.arcs[a].capacity
-                        * ((a in design.selected) - (a in design.protected))
-                        for a in sub
-                    ),
-                )
-            x[self.loss_var[ci]] = float(loss)
-        return True
-
 
 def build_cutset_master(
     aug: AugmentedInstance,
     cuts: Sequence[CutSet | CutRows],
     row_cap: int = DEFAULT_ROW_CAP,
-) -> CutsetMaster:
+) -> Master:
     """Selection/protection master constrained by the given cuts.
 
     Each cut contributes a surviving-capacity row and one row per deletion
@@ -335,8 +297,6 @@ def build_cutset_master(
     deletable arcs.
     """
     model, y_var, p_var = _design_block("cutset_master", aug)
-    loss_var: list[int] = []
-    cut_subsets: list[tuple[tuple[int, ...], ...]] = []
     for ci, entry in enumerate(cuts):
         if isinstance(entry, CutRows):
             cut, explicit = entry.cut, entry.subsets
@@ -362,8 +322,6 @@ def build_cutset_master(
                 if any(aug.is_fictive(a) for a in sub):
                     raise FormulationError("deletion subset contains a fictive arc")
         mvar = model.add_var(f"loss{ci}", lb=0.0)
-        loss_var.append(mvar)
-        cut_subsets.append(subsets)
         coeffs = {y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
         coeffs[mvar] = -1.0
         model.add_constr(coeffs, ">=", float(aug.demand))
@@ -374,27 +332,12 @@ def build_cutset_master(
                 row[y_var[a]] = row.get(y_var[a], 0.0) - u
                 row[p_var[a]] = row.get(p_var[a], 0.0) + u
             model.add_constr(row, ">=", 0.0)
-    return CutsetMaster(model, y_var, p_var, aug, loss_var, cut_subsets)
-
-
-@dataclass
-class FlowMaster(Master):
-    x_var: list[list[int]]
-    scenarios: list[FailureScenario]
-
-    def _complete(self, x: np.ndarray, design: Design) -> bool:
-        for fi, scenario in enumerate(self.scenarios):
-            result = max_flow(self.aug, design.mask(self.aug, failed=scenario.arcs))
-            if result.value < self.aug.demand:
-                return False
-            for a in range(self.aug.arc_count):
-                x[self.x_var[fi][a]] = float(result.flow[a])
-        return True
+    return Master(model, y_var, p_var, aug)
 
 
 def build_flow_master(
     aug: AugmentedInstance, scenarios: Sequence[FailureScenario]
-) -> FlowMaster:
+) -> Master:
     """Selection/protection master with one explicit flow per failure scenario."""
     seen: set[frozenset[int]] = set()
     for sc in scenarios:
@@ -406,7 +349,6 @@ def build_flow_master(
         seen.add(sc.arcs)
     model, y_var, p_var = _design_block("flow_master", aug)
     _add_protect_selected(model, aug, y_var, p_var)
-    x_var: list[list[int]] = []
     in_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
     out_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
     for a, arc in enumerate(aug.arcs):
@@ -417,7 +359,6 @@ def build_flow_master(
             model.add_var(f"x{fi}_{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
             for a in range(aug.arc_count)
         ]
-        x_var.append(xs)
         for v in range(aug.vertex_count):
             if v in (aug.root, aug.sink):
                 continue
@@ -435,7 +376,7 @@ def build_flow_master(
             model.add_constr(
                 {xs[a]: 1.0, p_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
             )
-    return FlowMaster(model, y_var, p_var, aug, x_var, list(scenarios))
+    return Master(model, y_var, p_var, aug)
 
 
 def build_bilevel_master(
@@ -617,17 +558,12 @@ def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearch
     return search
 
 
-def build_strengthening(
-    aug: AugmentedInstance,
-    design: Design,
-    weighted_gamma: bool = True,
-) -> CutSearchModel:
+def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchModel:
     """Find a failing cut that touches as few arcs as possible.
 
     Feasible iff some cut drops below demand after at most k failures of the
-    design's unprotected arcs; infeasible for survivable designs.  With
-    ``weighted_gamma`` the protected term counts capacities (the default,
-    consistent with every other capacity sum); without it, raw arc counts.
+    design's unprotected arcs; infeasible for survivable designs.  The
+    protected term counts capacities, like every other capacity sum.
     """
     search = _cut_search_base(aug, "cut_strengthening")
     row: dict[int, float] = {}
@@ -636,7 +572,7 @@ def build_strengthening(
         if a in design.selected:
             row[search.lam_var[a]] = u
         if a in design.protected:
-            row[search.gam_var[a]] = u if weighted_gamma else 1.0
+            row[search.gam_var[a]] = u
     search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
     search.model.set_objective(
         {search.lam_var[a]: 1.0 for a in range(aug.arc_count)}, minimize=True

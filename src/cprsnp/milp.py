@@ -11,8 +11,9 @@ branch and bound on top of that instance:
 * branching on the most fractional integer variable, ties by lowest index,
 * best-bound node selection, ties by depth (deeper first) then insertion,
 * optional wall-clock limit; the reported bound stays valid at all times,
-* optional warm start: a candidate assignment is checked against the model
-  and installed as the initial incumbent when feasible.
+* optional cutoff: the objective value of a solution known from elsewhere;
+  every node that cannot beat it strictly is pruned, and a model with
+  nothing better reads INFEASIBLE.
 
 Everything is deterministic for a fixed model: no randomized choices, serial
 simplex, and the same sequence of bound changes on every run.
@@ -332,15 +333,16 @@ def _gap(objective: float, bound: float) -> float:
 def solve_mip(
     model: MilpModel,
     time_limit_s: float | None = None,
-    incumbent: Sequence[float] | None = None,
-    int_tol: float = INT_TOL,
+    cutoff: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound over the integer variables of the model.
 
-    ``incumbent`` is an optional warm-start assignment; it is installed only
-    after passing :meth:`MilpModel.check_assignment`.  With a time limit the
-    returned status is FEASIBLE and ``bound`` still underestimates (in the
-    minimization sense) every feasible objective.
+    ``cutoff`` is an optional objective value in the model's own sense, the
+    cost of a solution the caller already holds: the search starts with it
+    as the value to beat, so INFEASIBLE then means "no solution strictly
+    better than the cutoff".  With a time limit the returned status is
+    FEASIBLE and ``bound`` still underestimates (in the minimization sense)
+    every feasible objective better than the cutoff.
     """
     t0 = time.perf_counter()
     lb0, ub0 = model.bounds()
@@ -351,11 +353,9 @@ def solve_mip(
     def out_of_time() -> bool:
         return time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
 
-    best_obj = math.inf  # internal minimization sense
+    # internal minimization sense
+    best_obj = math.inf if cutoff is None else sign * cutoff
     best_x: np.ndarray | None = None
-    if incumbent is not None and model.check_assignment(incumbent):
-        best_x = np.asarray(incumbent, dtype=float)
-        best_obj = sign * model.objective_value(best_x)
 
     nodes = 0
     seq = 0
@@ -400,7 +400,7 @@ def solve_mip(
             root_handled = True
             continue
         frac = np.abs(x[int_idx] - np.round(x[int_idx])) if int_idx.size else np.array([])
-        fractional = np.flatnonzero(frac > int_tol)
+        fractional = np.flatnonzero(frac > INT_TOL)
         if fractional.size == 0:
             best_obj = node_bound
             best_x = x

@@ -156,7 +156,7 @@ def separate_scenario(
             break
         if a not in chosen:
             chosen.append(a)
-    chosen = sorted(chosen[:size]) if len(chosen) > size else sorted(chosen)
+    chosen.sort()
     flow = max_flow(aug, design.mask(aug, failed=chosen)).value
     if flow != value:
         raise SeparationError(
@@ -193,7 +193,6 @@ def strengthen(
     design: Design,
     violation: PointViolation,
     time_limit_s: float | None = None,
-    weighted_gamma: bool = True,
 ) -> PointViolation:
     """Replace a violated point with one generated at an enlarged design.
 
@@ -201,10 +200,12 @@ def strengthen(
     arc that cut ignores, and re-separates at the enlarged design.  The row
     of the returned point still cuts off the original design because row
     values only grow with the selection.  Falls back to the original point
-    when the search is infeasible, times out, or fails to help.
+    when the search is infeasible, times out, or fails to help.  The search
+    and the re-separation share ``time_limit_s``.
     """
     _require_canonical(aug, design)
-    search = build_strengthening(aug, design, weighted_gamma=weighted_gamma)
+    t0 = time.perf_counter()
+    search = build_strengthening(aug, design)
     res = solve_mip(search.model, time_limit_s=time_limit_s)
     if res.status != SolveStatus.OPTIMAL:
         return violation  # infeasible (design survivable) or out of time
@@ -220,6 +221,8 @@ def strengthen(
     )
     if enlarged.selected == design.selected:
         return violation
+    if time_limit_s is not None:
+        time_limit_s -= time.perf_counter() - t0
     try:
         stronger = separate_bilevel(aug, enlarged, time_limit_s=time_limit_s)
     except (SeparationTimeout, NonVertexSolution):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from conftest import corpus, triangle
 
-from cprsnp import augment
+from cprsnp import augment, engine
 from cprsnp.engine import (
     BilevelFormulation,
     CutsetFormulation,
@@ -24,6 +26,17 @@ from cprsnp.verify import is_survivable
 
 
 FAST = EngineOptions(time_limit_s=60.0)
+
+
+@pytest.fixture
+def scenarios_via_mip(monkeypatch):
+    """Brute limit zero pushes scenario separation onto the attacker MIP,
+    in the feasibility probe too."""
+    monkeypatch.setattr(
+        engine,
+        "separate_scenario",
+        functools.partial(engine.separate_scenario, brute_force_limit=0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +129,20 @@ def test_unknown_formulation_rejected():
 @pytest.mark.parametrize(
     "formulation, options",
     [
-        ("cutset", FAST),
-        ("cutset", EngineOptions(time_limit_s=60.0, lazy_cut_row_limit=0)),
-        ("flow", FAST),
-        ("bilevel", FAST),
+        ("cutset", {}),
+        ("cutset", {"LAZY_CUT_ROW_LIMIT": 0}),
+        ("flow", {}),
+        ("bilevel", {}),
     ],
 )
-def test_repeated_violation_stalls(formulation, options):
+def test_repeated_violation_stalls(formulation, options, monkeypatch):
     # both root arcs survive the seeded root cut, but losing the direct arc
     # cuts the terminal off, so every oracle objects with a fresh violation
+    for name, value in options.items():
+        monkeypatch.setattr(engine, name, value)
     aug = augment(triangle(k=1, kp=0))
     design = Design.canonical(aug, [0, 1])
-    form = formulation_for(aug, formulation, options)
+    form = formulation_for(aug, formulation, FAST)
     violation = form.separate(design, 60.0)
     assert violation is not None
     form.add(violation, design)
@@ -167,16 +182,42 @@ def test_log_lines_shape(formulation):
     assert all("elapsed=" in line for line in timed)
 
 
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_master_without_cheaper_design_proves_incumbent(formulation, monkeypatch):
+    # surviving one failure without protection needs every arc, so the
+    # all-arcs incumbent is optimal: once the master reaches its cost, the
+    # cutoff leaves it no design, and that is what ends the run
+    calls = []
+    real_solve_mip = engine.solve_mip
+
+    def record(model, time_limit_s=None, cutoff=None):
+        res = real_solve_mip(model, time_limit_s=time_limit_s, cutoff=cutoff)
+        calls.append((cutoff, res.status))
+        return res
+
+    monkeypatch.setattr(engine, "solve_mip", record)
+    aug = augment(triangle(k=1, kp=0))
+    sol = solve(aug, formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == pytest.approx(4.0)
+    assert sol.design.selected == frozenset(range(aug.arc_count))
+    assert {cutoff for cutoff, _ in calls} == {4.0}  # the incumbent's cost
+    assert [status for _, status in calls][-1] is SolveStatus.INFEASIBLE
+    last = sol.log[-1]
+    assert (last.master_objective, last.separation_value) == (4.0, None)
+    assert (last.rows_added, last.columns_added) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # option plumbing
 
 
-def test_lazy_cut_pool_still_converges():
+def test_lazy_cut_pool_still_converges(monkeypatch):
     # row limit zero forces every cut through the lazy one-row-at-a-time path
-    opts = EngineOptions(time_limit_s=60.0, lazy_cut_row_limit=0)
+    monkeypatch.setattr(engine, "LAZY_CUT_ROW_LIMIT", 0)
     for kp, expected in ((0, 4.0), (1, 2.0)):
         aug = augment(triangle(k=1, kp=kp))
-        sol = solve(aug, "cutset", opts)
+        sol = solve(aug, "cutset", FAST)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.cost == pytest.approx(expected)
         assert is_survivable(aug, sol.design)
@@ -187,11 +228,9 @@ def test_lazy_cut_pool_still_converges():
         assert grown <= {(1, 0), (2, 1)}
 
 
-def test_scenario_separation_via_mip():
-    # brute limit zero pushes scenario separation onto the MIP route
-    opts = EngineOptions(time_limit_s=60.0, scenario_brute_limit=0)
+def test_scenario_separation_via_mip(scenarios_via_mip):
     aug = augment(triangle(k=1, kp=1))
-    sol = solve(aug, "flow", opts)
+    sol = solve(aug, "flow", FAST)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.cost == pytest.approx(2.0)
 
@@ -221,11 +260,10 @@ def test_zero_budget_keeps_probe_incumbent():
     assert sol.gap == pytest.approx(1.0)
 
 
-def test_zero_budget_unresolved_without_incumbent():
+def test_zero_budget_unresolved_without_incumbent(scenarios_via_mip):
     # forcing separation through the MIP makes the probe itself time out
     aug = augment(triangle(k=1, kp=0))
-    opts = EngineOptions(time_limit_s=0.0, scenario_brute_limit=0)
-    sol = solve(aug, "flow", opts)
+    sol = solve(aug, "flow", EngineOptions(time_limit_s=0.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is None
     assert sol.cost is None

@@ -32,6 +32,16 @@ def tri_aug(k=1, kp=0):
     return augment(triangle(k, kp))
 
 
+def solve_fixed(master, design):
+    """Solve the master with its y/p columns fixed to the design by added
+    rows: OPTIMAL at the design's cost iff the master admits the design."""
+    model = master.model
+    for a in range(master.aug.arc_count):
+        model.add_constr({master.y_var[a]: 1.0}, "=", float(a in design.selected))
+        model.add_constr({master.p_var[a]: 1.0}, "=", float(a in design.protected))
+    return solve_mip(model)
+
+
 def all_cuts(aug):
     others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
     cuts = []
@@ -161,9 +171,12 @@ def test_masters_share_the_design_block(seed):
     for master in masters:
         assert master.model.num_vars >= m2
         assert block(master.model) == first
-        # the base completion fills y/p, each master its own columns
+        # the master's optimum solves again with its own y/p fixed
         optimum = master.design_from(solve_mip(master.model).values)
-        assert master.design_from(master.completion(optimum)) == optimum
+        res = solve_fixed(master, optimum)
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(optimum.cost(aug))
+        assert master.design_from(res.values) == optimum
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +228,16 @@ def test_cutset_master_guards():
         build_cutset_master(aug, all_cuts(aug), row_cap=1)
 
 
-def test_cutset_master_completion():
+def test_cutset_master_fixed_design():
     aug = tri_aug(k=1, kp=0)
-    master = build_cutset_master(aug, all_cuts(aug))
     full = Design.canonical(aug, range(3))
-    completion = master.completion(full)
-    assert completion is not None
-    assert master.model.check_assignment(completion)
-    assert master.model.objective_value(completion) == pytest.approx(4.0)
-    # a design violating a cut row has no completion
-    assert master.completion(Design.canonical(aug, [0])) is None
+    res = solve_fixed(build_cutset_master(aug, all_cuts(aug)), full)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(4.0)
+    # a design violating a cut row is cut off
+    weak = Design.canonical(aug, [0])
+    res = solve_fixed(build_cutset_master(aug, all_cuts(aug)), weak)
+    assert res.status == SolveStatus.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +278,16 @@ def test_flow_master_rejects_bad_scenarios():
         build_flow_master(aug, [FailureScenario(frozenset({3}))])
 
 
-def test_flow_master_completion():
+def test_flow_master_fixed_design():
     aug = tri_aug(k=1, kp=0)
-    master = build_flow_master(aug, [FailureScenario.of(aug, [a]) for a in range(3)])
+    singles = [FailureScenario.of(aug, [a]) for a in range(3)]
     full = Design.canonical(aug, range(3))
-    completion = master.completion(full)
-    assert completion is not None
-    assert master.model.check_assignment(completion)
-    assert master.completion(Design.canonical(aug, [1])) is None
+    res = solve_fixed(build_flow_master(aug, singles), full)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(4.0)
+    weak = Design.canonical(aug, [1])
+    res = solve_fixed(build_flow_master(aug, singles), weak)
+    assert res.status == SolveStatus.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +324,9 @@ def test_bilevel_point_row_cuts_off_design():
     assert value == pytest.approx(res.objective)
     assert value < aug.demand
 
-    master = build_bilevel_master(aug, [point])
-    completion = master.completion(design)
-    assert completion is None  # the new row rejects the separated design
+    # the new row rejects the separated design
+    res = solve_fixed(build_bilevel_master(aug, [point]), design)
+    assert res.status == SolveStatus.INFEASIBLE
 
 
 def test_2lp_frozen_values():
@@ -371,11 +386,9 @@ def test_strengthening_model_feasibility():
 def test_strengthening_gamma_weighting_toggle():
     aug = tri_aug(k=1, kp=1)
     design = Design.canonical(aug, [1], [1])
-    weighted = solve_mip(build_strengthening(aug, design, weighted_gamma=True).model)
-    raw = solve_mip(build_strengthening(aug, design, weighted_gamma=False).model)
+    weighted = solve_mip(build_strengthening(aug, design).model)
     # protecting the only crossing arc keeps every cut at demand
     assert weighted.status == SolveStatus.INFEASIBLE
-    assert raw.status == SolveStatus.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------

@@ -144,16 +144,6 @@ def test_mip_without_integers_equals_lp():
     assert solve_mip(model).objective == pytest.approx(solve_lp(model).objective)
 
 
-def test_incumbent_is_used_and_checked():
-    model = knapsack([5, 4, 3], [2, 3, 1], 5)
-    res = solve_mip(model, incumbent=[1.0, 1.0, 0.0])
-    assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(9.0)
-    # an infeasible warm start must be ignored, not believed
-    res = solve_mip(model, incumbent=[1.0, 1.0, 1.0])
-    assert res.objective == pytest.approx(9.0)
-
-
 def test_determinism():
     model = knapsack([7, 2, 9, 4, 8, 3], [3, 1, 5, 2, 4, 1], 8)
     a = solve_mip(model)
@@ -168,17 +158,23 @@ def test_time_limit_keeps_valid_bound():
     values = [rng.randint(20, 60) for _ in range(26)]
     weights = [v + rng.randint(-3, 3) for v in values]
     model = knapsack(values, weights, sum(weights) // 2)
-    res = solve_mip(model, time_limit_s=0.02)
     exact = solve_mip(model)
     assert exact.status == SolveStatus.OPTIMAL
-    if res.status == SolveStatus.FEASIBLE:
-        # maximization: reported bound must over-estimate the true optimum
-        if res.bound is not None:
-            assert res.bound >= exact.objective - 1e-6
-        if res.objective is not None:
-            assert res.objective <= exact.objective + 1e-6
-    else:
-        assert res.objective == pytest.approx(exact.objective)
+    for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
+        res = solve_mip(model, time_limit_s=0.02, cutoff=cutoff)
+        floor = -math.inf if cutoff is None else cutoff
+        if res.status == SolveStatus.FEASIBLE:
+            # maximization: reported bound must over-estimate the true
+            # optimum, and never claims less than the cutoff
+            if res.bound is not None:
+                assert res.bound >= exact.objective - 1e-6
+                assert res.bound >= floor
+            if res.objective is not None:
+                assert floor < res.objective <= exact.objective + 1e-6
+        elif floor < exact.objective:
+            assert res.objective == pytest.approx(exact.objective)
+        else:
+            assert res.status == SolveStatus.INFEASIBLE
 
 
 def test_model_validation_errors():
@@ -260,7 +256,7 @@ def bounded_programs(draw, integer_share=0.0):
     for i in range(n):
         lb = draw(st.integers(-3, 2))
         width = draw(st.integers(0, 4))
-        binary = draw(st.floats(0, 1)) < integer_share
+        binary = draw(st.floats(0, 1, exclude_max=True)) < integer_share
         if binary:
             model.add_var(lb=0.0, ub=1.0, integer=True)
         else:
@@ -345,3 +341,25 @@ def test_mixed_mip_matches_enumeration(model):
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(brute, abs=1e-6)
         assert model.check_assignment(res.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=bounded_programs(integer_share=1.0),
+    cutoff=st.integers(-12, 12),
+    offset=st.sampled_from([0.0, 0.5, 1e-10, -1e-10]),
+)
+def test_cutoff_matches_enumeration(model, cutoff, offset):
+    # a cutoff prunes every solution that does not beat it by more than
+    # 1e-9; with nothing left the model reads infeasible
+    cutoff += offset
+    sign = 1.0 if model.minimize else -1.0
+    res = solve_mip(model, cutoff=cutoff)
+    brute = _enumerate_binary(model)
+    if brute is not None and sign * (brute - cutoff) < -1e-9:
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(brute, abs=1e-6)
+        assert model.check_assignment(res.values)
+    else:
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.values is None

@@ -9,6 +9,8 @@ from conftest import brute_attack_value, random_design, triangle
 from cprsnp.formulations import Design, cut_residual, point_row_value
 from cprsnp.graph import augment, max_flow
 from cprsnp.instances import generate
+from cprsnp import separation
+from cprsnp.milp import solve_mip
 from cprsnp.separation import (
     SeparationError,
     SeparationTimeout,
@@ -169,16 +171,40 @@ def test_strengthen_keeps_violation_valid():
     assert better.value < aug.demand
 
 
+def test_strengthen_reseparates_within_the_time_left(monkeypatch):
+    # the strengthening MIP and the re-separation share one budget
+    aug = tri_aug(k=1, kp=0)
+    weak = Design.canonical(aug, [1])
+    violation = separate_bilevel(aug, weak)
+    spent, limits = [], []
+
+    def slow_solve_mip(model, time_limit_s=None):
+        t0 = time.perf_counter()
+        time.sleep(0.05)
+        res = solve_mip(model, time_limit_s=time_limit_s)
+        spent.append(time.perf_counter() - t0)
+        return res
+
+    def record_limit(aug, design, time_limit_s=None):
+        limits.append(time_limit_s)
+        return separate_bilevel(aug, design, time_limit_s=time_limit_s)
+
+    monkeypatch.setattr(separation, "solve_mip", slow_solve_mip)
+    monkeypatch.setattr(separation, "separate_bilevel", record_limit)
+    strengthen(aug, weak, violation, time_limit_s=30.0)
+    assert len(spent) >= 1 and len(limits) == 1
+    assert limits[0] <= 30.0 - spent[0]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_strengthened_rows_still_cut_off_the_design(seed):
     aug, design = seeded_case(200 + seed)
     violation = separate_bilevel(aug, design)
     if violation is None:
         return
-    for weighted in (True, False):
-        better = strengthen(aug, design, violation, weighted_gamma=weighted)
-        row = point_row_value(
-            aug, design.selected, design.protected, better.point.lam,
-            better.point.gam, better.point.ell,
-        )
-        assert row < aug.demand
+    better = strengthen(aug, design, violation)
+    row = point_row_value(
+        aug, design.selected, design.protected, better.point.lam,
+        better.point.gam, better.point.ell,
+    )
+    assert row < aug.demand
