@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: ``solve``, ``gen``, ``verify``, ``bench``.  Exit codes:
-0 optimal / verified, 2 time limit hit with a feasible design,
+0 optimal / verified, 2 time limit hit, with the best design found, if any,
 3 infeasible / design rejected, 4 input error.
 
 Designs, solver logs and CSV reports are byte-stable across reruns, so
@@ -102,14 +102,16 @@ def _cmd_solve(args) -> int:
     if solution.status == SolveStatus.INFEASIBLE:
         print("status=Infeasible")
         return EXIT_INFEASIBLE
-    assert solution.design is not None
-    cost = f"{solution.cost:g}"
-    print(f"status={solution.status.value} cost={cost} gap={solution.gap:.4f}")
-    design_text = write_design(solution.design, aug)
-    if args.design_out is not None:
-        Path(args.design_out).write_text(design_text, encoding="utf-8")
+    if solution.design is None:  # out of time before any incumbent
+        print(f"status={solution.status.value} cost=none gap=none")
     else:
-        sys.stdout.write(design_text)
+        cost = f"{solution.cost:g}"
+        print(f"status={solution.status.value} cost={cost} gap={solution.gap:.4f}")
+        design_text = write_design(solution.design, aug)
+        if args.design_out is not None:
+            Path(args.design_out).write_text(design_text, encoding="utf-8")
+        else:
+            sys.stdout.write(design_text)
     print(f"time {solution.seconds:.1f}s", file=sys.stderr)
     return EXIT_OK if solution.status == SolveStatus.OPTIMAL else EXIT_TIME_LIMIT
 
@@ -210,6 +212,7 @@ def main(argv=None) -> int:
         GraphError,
         FormulationError,
         OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

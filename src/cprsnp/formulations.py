@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import ArcMask, AugmentedInstance, CutSet
-from .milp import MilpModel
+from .milp import INT_TOL, MilpModel
 
+# a cut whose full enumeration would need more rows than this is rejected
 DEFAULT_ROW_CAP = 10**6
 
 
@@ -229,11 +230,10 @@ def point_row_value(
     return total
 
 
-def count_cut_rows(aug: AugmentedInstance, cut: CutSet, k: int | None = None) -> int:
+def count_cut_rows(aug: AugmentedInstance, cut: CutSet) -> int:
     """Number of deletion-subset rows full enumeration would emit for a cut."""
-    k = aug.k if k is None else k
     m = sum(1 for a in cut.arcs if not aug.is_fictive(a))
-    return int(sum(math.comb(m, j) for j in range(1, min(k, m) + 1)))
+    return int(sum(math.comb(m, j) for j in range(1, min(aug.k, m) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +284,7 @@ class Master:
 
 
 def build_cutset_master(
-    aug: AugmentedInstance,
-    cuts: Sequence[CutSet | CutRows],
-    row_cap: int = DEFAULT_ROW_CAP,
+    aug: AugmentedInstance, cuts: Sequence[CutSet | CutRows]
 ) -> Master:
     """Selection/protection master constrained by the given cuts.
 
@@ -306,9 +304,9 @@ def build_cutset_master(
             raise FormulationError("cut isolating only the super sink is not allowed")
         if explicit is None:
             n_rows = count_cut_rows(aug, cut)
-            if n_rows > row_cap:
+            if n_rows > DEFAULT_ROW_CAP:
                 raise FormulationError(
-                    f"cut needs {n_rows} rows, above the cap {row_cap}"
+                    f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
                 )
             non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
             subsets = tuple(
@@ -414,13 +412,13 @@ class TwoLpModel:
     ell_var: list[int]
     aug: AugmentedInstance
 
-    def extract_point(self, values, tol: float = 1e-6) -> ExtremePoint:
+    def extract_point(self, values) -> ExtremePoint:
         def take(indices) -> tuple[int, ...]:
             out = []
             for idx in indices:
                 v = float(values[idx])
                 r = round(v)
-                if abs(v - r) > tol or r not in (0, 1):
+                if abs(v - r) > INT_TOL or r not in (0, 1):
                     raise NonVertexSolution(
                         f"variable {idx} has non-binary value {v!r}"
                     )
@@ -496,18 +494,18 @@ class CutSearchModel:
     mu_var: list[int]
     aug: AugmentedInstance
 
-    def sink_side(self, values, tol: float = 1e-6) -> frozenset[int]:
+    def sink_side(self, values) -> frozenset[int]:
         side = set()
         for v in range(self.aug.vertex_count):
             val = float(values[self.mu_var[v]])
-            if abs(val - round(val)) > tol:
+            if abs(val - round(val)) > INT_TOL:
                 raise NonVertexSolution(f"mu{v} has non-binary value {val!r}")
             if val <= 0.5:
                 side.add(v)
         return frozenset(side)
 
-    def cut_from(self, values, tol: float = 1e-6) -> CutSet:
-        return CutSet.from_sink_side(self.aug, self.sink_side(values, tol))
+    def cut_from(self, values) -> CutSet:
+        return CutSet.from_sink_side(self.aug, self.sink_side(values))
 
 
 def _cut_search_base(aug: AugmentedInstance, name: str) -> CutSearchModel:

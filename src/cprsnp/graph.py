@@ -331,19 +331,13 @@ def _dinic(
     return total, cap
 
 
-def max_flow(
-    aug: AugmentedInstance,
-    mask: ArcMask,
-    source: int | None = None,
-    sink: int | None = None,
-) -> FlowResult:
-    """Exact max flow under the mask's capacities (integral by construction)."""
-    source = aug.root if source is None else source
-    sink = aug.sink if sink is None else sink
+def max_flow(aug: AugmentedInstance, mask: ArcMask) -> FlowResult:
+    """Exact root/sink max flow under the mask's capacities (integral by
+    construction)."""
     tails = [a.tail for a in aug.arcs]
     heads = [a.head for a in aug.arcs]
     value, residual = _dinic(
-        aug.vertex_count, tails, heads, mask.capacities, source, sink
+        aug.vertex_count, tails, heads, mask.capacities, aug.root, aug.sink
     )
     flow = np.array(
         [int(mask.capacities[i]) - residual[2 * i] for i in range(aug.arc_count)],
@@ -352,26 +346,21 @@ def max_flow(
     return FlowResult(value=value, flow=flow)
 
 
-def min_cut(
-    aug: AugmentedInstance,
-    mask: ArcMask,
-    source: int | None = None,
-    sink: int | None = None,
-) -> CutSet:
+def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
     """A minimum root/sink cut under the mask; its capacity equals max_flow."""
-    source = aug.root if source is None else source
-    sink = aug.sink if sink is None else sink
     tails = [a.tail for a in aug.arcs]
     heads = [a.head for a in aug.arcs]
-    _, residual = _dinic(aug.vertex_count, tails, heads, mask.capacities, source, sink)
+    _, residual = _dinic(
+        aug.vertex_count, tails, heads, mask.capacities, aug.root, aug.sink
+    )
     # vertices still reachable in the residual network form the root side
     adj: list[list[tuple[int, int]]] = [[] for _ in range(aug.vertex_count)]
     for i in range(aug.arc_count):
         adj[tails[i]].append((heads[i], residual[2 * i]))
         adj[heads[i]].append((tails[i], residual[2 * i + 1]))
     reachable = [False] * aug.vertex_count
-    reachable[source] = True
-    queue = collections.deque([source])
+    reachable[aug.root] = True
+    queue = collections.deque([aug.root])
     while queue:
         v = queue.popleft()
         for w, c in adj[v]:

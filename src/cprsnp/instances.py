@@ -30,6 +30,8 @@ from .graph import Arc, ArcMask, AugmentedInstance, GraphError, Instance, augmen
 from .formulations import Design
 
 FORMAT_NAME = "cprsnp"
+# arc costs drawn by generate(), both ends included
+COST_RANGE = (1, 20)
 
 
 class ParseError(ValueError):
@@ -245,7 +247,6 @@ def generate(
     k: int = 1,
     kp: int = 0,
     uniform_capacity: int | None = None,
-    cost_range: tuple[int, int] = (1, 20),
 ) -> Instance:
     """Random instance that always routes |T| units with everything selected.
 
@@ -277,7 +278,7 @@ def generate(
         return rng.randint(1, max(1, terminals))
 
     def draw_cost() -> int:
-        return rng.randint(*cost_range)
+        return rng.randint(*COST_RANGE)
 
     chosen: dict[tuple[int, int], Arc] = {}
 

@@ -1,5 +1,11 @@
 """Small exact MILP kernel.
 
+A model keeps its rows only in the form HiGHS reads: the nonzero
+coefficients as (row, column, value) triplets and each row's sense as a
+``row_lo <= A x <= row_hi`` pair.  The column-wise (CSC) matrix is built
+once per model version and serves both the solver and
+:meth:`MilpModel.check_assignment`.
+
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance (the binding that ships inside scipy): the model is passed
 once, column-wise, and each later solve changes only column bounds, so the
@@ -75,25 +81,14 @@ class SolveResult:
     """Outcome of an LP or MIP solve.
 
     ``objective`` and ``bound`` are in the model's own sense; for a
-    minimization ``bound <= objective`` whenever both are present.  ``gap``
-    is ``(objective - bound) / max(|objective|, 1e-9)`` on the internal
-    minimization form, clamped at zero.
+    minimization ``bound <= objective`` whenever both are present.
     """
 
     status: SolveStatus
     objective: float | None
     values: np.ndarray | None
     bound: float | None = None
-    gap: float | None = None
-    seconds: float = 0.0
     nodes: int = 0
-
-
-@dataclass
-class _Constraint:
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
 
 
 class MilpModel:
@@ -106,7 +101,12 @@ class MilpModel:
         self._ub: list[float] = []
         self._integer: list[bool] = []
         self._objective: dict[int, float] = {}
-        self._constraints: list[_Constraint] = []
+        # the nonzero row coefficients as (row, column, value) triplets
+        self._row_idx: list[int] = []
+        self._col_idx: list[int] = []
+        self._values: list[float] = []
+        self._row_lo: list[float] = []
+        self._row_hi: list[float] = []
         self._cache: tuple | None = None
 
     # -- construction -------------------------------------------------
@@ -134,15 +134,19 @@ class MilpModel:
             raise MilpError(f"unknown sense {sense!r}")
         if not math.isfinite(rhs):
             raise MilpError("constraint rhs must be finite")
-        clean: dict[int, float] = {}
         for var, coef in coeffs.items():
             if not 0 <= var < len(self._lb):
                 raise MilpError(f"constraint references unknown variable {var}")
             if not math.isfinite(coef):
                 raise MilpError("constraint coefficients must be finite")
+        row = len(self._row_lo)
+        for var, coef in coeffs.items():
             if coef != 0.0:
-                clean[int(var)] = float(coef)
-        self._constraints.append(_Constraint(clean, sense, float(rhs)))
+                self._row_idx.append(row)
+                self._col_idx.append(int(var))
+                self._values.append(float(coef))
+        self._row_lo.append(-math.inf if sense == "<=" else float(rhs))
+        self._row_hi.append(math.inf if sense == ">=" else float(rhs))
         self._cache = None
 
     def set_objective(self, coeffs: Mapping[int, float], minimize: bool = True) -> None:
@@ -163,7 +167,7 @@ class MilpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._constraints)
+        return len(self._row_lo)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._lb), np.array(self._ub)
@@ -182,15 +186,9 @@ class MilpModel:
         for i in self.integer_indices():
             if abs(x[i] - round(x[i])) > tol:
                 return False
-        for con in self._constraints:
-            lhs = sum(c * x[v] for v, c in con.coeffs.items())
-            if con.sense == "<=" and lhs > con.rhs + tol:
-                return False
-            if con.sense == ">=" and lhs < con.rhs - tol:
-                return False
-            if con.sense == "=" and abs(lhs - con.rhs) > tol:
-                return False
-        return True
+        _, a, row_lo, row_hi = self._matrices()
+        lhs = a @ x
+        return bool(np.all(lhs >= row_lo - tol) and np.all(lhs <= row_hi + tol))
 
     def objective_value(self, values: Sequence[float]) -> float:
         x = np.asarray(values, dtype=float)
@@ -199,37 +197,18 @@ class MilpModel:
     # -- matrix assembly (cached) --------------------------------------
 
     def _matrices(self):
-        """``(c, start, index, value, row_lower, row_upper)``: the objective
-        in the model's own sense and the rows column-wise, each row kept in
-        its sense as ``row_lower <= A x <= row_upper``."""
-        if self._cache is not None:
-            return self._cache
-        n = self.num_vars
-        c = np.zeros(n)
-        for v, coef in self._objective.items():
-            c[v] = coef
-        m = self.num_constraints
-        row_lo = np.full(m, -math.inf)
-        row_hi = np.full(m, math.inf)
-        data, ri, ci = [], [], []
-        for r, con in enumerate(self._constraints):
-            if con.sense != "<=":
-                row_lo[r] = con.rhs
-            if con.sense != ">=":
-                row_hi[r] = con.rhs
-            for v, k in con.coeffs.items():
-                ri.append(r)
-                ci.append(v)
-                data.append(k)
-        mat = sparse.csc_matrix((data, (ri, ci)), shape=(m, n))
-        self._cache = (
-            c,
-            mat.indptr.astype(np.int32),
-            mat.indices.astype(np.int32),
-            mat.data.astype(float),
-            row_lo,
-            row_hi,
-        )
+        """``(c, a, row_lo, row_hi)``: the objective in the model's own sense,
+        the rows as a CSC matrix, and their bounds
+        ``row_lo <= a @ x <= row_hi``."""
+        if self._cache is None:
+            c = np.zeros(self.num_vars)
+            for v, coef in self._objective.items():
+                c[v] = coef
+            a = sparse.csc_matrix(
+                (np.array(self._values, dtype=float), (self._row_idx, self._col_idx)),
+                shape=(self.num_constraints, self.num_vars),
+            )
+            self._cache = (c, a, np.array(self._row_lo), np.array(self._row_hi))
         return self._cache
 
 
@@ -273,7 +252,7 @@ def _open(model: MilpModel, sign: float, lb: np.ndarray, ub: np.ndarray):
     column bounds and objective ``sign * c`` (0 drops the objective): serial
     dual simplex, no presolve (its reductions would discard the basis),
     silent."""
-    c, start, index, value, row_lo, row_hi = model._matrices()
+    c, a, row_lo, row_hi = model._matrices()
     lp = HighsLp()
     lp.num_col_ = c.size
     lp.num_row_ = row_lo.size
@@ -286,9 +265,9 @@ def _open(model: MilpModel, sign: float, lb: np.ndarray, ub: np.ndarray):
     matrix.format_ = MatrixFormat.kColwise
     matrix.num_col_ = c.size
     matrix.num_row_ = row_lo.size
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
     highs = _Highs()
     for option, setting in _OPTIONS:
         if highs.setOptionValue(option, setting) != HighsStatus.kOk:
@@ -316,18 +295,12 @@ def _classify_cold(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> SolveSta
 
 def solve_lp(model: MilpModel) -> SolveResult:
     """Solve the continuous relaxation exactly; integrality flags are ignored."""
-    t0 = time.perf_counter()
     lp = _Relaxation(model)
     status, objective, x = lp.solve(*model.bounds())
-    dt = time.perf_counter() - t0
     if status == SolveStatus.OPTIMAL:
         obj = lp.sign * objective
-        return SolveResult(status, obj, x, bound=obj, gap=0.0, seconds=dt)
-    return SolveResult(status, None, None, seconds=dt)
-
-
-def _gap(objective: float, bound: float) -> float:
-    return max(0.0, (objective - bound) / max(abs(objective), 1e-9))
+        return SolveResult(status, obj, x, bound=obj)
+    return SolveResult(status, None, None)
 
 
 def solve_mip(
@@ -366,16 +339,10 @@ def solve_mip(
     root_handled = False
 
     def finish(status: SolveStatus, open_bounds: Iterable[float]) -> SolveResult:
-        dt = time.perf_counter() - t0
         lower = min(list(open_bounds) + [best_obj], default=best_obj)
-        if best_x is None:
-            obj = None
-            gap = None
-        else:
-            obj = sign * best_obj
-            gap = _gap(best_obj, lower) if math.isfinite(lower) else None
+        obj = None if best_x is None else sign * best_obj
         bound = sign * lower if math.isfinite(lower) else None
-        return SolveResult(status, obj, best_x, bound=bound, gap=gap, seconds=dt, nodes=nodes)
+        return SolveResult(status, obj, best_x, bound=bound, nodes=nodes)
 
     while heap:
         parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
@@ -391,10 +358,7 @@ def solve_mip(
             continue
         if status == SolveStatus.UNBOUNDED:
             if int_idx.size == 0 or not root_handled:
-                return SolveResult(
-                    SolveStatus.UNBOUNDED, None, None, seconds=time.perf_counter() - t0,
-                    nodes=nodes,
-                )
+                return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
             raise MilpError(f"unbounded node LP in {model.name}")
         if node_bound >= best_obj - 1e-9:
             root_handled = True
@@ -433,17 +397,7 @@ def solve_mip(
         heapq.heappush(heap, (node_bound, -depth, seq, up_lb, nub))
 
     if best_x is None:
-        return SolveResult(
-            SolveStatus.INFEASIBLE, None, None, seconds=time.perf_counter() - t0,
-            nodes=nodes,
-        )
-    dt = time.perf_counter() - t0
+        return SolveResult(SolveStatus.INFEASIBLE, None, None, nodes=nodes)
     return SolveResult(
-        SolveStatus.OPTIMAL,
-        sign * best_obj,
-        best_x,
-        bound=sign * best_obj,
-        gap=0.0,
-        seconds=dt,
-        nodes=nodes,
+        SolveStatus.OPTIMAL, sign * best_obj, best_x, bound=sign * best_obj, nodes=nodes
     )

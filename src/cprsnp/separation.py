@@ -119,7 +119,8 @@ def separate_scenario(
 ) -> ScenarioViolation | None:
     """A failure scenario minimizing the surviving flow, or None if none drops
     below demand.  Small candidate sets are enumerated outright; larger ones
-    go through the attacker MIP and the winning attack is re-checked."""
+    go through the attacker MIP of :func:`separate_bilevel` and the winning
+    attack is re-checked."""
     _require_canonical(aug, design)
     t0 = time.perf_counter()
     candidates = _attack_candidates(aug, design)
@@ -143,14 +144,11 @@ def separate_scenario(
         return ScenarioViolation(
             scenario=FailureScenario.of(aug, best), value=int(best_value)
         )
-    attack = build_2lp(aug, design)
-    res = _solve_or_timeout(attack.model, time_limit_s, "scenario separation")
-    value = _as_int(res.objective, "scenario separation")
-    if value >= aug.demand:
+    violation = separate_bilevel(aug, design, time_limit_s)
+    if violation is None:
         return None
-    chosen = [
-        a for a in candidates if res.values[attack.b_var[a]] > 0.5
-    ]
+    value = violation.value
+    chosen = [a for a in candidates if violation.point.attack[a]]
     for a in candidates:
         if len(chosen) >= size:
             break

@@ -1,4 +1,5 @@
-"""Command line: exit codes for bad numbers, and what reaches fd 1 and fd 2."""
+"""Command line: exit codes for bad input and for a time limit without a
+design, and what reaches fd 1 and fd 2."""
 
 import re
 
@@ -56,3 +57,35 @@ def test_solve_writes_only_the_report_to_stdout(tmp_path, capfd, formulation):
             assert re.fullmatch(r"[yp] \d+ \d+", line)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
+    path = tmp_path / "i.txt"
+    path.write_text(
+        write_instance(generate(20, 5, 90, "uniform", seed=7, k=2, kp=0)),
+        encoding="utf-8",
+    )
+    design = tmp_path / "design.txt"
+    argv = ["solve", "--instance", str(path), "--time-limit", "0",
+            "--design-out", str(design)]
+    assert cli.main(argv) == cli.EXIT_TIME_LIMIT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "status=Feasible cost=none gap=none"
+    assert re.fullmatch(r"time \d+\.\ds\n", captured.err)
+    assert not design.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_utf8_file_exits_with_input_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p cprsnp 3 2\n\xff\n")
+    good = tmp_path / "good.txt"
+    good.write_text(write_instance(triangle()), encoding="utf-8")
+    if command == "solve":
+        argv = ["solve", "--instance", str(bad)]
+    else:
+        argv = ["verify", "--instance", str(good), "--design", str(bad)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -1,11 +1,13 @@
 """Master builders, attack models, and their agreement with enumeration."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from conftest import brute_attack_value, brute_worst_loss, random_design, triangle
+from cprsnp import formulations
 from cprsnp.formulations import (
     CutRows,
     Design,
@@ -129,8 +131,8 @@ def test_count_cut_rows():
     aug = tri_aug()
     cut = CutSet.from_sink_side(aug, {2, 3})  # two initial arcs cross
     assert count_cut_rows(aug, cut) == 2
-    assert count_cut_rows(aug, cut, k=2) == 3
-    assert count_cut_rows(aug, cut, k=0) == 0
+    assert count_cut_rows(tri_aug(k=2), cut) == 3
+    assert count_cut_rows(tri_aug(k=0), cut) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +156,22 @@ def test_masters_share_the_design_block(seed):
         lb, ub = model.bounds()
         integer = [i for i in model.integer_indices() if i < m2]
         cost = [model._objective.get(i, 0.0) for i in range(m2)]
-        row0 = model._constraints[0]
+        _, a, row_lo, row_hi = model._matrices()
+        row0 = a.tocsr()[0]
+        row0_coeffs = dict(zip(row0.indices.tolist(), row0.data.tolist()))
         return (
             list(lb[:m2]),
             list(ub[:m2]),
             integer,
             cost,
-            (row0.coeffs, row0.sense, row0.rhs),
+            (row0_coeffs, row_lo[0], row_hi[0]),
         )
 
     first = block(masters[0].model)
     assert first[2] == list(range(m2))  # every design column is binary
     # the budget row spans every p column; fictive ones are fixed at zero
     budget = {aug.arc_count + a: 1.0 for a in range(aug.arc_count)}
-    assert first[4] == (budget, "<=", aug.kp)
+    assert first[4] == (budget, -math.inf, aug.kp)
     for master in masters:
         assert master.model.num_vars >= m2
         assert block(master.model) == first
@@ -220,12 +224,13 @@ def test_cutset_master_explicit_subsets_relax():
         build_cutset_master(aug, [CutRows(cut, ((3,),))])
 
 
-def test_cutset_master_guards():
+def test_cutset_master_guards(monkeypatch):
     aug = tri_aug()
     with pytest.raises(FormulationError):
         build_cutset_master(aug, [CutSet.from_sink_side(aug, {3})])
+    monkeypatch.setattr(formulations, "DEFAULT_ROW_CAP", 1)
     with pytest.raises(FormulationError):
-        build_cutset_master(aug, all_cuts(aug), row_cap=1)
+        build_cutset_master(aug, all_cuts(aug))
 
 
 def test_cutset_master_fixed_design():

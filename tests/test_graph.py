@@ -105,8 +105,6 @@ def test_mask_for_design():
 def test_triangle_flow_values():
     aug = augment(triangle())
     assert max_flow(aug, ArcMask.full(aug)).value == 1
-    # to the terminal itself both paths add up
-    assert max_flow(aug, ArcMask.full(aug), sink=2).value == 2
     # losing the middle arc leaves the direct path only
     half = ArcMask.for_design(aug, {1, 3})
     assert max_flow(aug, half).value == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_design, triangle
 
-from cprsnp import augment
+from cprsnp import augment, instances
 from cprsnp.formulations import Design
 from cprsnp.graph import ArcMask, max_flow
 from cprsnp.instances import (
@@ -188,8 +188,9 @@ def test_generate_capacity_modes():
     assert caps <= set(range(1, 5)) and len(caps) > 1
 
 
-def test_generate_costs_within_range():
-    inst = generate(10, 3, 30, "random", seed=4, cost_range=(5, 6))
+def test_generate_costs_within_range(monkeypatch):
+    monkeypatch.setattr(instances, "COST_RANGE", (5, 6))
+    inst = generate(10, 3, 30, "random", seed=4)
     assert {a.cost for a in inst.arcs} <= {5.0, 6.0}
 
 

@@ -63,7 +63,6 @@ def test_mip_knapsack_frozen():
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(9.0)
     assert [round(v) for v in res.values] == [1, 1, 0]
-    assert res.gap == 0.0
     assert res.bound == pytest.approx(9.0)
 
 
@@ -208,6 +207,76 @@ def test_check_assignment_and_objective_value():
 
 
 # ---------------------------------------------------------------------------
+# row storage: the matrices keep exactly the rows given to add_constr, and
+# check_assignment agrees with a row-by-row evaluation of those rows
+
+
+@st.composite
+def rows_and_points(draw):
+    """A model with the rows it was built from, a point and a tolerance.
+    Coefficients are integers, right-hand sides halves and the point's
+    entries quarters, so every sum is exact and both evaluations must agree
+    to the bit."""
+    n = draw(st.integers(1, 5))
+    model = MilpModel("rows")
+    columns = []
+    for _ in range(n):
+        lb = draw(st.integers(-2, 1))
+        ub = lb + draw(st.integers(0, 3))
+        integer = draw(st.booleans())
+        model.add_var(lb=lb, ub=ub, integer=integer)
+        columns.append((lb, ub, integer))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3)))
+        sense = draw(st.sampled_from(["<=", ">=", "="]))
+        rhs = draw(st.integers(-4, 4)) / 2
+        model.add_constr(coeffs, sense, rhs)
+        rows.append((coeffs, sense, rhs))
+    # mostly inside the bounds, integral on most integer columns, so that
+    # the rows decide
+    x = []
+    for lb, ub, integer in columns:
+        v = draw(st.integers(4 * lb - 1, 4 * ub + 1)) / 4
+        x.append(float(round(v)) if integer and draw(st.booleans()) else v)
+    tol = draw(st.sampled_from([1e-6, 0.25, 0.5]))
+    return model, columns, rows, x, tol
+
+
+def _check_row_by_row(columns, rows, x, tol) -> bool:
+    for (lb, ub, integer), v in zip(columns, x):
+        if v < lb - tol or v > ub + tol:
+            return False
+        if integer and abs(v - round(v)) > tol:
+            return False
+    for coeffs, sense, rhs in rows:
+        lhs = sum(c * x[v] for v, c in coeffs.items())
+        if sense == "<=" and lhs > rhs + tol:
+            return False
+        if sense == ">=" and lhs < rhs - tol:
+            return False
+        if sense == "=" and abs(lhs - rhs) > tol:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=rows_and_points())
+def test_row_storage_matches_the_rows_given(drawn):
+    model, columns, rows, x, tol = drawn
+    _, a, row_lo, row_hi = model._matrices()
+    assert model.num_constraints == len(rows)
+    assert a.shape == (len(rows), len(columns))
+    csr = a.tocsr()
+    for r, (coeffs, sense, rhs) in enumerate(rows):
+        got = dict(zip(csr[r].indices.tolist(), csr[r].data.tolist()))
+        assert got == {v: c for v, c in coeffs.items() if c != 0}
+        want = {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[sense]
+        assert (row_lo[r], row_hi[r]) == want
+    assert model.check_assignment(x, tol) == _check_row_by_row(columns, rows, x, tol)
+
+
+# ---------------------------------------------------------------------------
 # cross-check: the persistent warm-started HiGHS instance against a cold
 # scipy.optimize.linprog(method="highs-ds") solve of the same LP
 
@@ -215,30 +284,19 @@ def test_check_assignment_and_objective_value():
 def _cold_linprog(model: MilpModel, lb, ub):
     """(status, objective) of a cold linprog solve, in the model's sense."""
     sign = 1.0 if model.minimize else -1.0
-    n = model.num_vars
-    c = np.zeros(n)
-    for v, k in model._objective.items():
-        c[v] = sign * k
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in model._constraints:
-        row = np.zeros(n)
-        for v, k in con.coeffs.items():
-            row[v] = k
-        if con.sense == "<=":
-            a_ub.append(row)
-            b_ub.append(con.rhs)
-        elif con.sense == ">=":
-            a_ub.append(-row)
-            b_ub.append(-con.rhs)
-        else:
-            a_eq.append(row)
-            b_eq.append(con.rhs)
+    c, a, row_lo, row_hi = model._matrices()
+    dense = a.toarray()
+    eq = row_lo == row_hi
+    upper = ~eq & np.isfinite(row_hi)
+    lower = ~eq & np.isfinite(row_lo)
+    a_ub = np.vstack([dense[upper], -dense[lower]])
+    b_ub = np.concatenate([row_hi[upper], -row_lo[lower]])
     res = scipy.optimize.linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        sign * c,
+        A_ub=a_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=dense[eq] if eq.any() else None,
+        b_eq=row_lo[eq] if eq.any() else None,
         bounds=list(zip(lb, ub)),
         method="highs-ds",
     )

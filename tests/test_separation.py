@@ -121,9 +121,15 @@ def test_scenario_brute_force_and_mip_agree(seed):
     else:
         assert mip_path is not None
         assert mip_path.value == brute_path.value
+        # both paths fail k arcs whenever there are that many to fail
+        candidates = [
+            a for a in design.selected
+            if not aug.is_fictive(a) and a not in design.protected
+        ]
         for violation in (brute_path, mip_path):
             survived = max_flow(aug, design.mask(aug, violation.scenario.arcs)).value
             assert survived == violation.value
+            assert len(violation.scenario.arcs) == min(aug.k, len(candidates))
 
 
 def test_scenario_size_tracks_candidates():
