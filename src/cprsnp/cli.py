@@ -23,8 +23,8 @@ from .instances import (
     GenerationError,
     ParseError,
     generate,
-    load_instance,
     parse_design,
+    parse_instance,
     save_instance,
     write_design,
     write_instance,
@@ -90,9 +90,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
+
+
 def _cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    aug = augment(instance)
+    aug = augment(parse_instance(_read_text(args.instance)))
     options = EngineOptions(
         time_limit_s=args.time_limit, strengthen=args.strengthen == "on"
     )
@@ -135,10 +141,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = load_instance(args.instance)
+    instance = parse_instance(_read_text(args.instance))
     aug = augment(instance)
-    design_text = Path(args.design).read_text(encoding="utf-8")
-    design = parse_design(design_text, aug)
+    design = parse_design(_read_text(args.design), aug)
     routed = max_flow(aug, ArcMask.for_design(aug, design.selected)).value
     if routed < aug.demand:
         print(f"rejected: only {routed} of {aug.demand} units routed with no failures")
@@ -162,7 +167,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(p for p in directory.iterdir() if p.is_file())
     if not paths:
         raise _CliError(f"no instance files in {args.dir}")
-    instances = [load_instance(p) for p in paths]
+    instances = [parse_instance(_read_text(p)) for p in paths]
     names = tuple(name for name in args.formulations.split(",") if name)
     for name in names:
         if name not in FORMULATIONS:
@@ -212,7 +217,6 @@ def main(argv=None) -> int:
         GraphError,
         FormulationError,
         OSError,
-        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

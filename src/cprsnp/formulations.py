@@ -347,11 +347,7 @@ def build_flow_master(
         seen.add(sc.arcs)
     model, y_var, p_var = _design_block("flow_master", aug)
     _add_protect_selected(model, aug, y_var, p_var)
-    in_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
-    out_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
-    for a, arc in enumerate(aug.arcs):
-        out_arcs[arc.tail].append(a)
-        in_arcs[arc.head].append(a)
+    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
     for fi, scenario in enumerate(scenarios):
         xs = [
             model.add_var(f"x{fi}_{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
@@ -605,11 +601,7 @@ def build_inner_flow(
     for a, arc in enumerate(aug.arcs):
         cap = float(arc.capacity) if a in design.selected else 0.0
         x_var.append(model.add_var(f"x{a}", 0.0, cap))
-    in_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
-    out_arcs: list[list[int]] = [[] for _ in range(aug.vertex_count)]
-    for a, arc in enumerate(aug.arcs):
-        out_arcs[arc.tail].append(a)
-        in_arcs[arc.head].append(a)
+    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
     for v in range(aug.vertex_count):
         if v in (aug.root, aug.sink):
             continue

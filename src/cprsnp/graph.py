@@ -12,6 +12,11 @@ capacity 1).  Routing ``|T|`` units from the root to ``s`` is then the
 single feasibility currency: a design survives a failure set iff the
 surviving selected arcs still carry ``|T|`` units.
 
+The augmented instance owns its network layout (:class:`Layout`: per-vertex
+arc lists, the residual edge layout, the capacity vector), built once on
+first use.  :func:`max_flow`, :func:`min_cut`, :class:`ArcMask` and the flow
+builders of ``formulations`` all read that one layout.
+
 Example
 -------
 >>> inst = Instance(3, (Arc(0, 1, 1, 1), Arc(0, 2, 2, 1), Arc(1, 2, 1, 1)),
@@ -25,8 +30,9 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -117,6 +123,24 @@ class Instance:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Fixed network facts of an :class:`AugmentedInstance`.
+
+    ``out_arcs[v]``/``in_arcs[v]`` list the arcs leaving/entering ``v`` in
+    arc-index order.  The residual network has edge 2i for arc i forward
+    and 2i+1 for its reverse; ``edges[v]`` lists the edges leaving ``v`` in
+    arc-index order and ``to[e]`` is the vertex edge ``e`` enters.
+    ``capacities`` is the read-only per-arc capacity vector.
+    """
+
+    out_arcs: tuple[tuple[int, ...], ...]
+    in_arcs: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, ...], ...]
+    to: tuple[int, ...]
+    capacities: np.ndarray
+
+
 @dataclass(frozen=True)
 class AugmentedInstance:
     """Instance plus super sink and fictive terminal arcs.
@@ -156,14 +180,22 @@ class AugmentedInstance:
     def is_fictive(self, arc: int) -> bool:
         return arc >= self.initial_arc_count
 
-    def capacities(self) -> np.ndarray:
-        return np.array([a.capacity for a in self.arcs], dtype=np.int64)
-
-    def arc_index(self, tail: int, head: int) -> int:
+    @cached_property
+    def layout(self) -> Layout:
+        """The network layout, built on first use; not a field, so equality,
+        hashing and repr ignore it."""
+        edges: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        to = [0] * (2 * len(self.arcs))
         for i, a in enumerate(self.arcs):
-            if a.tail == tail and a.head == head:
-                return i
-        raise GraphError(f"no arc ({tail},{head})")
+            edges[a.tail].append(2 * i)
+            edges[a.head].append(2 * i + 1)
+            to[2 * i], to[2 * i + 1] = a.head, a.tail
+        caps = np.array([a.capacity for a in self.arcs], dtype=np.int64)
+        caps.flags.writeable = False
+        # an arc leaves v as a forward edge and enters v as a reverse one
+        out_arcs = tuple(tuple(e // 2 for e in es if e % 2 == 0) for es in edges)
+        in_arcs = tuple(tuple(e // 2 for e in es if e % 2) for es in edges)
+        return Layout(out_arcs, in_arcs, tuple(map(tuple, edges)), tuple(to), caps)
 
 
 def augment(instance: Instance) -> AugmentedInstance:
@@ -201,14 +233,13 @@ class ArcMask:
             raise GraphError("mask length must match arc count")
         if np.any(capacities < 0):
             raise GraphError("mask capacities must be nonnegative")
-        full = aug.capacities()
-        if np.any(capacities > full):
+        if np.any(capacities > aug.layout.capacities):
             raise GraphError("mask may not exceed arc capacity")
         self.capacities = capacities
 
     @staticmethod
     def full(aug: AugmentedInstance) -> "ArcMask":
-        return ArcMask(aug, aug.capacities())
+        return ArcMask(aug, aug.layout.capacities.copy())
 
     @staticmethod
     def for_design(
@@ -223,14 +254,11 @@ class ArcMask:
         for arc in failed:
             if aug.is_fictive(arc):
                 raise GraphError("fictive arcs never fail")
-        caps = np.zeros(aug.arc_count, dtype=np.int64)
-        for i, a in enumerate(aug.arcs):
-            if i not in selected:
-                continue
-            if i in failed and i not in protected:
-                continue
-            caps[i] = a.capacity
-        return ArcMask(aug, caps)
+        live = [
+            i in selected and (i not in failed or i in protected)
+            for i in range(aug.arc_count)
+        ]
+        return ArcMask(aug, np.where(live, aug.layout.capacities, 0))
 
 
 @dataclass(frozen=True)
@@ -272,25 +300,12 @@ class FlowResult:
     flow: np.ndarray
 
 
-def _dinic(
-    n: int,
-    tails: Sequence[int],
-    heads: Sequence[int],
-    caps: Sequence[int],
-    source: int,
-    sink: int,
-) -> tuple[int, list[int]]:
-    # adjacency of edge ids; edge 2i is arc i forward, 2i+1 its residual
-    m = len(tails)
-    to = [0] * (2 * m)
-    cap = [0] * (2 * m)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(m):
-        to[2 * i] = heads[i]
-        cap[2 * i] = int(caps[i])
-        to[2 * i + 1] = tails[i]
-        adj[tails[i]].append(2 * i)
-        adj[heads[i]].append(2 * i + 1)
+def _dinic(aug: AugmentedInstance, caps: np.ndarray) -> tuple[int, list[int]]:
+    # residual capacity per edge of the instance's layout
+    adj, to = aug.layout.edges, aug.layout.to
+    n, source, sink = aug.vertex_count, aug.root, aug.sink
+    cap = [0] * len(to)
+    cap[0::2] = caps.tolist()
 
     total = 0
     while True:
@@ -334,37 +349,24 @@ def _dinic(
 def max_flow(aug: AugmentedInstance, mask: ArcMask) -> FlowResult:
     """Exact root/sink max flow under the mask's capacities (integral by
     construction)."""
-    tails = [a.tail for a in aug.arcs]
-    heads = [a.head for a in aug.arcs]
-    value, residual = _dinic(
-        aug.vertex_count, tails, heads, mask.capacities, aug.root, aug.sink
-    )
-    flow = np.array(
-        [int(mask.capacities[i]) - residual[2 * i] for i in range(aug.arc_count)],
-        dtype=np.int64,
-    )
+    value, residual = _dinic(aug, mask.capacities)
+    flow = mask.capacities - np.array(residual[0::2], dtype=np.int64)
     return FlowResult(value=value, flow=flow)
 
 
 def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
     """A minimum root/sink cut under the mask; its capacity equals max_flow."""
-    tails = [a.tail for a in aug.arcs]
-    heads = [a.head for a in aug.arcs]
-    _, residual = _dinic(
-        aug.vertex_count, tails, heads, mask.capacities, aug.root, aug.sink
-    )
+    _, residual = _dinic(aug, mask.capacities)
     # vertices still reachable in the residual network form the root side
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(aug.vertex_count)]
-    for i in range(aug.arc_count):
-        adj[tails[i]].append((heads[i], residual[2 * i]))
-        adj[heads[i]].append((tails[i], residual[2 * i + 1]))
+    adj, to = aug.layout.edges, aug.layout.to
     reachable = [False] * aug.vertex_count
     reachable[aug.root] = True
     queue = collections.deque([aug.root])
     while queue:
         v = queue.popleft()
-        for w, c in adj[v]:
-            if c > 0 and not reachable[w]:
+        for e in adj[v]:
+            w = to[e]
+            if residual[e] > 0 and not reachable[w]:
                 reachable[w] = True
                 queue.append(w)
     side = frozenset(v for v in range(aug.vertex_count) if not reachable[v])

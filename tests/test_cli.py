@@ -75,17 +75,21 @@ def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
     assert not design.exists()
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["solve", "verify", "verify-instance", "bench"])
 def test_non_utf8_file_exits_with_input_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"p cprsnp 3 2\n\xff\n")
     good = tmp_path / "good.txt"
     good.write_text(write_instance(triangle()), encoding="utf-8")
-    if command == "solve":
-        argv = ["solve", "--instance", str(bad)]
-    else:
-        argv = ["verify", "--instance", str(good), "--design", str(bad)]
+    argv = {
+        "solve": ["solve", "--instance", str(bad)],
+        "verify": ["verify", "--instance", str(good), "--design", str(bad)],
+        "verify-instance": ["verify", "--instance", str(bad), "--design", str(good)],
+        "bench": ["bench", "--dir", str(tmp_path)],
+    }[command]
     assert cli.main(argv) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert str(bad) in captured.err
+    assert str(good) not in captured.err

@@ -65,9 +65,6 @@ def test_augment_layout():
     fict = aug.arcs[3]
     assert (fict.tail, fict.head, fict.cost, fict.capacity) == (2, 3, 0.0, 1)
     assert aug.is_fictive(3) and not aug.is_fictive(2)
-    assert aug.arc_index(2, 3) == 3
-    with pytest.raises(GraphError):
-        aug.arc_index(3, 0)
 
 
 def test_augment_rejects_reserved_label():
@@ -171,3 +168,52 @@ def test_min_cut_is_tight_and_valid(seed):
     cut = min_cut(aug, mask)
     assert aug.sink in cut.sink_side and aug.root not in cut.sink_side
     assert cut.capacity(mask) == value
+    # the returned root side is the smallest: inside the root side of every
+    # minimum cut, i.e. every minimum sink side lies inside the returned one
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    for bits in range(1 << len(others)):
+        side = {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
+        if CutSet.from_sink_side(aug, side).capacity(mask) == value:
+            assert side <= cut.sink_side
+
+
+class _CountingLayout:
+    """Forwards to a layout and counts the attribute reads."""
+
+    def __init__(self, layout):
+        self.layout, self.reads = layout, 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        return getattr(self.layout, name)
+
+
+def test_flows_and_cuts_read_the_instance_layout():
+    inst = triangle()
+    aug = augment(inst)
+    assert "layout" not in vars(aug)  # built on first use
+    mask = ArcMask.full(aug)
+    layout = aug.layout
+    spy = _CountingLayout(layout)
+    vars(aug)["layout"] = spy
+    for call in (max_flow, max_flow, min_cut):
+        reads = spy.reads
+        call(aug, mask)
+        assert spy.reads > reads
+    assert aug.layout is spy
+    assert max_flow(aug, mask).value == 1
+    assert min_cut(aug, mask).sink_side == {3}
+    vars(aug)["layout"] = layout
+    fresh = augment(inst)
+    assert aug == fresh and hash(aug) == hash(fresh) and repr(aug) == repr(fresh)
+    assert "layout" not in vars(fresh)
+
+
+def test_layout_lists_arcs_and_residual_edges():
+    layout = augment(triangle()).layout
+    assert layout.out_arcs == ((0, 1), (2,), (3,), ())
+    assert layout.in_arcs == ((), (0,), (1, 2), (3,))
+    assert layout.edges == ((0, 2), (1, 4), (3, 5, 6), (7,))
+    assert layout.to == (1, 0, 2, 0, 2, 1, 3, 2)
+    assert layout.capacities.tolist() == [1, 1, 1, 1]
+    assert not layout.capacities.flags.writeable

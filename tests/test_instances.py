@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -155,6 +156,24 @@ def test_generate_is_deterministic():
     b = generate(12, 4, 30, "random", seed=9, k=2, kp=1)
     assert write_instance(a) == write_instance(b)
     assert a != generate(12, 4, 30, "random", seed=10, k=2, kp=1)
+
+
+# SHA-256 of write_instance over the conftest corpus, then 20-5-90 and 30-3-60
+# (seed 7): the benchmark's recorded optima and acceptance 1 assume these
+# instances never change
+CORPUS_SHA256 = "77654896b75804874a0fb8686728af6e90b1fddc2b93437078cf0f69e6981d4a"
+
+
+def test_generated_corpus_is_pinned(suite):
+    large = [
+        generate(20, 5, 90, "uniform", seed=7),
+        generate(30, 3, 60, "uniform", seed=7, uniform_capacity=3),
+    ]
+    digest = hashlib.sha256()
+    for inst in list(suite) + large:
+        digest.update(write_instance(inst).encode())
+    assert len(suite) == 54
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def test_generate_requested_sizes():
