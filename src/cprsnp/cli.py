@@ -30,7 +30,7 @@ from .instances import (
     write_instance,
 )
 from .milp import SolveStatus
-from .verify import is_survivable
+from .verify import VerifyError, is_survivable
 
 EXIT_OK = 0
 EXIT_TIME_LIMIT = 2
@@ -216,6 +216,7 @@ def main(argv=None) -> int:
         GenerationError,
         GraphError,
         FormulationError,
+        VerifyError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,9 @@ from typing import Iterable
 import numpy as np
 
 SINK_LABEL = "s"
+# largest arc capacity: sums over every arc of an instance stay exact in
+# int64 and in float64 (below 2**53 for up to 2**22 arcs)
+MAX_CAPACITY = 2**31 - 1
 
 
 class GraphError(ValueError):
@@ -106,6 +109,11 @@ class Instance:
             ):
                 raise GraphError(
                     f"capacity of arc ({a.tail},{a.head}) must be a nonnegative integer"
+                )
+            if a.capacity > MAX_CAPACITY:
+                raise GraphError(
+                    f"capacity {a.capacity} of arc ({a.tail},{a.head}) exceeds "
+                    f"{MAX_CAPACITY}"
                 )
         terms = self.terminals
         if len(set(terms)) != len(terms):

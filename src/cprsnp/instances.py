@@ -26,7 +26,17 @@ import math
 import random
 from typing import Iterable
 
-from .graph import Arc, ArcMask, AugmentedInstance, GraphError, Instance, augment, max_flow, min_cut
+from .graph import (
+    MAX_CAPACITY,
+    Arc,
+    ArcMask,
+    AugmentedInstance,
+    GraphError,
+    Instance,
+    augment,
+    max_flow,
+    min_cut,
+)
 from .formulations import Design
 
 FORMAT_NAME = "cprsnp"
@@ -123,6 +133,10 @@ def parse_instance(text: str) -> Instance:
             capacity = _number(fields[4], line_no, "capacity")
             if capacity < 0 or capacity != int(capacity):
                 raise ParseError(line_no, "capacity must be a nonnegative integer")
+            if capacity > MAX_CAPACITY:
+                raise ParseError(
+                    line_no, f"capacity {fields[4]} exceeds {MAX_CAPACITY}"
+                )
             arcs.append(Arc(tail, head, cost, int(capacity)))
         elif kind == "b":
             if budgets is not None:

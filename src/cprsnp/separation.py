@@ -10,16 +10,22 @@ at-most-k failure hurts the design most", in the shape its master needs:
 All three agree on the optimal value: the post-attack max flow of the
 design.  Timeouts surface as :class:`SeparationTimeout`, never as a silent
 None.
+
+The cutset and bilevel oracles solve a MIP.  The scenario oracle searches
+failure sets directly while there are few enough of them: it branches on
+the arcs that carry a max flow and prunes with that flow's values, so it
+needs a few max flows where enumeration needs one per failure set.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 
-from .graph import AugmentedInstance, CutSet, max_flow
+import numpy as np
+
+from .graph import ArcMask, AugmentedInstance, CutSet, FlowResult, max_flow
 from .formulations import (
     Design,
     ExtremePoint,
@@ -34,10 +40,10 @@ from .formulations import (
 from .milp import SolveStatus, solve_mip
 
 BRUTE_FORCE_LIMIT = 100_000
-# the enumeration reads the clock once per this many subsets: an overrun
-# stays within that many max flows, and an enumeration shorter than that
-# always finishes, so even a zero budget gets its probe incumbent
-CLOCK_POLL_SUBSETS = 64
+# the attack search reads the clock once per this many max flows: an overrun
+# stays within that many, and a search shorter than that always finishes,
+# so even a zero budget gets its probe incumbent
+CLOCK_POLL_FLOWS = 64
 
 
 class SeparationTimeout(RuntimeError):
@@ -111,6 +117,93 @@ def separate_cutset(
     return CutViolation(cut=cut, value=value)
 
 
+def _worst_attack(
+    aug: AugmentedInstance,
+    design: Design,
+    candidates: list[int],
+    size: int,
+    time_limit_s: float | None,
+) -> ScenarioViolation | None:
+    """The lexicographically first ``size``-subset of ``candidates`` whose
+    failure leaves the least max flow, as a violation of that value; None
+    when every such failure leaves at least the demand.
+
+    Depth-first search over failed prefixes in lexicographic order.  A node
+    holds a max flow f of value F with its prefix failed, and r arcs left to
+    pick from the candidates after its last one:
+
+    * failing a candidate that f leaves empty keeps f feasible and maximal,
+      so that child reuses f instead of a new max flow;
+    * f decomposes into paths, so failing any r of the remaining candidates
+      removes at most the r largest f values among them; a subtree is cut
+      once F minus those is no better than the best so far (ties lose to
+      the earlier set, as in a plain enumeration), checked with the
+      parent's flow before a child's max flow and with its own after;
+    * when no remaining candidate carries flow, every completion is worth F
+      and the first one is the prefix plus the next r candidates.
+
+    The best so far starts at the demand: a set leaving that much is no
+    violation, so its subtree needs no search.
+    """
+    t0 = time.perf_counter()
+    best_value, best = aug.demand, None
+    flows = 0
+    order = np.array(candidates, dtype=np.intp)
+
+    def flow_of(caps: np.ndarray) -> FlowResult:
+        nonlocal flows
+        if (
+            flows % CLOCK_POLL_FLOWS == CLOCK_POLL_FLOWS - 1
+            and time_limit_s is not None
+            and time.perf_counter() - t0 > time_limit_s
+        ):
+            raise SeparationTimeout("scenario search hit the time limit")
+        flows += 1
+        return max_flow(aug, ArcMask(aug, caps))
+
+    def largest(res: FlowResult, start: int, count: int) -> np.ndarray:
+        """The ``count`` largest flows of ``res`` on candidates[start:]."""
+        return np.sort(res.flow[order[start:]])[::-1][:count]
+
+    def visit(prefix, start, caps, res):
+        """Record or cut the subtree below ``prefix``, or push it to be
+        branched on."""
+        nonlocal best_value, best
+        left = size - len(prefix)
+        carried = largest(res, start, left)
+        bound = max(res.value - int(carried.sum()), 0)  # flows are >= 0
+        if bound >= best_value:
+            return
+        if not carried.any():
+            best_value = res.value
+            best = prefix + tuple(candidates[start : start + left])
+            return
+        children = iter(range(start, len(candidates) - left + 1))
+        stack.append((prefix, caps, res, bound, children))
+
+    # an explicit stack: the depth is the attack size, which k alone bounds
+    stack = []
+    caps = design.mask(aug).capacities
+    visit((), 0, caps, flow_of(caps))
+    while stack:
+        prefix, caps, res, bound, children = stack[-1]
+        i = next(children, None)
+        if i is None or bound >= best_value:
+            stack.pop()
+            continue
+        arc = candidates[i]
+        rest = largest(res, i + 1, size - len(prefix) - 1)
+        if res.value - res.flow[arc] - rest.sum() >= best_value:
+            continue
+        child_caps = caps.copy()
+        child_caps[arc] = 0
+        child = res if res.flow[arc] == 0 else flow_of(child_caps)
+        visit(prefix + (arc,), i + 1, child_caps, child)
+    if best is None:
+        return None
+    return ScenarioViolation(FailureScenario.of(aug, best), best_value)
+
+
 def separate_scenario(
     aug: AugmentedInstance,
     design: Design,
@@ -118,32 +211,15 @@ def separate_scenario(
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> ScenarioViolation | None:
     """A failure scenario minimizing the surviving flow, or None if none drops
-    below demand.  Small candidate sets are enumerated outright; larger ones
-    go through the attacker MIP of :func:`separate_bilevel` and the winning
-    attack is re-checked."""
+    below demand.  When there are at most ``brute_force_limit`` failure sets,
+    a combinatorial search over max flows (:func:`_worst_attack`) returns
+    the lexicographically first worst one; otherwise the attacker MIP of
+    :func:`separate_bilevel` picks the attack and a max flow re-checks it."""
     _require_canonical(aug, design)
-    t0 = time.perf_counter()
     candidates = _attack_candidates(aug, design)
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
-        best_value: int | None = None
-        best: tuple[int, ...] = ()
-        for i, combo in enumerate(itertools.combinations(candidates, size)):
-            if (
-                i % CLOCK_POLL_SUBSETS == CLOCK_POLL_SUBSETS - 1
-                and time_limit_s is not None
-                and time.perf_counter() - t0 > time_limit_s
-            ):
-                raise SeparationTimeout("scenario enumeration hit the time limit")
-            flow = max_flow(aug, design.mask(aug, failed=combo)).value
-            if best_value is None or flow < best_value:
-                best_value, best = flow, combo
-        assert best_value is not None
-        if best_value >= aug.demand:
-            return None
-        return ScenarioViolation(
-            scenario=FailureScenario.of(aug, best), value=int(best_value)
-        )
+        return _worst_attack(aug, design, candidates, size, time_limit_s)
     violation = separate_bilevel(aug, design, time_limit_s)
     if violation is None:
         return None

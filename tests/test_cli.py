@@ -8,7 +8,10 @@ import pytest
 from conftest import triangle
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS
-from cprsnp.instances import generate, write_instance
+from cprsnp.formulations import Design
+from cprsnp.graph import MAX_CAPACITY, augment
+from cprsnp.instances import generate, write_design, write_instance
+from cprsnp.verify import SCENARIO_GUARD
 
 
 @pytest.mark.parametrize(
@@ -59,10 +62,44 @@ def test_solve_writes_only_the_report_to_stdout(tmp_path, capfd, formulation):
     assert outs[0] == outs[1]
 
 
+def test_capacity_above_the_bound_exits_with_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        write_instance(triangle()).replace("a 1 3 2 1", "a 1 3 2 1e30"),
+        encoding="utf-8",
+    )
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capacity 1e30 exceeds {MAX_CAPACITY}" in captured.err
+
+
+def test_verify_beyond_the_enumeration_guard_exits_with_input_error(
+    tmp_path, capsys
+):
+    # every arc selected at k=5: C(90, 5) = 43,949,268 failure sets
+    inst = generate(20, 5, 90, "uniform", seed=7, k=5, kp=0)
+    aug = augment(inst)
+    instance, design = tmp_path / "i.txt", tmp_path / "d.txt"
+    instance.write_text(write_instance(inst), encoding="utf-8")
+    design.write_text(
+        write_design(Design.canonical(aug, aug.initial_arcs), aug), encoding="utf-8"
+    )
+    argv = ["verify", "--instance", str(instance), "--design", str(design)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: 43949268 failure sets exceed the brute-force guard {SCENARIO_GUARD}\n"
+    )
+
+
 def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
+    # at k=3 the probe takes the attacker-MIP route (C(90, 3) failure sets),
+    # which a zero budget stops before any incumbent
     path = tmp_path / "i.txt"
     path.write_text(
-        write_instance(generate(20, 5, 90, "uniform", seed=7, k=2, kp=0)),
+        write_instance(generate(20, 5, 90, "uniform", seed=7, k=3, kp=0)),
         encoding="utf-8",
     )
     design = tmp_path / "design.txt"

@@ -249,8 +249,8 @@ def test_bilevel_without_strengthening():
 
 
 def test_zero_budget_keeps_probe_incumbent():
-    # subset enumeration reads the clock only every CLOCK_POLL_SUBSETS
-    # subsets, so the feasibility probe still lands an incumbent; the run
+    # the attack search reads the clock only every CLOCK_POLL_FLOWS max
+    # flows, so the feasibility probe still lands an incumbent; the run
     # then stops before the first master solve
     aug = augment(triangle(k=1, kp=0))
     sol = solve(aug, "cutset", EngineOptions(time_limit_s=0.0))

@@ -87,6 +87,7 @@ def test_save_and_load(tmp_path):
             3,
             "capacity must be a nonnegative integer",
         ),
+        ("p cprsnp 2 1\nr 1\na 1 2 1 2147483648\nb 0 0\n", 3, "exceeds 2147483647"),
         ("p cprsnp 2 1\nr 1\na 1 2 x 1\nb 0 0\n", 3, "not a number"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb -1 0\n", 4, "nonnegative"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 0 0\nb 0 0\n", 5, "duplicate b line"),

@@ -1,9 +1,12 @@
 """Separation oracles: soundness, completeness, and mutual agreement."""
 
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_attack_value, random_design, triangle
 from cprsnp.formulations import Design, cut_residual, point_row_value
@@ -153,14 +156,113 @@ def test_separation_timeout_raised():
 
 
 def test_brute_force_enumeration_polls_its_deadline():
-    # 30-3-60 at (3,1): 34,220 subsets, several seconds of max flows in full
+    # 30-3-60 at (3,1): the attack search needs more max flows than it runs
+    # between two clock reads, so a zero budget stops it
     inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=1, uniform_capacity=3)
     aug = augment(inst)
     design = Design.canonical(aug, range(aug.arc_count))
-    t0 = time.perf_counter()
     with pytest.raises(SeparationTimeout):
-        separate_scenario(aug, design, time_limit_s=0.5)
-    assert time.perf_counter() - t0 < 3.0
+        separate_scenario(aug, design, time_limit_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the attack search against the enumeration of failure sets it replaced
+
+
+def attack_case(rng):
+    """A small instance and a design on it.  k reaches 4, so some designs
+    have fewer unprotected arcs than k; sparse designs often lose all flow."""
+    nodes = rng.randint(4, 8)
+    arcs = rng.randint(2 * nodes, min(20, nodes * (nodes - 1)))
+    aug = augment(
+        generate(
+            nodes,
+            rng.randint(1, min(4, nodes - 1)),
+            arcs,
+            capacity_mode=rng.choice(["uniform", "random"]),
+            seed=rng.randrange(10**6),
+            k=rng.randint(1, 4),
+            kp=rng.randint(0, 2),
+        )
+    )
+    density = rng.choice([0.3, 0.7, 0.9, 1.0])
+    selected = [a for a in aug.initial_arcs if rng.random() < density]
+    protected = rng.sample(selected, min(rng.randint(0, aug.kp), len(selected)))
+    return aug, Design.canonical(aug, selected, protected)
+
+
+def enumerated_attacks(aug, design):
+    """Every failure set of min(k, candidates) arcs in lexicographic order,
+    with the max flow it leaves."""
+    candidates = sorted(
+        a for a in design.selected
+        if not aug.is_fictive(a) and a not in design.protected
+    )
+    return [
+        (max_flow(aug, design.mask(aug, combo)).value, combo)
+        for combo in itertools.combinations(candidates, min(aug.k, len(candidates)))
+    ]
+
+
+def assert_search_matches_enumeration(aug, design, attacks):
+    value = min(v for v, _ in attacks)
+    first = next(combo for v, combo in attacks if v == value)
+    found = separate_scenario(aug, design)
+    if value >= aug.demand:
+        assert found is None
+    else:
+        assert found is not None
+        assert (found.value, found.scenario.sorted_arcs()) == (value, first)
+
+
+def test_attack_search_matches_enumeration_on_seeded_cases():
+    seen = set()
+    for seed in range(100):
+        aug, design = attack_case(random.Random(seed))
+        attacks = enumerated_attacks(aug, design)
+        assert_search_matches_enumeration(aug, design, attacks)
+        value = min(v for v, _ in attacks)
+        if value < aug.demand:
+            seen.add("violated")
+            if [v for v, _ in attacks].count(value) > 1:
+                seen.add("tied minima")
+            if design.protected:
+                seen.add("protected arcs")
+            if len(attacks[0][1]) < aug.k:
+                seen.add("fewer candidates than k")
+            seen.add("zero" if value == 0 else "positive")
+        else:
+            seen.add("survivable")
+    assert seen == {
+        "violated", "tied minima", "protected arcs", "fewer candidates than k",
+        "zero", "positive", "survivable",
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_attack_search_matches_enumeration(rng):
+    aug, design = attack_case(rng)
+    assert_search_matches_enumeration(aug, design, enumerated_attacks(aug, design))
+
+
+def test_attack_search_needs_few_max_flows(monkeypatch):
+    # enumerating this design's failure sets takes C(60, 3) = 34,220 max flows
+    inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=0, uniform_capacity=3)
+    aug = augment(inst)
+    design = Design.canonical(aug, range(aug.arc_count))
+    calls = []
+
+    def counted(aug, mask):
+        calls.append(mask)
+        return max_flow(aug, mask)
+
+    monkeypatch.setattr(separation, "max_flow", counted)
+    violation = separate_scenario(aug, design)
+    assert len(calls) <= 500
+    # the enumeration's answer: the first of the failure sets leaving 1 unit
+    assert violation is not None
+    assert (violation.value, violation.scenario.sorted_arcs()) == (1, (18, 29, 53))
 
 
 def test_strengthen_keeps_violation_valid():
