@@ -1,22 +1,26 @@
-"""Delayed constraint-and-column generation driver.
+"""Delayed constraint-and-column generation engine (branch and check).
 
-One loop serves all three formulations: solve the restricted master as a
-MIP, ask the formulation's oracle whether the optimal design survives every
-attack, and either stop (optimal), grow the master, or run out of time.
+All three formulations run on one branch-and-bound tree: the restricted
+master goes to :func:`cprsnp.milp.solve_mip` once, and the tree calls back
+at every integer-feasible point.  The callback asks the formulation's
+oracle whether that point's design survives every attack; a survivable
+design may become the tree's incumbent, and a violation grows the master,
+on which the tree re-solves the same node and carries on.
 
 A formulation plugs in as one small class, chosen once from its name in
 :data:`FORMULATION_CLASSES`.  Its constructor seeds the master, ``master()``
 builds the restricted master, ``separate(design, time_limit_s)`` runs the
 oracle, and ``add(violation, design)`` records the violation, raising
-:class:`EngineError` when the master stalls.  The loop itself logs how many
-rows and columns each violation added, as the size difference between
-consecutive masters.
+:class:`EngineError` when the master stalls.  Each violation is one
+:class:`IterationRecord`: the tree's global lower bound at that moment, the
+violation's value, and how many rows and columns it added, as the size
+difference between consecutive masters.
 
-The master optimum is a lower bound that never decreases; a survivable
-incumbent built upfront (exact protection search on the all-arcs design)
-provides the upper bound, and is what a timeout falls back to.  Every
-master solve is pruned by the incumbent's cost: a master with no design
-strictly cheaper than the incumbent proves the incumbent optimal.
+A survivable incumbent built upfront (exact protection search on the
+all-arcs design) provides the upper bound; the tree is pruned by its cost,
+so a tree with no design strictly cheaper than it proves it optimal.  A
+timeout returns the best survivable design found so far, from the tree or
+the probe.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ LAZY_CUT_ROW_LIMIT = 20_000
 
 
 class EngineError(RuntimeError):
-    """The generation loop reached a state that should be impossible."""
+    """Generation reached a state that should be impossible."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,10 @@ class EngineOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One violation found in the tree, or the closing record of a run
+    (no rows added; ``separation_value`` is the demand when the tree's
+    optimum survived and None when the upfront incumbent was proven)."""
+
     iteration: int
     master_objective: float
     separation_value: float | None
@@ -286,11 +294,42 @@ def solve(
     upper = incumbent.cost(aug) if incumbent is not None else math.inf
     lower = 0.0  # costs are nonnegative
 
+    master = form.master()
+    found: Design | None = None  # the tree's survivable incumbent
+
     def timeout_solution() -> Solution:
-        if incumbent is None:
+        best = found if found is not None else incumbent
+        if best is None:
             return finish(SolveStatus.FEASIBLE, None, None, None)
-        gap = max(0.0, (upper - lower) / max(abs(upper), 1e-9))
-        return finish(SolveStatus.FEASIBLE, incumbent, upper, gap)
+        cost = best.cost(aug)
+        gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
+        return finish(SolveStatus.FEASIBLE, best, cost, gap)
+
+    def check(values, bound: float):
+        """The tree's lazy callback: accept a survivable design, or grow the
+        master by the violation the oracle found."""
+        nonlocal master, lower, found
+        lower = max(lower, bound)
+        design = master.design_from(values)
+        violation = form.separate(design, remaining())
+        if violation is None:
+            found = design
+            return None
+        form.add(violation, design)
+        grown = form.master()
+        records.append(
+            IterationRecord(
+                len(records) + 1,
+                lower,
+                float(violation.value),
+                grown.model.num_constraints - master.model.num_constraints,
+                grown.model.num_vars - master.model.num_vars,
+                elapsed(),
+            )
+        )
+        log.info(records[-1].line(formulation, include_time=True))
+        master = grown
+        return grown.model
 
     log.info(
         "formulation=%s start demand=%d arcs=%d k=%d kp=%d strengthen=%s",
@@ -301,64 +340,30 @@ def solve(
         aug.kp,
         options.strengthen,
     )
-
-    master = form.master()
-    iteration = 0
-    while True:
-        iteration += 1
-        if remaining() <= 0:
-            return timeout_solution()
+    if remaining() <= 0:
+        return timeout_solution()
+    try:
         # without an incumbent, upper is math.inf and prunes nothing
-        res = solve_mip(master.model, time_limit_s=remaining(), cutoff=upper)
-        if res.status == SolveStatus.INFEASIBLE:
-            if incumbent is None:
-                return finish(SolveStatus.INFEASIBLE, None, None, None)
-            # no design is strictly cheaper than the incumbent
-            records.append(IterationRecord(iteration, upper, None, 0, 0, elapsed()))
-            return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
-        if res.status != SolveStatus.OPTIMAL:
-            if res.bound is not None:
-                lower = max(lower, res.bound)
-            return timeout_solution()
-        if res.objective < lower - 1e-6:
-            raise EngineError(
-                f"master objective decreased: {res.objective} < {lower}"
-            )
-        lower = max(lower, res.objective)
-        design = master.design_from(res.values)
-        if incumbent is not None and lower >= upper - 1e-6:
-            # incumbent already matches the proven bound
-            records.append(
-                IterationRecord(iteration, res.objective, None, 0, 0, elapsed())
-            )
-            return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
-        try:
-            violation = form.separate(design, remaining())
-        except SeparationTimeout:
-            return timeout_solution()
-
-        if violation is None:
-            cost = design.cost(aug)
-            records.append(
-                IterationRecord(
-                    iteration, res.objective, float(demand), 0, 0, elapsed()
-                )
-            )
-            rec = records[-1]
-            log.info(rec.line(formulation, include_time=True))
-            return finish(SolveStatus.OPTIMAL, design, cost, 0.0)
-
-        form.add(violation, design)
-        grown = form.master()
-        records.append(
-            IterationRecord(
-                iteration,
-                res.objective,
-                float(violation.value),
-                grown.model.num_constraints - master.model.num_constraints,
-                grown.model.num_vars - master.model.num_vars,
-                elapsed(),
-            )
+        res = solve_mip(
+            master.model, time_limit_s=remaining(), cutoff=upper, lazy=check
         )
-        log.info(records[-1].line(formulation, include_time=True))
-        master = grown
+    except SeparationTimeout:
+        return timeout_solution()
+    if res.status == SolveStatus.INFEASIBLE:
+        if incumbent is None:
+            return finish(SolveStatus.INFEASIBLE, None, None, None)
+        # no survivable design is strictly cheaper than the incumbent
+        records.append(
+            IterationRecord(len(records) + 1, upper, None, 0, 0, elapsed())
+        )
+        return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
+    if res.status != SolveStatus.OPTIMAL:
+        if res.bound is not None:
+            lower = max(lower, res.bound)
+        return timeout_solution()
+    design = master.design_from(res.values)
+    records.append(
+        IterationRecord(len(records) + 1, res.objective, float(demand), 0, 0, elapsed())
+    )
+    log.info(records[-1].line(formulation, include_time=True))
+    return finish(SolveStatus.OPTIMAL, design, design.cost(aug), 0.0)

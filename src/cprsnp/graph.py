@@ -40,6 +40,9 @@ SINK_LABEL = "s"
 # largest arc capacity: sums over every arc of an instance stay exact in
 # int64 and in float64 (below 2**53 for up to 2**22 arcs)
 MAX_CAPACITY = 2**31 - 1
+# largest arc cost: far below the 1e20 that HiGHS reads as infinite, and
+# integer costs keep every design cost exact in float64 like capacities
+MAX_COST = 2**31 - 1
 
 
 class GraphError(ValueError):
@@ -102,6 +105,10 @@ class Instance:
                 raise GraphError(f"non-finite cost on arc ({a.tail},{a.head})")
             if a.cost < 0:
                 raise GraphError(f"negative cost on arc ({a.tail},{a.head})")
+            if a.cost > MAX_COST:
+                raise GraphError(
+                    f"cost {a.cost} of arc ({a.tail},{a.head}) exceeds {MAX_COST}"
+                )
             if (
                 not math.isfinite(a.capacity)
                 or a.capacity < 0

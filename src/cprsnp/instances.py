@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .graph import (
     MAX_CAPACITY,
+    MAX_COST,
     Arc,
     ArcMask,
     AugmentedInstance,
@@ -130,6 +131,8 @@ def parse_instance(text: str) -> Instance:
             cost = _number(fields[3], line_no, "cost")
             if cost < 0:
                 raise ParseError(line_no, "negative cost")
+            if cost > MAX_COST:
+                raise ParseError(line_no, f"cost {fields[3]} exceeds {MAX_COST}")
             capacity = _number(fields[4], line_no, "capacity")
             if capacity < 0 or capacity != int(capacity):
                 raise ParseError(line_no, "capacity must be a nonnegative integer")

@@ -19,10 +19,23 @@ branch and bound on top of that instance:
 * optional wall-clock limit; the reported bound stays valid at all times,
 * optional cutoff: the objective value of a solution known from elsewhere;
   every node that cannot beat it strictly is pruned, and a model with
-  nothing better reads INFEASIBLE.
+  nothing better reads INFEASIBLE,
+* when every objective coefficient is an integer on an integer column, every
+  objective value is an integer, so a node is pruned once its bound exceeds
+  the next integer below the incumbent (``best - 1`` for an integer best),
+* an optional lazy callback sees every integer-feasible point before it may
+  become the incumbent, the root rounding heuristic's point included, and
+  either accepts it or hands back a grown model (more rows, and continuous
+  columns appended after the old ones).  The relaxation is then re-opened on
+  the grown model and the same node is re-solved.  Open nodes keep only the
+  bounds of the integer columns; continuous columns always take the current
+  model's bounds.  Bounds of open nodes stay valid, because a grown model
+  only removes integer assignments.  A callback that accepts every point
+  leaves the search exactly as it is without one.
 
-Everything is deterministic for a fixed model: no randomized choices, serial
-simplex, and the same sequence of bound changes on every run.
+Everything is deterministic for a fixed model and callback: no randomized
+choices, serial simplex, and the same sequence of bound changes on every
+run.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.optimize  # noqa: F401
@@ -63,6 +76,8 @@ _OPTIONS = (
 )
 
 INT_TOL = 1e-6
+# slack on an LP bound before an integral objective prunes it
+INT_OBJ_TOL = 1e-6
 
 
 class MilpError(ValueError):
@@ -303,10 +318,18 @@ def solve_lp(model: MilpModel) -> SolveResult:
     return SolveResult(status, None, None)
 
 
+def _integral_objective(model: MilpModel, int_idx: np.ndarray) -> bool:
+    """True when every objective coefficient is an integer on an integer
+    column, so that every feasible objective value is an integer."""
+    ints = set(int_idx.tolist())
+    return all(v in ints and c.is_integer() for v, c in model._objective.items())
+
+
 def solve_mip(
     model: MilpModel,
     time_limit_s: float | None = None,
     cutoff: float | None = None,
+    lazy: Callable[[np.ndarray, float], MilpModel | None] | None = None,
 ) -> SolveResult:
     """Branch-and-bound over the integer variables of the model.
 
@@ -316,12 +339,23 @@ def solve_mip(
     better than the cutoff".  With a time limit the returned status is
     FEASIBLE and ``bound`` still underestimates (in the minimization sense)
     every feasible objective better than the cutoff.
+
+    ``lazy(values, bound)`` is called on every integer-feasible point before
+    it may become the incumbent, with the tree's global bound at that moment
+    (in the model's own sense).  It returns None to accept the point, or a
+    grown model that cuts it off; the same node is then re-solved on the
+    grown model.  The grown model must keep the sense, the objective and the
+    integer columns (indices and bounds) of the model it replaces, and may
+    only remove integer assignments the callback would reject.  Returned
+    ``values`` may then be shorter than the final model's columns.
     """
     t0 = time.perf_counter()
-    lb0, ub0 = model.bounds()
     int_idx = model.integer_indices()
+    lb0, ub0 = model.bounds()
+    ilb0, iub0 = lb0[int_idx], ub0[int_idx]
     lp = _Relaxation(model)
     sign = lp.sign
+    integral = _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
         return time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
@@ -330,11 +364,53 @@ def solve_mip(
     best_obj = math.inf if cutoff is None else sign * cutoff
     best_x: np.ndarray | None = None
 
+    def prunes(bound: float) -> bool:
+        """True when no solution under ``bound`` can beat the best so far;
+        with an integral objective the next better value is an integer."""
+        if bound >= best_obj - 1e-9:
+            return True
+        return (
+            integral
+            and math.isfinite(best_obj)
+            and bound > math.ceil(best_obj - 1e-9) - 1 + INT_OBJ_TOL
+        )
+
+    def with_integers(ilb: np.ndarray, iub: np.ndarray):
+        """Full column bounds: the model's, with the integer columns' set."""
+        lb, ub = lb0.copy(), ub0.copy()
+        lb[int_idx] = ilb
+        ub[int_idx] = iub
+        return lb, ub
+
+    def rejected(x: np.ndarray, bound: float) -> bool:
+        """Ask ``lazy`` about an integer-feasible point; on a grown model,
+        re-open the relaxation on it and return True."""
+        nonlocal model, lp, lb0, ub0
+        grown = None if lazy is None else lazy(x, sign * bound)
+        if grown is None:
+            return False
+        glb, gub = grown.bounds()
+        if (
+            grown.minimize != model.minimize
+            or grown._objective != model._objective
+            or not np.array_equal(grown.integer_indices(), int_idx)
+            or not np.array_equal(glb[int_idx], ilb0)
+            or not np.array_equal(gub[int_idx], iub0)
+        ):
+            raise MilpError(
+                f"lazy model {grown.name} changes the objective or the integer "
+                f"columns of {model.name}"
+            )
+        model, lb0, ub0 = grown, glb, gub
+        lp = _Relaxation(grown)
+        return True
+
     nodes = 0
     seq = 0
-    # heap entries: (parent bound, -depth, seq, lb, ub)
+    # heap entries: (parent bound, -depth, seq, integer lbs, integer ubs);
+    # continuous columns always take the current model's bounds
     heap: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
-        (-math.inf, 0, 0, lb0, ub0)
+        (-math.inf, 0, 0, ilb0, iub0)
     ]
     root_handled = False
 
@@ -346,55 +422,67 @@ def solve_mip(
 
     while heap:
         parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
-        if parent_bound >= best_obj - 1e-9:
+        if prunes(parent_bound):
             # best-bound order: everything left is at least as bad
             heap.clear()
             break
-        if out_of_time():
-            return finish(SolveStatus.FEASIBLE, [parent_bound] + [h[0] for h in heap])
-        status, node_bound, x = lp.solve(nlb, nub)
-        nodes += 1
-        if status == SolveStatus.INFEASIBLE:
-            continue
-        if status == SolveStatus.UNBOUNDED:
-            if int_idx.size == 0 or not root_handled:
-                return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
-            raise MilpError(f"unbounded node LP in {model.name}")
-        if node_bound >= best_obj - 1e-9:
-            root_handled = True
-            continue
-        frac = np.abs(x[int_idx] - np.round(x[int_idx])) if int_idx.size else np.array([])
-        fractional = np.flatnonzero(frac > INT_TOL)
-        if fractional.size == 0:
-            best_obj = node_bound
-            best_x = x
-            root_handled = True
-            continue
-        if not root_handled:
-            root_handled = True
-            # one-shot rounding heuristic: fix integers to nearest, repair LP
-            rlb, rub = lb0.copy(), ub0.copy()
-            rounded = np.clip(np.round(x[int_idx]), lb0[int_idx], ub0[int_idx])
-            rlb[int_idx] = rounded
-            rub[int_idx] = rounded
-            hstatus, hobj, hx = lp.solve(rlb, rub)
-            if hstatus == SolveStatus.OPTIMAL and hobj < best_obj:
-                if model.check_assignment(hx):
-                    best_obj = hobj
-                    best_x = hx
-        # most fractional first, ties by lowest variable index
-        scores = np.minimum(frac[fractional], 1.0 - frac[fractional])
-        pick = fractional[int(np.argmax(scores))]
-        var = int(int_idx[pick])
-        depth = -negdepth + 1
-        down_ub = nub.copy()
-        down_ub[var] = math.floor(x[var])
-        up_lb = nlb.copy()
-        up_lb[var] = math.ceil(x[var])
-        seq += 1
-        heapq.heappush(heap, (node_bound, -depth, seq, nlb, down_ub))
-        seq += 1
-        heapq.heappush(heap, (node_bound, -depth, seq, up_lb, nub))
+        # the node is re-solved for as long as ``lazy`` grows the model
+        while True:
+            if out_of_time():
+                return finish(
+                    SolveStatus.FEASIBLE, [parent_bound] + [h[0] for h in heap]
+                )
+            status, node_bound, x = lp.solve(*with_integers(nlb, nub))
+            nodes += 1
+            if status == SolveStatus.INFEASIBLE:
+                break
+            if status == SolveStatus.UNBOUNDED:
+                if int_idx.size == 0 or not root_handled:
+                    return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
+                raise MilpError(f"unbounded node LP in {model.name}")
+            if prunes(node_bound):
+                root_handled = True
+                break
+            # the tree's global bound: this node's or the best open node's
+            tree_bound = min(node_bound, heap[0][0]) if heap else node_bound
+            frac = (
+                np.abs(x[int_idx] - np.round(x[int_idx]))
+                if int_idx.size
+                else np.array([])
+            )
+            fractional = np.flatnonzero(frac > INT_TOL)
+            if fractional.size == 0:
+                if rejected(x, tree_bound):
+                    continue
+                best_obj = node_bound
+                best_x = x
+                root_handled = True
+                break
+            if not root_handled:
+                root_handled = True
+                # one-shot rounding heuristic: fix integers to nearest, repair LP
+                rounded = np.clip(np.round(x[int_idx]), ilb0, iub0)
+                hstatus, hobj, hx = lp.solve(*with_integers(rounded, rounded))
+                if hstatus == SolveStatus.OPTIMAL and hobj < best_obj:
+                    if model.check_assignment(hx):
+                        if rejected(hx, tree_bound):
+                            continue
+                        best_obj = hobj
+                        best_x = hx
+            # most fractional first, ties by lowest variable index
+            scores = np.minimum(frac[fractional], 1.0 - frac[fractional])
+            pick = int(fractional[int(np.argmax(scores))])
+            var = int(int_idx[pick])
+            depth = -negdepth + 1
+            down_ub = nub.copy()
+            down_ub[pick] = math.floor(x[var])
+            up_lb = nlb.copy()
+            up_lb[pick] = math.ceil(x[var])
+            seq += 1
+            heapq.heappush(heap, (node_bound, -depth, seq, nlb, down_ub))
+            seq += 1
+            heapq.heappush(heap, (node_bound, -depth, seq, up_lb, nub))
+            break
 
     if best_x is None:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, nodes=nodes)

@@ -9,7 +9,7 @@ from conftest import triangle
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS
 from cprsnp.formulations import Design
-from cprsnp.graph import MAX_CAPACITY, augment
+from cprsnp.graph import MAX_CAPACITY, MAX_COST, augment
 from cprsnp.instances import generate, write_design, write_instance
 from cprsnp.verify import SCENARIO_GUARD
 
@@ -72,6 +72,35 @@ def test_capacity_above_the_bound_exits_with_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"capacity 1e30 exceeds {MAX_CAPACITY}" in captured.err
+
+
+@pytest.mark.parametrize("cost", ["1e21", str(MAX_COST + 1)])
+def test_cost_above_the_bound_exits_with_input_error(tmp_path, capsys, cost):
+    # HiGHS reads objective coefficients of 1e20 and above as infinite
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        write_instance(triangle()).replace("a 1 2 1 1", f"a 1 2 {cost} 1"),
+        encoding="utf-8",
+    )
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line 4: cost {cost} exceeds {MAX_COST}" in captured.err
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_cost_at_the_bound_solves(tmp_path, capsys, formulation):
+    # one failure without protection needs all three arcs
+    path = tmp_path / "dear.txt"
+    path.write_text(
+        write_instance(triangle()).replace("a 1 2 1 1", f"a 1 2 {MAX_COST} 1"),
+        encoding="utf-8",
+    )
+    argv = ["solve", "--instance", str(path), "--formulation", formulation]
+    assert cli.main(argv) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "status=Optimal " in out
+    assert out.endswith("y 1 2\ny 1 3\ny 2 3\n")
 
 
 def test_verify_beyond_the_enumeration_guard_exits_with_input_error(

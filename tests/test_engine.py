@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus, triangle
 
@@ -21,8 +23,10 @@ from cprsnp.engine import (
 )
 from cprsnp.formulations import Design
 from cprsnp.graph import CutSet
+from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus
-from cprsnp.verify import is_survivable
+from cprsnp.separation import SeparationTimeout
+from cprsnp.verify import exhaustive_optimum, is_survivable
 
 
 FAST = EngineOptions(time_limit_s=60.0)
@@ -51,7 +55,7 @@ def test_triangle_unprotected_optimum(formulation):
     assert sol.cost == pytest.approx(4.0)
     assert sol.gap == 0.0
     assert sol.design is not None
-    assert is_survivable(aug, sol.design)
+    assert is_survivable(aug, sol.design)[0]
     # surviving one failure without protection needs every arc
     assert set(sol.design.selected) >= {0, 1, 2}
     assert sol.iterations == len(sol.log) >= 1
@@ -68,7 +72,7 @@ def test_triangle_protected_optimum(formulation):
     # protecting the direct root-terminal arc is the unique optimum
     assert 1 in sol.design.selected
     assert sol.design.protected == frozenset({1})
-    assert is_survivable(aug, sol.design)
+    assert is_survivable(aug, sol.design)[0]
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -89,7 +93,46 @@ def test_triangle_no_failures(formulation):
     sol = solve(aug, formulation, FAST)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.cost == pytest.approx(2.0)
-    assert is_survivable(aug, sol.design)
+    assert is_survivable(aug, sol.design)[0]
+
+
+@st.composite
+def tiny_instances(draw):
+    nodes = draw(st.integers(3, 6))
+    terminals = draw(st.integers(1, min(3, nodes - 1)))
+    arcs = draw(st.integers(nodes - 1, min(10, nodes * (nodes - 1))))
+    k = draw(st.integers(0, 2))
+    kp = draw(st.integers(0, 1))
+    mode = draw(st.sampled_from(["uniform", "random"]))
+    try:
+        return generate(nodes, terminals, arcs, mode, draw(st.integers(0, 99)), k, kp)
+    except GenerationError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=tiny_instances())
+def test_every_formulation_matches_exhaustive_search(inst):
+    aug = augment(inst)
+    best = exhaustive_optimum(aug)
+    for formulation in FORMULATIONS:
+        sol = solve(aug, formulation, FAST)
+        if best is None:
+            assert sol.status is SolveStatus.INFEASIBLE
+            continue
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.cost == best[0]
+        assert is_survivable(aug, sol.design)[0]
+
+
+def test_cutset_proves_corpus_52():
+    # 12 vertices, 30 arcs, k=2, kp=1: re-solving every master from the
+    # root took 56 masters and more than 20 s to prove this optimum
+    aug = augment(corpus()[52])
+    sol = solve(aug, "cutset", FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == 77.0
+    assert is_survivable(aug, sol.design)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +233,10 @@ def test_master_without_cheaper_design_proves_incumbent(formulation, monkeypatch
     calls = []
     real_solve_mip = engine.solve_mip
 
-    def record(model, time_limit_s=None, cutoff=None):
-        res = real_solve_mip(model, time_limit_s=time_limit_s, cutoff=cutoff)
+    def record(model, time_limit_s=None, cutoff=None, lazy=None):
+        res = real_solve_mip(
+            model, time_limit_s=time_limit_s, cutoff=cutoff, lazy=lazy
+        )
         calls.append((cutoff, res.status))
         return res
 
@@ -220,7 +265,7 @@ def test_lazy_cut_pool_still_converges(monkeypatch):
         sol = solve(aug, "cutset", FAST)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.cost == pytest.approx(expected)
-        assert is_survivable(aug, sol.design)
+        assert is_survivable(aug, sol.design)[0]
         # a new lazy cut brings its loss column, capacity row and one subset
         # row; a known lazy cut gains only one subset row
         grown = {(r.rows_added, r.columns_added) for r in sol.log[:-1]}
@@ -256,7 +301,7 @@ def test_zero_budget_keeps_probe_incumbent():
     sol = solve(aug, "cutset", EngineOptions(time_limit_s=0.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.iterations == 0
-    assert is_survivable(aug, sol.design)
+    assert is_survivable(aug, sol.design)[0]
     assert sol.gap == pytest.approx(1.0)
 
 
@@ -277,10 +322,34 @@ def test_timeout_returns_survivable_incumbent():
     sol = solve(aug, "cutset", EngineOptions(time_limit_s=2.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is not None
-    assert is_survivable(aug, sol.design)
+    assert is_survivable(aug, sol.design)[0]
     assert sol.cost == pytest.approx(sol.design.cost(aug))
     assert sol.gap is not None and 0.0 < sol.gap <= 1.0
     assert sol.seconds < 8.0
+
+
+def test_timeout_in_the_tree_returns_its_incumbent(monkeypatch):
+    # the cut oracle runs out of time right after the tree accepted its
+    # first design; that design, not the probe's, is what comes back
+    real = engine.separate_cutset
+    accepted = []
+
+    def flaky(aug, design, time_limit_s):
+        if accepted:
+            raise SeparationTimeout("out of time")
+        violation = real(aug, design, time_limit_s=time_limit_s)
+        if violation is None:
+            accepted.append(design)
+        return violation
+
+    monkeypatch.setattr(engine, "separate_cutset", flaky)
+    aug = augment(corpus()[40])  # optimum 96, probe incumbent 283
+    sol = solve(aug, "cutset", FAST)
+    assert sol.status is SolveStatus.FEASIBLE
+    assert [sol.design] == accepted
+    assert sol.cost == sol.design.cost(aug) < 283.0
+    assert is_survivable(aug, sol.design)[0]
+    assert 0.0 < sol.gap < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from conftest import brute_min_cut_value, lp_max_flow, triangle
 from cprsnp.graph import (
     MAX_CAPACITY,
+    MAX_COST,
     Arc,
     ArcMask,
     CutSet,
@@ -34,6 +35,10 @@ def test_instance_rejects_bad_structure():
     Instance(2, (Arc(0, 1, 1, MAX_CAPACITY),), **good)
     with pytest.raises(GraphError, match="exceeds"):
         Instance(2, (Arc(0, 1, 1, MAX_CAPACITY + 1),), **good)
+    Instance(2, (Arc(0, 1, MAX_COST, 1),), **good)
+    for cost in (MAX_COST + 1, 1e21):
+        with pytest.raises(GraphError, match="exceeds"):
+            Instance(2, (Arc(0, 1, cost, 1),), **good)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(GraphError):
             Instance(2, (Arc(0, 1, bad, 1),), **good)

@@ -88,6 +88,8 @@ def test_save_and_load(tmp_path):
             "capacity must be a nonnegative integer",
         ),
         ("p cprsnp 2 1\nr 1\na 1 2 1 2147483648\nb 0 0\n", 3, "exceeds 2147483647"),
+        ("p cprsnp 2 1\nr 1\na 1 2 2147483648 1\nb 0 0\n", 3, "cost 2147483648 exceeds"),
+        ("p cprsnp 2 1\nr 1\na 1 2 1e21 1\nb 0 0\n", 3, "cost 1e21 exceeds"),
         ("p cprsnp 2 1\nr 1\na 1 2 x 1\nb 0 0\n", 3, "not a number"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb -1 0\n", 4, "nonnegative"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 0 0\nb 0 0\n", 5, "duplicate b line"),

@@ -80,6 +80,21 @@ def test_mip_mixed_frozen():
     assert res.values[y] == pytest.approx(0.85)
 
 
+def test_integer_costs_on_continuous_columns_do_not_prune_by_one():
+    # every cost is an integer, but x and y are continuous: the optimum
+    # -2.5 (b = 1, x = 2, y = 0.5) is not, so a node within one unit of the
+    # incumbent must still be searched
+    model = MilpModel()
+    x = model.add_var("x", ub=2.0)
+    y = model.add_var("y", ub=2.0)
+    b = model.add_var("b", ub=1.0, integer=True)
+    model.add_constr({y: 2, x: -1, b: -2}, ">=", -3)
+    model.set_objective({x: -1, y: 1, b: -1})
+    res = solve_mip(model)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(-2.5)
+
+
 def test_mip_infeasible_and_unbounded():
     model = MilpModel()
     x = model.add_var("x", ub=1.0, integer=True)
@@ -327,7 +342,18 @@ def bounded_programs(draw, integer_share=0.0):
             draw(st.sampled_from(["<=", ">=", "="])),
             draw(st.integers(-4, 6)),
         )
-    model.set_objective({v: draw(coef) for v in range(n)}, minimize=minimize)
+    # costs on integer columns only make every objective value an integer,
+    # which lets branch and bound prune by one unit; halves never do
+    costs = draw(st.sampled_from(["every column", "integer columns", "halves"]))
+    objective = {}
+    for v in range(n):
+        c = draw(coef)
+        if costs == "halves":
+            c /= 2
+        elif costs == "integer columns" and v not in model.integer_indices():
+            c = 0
+        objective[v] = c
+    model.set_objective(objective, minimize=minimize)
     return model
 
 
@@ -421,3 +447,147 @@ def test_cutoff_matches_enumeration(model, cutoff, offset):
     else:
         assert res.status == SolveStatus.INFEASIBLE
         assert res.values is None
+
+
+# ---------------------------------------------------------------------------
+# lazy rows and columns: a model revealed piece by piece from inside the
+# tree must end where a solve of the whole model ends
+
+
+@st.composite
+def hidden_programs(draw):
+    """A mixed 0/1 program in pieces: the binary columns first, then a few
+    continuous ones and some rows, then hidden pieces, each one row over the
+    columns so far or, in some draws, new continuous columns with rows
+    that use them.  The objective sits on the binary columns, so a binary
+    point that the whole model admits has its final objective value."""
+    n_int = draw(st.integers(1, 5))
+    coef = st.integers(-4, 4)
+
+    def continuous():
+        lb = draw(st.integers(-2, 1))
+        return (float(lb), float(lb + draw(st.integers(0, 3))), False)
+
+    def row(width, must=()):
+        support = set(draw(st.lists(st.integers(0, width - 1), max_size=3)))
+        support |= set(must)
+        if not support:
+            support = {draw(st.integers(0, width - 1))}
+        return (
+            {v: draw(coef) for v in sorted(support)},
+            draw(st.sampled_from(["<=", ">=", "="])),
+            draw(st.integers(-4, 6)),
+        )
+
+    columns = [(0.0, 1.0, True)] * n_int
+    columns += [continuous() for _ in range(draw(st.integers(0, 2)))]
+    visible = [row(len(columns)) for _ in range(draw(st.integers(0, 2)))]
+    pieces = []
+    width = len(columns)
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            new = [continuous() for _ in range(draw(st.integers(1, 2)))]
+            width += len(new)
+            count = draw(st.integers(1, 2))
+            rows = [row(width, must=[width - 1]) for _ in range(count)]
+            pieces.append((new, rows))
+        else:
+            pieces.append(([], [row(width)]))
+    halves = draw(st.booleans())
+    objective = {v: draw(coef) / (2 if halves else 1) for v in range(n_int)}
+    minimize = draw(st.booleans())
+
+    def build(revealed: int) -> MilpModel:
+        model = MilpModel(f"hidden{revealed}", minimize=minimize)
+        cols = columns + [c for new, _ in pieces[:revealed] for c in new]
+        rows = visible + [r for _, block in pieces[:revealed] for r in block]
+        for lb, ub, integer in cols:
+            model.add_var(lb=lb, ub=ub, integer=integer)
+        for coeffs, sense, rhs in rows:
+            model.add_constr(coeffs, sense, rhs)
+        model.set_objective(objective, minimize=minimize)
+        return model
+
+    return n_int, len(pieces), build
+
+
+def _admits(model: MilpModel, n_int: int, values) -> bool:
+    """True iff the binary part of ``values`` extends to a solution."""
+    lb, ub = model.bounds()
+    bits = np.round(np.asarray(values[:n_int], dtype=float))
+    lb[:n_int] = bits
+    ub[:n_int] = bits
+    return _cold_linprog(model, lb, ub)[0] == SolveStatus.OPTIMAL
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    drawn=hidden_programs(),
+    cutoff=st.one_of(st.none(), st.integers(-12, 12)),
+)
+def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
+    n_int, n_pieces, build = drawn
+    whole = build(n_pieces)
+    sign = 1.0 if whole.minimize else -1.0
+    revealed = 0
+    bounds = []
+
+    def lazy(values, bound):
+        nonlocal revealed
+        bounds.append(sign * bound)
+        if _admits(whole, n_int, values):
+            return None
+        assert revealed < n_pieces, "the whole model admitted a rejected point"
+        revealed += 1
+        return build(revealed)
+
+    res = solve_mip(build(0), cutoff=cutoff, lazy=lazy)
+    brute = _enumerate_mixed(whole)
+    floor = math.inf if cutoff is None else sign * cutoff
+    if brute is not None and sign * brute < floor - 1e-9:
+        assert res.status == SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(brute, abs=1e-6)
+        assert _admits(whole, n_int, res.values)
+        # the bound handed to lazy is a global bound that only rises
+        assert all(b <= sign * brute + 1e-6 for b in bounds)
+    else:
+        assert res.status == SolveStatus.INFEASIBLE
+        assert res.values is None
+    assert all(a <= b + 1e-6 for a, b in zip(bounds, bounds[1:]))
+
+
+def _three_binaries(ub0=1.0, extra=None, minimize=False, values=(5, 4, 3)):
+    model = MilpModel("three", minimize=minimize)
+    xs = [model.add_var(ub=ub0 if i == 0 else 1.0, integer=True) for i in range(3)]
+    model.add_constr({x: w for x, w in zip(xs, (2, 3, 1))}, "<=", 5)
+    if extra is not None:
+        model.add_var(ub=1.0, integer=extra)
+    model.set_objective(dict(zip(xs, values)), minimize=minimize)
+    return model
+
+
+@pytest.mark.parametrize(
+    "grown",
+    [
+        {"extra": True},  # a new integer column
+        {"ub0": 2.0},  # a wider integer column
+        {"values": (5, 4, 4)},  # another objective
+        {"minimize": True},  # the other sense
+    ],
+)
+def test_lazy_model_must_keep_objective_and_integer_columns(grown):
+    def lazy(values, bound):
+        return _three_binaries(**grown)
+
+    with pytest.raises(MilpError):
+        solve_mip(_three_binaries(), lazy=lazy)
+
+
+def test_lazy_model_may_add_a_continuous_column():
+    def lazy(values, bound):
+        return _three_binaries(extra=False) if values.size == 3 else None
+
+    res = solve_mip(_three_binaries(), lazy=lazy)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(9.0)
+    assert res.values.size == 4
