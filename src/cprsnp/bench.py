@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .engine import FORMULATIONS, EngineOptions, solve
+from .engine import FORMULATIONS, EngineOptions, format_cost, solve
 from .graph import Instance, augment
 from .instances import instance_label
 from .milp import SolveStatus
@@ -92,7 +92,7 @@ def bench(
 def _fmt_cost(cost: float | None) -> str:
     if cost is None:
         return ""
-    return f"{cost:g}"
+    return format_cost(cost)
 
 
 def csv_report(rows: Sequence[BenchResult]) -> str:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .engine import FORMULATIONS, EngineOptions, solve
+from .engine import FORMULATIONS, EngineOptions, format_cost, solve
 from .formulations import FormulationError
 from .graph import ArcMask, GraphError, augment, max_flow
 from .instances import (
@@ -111,7 +111,7 @@ def _cmd_solve(args) -> int:
     if solution.design is None:  # out of time before any incumbent
         print(f"status={solution.status.value} cost=none gap=none")
     else:
-        cost = f"{solution.cost:g}"
+        cost = format_cost(solution.cost)
         print(f"status={solution.status.value} cost={cost} gap={solution.gap:.4f}")
         design_text = write_design(solution.design, aug)
         if args.design_out is not None:

@@ -66,6 +66,17 @@ class EngineOptions:
     strengthen: bool = True
 
 
+def format_cost(cost: float) -> str:
+    """A design cost as text that reads back as the same number: an
+    integral cost as its exact integer, any other as ``:g`` when that
+    round-trips, else as ``repr``."""
+    cost = float(cost)
+    if cost.is_integer():
+        return str(int(cost))
+    short = f"{cost:g}"
+    return short if float(short) == cost else repr(cost)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One violation found in the tree, or the closing record of a run
@@ -275,7 +286,7 @@ def solve(
             "formulation=%s status=%s cost=%s gap=%s iterations=%d",
             formulation,
             status.value,
-            "none" if cost is None else f"{cost:g}",
+            "none" if cost is None else format_cost(cost),
             "none" if gap is None else f"{gap:.4f}",
             len(records),
         )

@@ -14,8 +14,9 @@ surviving selected arcs still carry ``|T|`` units.
 
 The augmented instance owns its network layout (:class:`Layout`: per-vertex
 arc lists, the residual edge layout, the capacity vector), built once on
-first use.  :func:`max_flow`, :func:`min_cut`, :class:`ArcMask` and the flow
-builders of ``formulations`` all read that one layout.
+first use.  :func:`max_flow`, :func:`min_cut`, :func:`back_cut`,
+:class:`ArcMask` and the flow builders of ``formulations`` all read that one
+layout.
 
 Example
 -------
@@ -369,20 +370,47 @@ def max_flow(aug: AugmentedInstance, mask: ArcMask) -> FlowResult:
     return FlowResult(value=value, flow=flow)
 
 
-def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
-    """A minimum root/sink cut under the mask; its capacity equals max_flow."""
-    _, residual = _dinic(aug, mask.capacities)
-    # vertices still reachable in the residual network form the root side
+def _residual_reach(
+    aug: AugmentedInstance, residual: list[int], start: int, backward: bool
+) -> list[bool]:
+    """Vertices reachable from ``start`` in the residual network, or with
+    ``backward`` the vertices that can reach it."""
     adj, to = aug.layout.edges, aug.layout.to
-    reachable = [False] * aug.vertex_count
-    reachable[aug.root] = True
-    queue = collections.deque([aug.root])
+    # edge e leaves v for w; its partner e ^ 1 leaves w for v
+    flip = int(backward)
+    seen = [False] * aug.vertex_count
+    seen[start] = True
+    queue = collections.deque([start])
     while queue:
         v = queue.popleft()
         for e in adj[v]:
             w = to[e]
-            if residual[e] > 0 and not reachable[w]:
-                reachable[w] = True
+            if residual[e ^ flip] > 0 and not seen[w]:
+                seen[w] = True
                 queue.append(w)
+    return seen
+
+
+def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
+    """A minimum root/sink cut under the mask; its capacity equals max_flow.
+    Its root side is the smallest of any minimum cut."""
+    _, residual = _dinic(aug, mask.capacities)
+    # vertices still reachable in the residual network form the root side
+    reachable = _residual_reach(aug, residual, aug.root, backward=False)
     side = frozenset(v for v in range(aug.vertex_count) if not reachable[v])
+    return CutSet.from_sink_side(aug, side)
+
+
+def back_cut(aug: AugmentedInstance, mask: ArcMask, flow: FlowResult) -> CutSet:
+    """The minimum root/sink cut nearest the sink (the "back cut" of Koch
+    and Martin), read from a max flow under the mask: its sink side, the
+    vertices that can still reach the sink in the residual network, is the
+    smallest of any minimum cut.  A flow that is not maximal leaves the root
+    on the sink side and raises :class:`GraphError`.
+    """
+    residual = [0] * (2 * aug.arc_count)
+    residual[0::2] = (mask.capacities - flow.flow).tolist()
+    residual[1::2] = flow.flow.tolist()
+    reaches = _residual_reach(aug, residual, aug.sink, backward=True)
+    side = frozenset(v for v in range(aug.vertex_count) if reaches[v])
     return CutSet.from_sink_side(aug, side)

@@ -11,10 +11,15 @@ All three agree on the optimal value: the post-attack max flow of the
 design.  Timeouts surface as :class:`SeparationTimeout`, never as a silent
 None.
 
-The cutset and bilevel oracles solve a MIP.  The scenario oracle searches
-failure sets directly while there are few enough of them: it branches on
-the arcs that carry a max flow and prunes with that flow's values, so it
-needs a few max flows where enumeration needs one per failure set.
+While a design has at most ``brute_force_limit`` failure sets, all three
+answer from one combinatorial search (:func:`_worst_attack`): it branches
+on the arcs that carry a max flow and prunes with that flow's values, so it
+needs a few max flows where enumeration needs one per failure set.  The
+worst attack gives the scenario; the minimum cut of the attacked network
+nearest the sink (:func:`cprsnp.graph.back_cut`) gives both the most
+violated cut and the attacker vertex, by max-flow/min-cut duality.  Larger
+designs go to a MIP per oracle: the cut search MIP for cutset, the attacker
+MIP for bilevel and scenario.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ArcMask, AugmentedInstance, CutSet, FlowResult, max_flow
+from .graph import (
+    ArcMask,
+    AugmentedInstance,
+    CutSet,
+    FlowResult,
+    back_cut,
+    max_flow,
+)
 from .formulations import (
     Design,
     ExtremePoint,
@@ -102,30 +114,87 @@ def _as_int(value: float, what: str) -> int:
 
 
 def separate_cutset(
-    aug: AugmentedInstance, design: Design, time_limit_s: float | None = None
+    aug: AugmentedInstance,
+    design: Design,
+    time_limit_s: float | None = None,
+    brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> CutViolation | None:
-    """Most violated cut row, or None when every cut survives the worst attack."""
+    """Most violated cut row, or None when every cut survives the worst attack.
+    When there are at most ``brute_force_limit`` failure sets, the cut is the
+    back cut of the design under the worst attack; otherwise a cut search
+    MIP finds it."""
     _require_canonical(aug, design)
-    search = build_cutset_separation(aug, design)
-    res = _solve_or_timeout(search.model, time_limit_s, "cut separation")
-    value = _as_int(res.objective, "cut separation")
-    if value >= aug.demand:
-        return None
-    cut = search.cut_from(res.values)
+    if _search_applies(aug, design, brute_force_limit):
+        attack = _worst_attack(aug, design, time_limit_s)
+        if attack is None:
+            return None
+        cut, value = _attack_cut(aug, design, attack), attack.value
+    else:
+        search = build_cutset_separation(aug, design)
+        res = _solve_or_timeout(search.model, time_limit_s, "cut separation")
+        value = _as_int(res.objective, "cut separation")
+        if value >= aug.demand:
+            return None
+        cut = search.cut_from(res.values)
     if cut_residual(aug, cut, design) != value:
         raise SeparationError("reconstructed cut does not match the optimum")
     return CutViolation(cut=cut, value=value)
 
 
+@dataclass(frozen=True)
+class _Attack:
+    """A worst failure set, the max flow it leaves, and a max flow of the
+    design under it."""
+
+    arcs: tuple[int, ...]
+    value: int
+    flow: FlowResult
+
+
+def _search_applies(
+    aug: AugmentedInstance, design: Design, brute_force_limit: int
+) -> bool:
+    """Whether the design has at most ``brute_force_limit`` failure sets."""
+    candidates = len(_attack_candidates(aug, design))
+    return math.comb(candidates, min(aug.k, candidates)) <= brute_force_limit
+
+
+def _attack_cut(aug: AugmentedInstance, design: Design, attack: _Attack) -> CutSet:
+    """The minimum cut nearest the sink of the design under the attack, read
+    from the search's own max flow.  Its capacity there is the attack's
+    value, and no cut keeps less after its worst failure, so it is a most
+    violated cut."""
+    return back_cut(aug, design.mask(aug, failed=attack.arcs), attack.flow)
+
+
+def _attack_point(
+    aug: AugmentedInstance, design: Design, attack: _Attack
+) -> ExtremePoint:
+    """The attacker vertex of the attack and its back cut: mu marks the root
+    side, gam = ell the attacked arcs that cross the cut, lam the other
+    crossing arcs.  Its row value at the design is the cut's capacity under
+    the attack, the attack's value."""
+    cut = _attack_cut(aug, design, attack)
+    arcs = range(aug.arc_count)
+    failed, crossing = set(attack.arcs), set(cut.arcs)
+    hit = tuple(int(a in crossing and a in failed) for a in arcs)
+    point = ExtremePoint(
+        attack=tuple(int(a in failed) for a in arcs),
+        lam=tuple(int(a in crossing and a not in failed) for a in arcs),
+        gam=hit,
+        mu=tuple(int(v not in cut.sink_side) for v in range(aug.vertex_count)),
+        ell=hit,
+    )
+    point.validate(aug)
+    return point
+
+
 def _worst_attack(
-    aug: AugmentedInstance,
-    design: Design,
-    candidates: list[int],
-    size: int,
-    time_limit_s: float | None,
-) -> ScenarioViolation | None:
-    """The lexicographically first ``size``-subset of ``candidates`` whose
-    failure leaves the least max flow, as a violation of that value; None
+    aug: AugmentedInstance, design: Design, time_limit_s: float | None
+) -> _Attack | None:
+    """The worst attack on the design: the lexicographically first set of
+    ``size`` = min(k, candidates) attack candidates whose failure leaves the
+    least max flow, with that value and a max flow that attains it; None
     when every such failure leaves at least the demand.
 
     Depth-first search over failed prefixes in lexicographic order.  A node
@@ -146,7 +215,9 @@ def _worst_attack(
     violation, so its subtree needs no search.
     """
     t0 = time.perf_counter()
-    best_value, best = aug.demand, None
+    candidates = _attack_candidates(aug, design)
+    size = min(aug.k, len(candidates))
+    best_value, best, best_flow = aug.demand, None, None
     flows = 0
     order = np.array(candidates, dtype=np.intp)
 
@@ -157,7 +228,7 @@ def _worst_attack(
             and time_limit_s is not None
             and time.perf_counter() - t0 > time_limit_s
         ):
-            raise SeparationTimeout("scenario search hit the time limit")
+            raise SeparationTimeout("attack search hit the time limit")
         flows += 1
         return max_flow(aug, ArcMask(aug, caps))
 
@@ -168,14 +239,15 @@ def _worst_attack(
     def visit(prefix, start, caps, res):
         """Record or cut the subtree below ``prefix``, or push it to be
         branched on."""
-        nonlocal best_value, best
+        nonlocal best_value, best, best_flow
         left = size - len(prefix)
         carried = largest(res, start, left)
         bound = max(res.value - int(carried.sum()), 0)  # flows are >= 0
         if bound >= best_value:
             return
         if not carried.any():
-            best_value = res.value
+            # res leaves the completion's arcs empty, so it stays a max flow
+            best_value, best_flow = res.value, res
             best = prefix + tuple(candidates[start : start + left])
             return
         children = iter(range(start, len(candidates) - left + 1))
@@ -201,7 +273,7 @@ def _worst_attack(
         visit(prefix + (arc,), i + 1, child_caps, child)
     if best is None:
         return None
-    return ScenarioViolation(FailureScenario.of(aug, best), best_value)
+    return _Attack(best, best_value, best_flow)
 
 
 def separate_scenario(
@@ -216,14 +288,17 @@ def separate_scenario(
     the lexicographically first worst one; otherwise the attacker MIP of
     :func:`separate_bilevel` picks the attack and a max flow re-checks it."""
     _require_canonical(aug, design)
-    candidates = _attack_candidates(aug, design)
-    size = min(aug.k, len(candidates))
-    if math.comb(len(candidates), size) <= brute_force_limit:
-        return _worst_attack(aug, design, candidates, size, time_limit_s)
-    violation = separate_bilevel(aug, design, time_limit_s)
+    if _search_applies(aug, design, brute_force_limit):
+        attack = _worst_attack(aug, design, time_limit_s)
+        if attack is None:
+            return None
+        return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)
+    violation = separate_bilevel(aug, design, time_limit_s, brute_force_limit=0)
     if violation is None:
         return None
     value = violation.value
+    candidates = _attack_candidates(aug, design)
+    size = min(aug.k, len(candidates))
     chosen = [a for a in candidates if violation.point.attack[a]]
     for a in candidates:
         if len(chosen) >= size:
@@ -242,18 +317,29 @@ def separate_scenario(
 
 
 def separate_bilevel(
-    aug: AugmentedInstance, design: Design, time_limit_s: float | None = None
+    aug: AugmentedInstance,
+    design: Design,
+    time_limit_s: float | None = None,
+    brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> PointViolation | None:
     """A violated attacker vertex, or None when the design withstands every
-    attack.  Raises :class:`NonVertexSolution` if the solver hands back a
-    fractional point (the polytope has only 0/1 vertices)."""
+    attack.  When there are at most ``brute_force_limit`` failure sets, the
+    vertex is read from the worst attack and its back cut; otherwise the
+    attacker MIP finds it, and a fractional point from the solver raises
+    :class:`NonVertexSolution` (the polytope has only 0/1 vertices)."""
     _require_canonical(aug, design)
-    attack = build_2lp(aug, design)
-    res = _solve_or_timeout(attack.model, time_limit_s, "attack expansion")
-    value = _as_int(res.objective, "attack expansion")
-    if value >= aug.demand:
-        return None
-    point = attack.extract_point(res.values)
+    if _search_applies(aug, design, brute_force_limit):
+        attack = _worst_attack(aug, design, time_limit_s)
+        if attack is None:
+            return None
+        point, value = _attack_point(aug, design, attack), attack.value
+    else:
+        attacker = build_2lp(aug, design)
+        res = _solve_or_timeout(attacker.model, time_limit_s, "attack expansion")
+        value = _as_int(res.objective, "attack expansion")
+        if value >= aug.demand:
+            return None
+        point = attacker.extract_point(res.values)
     check = point_row_value(
         aug, design.selected, design.protected, point.lam, point.gam, point.ell
     )

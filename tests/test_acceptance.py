@@ -181,13 +181,17 @@ def test_acceptance_4_separation_oracles_agree(acceptance, oracle_suite):
         for _ in range(12):
             design = random_design(rng, aug)
             pairs += 1
-            cut = separate_cutset(aug, design)
-            scen = separate_scenario(aug, design)
-            point = separate_bilevel(aug, design)
-            values = [
-                None if v is None else v.value for v in (cut, scen, point)
-            ]
-            if values.count(None) not in (0, 3):
+            # the cut and bilevel MIPs, the scenario search, and the cut and
+            # bilevel oracles' search route
+            found = (
+                separate_cutset(aug, design, brute_force_limit=0),
+                separate_scenario(aug, design),
+                separate_bilevel(aug, design, brute_force_limit=0),
+                separate_cutset(aug, design),
+                separate_bilevel(aug, design),
+            )
+            values = [None if v is None else v.value for v in found]
+            if values.count(None) not in (0, len(values)):
                 problems.append(f"pair {pairs}: verdicts split {values}")
                 continue
             if values[0] is None:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import triangle
 
 import cprsnp.bench as bench_mod
 from cprsnp.bench import BenchResult, bench, csv_report, text_table
-from cprsnp.engine import EngineOptions
+from cprsnp.engine import EngineOptions, format_cost
+from cprsnp.graph import MAX_COST, Arc
 
 
 OPTS = EngineOptions(time_limit_s=60.0)
@@ -22,6 +25,35 @@ def test_bench_all_formulations_agree_on_triangle():
     assert all(r.gap == 0.0 for r in rows)
     assert all(r.label == "3-1-3" for r in rows)
     assert all(r.iterations >= 1 for r in rows)
+
+
+def test_csv_report_prints_large_costs_exactly():
+    # MAX_COST + 2 + 1 needs ten digits; six significant ones rounded it
+    tri = triangle()
+    dear = replace(tri, arcs=(Arc(0, 1, float(MAX_COST), 1),) + tri.arcs[1:])
+    lines = csv_report(bench([dear], options=OPTS)).splitlines()[1:]
+    assert [line.split(",")[4:7] for line in lines] == [
+        ["Optimal", "2147483650", "0.0000"]
+    ] * 3
+
+
+@pytest.mark.parametrize(
+    "cost, text",
+    [
+        (0.0, "0"),
+        (184.0, "184"),
+        (1e6, "1000000"),
+        (2147483650.0, "2147483650"),
+        (0.5, "0.5"),
+        (1e-07, "1e-07"),
+        (2.25e-10, "2.25e-10"),
+        (0.1 + 0.2, "0.30000000000000004"),
+        (1234567.5, "1234567.5"),
+    ],
+)
+def test_format_cost_reads_back_exactly(cost, text):
+    assert format_cost(cost) == text
+    assert float(text) == cost
 
 
 def test_bench_budget_override():

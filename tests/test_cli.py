@@ -1,6 +1,7 @@
 """Command line: exit codes for bad input and for a time limit without a
 design, and what reaches fd 1 and fd 2."""
 
+import logging
 import re
 
 import pytest
@@ -101,6 +102,20 @@ def test_cost_at_the_bound_solves(tmp_path, capsys, formulation):
     out = capsys.readouterr().out
     assert "status=Optimal " in out
     assert out.endswith("y 1 2\ny 1 3\ny 2 3\n")
+
+
+def test_cost_at_the_bound_prints_exactly(tmp_path, capsys, caplog):
+    # MAX_COST + 2 + 1 needs ten digits; six significant ones rounded it
+    path = tmp_path / "dear.txt"
+    path.write_text(
+        write_instance(triangle()).replace("a 1 2 1 1", f"a 1 2 {MAX_COST} 1"),
+        encoding="utf-8",
+    )
+    caplog.set_level(logging.INFO, logger="cprsnp.engine")
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "status=Optimal cost=2147483650 gap=0.0000\n" in out
+    assert "cost=2147483650 gap=0.0000 iterations=" in caplog.text
 
 
 def test_verify_beyond_the_enumeration_guard_exits_with_input_error(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus, triangle
 
-from cprsnp import augment, engine
+from cprsnp import augment, engine, separation
 from cprsnp.engine import (
     BilevelFormulation,
     CutsetFormulation,
@@ -24,7 +24,7 @@ from cprsnp.engine import (
 from cprsnp.formulations import Design
 from cprsnp.graph import CutSet
 from cprsnp.instances import GenerationError, generate
-from cprsnp.milp import SolveStatus
+from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import SeparationTimeout
 from cprsnp.verify import exhaustive_optimum, is_survivable
 
@@ -133,6 +133,35 @@ def test_cutset_proves_corpus_52():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.cost == 77.0
     assert is_survivable(aug, sol.design)[0]
+
+
+@pytest.mark.parametrize(
+    "formulation, options, mips",
+    [
+        ("cutset", FAST, set()),
+        ("bilevel", FAST, {"cut_strengthening"}),
+        ("bilevel", EngineOptions(time_limit_s=60.0, strengthen=False), set()),
+    ],
+)
+def test_oracles_solve_no_mip_while_the_search_applies(
+    monkeypatch, formulation, options, mips
+):
+    # 7 vertices, 14 arcs, k=1, kp=1: at most 14 failure sets, so the cut
+    # and bilevel oracles answer from the attack search; strengthening still
+    # solves its search MIP, once per violation
+    solved = []
+
+    def counted(model, *args, **kwargs):
+        solved.append(model.name)
+        return solve_mip(model, *args, **kwargs)
+
+    monkeypatch.setattr(separation, "solve_mip", counted)
+    sol = solve(augment(corpus()[16]), formulation, options)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 70.0
+    assert sol.iterations > 1
+    assert set(solved) == mips
+    if mips:
+        assert len(solved) == sol.iterations - 1  # the closing record adds none
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +372,13 @@ def test_timeout_in_the_tree_returns_its_incumbent(monkeypatch):
         return violation
 
     monkeypatch.setattr(engine, "separate_cutset", flaky)
-    aug = augment(corpus()[40])  # optimum 96, probe incumbent 283
+    # the tree's first survivable design must not be its last: on this
+    # instance it costs 100
+    aug = augment(corpus()[31])  # optimum 96, probe incumbent 266
     sol = solve(aug, "cutset", FAST)
     assert sol.status is SolveStatus.FEASIBLE
     assert [sol.design] == accepted
-    assert sol.cost == sol.design.cost(aug) < 283.0
+    assert sol.cost == sol.design.cost(aug) < 266.0
     assert is_survivable(aug, sol.design)[0]
     assert 0.0 < sol.gap < 1.0
 

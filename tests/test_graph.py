@@ -12,9 +12,11 @@ from cprsnp.graph import (
     Arc,
     ArcMask,
     CutSet,
+    FlowResult,
     GraphError,
     Instance,
     augment,
+    back_cut,
     max_flow,
     min_cut,
 )
@@ -184,6 +186,33 @@ def test_min_cut_is_tight_and_valid(seed):
         side = {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
         if CutSet.from_sink_side(aug, side).capacity(mask) == value:
             assert side <= cut.sink_side
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_back_cut_is_tight_and_nearest_the_sink(seed):
+    rng = random.Random(100 + seed)
+    aug = _random_augmented(rng)
+    caps = ArcMask.full(aug).capacities.copy()
+    caps[[rng.random() < 0.3 for _ in caps]] = 0
+    mask = ArcMask(aug, caps)
+    flow = max_flow(aug, mask)
+    cut = back_cut(aug, mask, flow)
+    assert aug.sink in cut.sink_side and aug.root not in cut.sink_side
+    assert cut.capacity(mask) == flow.value
+    # the returned sink side is the smallest: inside every minimum sink side
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    for bits in range(1 << len(others)):
+        side = {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
+        if CutSet.from_sink_side(aug, side).capacity(mask) == flow.value:
+            assert cut.sink_side <= side
+
+
+def test_back_cut_rejects_a_flow_that_is_not_maximal():
+    aug = augment(triangle())
+    mask = ArcMask.full(aug)
+    empty = FlowResult(0, np.zeros(aug.arc_count, dtype=np.int64))
+    with pytest.raises(GraphError):
+        back_cut(aug, mask, empty)
 
 
 class _CountingLayout:

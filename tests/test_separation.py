@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import brute_attack_value, random_design, triangle
 from cprsnp.formulations import Design, cut_residual, point_row_value
-from cprsnp.graph import augment, max_flow
+from cprsnp.graph import CutSet, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp import separation
 from cprsnp.milp import solve_mip
 from cprsnp.separation import (
+    BRUTE_FORCE_LIMIT,
     SeparationError,
     SeparationTimeout,
     separate_bilevel,
@@ -135,6 +136,30 @@ def test_scenario_brute_force_and_mip_agree(seed):
             assert len(violation.scenario.arcs) == min(aug.k, len(candidates))
 
 
+def test_each_route_solves_its_own_mips(monkeypatch):
+    aug, design = seeded_case(101)
+    solved = []
+
+    def counted(model, *args, **kwargs):
+        solved.append(model.name)
+        return solve_mip(model, *args, **kwargs)
+
+    monkeypatch.setattr(separation, "solve_mip", counted)
+    routes = [
+        (separate_cutset, BRUTE_FORCE_LIMIT, []),
+        (separate_scenario, BRUTE_FORCE_LIMIT, []),
+        (separate_bilevel, BRUTE_FORCE_LIMIT, []),
+        (separate_cutset, 0, ["cutset_separation"]),
+        # the scenario MIP route asks the attacker MIP, not the search
+        (separate_scenario, 0, ["attack_2lp"]),
+        (separate_bilevel, 0, ["attack_2lp"]),
+    ]
+    for separate, limit, mips in routes:
+        solved.clear()
+        assert separate(aug, design, brute_force_limit=limit) is not None
+        assert solved == mips
+
+
 def test_scenario_size_tracks_candidates():
     # k=2 but only one unprotected selected arc, so the witness has size 1
     aug = tri_aug(k=2, kp=1)
@@ -152,7 +177,15 @@ def test_separation_timeout_raised():
     with pytest.raises(SeparationTimeout):
         separate_scenario(aug, design, time_limit_s=0.0, brute_force_limit=0)
     with pytest.raises(SeparationTimeout):
-        separate_bilevel(aug, design, time_limit_s=0.0)
+        separate_bilevel(aug, design, time_limit_s=0.0, brute_force_limit=0)
+    # the search route: 30-3-60 at (3,1) needs more max flows than the
+    # search runs between two clock reads
+    inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=1, uniform_capacity=3)
+    aug = augment(inst)
+    design = Design.canonical(aug, range(aug.arc_count))
+    for separate in (separate_cutset, separate_bilevel):
+        with pytest.raises(SeparationTimeout):
+            separate(aug, design, time_limit_s=0.0)
 
 
 def test_brute_force_enumeration_polls_its_deadline():
@@ -263,6 +296,79 @@ def test_attack_search_needs_few_max_flows(monkeypatch):
     # the enumeration's answer: the first of the failure sets leaving 1 unit
     assert violation is not None
     assert (violation.value, violation.scenario.sorted_arcs()) == (1, (18, 29, 53))
+
+
+# ---------------------------------------------------------------------------
+# the cut and bilevel oracles' search route against the MIPs it replaced
+
+
+def minimum_sink_sides(aug, mask):
+    """Every sink side of least capacity under the mask, by enumeration."""
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    sides = []
+    for bits in range(1 << len(others)):
+        side = {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
+        cap = CutSet.from_sink_side(aug, side).capacity(mask)
+        sides.append((cap, frozenset(side)))
+    least = min(cap for cap, _ in sides)
+    return least, [side for cap, side in sides if cap == least]
+
+
+def assert_search_route_matches_mip(aug, design):
+    """Run the cut and bilevel oracles on the search route and on their MIPs.
+    Returns None on a survivable design, else how many minimum cuts the
+    search's attack leaves."""
+    cut = separate_cutset(aug, design)
+    point = separate_bilevel(aug, design)
+    cut_mip = separate_cutset(aug, design, brute_force_limit=0)
+    point_mip = separate_bilevel(aug, design, brute_force_limit=0)
+    found = (cut, point, cut_mip, point_mip)
+    values = [None if v is None else v.value for v in found]
+    assert len(set(values)) == 1, values
+    if cut is None:
+        assert brute_attack_value(aug, design) >= aug.demand
+        return None
+    value = cut.value
+    assert value == brute_attack_value(aug, design) < aug.demand
+    assert cut_residual(aug, cut.cut, design) == value
+    for violation in (point, point_mip):
+        p = violation.point
+        p.validate(aug)
+        row = point_row_value(aug, design.selected, design.protected, p.lam, p.gam, p.ell)
+        assert row == value
+    # both search answers come from one attack and its back cut: the
+    # smallest sink side of every minimum cut of the attacked network
+    attack = [a for a, hit in enumerate(point.point.attack) if hit]
+    assert len(attack) <= aug.k
+    assert cut.cut.sink_side == {v for v, mu in enumerate(point.point.mu) if not mu}
+    least, sides = minimum_sink_sides(aug, design.mask(aug, failed=attack))
+    assert least == value
+    assert cut.cut.sink_side in sides
+    assert all(cut.cut.sink_side <= side for side in sides)
+    return len(sides)
+
+
+def test_search_route_matches_mip_on_seeded_cases():
+    seen = set()
+    for seed in range(40):
+        aug, design = attack_case(random.Random(500 + seed))
+        minimum_cuts = assert_search_route_matches_mip(aug, design)
+        if minimum_cuts is None:
+            seen.add("survivable")
+        else:
+            seen.add("one minimum cut" if minimum_cuts == 1 else "several minimum cuts")
+            if design.protected:
+                seen.add("protected arcs")
+    assert seen == {
+        "survivable", "one minimum cut", "several minimum cuts", "protected arcs",
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_search_route_matches_mip(rng):
+    aug, design = attack_case(rng)
+    assert_search_route_matches_mip(aug, design)
 
 
 def test_strengthen_keeps_violation_valid():
