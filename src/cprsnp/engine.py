@@ -4,17 +4,19 @@ All three formulations run on one branch-and-bound tree: the restricted
 master goes to :func:`cprsnp.milp.solve_mip` once, and the tree calls back
 at every integer-feasible point.  The callback asks the formulation's
 oracle whether that point's design survives every attack; a survivable
-design may become the tree's incumbent, and a violation grows the master,
-on which the tree re-solves the same node and carries on.
+design may become the tree's incumbent, and a violation is appended to the
+master in place, on which the tree re-solves the same node from its
+current basis and carries on.
 
 A formulation plugs in as one small class, chosen once from its name in
-:data:`FORMULATION_CLASSES`.  Its constructor seeds the master, ``master()``
-builds the restricted master, ``separate(design, time_limit_s)`` runs the
-oracle, and ``add(violation, design)`` records the violation, raising
-:class:`EngineError` when the master stalls.  Each violation is one
-:class:`IterationRecord`: the tree's global lower bound at that moment, the
-violation's value, and how many rows and columns it added, as the size
-difference between consecutive masters.
+:data:`FORMULATION_CLASSES`.  Its constructor seeds and builds the master
+(``master``) once per solve, ``separate(design, time_limit_s)`` runs the
+oracle, and ``add(violation, design)`` records the violation and appends
+its rows and columns to the master, raising :class:`EngineError` when the
+master stalls.  Each violation is one :class:`IterationRecord`: the tree's
+global lower bound at that moment, the violation's value, and how many rows
+and columns it added, as the master's size after the append less its size
+before.
 
 A survivable incumbent built upfront (exact protection search on the
 all-arcs design) provides the upper bound; the tree is pruned by its cost,
@@ -35,6 +37,10 @@ from .formulations import (
     CutRows,
     Design,
     FailureScenario,
+    append_cut,
+    append_cut_subset,
+    append_point,
+    append_scenario,
     build_bilevel_master,
     build_cutset_master,
     build_flow_master,
@@ -77,6 +83,13 @@ def format_cost(cost: float) -> str:
     return short if float(short) == cost else repr(cost)
 
 
+def _log_value(value: float) -> str:
+    """A bound in the iteration log: an integral value as its exact digits,
+    any other as ``:g``."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else f"{value:g}"
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One violation found in the tree, or the closing record of a run
@@ -94,9 +107,13 @@ class IterationRecord:
         parts = [
             f"formulation={formulation}",
             f"iter={self.iteration}",
-            f"master_obj={self.master_objective:g}",
+            f"master_obj={_log_value(self.master_objective)}",
             "sep_value="
-            + ("none" if self.separation_value is None else f"{self.separation_value:g}"),
+            + (
+                "none"
+                if self.separation_value is None
+                else _log_value(self.separation_value)
+            ),
             f"rows_added={self.rows_added}",
             f"cols_added={self.columns_added}",
         ]
@@ -120,16 +137,17 @@ class Solution:
         return [rec.line(self.formulation, include_time) for rec in self.log]
 
 
-# The formulations.  Each is seeded in its constructor and grown by ``add``.
-# The build_*_master functions and the oracles are called through this
-# module's globals, where the benchmark's per-layer trace
-# (perfbench/tracer.py) wraps them.
+# The formulations.  Each is seeded and builds its master in its
+# constructor, and ``add`` grows that master in place.  The build_*_master
+# functions and the oracles are called through this module's globals, where
+# the benchmark's per-layer trace (perfbench/tracer.py) wraps them.
 
 
 class CutsetFormulation:
     """Cuts found so far.  A cut whose full enumeration would exceed
     :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it starts with the worst deletion
-    subset of the design that violated it and gains one subset per repeat."""
+    subset of the design that violated it and gains one subset per repeat,
+    appended as one row on the cut's loss column."""
 
     def __init__(self, aug: AugmentedInstance, options: EngineOptions):
         self.aug = aug
@@ -137,30 +155,32 @@ class CutsetFormulation:
         side = frozenset(range(aug.vertex_count)) - {aug.root}
         root = CutSet.from_sink_side(aug, side)
         self.cuts = {side: CutRows(root, () if self._lazy(root) else None)}
+        self.master = build_cutset_master(aug, list(self.cuts.values()))
+        self.loss = dict(zip(self.cuts, self.master.loss_var))
 
     def _lazy(self, cut: CutSet) -> bool:
         return count_cut_rows(self.aug, cut) > LAZY_CUT_ROW_LIMIT
-
-    def master(self):
-        return build_cutset_master(self.aug, list(self.cuts.values()))
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
         cut = violation.cut
-        entry = self.cuts.get(cut.sink_side)
+        side = cut.sink_side
+        entry = self.cuts.get(side)
         if entry is None:
             lazy = self._lazy(cut)
             subsets = (worst_subset(self.aug, cut, design),) if lazy else None
-            self.cuts[cut.sink_side] = CutRows(cut, subsets)
+            self.cuts[side] = CutRows(cut, subsets)
+            self.loss[side] = append_cut(self.master, self.cuts[side])
             return
         if entry.subsets is None:
             raise EngineError("fully enumerated cut separated twice")
         subset = worst_subset(self.aug, cut, design)
         if subset in entry.subsets:
             raise EngineError("cut row separated twice; master is stalled")
-        self.cuts[cut.sink_side] = CutRows(entry.cut, entry.subsets + (subset,))
+        self.cuts[side] = CutRows(entry.cut, entry.subsets + (subset,))
+        append_cut_subset(self.master, self.loss[side], subset)
 
 
 class FlowFormulation:
@@ -171,9 +191,7 @@ class FlowFormulation:
         self.aug = aug
         first = tuple(range(min(aug.k, aug.initial_arc_count)))
         self.scenarios = [FailureScenario.of(aug, first)]
-
-    def master(self):
-        return build_flow_master(self.aug, self.scenarios)
+        self.master = build_flow_master(aug, self.scenarios)
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_scenario(self.aug, design, time_limit_s=time_limit_s)
@@ -182,6 +200,7 @@ class FlowFormulation:
         if violation.scenario in self.scenarios:
             raise EngineError("scenario separated twice; master is stalled")
         self.scenarios.append(violation.scenario)
+        append_scenario(self.master, violation.scenario)
 
 
 class BilevelFormulation:
@@ -192,9 +211,7 @@ class BilevelFormulation:
         self.aug = aug
         self.options = options
         self.points = []
-
-    def master(self):
-        return build_bilevel_master(self.aug, self.points)
+        self.master = build_bilevel_master(aug, self.points)
 
     def separate(self, design: Design, time_limit_s: float):
         deadline = time.perf_counter() + time_limit_s
@@ -212,6 +229,7 @@ class BilevelFormulation:
         if violation.point in self.points:
             raise EngineError("extreme point separated twice; master is stalled")
         self.points.append(violation.point)
+        append_point(self.master, violation.point)
 
 
 FORMULATION_CLASSES = {
@@ -222,11 +240,15 @@ FORMULATION_CLASSES = {
 FORMULATIONS = tuple(FORMULATION_CLASSES)
 
 
-def formulation_for(aug: AugmentedInstance, name: str, options: EngineOptions):
-    """The seeded formulation called ``name``."""
+def _formulation_class(name: str):
     if name not in FORMULATION_CLASSES:
         raise ValueError(f"unknown formulation {name!r}")
-    return FORMULATION_CLASSES[name](aug, options)
+    return FORMULATION_CLASSES[name]
+
+
+def formulation_for(aug: AugmentedInstance, name: str, options: EngineOptions):
+    """The seeded formulation called ``name``, with its master built."""
+    return _formulation_class(name)(aug, options)
 
 
 def _feasible_incumbent(aug: AugmentedInstance, remaining) -> Design | None:
@@ -260,7 +282,7 @@ def solve(
     options: EngineOptions = EngineOptions(),
 ) -> Solution:
     """Run generation to optimality, infeasibility, or the time limit."""
-    form = formulation_for(aug, formulation, options)
+    form_class = _formulation_class(formulation)
     t0 = time.perf_counter()
     demand = aug.demand
     records: list[IterationRecord] = []
@@ -305,7 +327,8 @@ def solve(
     upper = incumbent.cost(aug) if incumbent is not None else math.inf
     lower = 0.0  # costs are nonnegative
 
-    master = form.master()
+    form = form_class(aug, options)
+    master = form.master
     found: Design | None = None  # the tree's survivable incumbent
 
     def timeout_solution() -> Solution:
@@ -316,31 +339,30 @@ def solve(
         gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
         return finish(SolveStatus.FEASIBLE, best, cost, gap)
 
-    def check(values, bound: float):
-        """The tree's lazy callback: accept a survivable design, or grow the
-        master by the violation the oracle found."""
-        nonlocal master, lower, found
+    def check(values, bound: float) -> bool:
+        """The tree's lazy callback: accept a survivable design, or append
+        the violation the oracle found to the master and return True."""
+        nonlocal lower, found
         lower = max(lower, bound)
         design = master.design_from(values)
         violation = form.separate(design, remaining())
         if violation is None:
             found = design
-            return None
+            return False
+        rows, cols = master.model.num_constraints, master.model.num_vars
         form.add(violation, design)
-        grown = form.master()
         records.append(
             IterationRecord(
                 len(records) + 1,
                 lower,
                 float(violation.value),
-                grown.model.num_constraints - master.model.num_constraints,
-                grown.model.num_vars - master.model.num_vars,
+                master.model.num_constraints - rows,
+                master.model.num_vars - cols,
                 elapsed(),
             )
         )
         log.info(records[-1].line(formulation, include_time=True))
-        master = grown
-        return grown.model
+        return True
 
     log.info(
         "formulation=%s start demand=%d arcs=%d k=%d kp=%d strengthen=%s",

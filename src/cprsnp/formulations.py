@@ -17,6 +17,13 @@ master is a :class:`Master` over that block and only adds its own rows
 and columns after it.  The flow and attacker-expansion masters also share
 the ``p <= y`` rows; the cut-set master has none.
 
+Each builder is the design block plus one appender per item, applied in
+order: :func:`append_cut` (a cut's loss column and rows, with
+:func:`append_cut_subset` for one more deletion subset of a known cut),
+:func:`append_scenario` (a scenario's flow block) and :func:`append_point`
+(a vertex's row).  The engine builds each master once per solve and grows
+it in place with the appenders, while the tree that solves it is open.
+
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .graph import ArcMask, AugmentedInstance, CutSet
@@ -270,12 +277,14 @@ def _add_protect_selected(model: MilpModel, aug: AugmentedInstance, y_var, p_var
 class Master:
     """A restricted master: the design block plus the rows and columns of
     one formulation (the cut-set and flow masters add their own columns
-    after the first 2m)."""
+    after the first 2m).  ``loss_var`` holds the cut-set master's loss
+    column of each cut, in the order the cuts were appended."""
 
     model: MilpModel
     y_var: list[int]
     p_var: list[int]
     aug: AugmentedInstance
+    loss_var: list[int] = field(default_factory=list)
 
     def design_from(self, values) -> Design:
         sel = {a for a in range(self.aug.arc_count) if values[self.y_var[a]] > 0.5}
@@ -286,112 +295,147 @@ class Master:
 def build_cutset_master(
     aug: AugmentedInstance, cuts: Sequence[CutSet | CutRows]
 ) -> Master:
-    """Selection/protection master constrained by the given cuts.
+    """Selection/protection master constrained by the given cuts, each
+    appended by :func:`append_cut`."""
+    model, y_var, p_var = _design_block("cutset_master", aug)
+    master = Master(model, y_var, p_var, aug)
+    for entry in cuts:
+        append_cut(master, entry)
+    return master
 
-    Each cut contributes a surviving-capacity row and one row per deletion
+
+def append_cut(master: Master, entry: CutSet | CutRows) -> int:
+    """Append a cut to a cut-set master and return its loss column.
+
+    The cut contributes a surviving-capacity row and one row per deletion
     subset bounding its loss variable from below.  Full enumeration also
     emits rows for subsets smaller than k, which keeps the model exact when
     protection is allowed off the selection and when a cut has fewer than k
     deletable arcs.
     """
-    model, y_var, p_var = _design_block("cutset_master", aug)
-    for ci, entry in enumerate(cuts):
-        if isinstance(entry, CutRows):
-            cut, explicit = entry.cut, entry.subsets
-        else:
-            cut, explicit = entry, None
-        if cut.sink_side == frozenset({aug.sink}):
-            raise FormulationError("cut isolating only the super sink is not allowed")
-        if explicit is None:
-            n_rows = count_cut_rows(aug, cut)
-            if n_rows > DEFAULT_ROW_CAP:
-                raise FormulationError(
-                    f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
-                )
-            non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
-            subsets = tuple(
-                sub
-                for size in range(1, min(aug.k, len(non_fictive)) + 1)
-                for sub in itertools.combinations(non_fictive, size)
+    aug, model = master.aug, master.model
+    if isinstance(entry, CutRows):
+        cut, explicit = entry.cut, entry.subsets
+    else:
+        cut, explicit = entry, None
+    if cut.sink_side == frozenset({aug.sink}):
+        raise FormulationError("cut isolating only the super sink is not allowed")
+    if explicit is None:
+        n_rows = count_cut_rows(aug, cut)
+        if n_rows > DEFAULT_ROW_CAP:
+            raise FormulationError(
+                f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
             )
-        else:
-            subsets = tuple(tuple(sorted(sub)) for sub in explicit)
-            for sub in subsets:
-                if any(aug.is_fictive(a) for a in sub):
-                    raise FormulationError("deletion subset contains a fictive arc")
-        mvar = model.add_var(f"loss{ci}", lb=0.0)
-        coeffs = {y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
-        coeffs[mvar] = -1.0
-        model.add_constr(coeffs, ">=", float(aug.demand))
-        for sub in subsets:
-            row = {mvar: 1.0}
-            for a in sub:
-                u = float(aug.arcs[a].capacity)
-                row[y_var[a]] = row.get(y_var[a], 0.0) - u
-                row[p_var[a]] = row.get(p_var[a], 0.0) + u
-            model.add_constr(row, ">=", 0.0)
-    return Master(model, y_var, p_var, aug)
+        non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
+        subsets = tuple(
+            sub
+            for size in range(1, min(aug.k, len(non_fictive)) + 1)
+            for sub in itertools.combinations(non_fictive, size)
+        )
+    else:
+        subsets = tuple(tuple(sorted(sub)) for sub in explicit)
+    mvar = model.add_var(f"loss{len(master.loss_var)}", lb=0.0)
+    master.loss_var.append(mvar)
+    coeffs = {master.y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
+    coeffs[mvar] = -1.0
+    model.add_constr(coeffs, ">=", float(aug.demand))
+    for sub in subsets:
+        append_cut_subset(master, mvar, sub)
+    return mvar
+
+
+def append_cut_subset(master: Master, loss: int, subset: Sequence[int]) -> None:
+    """Append the row bounding a cut's loss column from below by the
+    selected, unprotected capacity of one deletion subset."""
+    aug = master.aug
+    if any(aug.is_fictive(a) for a in subset):
+        raise FormulationError("deletion subset contains a fictive arc")
+    row = {loss: 1.0}
+    for a in subset:
+        u = float(aug.arcs[a].capacity)
+        y, p = master.y_var[a], master.p_var[a]
+        row[y] = row.get(y, 0.0) - u
+        row[p] = row.get(p, 0.0) + u
+    master.model.add_constr(row, ">=", 0.0)
 
 
 def build_flow_master(
     aug: AugmentedInstance, scenarios: Sequence[FailureScenario]
 ) -> Master:
-    """Selection/protection master with one explicit flow per failure scenario."""
+    """Selection/protection master with one explicit flow per failure
+    scenario, each appended by :func:`append_scenario`."""
     seen: set[frozenset[int]] = set()
     for sc in scenarios:
-        for a in sc.arcs:
-            if aug.is_fictive(a):
-                raise FormulationError("scenario contains a fictive arc")
         if sc.arcs in seen:
             raise FormulationError("duplicate failure scenario")
         seen.add(sc.arcs)
     model, y_var, p_var = _design_block("flow_master", aug)
     _add_protect_selected(model, aug, y_var, p_var)
+    master = Master(model, y_var, p_var, aug)
+    for scenario in scenarios:
+        append_scenario(master, scenario)
+    return master
+
+
+def append_scenario(master: Master, scenario: FailureScenario) -> None:
+    """Append one failure scenario's block to a flow master: a flow column
+    per arc, flow balance at every inner vertex, the demand at the sink,
+    the selection capacity of every arc, and the protection capacity of
+    every failed arc."""
+    aug, model = master.aug, master.model
+    if any(aug.is_fictive(a) for a in scenario.arcs):
+        raise FormulationError("scenario contains a fictive arc")
+    xs = [
+        model.add_var(f"x{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
+        for a in range(aug.arc_count)
+    ]
     in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
-    for fi, scenario in enumerate(scenarios):
-        xs = [
-            model.add_var(f"x{fi}_{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
-            for a in range(aug.arc_count)
-        ]
-        for v in range(aug.vertex_count):
-            if v in (aug.root, aug.sink):
-                continue
-            row = {xs[a]: 1.0 for a in in_arcs[v]}
-            for a in out_arcs[v]:
-                row[xs[a]] = row.get(xs[a], 0.0) - 1.0
-            model.add_constr(row, "=", 0.0)
-        sink_row = {xs[a]: 1.0 for a in in_arcs[aug.sink]}
-        model.add_constr(sink_row, "=", float(aug.demand))
-        for a in range(aug.arc_count):
-            model.add_constr(
-                {xs[a]: 1.0, y_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
-            )
-        for a in scenario.sorted_arcs():
-            model.add_constr(
-                {xs[a]: 1.0, p_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
-            )
-    return Master(model, y_var, p_var, aug)
+    for v in range(aug.vertex_count):
+        if v in (aug.root, aug.sink):
+            continue
+        row = {xs[a]: 1.0 for a in in_arcs[v]}
+        for a in out_arcs[v]:
+            row[xs[a]] = row.get(xs[a], 0.0) - 1.0
+        model.add_constr(row, "=", 0.0)
+    sink_row = {xs[a]: 1.0 for a in in_arcs[aug.sink]}
+    model.add_constr(sink_row, "=", float(aug.demand))
+    for a in range(aug.arc_count):
+        model.add_constr(
+            {xs[a]: 1.0, master.y_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
+        )
+    for a in scenario.sorted_arcs():
+        model.add_constr(
+            {xs[a]: 1.0, master.p_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
+        )
 
 
 def build_bilevel_master(
     aug: AugmentedInstance, points: Sequence[ExtremePoint]
 ) -> Master:
-    """Selection/protection master with one guarantee row per attacker vertex."""
+    """Selection/protection master with one guarantee row per attacker
+    vertex, each appended by :func:`append_point`."""
     model, y_var, p_var = _design_block("bilevel_master", aug)
     _add_protect_selected(model, aug, y_var, p_var)
+    master = Master(model, y_var, p_var, aug)
     for pt in points:
-        pt.validate(aug)
-        row: dict[int, float] = {}
-        const = 0.0
-        for a, arc in enumerate(aug.arcs):
-            u = float(arc.capacity)
-            if pt.lam[a]:
-                row[y_var[a]] = u * pt.lam[a]
-            if pt.gam[a]:
-                row[p_var[a]] = u * pt.gam[a]
-            const += u * pt.gam[a] - u * pt.ell[a]
-        model.add_constr(row, ">=", float(aug.demand) - const)
-    return Master(model, y_var, p_var, aug)
+        append_point(master, pt)
+    return master
+
+
+def append_point(master: Master, point: ExtremePoint) -> None:
+    """Append the guarantee row of one attacker vertex to a bilevel master."""
+    aug = master.aug
+    point.validate(aug)
+    row: dict[int, float] = {}
+    const = 0.0
+    for a, arc in enumerate(aug.arcs):
+        u = float(arc.capacity)
+        if point.lam[a]:
+            row[master.y_var[a]] = u * point.lam[a]
+        if point.gam[a]:
+            row[master.p_var[a]] = u * point.gam[a]
+        const += u * point.gam[a] - u * point.ell[a]
+    master.model.add_constr(row, ">=", float(aug.demand) - const)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ MAX_CAPACITY = 2**31 - 1
 # largest arc cost: far below the 1e20 that HiGHS reads as infinite, and
 # integer costs keep every design cost exact in float64 like capacities
 MAX_COST = 2**31 - 1
+# largest vertex count: an instance builds one label per vertex before it
+# reads any arc, so a file header alone must not decide how much memory a
+# load takes; 2**16 vertices cost a few MB, and exact solving stops far
+# below that
+MAX_VERTICES = 2**16
 
 
 class GraphError(ValueError):
@@ -79,7 +84,8 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         object.__setattr__(self, "terminals", tuple(sorted(self.terminals)))
-        if not self.labels:
+        # labels only for a vertex count that _validate accepts
+        if not self.labels and 0 < self.vertex_count <= MAX_VERTICES:
             object.__setattr__(
                 self, "labels", tuple(str(i + 1) for i in range(self.vertex_count))
             )
@@ -89,6 +95,8 @@ class Instance:
         n = self.vertex_count
         if n <= 0:
             raise GraphError("instance needs at least one vertex")
+        if n > MAX_VERTICES:
+            raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
         if len(self.labels) != n:
             raise GraphError("labels must cover every vertex")
         if not 0 <= self.root < n:

@@ -29,6 +29,7 @@ from typing import Iterable
 from .graph import (
     MAX_CAPACITY,
     MAX_COST,
+    MAX_VERTICES,
     Arc,
     ArcMask,
     AugmentedInstance,
@@ -38,7 +39,7 @@ from .graph import (
     max_flow,
     min_cut,
 )
-from .formulations import Design
+from .formulations import Design, FormulationError
 
 FORMAT_NAME = "cprsnp"
 # arc costs drawn by generate(), both ends included
@@ -101,6 +102,10 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 4 or fields[1] != FORMAT_NAME:
                 raise ParseError(line_no, f"expected 'p {FORMAT_NAME} <vertices> <arcs>'")
             vertex_count = _positive_int(fields[2], line_no, "vertex count")
+            if vertex_count > MAX_VERTICES:
+                raise ParseError(
+                    line_no, f"vertex count {vertex_count} exceeds {MAX_VERTICES}"
+                )
             arc_count = _positive_int(fields[3], line_no, "arc count")
             continue
         if vertex_count is None:
@@ -227,11 +232,13 @@ def parse_design(text: str, aug: AugmentedInstance) -> Design:
         if arc is None:
             raise ParseError(line_no, f"no arc {fields[1]} -> {fields[2]}")
         (selected if fields[0] == "y" else protected).add(arc)
+    last = text.count("\n") + 1
     if not protected <= selected:
-        raise ParseError(
-            text.count("\n") + 1, "protected arcs must be selected"
-        )
-    return Design.canonical(aug, selected, protected)
+        raise ParseError(last, "protected arcs must be selected")
+    try:
+        return Design.canonical(aug, selected, protected)
+    except FormulationError as exc:
+        raise ParseError(last, str(exc)) from None
 
 
 def write_design(design: Design, aug: AugmentedInstance) -> str:

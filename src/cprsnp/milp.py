@@ -8,11 +8,13 @@ once per model version and serves both the solver and
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance (the binding that ships inside scipy): the model is passed
-once, column-wise, and each later solve changes only column bounds, so the
-simplex restarts from the previous basis instead of from scratch.  Solutions
-are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is off and the
-solver prints nothing.  Binary/integer models go through a hand-rolled
-branch and bound on top of that instance:
+once, column-wise.  Each later solve sends only the column bounds that
+differ from the ones HiGHS holds, and rows or columns appended to the model
+are sent as the new tail alone, so the simplex restarts from the previous
+basis instead of from scratch.  Solutions are basic, with HiGHS's 1e-7
+feasibility tolerances; presolve is off and the solver prints nothing.
+Binary/integer models go through a hand-rolled branch and bound on top of
+that instance:
 
 * branching on the most fractional integer variable, ties by lowest index,
 * best-bound node selection, ties by depth (deeper first) then insertion,
@@ -25,13 +27,13 @@ branch and bound on top of that instance:
   the next integer below the incumbent (``best - 1`` for an integer best),
 * an optional lazy callback sees every integer-feasible point before it may
   become the incumbent, the root rounding heuristic's point included, and
-  either accepts it or hands back a grown model (more rows, and continuous
-  columns appended after the old ones).  The relaxation is then re-opened on
-  the grown model and the same node is re-solved.  Open nodes keep only the
-  bounds of the integer columns; continuous columns always take the current
-  model's bounds.  Bounds of open nodes stay valid, because a grown model
-  only removes integer assignments.  A callback that accepts every point
-  leaves the search exactly as it is without one.
+  either accepts it or appends rows, and continuous zero-cost columns, to
+  the model being solved.  The kernel sends that tail to the live HiGHS
+  instance and re-solves the same node from the current basis.  Open nodes
+  keep only the bounds of the integer columns; continuous columns always
+  take the model's current bounds.  Bounds of open nodes stay valid,
+  because appended rows only remove integer assignments.  A callback that
+  accepts every point leaves the search exactly as it is without one.
 
 Everything is deterministic for a fixed model and callback: no randomized
 choices, serial simplex, and the same sequence of bound changes on every
@@ -230,22 +232,67 @@ class MilpModel:
 class _Relaxation:
     """The LP relaxation of one model, held by one HiGHS instance.
 
-    The model is passed once; each :meth:`solve` changes only the column
-    bounds, so the dual simplex restarts from the previous basis.
-    ``objective`` is in the internal minimization sense.
+    The model is passed once.  Each :meth:`solve` sends only the column
+    bounds that differ from the ones HiGHS holds, and :meth:`grow` only the
+    columns and rows appended to the model since, so the dual simplex
+    restarts from the previous basis.  ``objective`` is in the internal
+    minimization sense.
     """
 
     def __init__(self, model: MilpModel):
         self.model = model
         self.sign = 1.0 if model.minimize else -1.0
-        self.cols = np.arange(model.num_vars, dtype=np.int32)
-        self.highs = _open(model, self.sign, *model.bounds())
+        # the column bounds HiGHS holds
+        self.lb, self.ub = model.bounds()
+        self.highs = _open(model, self.sign, self.lb, self.ub)
+        self.rows = model.num_constraints
+        self.nonzeros = len(model._values)
+
+    def grow(self) -> None:
+        """Send the columns and rows appended to the model since it was
+        opened or last grown.  New columns cost nothing: the objective is
+        fixed once the model is passed."""
+        model, highs = self.model, self.highs
+        lb, ub = model.bounds()
+        old = self.lb.size
+        if lb.size > old:
+            new = lb.size - old
+            if highs.addCols(
+                new, np.zeros(new), lb[old:], ub[old:], 0,
+                np.zeros(new, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                np.zeros(0),
+            ) == HighsStatus.kError:
+                raise MilpError(f"HiGHS rejected new columns of {model.name}")
+            self.lb = np.concatenate([self.lb, lb[old:]])
+            self.ub = np.concatenate([self.ub, ub[old:]])
+        first, rows = self.rows, model.num_constraints
+        if rows > first:
+            nz = self.nonzeros
+            row_idx = np.array(model._row_idx[nz:], dtype=np.int32)
+            # rows are stored in order, so each new row's triplets are one run
+            starts = np.searchsorted(row_idx, np.arange(first, rows)).astype(np.int32)
+            if highs.addRows(
+                rows - first,
+                np.array(model._row_lo[first:]),
+                np.array(model._row_hi[first:]),
+                row_idx.size,
+                starts,
+                np.array(model._col_idx[nz:], dtype=np.int32),
+                np.array(model._values[nz:]),
+            ) == HighsStatus.kError:
+                raise MilpError(f"HiGHS rejected new rows of {model.name}")
+            self.rows, self.nonzeros = rows, len(model._values)
 
     def solve(self, lb: np.ndarray, ub: np.ndarray):
         """``(status, objective, values)`` of the relaxation under the given
         column bounds; objective and values are None unless OPTIMAL."""
         highs = self.highs
-        highs.changeColsBounds(self.cols.size, self.cols, lb, ub)
+        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
+        if changed.size:
+            clb, cub = lb[changed], ub[changed]
+            highs.changeColsBounds(changed.size, changed.astype(np.int32), clb, cub)
+            self.lb[changed] = clb
+            self.ub[changed] = cub
         highs.run()
         status = highs.getModelStatus()
         if status == HighsModelStatus.kOptimal:
@@ -329,7 +376,7 @@ def solve_mip(
     model: MilpModel,
     time_limit_s: float | None = None,
     cutoff: float | None = None,
-    lazy: Callable[[np.ndarray, float], MilpModel | None] | None = None,
+    lazy: Callable[[np.ndarray, float], bool] | None = None,
 ) -> SolveResult:
     """Branch-and-bound over the integer variables of the model.
 
@@ -342,17 +389,19 @@ def solve_mip(
 
     ``lazy(values, bound)`` is called on every integer-feasible point before
     it may become the incumbent, with the tree's global bound at that moment
-    (in the model's own sense).  It returns None to accept the point, or a
-    grown model that cuts it off; the same node is then re-solved on the
-    grown model.  The grown model must keep the sense, the objective and the
-    integer columns (indices and bounds) of the model it replaces, and may
-    only remove integer assignments the callback would reject.  Returned
-    ``values`` may then be shorter than the final model's columns.
+    (in the model's own sense).  It returns False to accept the point, or
+    appends rows that cut it off to ``model`` itself and returns True; the
+    same node is then re-solved on the grown model.  It may also append
+    continuous columns, which cost nothing.  It must keep the sense, the
+    objective and the integer columns (indices and bounds), and may only
+    remove integer assignments it would reject.  Returned ``values`` may
+    then be shorter than the final model's columns.
     """
     t0 = time.perf_counter()
     int_idx = model.integer_indices()
     lb0, ub0 = model.bounds()
     ilb0, iub0 = lb0[int_idx], ub0[int_idx]
+    minimize0, objective0 = model.minimize, dict(model._objective)
     lp = _Relaxation(model)
     sign = lp.sign
     integral = _integral_objective(model, int_idx)
@@ -383,26 +432,29 @@ def solve_mip(
         return lb, ub
 
     def rejected(x: np.ndarray, bound: float) -> bool:
-        """Ask ``lazy`` about an integer-feasible point; on a grown model,
-        re-open the relaxation on it and return True."""
-        nonlocal model, lp, lb0, ub0
-        grown = None if lazy is None else lazy(x, sign * bound)
-        if grown is None:
+        """Ask ``lazy`` about an integer-feasible point; when it grew the
+        model, send the growth to the relaxation and return True."""
+        nonlocal lb0, ub0
+        if lazy is None or not lazy(x, sign * bound):
             return False
-        glb, gub = grown.bounds()
+        lb, ub = model.bounds()
         if (
-            grown.minimize != model.minimize
-            or grown._objective != model._objective
-            or not np.array_equal(grown.integer_indices(), int_idx)
-            or not np.array_equal(glb[int_idx], ilb0)
-            or not np.array_equal(gub[int_idx], iub0)
+            model.minimize != minimize0
+            or model._objective != objective0
+            or not np.array_equal(model.integer_indices(), int_idx)
+            or not np.array_equal(lb[int_idx], ilb0)
+            or not np.array_equal(ub[int_idx], iub0)
         ):
             raise MilpError(
-                f"lazy model {grown.name} changes the objective or the integer "
-                f"columns of {model.name}"
+                f"lazy callback changed the objective or the integer columns "
+                f"of {model.name}"
             )
-        model, lb0, ub0 = grown, glb, gub
-        lp = _Relaxation(grown)
+        if model.num_constraints == lp.rows:
+            raise MilpError(
+                f"lazy callback rejected a point of {model.name} but appended no row"
+            )
+        lb0, ub0 = lb, ub
+        lp.grow()
         return True
 
     nodes = 0

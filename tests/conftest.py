@@ -16,6 +16,14 @@ import scipy.sparse
 from cprsnp.formulations import Design
 from cprsnp.graph import Arc, ArcMask, AugmentedInstance, Instance, augment, max_flow
 from cprsnp.instances import generate
+from cprsnp.milp import (
+    HighsModelStatus,
+    MatrixFormat,
+    SolveStatus,
+    _classify_cold,
+    _open,
+    _Relaxation,
+)
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: one line per criterion in the terminal summary
@@ -39,6 +47,67 @@ def acceptance():
         assert ok, line
 
     return report
+
+
+# ---------------------------------------------------------------------------
+# the kernel's live LP, checked against fresh ones
+
+
+def lp_data(lp):
+    """Costs, column bounds and rows of a HighsLp; the rows as a sorted list
+    of (lower, upper, coefficients), whatever order HiGHS keeps them in."""
+    a = lp.a_matrix_
+    shape = (lp.num_row_, lp.num_col_)
+    data = (np.array(a.value_), np.array(a.index_), np.array(a.start_))
+    if a.format_ == MatrixFormat.kColwise:
+        matrix = scipy.sparse.csc_matrix(data, shape=shape).tocsr()
+    else:
+        assert a.format_ == MatrixFormat.kRowwise
+        matrix = scipy.sparse.csr_matrix(data, shape=shape)
+    rows = sorted(
+        (
+            lp.row_lower_[r],
+            lp.row_upper_[r],
+            tuple(sorted(zip(matrix[r].indices.tolist(), matrix[r].data.tolist()))),
+        )
+        for r in range(lp.num_row_)
+    )
+    return (list(lp.col_cost_), list(lp.col_lower_), list(lp.col_upper_), rows)
+
+
+_COLD_STATUS = {
+    HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+}
+
+
+class CheckedRelaxation(_Relaxation):
+    """The kernel's relaxation, checked after every growth against a fresh
+    HiGHS instance of the same model and, at every node, against a cold
+    instance opened under the same column bounds.  Patch it over
+    ``cprsnp.milp._Relaxation`` to check every LP a solve runs."""
+
+    def grow(self):
+        super().grow()
+        fresh = _open(self.model, self.sign, self.lb, self.ub)
+        assert lp_data(self.highs.getLp()) == lp_data(fresh.getLp())
+
+    def solve(self, lb, ub):
+        status, objective, x = super().solve(lb, ub)
+        # a fresh instance opened under the node's bounds: no bound is sent
+        # to it later, so it shares no state with the warm one
+        cold = _open(self.model, self.sign, lb, ub)
+        cold.run()
+        cold_status = cold.getModelStatus()
+        if cold_status == HighsModelStatus.kUnboundedOrInfeasible:
+            assert status == _classify_cold(self.model, lb, ub)
+        else:
+            assert status == _COLD_STATUS[cold_status]
+        if status == SolveStatus.OPTIMAL:
+            want = cold.getInfo().objective_function_value
+            assert objective == pytest.approx(want, abs=1e-6)
+        return status, objective, x
 
 
 # ---------------------------------------------------------------------------

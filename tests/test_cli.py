@@ -10,7 +10,7 @@ from conftest import triangle
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS
 from cprsnp.formulations import Design
-from cprsnp.graph import MAX_CAPACITY, MAX_COST, augment
+from cprsnp.graph import MAX_CAPACITY, MAX_COST, MAX_VERTICES, augment
 from cprsnp.instances import generate, write_design, write_instance
 from cprsnp.verify import SCENARIO_GUARD
 
@@ -116,6 +116,47 @@ def test_cost_at_the_bound_prints_exactly(tmp_path, capsys, caplog):
     out = capsys.readouterr().out
     assert "status=Optimal cost=2147483650 gap=0.0000\n" in out
     assert "cost=2147483650 gap=0.0000 iterations=" in caplog.text
+
+
+@pytest.mark.parametrize("formulation", ["cutset", "bilevel"])
+def test_cost_at_the_bound_logs_exactly(tmp_path, capsys, formulation):
+    # the closing record's bound is the proven cost; :g printed 2.14748e+09
+    path = tmp_path / "dear.txt"
+    path.write_text(
+        write_instance(triangle()).replace("a 1 2 1 1", f"a 1 2 {MAX_COST} 1"),
+        encoding="utf-8",
+    )
+    argv = ["solve", "--instance", str(path), "--formulation", formulation]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("status=Optimal cost=2147483650 gap=0.0000")
+    assert " master_obj=2147483650 sep_value=none " in lines[at - 1]
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        # a 45-byte header that asked for 2e9 vertex labels
+        (
+            "p cprsnp 2000000000 1\nr 1\nt 2\na 1 2 1 1\nb 0 0\n",
+            f"line 1: vertex count 2000000000 exceeds {MAX_VERTICES}",
+        ),
+        # inputs of the kind the parser fuzz tests draw
+        (
+            "p cprsnp 3 2\nr 1\nt 3\na 1 2 1 1\na 9" + "9" * 5000 + " 3 1 1\n",
+            "line 5: vertex '999",
+        ),
+        ("\x0bp cprsnp 3 1_0\n\u2028r 1\n", "missing b line"),
+    ],
+)
+def test_malformed_instance_exits_with_input_error(tmp_path, capsys, text, needle):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert needle in captured.err
 
 
 def test_verify_beyond_the_enumeration_guard_exits_with_input_error(

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, triangle
+from conftest import CheckedRelaxation, corpus, triangle
 
-from cprsnp import augment, engine, separation
+from cprsnp import augment, engine, milp, separation
 from cprsnp.engine import (
     BilevelFormulation,
     CutsetFormulation,
@@ -18,6 +18,7 @@ from cprsnp.engine import (
     EngineOptions,
     FORMULATIONS,
     FlowFormulation,
+    IterationRecord,
     formulation_for,
     solve,
 )
@@ -162,6 +163,61 @@ def test_oracles_solve_no_mip_while_the_search_applies(
     assert set(solved) == mips
     if mips:
         assert len(solved) == sol.iterations - 1  # the closing record adds none
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+@pytest.mark.parametrize("index", [16, 40])
+def test_one_master_instance_per_solve(monkeypatch, formulation, index):
+    # every violation is appended to the live HiGHS instance of the master;
+    # only separation MIPs (strengthening, here) open instances of their own
+    opened = []
+    real_open = milp._open
+
+    def counted(model, *args):
+        opened.append(model.name)
+        return real_open(model, *args)
+
+    monkeypatch.setattr(milp, "_open", counted)
+    sol = solve(augment(corpus()[index]), formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.iterations > 1
+    assert opened.count(f"{formulation}_master") == 1
+    assert all(name == "cut_strengthening" for name in opened if "master" not in name)
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
+    # every append reaches the live LP exactly, and every warm node LP
+    # agrees with a cold one under the same bounds
+    grown = []
+
+    class Counted(CheckedRelaxation):
+        def grow(self):
+            super().grow()
+            grown.append(self.model.name)
+
+    monkeypatch.setattr(milp, "_Relaxation", Counted)
+    sol = solve(augment(corpus()[16]), formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 70.0
+    assert grown == [f"{formulation}_master"] * (sol.iterations - 1)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (56.3333, "56.3333"),
+        (170 / 3, "56.6667"),
+        (1e6, "1000000"),
+        (2147483650.0, "2147483650"),
+    ],
+)
+def test_log_line_prints_integral_values_exactly(value, text):
+    rec = IterationRecord(3, value, value, 2, 1, 0.5)
+    assert rec.line("flow") == (
+        f"formulation=flow iter=3 master_obj={text} sep_value={text} "
+        "rows_added=2 cols_added=1"
+    )
+    assert rec.line("flow", include_time=True).endswith(" elapsed=0.500")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from conftest import random_design, triangle
 
 from cprsnp import augment, instances
 from cprsnp.formulations import Design
-from cprsnp.graph import ArcMask, max_flow
+from cprsnp.graph import MAX_VERTICES, ArcMask, GraphError, Instance, max_flow
 from cprsnp.instances import (
+    FORMAT_NAME,
     GenerationError,
     ParseError,
     generate,
@@ -115,6 +116,25 @@ def test_budget_exceeding_arcs_rejected():
         parse_instance(text)
 
 
+def test_vertex_count_above_the_bound_rejected_at_the_p_line():
+    # a 45-byte file asking for 2e9 vertices; labelling them would exhaust
+    # memory before a single arc is read
+    text = "p cprsnp 2000000000 1\nr 1\nt 2\na 1 2 1 1\nb 0 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line_no == 1
+    assert f"vertex count 2000000000 exceeds {MAX_VERTICES}" in str(err.value)
+    with pytest.raises(GraphError, match=f"exceeds {MAX_VERTICES}"):
+        Instance(2_000_000_000, (), 0, (1,), 0, 0)
+
+
+def test_vertex_count_at_the_bound_parses():
+    n = MAX_VERTICES
+    text = f"p cprsnp {n} 1\nr 1\nt {n}\na 1 {n} 1 1\nb 0 0\n"
+    inst = parse_instance(text)
+    assert inst.vertex_count == len(inst.labels) == n
+
+
 def test_missing_p_line_reported_at_end():
     with pytest.raises(ParseError, match="missing p line"):
         parse_instance("c only a comment\n")
@@ -146,7 +166,7 @@ def test_design_rejects_unprotectable_line():
 
 def test_design_respects_protection_budget():
     aug = augment(triangle(k=1, kp=0))
-    with pytest.raises(Exception, match="exceed the budget"):
+    with pytest.raises(ParseError, match="exceed the budget"):
         parse_design("y 1 2\ny 1 3\np 1 3\n", aug)
 
 
@@ -270,3 +290,82 @@ def test_design_text_round_trip(seed):
     text = write_design(design, aug)
     assert parse_design(text, aug) == design
     assert write_design(parse_design(text, aug), aug) == text
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input either parses or raises ParseError, nothing else
+
+_TOKENS = st.one_of(
+    st.sampled_from(["p", "r", "t", "a", "b", "c", "y"]),
+    st.integers(-1, 8).map(str),
+    st.text(max_size=6),
+    st.integers(-(10**12), 10**12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(
+        [FORMAT_NAME, "1.5", "1e400", "1_0", "0x1", "2147483648",
+         str(MAX_VERTICES + 1), "9" * 5000]
+    ),
+)
+_LINES = st.lists(_TOKENS, max_size=5).map(" ".join)
+_TEXTS = st.one_of(st.text(max_size=200), st.lists(_LINES, max_size=8).map("\n".join))
+_FUZZ_INSTANCE = generate(6, 2, 10, "random", seed=3, k=1, kp=1)
+_FUZZ_AUG = augment(_FUZZ_INSTANCE)
+
+
+def _mutated(data, text: str) -> str:
+    """``text`` with a few lines deleted, repeated, swapped, inserted or
+    given a foreign token."""
+    lines = text.splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        if not lines:
+            lines.append(data.draw(_LINES))
+            continue
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["delete", "repeat", "swap", "insert", "token"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "insert":
+            lines.insert(i, data.draw(_LINES))
+        else:
+            fields = lines[i].split() or [""]
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_TOKENS)
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def _parses_or_rejects(parse, text: str) -> None:
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS)
+def test_parse_instance_fuzz_arbitrary_text(text):
+    _parses_or_rejects(parse_instance, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_instance_fuzz_mutated_files(data):
+    _parses_or_rejects(parse_instance, _mutated(data, write_instance(_FUZZ_INSTANCE)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS)
+def test_parse_design_fuzz_arbitrary_text(text):
+    _parses_or_rejects(lambda t: parse_design(t, _FUZZ_AUG), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_design_fuzz_mutated_files(data):
+    design = Design.canonical(_FUZZ_AUG, _FUZZ_AUG.initial_arcs, [0])
+    text = _mutated(data, write_design(design, _FUZZ_AUG))
+    _parses_or_rejects(lambda t: parse_design(t, _FUZZ_AUG), text)

@@ -8,9 +8,12 @@ import random
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CheckedRelaxation
+from cprsnp import milp
 from cprsnp.milp import (
     MilpError,
     MilpModel,
@@ -451,7 +454,8 @@ def test_cutoff_matches_enumeration(model, cutoff, offset):
 
 # ---------------------------------------------------------------------------
 # lazy rows and columns: a model revealed piece by piece from inside the
-# tree must end where a solve of the whole model ends
+# tree, appended to the model being solved, must end where a solve of the
+# whole model ends
 
 
 @st.composite
@@ -460,7 +464,10 @@ def hidden_programs(draw):
     continuous ones and some rows, then hidden pieces, each one row over the
     columns so far or, in some draws, new continuous columns with rows
     that use them.  The objective sits on the binary columns, so a binary
-    point that the whole model admits has its final objective value."""
+    point that the whole model admits has its final objective value.
+
+    ``reveal(model, i)`` appends piece ``i`` to a model in place, and
+    ``build(revealed)`` is a fresh model with the first pieces revealed."""
     n_int = draw(st.integers(1, 5))
     coef = st.integers(-4, 4)
 
@@ -497,18 +504,24 @@ def hidden_programs(draw):
     objective = {v: draw(coef) / (2 if halves else 1) for v in range(n_int)}
     minimize = draw(st.booleans())
 
-    def build(revealed: int) -> MilpModel:
-        model = MilpModel(f"hidden{revealed}", minimize=minimize)
-        cols = columns + [c for new, _ in pieces[:revealed] for c in new]
-        rows = visible + [r for _, block in pieces[:revealed] for r in block]
+    def append(model: MilpModel, cols, rows) -> None:
         for lb, ub, integer in cols:
             model.add_var(lb=lb, ub=ub, integer=integer)
         for coeffs, sense, rhs in rows:
             model.add_constr(coeffs, sense, rhs)
+
+    def reveal(model: MilpModel, i: int) -> None:
+        append(model, *pieces[i])
+
+    def build(revealed: int) -> MilpModel:
+        model = MilpModel(f"hidden{revealed}", minimize=minimize)
+        append(model, columns, visible)
         model.set_objective(objective, minimize=minimize)
+        for i in range(revealed):
+            reveal(model, i)
         return model
 
-    return n_int, len(pieces), build
+    return n_int, len(pieces), build, reveal
 
 
 def _admits(model: MilpModel, n_int: int, values) -> bool:
@@ -526,9 +539,10 @@ def _admits(model: MilpModel, n_int: int, values) -> bool:
     cutoff=st.one_of(st.none(), st.integers(-12, 12)),
 )
 def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
-    n_int, n_pieces, build = drawn
+    n_int, n_pieces, build, reveal = drawn
     whole = build(n_pieces)
     sign = 1.0 if whole.minimize else -1.0
+    model = build(0)
     revealed = 0
     bounds = []
 
@@ -536,12 +550,20 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
         nonlocal revealed
         bounds.append(sign * bound)
         if _admits(whole, n_int, values):
-            return None
+            return False
         assert revealed < n_pieces, "the whole model admitted a rejected point"
+        reveal(model, revealed)
         revealed += 1
-        return build(revealed)
+        return True
 
-    res = solve_mip(build(0), cutoff=cutoff, lazy=lazy)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(milp, "_Relaxation", CheckedRelaxation)
+        res = solve_mip(model, cutoff=cutoff, lazy=lazy)
+    # the model grown in place is the model built with the same pieces
+    for got, want in zip(model._matrices(), build(revealed)._matrices()):
+        if sparse.issparse(got):
+            got, want = got.toarray(), want.toarray()
+        assert np.array_equal(got, want)
     brute = _enumerate_mixed(whole)
     floor = math.inf if cutoff is None else sign * cutoff
     if brute is not None and sign * brute < floor - 1e-9:
@@ -556,14 +578,25 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
     assert all(a <= b + 1e-6 for a, b in zip(bounds, bounds[1:]))
 
 
-def _three_binaries(ub0=1.0, extra=None, minimize=False, values=(5, 4, 3)):
-    model = MilpModel("three", minimize=minimize)
-    xs = [model.add_var(ub=ub0 if i == 0 else 1.0, integer=True) for i in range(3)]
+def _three_binaries() -> MilpModel:
+    model = MilpModel("three", minimize=False)
+    xs = [model.add_var(ub=1.0, integer=True) for _ in range(3)]
     model.add_constr({x: w for x, w in zip(xs, (2, 3, 1))}, "<=", 5)
+    model.set_objective(dict(zip(xs, (5, 4, 3))), minimize=False)
+    return model
+
+
+def _change(model: MilpModel, extra=None, ub0=None, values=None, minimize=None):
+    """Change a model in place the way a callback must not."""
     if extra is not None:
         model.add_var(ub=1.0, integer=extra)
-    model.set_objective(dict(zip(xs, values)), minimize=minimize)
-    return model
+    if ub0 is not None:
+        model._ub[0] = ub0
+        model._cache = None
+    if values is not None or minimize is not None:
+        model.set_objective(
+            dict(enumerate(values or (5, 4, 3))), minimize=bool(minimize)
+        )
 
 
 @pytest.mark.parametrize(
@@ -576,18 +609,35 @@ def _three_binaries(ub0=1.0, extra=None, minimize=False, values=(5, 4, 3)):
     ],
 )
 def test_lazy_model_must_keep_objective_and_integer_columns(grown):
+    # each callback also appends a valid row, so the change alone is at fault
+    model = _three_binaries()
+
     def lazy(values, bound):
-        return _three_binaries(**grown)
+        _change(model, **grown)
+        model.add_constr({0: 1.0}, "<=", 0.0)
+        return True
 
     with pytest.raises(MilpError):
-        solve_mip(_three_binaries(), lazy=lazy)
+        solve_mip(model, lazy=lazy)
+
+
+def test_lazy_model_must_append_a_row():
+    # a rejection that appends nothing would re-solve the same node forever
+    with pytest.raises(MilpError):
+        solve_mip(_three_binaries(), lazy=lambda values, bound: True)
 
 
 def test_lazy_model_may_add_a_continuous_column():
-    def lazy(values, bound):
-        return _three_binaries(extra=False) if values.size == 3 else None
+    model = _three_binaries()
 
-    res = solve_mip(_three_binaries(), lazy=lazy)
+    def lazy(values, bound):
+        if values.size == 4:
+            return False
+        extra = model.add_var(ub=1.0)
+        model.add_constr({extra: 1.0, 0: 1.0}, "<=", 2.0)
+        return True
+
+    res = solve_mip(model, lazy=lazy)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(9.0)
     assert res.values.size == 4
