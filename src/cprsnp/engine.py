@@ -147,7 +147,7 @@ class CutsetFormulation:
     """Cuts found so far.  A cut whose full enumeration would exceed
     :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it starts with the worst deletion
     subset of the design that violated it and gains one subset per repeat,
-    appended as one row on the cut's loss column."""
+    appended as one row."""
 
     def __init__(self, aug: AugmentedInstance, options: EngineOptions):
         self.aug = aug
@@ -156,7 +156,6 @@ class CutsetFormulation:
         root = CutSet.from_sink_side(aug, side)
         self.cuts = {side: CutRows(root, () if self._lazy(root) else None)}
         self.master = build_cutset_master(aug, list(self.cuts.values()))
-        self.loss = dict(zip(self.cuts, self.master.loss_var))
 
     def _lazy(self, cut: CutSet) -> bool:
         return count_cut_rows(self.aug, cut) > LAZY_CUT_ROW_LIMIT
@@ -172,7 +171,7 @@ class CutsetFormulation:
             lazy = self._lazy(cut)
             subsets = (worst_subset(self.aug, cut, design),) if lazy else None
             self.cuts[side] = CutRows(cut, subsets)
-            self.loss[side] = append_cut(self.master, self.cuts[side])
+            append_cut(self.master, self.cuts[side])
             return
         if entry.subsets is None:
             raise EngineError("fully enumerated cut separated twice")
@@ -180,7 +179,7 @@ class CutsetFormulation:
         if subset in entry.subsets:
             raise EngineError("cut row separated twice; master is stalled")
         self.cuts[side] = CutRows(entry.cut, entry.subsets + (subset,))
-        append_cut_subset(self.master, self.loss[side], subset)
+        append_cut_subset(self.master, entry.cut, subset)
 
 
 class FlowFormulation:
@@ -240,17 +239,6 @@ FORMULATION_CLASSES = {
 FORMULATIONS = tuple(FORMULATION_CLASSES)
 
 
-def _formulation_class(name: str):
-    if name not in FORMULATION_CLASSES:
-        raise ValueError(f"unknown formulation {name!r}")
-    return FORMULATION_CLASSES[name]
-
-
-def formulation_for(aug: AugmentedInstance, name: str, options: EngineOptions):
-    """The seeded formulation called ``name``, with its master built."""
-    return _formulation_class(name)(aug, options)
-
-
 def _feasible_incumbent(aug: AugmentedInstance, remaining) -> Design | None:
     """Survivable design used as upper bound: all arcs plus a protection
     search branching on witness scenarios (the all-arcs selection is
@@ -282,7 +270,8 @@ def solve(
     options: EngineOptions = EngineOptions(),
 ) -> Solution:
     """Run generation to optimality, infeasibility, or the time limit."""
-    form_class = _formulation_class(formulation)
+    if formulation not in FORMULATION_CLASSES:
+        raise ValueError(f"unknown formulation {formulation!r}")
     t0 = time.perf_counter()
     demand = aug.demand
     records: list[IterationRecord] = []
@@ -327,7 +316,7 @@ def solve(
     upper = incumbent.cost(aug) if incumbent is not None else math.inf
     lower = 0.0  # costs are nonnegative
 
-    form = form_class(aug, options)
+    form = FORMULATION_CLASSES[formulation](aug, options)
     master = form.master
     found: Design | None = None  # the tree's survivable incumbent
 

@@ -5,7 +5,8 @@ protection variables ``p``:
 
 * cut-set master: every root/sink cut must keep ``|T|`` units of capacity
   after the worst deletion of at most ``k`` unprotected selected arcs,
-  linearized with one loss variable per cut and one row per deletion subset;
+  written as one row for the intact cut and one row per deletion subset,
+  each bounding the capacity the cut keeps without that subset;
 * flow master: one unit-preserving flow per failure scenario, where failed
   unprotected arcs lose their capacity;
 * attacker-expansion master ("bilevel"): one row per extreme point of the
@@ -18,8 +19,8 @@ and columns after it.  The flow and attacker-expansion masters also share
 the ``p <= y`` rows; the cut-set master has none.
 
 Each builder is the design block plus one appender per item, applied in
-order: :func:`append_cut` (a cut's loss column and rows, with
-:func:`append_cut_subset` for one more deletion subset of a known cut),
+order: :func:`append_cut` (a cut's rows, with :func:`append_cut_subset`
+for one more deletion subset of a known cut),
 :func:`append_scenario` (a scenario's flow block) and :func:`append_point`
 (a vertex's row).  The engine builds each master once per solve and grows
 it in place with the appenders, while the tree that solves it is open.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import ArcMask, AugmentedInstance, CutSet
@@ -275,16 +276,13 @@ def _add_protect_selected(model: MilpModel, aug: AugmentedInstance, y_var, p_var
 
 @dataclass
 class Master:
-    """A restricted master: the design block plus the rows and columns of
-    one formulation (the cut-set and flow masters add their own columns
-    after the first 2m).  ``loss_var`` holds the cut-set master's loss
-    column of each cut, in the order the cuts were appended."""
+    """A restricted master: the design block plus the rows of one
+    formulation (only the flow master adds columns, after the first 2m)."""
 
     model: MilpModel
     y_var: list[int]
     p_var: list[int]
     aug: AugmentedInstance
-    loss_var: list[int] = field(default_factory=list)
 
     def design_from(self, values) -> Design:
         sel = {a for a in range(self.aug.arc_count) if values[self.y_var[a]] > 0.5}
@@ -304,16 +302,15 @@ def build_cutset_master(
     return master
 
 
-def append_cut(master: Master, entry: CutSet | CutRows) -> int:
-    """Append a cut to a cut-set master and return its loss column.
+def append_cut(master: Master, entry: CutSet | CutRows) -> None:
+    """Append a cut to a cut-set master: the row of its intact capacity and
+    one row per deletion subset.
 
-    The cut contributes a surviving-capacity row and one row per deletion
-    subset bounding its loss variable from below.  Full enumeration also
-    emits rows for subsets smaller than k, which keeps the model exact when
-    protection is allowed off the selection and when a cut has fewer than k
-    deletable arcs.
+    Full enumeration also emits rows for subsets smaller than k, which keeps
+    the model exact when protection is allowed off the selection and when a
+    cut has fewer than k deletable arcs.
     """
-    aug, model = master.aug, master.model
+    aug = master.aug
     if isinstance(entry, CutRows):
         cut, explicit = entry.cut, entry.subsets
     else:
@@ -334,29 +331,25 @@ def append_cut(master: Master, entry: CutSet | CutRows) -> int:
         )
     else:
         subsets = tuple(tuple(sorted(sub)) for sub in explicit)
-    mvar = model.add_var(f"loss{len(master.loss_var)}", lb=0.0)
-    master.loss_var.append(mvar)
-    coeffs = {master.y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
-    coeffs[mvar] = -1.0
-    model.add_constr(coeffs, ">=", float(aug.demand))
+    append_cut_subset(master, cut, ())
     for sub in subsets:
-        append_cut_subset(master, mvar, sub)
-    return mvar
+        append_cut_subset(master, cut, sub)
 
 
-def append_cut_subset(master: Master, loss: int, subset: Sequence[int]) -> None:
-    """Append the row bounding a cut's loss column from below by the
-    selected, unprotected capacity of one deletion subset."""
+def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> None:
+    """Append the row keeping the cut at demand after deleting one subset of
+    its arcs: the selected capacity of the others plus the protected
+    capacity of the subset, ``sum_{C-S} u y + sum_S u p >= |T|``."""
     aug = master.aug
     if any(aug.is_fictive(a) for a in subset):
         raise FormulationError("deletion subset contains a fictive arc")
-    row = {loss: 1.0}
+    row = {master.y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
     for a in subset:
         u = float(aug.arcs[a].capacity)
         y, p = master.y_var[a], master.p_var[a]
         row[y] = row.get(y, 0.0) - u
         row[p] = row.get(p, 0.0) + u
-    master.model.add_constr(row, ">=", 0.0)
+    master.model.add_constr(row, ">=", float(aug.demand))
 
 
 def build_flow_master(

@@ -74,6 +74,12 @@ def _positive_int(token: str, line_no: int, what: str) -> int:
     return value
 
 
+def _end_line(text: str) -> int:
+    """Where whole-file errors are placed: the line after the last line
+    break, with the breaks ``str.splitlines`` numbers the records by."""
+    return len((text + "x").splitlines())
+
+
 def parse_instance(text: str) -> Instance:
     vertex_count: int | None = None
     arc_count: int | None = None
@@ -160,7 +166,7 @@ def parse_instance(text: str) -> Instance:
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
 
-    last = text.count("\n") + 1
+    last = _end_line(text)
     if vertex_count is None:
         raise ParseError(last, "missing p line")
     if root is None:
@@ -232,7 +238,7 @@ def parse_design(text: str, aug: AugmentedInstance) -> Design:
         if arc is None:
             raise ParseError(line_no, f"no arc {fields[1]} -> {fields[2]}")
         (selected if fields[0] == "y" else protected).add(arc)
-    last = text.count("\n") + 1
+    last = _end_line(text)
     if not protected <= selected:
         raise ParseError(last, "protected arcs must be selected")
     try:

@@ -26,14 +26,14 @@ that instance:
   objective value is an integer, so a node is pruned once its bound exceeds
   the next integer below the incumbent (``best - 1`` for an integer best),
 * an optional lazy callback sees every integer-feasible point before it may
-  become the incumbent, the root rounding heuristic's point included, and
-  either accepts it or appends rows, and continuous zero-cost columns, to
-  the model being solved.  The kernel sends that tail to the live HiGHS
-  instance and re-solves the same node from the current basis.  Open nodes
-  keep only the bounds of the integer columns; continuous columns always
-  take the model's current bounds.  Bounds of open nodes stay valid,
-  because appended rows only remove integer assignments.  A callback that
-  accepts every point leaves the search exactly as it is without one.
+  become the incumbent, and either accepts it or appends rows, and
+  continuous zero-cost columns, to the model being solved.  The kernel
+  sends that tail to the live HiGHS instance and re-solves the same node
+  from the current basis.  Open nodes keep only the bounds of the integer
+  columns; continuous columns always take the model's current bounds.
+  Bounds of open nodes stay valid, because appended rows only remove
+  integer assignments.  A callback that accepts every point leaves the
+  search exactly as it is without one.
 
 Everything is deterministic for a fixed model and callback: no randomized
 choices, serial simplex, and the same sequence of bound changes on every
@@ -464,7 +464,6 @@ def solve_mip(
     heap: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
         (-math.inf, 0, 0, ilb0, iub0)
     ]
-    root_handled = False
 
     def finish(status: SolveStatus, open_bounds: Iterable[float]) -> SolveResult:
         lower = min(list(open_bounds) + [best_obj], default=best_obj)
@@ -489,14 +488,13 @@ def solve_mip(
             if status == SolveStatus.INFEASIBLE:
                 break
             if status == SolveStatus.UNBOUNDED:
-                if int_idx.size == 0 or not root_handled:
-                    return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
-                raise MilpError(f"unbounded node LP in {model.name}")
+                # only the root's first solve can be: every later one solves
+                # a tighter relaxation of it
+                if nodes > 1:
+                    raise MilpError(f"unbounded node LP in {model.name}")
+                return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
             if prunes(node_bound):
-                root_handled = True
                 break
-            # the tree's global bound: this node's or the best open node's
-            tree_bound = min(node_bound, heap[0][0]) if heap else node_bound
             frac = (
                 np.abs(x[int_idx] - np.round(x[int_idx]))
                 if int_idx.size
@@ -504,23 +502,13 @@ def solve_mip(
             )
             fractional = np.flatnonzero(frac > INT_TOL)
             if fractional.size == 0:
+                # the tree's global bound: this node's or the best open node's
+                tree_bound = min(node_bound, heap[0][0]) if heap else node_bound
                 if rejected(x, tree_bound):
                     continue
                 best_obj = node_bound
                 best_x = x
-                root_handled = True
                 break
-            if not root_handled:
-                root_handled = True
-                # one-shot rounding heuristic: fix integers to nearest, repair LP
-                rounded = np.clip(np.round(x[int_idx]), ilb0, iub0)
-                hstatus, hobj, hx = lp.solve(*with_integers(rounded, rounded))
-                if hstatus == SolveStatus.OPTIMAL and hobj < best_obj:
-                    if model.check_assignment(hx):
-                        if rejected(hx, tree_bound):
-                            continue
-                        best_obj = hobj
-                        best_x = hx
             # most fractional first, ties by lowest variable index
             scores = np.minimum(frac[fractional], 1.0 - frac[fractional])
             pick = int(fractional[int(np.argmax(scores))])

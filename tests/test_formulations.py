@@ -13,6 +13,8 @@ from cprsnp.formulations import (
     Design,
     FailureScenario,
     FormulationError,
+    append_cut,
+    append_cut_subset,
     build_2lp,
     build_bilevel_master,
     build_cutset_master,
@@ -24,6 +26,7 @@ from cprsnp.formulations import (
     cut_residual,
     eval_MS,
     point_row_value,
+    worst_subset,
 )
 from cprsnp.graph import ArcMask, CutSet, augment, max_flow
 from cprsnp.instances import generate
@@ -243,6 +246,50 @@ def test_cutset_master_fixed_design():
     weak = Design.canonical(aug, [0])
     res = solve_fixed(build_cutset_master(aug, all_cuts(aug)), weak)
     assert res.status == SolveStatus.INFEASIBLE
+
+
+def _cut_rows_hold(aug, cut, subset, assignments):
+    """Per assignment, whether every row the appender writes holds: the
+    cut's full enumeration (``subset=None``) or one deletion subset."""
+    master = build_cutset_master(aug, [])
+    if subset is None:
+        append_cut(master, cut)
+    else:
+        append_cut_subset(master, cut, subset)
+    _, a, row_lo, _ = master.model._matrices()
+    assert master.model.num_vars == 2 * aug.arc_count  # no column of its own
+    # the budget row, then the intact cut's row and one row per subset
+    cut_rows = 1 + count_cut_rows(aug, cut) if subset is None else 1
+    assert master.model.num_constraints == 1 + cut_rows
+    # row 0 is the protection budget, which every assignment respects
+    lhs = a[1:] @ np.asarray(assignments, dtype=float).T
+    return np.all(lhs >= row_lo[1:, None] - 1e-9, axis=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cut_rows_hold_iff_the_cut_survives(seed):
+    # y and p are drawn independently, so protection off the selection is
+    # covered; the budget row of the design block is respected
+    rng = random.Random(seed)
+    aug = small_instance(seed, k=rng.randint(1, 3), kp=rng.randint(0, 2))
+    m, initial = aug.arc_count, list(aug.initial_arcs)
+    samples = []
+    for _ in range(40):
+        y = {a for a in initial if rng.random() < 0.7}
+        p = set(rng.sample(initial, rng.randint(0, min(aug.kp, len(initial)))))
+        x = [float(a in y or aug.is_fictive(a)) for a in range(m)]
+        samples.append((x + [float(a in p) for a in range(m)], y, p))
+    designs = [Design.canonical(aug, y, p) for _, y, p in samples]
+    outcomes = set()
+    for cut in all_cuts(aug):
+        survives = [cut_residual(aug, cut, d) >= aug.demand for d in designs]
+        outcomes.update(survives)
+        full = _cut_rows_hold(aug, cut, None, [x for x, _, _ in samples])
+        assert list(full) == survives
+        for (x, _, _), design, ok in zip(samples, designs, survives):
+            worst = worst_subset(aug, cut, design)
+            assert _cut_rows_hold(aug, cut, worst, [x])[0] == ok
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ def test_save_and_load(tmp_path):
         ("p cprsnp 2 1\na 1 2 1 1\nb 0 0\n", 4, "missing r line"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\n", 4, "missing b line"),
         ("p cprsnp 2 2\nr 1\na 1 2 1 1\nb 0 0\n", 5, "promises 2 arcs"),
+        # a form feed breaks a line for the records and for the end alike
+        ("p cprsnp 2 1\x0cr 1\na 1 2 1 1\n", 4, "missing b line"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no, needle):
@@ -162,6 +164,15 @@ def test_design_rejects_unprotectable_line():
     aug = augment(triangle(k=1, kp=1))
     with pytest.raises(ParseError, match="protected arcs must be selected"):
         parse_design("y 1 2\np 1 3\n", aug)
+
+
+def test_design_whole_file_errors_counted_like_records():
+    # the records sit on lines 1-3 (\u2028 breaks a line), so the end is line 4
+    aug = augment(triangle(k=1, kp=1))
+    with pytest.raises(ParseError) as err:
+        parse_design("y 1 2\u2028c note\np 1 3\n", aug)
+    assert err.value.line_no == 4
+    assert "protected arcs must be selected" in str(err.value)
 
 
 def test_design_respects_protection_budget():
