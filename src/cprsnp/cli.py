@@ -97,11 +97,16 @@ def _read_text(path) -> str:
         raise _CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
+def _options(time_limit: float, strengthen: bool = True) -> EngineOptions:
+    try:
+        return EngineOptions(time_limit_s=time_limit, strengthen=strengthen)
+    except ValueError as exc:
+        raise _CliError(f"--time-limit: {exc}")
+
+
 def _cmd_solve(args) -> int:
+    options = _options(args.time_limit, args.strengthen == "on")
     aug = augment(parse_instance(_read_text(args.instance)))
-    options = EngineOptions(
-        time_limit_s=args.time_limit, strengthen=args.strengthen == "on"
-    )
     solution = solve(aug, args.formulation, options)
     for line in solution.log_lines():
         print(line)
@@ -161,6 +166,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    options = _options(args.time_limit)
     directory = Path(args.dir)
     if not directory.is_dir():
         raise _CliError(f"{args.dir} is not a directory")
@@ -183,7 +189,6 @@ def _cmd_bench(args) -> int:
         ]
         if not budgets:
             raise _CliError("empty budget range")
-    options = EngineOptions(time_limit_s=args.time_limit)
 
     def progress(row: bench_mod.BenchResult) -> None:
         print(

@@ -68,8 +68,19 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineOptions:
+    """``time_limit_s`` is a nonnegative number of seconds; ``inf`` means no
+    limit."""
+
     time_limit_s: float = 2000.0
     strengthen: bool = True
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it would silently remove the limit
+        if not self.time_limit_s >= 0:
+            raise ValueError(
+                f"time limit must be a nonnegative number of seconds, "
+                f"got {self.time_limit_s}"
+            )
 
 
 def format_cost(cost: float) -> str:

@@ -3,8 +3,10 @@
 A model keeps its rows only in the form HiGHS reads: the nonzero
 coefficients as (row, column, value) triplets and each row's sense as a
 ``row_lo <= A x <= row_hi`` pair.  The column-wise (CSC) matrix is built
-once per model version and serves both the solver and
-:meth:`MilpModel.check_assignment`.
+once per model version and serves the solver.  It also serves
+:meth:`MilpModel.check_assignment`, which, like
+:meth:`MilpModel.objective_value`, nothing in the package calls: the tests
+use both as their enumeration reference.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance (the binding that ships inside scipy): the model is passed
@@ -17,7 +19,14 @@ Binary/integer models go through a hand-rolled branch and bound on top of
 that instance:
 
 * branching on the most fractional integer variable, ties by lowest index,
-* best-bound node selection, ties by depth (deeper first) then insertion,
+* node selection: best bound first, ties by depth (deeper first) then
+  insertion.  With a lazy callback the tree dives between those picks:
+  after each branching the up child (``x_j >= ceil``) is solved next, with
+  no trip through the open nodes, and the down child joins them.  A dive
+  ends at a node that is infeasible, pruned by its bound, or an integer
+  point the callback accepts.  Lazy rows arrive only at integer points, so
+  a dive reaches them early; in trees without them diving cost more LPs
+  than it saved,
 * optional wall-clock limit; the reported bound stays valid at all times,
 * optional cutoff: the objective value of a solution known from elsewhere;
   every node that cannot beat it strictly is pruned, and a model with
@@ -32,8 +41,9 @@ that instance:
   from the current basis.  Open nodes keep only the bounds of the integer
   columns; continuous columns always take the model's current bounds.
   Bounds of open nodes stay valid, because appended rows only remove
-  integer assignments.  A callback that accepts every point leaves the
-  search exactly as it is without one.
+  integer assignments.  A callback that accepts every point still makes
+  the tree dive, so it may visit other nodes than the same tree without
+  one.
 
 Everything is deterministic for a fixed model and callback: no randomized
 choices, serial simplex, and the same sequence of bound changes on every
@@ -193,7 +203,9 @@ class MilpModel:
         return np.flatnonzero(np.array(self._integer, dtype=bool))
 
     def check_assignment(self, values: Sequence[float], tol: float = 1e-6) -> bool:
-        """True iff the assignment satisfies bounds, integrality, and rows."""
+        """True iff the assignment satisfies bounds, integrality, and rows.
+
+        No solve calls it; the tests check solver answers with it."""
         x = np.asarray(values, dtype=float)
         if x.shape != (self.num_vars,):
             return False
@@ -208,6 +220,8 @@ class MilpModel:
         return bool(np.all(lhs >= row_lo - tol) and np.all(lhs <= row_hi + tol))
 
     def objective_value(self, values: Sequence[float]) -> float:
+        """The objective at an assignment.  No solve calls it; the tests
+        score enumerated assignments with it."""
         x = np.asarray(values, dtype=float)
         return float(sum(c * x[v] for v, c in self._objective.items()))
 
@@ -395,7 +409,8 @@ def solve_mip(
     continuous columns, which cost nothing.  It must keep the sense, the
     objective and the integer columns (indices and bounds), and may only
     remove integer assignments it would reject.  Returned ``values`` may
-    then be shorter than the final model's columns.
+    then be shorter than the final model's columns.  Given ``lazy``, the
+    tree dives to integer points (see the module docstring).
     """
     t0 = time.perf_counter()
     int_idx = model.integer_indices()
@@ -464,6 +479,10 @@ def solve_mip(
     heap: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
         (-math.inf, 0, 0, ilb0, iub0)
     ]
+    # with ``lazy``, the up child of the last branching, solved next without
+    # a trip through the heap; its down sibling waits there with the same
+    # parent bound
+    held: tuple[float, int, int, np.ndarray, np.ndarray] | None = None
 
     def finish(status: SolveStatus, open_bounds: Iterable[float]) -> SolveResult:
         lower = min(list(open_bounds) + [best_obj], default=best_obj)
@@ -471,12 +490,17 @@ def solve_mip(
         bound = sign * lower if math.isfinite(lower) else None
         return SolveResult(status, obj, best_x, bound=bound, nodes=nodes)
 
-    while heap:
-        parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
-        if prunes(parent_bound):
-            # best-bound order: everything left is at least as bad
-            heap.clear()
-            break
+    while heap or held is not None:
+        if held is not None:
+            # the dive goes on: its parent was not pruned a moment ago and
+            # the incumbent has not changed since
+            (parent_bound, negdepth, _, nlb, nub), held = held, None
+        else:
+            parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
+            if prunes(parent_bound):
+                # best-bound order: everything left is at least as bad
+                heap.clear()
+                break
         # the node is re-solved for as long as ``lazy`` grows the model
         while True:
             if out_of_time():
@@ -521,7 +545,11 @@ def solve_mip(
             seq += 1
             heapq.heappush(heap, (node_bound, -depth, seq, nlb, down_ub))
             seq += 1
-            heapq.heappush(heap, (node_bound, -depth, seq, up_lb, nub))
+            up = (node_bound, -depth, seq, up_lb, nub)
+            if lazy is None:
+                heapq.heappush(heap, up)
+            else:
+                held = up
             break
 
     if best_x is None:

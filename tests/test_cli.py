@@ -197,6 +197,29 @@ def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
     assert not design.exists()
 
 
+@pytest.mark.parametrize("limit", ["nan", "-1", "-inf"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_bad_time_limit_exits_with_input_error(tmp_path, capsys, command, limit):
+    # every "elapsed > nan" is False, so a NaN limit would remove the limit
+    path = tmp_path / "tri.txt"
+    path.write_text(write_instance(triangle()), encoding="utf-8")
+    target = ["--instance", str(path)] if command == "solve" else ["--dir", str(tmp_path)]
+    argv = [command, *target, f"--time-limit={limit}"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --time-limit: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_infinite_time_limit_means_no_limit(tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    path.write_text(write_instance(triangle()), encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--time-limit", "inf"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "status=Optimal cost=4 gap=0.0000" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "verify-instance", "bench"])
 def test_non_utf8_file_exits_with_input_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.txt"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import pytest
 from hypothesis import assume, given, settings
@@ -126,13 +127,29 @@ def test_every_formulation_matches_exhaustive_search(inst):
         assert is_survivable(aug, sol.design)[0]
 
 
-def test_cutset_proves_corpus_52():
-    # 12 vertices, 30 arcs, k=2, kp=1: re-solving every master from the
-    # root took 56 masters and more than 20 s to prove this optimum
-    aug = augment(corpus()[52])
-    sol = solve(aug, "cutset", FAST)
+def _hard_cell():
+    # 12-4-30, uniform, seed 8, k=2, kp=1: without diving, cutset took
+    # about 20 s and flow about 12 s to prove this optimum
+    return generate(12, 4, 30, "uniform", seed=8, k=2, kp=1)
+
+
+@pytest.mark.parametrize(
+    "make, formulation, optimum",
+    [
+        # 12 vertices, 30 arcs, k=2, kp=1: re-solving every master from the
+        # root took 56 masters and more than 20 s to prove this optimum
+        (lambda: corpus()[52], "cutset", 77.0),
+        (_hard_cell, "cutset", 184.0),
+        (_hard_cell, "flow", 184.0),
+        (_hard_cell, "bilevel", 184.0),
+    ],
+    ids=["52-cutset", "12-4-30-cutset", "12-4-30-flow", "12-4-30-bilevel"],
+)
+def test_proves_hard_cell(make, formulation, optimum):
+    aug = augment(make())
+    sol = solve(aug, formulation, FAST)
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.cost == 77.0
+    assert sol.cost == optimum
     assert is_survivable(aug, sol.design)[0]
 
 
@@ -398,11 +415,19 @@ def test_zero_budget_unresolved_without_incumbent(scenarios_via_mip):
     assert sol.gap is None
 
 
+@pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+def test_time_limit_must_be_nonnegative(limit):
+    # NaN would pass every "elapsed > limit" check; inf means no limit
+    with pytest.raises(ValueError, match="time limit"):
+        EngineOptions(time_limit_s=limit)
+    assert EngineOptions(time_limit_s=math.inf).time_limit_s == math.inf
+
+
 def test_timeout_returns_survivable_incumbent():
-    # large enough that two seconds cannot close the gap, small enough
-    # that the upfront feasibility probe finishes
+    # large enough that two seconds cannot close the gap (flow needs about
+    # 17 s here), small enough that the upfront feasibility probe finishes
     aug = augment(corpus()[51])  # 12 vertices, 30 arcs, k=2, kp=1
-    sol = solve(aug, "cutset", EngineOptions(time_limit_s=2.0))
+    sol = solve(aug, "flow", EngineOptions(time_limit_s=2.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is not None
     assert is_survivable(aug, sol.design)[0]

@@ -170,28 +170,130 @@ def test_determinism():
     assert a.nodes == b.nodes
 
 
-def test_time_limit_keeps_valid_bound():
+def _accept_every_point(values, bound):
+    return False
+
+
+def _assert_timed_out_validly(res, exact, cutoff):
+    floor = -math.inf if cutoff is None else cutoff
+    if res.status == SolveStatus.FEASIBLE:
+        # maximization: reported bound must over-estimate the true
+        # optimum, and never claims less than the cutoff
+        if res.bound is not None:
+            assert res.bound >= exact.objective - 1e-6
+            assert res.bound >= floor
+        if res.objective is not None:
+            assert floor < res.objective <= exact.objective + 1e-6
+    elif floor < exact.objective:
+        assert res.objective == pytest.approx(exact.objective)
+    else:
+        assert res.status == SolveStatus.INFEASIBLE
+
+
+def _items_26():
     rng = random.Random(5)
     values = [rng.randint(20, 60) for _ in range(26)]
     weights = [v + rng.randint(-3, 3) for v in values]
-    model = knapsack(values, weights, sum(weights) // 2)
+    return values, weights
+
+
+def _knapsack_26() -> MilpModel:
+    values, weights = _items_26()
+    return knapsack(values, weights, sum(weights) // 2)
+
+
+def _cover_26() -> MilpModel:
+    """The covering twin of the 26-item knapsack, shaped like a network
+    master: buy items at least cost until their weights reach the half."""
+    values, weights = _items_26()
+    model = MilpModel("cover")
+    xs = [model.add_var(f"x{i}", ub=1.0, integer=True) for i in range(26)]
+    model.add_constr(dict(zip(xs, weights)), ">=", sum(weights) // 2)
+    model.set_objective(dict(zip(xs, values)))
+    return model
+
+
+def test_time_limit_keeps_valid_bound():
+    # a lazy callback makes the tree dive, so the limit can fire in a dive
+    model = _knapsack_26()
     exact = solve_mip(model)
     assert exact.status == SolveStatus.OPTIMAL
-    for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
-        res = solve_mip(model, time_limit_s=0.02, cutoff=cutoff)
-        floor = -math.inf if cutoff is None else cutoff
-        if res.status == SolveStatus.FEASIBLE:
-            # maximization: reported bound must over-estimate the true
-            # optimum, and never claims less than the cutoff
-            if res.bound is not None:
-                assert res.bound >= exact.objective - 1e-6
-                assert res.bound >= floor
-            if res.objective is not None:
-                assert floor < res.objective <= exact.objective + 1e-6
-        elif floor < exact.objective:
-            assert res.objective == pytest.approx(exact.objective)
-        else:
-            assert res.status == SolveStatus.INFEASIBLE
+    for lazy in (None, _accept_every_point):
+        for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
+            res = solve_mip(model, time_limit_s=0.02, cutoff=cutoff, lazy=lazy)
+            _assert_timed_out_validly(res, exact, cutoff)
+
+
+class _TickClock:
+    """Stands in for the ``time`` module: each reading is one tick later."""
+
+    def __init__(self):
+        self.ticks = 0
+
+    def perf_counter(self):
+        self.ticks += 1
+        return float(self.ticks)
+
+
+def test_time_limit_at_every_node_keeps_valid_bound(monkeypatch):
+    # the kernel reads the clock once per node LP, so a limit of n + 0.5
+    # ticks stops the search just before its (n + 1)-th LP: every node of
+    # every dive is a place the limit fires once
+    rng = random.Random(11)
+    model = knapsack(
+        [rng.randint(10, 40) for _ in range(14)],
+        [rng.randint(5, 30) for _ in range(14)],
+        200,
+    )
+    exact = solve_mip(model)
+    monkeypatch.setattr(milp, "time", _TickClock())
+    for lazy in (None, _accept_every_point):
+        for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
+            nodes = solve_mip(model, cutoff=cutoff, lazy=lazy).nodes
+            for n in range(nodes + 1):
+                res = solve_mip(model, time_limit_s=n + 0.5, cutoff=cutoff, lazy=lazy)
+                assert res.nodes == n or res.status != SolveStatus.FEASIBLE
+                _assert_timed_out_validly(res, exact, cutoff)
+
+
+class _BoxRecorder(milp._Relaxation):
+    """The kernel's relaxation, recording the column bounds of every node."""
+
+    boxes: list = []
+
+    def solve(self, lb, ub):
+        self.boxes.append((lb.copy(), ub.copy()))
+        return super().solve(lb, ub)
+
+
+def test_lazy_tree_dives_up_to_its_first_integer_point(monkeypatch):
+    # with lazy, each node up to the first integer point is the up child
+    # (x_j >= ceil) of the node before it: one dive from the root
+    monkeypatch.setattr(milp, "_Relaxation", _BoxRecorder)
+    monkeypatch.setattr(_BoxRecorder, "boxes", [])
+    first = []
+
+    def lazy(values, bound):
+        if not first:
+            first.append(len(_BoxRecorder.boxes))
+        return False
+
+    res = solve_mip(_cover_26(), lazy=lazy)
+    assert res.objective == pytest.approx(solve_mip(_cover_26()).objective)
+    dive = _BoxRecorder.boxes[: first[0]]
+    assert len(dive) > 2
+    for (lb, ub), (next_lb, next_ub) in zip(dive, dive[1:]):
+        assert np.array_equal(ub, next_ub)
+        raised = np.flatnonzero(next_lb != lb)
+        assert raised.size == 1 and next_lb[raised[0]] > lb[raised[0]]
+
+
+def test_tree_without_lazy_keeps_best_bound_order():
+    # frozen node counts: best-bound order without lazy, the dive with it
+    assert solve_mip(_knapsack_26()).nodes == 111
+    assert solve_mip(_cover_26()).nodes == 37
+    assert solve_mip(_knapsack_26(), lazy=_accept_every_point).nodes == 64
+    assert solve_mip(_cover_26(), lazy=_accept_every_point).nodes == 59
 
 
 def test_model_validation_errors():
