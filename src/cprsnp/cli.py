@@ -56,7 +56,6 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--formulation", choices=FORMULATIONS, default="bilevel")
     p_solve.add_argument("--time-limit", type=float, default=2000.0)
-    p_solve.add_argument("--strengthen", choices=("on", "off"), default="on")
     p_solve.add_argument("--design-out", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a random feasible instance")
@@ -97,15 +96,15 @@ def _read_text(path) -> str:
         raise _CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
-def _options(time_limit: float, strengthen: bool = True) -> EngineOptions:
+def _options(time_limit: float) -> EngineOptions:
     try:
-        return EngineOptions(time_limit_s=time_limit, strengthen=strengthen)
+        return EngineOptions(time_limit_s=time_limit)
     except ValueError as exc:
         raise _CliError(f"--time-limit: {exc}")
 
 
 def _cmd_solve(args) -> int:
-    options = _options(args.time_limit, args.strengthen == "on")
+    options = _options(args.time_limit)
     aug = augment(parse_instance(_read_text(args.instance)))
     solution = solve(aug, args.formulation, options)
     for line in solution.log_lines():

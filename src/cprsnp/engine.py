@@ -72,7 +72,6 @@ class EngineOptions:
     limit."""
 
     time_limit_s: float = 2000.0
-    strengthen: bool = True
 
     def __post_init__(self):
         # NaN fails every comparison, so it would silently remove the limit
@@ -160,7 +159,7 @@ class CutsetFormulation:
     subset of the design that violated it and gains one subset per repeat,
     appended as one row."""
 
-    def __init__(self, aug: AugmentedInstance, options: EngineOptions):
+    def __init__(self, aug: AugmentedInstance):
         self.aug = aug
         # seed: the cut separating the root from everything else
         side = frozenset(range(aug.vertex_count)) - {aug.root}
@@ -197,7 +196,7 @@ class FlowFormulation:
     """Failure scenarios found so far, seeded with the lexicographically
     first k-subset of initial arcs."""
 
-    def __init__(self, aug: AugmentedInstance, options: EngineOptions):
+    def __init__(self, aug: AugmentedInstance):
         self.aug = aug
         first = tuple(range(min(aug.k, aug.initial_arc_count)))
         self.scenarios = [FailureScenario.of(aug, first)]
@@ -215,18 +214,17 @@ class FlowFormulation:
 
 class BilevelFormulation:
     """Attacker vertices found so far, starting from none; each violated
-    vertex is strengthened before it is returned, unless switched off."""
+    vertex is strengthened before it is returned."""
 
-    def __init__(self, aug: AugmentedInstance, options: EngineOptions):
+    def __init__(self, aug: AugmentedInstance):
         self.aug = aug
-        self.options = options
         self.points = []
         self.master = build_bilevel_master(aug, self.points)
 
     def separate(self, design: Design, time_limit_s: float):
         deadline = time.perf_counter() + time_limit_s
         violation = separate_bilevel(self.aug, design, time_limit_s=time_limit_s)
-        if violation is not None and self.options.strengthen:
+        if violation is not None:
             violation = strengthen_point(
                 self.aug,
                 design,
@@ -327,7 +325,7 @@ def solve(
     upper = incumbent.cost(aug) if incumbent is not None else math.inf
     lower = 0.0  # costs are nonnegative
 
-    form = FORMULATION_CLASSES[formulation](aug, options)
+    form = FORMULATION_CLASSES[formulation](aug)
     master = form.master
     found: Design | None = None  # the tree's survivable incumbent
 
@@ -365,13 +363,12 @@ def solve(
         return True
 
     log.info(
-        "formulation=%s start demand=%d arcs=%d k=%d kp=%d strengthen=%s",
+        "formulation=%s start demand=%d arcs=%d k=%d kp=%d",
         formulation,
         demand,
         aug.arc_count,
         aug.k,
         aug.kp,
-        options.strengthen,
     )
     if remaining() <= 0:
         return timeout_solution()

@@ -432,89 +432,7 @@ def append_point(master: Master, point: ExtremePoint) -> None:
 
 
 # ---------------------------------------------------------------------------
-# separation / attack models
-
-
-@dataclass
-class TwoLpModel:
-    model: MilpModel
-    b_var: list[int]
-    lam_var: list[int]
-    gam_var: list[int]
-    mu_var: list[int]
-    ell_var: list[int]
-    aug: AugmentedInstance
-
-    def extract_point(self, values) -> ExtremePoint:
-        def take(indices) -> tuple[int, ...]:
-            out = []
-            for idx in indices:
-                v = float(values[idx])
-                r = round(v)
-                if abs(v - r) > INT_TOL or r not in (0, 1):
-                    raise NonVertexSolution(
-                        f"variable {idx} has non-binary value {v!r}"
-                    )
-                out.append(int(r))
-            return tuple(out)
-
-        point = ExtremePoint(
-            attack=take(self.b_var),
-            lam=take(self.lam_var),
-            gam=take(self.gam_var),
-            mu=take(self.mu_var),
-            ell=take(self.ell_var),
-        )
-        point.validate(self.aug)
-        return point
-
-
-def build_2lp(aug: AugmentedInstance, design: Design) -> TwoLpModel:
-    """Attacker's problem at a fixed design: pick at most k failures so the
-    best surviving cut is as cheap as possible.  The optimum equals the
-    post-attack max flow of the design; variables land on a 0/1 vertex."""
-    model = MilpModel("attack_2lp")
-    m = aug.arc_count
-    b_var = [
-        model.add_var(
-            f"b{a}", lb=0.0, ub=0.0 if aug.is_fictive(a) else 1.0, integer=True
-        )
-        for a in range(m)
-    ]
-    lam_var = [model.add_var(f"lam{a}", 0.0, 1.0) for a in range(m)]
-    gam_var = [model.add_var(f"gam{a}", 0.0, 1.0) for a in range(m)]
-    mu_var = []
-    for v in range(aug.vertex_count):
-        lo = 1.0 if v == aug.root else 0.0
-        hi = 0.0 if v == aug.sink else 1.0
-        mu_var.append(model.add_var(f"mu{v}", lo, hi))
-    ell_var = [model.add_var(f"ell{a}", 0.0, 1.0) for a in range(m)]
-    model.add_constr({b_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k))
-    for a, arc in enumerate(aug.arcs):
-        model.add_constr(
-            {
-                lam_var[a]: 1.0,
-                gam_var[a]: 1.0,
-                mu_var[arc.tail]: -1.0,
-                mu_var[arc.head]: 1.0,
-            },
-            ">=",
-            0.0,
-        )
-        model.add_constr({ell_var[a]: 1.0, b_var[a]: -1.0}, "<=", 0.0)
-        model.add_constr({ell_var[a]: 1.0, gam_var[a]: -1.0}, "<=", 0.0)
-        model.add_constr(
-            {ell_var[a]: 1.0, gam_var[a]: -1.0, b_var[a]: -1.0}, ">=", -1.0
-        )
-    obj: dict[int, float] = {}
-    for a, arc in enumerate(aug.arcs):
-        u = float(arc.capacity)
-        if a in design.selected:
-            obj[lam_var[a]] = u
-        obj[gam_var[a]] = u * (2.0 if a in design.protected else 1.0)
-        obj[ell_var[a]] = -u
-    model.set_objective(obj, minimize=True)
-    return TwoLpModel(model, b_var, lam_var, gam_var, mu_var, ell_var, aug)
+# separation models
 
 
 @dataclass

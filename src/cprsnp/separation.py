@@ -11,19 +11,21 @@ All three agree on the optimal value: the post-attack max flow of the
 design.  Timeouts surface as :class:`SeparationTimeout`, never as a silent
 None.
 
-While a design has at most ``brute_force_limit`` failure sets, all three
-answer from one combinatorial search (:func:`_worst_attack`): it branches
-on the arcs that carry a max flow and prunes with that flow's values, so it
-needs a few max flows where enumeration needs one per failure set.  The
-worst attack gives the scenario; the minimum cut of the attacked network
-nearest the sink (:func:`cprsnp.graph.back_cut`) gives both the most
-violated cut and the attacker vertex, by max-flow/min-cut duality.  Larger
-designs go to a MIP per oracle: the cut search MIP for cutset, the attacker
-MIP for bilevel and scenario.
+All three answer from one worst attack (:func:`_attack`) and a max flow
+under it.  While a design has at most ``brute_force_limit`` failure sets, a
+combinatorial search finds it (:func:`_worst_attack`): it branches on the
+arcs that carry a max flow and prunes with that flow's values, so it needs
+a few max flows where enumeration needs one per failure set.  Larger
+designs go to the one MIP route, the cut search MIP, whose optimal cut
+gives the attack.  The attack is the scenario; the minimum cut of the
+attacked network nearest the sink (:func:`cprsnp.graph.back_cut`) gives
+both the most violated cut and the attacker vertex, by max-flow/min-cut
+duality.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -43,11 +45,11 @@ from .formulations import (
     ExtremePoint,
     FailureScenario,
     NonVertexSolution,
-    build_2lp,
     build_cutset_separation,
     build_strengthening,
     cut_residual,
     point_row_value,
+    worst_subset,
 )
 from .milp import SolveStatus, solve_mip
 
@@ -113,34 +115,6 @@ def _as_int(value: float, what: str) -> int:
     return int(r)
 
 
-def separate_cutset(
-    aug: AugmentedInstance,
-    design: Design,
-    time_limit_s: float | None = None,
-    brute_force_limit: int = BRUTE_FORCE_LIMIT,
-) -> CutViolation | None:
-    """Most violated cut row, or None when every cut survives the worst attack.
-    When there are at most ``brute_force_limit`` failure sets, the cut is the
-    back cut of the design under the worst attack; otherwise a cut search
-    MIP finds it."""
-    _require_canonical(aug, design)
-    if _search_applies(aug, design, brute_force_limit):
-        attack = _worst_attack(aug, design, time_limit_s)
-        if attack is None:
-            return None
-        cut, value = _attack_cut(aug, design, attack), attack.value
-    else:
-        search = build_cutset_separation(aug, design)
-        res = _solve_or_timeout(search.model, time_limit_s, "cut separation")
-        value = _as_int(res.objective, "cut separation")
-        if value >= aug.demand:
-            return None
-        cut = search.cut_from(res.values)
-    if cut_residual(aug, cut, design) != value:
-        raise SeparationError("reconstructed cut does not match the optimum")
-    return CutViolation(cut=cut, value=value)
-
-
 @dataclass(frozen=True)
 class _Attack:
     """A worst failure set, the max flow it leaves, and a max flow of the
@@ -151,17 +125,47 @@ class _Attack:
     flow: FlowResult
 
 
-def _search_applies(
-    aug: AugmentedInstance, design: Design, brute_force_limit: int
-) -> bool:
-    """Whether the design has at most ``brute_force_limit`` failure sets."""
-    candidates = len(_attack_candidates(aug, design))
-    return math.comb(candidates, min(aug.k, candidates)) <= brute_force_limit
+def _attack(
+    aug: AugmentedInstance,
+    design: Design,
+    time_limit_s: float | None,
+    brute_force_limit: int,
+) -> _Attack | None:
+    """The worst attack on a canonical design, or None when every attack
+    leaves at least the demand.
+
+    While the design has at most ``brute_force_limit`` failure sets this is
+    :func:`_worst_attack`.  Otherwise the cut search MIP finds a cut
+    keeping the least capacity after its worst failure; that failure
+    (:func:`cprsnp.formulations.worst_subset`), padded to min(k, candidates)
+    arcs with the lowest-index other candidates, is the attack, and one max
+    flow under it must attain the MIP's value.
+    """
+    _require_canonical(aug, design)
+    candidates = _attack_candidates(aug, design)
+    size = min(aug.k, len(candidates))
+    if math.comb(len(candidates), size) <= brute_force_limit:
+        return _worst_attack(aug, design, time_limit_s)
+    search = build_cutset_separation(aug, design)
+    res = _solve_or_timeout(search.model, time_limit_s, "cut separation")
+    value = _as_int(res.objective, "cut separation")
+    if value >= aug.demand:
+        return None
+    chosen = set(worst_subset(aug, search.cut_from(res.values), design))
+    others = (a for a in candidates if a not in chosen)
+    chosen.update(itertools.islice(others, size - len(chosen)))
+    arcs = tuple(sorted(chosen))
+    flow = max_flow(aug, design.mask(aug, failed=arcs))
+    if flow.value != value:
+        raise SeparationError(
+            f"cut MIP value {value} disagrees with max flow {flow.value}"
+        )
+    return _Attack(arcs, value, flow)
 
 
 def _attack_cut(aug: AugmentedInstance, design: Design, attack: _Attack) -> CutSet:
     """The minimum cut nearest the sink of the design under the attack, read
-    from the search's own max flow.  Its capacity there is the attack's
+    from the attack's own max flow.  Its capacity there is the attack's
     value, and no cut keeps less after its worst failure, so it is a most
     violated cut."""
     return back_cut(aug, design.mask(aug, failed=attack.arcs), attack.flow)
@@ -276,6 +280,24 @@ def _worst_attack(
     return _Attack(best, best_value, best_flow)
 
 
+def separate_cutset(
+    aug: AugmentedInstance,
+    design: Design,
+    time_limit_s: float | None = None,
+    brute_force_limit: int = BRUTE_FORCE_LIMIT,
+) -> CutViolation | None:
+    """Most violated cut row, or None when every cut survives the worst
+    attack: the back cut of the design under the worst attack
+    (:func:`_attack`)."""
+    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    if attack is None:
+        return None
+    cut = _attack_cut(aug, design, attack)
+    if cut_residual(aug, cut, design) != attack.value:
+        raise SeparationError("reconstructed cut does not match the optimum")
+    return CutViolation(cut=cut, value=attack.value)
+
+
 def separate_scenario(
     aug: AugmentedInstance,
     design: Design,
@@ -283,37 +305,13 @@ def separate_scenario(
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> ScenarioViolation | None:
     """A failure scenario minimizing the surviving flow, or None if none drops
-    below demand.  When there are at most ``brute_force_limit`` failure sets,
-    a combinatorial search over max flows (:func:`_worst_attack`) returns
-    the lexicographically first worst one; otherwise the attacker MIP of
-    :func:`separate_bilevel` picks the attack and a max flow re-checks it."""
-    _require_canonical(aug, design)
-    if _search_applies(aug, design, brute_force_limit):
-        attack = _worst_attack(aug, design, time_limit_s)
-        if attack is None:
-            return None
-        return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)
-    violation = separate_bilevel(aug, design, time_limit_s, brute_force_limit=0)
-    if violation is None:
+    below demand: the worst attack (:func:`_attack`), of min(k, candidates)
+    arcs.  On the search route it is the lexicographically first worst
+    one."""
+    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    if attack is None:
         return None
-    value = violation.value
-    candidates = _attack_candidates(aug, design)
-    size = min(aug.k, len(candidates))
-    chosen = [a for a in candidates if violation.point.attack[a]]
-    for a in candidates:
-        if len(chosen) >= size:
-            break
-        if a not in chosen:
-            chosen.append(a)
-    chosen.sort()
-    flow = max_flow(aug, design.mask(aug, failed=chosen)).value
-    if flow != value:
-        raise SeparationError(
-            f"attack MIP value {value} disagrees with max flow {flow}"
-        )
-    return ScenarioViolation(
-        scenario=FailureScenario.of(aug, chosen), value=int(flow)
-    )
+    return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)
 
 
 def separate_bilevel(
@@ -323,29 +321,19 @@ def separate_bilevel(
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> PointViolation | None:
     """A violated attacker vertex, or None when the design withstands every
-    attack.  When there are at most ``brute_force_limit`` failure sets, the
-    vertex is read from the worst attack and its back cut; otherwise the
-    attacker MIP finds it, and a fractional point from the solver raises
-    :class:`NonVertexSolution` (the polytope has only 0/1 vertices)."""
-    _require_canonical(aug, design)
-    if _search_applies(aug, design, brute_force_limit):
-        attack = _worst_attack(aug, design, time_limit_s)
-        if attack is None:
-            return None
-        point, value = _attack_point(aug, design, attack), attack.value
-    else:
-        attacker = build_2lp(aug, design)
-        res = _solve_or_timeout(attacker.model, time_limit_s, "attack expansion")
-        value = _as_int(res.objective, "attack expansion")
-        if value >= aug.demand:
-            return None
-        point = attacker.extract_point(res.values)
+    attack: the vertex of the worst attack (:func:`_attack`) and its back
+    cut.  On the MIP route a fractional cut from the solver raises
+    :class:`NonVertexSolution`."""
+    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    if attack is None:
+        return None
+    point = _attack_point(aug, design, attack)
     check = point_row_value(
         aug, design.selected, design.protected, point.lam, point.gam, point.ell
     )
-    if _as_int(check, "point row value") != value:
+    if _as_int(check, "point row value") != attack.value:
         raise SeparationError("extreme point does not reproduce the attack value")
-    return PointViolation(point=point, value=value)
+    return PointViolation(point=point, value=attack.value)
 
 
 def strengthen(

@@ -75,12 +75,6 @@ def _protectable(
     return None
 
 
-def protect_or_none(aug: AugmentedInstance, selected) -> Design | None:
-    """Cheapest-effort exact search for a surviving protection of a selection."""
-    design = Design.canonical(aug, selected)
-    return _protectable(aug, design.selected, design.protected, aug.kp)
-
-
 def exhaustive_optimum(
     aug: AugmentedInstance,
     arc_limit: int = EXHAUSTIVE_ARC_LIMIT,

@@ -181,10 +181,11 @@ def test_acceptance_4_separation_oracles_agree(acceptance, oracle_suite):
         for _ in range(12):
             design = random_design(rng, aug)
             pairs += 1
-            # the cut and bilevel MIPs, the scenario search, and the cut and
-            # bilevel oracles' search route
+            # the three oracles' MIP route (the cut search MIP), the
+            # scenario search, and the cut and bilevel oracles' search route
             found = (
                 separate_cutset(aug, design, brute_force_limit=0),
+                separate_scenario(aug, design, brute_force_limit=0),
                 separate_scenario(aug, design),
                 separate_bilevel(aug, design, brute_force_limit=0),
                 separate_cutset(aug, design),

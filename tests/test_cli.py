@@ -180,7 +180,7 @@ def test_verify_beyond_the_enumeration_guard_exits_with_input_error(
 
 
 def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
-    # at k=3 the probe takes the attacker-MIP route (C(90, 3) failure sets),
+    # at k=3 the probe takes the MIP route (C(90, 3) failure sets),
     # which a zero budget stops before any incumbent
     path = tmp_path / "i.txt"
     path.write_text(

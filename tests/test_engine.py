@@ -36,8 +36,8 @@ FAST = EngineOptions(time_limit_s=60.0)
 
 @pytest.fixture
 def scenarios_via_mip(monkeypatch):
-    """Brute limit zero pushes scenario separation onto the attacker MIP,
-    in the feasibility probe too."""
+    """Brute limit zero pushes scenario separation onto the cut MIP, in the
+    feasibility probe too."""
     monkeypatch.setattr(
         engine,
         "separate_scenario",
@@ -158,7 +158,6 @@ def test_proves_hard_cell(make, formulation, optimum):
     [
         ("cutset", FAST, set()),
         ("bilevel", FAST, {"cut_strengthening"}),
-        ("bilevel", EngineOptions(time_limit_s=60.0, strengthen=False), set()),
     ],
 )
 def test_oracles_solve_no_mip_while_the_search_applies(
@@ -243,24 +242,24 @@ def test_log_line_prints_integral_values_exactly(value, text):
 
 def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
-    (entry,) = CutsetFormulation(aug, FAST).cuts.values()
+    (entry,) = CutsetFormulation(aug).cuts.values()
     assert isinstance(entry.cut, CutSet)
     assert entry.cut.sink_side == frozenset(range(1, aug.vertex_count))
 
 
 def test_initial_rows_flow_clamps_to_candidates():
     aug = augment(triangle(k=2, kp=0))
-    (scenario,) = FlowFormulation(aug, FAST).scenarios
+    (scenario,) = FlowFormulation(aug).scenarios
     assert scenario.arcs == frozenset({0, 1})
 
     wide = augment(triangle(k=3, kp=0))
-    (scenario,) = FlowFormulation(wide, FAST).scenarios
+    (scenario,) = FlowFormulation(wide).scenarios
     assert len(scenario.arcs) == wide.initial_arc_count
 
 
 def test_initial_rows_bilevel_empty():
     aug = augment(triangle(k=1, kp=0))
-    assert BilevelFormulation(aug, FAST).points == []
+    assert BilevelFormulation(aug).points == []
 
 
 def test_unknown_formulation_rejected():
@@ -285,7 +284,7 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
         monkeypatch.setattr(engine, name, value)
     aug = augment(triangle(k=1, kp=0))
     design = Design.canonical(aug, [0, 1])
-    form = FORMULATION_CLASSES[formulation](aug, FAST)
+    form = FORMULATION_CLASSES[formulation](aug)
     violation = form.separate(design, 60.0)
     assert violation is not None
     form.add(violation, design)
@@ -378,15 +377,6 @@ def test_scenario_separation_via_mip(scenarios_via_mip):
     sol = solve(aug, "flow", FAST)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.cost == pytest.approx(2.0)
-
-
-def test_bilevel_without_strengthening():
-    opts = EngineOptions(time_limit_s=60.0, strengthen=False)
-    for kp, expected in ((0, 4.0), (1, 2.0)):
-        aug = augment(triangle(k=1, kp=kp))
-        sol = solve(aug, "bilevel", opts)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.cost == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------

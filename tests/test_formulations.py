@@ -15,7 +15,6 @@ from cprsnp.formulations import (
     FormulationError,
     append_cut,
     append_cut_subset,
-    build_2lp,
     build_bilevel_master,
     build_cutset_master,
     build_cutset_separation,
@@ -28,9 +27,10 @@ from cprsnp.formulations import (
     point_row_value,
     worst_subset,
 )
-from cprsnp.graph import ArcMask, CutSet, augment, max_flow
+from cprsnp.graph import Arc, ArcMask, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp.milp import SolveStatus, solve_lp, solve_mip
+from cprsnp.separation import separate_bilevel, separate_cutset, separate_scenario
 
 
 def tri_aug(k=1, kp=0):
@@ -145,9 +145,8 @@ def test_count_cut_rows():
 @pytest.mark.parametrize("seed", range(3))
 def test_masters_share_the_design_block(seed):
     aug = small_instance(seed, k=1, kp=1)
-    design = Design.canonical(aug, aug.initial_arcs)
-    attack = build_2lp(aug, design)
-    point = attack.extract_point(solve_mip(attack.model).values)
+    # the empty selection carries no flow, so every instance has its vertex
+    point = separate_bilevel(aug, Design.canonical(aug, ())).point
     masters = [
         build_cutset_master(aug, all_cuts(aug)[:2]),
         build_flow_master(aug, [FailureScenario.of(aug, [0])]),
@@ -352,10 +351,7 @@ def test_bilevel_master_grows_linearly():
     assert solve_mip(empty.model).objective == pytest.approx(0.0)
     base_rows = empty.model.num_constraints
 
-    design = Design.canonical(aug, [1])
-    attack = build_2lp(aug, design)
-    res = solve_mip(attack.model)
-    point = attack.extract_point(res.values)
+    point = separate_bilevel(aug, Design.canonical(aug, [1])).point
     master = build_bilevel_master(aug, [point, point])
     assert master.model.num_constraints == base_rows + 2
     assert master.model.num_vars == empty.model.num_vars
@@ -364,16 +360,14 @@ def test_bilevel_master_grows_linearly():
 def test_bilevel_point_row_cuts_off_design():
     aug = tri_aug(k=1, kp=0)
     design = Design.canonical(aug, [1])  # single path dies to one failure
-    attack = build_2lp(aug, design)
-    res = solve_mip(attack.model)
-    assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(0.0)
-    point = attack.extract_point(res.values)
+    violation = separate_bilevel(aug, design, brute_force_limit=0)
+    assert violation is not None and violation.value == 0
+    point = violation.point
     point.validate(aug)
     value = point_row_value(
         aug, design.selected, design.protected, point.lam, point.gam, point.ell
     )
-    assert value == pytest.approx(res.objective)
+    assert value == pytest.approx(violation.value)
     assert value < aug.demand
 
     # the new row rejects the separated design
@@ -381,22 +375,42 @@ def test_bilevel_point_row_cuts_off_design():
     assert res.status == SolveStatus.INFEASIBLE
 
 
-def test_2lp_frozen_values():
+def test_mip_route_frozen_values():
+    # (value, failed arcs, cut sink side) of the three oracles' MIP route;
+    # None where the design keeps the demand of 1 under every attack
     aug = tri_aug(k=1, kp=0)
-    cases = [
-        (Design.canonical(aug, range(3)), 1),
-        (Design.canonical(aug, [0, 2]), 0),
-        (Design.canonical(aug, [1]), 0),
-        (Design.canonical(aug, []), 0),
-    ]
-    for design, want in cases:
-        res = solve_mip(build_2lp(aug, design).model)
-        assert res.objective == pytest.approx(want)
-
     shielded = tri_aug(k=1, kp=1)
-    protected = Design.canonical(shielded, [1], [1])
-    res = solve_mip(build_2lp(shielded, protected).model)
-    assert res.objective == pytest.approx(1.0)
+    # root -> 1 (arc 3) is a bridge, then three paths 1 -> v -> 5 whose last
+    # arcs are protected: the bridge alone is the only cut that fails, so
+    # its worst subset is padded with the lowest-index other candidate
+    paths = ((1, 2), (1, 3), (1, 4), (0, 1), (2, 5), (3, 5), (4, 5))
+    bridge = augment(
+        Instance(6, tuple(Arc(t, h, 1.0, 1) for t, h in paths), 0, (5,), k=2, kp=3)
+    )
+    cases = [
+        (aug, Design.canonical(aug, range(3)), None),
+        (aug, Design.canonical(aug, [0, 2]), (0, (0,), {1, 2, 3})),
+        (aug, Design.canonical(aug, [1]), (0, (1,), {2, 3})),
+        (aug, Design.canonical(aug, []), (0, (), {2, 3})),
+        (shielded, Design.canonical(shielded, [1], [1]), None),
+        (
+            bridge,
+            Design.canonical(bridge, range(7), [4, 5, 6]),
+            (0, (0, 3), {1, 2, 3, 4, 5, 6}),
+        ),
+    ]
+    for case_aug, design, want in cases:
+        cut, scenario, point = (
+            separate(case_aug, design, brute_force_limit=0)
+            for separate in (separate_cutset, separate_scenario, separate_bilevel)
+        )
+        if want is None:
+            assert (cut, scenario, point) == (None, None, None)
+            continue
+        value, failed, sink_side = want
+        assert cut.value == scenario.value == point.value == value
+        assert scenario.scenario.sorted_arcs() == failed
+        assert cut.cut.sink_side == sink_side
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -406,14 +420,16 @@ def test_2lp_and_cut_search_match_enumeration(seed):
     design = random_design(rng, aug)
     brute = brute_attack_value(aug, design)
 
-    res = solve_mip(build_2lp(aug, design).model)
-    assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(brute)
-    point = build_2lp(aug, design).extract_point(res.values)
-    row = point_row_value(
-        aug, design.selected, design.protected, point.lam, point.gam, point.ell
-    )
-    assert row == pytest.approx(res.objective)
+    violation = separate_bilevel(aug, design, brute_force_limit=0)
+    if brute >= aug.demand:
+        assert violation is None
+    else:
+        assert violation.value == brute
+        point = violation.point
+        row = point_row_value(
+            aug, design.selected, design.protected, point.lam, point.gam, point.ell
+        )
+        assert row == violation.value
 
     search = build_cutset_separation(aug, design)
     cut_res = solve_mip(search.model)

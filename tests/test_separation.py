@@ -1,5 +1,6 @@
 """Separation oracles: soundness, completeness, and mutual agreement."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -149,15 +150,29 @@ def test_each_route_solves_its_own_mips(monkeypatch):
         (separate_cutset, BRUTE_FORCE_LIMIT, []),
         (separate_scenario, BRUTE_FORCE_LIMIT, []),
         (separate_bilevel, BRUTE_FORCE_LIMIT, []),
+        # the one MIP route: the cut search MIP finds the attack
         (separate_cutset, 0, ["cutset_separation"]),
-        # the scenario MIP route asks the attacker MIP, not the search
-        (separate_scenario, 0, ["attack_2lp"]),
-        (separate_bilevel, 0, ["attack_2lp"]),
+        (separate_scenario, 0, ["cutset_separation"]),
+        (separate_bilevel, 0, ["cutset_separation"]),
     ]
     for separate, limit, mips in routes:
         solved.clear()
         assert separate(aug, design, brute_force_limit=limit) is not None
         assert solved == mips
+
+
+def test_mip_route_rejects_a_max_flow_off_the_cut_value(monkeypatch):
+    # the attack read from the cut MIP must leave exactly the MIP's value
+    aug, design = seeded_case(101)
+
+    def off_by_one(aug, mask):
+        res = max_flow(aug, mask)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(separation, "max_flow", off_by_one)
+    for separate in (separate_cutset, separate_scenario, separate_bilevel):
+        with pytest.raises(SeparationError, match="disagrees with max flow"):
+            separate(aug, design, brute_force_limit=0)
 
 
 def test_scenario_size_tracks_candidates():
@@ -299,7 +314,7 @@ def test_attack_search_needs_few_max_flows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the cut and bilevel oracles' search route against the MIPs it replaced
+# the search route against the MIP route
 
 
 def minimum_sink_sides(aug, mask):
@@ -315,14 +330,15 @@ def minimum_sink_sides(aug, mask):
 
 
 def assert_search_route_matches_mip(aug, design):
-    """Run the cut and bilevel oracles on the search route and on their MIPs.
-    Returns None on a survivable design, else how many minimum cuts the
-    search's attack leaves."""
+    """Run the cut and bilevel oracles on the search route, and all three
+    oracles on the MIP route.  Returns None on a survivable design, else how
+    many minimum cuts the search's attack leaves."""
     cut = separate_cutset(aug, design)
     point = separate_bilevel(aug, design)
     cut_mip = separate_cutset(aug, design, brute_force_limit=0)
+    scenario_mip = separate_scenario(aug, design, brute_force_limit=0)
     point_mip = separate_bilevel(aug, design, brute_force_limit=0)
-    found = (cut, point, cut_mip, point_mip)
+    found = (cut, point, cut_mip, scenario_mip, point_mip)
     values = [None if v is None else v.value for v in found]
     assert len(set(values)) == 1, values
     if cut is None:
@@ -330,7 +346,20 @@ def assert_search_route_matches_mip(aug, design):
         return None
     value = cut.value
     assert value == brute_attack_value(aug, design) < aug.demand
-    assert cut_residual(aug, cut.cut, design) == value
+    for violation in (cut, cut_mip):
+        assert cut_residual(aug, violation.cut, design) == value
+    # the MIP route also answers from one attack and its back cut: the
+    # scenario fails the point's attacked arcs and leaves exactly the value
+    failed = scenario_mip.scenario.arcs
+    candidates = [
+        a for a in design.selected
+        if not aug.is_fictive(a) and a not in design.protected
+    ]
+    assert len(failed) == min(aug.k, len(candidates))
+    assert max_flow(aug, design.mask(aug, failed)).value == value
+    assert failed == {a for a, hit in enumerate(point_mip.point.attack) if hit}
+    mip_side = {v for v, mu in enumerate(point_mip.point.mu) if not mu}
+    assert cut_mip.cut.sink_side == mip_side
     for violation in (point, point_mip):
         p = violation.point
         p.validate(aug)

@@ -9,7 +9,6 @@ from cprsnp.verify import (
     VerifyError,
     exhaustive_optimum,
     is_survivable,
-    protect_or_none,
 )
 
 
@@ -43,14 +42,6 @@ def test_is_survivable_guards():
         is_survivable(aug, Design(frozenset({0}), frozenset()))
     with pytest.raises(VerifyError):
         is_survivable(aug, Design.canonical(aug, range(3)), guard=1)
-
-
-def test_protect_or_none():
-    aug = tri_aug(k=1, kp=1)
-    found = protect_or_none(aug, [1])
-    assert found is not None
-    assert found.protected == frozenset({1})
-    assert protect_or_none(tri_aug(k=1, kp=0), [1]) is None
 
 
 def test_exhaustive_optimum_frozen():
