@@ -37,17 +37,15 @@ from typing import Iterable
 
 import numpy as np
 
-SINK_LABEL = "s"
 # largest arc capacity: sums over every arc of an instance stay exact in
 # int64 and in float64 (below 2**53 for up to 2**22 arcs)
 MAX_CAPACITY = 2**31 - 1
 # largest arc cost: far below the 1e20 that HiGHS reads as infinite, and
 # integer costs keep every design cost exact in float64 like capacities
 MAX_COST = 2**31 - 1
-# largest vertex count: an instance builds one label per vertex before it
-# reads any arc, so a file header alone must not decide how much memory a
-# load takes; 2**16 vertices cost a few MB, and exact solving stops far
-# below that
+# largest vertex count: the layout and the solvers build per-vertex lists,
+# so a file header alone must not decide how much memory a load takes;
+# 2**16 vertices cost a few MB, and exact solving stops far below that
 MAX_VERTICES = 2**16
 
 
@@ -69,8 +67,8 @@ class Arc:
 class Instance:
     """Problem input before super-sink augmentation.
 
-    ``terminals`` is kept sorted, ``labels`` maps internal vertex ids to the
-    external names used in files (defaults to "1".."n").
+    ``terminals`` is kept sorted.  Vertices are numbered from 0; files and
+    outputs show vertex ``v`` as ``v + 1``.
     """
 
     vertex_count: int
@@ -79,16 +77,10 @@ class Instance:
     terminals: tuple[int, ...]
     k: int
     kp: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         object.__setattr__(self, "terminals", tuple(sorted(self.terminals)))
-        # labels only for a vertex count that _validate accepts
-        if not self.labels and 0 < self.vertex_count <= MAX_VERTICES:
-            object.__setattr__(
-                self, "labels", tuple(str(i + 1) for i in range(self.vertex_count))
-            )
         self._validate()
 
     def _validate(self) -> None:
@@ -97,8 +89,6 @@ class Instance:
             raise GraphError("instance needs at least one vertex")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
-        if len(self.labels) != n:
-            raise GraphError("labels must cover every vertex")
         if not 0 <= self.root < n:
             raise GraphError(f"root {self.root} out of range")
         seen_pairs: set[tuple[int, int]] = set()
@@ -182,7 +172,6 @@ class AugmentedInstance:
     kp: int
     sink: int
     initial_arc_count: int
-    labels: tuple[str, ...]
 
     @property
     def demand(self) -> int:
@@ -224,8 +213,6 @@ class AugmentedInstance:
 
 def augment(instance: Instance) -> AugmentedInstance:
     """Attach the super sink and one unit-capacity fictive arc per terminal."""
-    if SINK_LABEL in instance.labels:
-        raise GraphError(f"vertex label {SINK_LABEL!r} is reserved for the super sink")
     sink = instance.vertex_count
     fictive = tuple(Arc(t, sink, 0.0, 1) for t in instance.terminals)
     return AugmentedInstance(
@@ -237,7 +224,6 @@ def augment(instance: Instance) -> AugmentedInstance:
         kp=instance.kp,
         sink=sink,
         initial_arc_count=len(instance.arcs),
-        labels=instance.labels + (SINK_LABEL,),
     )
 
 
@@ -378,6 +364,15 @@ def max_flow(aug: AugmentedInstance, mask: ArcMask) -> FlowResult:
     return FlowResult(value=value, flow=flow)
 
 
+def _residual(mask: ArcMask, flow: FlowResult) -> list[int]:
+    """Residual capacity per edge of the layout under a flow: ``cap - flow``
+    forward, ``flow`` back."""
+    residual = [0] * (2 * len(flow.flow))
+    residual[0::2] = (mask.capacities - flow.flow).tolist()
+    residual[1::2] = flow.flow.tolist()
+    return residual
+
+
 def _residual_reach(
     aug: AugmentedInstance, residual: list[int], start: int, backward: bool
 ) -> list[bool]:
@@ -402,7 +397,7 @@ def _residual_reach(
 def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
     """A minimum root/sink cut under the mask; its capacity equals max_flow.
     Its root side is the smallest of any minimum cut."""
-    _, residual = _dinic(aug, mask.capacities)
+    residual = _residual(mask, max_flow(aug, mask))
     # vertices still reachable in the residual network form the root side
     reachable = _residual_reach(aug, residual, aug.root, backward=False)
     side = frozenset(v for v in range(aug.vertex_count) if not reachable[v])
@@ -416,9 +411,6 @@ def back_cut(aug: AugmentedInstance, mask: ArcMask, flow: FlowResult) -> CutSet:
     smallest of any minimum cut.  A flow that is not maximal leaves the root
     on the sink side and raises :class:`GraphError`.
     """
-    residual = [0] * (2 * aug.arc_count)
-    residual[0::2] = (mask.capacities - flow.flow).tolist()
-    residual[1::2] = flow.flow.tolist()
-    reaches = _residual_reach(aug, residual, aug.sink, backward=True)
+    reaches = _residual_reach(aug, _residual(mask, flow), aug.sink, backward=True)
     side = frozenset(v for v in range(aug.vertex_count) if reaches[v])
     return CutSet.from_sink_side(aug, side)

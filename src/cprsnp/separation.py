@@ -21,6 +21,9 @@ gives the attack.  The attack is the scenario; the minimum cut of the
 attacked network nearest the sink (:func:`cprsnp.graph.back_cut`) gives
 both the most violated cut and the attacker vertex, by max-flow/min-cut
 duality.
+
+:func:`strengthen` trades a violated attacker vertex for a sparser one: the
+vertex of the failing cut that crosses the fewest arcs, read from one MIP.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .formulations import (
     Design,
     ExtremePoint,
     FailureScenario,
-    NonVertexSolution,
     build_cutset_separation,
     build_strengthening,
     cut_residual,
@@ -171,16 +173,19 @@ def _attack_cut(aug: AugmentedInstance, design: Design, attack: _Attack) -> CutS
     return back_cut(aug, design.mask(aug, failed=attack.arcs), attack.flow)
 
 
-def _attack_point(
-    aug: AugmentedInstance, design: Design, attack: _Attack
-) -> ExtremePoint:
-    """The attacker vertex of the attack and its back cut: mu marks the root
-    side, gam = ell the attacked arcs that cross the cut, lam the other
-    crossing arcs.  Its row value at the design is the cut's capacity under
-    the attack, the attack's value."""
-    cut = _attack_cut(aug, design, attack)
+def _point_violation(
+    aug: AugmentedInstance,
+    design: Design,
+    cut: CutSet,
+    failed: tuple[int, ...],
+    value: int,
+) -> PointViolation:
+    """The attacker vertex of a cut and an attack: mu marks the root side,
+    gam = ell the failed arcs that cross the cut, lam the other crossing
+    arcs.  Its row value at the design is the capacity the cut keeps under
+    the attack, which must be ``value``."""
     arcs = range(aug.arc_count)
-    failed, crossing = set(attack.arcs), set(cut.arcs)
+    crossing = set(cut.arcs)
     hit = tuple(int(a in crossing and a in failed) for a in arcs)
     point = ExtremePoint(
         attack=tuple(int(a in failed) for a in arcs),
@@ -190,7 +195,12 @@ def _attack_point(
         ell=hit,
     )
     point.validate(aug)
-    return point
+    check = point_row_value(
+        aug, design.selected, design.protected, point.lam, point.gam, point.ell
+    )
+    if _as_int(check, "point row value") != value:
+        raise SeparationError(f"extreme point row value {check} is not {value}")
+    return PointViolation(point=point, value=value)
 
 
 def _worst_attack(
@@ -323,17 +333,12 @@ def separate_bilevel(
     """A violated attacker vertex, or None when the design withstands every
     attack: the vertex of the worst attack (:func:`_attack`) and its back
     cut.  On the MIP route a fractional cut from the solver raises
-    :class:`NonVertexSolution`."""
+    :class:`cprsnp.formulations.NonVertexSolution`."""
     attack = _attack(aug, design, time_limit_s, brute_force_limit)
     if attack is None:
         return None
-    point = _attack_point(aug, design, attack)
-    check = point_row_value(
-        aug, design.selected, design.protected, point.lam, point.gam, point.ell
-    )
-    if _as_int(check, "point row value") != attack.value:
-        raise SeparationError("extreme point does not reproduce the attack value")
-    return PointViolation(point=point, value=attack.value)
+    cut = _attack_cut(aug, design, attack)
+    return _point_violation(aug, design, cut, attack.arcs, attack.value)
 
 
 def strengthen(
@@ -342,50 +347,27 @@ def strengthen(
     violation: PointViolation,
     time_limit_s: float | None = None,
 ) -> PointViolation:
-    """Replace a violated point with one generated at an enlarged design.
+    """Replace a violated point with the vertex of a failing cut that
+    crosses as few arcs as possible.
 
-    Searches a failing cut touching as few arcs as possible, turns on every
-    arc that cut ignores, and re-separates at the enlarged design.  The row
-    of the returned point still cuts off the original design because row
-    values only grow with the selection.  Falls back to the original point
-    when the search is infeasible, times out, or fails to help.  The search
-    and the re-separation share ``time_limit_s``.
+    Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017):
+    its cut, attacked by its worst deletion subset, keeps less than the
+    demand, so the vertex of that cut and attack cuts off the design.  The
+    value is the capacity the cut keeps
+    (:func:`cprsnp.formulations.cut_residual`).  Hands back the
+    original violation when the MIP runs out of time; raises
+    :class:`SeparationError` when it finds no failing cut, which the
+    violation given rules out.
     """
     _require_canonical(aug, design)
-    t0 = time.perf_counter()
     search = build_strengthening(aug, design)
-    res = solve_mip(search.model, time_limit_s=time_limit_s)
-    if res.status != SolveStatus.OPTIMAL:
-        return violation  # infeasible (design survivable) or out of time
-    tol = 1e-6
-    extra = {
-        a
-        for a in range(aug.arc_count)
-        if res.values[search.lam_var[a]] <= tol
-        and res.values[search.gam_var[a]] <= tol
-    }
-    enlarged = Design.canonical(
-        aug, design.selected | extra, design.protected
-    )
-    if enlarged.selected == design.selected:
-        return violation
-    if time_limit_s is not None:
-        time_limit_s -= time.perf_counter() - t0
     try:
-        stronger = separate_bilevel(aug, enlarged, time_limit_s=time_limit_s)
-    except (SeparationTimeout, NonVertexSolution):
+        res = _solve_or_timeout(search.model, time_limit_s, "cut strengthening")
+    except SeparationTimeout:
         return violation
-    if stronger is None:
-        return violation
-    # defensive: the new row must still exclude the original design
-    original = point_row_value(
-        aug,
-        design.selected,
-        design.protected,
-        stronger.point.lam,
-        stronger.point.gam,
-        stronger.point.ell,
-    )
-    if original >= aug.demand:
-        return violation
-    return stronger
+    cut = search.cut_from(res.values)
+    value = cut_residual(aug, cut, design)
+    # the MIP's row bounds the capacity the cut keeps by demand - 1
+    if value >= aug.demand:
+        raise SeparationError(f"strengthened cut keeps {value}, the demand or more")
+    return _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)

@@ -23,14 +23,13 @@ class VerifyError(ValueError):
 
 
 def is_survivable(
-    aug: AugmentedInstance,
-    design: Design,
-    guard: int = SCENARIO_GUARD,
+    aug: AugmentedInstance, design: Design
 ) -> tuple[bool, FailureScenario | None]:
     """Check every failure of min(k, #candidates) unprotected selected arcs.
 
     Returns (True, None) or (False, witness).  Deleting fewer arcs never
-    hurts more, so only worst-size failure sets need checking.
+    hurts more, so only worst-size failure sets need checking.  Guarded to
+    at most ``SCENARIO_GUARD`` failure sets.
     """
     if not design.is_canonical(aug):
         raise VerifyError("verifier requires a canonical design")
@@ -41,9 +40,9 @@ def is_survivable(
     )
     size = min(aug.k, len(candidates))
     count = math.comb(len(candidates), size)
-    if count > guard:
+    if count > SCENARIO_GUARD:
         raise VerifyError(
-            f"{count} failure sets exceed the brute-force guard {guard}"
+            f"{count} failure sets exceed the brute-force guard {SCENARIO_GUARD}"
         )
     for combo in itertools.combinations(candidates, size):
         flow = max_flow(aug, design.mask(aug, failed=combo)).value
@@ -75,18 +74,17 @@ def _protectable(
     return None
 
 
-def exhaustive_optimum(
-    aug: AugmentedInstance,
-    arc_limit: int = EXHAUSTIVE_ARC_LIMIT,
-) -> tuple[float, Design] | None:
+def exhaustive_optimum(aug: AugmentedInstance) -> tuple[float, Design] | None:
     """Optimal cost and design by full enumeration, or None when infeasible.
 
     Selections are scanned in cost order, so the first survivable one wins.
-    Guarded to at most ``arc_limit`` initial arcs.
+    Guarded to at most ``EXHAUSTIVE_ARC_LIMIT`` initial arcs.
     """
     m = aug.initial_arc_count
-    if m > arc_limit:
-        raise VerifyError(f"{m} initial arcs exceed the enumeration limit {arc_limit}")
+    if m > EXHAUSTIVE_ARC_LIMIT:
+        raise VerifyError(
+            f"{m} initial arcs exceed the enumeration limit {EXHAUSTIVE_ARC_LIMIT}"
+        )
     costs = [aug.arcs[a].cost for a in range(m)]
     order = []
     for mask in range(1 << m):

@@ -136,7 +136,7 @@ def test_cost_at_the_bound_logs_exactly(tmp_path, capsys, formulation):
 @pytest.mark.parametrize(
     "text, needle",
     [
-        # a 45-byte header that asked for 2e9 vertex labels
+        # a 45-byte header that asked for 2e9 vertices
         (
             "p cprsnp 2000000000 1\nr 1\nt 2\na 1 2 1 1\nb 0 0\n",
             f"line 1: vertex count 2000000000 exceeds {MAX_VERTICES}",

@@ -78,14 +78,6 @@ def test_augment_layout():
     assert aug.is_fictive(3) and not aug.is_fictive(2)
 
 
-def test_augment_rejects_reserved_label():
-    inst = Instance(
-        2, (Arc(0, 1, 1, 1),), root=0, terminals=(1,), k=0, kp=0, labels=("r", "s")
-    )
-    with pytest.raises(GraphError):
-        augment(inst)
-
-
 def test_mask_validation():
     aug = augment(triangle())
     full = ArcMask.full(aug)

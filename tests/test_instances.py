@@ -119,8 +119,8 @@ def test_budget_exceeding_arcs_rejected():
 
 
 def test_vertex_count_above_the_bound_rejected_at_the_p_line():
-    # a 45-byte file asking for 2e9 vertices; labelling them would exhaust
-    # memory before a single arc is read
+    # a 45-byte file asking for 2e9 vertices; per-vertex lists that large
+    # would exhaust memory
     text = "p cprsnp 2000000000 1\nr 1\nt 2\na 1 2 1 1\nb 0 0\n"
     with pytest.raises(ParseError) as err:
         parse_instance(text)
@@ -134,7 +134,7 @@ def test_vertex_count_at_the_bound_parses():
     n = MAX_VERTICES
     text = f"p cprsnp {n} 1\nr 1\nt {n}\na 1 {n} 1 1\nb 0 0\n"
     inst = parse_instance(text)
-    assert inst.vertex_count == len(inst.labels) == n
+    assert inst.vertex_count == n
 
 
 def test_missing_p_line_reported_at_end():

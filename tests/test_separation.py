@@ -3,18 +3,22 @@
 import dataclasses
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_attack_value, random_design, triangle
-from cprsnp.formulations import Design, cut_residual, point_row_value
+from cprsnp.formulations import (
+    Design,
+    build_strengthening,
+    cut_residual,
+    point_row_value,
+)
 from cprsnp.graph import CutSet, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp import separation
-from cprsnp.milp import solve_mip
+from cprsnp.milp import SolveResult, SolveStatus, solve_mip
 from cprsnp.separation import (
     BRUTE_FORCE_LIMIT,
     SeparationError,
@@ -414,29 +418,71 @@ def test_strengthen_keeps_violation_valid():
     assert better.value < aug.demand
 
 
-def test_strengthen_reseparates_within_the_time_left(monkeypatch):
-    # the strengthening MIP and the re-separation share one budget
+def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
+    aug, design = seeded_case(203)
+    violation = separate_bilevel(aug, design)
+    assert violation is not None
+    solved = []
+
+    def counting_solve_mip(model, time_limit_s=None):
+        solved.append(model.name)
+        return solve_mip(model, time_limit_s=time_limit_s)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("strengthen ran a max flow or an oracle")
+
+    monkeypatch.setattr(separation, "solve_mip", counting_solve_mip)
+    for name in ("max_flow", "separate_cutset", "separate_scenario",
+                 "separate_bilevel"):
+        monkeypatch.setattr(separation, name, forbidden)
+    strengthen(aug, design, violation)
+    assert solved == ["cut_strengthening"]
+
+
+def test_strengthened_point_is_the_mip_cut():
+    seen = 0
+    for seed in range(200, 220):
+        aug, design = seeded_case(seed)
+        violation = separate_bilevel(aug, design)
+        if violation is None:
+            continue
+        seen += 1
+        search = build_strengthening(aug, design)
+        cut = search.cut_from(solve_mip(search.model).values)
+        better = strengthen(aug, design, violation)
+        root_side = {v for v, mu in enumerate(better.point.mu) if mu == 1}
+        assert root_side == set(range(aug.vertex_count)) - cut.sink_side
+        row = point_row_value(
+            aug, design.selected, design.protected, better.point.lam,
+            better.point.gam, better.point.ell,
+        )
+        assert better.value == cut_residual(aug, cut, design) == row < aug.demand
+    assert seen >= 5
+
+
+def stub_solve_mip(monkeypatch, status):
+    def solve(model, time_limit_s=None):
+        return SolveResult(status, None, None)
+
+    monkeypatch.setattr(separation, "solve_mip", solve)
+
+
+def test_strengthen_out_of_time_returns_the_violation(monkeypatch):
     aug = tri_aug(k=1, kp=0)
     weak = Design.canonical(aug, [1])
     violation = separate_bilevel(aug, weak)
-    spent, limits = [], []
+    stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE)
+    assert strengthen(aug, weak, violation, time_limit_s=0.0) is violation
 
-    def slow_solve_mip(model, time_limit_s=None):
-        t0 = time.perf_counter()
-        time.sleep(0.05)
-        res = solve_mip(model, time_limit_s=time_limit_s)
-        spent.append(time.perf_counter() - t0)
-        return res
 
-    def record_limit(aug, design, time_limit_s=None):
-        limits.append(time_limit_s)
-        return separate_bilevel(aug, design, time_limit_s=time_limit_s)
-
-    monkeypatch.setattr(separation, "solve_mip", slow_solve_mip)
-    monkeypatch.setattr(separation, "separate_bilevel", record_limit)
-    strengthen(aug, weak, violation, time_limit_s=30.0)
-    assert len(spent) >= 1 and len(limits) == 1
-    assert limits[0] <= 30.0 - spent[0]
+def test_strengthen_without_a_failing_cut_raises(monkeypatch):
+    # the design was just shown to be violated, so some cut must fail
+    aug = tri_aug(k=1, kp=0)
+    weak = Design.canonical(aug, [1])
+    violation = separate_bilevel(aug, weak)
+    stub_solve_mip(monkeypatch, SolveStatus.INFEASIBLE)
+    with pytest.raises(SeparationError):
+        strengthen(aug, weak, violation)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import triangle
+from cprsnp import verify
 from cprsnp.formulations import Design
 from cprsnp.graph import augment, max_flow
 from cprsnp.verify import (
@@ -36,12 +37,13 @@ def test_is_survivable_respects_protection():
     assert is_survivable(aug, shielded)[0]
 
 
-def test_is_survivable_guards():
+def test_is_survivable_guards(monkeypatch):
     aug = tri_aug()
     with pytest.raises(VerifyError):
         is_survivable(aug, Design(frozenset({0}), frozenset()))
+    monkeypatch.setattr(verify, "SCENARIO_GUARD", 1)
     with pytest.raises(VerifyError):
-        is_survivable(aug, Design.canonical(aug, range(3)), guard=1)
+        is_survivable(aug, Design.canonical(aug, range(3)))
 
 
 def test_exhaustive_optimum_frozen():
@@ -58,9 +60,10 @@ def test_exhaustive_optimum_frozen():
     assert exhaustive_optimum(tri_aug(k=0, kp=0))[0] == pytest.approx(2.0)
 
 
-def test_exhaustive_optimum_arc_limit():
+def test_exhaustive_optimum_arc_limit(monkeypatch):
+    monkeypatch.setattr(verify, "EXHAUSTIVE_ARC_LIMIT", 2)
     with pytest.raises(VerifyError):
-        exhaustive_optimum(tri_aug(), arc_limit=2)
+        exhaustive_optimum(tri_aug())
 
 
 def test_exhaustive_design_is_survivable():
