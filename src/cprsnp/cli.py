@@ -77,8 +77,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--dir", required=True)
     p_bench.add_argument("--k-min", type=int, default=None)
     p_bench.add_argument("--k-max", type=int, default=None)
-    p_bench.add_argument("--kp-min", type=int, default=0)
-    p_bench.add_argument("--kp-max", type=int, default=0)
+    p_bench.add_argument("--kp-min", type=int, default=None)
+    p_bench.add_argument("--kp-max", type=int, default=None)
     p_bench.add_argument(
         "--formulations",
         default=",".join(FORMULATIONS),
@@ -164,6 +164,16 @@ def _cmd_verify(args) -> int:
     return EXIT_INFEASIBLE
 
 
+def _bound_range(low: int | None, high: int | None) -> range | None:
+    """The budgets from ``low`` to ``high``, a missing bound taking the
+    other one; None when both are missing."""
+    if low is None and high is None:
+        return None
+    low = high if low is None else low
+    high = low if high is None else high
+    return range(low, high + 1)
+
+
 def _cmd_bench(args) -> int:
     options = _options(args.time_limit)
     directory = Path(args.dir)
@@ -178,14 +188,13 @@ def _cmd_bench(args) -> int:
         if name not in FORMULATIONS:
             raise _CliError(f"unknown formulation {name!r}")
     budgets = None
-    if args.k_min is not None or args.k_max is not None:
-        k_min = args.k_min if args.k_min is not None else args.k_max
-        k_max = args.k_max if args.k_max is not None else args.k_min
-        budgets = [
-            (k, kp)
-            for k in range(k_min, k_max + 1)
-            for kp in range(args.kp_min, args.kp_max + 1)
-        ]
+    k_range = _bound_range(args.k_min, args.k_max)
+    kp_range = _bound_range(args.kp_min, args.kp_max)
+    if k_range is None and kp_range is not None:
+        raise _CliError("--kp-min/--kp-max need --k-min or --k-max")
+    if k_range is not None:
+        kp_range = range(1) if kp_range is None else kp_range
+        budgets = [(k, kp) for k in k_range for kp in kp_range]
         if not budgets:
             raise _CliError("empty budget range")
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from .graph import AugmentedInstance, ArcMask, CutSet, max_flow
 from .formulations import (
-    CutRows,
     Design,
     FailureScenario,
     append_cut,
@@ -138,10 +137,13 @@ class Solution:
     design: Design | None
     cost: float | None
     gap: float | None
-    iterations: int
     log: tuple[IterationRecord, ...]
     formulation: str
     seconds: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
     def log_lines(self, include_time: bool = False) -> list[str]:
         return [rec.line(self.formulation, include_time) for rec in self.log]
@@ -154,18 +156,21 @@ class Solution:
 
 
 class CutsetFormulation:
-    """Cuts found so far.  A cut whose full enumeration would exceed
-    :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it starts with the worst deletion
-    subset of the design that violated it and gains one subset per repeat,
-    appended as one row."""
+    """Cuts found so far, by sink side.  A cut whose full enumeration would
+    exceed :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it maps to the set of
+    deletion subsets written so far, and each violation of it appends one
+    row, the worst subset of the violating design.  A fully enumerated cut
+    maps to None."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
-        # seed: the cut separating the root from everything else
+        # seed: the cut separating the root from everything else; a lazy
+        # one starts with no row
         side = frozenset(range(aug.vertex_count)) - {aug.root}
         root = CutSet.from_sink_side(aug, side)
-        self.cuts = {side: CutRows(root, () if self._lazy(root) else None)}
-        self.master = build_cutset_master(aug, list(self.cuts.values()))
+        lazy = self._lazy(root)
+        self.cuts = {side: set() if lazy else None}
+        self.master = build_cutset_master(aug, [] if lazy else [root])
 
     def _lazy(self, cut: CutSet) -> bool:
         return count_cut_rows(self.aug, cut) > LAZY_CUT_ROW_LIMIT
@@ -175,21 +180,20 @@ class CutsetFormulation:
 
     def add(self, violation, design: Design) -> None:
         cut = violation.cut
-        side = cut.sink_side
-        entry = self.cuts.get(side)
-        if entry is None:
+        if cut.sink_side not in self.cuts:
             lazy = self._lazy(cut)
-            subsets = (worst_subset(self.aug, cut, design),) if lazy else None
-            self.cuts[side] = CutRows(cut, subsets)
-            append_cut(self.master, self.cuts[side])
-            return
-        if entry.subsets is None:
+            self.cuts[cut.sink_side] = set() if lazy else None
+            if not lazy:
+                append_cut(self.master, cut)
+                return
+        written = self.cuts[cut.sink_side]
+        if written is None:
             raise EngineError("fully enumerated cut separated twice")
         subset = worst_subset(self.aug, cut, design)
-        if subset in entry.subsets:
+        if subset in written:
             raise EngineError("cut row separated twice; master is stalled")
-        self.cuts[side] = CutRows(entry.cut, entry.subsets + (subset,))
-        append_cut_subset(self.master, entry.cut, subset)
+        written.add(subset)
+        append_cut_subset(self.master, cut, subset)
 
 
 class FlowFormulation:
@@ -297,7 +301,6 @@ def solve(
             design=design,
             cost=cost,
             gap=gap,
-            iterations=len(records),
             log=tuple(records),
             formulation=formulation,
             seconds=elapsed(),

@@ -5,18 +5,18 @@ protection variables ``p``:
 
 * cut-set master: every root/sink cut must keep ``|T|`` units of capacity
   after the worst deletion of at most ``k`` unprotected selected arcs,
-  written as one row for the intact cut and one row per deletion subset,
-  each bounding the capacity the cut keeps without that subset;
+  written as one row per deletion subset of exactly ``min(k, m)`` of its
+  ``m`` non-fictive arcs, each bounding the capacity the cut keeps without
+  that subset;
 * flow master: one unit-preserving flow per failure scenario, where failed
   unprotected arcs lose their capacity;
 * attacker-expansion master ("bilevel"): one row per extreme point of the
   attacker/min-cut polytope, generated on demand.
 
 All three start from one design block: the ``y`` columns, then the ``p``
-columns, the cost objective and the protection budget as row 0.  Each
-master is a :class:`Master` over that block and only adds its own rows
-and columns after it.  The flow and attacker-expansion masters also share
-the ``p <= y`` rows; the cut-set master has none.
+columns, the cost objective, the protection budget as row 0 and one
+``p_a <= y_a`` row per initial arc.  Each master is a :class:`Master` over
+that block and only adds its own rows and columns after it.
 
 Each builder is the design block plus one appender per item, applied in
 order: :func:`append_cut` (a cut's rows, with :func:`append_cut_subset`
@@ -165,19 +165,6 @@ class ExtremePoint:
                 raise FormulationError(f"ell is not attack*gam on arc {i}")
 
 
-@dataclass(frozen=True)
-class CutRows:
-    """A cut plus an explicit list of deletion subsets to expose as rows.
-
-    ``subsets=None`` means "enumerate every subset of at most k non-fictive
-    cut arcs"; an explicit tuple is used by the engine for cuts whose full
-    enumeration would be too large.
-    """
-
-    cut: CutSet
-    subsets: tuple[tuple[int, ...], ...] | None = None
-
-
 # ---------------------------------------------------------------------------
 # evaluation helpers
 
@@ -201,15 +188,12 @@ def worst_subset(
     return tuple(sorted(vulnerable[: aug.k]))
 
 
-def eval_MS(aug: AugmentedInstance, cut: CutSet, design: Design) -> int:
-    """Worst capacity loss of the cut: the capacity of its worst subset."""
-    return int(sum(aug.arcs[a].capacity for a in worst_subset(aug, cut, design)))
-
-
 def cut_residual(aug: AugmentedInstance, cut: CutSet, design: Design) -> int:
-    """Capacity the cut retains after its worst feasible failure."""
+    """Capacity the cut retains after its worst feasible failure: its
+    selected capacity less that of its worst subset."""
     total = sum(aug.arcs[a].capacity for a in cut.arcs if a in design.selected)
-    return int(total) - eval_MS(aug, cut, design)
+    loss = sum(aug.arcs[a].capacity for a in worst_subset(aug, cut, design))
+    return int(total) - int(loss)
 
 
 def point_row_value(
@@ -239,9 +223,11 @@ def point_row_value(
 
 
 def count_cut_rows(aug: AugmentedInstance, cut: CutSet) -> int:
-    """Number of deletion-subset rows full enumeration would emit for a cut."""
+    """Number of rows :func:`append_cut` writes for a cut: one per subset of
+    ``min(k, m)`` of its ``m`` non-fictive arcs (1 when k = 0, the intact
+    row as the empty subset)."""
     m = sum(1 for a in cut.arcs if not aug.is_fictive(a))
-    return int(sum(math.comb(m, j) for j in range(1, min(aug.k, m) + 1)))
+    return math.comb(m, min(aug.k, m))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,9 @@ def count_cut_rows(aug: AugmentedInstance, cut: CutSet) -> int:
 def _design_block(name: str, aug: AugmentedInstance):
     """A model holding the block every master starts with: the y columns,
     then the p columns (fictive arcs always selected, never protected), the
-    cost objective, and the protection budget as row 0."""
+    cost objective, the protection budget as row 0, and the rows
+    ``p_a <= y_a`` of the initial arcs (only selected arcs can be
+    protected)."""
     model = MilpModel(name)
     m = aug.arc_count
     fictive = [aug.is_fictive(a) for a in range(m)]
@@ -265,13 +253,9 @@ def _design_block(name: str, aug: AugmentedInstance):
     ]
     model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)}, minimize=True)
     model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
-    return model, y_var, p_var
-
-
-def _add_protect_selected(model: MilpModel, aug: AugmentedInstance, y_var, p_var):
-    """Rows ``p_a <= y_a``: only selected initial arcs can be protected."""
     for a in aug.initial_arcs:
         model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
+    return model, y_var, p_var
 
 
 @dataclass
@@ -290,49 +274,34 @@ class Master:
         return Design.canonical(self.aug, sel, prot)
 
 
-def build_cutset_master(
-    aug: AugmentedInstance, cuts: Sequence[CutSet | CutRows]
-) -> Master:
+def build_cutset_master(aug: AugmentedInstance, cuts: Sequence[CutSet]) -> Master:
     """Selection/protection master constrained by the given cuts, each
     appended by :func:`append_cut`."""
     model, y_var, p_var = _design_block("cutset_master", aug)
     master = Master(model, y_var, p_var, aug)
-    for entry in cuts:
-        append_cut(master, entry)
+    for cut in cuts:
+        append_cut(master, cut)
     return master
 
 
-def append_cut(master: Master, entry: CutSet | CutRows) -> None:
-    """Append a cut to a cut-set master: the row of its intact capacity and
-    one row per deletion subset.
+def append_cut(master: Master, cut: CutSet) -> None:
+    """Append a cut to a cut-set master: one row per deletion subset of
+    exactly ``min(k, m)`` of its ``m`` non-fictive arcs.
 
-    Full enumeration also emits rows for subsets smaller than k, which keeps
-    the model exact when protection is allowed off the selection and when a
-    cut has fewer than k deletable arcs.
+    With the block's ``p <= y`` rows, the row of a subset implies the row of
+    each of its own subsets, the intact row included, so these rows alone
+    are the cut's full enumeration.
     """
     aug = master.aug
-    if isinstance(entry, CutRows):
-        cut, explicit = entry.cut, entry.subsets
-    else:
-        cut, explicit = entry, None
     if cut.sink_side == frozenset({aug.sink}):
         raise FormulationError("cut isolating only the super sink is not allowed")
-    if explicit is None:
-        n_rows = count_cut_rows(aug, cut)
-        if n_rows > DEFAULT_ROW_CAP:
-            raise FormulationError(
-                f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
-            )
-        non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
-        subsets = tuple(
-            sub
-            for size in range(1, min(aug.k, len(non_fictive)) + 1)
-            for sub in itertools.combinations(non_fictive, size)
+    n_rows = count_cut_rows(aug, cut)
+    if n_rows > DEFAULT_ROW_CAP:
+        raise FormulationError(
+            f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
         )
-    else:
-        subsets = tuple(tuple(sorted(sub)) for sub in explicit)
-    append_cut_subset(master, cut, ())
-    for sub in subsets:
+    non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
+    for sub in itertools.combinations(non_fictive, min(aug.k, len(non_fictive))):
         append_cut_subset(master, cut, sub)
 
 
@@ -363,7 +332,6 @@ def build_flow_master(
             raise FormulationError("duplicate failure scenario")
         seen.add(sc.arcs)
     model, y_var, p_var = _design_block("flow_master", aug)
-    _add_protect_selected(model, aug, y_var, p_var)
     master = Master(model, y_var, p_var, aug)
     for scenario in scenarios:
         append_scenario(master, scenario)
@@ -408,7 +376,6 @@ def build_bilevel_master(
     """Selection/protection master with one guarantee row per attacker
     vertex, each appended by :func:`append_point`."""
     model, y_var, p_var = _design_block("bilevel_master", aug)
-    _add_protect_selected(model, aug, y_var, p_var)
     master = Master(model, y_var, p_var, aug)
     for pt in points:
         append_point(master, pt)

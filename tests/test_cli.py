@@ -238,3 +238,32 @@ def test_non_utf8_file_exits_with_input_error(tmp_path, capsys, command):
     assert captured.err.startswith("error: ")
     assert str(bad) in captured.err
     assert str(good) not in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--kp-min", "1", "--kp-max", "1"], ["--kp-max", "1"]])
+def test_bench_kp_flags_need_a_k_flag(tmp_path, capsys, flags):
+    (tmp_path / "tri.txt").write_text(write_instance(triangle()), encoding="utf-8")
+    assert cli.main(["bench", "--dir", str(tmp_path), *flags]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, budgets",
+    [
+        (["--k-min", "1"], {("1", "0")}),
+        (["--k-max", "1", "--kp-max", "1"], {("1", "1")}),
+        (["--k-min", "1", "--kp-min", "0", "--kp-max", "1"], {("1", "0"), ("1", "1")}),
+    ],
+)
+def test_bench_missing_kp_bound_takes_the_other(tmp_path, flags, budgets):
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    (instances / "tri.txt").write_text(write_instance(triangle()), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    argv = ["bench", "--dir", str(instances), "--formulations", "cutset"]
+    assert cli.main([*argv, *flags, "--out", str(report)]) == cli.EXIT_OK
+    rows = report.read_text(encoding="utf-8").splitlines()[1:]
+    assert {tuple(row.split(",")[1:3]) for row in rows} == budgets

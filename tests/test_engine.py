@@ -24,7 +24,6 @@ from cprsnp.engine import (
     solve,
 )
 from cprsnp.formulations import Design
-from cprsnp.graph import CutSet
 from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import SeparationTimeout
@@ -242,9 +241,17 @@ def test_log_line_prints_integral_values_exactly(value, text):
 
 def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
-    (entry,) = CutsetFormulation(aug).cuts.values()
-    assert isinstance(entry.cut, CutSet)
-    assert entry.cut.sink_side == frozenset(range(1, aug.vertex_count))
+    # the root cut, fully enumerated
+    assert CutsetFormulation(aug).cuts == {frozenset({1, 2, 3}): None}
+
+
+def test_lazy_root_cut_seeds_no_row(monkeypatch):
+    monkeypatch.setattr(engine, "LAZY_CUT_ROW_LIMIT", 0)
+    aug = augment(triangle(k=1, kp=0))
+    form = CutsetFormulation(aug)
+    assert form.cuts == {frozenset({1, 2, 3}): set()}
+    # the design block alone: the budget and one p <= y row per initial arc
+    assert form.master.model.num_constraints == 1 + aug.initial_arc_count
 
 
 def test_initial_rows_flow_clamps_to_candidates():
@@ -365,11 +372,8 @@ def test_lazy_cut_pool_still_converges(monkeypatch):
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.cost == pytest.approx(expected)
         assert is_survivable(aug, sol.design)[0]
-        # a new lazy cut brings its intact-capacity row and one subset row;
-        # a known lazy cut gains only one subset row
-        grown = {(r.rows_added, r.columns_added) for r in sol.log[:-1]}
-        assert (1, 0) in grown
-        assert grown <= {(1, 0), (2, 0)}
+        # every lazy cut, new or known, gains one row: its worst subset
+        assert {(r.rows_added, r.columns_added) for r in sol.log[:-1]} == {(1, 0)}
 
 
 def test_scenario_separation_via_mip(scenarios_via_mip):

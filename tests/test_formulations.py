@@ -9,7 +9,6 @@ import pytest
 from conftest import brute_attack_value, brute_worst_loss, random_design, triangle
 from cprsnp import formulations
 from cprsnp.formulations import (
-    CutRows,
     Design,
     FailureScenario,
     FormulationError,
@@ -23,7 +22,6 @@ from cprsnp.formulations import (
     build_strengthening,
     count_cut_rows,
     cut_residual,
-    eval_MS,
     point_row_value,
     worst_subset,
 )
@@ -109,12 +107,10 @@ def test_eval_ms_frozen():
     aug = tri_aug(kp=1)
     cut = CutSet.from_sink_side(aug, {2, 3})
     full = Design.canonical(aug, range(3))
-    assert eval_MS(aug, cut, full) == 1
     assert cut_residual(aug, cut, full) == 1
     shielded = Design.canonical(aug, range(3), [1])
-    assert eval_MS(aug, cut, shielded) == 1
+    assert cut_residual(aug, cut, shielded) == 1
     sparse = Design.canonical(aug, [2])
-    assert eval_MS(aug, cut, sparse) == 1
     assert cut_residual(aug, cut, sparse) == 0
 
 
@@ -125,7 +121,6 @@ def test_eval_ms_matches_enumeration(seed):
     design = random_design(rng, aug)
     for cut in all_cuts(aug):
         loss = brute_worst_loss(aug, cut, design)
-        assert eval_MS(aug, cut, design) == loss
         total = sum(aug.arcs[a].capacity for a in cut.arcs if a in design.selected)
         assert cut_residual(aug, cut, design) == total - loss
 
@@ -134,8 +129,9 @@ def test_count_cut_rows():
     aug = tri_aug()
     cut = CutSet.from_sink_side(aug, {2, 3})  # two initial arcs cross
     assert count_cut_rows(aug, cut) == 2
-    assert count_cut_rows(tri_aug(k=2), cut) == 3
-    assert count_cut_rows(tri_aug(k=0), cut) == 0
+    assert count_cut_rows(tri_aug(k=2), cut) == 1  # both arcs at once
+    assert count_cut_rows(tri_aug(k=3), cut) == 1  # k clamps to the two arcs
+    assert count_cut_rows(tri_aug(k=0), cut) == 1  # the intact row
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +148,37 @@ def test_masters_share_the_design_block(seed):
         build_flow_master(aug, [FailureScenario.of(aug, [0])]),
         build_bilevel_master(aug, [point]),
     ]
-    m2 = 2 * aug.arc_count
+    m, m2 = aug.arc_count, 2 * aug.arc_count
+    initial = list(aug.initial_arcs)
 
     def block(model):
         lb, ub = model.bounds()
         integer = [i for i in model.integer_indices() if i < m2]
         cost = [model._objective.get(i, 0.0) for i in range(m2)]
         _, a, row_lo, row_hi = model._matrices()
-        row0 = a.tocsr()[0]
-        row0_coeffs = dict(zip(row0.indices.tolist(), row0.data.tolist()))
+        rows = a.tocsr()
         return (
             list(lb[:m2]),
             list(ub[:m2]),
             integer,
             cost,
-            (row0_coeffs, row_lo[0], row_hi[0]),
+            [
+                (
+                    dict(zip(rows[r].indices.tolist(), rows[r].data.tolist())),
+                    row_lo[r],
+                    row_hi[r],
+                )
+                for r in range(1 + len(initial))
+            ],
         )
 
     first = block(masters[0].model)
     assert first[2] == list(range(m2))  # every design column is binary
     # the budget row spans every p column; fictive ones are fixed at zero
-    budget = {aug.arc_count + a: 1.0 for a in range(aug.arc_count)}
-    assert first[4] == (budget, -math.inf, aug.kp)
+    budget = {m + a: 1.0 for a in range(m)}
+    assert first[4][0] == (budget, -math.inf, aug.kp)
+    # then p_a <= y_a for each initial arc, in arc order
+    assert first[4][1:] == [({a: -1.0, m + a: 1.0}, -math.inf, 0.0) for a in initial]
     for master in masters:
         assert master.model.num_vars >= m2
         assert block(master.model) == first
@@ -216,14 +221,15 @@ def test_cutset_master_frozen_optima():
 def test_cutset_master_explicit_subsets_relax():
     aug = tri_aug(k=1, kp=0)
     cut = CutSet.from_sink_side(aug, {2, 3})
-    partial = build_cutset_master(aug, [CutRows(cut, ((2,),))])
+    partial = build_cutset_master(aug, [])
+    append_cut_subset(partial, cut, (2,))
     full = build_cutset_master(aug, [cut])
     val_partial = solve_mip(partial.model).objective
     val_full = solve_mip(full.model).objective
     assert val_partial <= val_full + 1e-9
     assert val_partial == pytest.approx(2.0)
     with pytest.raises(FormulationError):
-        build_cutset_master(aug, [CutRows(cut, ((3,),))])
+        append_cut_subset(partial, cut, (3,))
 
 
 def test_cutset_master_guards(monkeypatch):
@@ -257,25 +263,24 @@ def _cut_rows_hold(aug, cut, subset, assignments):
         append_cut_subset(master, cut, subset)
     _, a, row_lo, _ = master.model._matrices()
     assert master.model.num_vars == 2 * aug.arc_count  # no column of its own
-    # the budget row, then the intact cut's row and one row per subset
-    cut_rows = 1 + count_cut_rows(aug, cut) if subset is None else 1
-    assert master.model.num_constraints == 1 + cut_rows
-    # row 0 is the protection budget, which every assignment respects
-    lhs = a[1:] @ np.asarray(assignments, dtype=float).T
-    return np.all(lhs >= row_lo[1:, None] - 1e-9, axis=0)
+    # the design block, then one row per deletion subset
+    block = 1 + aug.initial_arc_count
+    cut_rows = count_cut_rows(aug, cut) if subset is None else 1
+    assert master.model.num_constraints == block + cut_rows
+    lhs = a[block:] @ np.asarray(assignments, dtype=float).T
+    return np.all(lhs >= row_lo[block:, None] - 1e-9, axis=0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cut_rows_hold_iff_the_cut_survives(seed):
-    # y and p are drawn independently, so protection off the selection is
-    # covered; the budget row of the design block is respected
+    # p is drawn inside y, so every assignment respects the design block
     rng = random.Random(seed)
     aug = small_instance(seed, k=rng.randint(1, 3), kp=rng.randint(0, 2))
     m, initial = aug.arc_count, list(aug.initial_arcs)
     samples = []
     for _ in range(40):
-        y = {a for a in initial if rng.random() < 0.7}
-        p = set(rng.sample(initial, rng.randint(0, min(aug.kp, len(initial)))))
+        y = sorted(a for a in initial if rng.random() < 0.7)
+        p = set(rng.sample(y, rng.randint(0, min(aug.kp, len(y)))))
         x = [float(a in y or aug.is_fictive(a)) for a in range(m)]
         samples.append((x + [float(a in p) for a in range(m)], y, p))
     designs = [Design.canonical(aug, y, p) for _, y, p in samples]
@@ -289,6 +294,15 @@ def test_cut_rows_hold_iff_the_cut_survives(seed):
             worst = worst_subset(aug, cut, design)
             assert _cut_rows_hold(aug, cut, worst, [x])[0] == ok
     assert outcomes == {True, False}
+
+
+def test_protection_off_the_selection_breaks_the_design_block():
+    aug = tri_aug(k=1, kp=1)
+    _, a, _, row_hi = build_cutset_master(aug, []).model._matrices()
+    # arcs 1, 2 and the fictive arc 3 selected, arc 0 protected
+    lhs = a @ np.array([0, 1, 1, 1] + [1, 0, 0, 0], dtype=float)
+    # the budget (row 0) holds, and p_0 <= y_0 (row 1) fails
+    assert np.flatnonzero(lhs > row_hi + 1e-9).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

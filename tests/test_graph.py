@@ -1,11 +1,13 @@
 """Graph model, masks, cuts, and the max-flow kernel."""
 
+import doctest
 import random
 
 import numpy as np
 import pytest
 
 from conftest import brute_min_cut_value, lp_max_flow, triangle
+from cprsnp import graph
 from cprsnp.graph import (
     MAX_CAPACITY,
     MAX_COST,
@@ -20,6 +22,12 @@ from cprsnp.graph import (
     max_flow,
     min_cut,
 )
+
+
+def test_module_docstring_example_runs():
+    result = doctest.testmod(graph)
+    assert result.failed == 0
+    assert result.attempted >= 3
 
 
 def test_instance_rejects_bad_structure():
