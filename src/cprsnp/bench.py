@@ -46,11 +46,16 @@ def bench(
 
     ``budgets`` overrides the (k, kp) baked into each instance; a failed
     cell (engine error, unexpected exception) is recorded with status
-    ``Error`` rather than aborting the sweep.
+    ``Error`` rather than aborting the sweep.  ``formulations`` must name
+    at least one formulation, each at most once.
     """
-    for name in formulations:
+    if not formulations:
+        raise ValueError("no formulation to run")
+    for i, name in enumerate(formulations):
         if name not in FORMULATIONS:
             raise ValueError(f"unknown formulation {name!r}")
+        if name in formulations[:i]:
+            raise ValueError(f"formulation {name!r} listed twice")
     rows: list[BenchResult] = []
     for instance in instances:
         pairs = budgets if budgets is not None else [(instance.k, instance.kp)]

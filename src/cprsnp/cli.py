@@ -184,9 +184,6 @@ def _cmd_bench(args) -> int:
         raise _CliError(f"no instance files in {args.dir}")
     instances = [parse_instance(_read_text(p)) for p in paths]
     names = tuple(name for name in args.formulations.split(",") if name)
-    for name in names:
-        if name not in FORMULATIONS:
-            raise _CliError(f"unknown formulation {name!r}")
     budgets = None
     k_range = _bound_range(args.k_min, args.k_max)
     kp_range = _bound_range(args.kp_min, args.kp_max)
@@ -205,7 +202,10 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
 
-    rows = bench_mod.bench(instances, names, options, budgets, progress)
+    try:
+        rows = bench_mod.bench(instances, names, options, budgets, progress)
+    except ValueError as exc:  # the formulation list, or a budget pair
+        raise _CliError(str(exc))
     sys.stdout.write(bench_mod.text_table(rows))
     if args.out is not None:
         Path(args.out).write_text(bench_mod.csv_report(rows), encoding="utf-8")

@@ -8,15 +8,19 @@ design may become the tree's incumbent, and a violation is appended to the
 master in place, on which the tree re-solves the same node from its
 current basis and carries on.
 
-A formulation plugs in as one small class, chosen once from its name in
-:data:`FORMULATION_CLASSES`.  Its constructor seeds and builds the master
-(``master``) once per solve, ``separate(design, time_limit_s)`` runs the
-oracle, and ``add(violation, design)`` records the violation and appends
-its rows and columns to the master, raising :class:`EngineError` when the
-master stalls.  Each violation is one :class:`IterationRecord`: the tree's
-global lower bound at that moment, the violation's value, and how many rows
-and columns it added, as the master's size after the append less its size
-before.
+A formulation plugs in as one small, stateless class, chosen once from its
+name in :data:`FORMULATION_CLASSES`.  Its constructor seeds and builds the
+master (``master``) once per solve, ``separate(design, time_limit_s)`` runs
+the oracle, and ``add(violation, design)`` only appends the violation's rows
+and columns to the master.  The callback keeps the one stall check of every
+formulation: each appended row cuts off the design that it repairs (by at
+least one unit, as capacities are integer), so a design that the master
+returns after it was rejected raises :class:`EngineError`.  Designs are
+finite, so a master that stalls must repeat one.
+
+Each violation is one :class:`IterationRecord`: the tree's global lower
+bound at that moment, the violation's value, and how many rows and columns
+it added, as the master's size after the append less its size before.
 
 A survivable incumbent built upfront (exact protection search on the
 all-arcs design) provides the upper bound; the tree is pruned by its cost,
@@ -46,6 +50,10 @@ from .formulations import (
     count_cut_rows,
     worst_subset,
 )
+# the module itself, for CUT_ROW_LIMIT at call time; imported after the names
+# above so that scipy still first loads through them, at the same call depth
+# (on CPython 3.11 that depth moves scipy's import time by a third)
+from . import formulations
 from .milp import SolveStatus, solve_mip
 from .separation import (
     SeparationTimeout,
@@ -56,9 +64,6 @@ from .separation import (
 from .separation import strengthen as strengthen_point
 
 log = logging.getLogger(__name__)
-
-# a cut whose full enumeration would exceed this many rows is added lazily
-LAZY_CUT_ROW_LIMIT = 20_000
 
 
 class EngineError(RuntimeError):
@@ -156,74 +161,55 @@ class Solution:
 
 
 class CutsetFormulation:
-    """Cuts found so far, by sink side.  A cut whose full enumeration would
-    exceed :data:`LAZY_CUT_ROW_LIMIT` rows is lazy: it maps to the set of
-    deletion subsets written so far, and each violation of it appends one
-    row, the worst subset of the violating design.  A fully enumerated cut
-    maps to None."""
+    """Seeded with the cut separating the root from everything else.  A cut
+    that fits :data:`~cprsnp.formulations.CUT_ROW_LIMIT` gets its full
+    enumeration; a larger one gets one row per violation, the worst
+    deletion subset of the violating design (so a large root cut seeds no
+    row)."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
-        # seed: the cut separating the root from everything else; a lazy
-        # one starts with no row
         side = frozenset(range(aug.vertex_count)) - {aug.root}
         root = CutSet.from_sink_side(aug, side)
-        lazy = self._lazy(root)
-        self.cuts = {side: set() if lazy else None}
-        self.master = build_cutset_master(aug, [] if lazy else [root])
+        self.master = build_cutset_master(aug, [root] if self._fits(root) else [])
 
-    def _lazy(self, cut: CutSet) -> bool:
-        return count_cut_rows(self.aug, cut) > LAZY_CUT_ROW_LIMIT
+    def _fits(self, cut: CutSet) -> bool:
+        return count_cut_rows(self.aug, cut) <= formulations.CUT_ROW_LIMIT
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
         cut = violation.cut
-        if cut.sink_side not in self.cuts:
-            lazy = self._lazy(cut)
-            self.cuts[cut.sink_side] = set() if lazy else None
-            if not lazy:
-                append_cut(self.master, cut)
-                return
-        written = self.cuts[cut.sink_side]
-        if written is None:
-            raise EngineError("fully enumerated cut separated twice")
-        subset = worst_subset(self.aug, cut, design)
-        if subset in written:
-            raise EngineError("cut row separated twice; master is stalled")
-        written.add(subset)
-        append_cut_subset(self.master, cut, subset)
+        if self._fits(cut):
+            append_cut(self.master, cut)
+        else:
+            append_cut_subset(self.master, cut, worst_subset(self.aug, cut, design))
 
 
 class FlowFormulation:
-    """Failure scenarios found so far, seeded with the lexicographically
-    first k-subset of initial arcs."""
+    """Seeded with the lexicographically first k-subset of initial arcs as
+    its one failure scenario."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
         first = tuple(range(min(aug.k, aug.initial_arc_count)))
-        self.scenarios = [FailureScenario.of(aug, first)]
-        self.master = build_flow_master(aug, self.scenarios)
+        self.master = build_flow_master(aug, [FailureScenario.of(aug, first)])
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_scenario(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
-        if violation.scenario in self.scenarios:
-            raise EngineError("scenario separated twice; master is stalled")
-        self.scenarios.append(violation.scenario)
         append_scenario(self.master, violation.scenario)
 
 
 class BilevelFormulation:
-    """Attacker vertices found so far, starting from none; each violated
-    vertex is strengthened before it is returned."""
+    """Seeded with no attacker vertex; each violated vertex is strengthened
+    before it is returned."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
-        self.points = []
-        self.master = build_bilevel_master(aug, self.points)
+        self.master = build_bilevel_master(aug, [])
 
     def separate(self, design: Design, time_limit_s: float):
         deadline = time.perf_counter() + time_limit_s
@@ -238,9 +224,6 @@ class BilevelFormulation:
         return violation
 
     def add(self, violation, design: Design) -> None:
-        if violation.point in self.points:
-            raise EngineError("extreme point separated twice; master is stalled")
-        self.points.append(violation.point)
         append_point(self.master, violation.point)
 
 
@@ -340,16 +323,23 @@ def solve(
         gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
         return finish(SolveStatus.FEASIBLE, best, cost, gap)
 
+    rejected: set[Design] = set()
+
     def check(values, bound: float) -> bool:
         """The tree's lazy callback: accept a survivable design, or append
-        the violation the oracle found to the master and return True."""
+        the violation the oracle found to the master and return True.  Every
+        appended row cuts its design off, so a design rejected once cannot
+        come back unless the master has stalled."""
         nonlocal lower, found
         lower = max(lower, bound)
         design = master.design_from(values)
+        if design in rejected:
+            raise EngineError("master returned a rejected design; it is stalled")
         violation = form.separate(design, remaining())
         if violation is None:
             found = design
             return False
+        rejected.add(design)
         rows, cols = master.model.num_constraints, master.model.num_vars
         form.add(violation, design)
         records.append(

@@ -39,8 +39,9 @@ from typing import Iterable, Sequence
 from .graph import ArcMask, AugmentedInstance, CutSet
 from .milp import INT_TOL, MilpModel
 
-# a cut whose full enumeration would need more rows than this is rejected
-DEFAULT_ROW_CAP = 10**6
+# most rows :func:`append_cut` writes for one cut; the engine writes a larger
+# cut one deletion subset per violation instead
+CUT_ROW_LIMIT = 20_000
 
 
 class FormulationError(ValueError):
@@ -290,15 +291,16 @@ def append_cut(master: Master, cut: CutSet) -> None:
 
     With the block's ``p <= y`` rows, the row of a subset implies the row of
     each of its own subsets, the intact row included, so these rows alone
-    are the cut's full enumeration.
+    are the cut's full enumeration.  A cut that needs more than
+    :data:`CUT_ROW_LIMIT` rows raises :class:`FormulationError`.
     """
     aug = master.aug
     if cut.sink_side == frozenset({aug.sink}):
         raise FormulationError("cut isolating only the super sink is not allowed")
     n_rows = count_cut_rows(aug, cut)
-    if n_rows > DEFAULT_ROW_CAP:
+    if n_rows > CUT_ROW_LIMIT:
         raise FormulationError(
-            f"cut needs {n_rows} rows, above the cap {DEFAULT_ROW_CAP}"
+            f"cut needs {n_rows} rows, above the limit {CUT_ROW_LIMIT}"
         )
     non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
     for sub in itertools.combinations(non_fictive, min(aug.k, len(non_fictive))):

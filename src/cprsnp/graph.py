@@ -331,28 +331,37 @@ def _dinic(aug: AugmentedInstance, caps: np.ndarray) -> tuple[int, list[int]]:
         if level[sink] < 0:
             break
         it = [0] * n
-
-        def push(v: int, limit: int) -> int:
-            if v == sink:
-                return limit
-            while it[v] < len(adj[v]):
-                e = adj[v][it[v]]
-                w = to[e]
-                if cap[e] > 0 and level[w] == level[v] + 1:
-                    got = push(w, min(limit, cap[e]))
-                    if got > 0:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                it[v] += 1
-            level[v] = -1
-            return 0
-
+        # depth-first search for augmenting paths in the level graph, kept
+        # on an explicit stack of edges so that deep graphs cannot overflow
+        # the interpreter's stack; ``it[v]`` is v's current arc, and a
+        # vertex with no way forward leaves the level graph
+        path: list[int] = []
+        v = source
         while True:
-            pushed = push(source, 1 << 60)
-            if pushed == 0:
-                break
-            total += pushed
+            if v == sink:
+                got = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= got
+                    cap[e ^ 1] += got
+                total += got
+                path.clear()
+                v = source
+                continue
+            edges = adj[v]
+            while it[v] < len(edges):
+                e = edges[it[v]]
+                if cap[e] > 0 and level[to[e]] == level[v] + 1:
+                    break
+                it[v] += 1
+            else:
+                level[v] = -1
+                if not path:
+                    break
+                v = to[path.pop() ^ 1]
+                it[v] += 1
+                continue
+            path.append(e)
+            v = to[e]
     return total, cap
 
 

@@ -131,6 +131,14 @@ def triangle(k: int = 1, kp: int = 0) -> Instance:
     )
 
 
+def deep_path(n: int = 1500) -> Instance:
+    """The path 0 -> 1 -> ... -> n-1 with its last vertex as the one
+    terminal: its level graph is n levels deep, beyond the interpreter's
+    default recursion limit of 1000."""
+    arcs = tuple(Arc(i, i + 1, 1.0, 1) for i in range(n - 1))
+    return Instance(n, arcs, root=0, terminals=(n - 1,), k=0, kp=0)
+
+
 @pytest.fixture
 def tri_aug() -> AugmentedInstance:
     return augment(triangle())

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import triangle
+from conftest import deep_path, triangle
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS
 from cprsnp.formulations import Design
@@ -179,6 +179,19 @@ def test_verify_beyond_the_enumeration_guard_exits_with_input_error(
     )
 
 
+def test_verify_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    inst = deep_path()
+    aug = augment(inst)
+    instance, design = tmp_path / "i.txt", tmp_path / "d.txt"
+    instance.write_text(write_instance(inst), encoding="utf-8")
+    design.write_text(
+        write_design(Design.canonical(aug, aug.initial_arcs), aug), encoding="utf-8"
+    )
+    argv = ["verify", "--instance", str(instance), "--design", str(design)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == "verified: design survives any 0 failures\n"
+
+
 def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
     # at k=3 the probe takes the MIP route (C(90, 3) failure sets),
     # which a zero budget stops before any incumbent
@@ -267,3 +280,25 @@ def test_bench_missing_kp_bound_takes_the_other(tmp_path, flags, budgets):
     assert cli.main([*argv, *flags, "--out", str(report)]) == cli.EXIT_OK
     rows = report.read_text(encoding="utf-8").splitlines()[1:]
     assert {tuple(row.split(",")[1:3]) for row in rows} == budgets
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("", "no formulation to run"),
+        (",", "no formulation to run"),
+        ("cutset,cutset", "formulation 'cutset' listed twice"),
+        ("flow,bilevel,flow", "formulation 'flow' listed twice"),
+    ],
+)
+def test_bench_rejects_an_empty_or_repeated_formulation_list(
+    tmp_path, capsys, names, message
+):
+    (tmp_path / "tri.txt").write_text(write_instance(triangle()), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    argv = ["bench", "--dir", str(tmp_path), "--formulations", names]
+    assert cli.main([*argv, "--out", str(report)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not report.exists()

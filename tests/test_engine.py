@@ -11,19 +11,19 @@ from hypothesis import strategies as st
 
 from conftest import CheckedRelaxation, corpus, triangle
 
-from cprsnp import augment, engine, milp, separation
+from cprsnp import augment, engine, formulations, milp, separation
 from cprsnp.engine import (
     BilevelFormulation,
     CutsetFormulation,
     EngineError,
     EngineOptions,
-    FORMULATION_CLASSES,
     FORMULATIONS,
     FlowFormulation,
     IterationRecord,
     solve,
 )
-from cprsnp.formulations import Design
+from cprsnp.formulations import build_cutset_master
+from cprsnp.graph import CutSet
 from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import SeparationTimeout
@@ -239,34 +239,69 @@ def test_log_line_prints_integral_values_exactly(value, text):
 # master seeds
 
 
+def _rows(model):
+    """The model's columns and rows: its size, each row's nonzeros and the
+    bounds of every row."""
+    _, a, row_lo, row_hi = model._matrices()
+    rows = a.tocsr()
+    return (
+        model.num_vars,
+        [
+            (rows[r].indices.tolist(), rows[r].data.tolist(), row_lo[r], row_hi[r])
+            for r in range(model.num_constraints)
+        ],
+    )
+
+
+def _block_rows(aug):
+    # the design block: the budget row and one p <= y row per initial arc
+    return 1 + aug.initial_arc_count
+
+
 def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
-    # the root cut, fully enumerated
-    assert CutsetFormulation(aug).cuts == {frozenset({1, 2, 3}): None}
+    # the root cut, fully enumerated: one row per arc leaving the root
+    root = CutSet.from_sink_side(aug, {1, 2, 3})
+    seeded = CutsetFormulation(aug).master.model
+    assert seeded.num_vars == 2 * aug.arc_count
+    assert seeded.num_constraints == _block_rows(aug) + 2
+    assert _rows(seeded) == _rows(build_cutset_master(aug, [root]).model)
 
 
 def test_lazy_root_cut_seeds_no_row(monkeypatch):
-    monkeypatch.setattr(engine, "LAZY_CUT_ROW_LIMIT", 0)
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 0)
     aug = augment(triangle(k=1, kp=0))
-    form = CutsetFormulation(aug)
-    assert form.cuts == {frozenset({1, 2, 3}): set()}
-    # the design block alone: the budget and one p <= y row per initial arc
-    assert form.master.model.num_constraints == 1 + aug.initial_arc_count
+    seeded = CutsetFormulation(aug).master.model
+    assert seeded.num_vars == 2 * aug.arc_count
+    assert seeded.num_constraints == _block_rows(aug)
+    assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
+
+
+def _seeded_scenario(aug) -> frozenset[int]:
+    """The failed arcs of a flow master's one seeded scenario: the p columns
+    that its rows after the design block read."""
+    master = FlowFormulation(aug).master
+    assert master.model.num_vars == 3 * aug.arc_count  # one flow column per arc
+    _, a, _, _ = master.model._matrices()
+    rows = a.tocsr()[_block_rows(aug):]
+    return frozenset(
+        arc for arc in range(aug.arc_count) if rows[:, master.p_var[arc]].nnz
+    )
 
 
 def test_initial_rows_flow_clamps_to_candidates():
     aug = augment(triangle(k=2, kp=0))
-    (scenario,) = FlowFormulation(aug).scenarios
-    assert scenario.arcs == frozenset({0, 1})
+    assert _seeded_scenario(aug) == frozenset({0, 1})
 
     wide = augment(triangle(k=3, kp=0))
-    (scenario,) = FlowFormulation(wide).scenarios
-    assert len(scenario.arcs) == wide.initial_arc_count
+    assert _seeded_scenario(wide) == frozenset(wide.initial_arcs)
 
 
 def test_initial_rows_bilevel_empty():
     aug = augment(triangle(k=1, kp=0))
-    assert BilevelFormulation(aug).points == []
+    seeded = BilevelFormulation(aug).master.model
+    assert seeded.num_vars == 2 * aug.arc_count
+    assert seeded.num_constraints == _block_rows(aug)
 
 
 def test_unknown_formulation_rejected():
@@ -279,24 +314,26 @@ def test_unknown_formulation_rejected():
     "formulation, options",
     [
         ("cutset", {}),
-        ("cutset", {"LAZY_CUT_ROW_LIMIT": 0}),
+        ("cutset", {"CUT_ROW_LIMIT": 0}),
         ("flow", {}),
         ("bilevel", {}),
     ],
 )
 def test_repeated_violation_stalls(formulation, options, monkeypatch):
-    # both root arcs survive the seeded root cut, but losing the direct arc
-    # cuts the terminal off, so every oracle objects with a fresh violation
+    # every appender writes a row that cuts nothing off, so the master hands
+    # back the design that the oracle just rejected: the engine must stop
+    # with EngineError instead of running into its time limit
     for name, value in options.items():
-        monkeypatch.setattr(engine, name, value)
+        monkeypatch.setattr(formulations, name, value)
+
+    def cuts_nothing(master, *args):
+        master.model.add_constr({master.y_var[0]: 1.0}, "<=", 1.0)
+
+    for name in ("append_cut", "append_cut_subset", "append_scenario", "append_point"):
+        monkeypatch.setattr(engine, name, cuts_nothing)
     aug = augment(triangle(k=1, kp=0))
-    design = Design.canonical(aug, [0, 1])
-    form = FORMULATION_CLASSES[formulation](aug)
-    violation = form.separate(design, 60.0)
-    assert violation is not None
-    form.add(violation, design)
     with pytest.raises(EngineError):
-        form.add(violation, design)
+        solve(aug, formulation, EngineOptions(time_limit_s=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +402,7 @@ def test_master_without_cheaper_design_proves_incumbent(formulation, monkeypatch
 
 def test_lazy_cut_pool_still_converges(monkeypatch):
     # row limit zero forces every cut through the lazy one-row-at-a-time path
-    monkeypatch.setattr(engine, "LAZY_CUT_ROW_LIMIT", 0)
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 0)
     for kp, expected in ((0, 4.0), (1, 2.0)):
         aug = augment(triangle(k=1, kp=kp))
         sol = solve(aug, "cutset", FAST)

@@ -236,7 +236,7 @@ def test_cutset_master_guards(monkeypatch):
     aug = tri_aug()
     with pytest.raises(FormulationError):
         build_cutset_master(aug, [CutSet.from_sink_side(aug, {3})])
-    monkeypatch.setattr(formulations, "DEFAULT_ROW_CAP", 1)
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 1)
     with pytest.raises(FormulationError):
         build_cutset_master(aug, all_cuts(aug))
 

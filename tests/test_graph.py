@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_min_cut_value, lp_max_flow, triangle
+from conftest import brute_min_cut_value, deep_path, lp_max_flow, triangle
 from cprsnp import graph
 from cprsnp.graph import (
     MAX_CAPACITY,
@@ -130,6 +130,14 @@ def test_flow_conservation_and_bounds():
         inflow = sum(flow[i] for i, a in enumerate(aug.arcs) if a.head == v)
         outflow = sum(flow[i] for i, a in enumerate(aug.arcs) if a.tail == v)
         assert inflow == outflow
+
+
+def test_max_flow_on_a_path_deeper_than_the_recursion_limit():
+    aug = augment(deep_path())
+    res = max_flow(aug, ArcMask.full(aug))
+    assert res.value == 1
+    assert res.flow.tolist() == [1] * aug.arc_count
+    assert min_cut(aug, ArcMask.full(aug)).arcs == (0,)
 
 
 def test_cutset_from_sink_side():
