@@ -252,7 +252,7 @@ def _design_block(name: str, aug: AugmentedInstance):
         model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
         for a in range(m)
     ]
-    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)}, minimize=True)
+    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)})
     model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
     for a in aug.initial_arcs:
         model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
@@ -472,7 +472,7 @@ def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearch
         obj[search.lam_var[a]] = u
         if a in design.protected:
             obj[search.gam_var[a]] = u
-    search.model.set_objective(obj, minimize=True)
+    search.model.set_objective(obj)
     return search
 
 
@@ -492,53 +492,5 @@ def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchMode
         if a in design.protected:
             row[search.gam_var[a]] = u
     search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
-    search.model.set_objective(
-        {search.lam_var[a]: 1.0 for a in range(aug.arc_count)}, minimize=True
-    )
+    search.model.set_objective({search.lam_var[a]: 1.0 for a in range(aug.arc_count)})
     return search
-
-
-@dataclass
-class InnerFlowModel:
-    model: MilpModel
-    x_var: list[int]
-    aug: AugmentedInstance
-
-
-def build_inner_flow(
-    aug: AugmentedInstance,
-    design: Design,
-    attack: FailureScenario | Iterable[int] = (),
-) -> InnerFlowModel:
-    """LP of the flow the design still carries under a fixed attack.
-
-    The polytope is integral (its constraint matrix is an incidence matrix
-    with duplicated capacity rows), so simplex vertices are integer flows
-    and the optimum equals the masked max flow.
-    """
-    failed = attack.arcs if isinstance(attack, FailureScenario) else frozenset(attack)
-    for a in failed:
-        if aug.is_fictive(a):
-            raise FormulationError("fictive arcs cannot fail")
-    model = MilpModel("inner_flow")
-    x_var = []
-    for a, arc in enumerate(aug.arcs):
-        cap = float(arc.capacity) if a in design.selected else 0.0
-        x_var.append(model.add_var(f"x{a}", 0.0, cap))
-    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
-    for v in range(aug.vertex_count):
-        if v in (aug.root, aug.sink):
-            continue
-        row = {x_var[a]: 1.0 for a in in_arcs[v]}
-        for a in out_arcs[v]:
-            row[x_var[a]] = row.get(x_var[a], 0.0) - 1.0
-        model.add_constr(row, "=", 0.0)
-    for a in aug.initial_arcs:
-        u = float(aug.arcs[a].capacity)
-        limit = u * (1.0 - (a in failed) + (a in design.protected))
-        model.add_constr({x_var[a]: 1.0}, "<=", limit)
-    obj = {x_var[a]: 1.0 for a in out_arcs[aug.root]}
-    for a in in_arcs[aug.root]:
-        obj[x_var[a]] = obj.get(x_var[a], 0.0) - 1.0
-    model.set_objective(obj, minimize=False)
-    return InnerFlowModel(model, x_var, aug)

@@ -298,9 +298,6 @@ class CutSet:
         )
         return CutSet(sink_side=side, arcs=crossing)
 
-    def capacity(self, mask: ArcMask) -> int:
-        return int(sum(mask.capacities[i] for i in self.arcs))
-
 
 @dataclass(frozen=True)
 class FlowResult:

@@ -358,10 +358,9 @@ def generate(
             raise GenerationError("cannot reach feasibility within the arc budget")
         add_arc(*rng.choice(crossing))
 
-    missing = all_missing()
     extra = arcs - len(chosen)
     if extra:
-        for tail, head in rng.sample(missing, extra):
+        for tail, head in rng.sample(all_missing(), extra):
             add_arc(tail, head)
 
     aug = snapshot()

@@ -1,12 +1,11 @@
 """Small exact MILP kernel.
 
-A model keeps its rows only in the form HiGHS reads: the nonzero
-coefficients as (row, column, value) triplets and each row's sense as a
+Every model minimizes, and every column has finite bounds, so an LP
+relaxation is either Optimal or Infeasible: none can be unbounded.  A model
+keeps its rows only in the form HiGHS reads: the nonzero coefficients as
+(row, column, value) triplets and each row's sense as a
 ``row_lo <= A x <= row_hi`` pair.  The column-wise (CSC) matrix is built
-once per model version and serves the solver.  It also serves
-:meth:`MilpModel.check_assignment`, which, like
-:meth:`MilpModel.objective_value`, nothing in the package calls: the tests
-use both as their enumeration reference.
+once per model version and serves the solver.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance (the binding that ships inside scipy): the model is passed
@@ -57,7 +56,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.optimize  # noqa: F401
@@ -100,16 +99,12 @@ class SolveStatus(enum.Enum):
     OPTIMAL = "Optimal"
     FEASIBLE = "Feasible"
     INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an LP or MIP solve.
-
-    ``objective`` and ``bound`` are in the model's own sense; for a
-    minimization ``bound <= objective`` whenever both are present.
-    """
+    """Outcome of a MIP solve; ``bound <= objective`` whenever both are
+    present."""
 
     status: SolveStatus
     objective: float | None
@@ -119,11 +114,11 @@ class SolveResult:
 
 
 class MilpModel:
-    """Mutable model container: variables, linear constraints, one objective."""
+    """Mutable model container: bounded variables, linear constraints, one
+    objective, minimized."""
 
-    def __init__(self, name: str = "model", minimize: bool = True):
+    def __init__(self, name: str = "model"):
         self.name = name
-        self.minimize = minimize
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
@@ -139,14 +134,10 @@ class MilpModel:
     # -- construction -------------------------------------------------
 
     def add_var(
-        self,
-        name: str | None = None,
-        lb: float = 0.0,
-        ub: float = math.inf,
-        integer: bool = False,
+        self, name: str, lb: float, ub: float, integer: bool = False
     ) -> int:
-        if math.isnan(lb) or math.isnan(ub) or lb == math.inf or ub == -math.inf:
-            raise MilpError(f"variable {name}: invalid bounds [{lb}, {ub}]")
+        if not (math.isfinite(lb) and math.isfinite(ub)):
+            raise MilpError(f"variable {name}: bounds [{lb}, {ub}] must be finite")
         if lb > ub:
             raise MilpError(f"variable {name}: lb {lb} > ub {ub}")
         idx = len(self._lb)
@@ -176,14 +167,13 @@ class MilpModel:
         self._row_hi.append(math.inf if sense == ">=" else float(rhs))
         self._cache = None
 
-    def set_objective(self, coeffs: Mapping[int, float], minimize: bool = True) -> None:
+    def set_objective(self, coeffs: Mapping[int, float]) -> None:
         for var, coef in coeffs.items():
             if not 0 <= var < len(self._lb):
                 raise MilpError(f"objective references unknown variable {var}")
             if not math.isfinite(coef):
                 raise MilpError("objective coefficients must be finite")
         self._objective = {int(v): float(c) for v, c in coeffs.items() if c != 0.0}
-        self.minimize = minimize
         self._cache = None
 
     # -- inspection ---------------------------------------------------
@@ -202,35 +192,11 @@ class MilpModel:
     def integer_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._integer, dtype=bool))
 
-    def check_assignment(self, values: Sequence[float], tol: float = 1e-6) -> bool:
-        """True iff the assignment satisfies bounds, integrality, and rows.
-
-        No solve calls it; the tests check solver answers with it."""
-        x = np.asarray(values, dtype=float)
-        if x.shape != (self.num_vars,):
-            return False
-        lb, ub = self.bounds()
-        if np.any(x < lb - tol) or np.any(x > ub + tol):
-            return False
-        for i in self.integer_indices():
-            if abs(x[i] - round(x[i])) > tol:
-                return False
-        _, a, row_lo, row_hi = self._matrices()
-        lhs = a @ x
-        return bool(np.all(lhs >= row_lo - tol) and np.all(lhs <= row_hi + tol))
-
-    def objective_value(self, values: Sequence[float]) -> float:
-        """The objective at an assignment.  No solve calls it; the tests
-        score enumerated assignments with it."""
-        x = np.asarray(values, dtype=float)
-        return float(sum(c * x[v] for v, c in self._objective.items()))
-
     # -- matrix assembly (cached) --------------------------------------
 
     def _matrices(self):
-        """``(c, a, row_lo, row_hi)``: the objective in the model's own sense,
-        the rows as a CSC matrix, and their bounds
-        ``row_lo <= a @ x <= row_hi``."""
+        """``(c, a, row_lo, row_hi)``: the objective, the rows as a CSC
+        matrix, and their bounds ``row_lo <= a @ x <= row_hi``."""
         if self._cache is None:
             c = np.zeros(self.num_vars)
             for v, coef in self._objective.items():
@@ -249,16 +215,14 @@ class _Relaxation:
     The model is passed once.  Each :meth:`solve` sends only the column
     bounds that differ from the ones HiGHS holds, and :meth:`grow` only the
     columns and rows appended to the model since, so the dual simplex
-    restarts from the previous basis.  ``objective`` is in the internal
-    minimization sense.
+    restarts from the previous basis.
     """
 
     def __init__(self, model: MilpModel):
         self.model = model
-        self.sign = 1.0 if model.minimize else -1.0
         # the column bounds HiGHS holds
         self.lb, self.ub = model.bounds()
-        self.highs = _open(model, self.sign, self.lb, self.ub)
+        self.highs = _open(model, self.lb, self.ub)
         self.rows = model.num_constraints
         self.nonzeros = len(model._values)
 
@@ -314,25 +278,20 @@ class _Relaxation:
             return SolveStatus.OPTIMAL, highs.getInfo().objective_function_value, x
         if status == HighsModelStatus.kInfeasible:
             return SolveStatus.INFEASIBLE, None, None
-        if status == HighsModelStatus.kUnbounded:
-            return SolveStatus.UNBOUNDED, None, None
-        if status == HighsModelStatus.kUnboundedOrInfeasible:
-            return _classify_cold(self.model, lb, ub), None, None
         raise MilpError(
             f"LP solver failed on {self.model.name}: {highs.modelStatusToString(status)}"
         )
 
 
-def _open(model: MilpModel, sign: float, lb: np.ndarray, ub: np.ndarray):
+def _open(model: MilpModel, lb: np.ndarray, ub: np.ndarray):
     """A HiGHS instance loaded with the model's relaxation under the given
-    column bounds and objective ``sign * c`` (0 drops the objective): serial
-    dual simplex, no presolve (its reductions would discard the basis),
-    silent."""
+    column bounds: serial dual simplex, no presolve (its reductions would
+    discard the basis), silent."""
     c, a, row_lo, row_hi = model._matrices()
     lp = HighsLp()
     lp.num_col_ = c.size
     lp.num_row_ = row_lo.size
-    lp.col_cost_ = sign * c
+    lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub
     lp.row_lower_ = row_lo
@@ -353,32 +312,6 @@ def _open(model: MilpModel, sign: float, lb: np.ndarray, ub: np.ndarray):
     return highs
 
 
-def _classify_cold(model: MilpModel, lb: np.ndarray, ub: np.ndarray) -> SolveStatus:
-    """Decide a dual-infeasible relaxation from scratch: with a zero
-    objective the LP cannot be unbounded, so a feasible point proves the
-    original unbounded and its absence proves it infeasible."""
-    highs = _open(model, 0.0, lb, ub)
-    highs.run()
-    status = highs.getModelStatus()
-    if status == HighsModelStatus.kOptimal:
-        return SolveStatus.UNBOUNDED
-    if status == HighsModelStatus.kInfeasible:
-        return SolveStatus.INFEASIBLE
-    raise MilpError(
-        f"LP solver failed on {model.name}: {highs.modelStatusToString(status)}"
-    )
-
-
-def solve_lp(model: MilpModel) -> SolveResult:
-    """Solve the continuous relaxation exactly; integrality flags are ignored."""
-    lp = _Relaxation(model)
-    status, objective, x = lp.solve(*model.bounds())
-    if status == SolveStatus.OPTIMAL:
-        obj = lp.sign * objective
-        return SolveResult(status, obj, x, bound=obj)
-    return SolveResult(status, None, None)
-
-
 def _integral_objective(model: MilpModel, int_idx: np.ndarray) -> bool:
     """True when every objective coefficient is an integer on an integer
     column, so that every feasible objective value is an integer."""
@@ -394,38 +327,36 @@ def solve_mip(
 ) -> SolveResult:
     """Branch-and-bound over the integer variables of the model.
 
-    ``cutoff`` is an optional objective value in the model's own sense, the
-    cost of a solution the caller already holds: the search starts with it
-    as the value to beat, so INFEASIBLE then means "no solution strictly
-    better than the cutoff".  With a time limit the returned status is
-    FEASIBLE and ``bound`` still underestimates (in the minimization sense)
-    every feasible objective better than the cutoff.
+    A model without integer columns is solved as exactly one LP.
+    ``cutoff`` is an optional objective value, the cost of a solution the
+    caller already holds: the search starts with it as the value to beat,
+    so INFEASIBLE then means "no solution strictly better than the cutoff".
+    With a time limit the returned status is FEASIBLE and ``bound`` still
+    underestimates every feasible objective better than the cutoff.
 
     ``lazy(values, bound)`` is called on every integer-feasible point before
-    it may become the incumbent, with the tree's global bound at that moment
-    (in the model's own sense).  It returns False to accept the point, or
-    appends rows that cut it off to ``model`` itself and returns True; the
-    same node is then re-solved on the grown model.  It may also append
-    continuous columns, which cost nothing.  It must keep the sense, the
-    objective and the integer columns (indices and bounds), and may only
-    remove integer assignments it would reject.  Returned ``values`` may
-    then be shorter than the final model's columns.  Given ``lazy``, the
-    tree dives to integer points (see the module docstring).
+    it may become the incumbent, with the tree's global bound at that
+    moment.  It returns False to accept the point, or appends rows that cut
+    it off to ``model`` itself and returns True; the same node is then
+    re-solved on the grown model.  It may also append continuous columns,
+    which cost nothing.  It must keep the objective and the integer columns
+    (indices and bounds), and may only remove integer assignments it would
+    reject.  Returned ``values`` may then be shorter than the final model's
+    columns.  Given ``lazy``, the tree dives to integer points (see the
+    module docstring).
     """
     t0 = time.perf_counter()
     int_idx = model.integer_indices()
     lb0, ub0 = model.bounds()
     ilb0, iub0 = lb0[int_idx], ub0[int_idx]
-    minimize0, objective0 = model.minimize, dict(model._objective)
+    objective0 = dict(model._objective)
     lp = _Relaxation(model)
-    sign = lp.sign
     integral = _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
         return time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
 
-    # internal minimization sense
-    best_obj = math.inf if cutoff is None else sign * cutoff
+    best_obj = math.inf if cutoff is None else cutoff
     best_x: np.ndarray | None = None
 
     def prunes(bound: float) -> bool:
@@ -450,12 +381,11 @@ def solve_mip(
         """Ask ``lazy`` about an integer-feasible point; when it grew the
         model, send the growth to the relaxation and return True."""
         nonlocal lb0, ub0
-        if lazy is None or not lazy(x, sign * bound):
+        if lazy is None or not lazy(x, bound):
             return False
         lb, ub = model.bounds()
         if (
-            model.minimize != minimize0
-            or model._objective != objective0
+            model._objective != objective0
             or not np.array_equal(model.integer_indices(), int_idx)
             or not np.array_equal(lb[int_idx], ilb0)
             or not np.array_equal(ub[int_idx], iub0)
@@ -486,8 +416,8 @@ def solve_mip(
 
     def finish(status: SolveStatus, open_bounds: Iterable[float]) -> SolveResult:
         lower = min(list(open_bounds) + [best_obj], default=best_obj)
-        obj = None if best_x is None else sign * best_obj
-        bound = sign * lower if math.isfinite(lower) else None
+        obj = None if best_x is None else best_obj
+        bound = lower if math.isfinite(lower) else None
         return SolveResult(status, obj, best_x, bound=bound, nodes=nodes)
 
     while heap or held is not None:
@@ -511,12 +441,6 @@ def solve_mip(
             nodes += 1
             if status == SolveStatus.INFEASIBLE:
                 break
-            if status == SolveStatus.UNBOUNDED:
-                # only the root's first solve can be: every later one solves
-                # a tighter relaxation of it
-                if nodes > 1:
-                    raise MilpError(f"unbounded node LP in {model.name}")
-                return SolveResult(SolveStatus.UNBOUNDED, None, None, nodes=nodes)
             if prunes(node_bound):
                 break
             frac = (
@@ -555,5 +479,5 @@ def solve_mip(
     if best_x is None:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, nodes=nodes)
     return SolveResult(
-        SolveStatus.OPTIMAL, sign * best_obj, best_x, bound=sign * best_obj, nodes=nodes
+        SolveStatus.OPTIMAL, best_obj, best_x, bound=best_obj, nodes=nodes
     )

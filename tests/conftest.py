@@ -1,6 +1,6 @@
 """Shared fixtures: a tiny hand-checkable instance, brute-force oracles
-kept independent of the solver stack, and the seeded random corpus the
-cross-validation tests sweep over.
+and reference models kept independent of the solver stack, and the seeded
+random corpus the cross-validation tests sweep over.
 """
 
 from __future__ import annotations
@@ -13,14 +13,22 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
-from cprsnp.formulations import Design
-from cprsnp.graph import Arc, ArcMask, AugmentedInstance, Instance, augment, max_flow
+from cprsnp.formulations import Design, FormulationError
+from cprsnp.graph import (
+    Arc,
+    ArcMask,
+    AugmentedInstance,
+    CutSet,
+    Instance,
+    augment,
+    max_flow,
+)
 from cprsnp.instances import generate
 from cprsnp.milp import (
     HighsModelStatus,
     MatrixFormat,
+    MilpModel,
     SolveStatus,
-    _classify_cold,
     _open,
     _Relaxation,
 )
@@ -78,7 +86,6 @@ def lp_data(lp):
 _COLD_STATUS = {
     HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
     HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-    HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
 }
 
 
@@ -90,24 +97,95 @@ class CheckedRelaxation(_Relaxation):
 
     def grow(self):
         super().grow()
-        fresh = _open(self.model, self.sign, self.lb, self.ub)
+        fresh = _open(self.model, self.lb, self.ub)
         assert lp_data(self.highs.getLp()) == lp_data(fresh.getLp())
 
     def solve(self, lb, ub):
         status, objective, x = super().solve(lb, ub)
         # a fresh instance opened under the node's bounds: no bound is sent
         # to it later, so it shares no state with the warm one
-        cold = _open(self.model, self.sign, lb, ub)
+        cold = _open(self.model, lb, ub)
         cold.run()
         cold_status = cold.getModelStatus()
-        if cold_status == HighsModelStatus.kUnboundedOrInfeasible:
-            assert status == _classify_cold(self.model, lb, ub)
-        else:
-            assert status == _COLD_STATUS[cold_status]
+        # bounded columns leave a cold LP optimal or infeasible, nothing else
+        assert cold_status in _COLD_STATUS, (
+            f"cold LP of {self.model.name}: unexpected HiGHS status "
+            f"{cold.modelStatusToString(cold_status)}"
+        )
+        assert status == _COLD_STATUS[cold_status]
         if status == SolveStatus.OPTIMAL:
             want = cold.getInfo().objective_function_value
             assert objective == pytest.approx(want, abs=1e-6)
         return status, objective, x
+
+
+# ---------------------------------------------------------------------------
+# references the tests check the package against; nothing in the package
+# calls them
+
+
+def check_assignment(model: MilpModel, values, tol: float = 1e-6) -> bool:
+    """True iff the assignment satisfies the model's bounds, integrality
+    and rows."""
+    x = np.asarray(values, dtype=float)
+    if x.shape != (model.num_vars,):
+        return False
+    lb, ub = model.bounds()
+    if np.any(x < lb - tol) or np.any(x > ub + tol):
+        return False
+    for i in model.integer_indices():
+        if abs(x[i] - round(x[i])) > tol:
+            return False
+    _, a, row_lo, row_hi = model._matrices()
+    lhs = a @ x
+    return bool(np.all(lhs >= row_lo - tol) and np.all(lhs <= row_hi + tol))
+
+
+def objective_value(model: MilpModel, values) -> float:
+    """The model's objective at an assignment."""
+    x = np.asarray(values, dtype=float)
+    return float(sum(c * x[v] for v, c in model._objective.items()))
+
+
+def cut_capacity(cut: CutSet, mask: ArcMask) -> int:
+    """The masked capacity of the arcs entering the cut's sink side."""
+    return int(sum(mask.capacities[i] for i in cut.arcs))
+
+
+def build_inner_flow(aug: AugmentedInstance, design: Design, attack=()) -> MilpModel:
+    """LP of the flow the design still carries under a fixed attack, as the
+    minimum of minus that flow.
+
+    The polytope is integral (its constraint matrix is an incidence matrix
+    with duplicated capacity rows), so simplex vertices are integer flows
+    and the optimum is minus the masked max flow.
+    """
+    failed = frozenset(attack)
+    for a in failed:
+        if aug.is_fictive(a):
+            raise FormulationError("fictive arcs cannot fail")
+    model = MilpModel("inner_flow")
+    x_var = []
+    for a, arc in enumerate(aug.arcs):
+        cap = float(arc.capacity) if a in design.selected else 0.0
+        x_var.append(model.add_var(f"x{a}", 0.0, cap))
+    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
+    for v in range(aug.vertex_count):
+        if v in (aug.root, aug.sink):
+            continue
+        row = {x_var[a]: 1.0 for a in in_arcs[v]}
+        for a in out_arcs[v]:
+            row[x_var[a]] = row.get(x_var[a], 0.0) - 1.0
+        model.add_constr(row, "=", 0.0)
+    for a in aug.initial_arcs:
+        u = float(aug.arcs[a].capacity)
+        limit = u * (1.0 - (a in failed) + (a in design.protected))
+        model.add_constr({x_var[a]: 1.0}, "<=", limit)
+    obj = {x_var[a]: -1.0 for a in out_arcs[aug.root]}
+    for a in in_arcs[aug.root]:
+        obj[x_var[a]] = obj.get(x_var[a], 0.0) + 1.0
+    model.set_objective(obj)
+    return model
 
 
 # ---------------------------------------------------------------------------

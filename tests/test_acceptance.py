@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_design
+from conftest import build_inner_flow, random_design
 
 from cprsnp.bench import bench, csv_report, text_table
 from cprsnp.engine import FORMULATIONS, EngineOptions, solve
@@ -25,12 +25,11 @@ from cprsnp.formulations import (
     FailureScenario,
     build_bilevel_master,
     build_flow_master,
-    build_inner_flow,
     point_row_value,
 )
 from cprsnp.graph import augment, max_flow
 from cprsnp.instances import generate, write_design
-from cprsnp.milp import SolveStatus, solve_lp
+from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import (
     separate_bilevel,
     separate_cutset,
@@ -229,7 +228,7 @@ def test_acceptance_5_inner_flow_integrality(acceptance, oracle_suite):
             size = rng.randint(0, min(aug.k, len(candidates)))
             attack = tuple(sorted(rng.sample(candidates, size)))
             triples += 1
-            res = solve_lp(build_inner_flow(aug, design, attack).model)
+            res = solve_mip(build_inner_flow(aug, design, attack))
             if res.status is not SolveStatus.OPTIMAL:
                 problems.append(f"triple {triples}: LP status {res.status.value}")
                 continue
@@ -239,9 +238,9 @@ def test_acceptance_5_inner_flow_integrality(acceptance, oracle_suite):
             if drift > 1e-6:
                 problems.append(f"triple {triples}: fractional vertex ({drift:g})")
             masked = max_flow(aug, design.mask(aug, attack)).value
-            if abs(res.objective - masked) > 1e-6:
+            if abs(-res.objective - masked) > 1e-6:
                 problems.append(
-                    f"triple {triples}: LP {res.objective} != flow {masked}"
+                    f"triple {triples}: LP {-res.objective} != flow {masked}"
                 )
     if triples < 100:
         problems.append(f"only {triples} (design, attack) triples")

@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_attack_value, brute_worst_loss, random_design, triangle
+from conftest import (
+    brute_attack_value,
+    brute_worst_loss,
+    build_inner_flow,
+    random_design,
+    triangle,
+)
 from cprsnp import formulations
 from cprsnp.formulations import (
     Design,
@@ -18,7 +24,6 @@ from cprsnp.formulations import (
     build_cutset_master,
     build_cutset_separation,
     build_flow_master,
-    build_inner_flow,
     build_strengthening,
     count_cut_rows,
     cut_residual,
@@ -27,7 +32,7 @@ from cprsnp.formulations import (
 )
 from cprsnp.graph import Arc, ArcMask, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
-from cprsnp.milp import SolveStatus, solve_lp, solve_mip
+from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import separate_bilevel, separate_cutset, separate_scenario
 
 
@@ -484,11 +489,10 @@ def test_inner_flow_equals_masked_max_flow_and_is_integral(seed):
     design = random_design(rng, aug)
     candidates = sorted(a for a in design.selected if not aug.is_fictive(a))
     attack = rng.sample(candidates, min(len(candidates), aug.k))
-    inner = build_inner_flow(aug, design, attack)
-    res = solve_lp(inner.model)
+    res = solve_mip(build_inner_flow(aug, design, attack))
     assert res.status == SolveStatus.OPTIMAL
     masked = max_flow(aug, design.mask(aug, attack)).value
-    assert res.objective == pytest.approx(masked)
+    assert -res.objective == pytest.approx(masked)
     values = np.asarray(res.values)
     assert np.all(np.abs(values - np.round(values)) <= 1e-6)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -220,6 +221,19 @@ def test_generate_requested_sizes():
 
     big = generate(25, 8, 120, "random", seed=1)
     assert (big.vertex_count, len(big.terminals), len(big.arcs)) == (25, 8, 120)
+
+
+def test_generate_tree_only_never_lists_absent_pairs():
+    # with arcs = nodes - 1 nothing is drawn from the ~2.2M absent vertex
+    # pairs, so they must not be listed (about 200 MB as tuples)
+    tracemalloc.start()
+    try:
+        inst = generate(1500, 1, 1499, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.arcs) == 1499
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -12,51 +12,46 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CheckedRelaxation
+from conftest import CheckedRelaxation, check_assignment, objective_value
 from cprsnp import milp
-from cprsnp.milp import (
-    MilpError,
-    MilpModel,
-    SolveStatus,
-    _classify_cold,
-    _Relaxation,
-    solve_lp,
-    solve_mip,
-)
+from cprsnp.milp import MilpError, MilpModel, SolveStatus, _Relaxation, solve_mip
 
 
-def knapsack(values, weights, cap, minimize=False) -> MilpModel:
-    model = MilpModel("knapsack", minimize=minimize)
-    xs = [model.add_var(f"x{i}", ub=1.0, integer=True) for i in range(len(values))]
+def knapsack(values, weights, cap) -> MilpModel:
+    """The most valuable items within the capacity, found as the minimum of
+    minus their value."""
+    model = MilpModel("knapsack")
+    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(len(values))]
     model.add_constr({x: w for x, w in zip(xs, weights)}, "<=", cap)
-    model.set_objective({x: v for x, v in zip(xs, values)}, minimize=minimize)
+    model.set_objective({x: -v for x, v in zip(xs, values)})
     return model
 
 
 def test_lp_known_optimum():
-    model = MilpModel(minimize=False)
-    x = model.add_var("x")
-    y = model.add_var("y")
+    # max 3x + 2y as min -3x - 2y; no integer column, so one LP
+    model = MilpModel()
+    x = model.add_var("x", 0.0, 10.0)
+    y = model.add_var("y", 0.0, 10.0)
     model.add_constr({x: 1, y: 1}, "<=", 4)
     model.add_constr({x: 1, y: 3}, "<=", 6)
-    model.set_objective({x: 3, y: 2}, minimize=False)
-    res = solve_lp(model)
+    model.set_objective({x: -3, y: -2})
+    res = solve_mip(model)
     assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(12.0)
+    assert res.nodes == 1
+    assert res.objective == pytest.approx(-12.0)
     assert res.values[x] == pytest.approx(4.0)
     assert res.values[y] == pytest.approx(0.0)
 
 
 def test_lp_statuses():
     model = MilpModel()
-    x = model.add_var("x", ub=1.0)
+    x = model.add_var("x", 0.0, 1.0)
     model.add_constr({x: 1}, ">=", 2)
-    assert solve_lp(model).status == SolveStatus.INFEASIBLE
+    assert solve_mip(model).status == SolveStatus.INFEASIBLE
 
-    free = MilpModel(minimize=False)
-    z = free.add_var("z")
-    free.set_objective({z: 1}, minimize=False)
-    assert solve_lp(free).status == SolveStatus.UNBOUNDED
+    # an LP that could be unbounded cannot be built
+    with pytest.raises(MilpError):
+        MilpModel().add_var("z", 0.0, math.inf)
 
 
 def test_mip_knapsack_frozen():
@@ -64,16 +59,16 @@ def test_mip_knapsack_frozen():
     model = knapsack([5, 4, 3], [2, 3, 1], 5)
     res = solve_mip(model)
     assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(9.0)
+    assert res.objective == pytest.approx(-9.0)
     assert [round(v) for v in res.values] == [1, 1, 0]
-    assert res.bound == pytest.approx(9.0)
+    assert res.bound == pytest.approx(-9.0)
 
 
 def test_mip_mixed_frozen():
     # integer x forced to 2, continuous y fills the rest: 2 + 0.85
     model = MilpModel()
-    x = model.add_var("x", ub=3.0, integer=True)
-    y = model.add_var("y", ub=1.0)
+    x = model.add_var("x", 0.0, 3.0, integer=True)
+    y = model.add_var("y", 0.0, 1.0)
     model.add_constr({x: 1, y: 2}, ">=", 3.7)
     model.set_objective({x: 1, y: 1})
     res = solve_mip(model)
@@ -88,9 +83,9 @@ def test_integer_costs_on_continuous_columns_do_not_prune_by_one():
     # -2.5 (b = 1, x = 2, y = 0.5) is not, so a node within one unit of the
     # incumbent must still be searched
     model = MilpModel()
-    x = model.add_var("x", ub=2.0)
-    y = model.add_var("y", ub=2.0)
-    b = model.add_var("b", ub=1.0, integer=True)
+    x = model.add_var("x", 0.0, 2.0)
+    y = model.add_var("y", 0.0, 2.0)
+    b = model.add_var("b", 0.0, 1.0, integer=True)
     model.add_constr({y: 2, x: -1, b: -2}, ">=", -3)
     model.set_objective({x: -1, y: 1, b: -1})
     res = solve_mip(model)
@@ -100,40 +95,39 @@ def test_integer_costs_on_continuous_columns_do_not_prune_by_one():
 
 def test_mip_infeasible_and_unbounded():
     model = MilpModel()
-    x = model.add_var("x", ub=1.0, integer=True)
+    x = model.add_var("x", 0.0, 1.0, integer=True)
     model.add_constr({x: 1}, ">=", 2)
     assert solve_mip(model).status == SolveStatus.INFEASIBLE
 
-    free = MilpModel(minimize=False)
-    z = free.add_var("z", integer=True)
-    free.set_objective({z: 1}, minimize=False)
-    assert solve_mip(free).status == SolveStatus.UNBOUNDED
+    # a MIP that could be unbounded cannot be built
+    with pytest.raises(MilpError):
+        MilpModel().add_var("z", -math.inf, 0.0, integer=True)
 
 
 def _random_binary_program(rng: random.Random) -> MilpModel:
     n = rng.randint(2, 9)
     m = rng.randint(1, 4)
-    minimize = rng.random() < 0.5
-    model = MilpModel("random", minimize=minimize)
-    xs = [model.add_var(ub=1.0, integer=True) for _ in range(n)]
+    # about half the programs are maximizations, minimized as their negation
+    sign = 1 if rng.random() < 0.5 else -1
+    model = MilpModel("random")
+    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(n)]
     for _ in range(m):
         coeffs = {x: rng.randint(-4, 4) for x in rng.sample(xs, rng.randint(1, n))}
         sense = rng.choice(["<=", ">="])
         rhs = rng.randint(-3, 6)
         model.add_constr(coeffs, sense, rhs)
-    model.set_objective({x: rng.randint(-5, 5) for x in xs}, minimize=minimize)
+    model.set_objective({x: sign * rng.randint(-5, 5) for x in xs})
     return model
 
 
 def _enumerate_binary(model: MilpModel):
     best = None
     n = model.num_vars
-    sign = 1.0 if model.minimize else -1.0
     for bits in itertools.product((0.0, 1.0), repeat=n):
-        if not model.check_assignment(bits):
+        if not check_assignment(model, bits):
             continue
-        obj = model.objective_value(bits)
-        if best is None or sign * obj < sign * best:
+        obj = objective_value(model, bits)
+        if best is None or obj < best:
             best = obj
     return best
 
@@ -149,16 +143,20 @@ def test_mip_matches_enumeration(seed):
     else:
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(brute, abs=1e-6)
-        assert model.check_assignment(res.values)
+        assert check_assignment(model, res.values)
 
 
 def test_mip_without_integers_equals_lp():
-    model = MilpModel(minimize=False)
-    x = model.add_var("x", ub=2.5)
-    y = model.add_var("y", ub=2.5)
+    model = MilpModel()
+    x = model.add_var("x", 0.0, 2.5)
+    y = model.add_var("y", 0.0, 2.5)
     model.add_constr({x: 1, y: 1}, "<=", 4)
-    model.set_objective({x: 1, y: 1}, minimize=False)
-    assert solve_mip(model).objective == pytest.approx(solve_lp(model).objective)
+    model.set_objective({x: -1, y: -1})
+    res = solve_mip(model)
+    assert res.nodes == 1
+    status, objective = _cold_linprog(model, *model.bounds())
+    assert res.status == status
+    assert res.objective == pytest.approx(objective)
 
 
 def test_determinism():
@@ -175,16 +173,16 @@ def _accept_every_point(values, bound):
 
 
 def _assert_timed_out_validly(res, exact, cutoff):
-    floor = -math.inf if cutoff is None else cutoff
+    ceiling = math.inf if cutoff is None else cutoff
     if res.status == SolveStatus.FEASIBLE:
-        # maximization: reported bound must over-estimate the true
-        # optimum, and never claims less than the cutoff
+        # the reported bound must under-estimate the true optimum, and
+        # never claims more than the cutoff
         if res.bound is not None:
-            assert res.bound >= exact.objective - 1e-6
-            assert res.bound >= floor
+            assert res.bound <= exact.objective + 1e-6
+            assert res.bound <= ceiling
         if res.objective is not None:
-            assert floor < res.objective <= exact.objective + 1e-6
-    elif floor < exact.objective:
+            assert exact.objective - 1e-6 <= res.objective < ceiling
+    elif exact.objective < ceiling:
         assert res.objective == pytest.approx(exact.objective)
     else:
         assert res.status == SolveStatus.INFEASIBLE
@@ -207,7 +205,7 @@ def _cover_26() -> MilpModel:
     master: buy items at least cost until their weights reach the half."""
     values, weights = _items_26()
     model = MilpModel("cover")
-    xs = [model.add_var(f"x{i}", ub=1.0, integer=True) for i in range(26)]
+    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(26)]
     model.add_constr(dict(zip(xs, weights)), ">=", sum(weights) // 2)
     model.set_objective(dict(zip(xs, values)))
     return model
@@ -298,7 +296,7 @@ def test_tree_without_lazy_keeps_best_bound_order():
 
 def test_model_validation_errors():
     model = MilpModel()
-    x = model.add_var("x")
+    x = model.add_var("x", 0.0, 1.0)
     with pytest.raises(MilpError):
         model.add_var("bad", lb=2.0, ub=1.0)
     with pytest.raises(MilpError):
@@ -313,22 +311,22 @@ def test_model_validation_errors():
         with pytest.raises(MilpError):
             model.set_objective({x: bad})
     for lb, ub in ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
-                   (-math.inf, -math.inf)):
+                   (-math.inf, -math.inf), (0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(MilpError):
             model.add_var("bad", lb=lb, ub=ub)
 
 
 def test_check_assignment_and_objective_value():
     model = knapsack([5, 4, 3], [2, 3, 1], 5)
-    assert model.check_assignment([1, 1, 0])
-    assert not model.check_assignment([1, 1, 1])  # weight 6 > 5
-    assert not model.check_assignment([0.5, 0, 0])  # fractional integer var
-    assert model.objective_value([1, 1, 0]) == pytest.approx(9.0)
+    assert check_assignment(model, [1, 1, 0])
+    assert not check_assignment(model, [1, 1, 1])  # weight 6 > 5
+    assert not check_assignment(model, [0.5, 0, 0])  # fractional integer var
+    assert objective_value(model, [1, 1, 0]) == pytest.approx(-9.0)
 
 
 # ---------------------------------------------------------------------------
 # row storage: the matrices keep exactly the rows given to add_constr, and
-# check_assignment agrees with a row-by-row evaluation of those rows
+# conftest's check_assignment agrees with a row-by-row evaluation of those rows
 
 
 @st.composite
@@ -344,7 +342,7 @@ def rows_and_points(draw):
         lb = draw(st.integers(-2, 1))
         ub = lb + draw(st.integers(0, 3))
         integer = draw(st.booleans())
-        model.add_var(lb=lb, ub=ub, integer=integer)
+        model.add_var(f"x{len(columns)}", lb, ub, integer=integer)
         columns.append((lb, ub, integer))
     rows = []
     for _ in range(draw(st.integers(0, 5))):
@@ -393,7 +391,7 @@ def test_row_storage_matches_the_rows_given(drawn):
         assert got == {v: c for v, c in coeffs.items() if c != 0}
         want = {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[sense]
         assert (row_lo[r], row_hi[r]) == want
-    assert model.check_assignment(x, tol) == _check_row_by_row(columns, rows, x, tol)
+    assert check_assignment(model, x, tol) == _check_row_by_row(columns, rows, x, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +400,7 @@ def test_row_storage_matches_the_rows_given(drawn):
 
 
 def _cold_linprog(model: MilpModel, lb, ub):
-    """(status, objective) of a cold linprog solve, in the model's sense."""
-    sign = 1.0 if model.minimize else -1.0
+    """(status, objective) of a cold linprog solve."""
     c, a, row_lo, row_hi = model._matrices()
     dense = a.toarray()
     eq = row_lo == row_hi
@@ -412,7 +409,7 @@ def _cold_linprog(model: MilpModel, lb, ub):
     a_ub = np.vstack([dense[upper], -dense[lower]])
     b_ub = np.concatenate([row_hi[upper], -row_lo[lower]])
     res = scipy.optimize.linprog(
-        sign * c,
+        c,
         A_ub=a_ub if b_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
         A_eq=dense[eq] if eq.any() else None,
@@ -421,7 +418,7 @@ def _cold_linprog(model: MilpModel, lb, ub):
         method="highs-ds",
     )
     if res.status == 0:
-        return SolveStatus.OPTIMAL, sign * res.fun
+        return SolveStatus.OPTIMAL, res.fun
     assert res.status == 2, res.message  # bounded LPs: optimal or infeasible
     return SolveStatus.INFEASIBLE, None
 
@@ -429,16 +426,15 @@ def _cold_linprog(model: MilpModel, lb, ub):
 @st.composite
 def bounded_programs(draw, integer_share=0.0):
     n = draw(st.integers(1, 6))
-    minimize = draw(st.booleans())
-    model = MilpModel("drawn", minimize=minimize)
+    model = MilpModel("drawn")
     for i in range(n):
         lb = draw(st.integers(-3, 2))
         width = draw(st.integers(0, 4))
         binary = draw(st.floats(0, 1, exclude_max=True)) < integer_share
         if binary:
-            model.add_var(lb=0.0, ub=1.0, integer=True)
+            model.add_var(f"x{i}", 0.0, 1.0, integer=True)
         else:
-            model.add_var(lb=float(lb), ub=float(lb + width))
+            model.add_var(f"x{i}", float(lb), float(lb + width))
     coef = st.integers(-4, 4)
     for _ in range(draw(st.integers(0, 4))):
         support = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
@@ -458,7 +454,7 @@ def bounded_programs(draw, integer_share=0.0):
         elif costs == "integer columns" and v not in model.integer_indices():
             c = 0
         objective[v] = c
-    model.set_objective(objective, minimize=minimize)
+    model.set_objective(objective)
     return model
 
 
@@ -482,22 +478,9 @@ def test_warm_started_lp_matches_cold_linprog(model, data):
             lb, ub = lb.copy(), ub.copy()
             lb[var], ub[var] = lo, hi
         status, objective, x = relaxation.solve(lb, ub)
-        got = None if objective is None else relaxation.sign * objective
-        _assert_agrees(model, status, got, lb, ub)
+        _assert_agrees(model, status, objective, lb, ub)
         if status == SolveStatus.OPTIMAL:
             assert np.all(x >= lb - 1e-7) and np.all(x <= ub + 1e-7)
-
-
-def test_cold_classification_of_dual_infeasible_lps():
-    # the fallback for an "unbounded or infeasible" simplex verdict
-    model = MilpModel(minimize=False)
-    x = model.add_var("x")
-    y = model.add_var("y", ub=1.0)
-    model.set_objective({x: 1, y: 1}, minimize=False)
-    model.add_constr({x: 1, y: -1}, ">=", 0)
-    assert _classify_cold(model, *model.bounds()) == SolveStatus.UNBOUNDED
-    model.add_constr({y: 1}, ">=", 2)
-    assert _classify_cold(model, *model.bounds()) == SolveStatus.INFEASIBLE
 
 
 def _enumerate_mixed(model: MilpModel):
@@ -505,16 +488,13 @@ def _enumerate_mixed(model: MilpModel):
     linprog solve of the continuous part; None if no pattern is feasible."""
     lb0, ub0 = model.bounds()
     ints = model.integer_indices()
-    sign = 1.0 if model.minimize else -1.0
     best = None
     for bits in itertools.product((0.0, 1.0), repeat=ints.size):
         lb, ub = lb0.copy(), ub0.copy()
         lb[ints] = bits
         ub[ints] = bits
         status, objective = _cold_linprog(model, lb, ub)
-        if status == SolveStatus.OPTIMAL and (
-            best is None or sign * objective < sign * best
-        ):
+        if status == SolveStatus.OPTIMAL and (best is None or objective < best):
             best = objective
     return best
 
@@ -529,7 +509,7 @@ def test_mixed_mip_matches_enumeration(model):
     else:
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(brute, abs=1e-6)
-        assert model.check_assignment(res.values)
+        assert check_assignment(model, res.values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -542,13 +522,12 @@ def test_cutoff_matches_enumeration(model, cutoff, offset):
     # a cutoff prunes every solution that does not beat it by more than
     # 1e-9; with nothing left the model reads infeasible
     cutoff += offset
-    sign = 1.0 if model.minimize else -1.0
     res = solve_mip(model, cutoff=cutoff)
     brute = _enumerate_binary(model)
-    if brute is not None and sign * (brute - cutoff) < -1e-9:
+    if brute is not None and brute - cutoff < -1e-9:
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(brute, abs=1e-6)
-        assert model.check_assignment(res.values)
+        assert check_assignment(model, res.values)
     else:
         assert res.status == SolveStatus.INFEASIBLE
         assert res.values is None
@@ -604,11 +583,10 @@ def hidden_programs(draw):
             pieces.append(([], [row(width)]))
     halves = draw(st.booleans())
     objective = {v: draw(coef) / (2 if halves else 1) for v in range(n_int)}
-    minimize = draw(st.booleans())
 
     def append(model: MilpModel, cols, rows) -> None:
         for lb, ub, integer in cols:
-            model.add_var(lb=lb, ub=ub, integer=integer)
+            model.add_var(f"x{model.num_vars}", lb, ub, integer=integer)
         for coeffs, sense, rhs in rows:
             model.add_constr(coeffs, sense, rhs)
 
@@ -616,9 +594,9 @@ def hidden_programs(draw):
         append(model, *pieces[i])
 
     def build(revealed: int) -> MilpModel:
-        model = MilpModel(f"hidden{revealed}", minimize=minimize)
+        model = MilpModel(f"hidden{revealed}")
         append(model, columns, visible)
-        model.set_objective(objective, minimize=minimize)
+        model.set_objective(objective)
         for i in range(revealed):
             reveal(model, i)
         return model
@@ -643,14 +621,13 @@ def _admits(model: MilpModel, n_int: int, values) -> bool:
 def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
     n_int, n_pieces, build, reveal = drawn
     whole = build(n_pieces)
-    sign = 1.0 if whole.minimize else -1.0
     model = build(0)
     revealed = 0
     bounds = []
 
     def lazy(values, bound):
         nonlocal revealed
-        bounds.append(sign * bound)
+        bounds.append(bound)
         if _admits(whole, n_int, values):
             return False
         assert revealed < n_pieces, "the whole model admitted a rejected point"
@@ -667,13 +644,13 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
             got, want = got.toarray(), want.toarray()
         assert np.array_equal(got, want)
     brute = _enumerate_mixed(whole)
-    floor = math.inf if cutoff is None else sign * cutoff
-    if brute is not None and sign * brute < floor - 1e-9:
+    floor = math.inf if cutoff is None else cutoff
+    if brute is not None and brute < floor - 1e-9:
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(brute, abs=1e-6)
         assert _admits(whole, n_int, res.values)
         # the bound handed to lazy is a global bound that only rises
-        assert all(b <= sign * brute + 1e-6 for b in bounds)
+        assert all(b <= brute + 1e-6 for b in bounds)
     else:
         assert res.status == SolveStatus.INFEASIBLE
         assert res.values is None
@@ -681,24 +658,22 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
 
 
 def _three_binaries() -> MilpModel:
-    model = MilpModel("three", minimize=False)
-    xs = [model.add_var(ub=1.0, integer=True) for _ in range(3)]
+    model = MilpModel("three")
+    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(3)]
     model.add_constr({x: w for x, w in zip(xs, (2, 3, 1))}, "<=", 5)
-    model.set_objective(dict(zip(xs, (5, 4, 3))), minimize=False)
+    model.set_objective(dict(zip(xs, (-5, -4, -3))))
     return model
 
 
-def _change(model: MilpModel, extra=None, ub0=None, values=None, minimize=None):
+def _change(model: MilpModel, extra=None, ub0=None, values=None):
     """Change a model in place the way a callback must not."""
     if extra is not None:
-        model.add_var(ub=1.0, integer=extra)
+        model.add_var("extra", 0.0, 1.0, integer=extra)
     if ub0 is not None:
         model._ub[0] = ub0
         model._cache = None
-    if values is not None or minimize is not None:
-        model.set_objective(
-            dict(enumerate(values or (5, 4, 3))), minimize=bool(minimize)
-        )
+    if values is not None:
+        model.set_objective(dict(enumerate(values)))
 
 
 @pytest.mark.parametrize(
@@ -706,8 +681,7 @@ def _change(model: MilpModel, extra=None, ub0=None, values=None, minimize=None):
     [
         {"extra": True},  # a new integer column
         {"ub0": 2.0},  # a wider integer column
-        {"values": (5, 4, 4)},  # another objective
-        {"minimize": True},  # the other sense
+        {"values": (-5, -4, -4)},  # another objective
     ],
 )
 def test_lazy_model_must_keep_objective_and_integer_columns(grown):
@@ -735,11 +709,11 @@ def test_lazy_model_may_add_a_continuous_column():
     def lazy(values, bound):
         if values.size == 4:
             return False
-        extra = model.add_var(ub=1.0)
+        extra = model.add_var("extra", 0.0, 1.0)
         model.add_constr({extra: 1.0, 0: 1.0}, "<=", 2.0)
         return True
 
     res = solve_mip(model, lazy=lazy)
     assert res.status == SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(9.0)
+    assert res.objective == pytest.approx(-9.0)
     assert res.values.size == 4

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_attack_value, random_design, triangle
+from conftest import brute_attack_value, cut_capacity, random_design, triangle
 from cprsnp.formulations import (
     Design,
     build_strengthening,
@@ -327,7 +327,7 @@ def minimum_sink_sides(aug, mask):
     sides = []
     for bits in range(1 << len(others)):
         side = {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
-        cap = CutSet.from_sink_side(aug, side).capacity(mask)
+        cap = cut_capacity(CutSet.from_sink_side(aug, side), mask)
         sides.append((cap, frozenset(side)))
     least = min(cap for cap, _ in sides)
     return least, [side for cap, side in sides if cap == least]
