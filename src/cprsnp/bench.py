@@ -65,29 +65,12 @@ def bench(
             for name in formulations:
                 try:
                     sol = solve(aug, name, options)
-                    row = BenchResult(
-                        label=instance_label(cell),
-                        k=k,
-                        kp=kp,
-                        formulation=name,
-                        status=sol.status.value,
-                        cost=sol.cost,
-                        gap=sol.gap,
-                        iterations=sol.iterations,
-                        seconds=sol.seconds,
+                    outcome = (
+                        sol.status.value, sol.cost, sol.gap, sol.iterations, sol.seconds
                     )
                 except Exception as exc:  # noqa: BLE001 - keep the sweep alive
-                    row = BenchResult(
-                        label=instance_label(cell),
-                        k=k,
-                        kp=kp,
-                        formulation=name,
-                        status=f"Error: {type(exc).__name__}",
-                        cost=None,
-                        gap=None,
-                        iterations=0,
-                        seconds=0.0,
-                    )
+                    outcome = (f"Error: {type(exc).__name__}", None, None, 0, 0.0)
+                row = BenchResult(instance_label(cell), k, kp, name, *outcome)
                 rows.append(row)
                 if progress is not None:
                     progress(row)

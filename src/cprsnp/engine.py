@@ -47,13 +47,9 @@ from .formulations import (
     build_bilevel_master,
     build_cutset_master,
     build_flow_master,
-    count_cut_rows,
+    cut_fits,
     worst_subset,
 )
-# the module itself, for CUT_ROW_LIMIT at call time; imported after the names
-# above so that scipy still first loads through them, at the same call depth
-# (on CPython 3.11 that depth moves scipy's import time by a third)
-from . import formulations
 from .milp import SolveStatus, solve_mip
 from .separation import (
     SeparationTimeout,
@@ -171,17 +167,14 @@ class CutsetFormulation:
         self.aug = aug
         side = frozenset(range(aug.vertex_count)) - {aug.root}
         root = CutSet.from_sink_side(aug, side)
-        self.master = build_cutset_master(aug, [root] if self._fits(root) else [])
-
-    def _fits(self, cut: CutSet) -> bool:
-        return count_cut_rows(self.aug, cut) <= formulations.CUT_ROW_LIMIT
+        self.master = build_cutset_master(aug, [root] if cut_fits(aug, root) else [])
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
         cut = violation.cut
-        if self._fits(cut):
+        if cut_fits(self.aug, cut):
             append_cut(self.master, cut)
         else:
             append_cut_subset(self.master, cut, worst_subset(self.aug, cut, design))

@@ -19,8 +19,8 @@ columns, the cost objective, the protection budget as row 0 and one
 that block and only adds its own rows and columns after it.
 
 Each builder is the design block plus one appender per item, applied in
-order: :func:`append_cut` (a cut's rows, with :func:`append_cut_subset`
-for one more deletion subset of a known cut),
+order: :func:`append_cut` (a cut's rows, for a cut that :func:`cut_fits`,
+with :func:`append_cut_subset` for one more deletion subset of a known cut),
 :func:`append_scenario` (a scenario's flow block) and :func:`append_point`
 (a vertex's row).  The engine builds each master once per solve and grows
 it in place with the appenders, while the tree that solves it is open.
@@ -231,6 +231,12 @@ def count_cut_rows(aug: AugmentedInstance, cut: CutSet) -> int:
     return math.comb(m, min(aug.k, m))
 
 
+def cut_fits(aug: AugmentedInstance, cut: CutSet) -> bool:
+    """True when :func:`append_cut` takes the cut: it needs at most
+    :data:`CUT_ROW_LIMIT` rows, the limit as it stands at the call."""
+    return count_cut_rows(aug, cut) <= CUT_ROW_LIMIT
+
+
 # ---------------------------------------------------------------------------
 # master builders
 
@@ -297,10 +303,10 @@ def append_cut(master: Master, cut: CutSet) -> None:
     aug = master.aug
     if cut.sink_side == frozenset({aug.sink}):
         raise FormulationError("cut isolating only the super sink is not allowed")
-    n_rows = count_cut_rows(aug, cut)
-    if n_rows > CUT_ROW_LIMIT:
+    if not cut_fits(aug, cut):
         raise FormulationError(
-            f"cut needs {n_rows} rows, above the limit {CUT_ROW_LIMIT}"
+            f"cut needs {count_cut_rows(aug, cut)} rows, above the limit "
+            f"{CUT_ROW_LIMIT}"
         )
     non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
     for sub in itertools.combinations(non_fictive, min(aug.k, len(non_fictive))):

@@ -21,9 +21,11 @@ Fictive arcs never appear in files.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 import random
+from collections.abc import Sequence
 from typing import Iterable
 
 from .graph import (
@@ -268,6 +270,28 @@ class GenerationError(ValueError):
     """Parameter combination cannot yield a feasible instance."""
 
 
+class _AbsentPairs(Sequence):
+    """The vertex pairs ``(i, j)``, ``i != j``, that no chosen arc joins, in
+    sorted order, without listing them: pair ``n`` is found by bisecting the
+    sorted slots of the chosen pairs among all ``nodes * (nodes - 1)``."""
+
+    def __init__(self, nodes: int, chosen: Iterable[tuple[int, int]]):
+        self.nodes = nodes
+        taken = sorted(i * (nodes - 1) + j - (j > i) for i, j in chosen)
+        # the number of absent pairs before each taken slot
+        self.before = [slot - p for p, slot in enumerate(taken)]
+        self.size = nodes * (nodes - 1) - len(taken)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, n: int) -> tuple[int, int]:
+        if not 0 <= n < self.size:
+            raise IndexError(n)
+        i, j = divmod(n + bisect.bisect_right(self.before, n), self.nodes - 1)
+        return i, j + (j >= i)
+
+
 def generate(
     nodes: int,
     terminals: int,
@@ -323,14 +347,6 @@ def generate(
         add_arc(rng.choice(reached), v)
         reached.append(v)
 
-    def all_missing() -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(nodes)
-            for j in range(nodes)
-            if i != j and (i, j) not in chosen
-        ]
-
     def snapshot() -> AugmentedInstance:
         inst = Instance(
             vertex_count=nodes,
@@ -349,10 +365,13 @@ def generate(
             break
         cut = min_cut(aug, ArcMask.full(aug))
         side = cut.sink_side
+        heads = [j for j in range(nodes) if j in side]
         crossing = [
             (i, j)
-            for (i, j) in all_missing()
-            if i not in side and j in side and j != aug.sink
+            for i in range(nodes)
+            if i not in side
+            for j in heads
+            if (i, j) not in chosen
         ]
         if not crossing:
             raise GenerationError("cannot reach feasibility within the arc budget")
@@ -360,7 +379,7 @@ def generate(
 
     extra = arcs - len(chosen)
     if extra:
-        for tail, head in rng.sample(all_missing(), extra):
+        for tail, head in rng.sample(_AbsentPairs(nodes, chosen), extra):
             add_arc(tail, head)
 
     aug = snapshot()

@@ -2,14 +2,13 @@
 
 Every model minimizes, and every column has finite bounds, so an LP
 relaxation is either Optimal or Infeasible: none can be unbounded.  A model
-keeps its rows only in the form HiGHS reads: the nonzero coefficients as
-(row, column, value) triplets and each row's sense as a
-``row_lo <= A x <= row_hi`` pair.  The column-wise (CSC) matrix is built
-once per model version and serves the solver.
+keeps its rows once, row-wise, in the arrays HiGHS reads: each row's
+first nonzero, the nonzeros' columns and values, and each row's sense as a
+``row_lo <= A x <= row_hi`` pair.  HiGHS gets those arrays as they are.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance (the binding that ships inside scipy): the model is passed
-once, column-wise.  Each later solve sends only the column bounds that
+once, row-wise.  Each later solve sends only the column bounds that
 differ from the ones HiGHS holds, and rows or columns appended to the model
 are sent as the new tail alone, so the simplex restarts from the previous
 basis instead of from scratch.  Solutions are basic, with HiGHS's 1e-7
@@ -60,7 +59,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.optimize  # noqa: F401
-from scipy import sparse
 
 # scipy.optimize is imported on its own first: reaching it only through the
 # submodule import below made importing cprsnp about 60 ms slower (scipy
@@ -123,13 +121,13 @@ class MilpModel:
         self._ub: list[float] = []
         self._integer: list[bool] = []
         self._objective: dict[int, float] = {}
-        # the nonzero row coefficients as (row, column, value) triplets
-        self._row_idx: list[int] = []
+        # the rows, row-wise: row r's nonzeros are the columns and values
+        # at _start[r]:_start[r + 1]
+        self._start: list[int] = [0]
         self._col_idx: list[int] = []
         self._values: list[float] = []
         self._row_lo: list[float] = []
         self._row_hi: list[float] = []
-        self._cache: tuple | None = None
 
     # -- construction -------------------------------------------------
 
@@ -144,7 +142,6 @@ class MilpModel:
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._integer.append(bool(integer))
-        self._cache = None
         return idx
 
     def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
@@ -157,15 +154,13 @@ class MilpModel:
                 raise MilpError(f"constraint references unknown variable {var}")
             if not math.isfinite(coef):
                 raise MilpError("constraint coefficients must be finite")
-        row = len(self._row_lo)
         for var, coef in coeffs.items():
             if coef != 0.0:
-                self._row_idx.append(row)
                 self._col_idx.append(int(var))
                 self._values.append(float(coef))
+        self._start.append(len(self._values))
         self._row_lo.append(-math.inf if sense == "<=" else float(rhs))
         self._row_hi.append(math.inf if sense == ">=" else float(rhs))
-        self._cache = None
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
         for var, coef in coeffs.items():
@@ -174,7 +169,6 @@ class MilpModel:
             if not math.isfinite(coef):
                 raise MilpError("objective coefficients must be finite")
         self._objective = {int(v): float(c) for v, c in coeffs.items() if c != 0.0}
-        self._cache = None
 
     # -- inspection ---------------------------------------------------
 
@@ -192,30 +186,15 @@ class MilpModel:
     def integer_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._integer, dtype=bool))
 
-    # -- matrix assembly (cached) --------------------------------------
-
-    def _matrices(self):
-        """``(c, a, row_lo, row_hi)``: the objective, the rows as a CSC
-        matrix, and their bounds ``row_lo <= a @ x <= row_hi``."""
-        if self._cache is None:
-            c = np.zeros(self.num_vars)
-            for v, coef in self._objective.items():
-                c[v] = coef
-            a = sparse.csc_matrix(
-                (np.array(self._values, dtype=float), (self._row_idx, self._col_idx)),
-                shape=(self.num_constraints, self.num_vars),
-            )
-            self._cache = (c, a, np.array(self._row_lo), np.array(self._row_hi))
-        return self._cache
-
 
 class _Relaxation:
     """The LP relaxation of one model, held by one HiGHS instance.
 
-    The model is passed once.  Each :meth:`solve` sends only the column
-    bounds that differ from the ones HiGHS holds, and :meth:`grow` only the
-    columns and rows appended to the model since, so the dual simplex
-    restarts from the previous basis.
+    The model is passed once, in the row-wise arrays it keeps.  Each
+    :meth:`solve` sends only the column bounds that differ from the ones
+    HiGHS holds, and :meth:`grow` only the columns and rows appended to the
+    model since, as the tail of those arrays, so the dual simplex restarts
+    from the previous basis.
     """
 
     def __init__(self, model: MilpModel):
@@ -224,7 +203,6 @@ class _Relaxation:
         self.lb, self.ub = model.bounds()
         self.highs = _open(model, self.lb, self.ub)
         self.rows = model.num_constraints
-        self.nonzeros = len(model._values)
 
     def grow(self) -> None:
         """Send the columns and rows appended to the model since it was
@@ -245,21 +223,18 @@ class _Relaxation:
             self.ub = np.concatenate([self.ub, ub[old:]])
         first, rows = self.rows, model.num_constraints
         if rows > first:
-            nz = self.nonzeros
-            row_idx = np.array(model._row_idx[nz:], dtype=np.int32)
-            # rows are stored in order, so each new row's triplets are one run
-            starts = np.searchsorted(row_idx, np.arange(first, rows)).astype(np.int32)
+            nz = model._start[first]
             if highs.addRows(
                 rows - first,
                 np.array(model._row_lo[first:]),
                 np.array(model._row_hi[first:]),
-                row_idx.size,
-                starts,
+                model._start[rows] - nz,
+                np.array(model._start[first:rows], dtype=np.int32) - nz,
                 np.array(model._col_idx[nz:], dtype=np.int32),
                 np.array(model._values[nz:]),
             ) == HighsStatus.kError:
                 raise MilpError(f"HiGHS rejected new rows of {model.name}")
-            self.rows, self.nonzeros = rows, len(model._values)
+            self.rows = rows
 
     def solve(self, lb: np.ndarray, ub: np.ndarray):
         """``(status, objective, values)`` of the relaxation under the given
@@ -285,24 +260,27 @@ class _Relaxation:
 
 def _open(model: MilpModel, lb: np.ndarray, ub: np.ndarray):
     """A HiGHS instance loaded with the model's relaxation under the given
-    column bounds: serial dual simplex, no presolve (its reductions would
-    discard the basis), silent."""
-    c, a, row_lo, row_hi = model._matrices()
+    column bounds, its rows passed row-wise as the model keeps them: serial
+    dual simplex, no presolve (its reductions would discard the basis),
+    silent."""
+    c = np.zeros(model.num_vars)
+    for v, coef in model._objective.items():
+        c[v] = coef
     lp = HighsLp()
-    lp.num_col_ = c.size
-    lp.num_row_ = row_lo.size
+    lp.num_col_ = model.num_vars
+    lp.num_row_ = model.num_constraints
     lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub
-    lp.row_lower_ = row_lo
-    lp.row_upper_ = row_hi
+    lp.row_lower_ = model._row_lo
+    lp.row_upper_ = model._row_hi
     matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kColwise
-    matrix.num_col_ = c.size
-    matrix.num_row_ = row_lo.size
-    matrix.start_ = a.indptr
-    matrix.index_ = a.indices
-    matrix.value_ = a.data
+    matrix.format_ = MatrixFormat.kRowwise
+    matrix.num_col_ = model.num_vars
+    matrix.num_row_ = model.num_constraints
+    matrix.start_ = model._start
+    matrix.index_ = model._col_idx
+    matrix.value_ = model._values
     highs = _Highs()
     for option, setting in _OPTIONS:
         if highs.setOptionValue(option, setting) != HighsStatus.kOk:

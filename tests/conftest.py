@@ -124,6 +124,19 @@ class CheckedRelaxation(_Relaxation):
 # calls them
 
 
+def matrices(model: MilpModel):
+    """``(c, a, row_lo, row_hi)``: the objective, the rows as a sparse
+    matrix, and their bounds ``row_lo <= a @ x <= row_hi``."""
+    c = np.zeros(model.num_vars)
+    for v, coef in model._objective.items():
+        c[v] = coef
+    a = scipy.sparse.csr_matrix(
+        (np.array(model._values, dtype=float), model._col_idx, model._start),
+        shape=(model.num_constraints, model.num_vars),
+    )
+    return c, a, np.array(model._row_lo), np.array(model._row_hi)
+
+
 def check_assignment(model: MilpModel, values, tol: float = 1e-6) -> bool:
     """True iff the assignment satisfies the model's bounds, integrality
     and rows."""
@@ -136,7 +149,7 @@ def check_assignment(model: MilpModel, values, tol: float = 1e-6) -> bool:
     for i in model.integer_indices():
         if abs(x[i] - round(x[i])) > tol:
             return False
-    _, a, row_lo, row_hi = model._matrices()
+    _, a, row_lo, row_hi = matrices(model)
     lhs = a @ x
     return bool(np.all(lhs >= row_lo - tol) and np.all(lhs <= row_hi + tol))
 

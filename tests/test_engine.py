@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CheckedRelaxation, corpus, triangle
+from conftest import CheckedRelaxation, corpus, matrices, triangle
 
 from cprsnp import augment, engine, formulations, milp, separation
 from cprsnp.engine import (
@@ -242,7 +242,7 @@ def test_log_line_prints_integral_values_exactly(value, text):
 def _rows(model):
     """The model's columns and rows: its size, each row's nonzeros and the
     bounds of every row."""
-    _, a, row_lo, row_hi = model._matrices()
+    _, a, row_lo, row_hi = matrices(model)
     rows = a.tocsr()
     return (
         model.num_vars,
@@ -282,7 +282,7 @@ def _seeded_scenario(aug) -> frozenset[int]:
     that its rows after the design block read."""
     master = FlowFormulation(aug).master
     assert master.model.num_vars == 3 * aug.arc_count  # one flow column per arc
-    _, a, _, _ = master.model._matrices()
+    _, a, _, _ = matrices(master.model)
     rows = a.tocsr()[_block_rows(aug):]
     return frozenset(
         arc for arc in range(aug.arc_count) if rows[:, master.p_var[arc]].nnz

@@ -10,6 +10,7 @@ from conftest import (
     brute_attack_value,
     brute_worst_loss,
     build_inner_flow,
+    matrices,
     random_design,
     triangle,
 )
@@ -160,7 +161,7 @@ def test_masters_share_the_design_block(seed):
         lb, ub = model.bounds()
         integer = [i for i in model.integer_indices() if i < m2]
         cost = [model._objective.get(i, 0.0) for i in range(m2)]
-        _, a, row_lo, row_hi = model._matrices()
+        _, a, row_lo, row_hi = matrices(model)
         rows = a.tocsr()
         return (
             list(lb[:m2]),
@@ -266,7 +267,7 @@ def _cut_rows_hold(aug, cut, subset, assignments):
         append_cut(master, cut)
     else:
         append_cut_subset(master, cut, subset)
-    _, a, row_lo, _ = master.model._matrices()
+    _, a, row_lo, _ = matrices(master.model)
     assert master.model.num_vars == 2 * aug.arc_count  # no column of its own
     # the design block, then one row per deletion subset
     block = 1 + aug.initial_arc_count
@@ -303,7 +304,7 @@ def test_cut_rows_hold_iff_the_cut_survives(seed):
 
 def test_protection_off_the_selection_breaks_the_design_block():
     aug = tri_aug(k=1, kp=1)
-    _, a, _, row_hi = build_cutset_master(aug, []).model._matrices()
+    _, a, _, row_hi = matrices(build_cutset_master(aug, []).model)
     # arcs 1, 2 and the fictive arc 3 selected, arc 0 protected
     lhs = a @ np.array([0, 1, 1, 1] + [1, 0, 0, 0], dtype=float)
     # the budget (row 0) holds, and p_0 <= y_0 (row 1) fails

@@ -236,6 +236,36 @@ def test_generate_tree_only_never_lists_absent_pairs():
     assert peak < 20e6
 
 
+def test_generate_extra_arcs_never_list_absent_pairs():
+    # one extra arc is drawn from the ~2.2M absent vertex pairs; drawing it
+    # must not list them
+    tracemalloc.start()
+    try:
+        inst = generate(1500, 1, 1500, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.arcs) == 1500
+    assert peak < 20e6
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_absent_pairs_read_like_their_list(data):
+    nodes = data.draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(nodes) for j in range(nodes) if i != j]
+    chosen = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    absent = [pair for pair in pairs if pair not in chosen]
+    lazy = instances._AbsentPairs(nodes, chosen)
+    assert len(lazy) == len(absent)
+    assert list(lazy) == absent
+    # random.sample reads both alike, so the same seed draws the same pairs
+    seed = data.draw(st.integers(0, 2**32))
+    for k in range(len(absent) + 1):
+        want = random.Random(seed).sample(absent, k)
+        assert random.Random(seed).sample(lazy, k) == want
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_generate_routes_demand_with_everything_built(seed):
     inst = generate(9, 3, 20, "random", seed=seed)

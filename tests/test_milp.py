@@ -12,9 +12,22 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CheckedRelaxation, check_assignment, objective_value
+from conftest import (
+    CheckedRelaxation,
+    check_assignment,
+    lp_data,
+    matrices,
+    objective_value,
+)
 from cprsnp import milp
-from cprsnp.milp import MilpError, MilpModel, SolveStatus, _Relaxation, solve_mip
+from cprsnp.milp import (
+    MilpError,
+    MilpModel,
+    SolveStatus,
+    _open,
+    _Relaxation,
+    solve_mip,
+)
 
 
 def knapsack(values, weights, cap) -> MilpModel:
@@ -382,15 +395,22 @@ def _check_row_by_row(columns, rows, x, tol) -> bool:
 @given(drawn=rows_and_points())
 def test_row_storage_matches_the_rows_given(drawn):
     model, columns, rows, x, tol = drawn
-    _, a, row_lo, row_hi = model._matrices()
+    _, a, row_lo, row_hi = matrices(model)
     assert model.num_constraints == len(rows)
     assert a.shape == (len(rows), len(columns))
     csr = a.tocsr()
+    given = []
     for r, (coeffs, sense, rhs) in enumerate(rows):
+        nonzero = {v: c for v, c in coeffs.items() if c != 0}
         got = dict(zip(csr[r].indices.tolist(), csr[r].data.tolist()))
-        assert got == {v: c for v, c in coeffs.items() if c != 0}
+        assert got == nonzero
         want = {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[sense]
         assert (row_lo[r], row_hi[r]) == want
+        given.append((*want, tuple(sorted(nonzero.items()))))
+    # handed to HiGHS, the model holds exactly those rows, and nothing else
+    lb, ub = model.bounds()
+    lp = _open(model, lb, ub).getLp()
+    assert lp_data(lp) == ([0.0] * len(columns), list(lb), list(ub), sorted(given))
     assert check_assignment(model, x, tol) == _check_row_by_row(columns, rows, x, tol)
 
 
@@ -401,7 +421,7 @@ def test_row_storage_matches_the_rows_given(drawn):
 
 def _cold_linprog(model: MilpModel, lb, ub):
     """(status, objective) of a cold linprog solve."""
-    c, a, row_lo, row_hi = model._matrices()
+    c, a, row_lo, row_hi = matrices(model)
     dense = a.toarray()
     eq = row_lo == row_hi
     upper = ~eq & np.isfinite(row_hi)
@@ -639,7 +659,7 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
         patch.setattr(milp, "_Relaxation", CheckedRelaxation)
         res = solve_mip(model, cutoff=cutoff, lazy=lazy)
     # the model grown in place is the model built with the same pieces
-    for got, want in zip(model._matrices(), build(revealed)._matrices()):
+    for got, want in zip(matrices(model), matrices(build(revealed))):
         if sparse.issparse(got):
             got, want = got.toarray(), want.toarray()
         assert np.array_equal(got, want)
@@ -671,7 +691,6 @@ def _change(model: MilpModel, extra=None, ub0=None, values=None):
         model.add_var("extra", 0.0, 1.0, integer=extra)
     if ub0 is not None:
         model._ub[0] = ub0
-        model._cache = None
     if values is not None:
         model.set_objective(dict(enumerate(values)))
 
