@@ -36,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .graph import AugmentedInstance, ArcMask, CutSet, max_flow
+from .graph import AugmentedInstance, ArcMask, max_flow
 from .formulations import (
     Design,
     FailureScenario,
@@ -157,17 +157,15 @@ class Solution:
 
 
 class CutsetFormulation:
-    """Seeded with the cut separating the root from everything else.  A cut
-    that fits :data:`~cprsnp.formulations.CUT_ROW_LIMIT` gets its full
-    enumeration; a larger one gets one row per violation, the worst
-    deletion subset of the violating design (so a large root cut seeds no
-    row)."""
+    """Seeded with no cut of its own: the design block already holds the
+    root cut and the cut around each terminal.  A violated cut that fits
+    :data:`~cprsnp.formulations.CUT_ROW_LIMIT` gets its full enumeration; a
+    larger one gets one row per violation, the worst deletion subset of the
+    violating design."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
-        side = frozenset(range(aug.vertex_count)) - {aug.root}
-        root = CutSet.from_sink_side(aug, side)
-        self.master = build_cutset_master(aug, [root] if cut_fits(aug, root) else [])
+        self.master = build_cutset_master(aug, [])
 
     def separate(self, design: Design, time_limit_s: float):
         return separate_cutset(self.aug, design, time_limit_s=time_limit_s)

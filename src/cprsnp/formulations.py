@@ -14,9 +14,21 @@ protection variables ``p``:
   attacker/min-cut polytope, generated on demand.
 
 All three start from one design block: the ``y`` columns, then the ``p``
-columns, the cost objective, the protection budget as row 0 and one
-``p_a <= y_a`` row per initial arc.  Each master is a :class:`Master` over
-that block and only adds its own rows and columns after it.
+columns, the cost objective, the protection budget as row 0, one
+``p_a <= y_a`` row per initial arc, and the cut rows of the root cut and of
+the cut around each terminal.  Each master is a :class:`Master` over that
+block and only adds its own rows and columns after it.
+
+Cut and vertex rows are written tightened.  The fictive arcs are always
+selected and never protected, so their part of a row moves into its
+right-hand side r, and every other coefficient is reduced to at most r
+(coefficient reduction over binary columns).  Every coefficient is
+nonnegative, so a tightened row holds at a 0/1 point exactly when the
+untightened row does: a column with coefficient at least r that is 1
+satisfies both, and otherwise the two rows are the same.  The masters keep
+their integer points and only their LP relaxations get tighter; the oracles
+and their values (:func:`cut_residual`, :func:`point_row_value`) are the
+untightened ones.
 
 Each builder is the design block plus one appender per item, applied in
 order: :func:`append_cut` (a cut's rows, for a cut that :func:`cut_fits`,
@@ -241,30 +253,6 @@ def cut_fits(aug: AugmentedInstance, cut: CutSet) -> bool:
 # master builders
 
 
-def _design_block(name: str, aug: AugmentedInstance):
-    """A model holding the block every master starts with: the y columns,
-    then the p columns (fictive arcs always selected, never protected), the
-    cost objective, the protection budget as row 0, and the rows
-    ``p_a <= y_a`` of the initial arcs (only selected arcs can be
-    protected)."""
-    model = MilpModel(name)
-    m = aug.arc_count
-    fictive = [aug.is_fictive(a) for a in range(m)]
-    y_var = [
-        model.add_var(f"y{a}", lb=float(fictive[a]), ub=1.0, integer=True)
-        for a in range(m)
-    ]
-    p_var = [
-        model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
-        for a in range(m)
-    ]
-    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)})
-    model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
-    for a in aug.initial_arcs:
-        model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
-    return model, y_var, p_var
-
-
 @dataclass
 class Master:
     """A restricted master: the design block plus the rows of one
@@ -281,11 +269,53 @@ class Master:
         return Design.canonical(self.aug, sel, prot)
 
 
+def _static_cuts(aug: AugmentedInstance) -> list[CutSet]:
+    """The cuts every master holds from the start: the root cut, then for
+    each terminal t the cut with sink side ``{t, s}``, each distinct cut
+    once."""
+    root_cut = frozenset(range(aug.vertex_count)) - {aug.root}
+    sides = [root_cut] + [frozenset({t, aug.sink}) for t in aug.terminals]
+    return [CutSet.from_sink_side(aug, side) for side in dict.fromkeys(sides)]
+
+
+def _design_block(name: str, aug: AugmentedInstance) -> Master:
+    """A master holding the block every formulation starts with: the y
+    columns, then the p columns (fictive arcs always selected, never
+    protected), the cost objective, the protection budget as row 0, the rows
+    ``p_a <= y_a`` of the initial arcs (only selected arcs can be
+    protected), and then the rows :func:`append_cut` writes for each static
+    cut (:func:`_static_cuts`) that :func:`cut_fits`.
+
+    Every survivable design keeps each static cut at demand, so these rows
+    cut off no design that any formulation accepts; they only tighten the
+    LP relaxation, which without them can carry a terminal's unit on a
+    fraction of one arc."""
+    model = MilpModel(name)
+    m = aug.arc_count
+    fictive = [aug.is_fictive(a) for a in range(m)]
+    y_var = [
+        model.add_var(f"y{a}", lb=float(fictive[a]), ub=1.0, integer=True)
+        for a in range(m)
+    ]
+    p_var = [
+        model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
+        for a in range(m)
+    ]
+    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)})
+    model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
+    for a in aug.initial_arcs:
+        model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
+    master = Master(model, y_var, p_var, aug)
+    for cut in _static_cuts(aug):
+        if cut_fits(aug, cut):
+            append_cut(master, cut)
+    return master
+
+
 def build_cutset_master(aug: AugmentedInstance, cuts: Sequence[CutSet]) -> Master:
     """Selection/protection master constrained by the given cuts, each
     appended by :func:`append_cut`."""
-    model, y_var, p_var = _design_block("cutset_master", aug)
-    master = Master(model, y_var, p_var, aug)
+    master = _design_block("cutset_master", aug)
     for cut in cuts:
         append_cut(master, cut)
     return master
@@ -314,19 +344,26 @@ def append_cut(master: Master, cut: CutSet) -> None:
 
 
 def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> None:
-    """Append the row keeping the cut at demand after deleting one subset of
-    its arcs: the selected capacity of the others plus the protected
-    capacity of the subset, ``sum_{C-S} u y + sum_S u p >= |T|``."""
+    """Append the row keeping the cut at demand after deleting one subset S
+    of its non-fictive arcs, ``sum_{C-S} u y + sum_S u p >= |T|``, in its
+    tightened form (see the module docstring).
+
+    The fictive arcs crossing the cut are always selected and never fail,
+    so their capacity F leaves the row, which keeps the cut's other arcs
+    with coefficients reduced to the need ``r = |T| - F``:
+    ``sum_{C-S} min(u, r) y + sum_S min(u, r) p >= r``.
+    """
     aug = master.aug
-    if any(aug.is_fictive(a) for a in subset):
-        raise FormulationError("deletion subset contains a fictive arc")
-    row = {master.y_var[a]: float(aug.arcs[a].capacity) for a in cut.arcs}
-    for a in subset:
-        u = float(aug.arcs[a].capacity)
-        y, p = master.y_var[a], master.p_var[a]
-        row[y] = row.get(y, 0.0) - u
-        row[p] = row.get(p, 0.0) + u
-    master.model.add_constr(row, ">=", float(aug.demand))
+    deleted = set(subset)
+    if any(aug.is_fictive(a) for a in deleted) or not deleted <= set(cut.arcs):
+        raise FormulationError("deletion subset must hold non-fictive cut arcs")
+    need = aug.demand - sum(aug.arcs[a].capacity for a in cut.arcs if aug.is_fictive(a))
+    row = {}
+    for a in cut.arcs:
+        if not aug.is_fictive(a):
+            col = master.p_var[a] if a in deleted else master.y_var[a]
+            row[col] = float(min(aug.arcs[a].capacity, need))
+    master.model.add_constr(row, ">=", float(need))
 
 
 def build_flow_master(
@@ -339,8 +376,7 @@ def build_flow_master(
         if sc.arcs in seen:
             raise FormulationError("duplicate failure scenario")
         seen.add(sc.arcs)
-    model, y_var, p_var = _design_block("flow_master", aug)
-    master = Master(model, y_var, p_var, aug)
+    master = _design_block("flow_master", aug)
     for scenario in scenarios:
         append_scenario(master, scenario)
     return master
@@ -383,27 +419,37 @@ def build_bilevel_master(
 ) -> Master:
     """Selection/protection master with one guarantee row per attacker
     vertex, each appended by :func:`append_point`."""
-    model, y_var, p_var = _design_block("bilevel_master", aug)
-    master = Master(model, y_var, p_var, aug)
+    master = _design_block("bilevel_master", aug)
     for pt in points:
         append_point(master, pt)
     return master
 
 
 def append_point(master: Master, point: ExtremePoint) -> None:
-    """Append the guarantee row of one attacker vertex to a bilevel master."""
+    """Append the guarantee row of one attacker vertex to a bilevel master,
+    ``sum u lam y + sum u gam p >= |T| - sum u (gam - ell)``, in its
+    tightened form (see the module docstring).
+
+    The fictive arcs' y is fixed at 1 and their p at 0, so their ``u lam``
+    moves into the right-hand side r, and every other coefficient is capped
+    at r; a row with ``r <= 0`` holds everywhere and gets zero coefficients.
+    """
     aug = master.aug
     point.validate(aug)
     row: dict[int, float] = {}
-    const = 0.0
+    need = float(aug.demand)
     for a, arc in enumerate(aug.arcs):
         u = float(arc.capacity)
+        need -= u * point.gam[a] - u * point.ell[a]
+        if aug.is_fictive(a):
+            need -= u * point.lam[a]
+            continue
         if point.lam[a]:
             row[master.y_var[a]] = u * point.lam[a]
         if point.gam[a]:
             row[master.p_var[a]] = u * point.gam[a]
-        const += u * point.gam[a] - u * point.ell[a]
-    master.model.add_constr(row, ">=", float(aug.demand) - const)
+    cap = max(need, 0.0)
+    master.model.add_constr({col: min(c, cap) for col, c in row.items()}, ">=", need)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,12 @@ def test_oracles_solve_no_mip_while_the_search_applies(
         assert len(solved) == sol.iterations - 1  # the closing record adds none
 
 
-@pytest.mark.parametrize("formulation", FORMULATIONS)
-@pytest.mark.parametrize("index", [16, 40])
+@pytest.mark.parametrize(
+    "index, formulation",
+    # the design block alone solves instance 16 for flow, so flow takes 22
+    [(16, "cutset"), (16, "bilevel"), (22, "flow")]
+    + [(40, formulation) for formulation in FORMULATIONS],
+)
 def test_one_master_instance_per_solve(monkeypatch, formulation, index):
     # every violation is appended to the live HiGHS instance of the master;
     # only separation MIPs (strengthening, here) open instances of their own
@@ -212,8 +216,10 @@ def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
             grown.append(self.model.name)
 
     monkeypatch.setattr(milp, "_Relaxation", Counted)
-    sol = solve(augment(corpus()[16]), formulation, FAST)
-    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 70.0
+    # 8 vertices, 16 arcs, k=1, kp=1: three violations in each formulation
+    sol = solve(augment(corpus()[22]), formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 64.0
+    assert sol.iterations > 1
     assert grown == [f"{formulation}_master"] * (sol.iterations - 1)
 
 
@@ -254,18 +260,27 @@ def _rows(model):
 
 
 def _block_rows(aug):
-    # the design block: the budget row and one p <= y row per initial arc
-    return 1 + aug.initial_arc_count
+    # the design block: the budget row, one p <= y row per initial arc, and
+    # the rows of its static cuts (none when the row limit is zero)
+    return build_cutset_master(aug, []).model.num_constraints
 
 
 def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
-    # the root cut, fully enumerated: one row per arc leaving the root
+    # the design block holds the root cut {1, 2, 3} and the terminal's cut
+    # {2, 3}, fully enumerated: one row per arc crossing each; cutset seeds
+    # nothing of its own
     root = CutSet.from_sink_side(aug, {1, 2, 3})
+    terminal = CutSet.from_sink_side(aug, {2, 3})
+    bare = 1 + aug.initial_arc_count
     seeded = CutsetFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
-    assert seeded.num_constraints == _block_rows(aug) + 2
-    assert _rows(seeded) == _rows(build_cutset_master(aug, [root]).model)
+    assert seeded.num_constraints == _block_rows(aug) == bare + 2 + 2
+    assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
+    with_both = _rows(build_cutset_master(aug, [root, terminal]).model)
+    # writing the two cuts again repeats exactly the block's last four rows
+    assert with_both[1][: seeded.num_constraints] == _rows(seeded)[1]
+    assert with_both[1][seeded.num_constraints :] == _rows(seeded)[1][bare:]
 
 
 def test_lazy_root_cut_seeds_no_row(monkeypatch):
@@ -273,7 +288,7 @@ def test_lazy_root_cut_seeds_no_row(monkeypatch):
     aug = augment(triangle(k=1, kp=0))
     seeded = CutsetFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
-    assert seeded.num_constraints == _block_rows(aug)
+    assert seeded.num_constraints == _block_rows(aug) == 1 + aug.initial_arc_count
     assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
 
 
@@ -301,7 +316,7 @@ def test_initial_rows_bilevel_empty():
     aug = augment(triangle(k=1, kp=0))
     seeded = BilevelFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
-    assert seeded.num_constraints == _block_rows(aug)
+    assert seeded.num_constraints == _block_rows(aug) == 1 + 3 + 2 + 2
 
 
 def test_unknown_formulation_rejected():
@@ -331,7 +346,9 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
 
     for name in ("append_cut", "append_cut_subset", "append_scenario", "append_point"):
         monkeypatch.setattr(engine, name, cuts_nothing)
-    aug = augment(triangle(k=1, kp=0))
+    # 6 vertices, 12 arcs, k=1, kp=1: every formulation meets a violation
+    # (the design block alone solves the triangle)
+    aug = augment(corpus()[1])
     with pytest.raises(EngineError):
         solve(aug, formulation, EngineOptions(time_limit_s=1.0))
 
@@ -456,8 +473,8 @@ def test_time_limit_must_be_nonnegative(limit):
 
 def test_timeout_returns_survivable_incumbent():
     # large enough that two seconds cannot close the gap (flow needs about
-    # 17 s here), small enough that the upfront feasibility probe finishes
-    aug = augment(corpus()[51])  # 12 vertices, 30 arcs, k=2, kp=1
+    # 15 s here), small enough that the upfront feasibility probe finishes
+    aug = augment(generate(20, 5, 90, "uniform", seed=7, k=1, kp=0))
     sol = solve(aug, "flow", EngineOptions(time_limit_s=2.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is not None

@@ -1,5 +1,6 @@
 """Master builders, attack models, and their agreement with enumeration."""
 
+import itertools
 import math
 import random
 
@@ -34,7 +35,12 @@ from cprsnp.formulations import (
 from cprsnp.graph import Arc, ArcMask, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp.milp import SolveStatus, solve_mip
-from cprsnp.separation import separate_bilevel, separate_cutset, separate_scenario
+from cprsnp.separation import (
+    separate_bilevel,
+    separate_cutset,
+    separate_scenario,
+    strengthen,
+)
 
 
 def tri_aug(k=1, kp=0):
@@ -156,6 +162,7 @@ def test_masters_share_the_design_block(seed):
     ]
     m, m2 = aug.arc_count, 2 * aug.arc_count
     initial = list(aug.initial_arcs)
+    block_rows = build_cutset_master(aug, []).model.num_constraints
 
     def block(model):
         lb, ub = model.bounds()
@@ -174,7 +181,7 @@ def test_masters_share_the_design_block(seed):
                     row_lo[r],
                     row_hi[r],
                 )
-                for r in range(1 + len(initial))
+                for r in range(block_rows)
             ],
         )
 
@@ -184,7 +191,14 @@ def test_masters_share_the_design_block(seed):
     budget = {m + a: 1.0 for a in range(m)}
     assert first[4][0] == (budget, -math.inf, aug.kp)
     # then p_a <= y_a for each initial arc, in arc order
-    assert first[4][1:] == [({a: -1.0, m + a: 1.0}, -math.inf, 0.0) for a in initial]
+    protect = first[4][1 : 1 + len(initial)]
+    assert protect == [({a: -1.0, m + a: 1.0}, -math.inf, 0.0) for a in initial]
+    # then the tightened rows of the root cut and of each terminal's cut
+    sides = [set(range(aug.vertex_count)) - {aug.root}]
+    sides += [{t, aug.sink} for t in aug.terminals]
+    static = [row for side in sides for row in _tight_cut_rows(aug, side)]
+    assert len(static) > len(sides)  # k = 1 gives a cut one row per arc
+    assert first[4][1 + len(initial) :] == static
     for master in masters:
         assert master.model.num_vars >= m2
         assert block(master.model) == first
@@ -196,11 +210,52 @@ def test_masters_share_the_design_block(seed):
         assert master.design_from(res.values) == optimum
 
 
+def _tight_cut_rows(aug, sink_side):
+    """The rows of one cut in tightened form, written out independently of
+    the appenders: per deletion subset S of ``min(k, m)`` of its ``m``
+    non-fictive arcs, ``sum_{C-S} min(u, r) y + sum_S min(u, r) p >= r``
+    with ``r`` the demand less the fictive capacity crossing the cut, as
+    (coefficients by column, lower bound, upper bound)."""
+    cut = CutSet.from_sink_side(aug, sink_side)
+    arcs = [a for a in cut.arcs if not aug.is_fictive(a)]
+    need = aug.demand - sum(
+        aug.arcs[a].capacity for a in cut.arcs if aug.is_fictive(a)
+    )
+    rows = []
+    for sub in itertools.combinations(arcs, min(aug.k, len(arcs))):
+        coefs = {
+            (aug.arc_count + a if a in sub else a): float(
+                min(aug.arcs[a].capacity, need)
+            )
+            for a in arcs
+        }
+        rows.append((coefs, float(need), math.inf))
+    return rows
+
+
+def test_design_block_writes_a_shared_static_cut_once():
+    # with one vertex besides the root, the root cut is the terminal's cut
+    aug = augment(Instance(2, (Arc(0, 1, 1.0, 3),), 0, (1,), k=0, kp=1))
+    _, a, row_lo, _ = matrices(build_cutset_master(aug, []).model)
+    # budget, p_0 <= y_0, and the cut's one intact row 1 * y_0 >= 1
+    assert a.shape[0] == 3
+    assert a.tocsr()[2].toarray().tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert row_lo[2] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # cut-set master
 
 
-def test_cutset_master_without_cuts_selects_nothing():
+def test_cutset_master_without_cuts_selects_nothing(monkeypatch):
+    # the design block's root and terminal cuts already force the triangle
+    master = build_cutset_master(tri_aug(), [])
+    res = solve_mip(master.model)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(4.0)
+    assert master.design_from(res.values).selected == frozenset({0, 1, 2, 3})
+    # with no static cut within the row limit, the bare block selects nothing
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 0)
     master = build_cutset_master(tri_aug(), [])
     res = solve_mip(master.model)
     assert res.status == SolveStatus.OPTIMAL
@@ -225,17 +280,24 @@ def test_cutset_master_frozen_optima():
 
 
 def test_cutset_master_explicit_subsets_relax():
-    aug = tri_aug(k=1, kp=0)
-    cut = CutSet.from_sink_side(aug, {2, 3})
+    # the cut {1, 3, s} is not in the design block (which alone solves the
+    # triangle); it crosses arcs 0, 2, 10 and the fictive arc 11
+    aug = small_instance(16, k=1, kp=0)
+    cut = CutSet.from_sink_side(aug, {1, 3, aug.sink})
+    assert cut.arcs == (0, 2, 10, 11)
     partial = build_cutset_master(aug, [])
+    val_block = solve_mip(partial.model).objective
     append_cut_subset(partial, cut, (2,))
     full = build_cutset_master(aug, [cut])
     val_partial = solve_mip(partial.model).objective
     val_full = solve_mip(full.model).objective
+    assert val_block < val_partial < val_full
     assert val_partial <= val_full + 1e-9
-    assert val_partial == pytest.approx(2.0)
+    assert (val_block, val_partial, val_full) == pytest.approx((40.0, 44.0, 45.0))
     with pytest.raises(FormulationError):
-        append_cut_subset(partial, cut, (3,))
+        append_cut_subset(partial, cut, (11,))  # fictive
+    with pytest.raises(FormulationError):
+        append_cut_subset(partial, cut, (1,))  # not a cut arc
 
 
 def test_cutset_master_guards(monkeypatch):
@@ -270,7 +332,7 @@ def _cut_rows_hold(aug, cut, subset, assignments):
     _, a, row_lo, _ = matrices(master.model)
     assert master.model.num_vars == 2 * aug.arc_count  # no column of its own
     # the design block, then one row per deletion subset
-    block = 1 + aug.initial_arc_count
+    block = build_cutset_master(aug, []).model.num_constraints
     cut_rows = count_cut_rows(aug, cut) if subset is None else 1
     assert master.model.num_constraints == block + cut_rows
     lhs = a[block:] @ np.asarray(assignments, dtype=float).T
@@ -302,6 +364,52 @@ def test_cut_rows_hold_iff_the_cut_survives(seed):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_point_rows_hold_iff_the_vertex_reaches_demand(seed):
+    # the tightened row of a vertex holds at a 0/1 point with p <= y exactly
+    # when the untightened row value reaches the demand; outside the row's
+    # support both are constant, so (y, p) is enumerated on the support
+    rng = random.Random(seed)
+    aug = small_instance(seed, k=rng.randint(1, 3), kp=rng.randint(0, 2))
+    points = []
+    for _ in range(6):
+        design = random_design(rng, aug)
+        violation = separate_bilevel(aug, design)
+        if violation is not None:
+            points.append(violation.point)
+            points.append(strengthen(aug, design, violation).point)
+    assert points
+    outcomes = set()
+    for point in points:
+        master = build_bilevel_master(aug, [point])
+        _, a, row_lo, _ = matrices(master.model)
+        row, need = a.tocsr()[-1], row_lo[-1]
+        support = [
+            arc
+            for arc in aug.initial_arcs
+            if point.lam[arc] or point.gam[arc]
+        ]
+        for states in itertools.product((0, 1, 2), repeat=len(support)):
+            sel = {arc for arc, s in zip(support, states) if s}
+            prot = {arc for arc, s in zip(support, states) if s == 2}
+            x = np.zeros(2 * aug.arc_count)
+            x[list(aug.fictive_arcs)] = 1.0
+            x[list(sel)] = 1.0
+            x[[aug.arc_count + arc for arc in prot]] = 1.0
+            holds = (row @ x)[0] >= need - 1e-9
+            value = point_row_value(
+                aug,
+                sel | set(aug.fictive_arcs),
+                prot,
+                point.lam,
+                point.gam,
+                point.ell,
+            )
+            assert holds == (value >= aug.demand)
+            outcomes.add(holds)
+    assert outcomes == {True, False}
+
+
 def test_protection_off_the_selection_breaks_the_design_block():
     aug = tri_aug(k=1, kp=1)
     _, a, _, row_hi = matrices(build_cutset_master(aug, []).model)
@@ -316,18 +424,21 @@ def test_protection_off_the_selection_breaks_the_design_block():
 
 
 def test_flow_master_sizes_and_frozen_optima():
-    aug = tri_aug(k=1, kp=0)
-    no_failure = [FailureScenario.of(aug, ())]
-    master = build_flow_master(aug, no_failure)
+    # k = 0, so that the block's cuts leave the cheapest routing open
+    intact = tri_aug(k=0, kp=0)
+    no_failure = [FailureScenario.of(intact, ())]
+    master = build_flow_master(intact, no_failure)
     assert master.model.num_vars == 1 * 4 + 2 * 4
     res = solve_mip(master.model)
     assert res.objective == pytest.approx(2.0)
 
+    aug = tri_aug(k=1, kp=0)
     singles = [FailureScenario.of(aug, [a]) for a in range(3)]
     master = build_flow_master(aug, singles)
     assert master.model.num_vars == 3 * 4 + 2 * 4
-    # budget + p<=y + per scenario: balances, caps, failure caps
-    assert master.model.num_constraints == 1 + 3 + 3 * (3 + 4) + 3
+    # budget + p<=y + the root and terminal cuts' two rows each + per
+    # scenario: balances, caps, failure caps
+    assert master.model.num_constraints == 1 + 3 + 2 * 2 + 3 * (3 + 4) + 3
     res = solve_mip(master.model)
     assert res.objective == pytest.approx(4.0)
 
@@ -368,7 +479,8 @@ def test_flow_master_fixed_design():
 def test_bilevel_master_grows_linearly():
     aug = tri_aug(k=1, kp=0)
     empty = build_bilevel_master(aug, [])
-    assert solve_mip(empty.model).objective == pytest.approx(0.0)
+    # the design block's root and terminal cuts alone force all three arcs
+    assert solve_mip(empty.model).objective == pytest.approx(4.0)
     base_rows = empty.model.num_constraints
 
     point = separate_bilevel(aug, Design.canonical(aug, [1])).point
