@@ -7,12 +7,24 @@ first nonzero, the nonzeros' columns and values, and each row's sense as a
 ``row_lo <= A x <= row_hi`` pair.  HiGHS gets those arrays as they are.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
-simplex instance (the binding that ships inside scipy): the model is passed
-once, row-wise.  Each later solve sends only the column bounds that
-differ from the ones HiGHS holds, and rows or columns appended to the model
-are sent as the new tail alone, so the simplex restarts from the previous
-basis instead of from scratch.  Solutions are basic, with HiGHS's 1e-7
-feasibility tolerances; presolve is off and the solver prints nothing.
+simplex instance: the model is passed once, row-wise.  Each later solve
+sends only the column bounds that differ from the ones HiGHS holds, and
+rows or columns appended to the model are sent as the new tail alone, so
+the simplex restarts from the previous basis instead of from scratch.
+Solutions are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is
+off and the solver prints nothing.
+
+The HiGHS binding ships inside scipy as the extension module
+``scipy.optimize._highspy._core``.  It is loaded from its file in scipy's
+package directory without running ``scipy/optimize/__init__.py``, which
+imports some 300 scipy modules (linprog, minimize, ``scipy.linalg``,
+``scipy.special`` and more), so ``import cprsnp`` loads 13 scipy modules
+and takes about 0.14 s instead of 0.59 s (CPython 3.11, 2-core x86_64 VM).
+The module is registered under its full name, so a later
+``import scipy.optimize`` uses the same one (the import statements find it,
+but the attribute ``scipy.optimize._highspy._core`` stays unset); if
+scipy.optimize came first, its binding is used.
+
 Binary/integer models go through a hand-rolled branch and bound on top of
 that instance:
 
@@ -52,30 +64,51 @@ from __future__ import annotations
 
 import enum
 import heapq
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-import scipy.optimize  # noqa: F401
+import scipy
 
-# scipy.optimize is imported on its own first: reaching it only through the
-# submodule import below made importing cprsnp about 60 ms slower (scipy
-# 1.17.1, Python 3.11, 2-core x86_64 VM).
-try:
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_core(directory: str | os.PathLike) -> ModuleType:
+    """The HiGHS binding ``_core`` loaded from the extension file in
+    ``directory``, registered in ``sys.modules`` under its full name so a
+    later ``import scipy.optimize`` reuses it."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    spec = importlib.util.spec_from_file_location(
+        _CORE, os.path.join(directory, "_core" + suffix)
     )
-except ImportError as exc:  # pragma: no cover - depends on the installed scipy
-    raise ImportError(
-        "cprsnp needs the HiGHS binding scipy.optimize._highspy._core, "
-        "which ships with scipy>=1.17.1"
-    ) from exc
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError as exc:
+        raise ImportError(
+            f"cprsnp needs the HiGHS binding {_CORE}, "
+            "which ships with scipy>=1.17.1"
+        ) from exc
+    sys.modules[_CORE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# one binding per process: the one scipy.optimize already imported, if any
+_core = sys.modules.get(_CORE) or _load_core(
+    os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+)
+HighsLp = _core.HighsLp
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+_Highs = _core._Highs
 
 _OPTIONS = (
     ("output_flag", False),
