@@ -241,9 +241,9 @@ class ArcMask:
         capacities = np.asarray(capacities, dtype=np.int64)
         if capacities.shape != (aug.arc_count,):
             raise GraphError("mask length must match arc count")
-        if np.any(capacities < 0):
+        if (capacities < 0).any():
             raise GraphError("mask capacities must be nonnegative")
-        if np.any(capacities > aug.layout.capacities):
+        if (capacities > aug.layout.capacities).any():
             raise GraphError("mask may not exceed arc capacity")
         self.capacities = capacities
 
@@ -307,14 +307,77 @@ class FlowResult:
     flow: np.ndarray
 
 
-def _dinic(aug: AugmentedInstance, caps: np.ndarray) -> tuple[int, list[int]]:
-    # residual capacity per edge of the instance's layout
+def _flow_path(
+    aug: AugmentedInstance, residual: list[int], start: int, goal: int, backward: bool
+) -> list[int] | None:
+    """Arcs of a path from ``start`` to ``goal`` that each carry flow (a
+    positive residual on the reverse edge), found breadth first, or None
+    when there is none; with ``backward`` the path runs from ``goal`` to
+    ``start``."""
+    arcs = aug.arcs
+    reach = aug.layout.in_arcs if backward else aug.layout.out_arcs
+    via = {start: -1}  # the arc by which each vertex was reached
+    queue = collections.deque([start])
+    while queue:
+        v = queue.popleft()
+        if v == goal:
+            path = []
+            while v != start:
+                a = via[v]
+                path.append(a)
+                v = arcs[a].head if backward else arcs[a].tail
+            return path
+        for a in reach[v]:
+            w = arcs[a].tail if backward else arcs[a].head
+            if residual[2 * a + 1] > 0 and w not in via:
+                via[w] = a
+                queue.append(w)
+    return None
+
+
+def _fit(
+    aug: AugmentedInstance, mask: ArcMask, start: FlowResult
+) -> tuple[int, list[int]]:
+    """The value and the residual capacities of ``start`` once the flow on
+    every arc where it exceeds the mask is brought down to the mask's
+    capacity.  The excess is cancelled along flow cycles through the arc
+    (the value stays) and then along flow paths from the root through it to
+    the sink (the value drops)."""
+    if start.flow.shape != (aug.arc_count,):
+        raise GraphError("start flow length must match arc count")
+    value, residual = start.value, _residual(mask, start)
+    # an arc's excess is its negative forward residual
+    for a in np.flatnonzero(start.flow > mask.capacities).tolist():
+        tail, head = aug.arcs[a].tail, aug.arcs[a].head
+        # once no flow cycle runs through the arc, cancelling cannot make one
+        cyclic = True
+        # cancelling an earlier arc's excess may have taken this one's too
+        while (excess := -residual[2 * a]) > 0:
+            path = _flow_path(aug, residual, head, tail, False) if cyclic else None
+            if path is None:
+                cyclic = False
+                into = _flow_path(aug, residual, tail, aug.root, True)
+                out = _flow_path(aug, residual, head, aug.sink, False)
+                if into is None or out is None:
+                    raise GraphError("start is not a flow of the network")
+                path = into + out
+            path.append(a)
+            got = min([excess] + [residual[2 * b + 1] for b in path])
+            for b in path:
+                residual[2 * b] += got
+                residual[2 * b + 1] -= got
+            if not cyclic:
+                value -= got
+    return value, residual
+
+
+def _dinic(aug: AugmentedInstance, cap: list[int], total: int) -> int:
+    """Dinic's phases on the residual capacities ``cap`` (per edge of the
+    instance's layout) of a flow of value ``total``, until no augmenting
+    path is left; ``cap`` is updated in place and the max value returned."""
     adj, to = aug.layout.edges, aug.layout.to
     n, source, sink = aug.vertex_count, aug.root, aug.sink
-    cap = [0] * len(to)
-    cap[0::2] = caps.tolist()
 
-    total = 0
     while True:
         level = [-1] * n
         level[source] = 0
@@ -359,15 +422,31 @@ def _dinic(aug: AugmentedInstance, caps: np.ndarray) -> tuple[int, list[int]]:
                 continue
             path.append(e)
             v = to[e]
-    return total, cap
+    return total
 
 
-def max_flow(aug: AugmentedInstance, mask: ArcMask) -> FlowResult:
+def max_flow(
+    aug: AugmentedInstance, mask: ArcMask, start: FlowResult | None = None
+) -> FlowResult:
     """Exact root/sink max flow under the mask's capacities (integral by
-    construction)."""
-    value, residual = _dinic(aug, mask.capacities)
-    flow = mask.capacities - np.array(residual[0::2], dtype=np.int64)
-    return FlowResult(value=value, flow=flow)
+    construction).
+
+    ``start`` is an optional flow of the same network, such as a max flow
+    under other capacities, to begin from instead of the zero flow.  Every
+    arc on which it exceeds the mask is first brought down to the mask's
+    capacity, by cancelling the excess along a flow cycle through the arc
+    (the value stays) or a flow path through it (the value drops); Dinic's
+    phases then continue from that flow's residual network.  A child of
+    the attack search fails one arc of its parent's max flow, so it needs
+    fewer phases from there than from zero.
+    """
+    if start is None:
+        value, residual = 0, [0] * (2 * aug.arc_count)
+        residual[0::2] = mask.capacities.tolist()
+    else:
+        value, residual = _fit(aug, mask, start)
+    value = _dinic(aug, residual, value)
+    return FlowResult(value=value, flow=np.array(residual[1::2], dtype=np.int64))
 
 
 def _residual(mask: ArcMask, flow: FlowResult) -> list[int]:

@@ -37,7 +37,9 @@ that instance:
   point the callback accepts.  Lazy rows arrive only at integer points, so
   a dive reaches them early; in trees without them diving cost more LPs
   than it saved,
-* optional wall-clock limit; the reported bound stays valid at all times,
+* optional wall-clock limit, read before each LP and passed to HiGHS as the
+  time left, so one long LP cannot outlast it either; the reported bound
+  stays valid at all times,
 * optional cutoff: the objective value of a solution known from elsewhere;
   every node that cannot beat it strictly is pruned, and a model with
   nothing better reads INFEASIBLE,
@@ -269,9 +271,18 @@ class _Relaxation:
                 raise MilpError(f"HiGHS rejected new rows of {model.name}")
             self.rows = rows
 
+    def stop_after(self, seconds: float) -> None:
+        """Make HiGHS stop the runs from now on once they have taken
+        ``seconds`` in all."""
+        # HiGHS's run clock adds up over the runs of one instance, and its
+        # time limit is read against that sum
+        self.highs.setOptionValue("time_limit", self.highs.getRunTime() + seconds)
+
     def solve(self, lb: np.ndarray, ub: np.ndarray):
         """``(status, objective, values)`` of the relaxation under the given
-        column bounds; objective and values are None unless OPTIMAL."""
+        column bounds; objective and values are None unless OPTIMAL.  The
+        status is FEASIBLE when HiGHS stopped at the time limit that
+        :meth:`stop_after` set: the LP has no answer yet."""
         highs = self.highs
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
         if changed.size:
@@ -286,6 +297,8 @@ class _Relaxation:
             return SolveStatus.OPTIMAL, highs.getInfo().objective_function_value, x
         if status == HighsModelStatus.kInfeasible:
             return SolveStatus.INFEASIBLE, None, None
+        if status == HighsModelStatus.kTimeLimit:
+            return SolveStatus.FEASIBLE, None, None
         raise MilpError(
             f"LP solver failed on {self.model.name}: {highs.modelStatusToString(status)}"
         )
@@ -365,7 +378,14 @@ def solve_mip(
     integral = _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
-        return time_limit_s is not None and time.perf_counter() - t0 > time_limit_s
+        """True once the limit is spent; otherwise HiGHS is told the time
+        left, so that the next LP stops at the limit too."""
+        if time_limit_s is None:
+            return False
+        left = time_limit_s - (time.perf_counter() - t0)
+        if left >= 0:
+            lp.stop_after(left)
+        return left < 0
 
     best_obj = math.inf if cutoff is None else cutoff
     best_x: np.ndarray | None = None
@@ -445,11 +465,15 @@ def solve_mip(
         # the node is re-solved for as long as ``lazy`` grows the model
         while True:
             if out_of_time():
+                status = SolveStatus.FEASIBLE
+            else:
+                status, node_bound, x = lp.solve(*with_integers(nlb, nub))
+                nodes += 1
+            if status == SolveStatus.FEASIBLE:
+                # out of time, before this node's LP or inside it
                 return finish(
                     SolveStatus.FEASIBLE, [parent_bound] + [h[0] for h in heap]
                 )
-            status, node_bound, x = lp.solve(*with_integers(nlb, nub))
-            nodes += 1
             if status == SolveStatus.INFEASIBLE:
                 break
             if prunes(node_bound):

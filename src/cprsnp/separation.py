@@ -15,7 +15,9 @@ All three answer from one worst attack (:func:`_attack`) and a max flow
 under it.  While a design has at most ``brute_force_limit`` failure sets, a
 combinatorial search finds it (:func:`_worst_attack`): it branches on the
 arcs that carry a max flow and prunes with that flow's values, so it needs
-a few max flows where enumeration needs one per failure set.  Larger
+a few max flows where enumeration needs one per failure set.  Each of those
+max flows starts from its parent's, which differs by one failed arc, and
+each node computes its children's pruning bounds in one pass.  Larger
 designs go to the one MIP route, the cut search MIP, whose optimal cut
 gives the attack.  The attack is the scenario; the minimum cut of the
 attacked network nearest the sink (:func:`cprsnp.graph.back_cut`) gives
@@ -28,8 +30,10 @@ vertex of the failing cut that crosses the fewest arcs, read from one MIP.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -216,17 +220,27 @@ def _worst_attack(
     pick from the candidates after its last one:
 
     * failing a candidate that f leaves empty keeps f feasible and maximal,
-      so that child reuses f instead of a new max flow;
+      so that child reuses f instead of a new max flow; a child that fails
+      an arc carrying f starts its max flow from f
+      (:func:`cprsnp.graph.max_flow` with ``start``), which only has to
+      cancel that arc's flow and re-route;
     * f decomposes into paths, so failing any r of the remaining candidates
       removes at most the r largest f values among them; a subtree is cut
       once F minus those is no better than the best so far (ties lose to
       the earlier set, as in a plain enumeration), checked with the
-      parent's flow before a child's max flow and with its own after;
+      parent's flow before a child's max flow and with its own after.  A
+      node computes, once and before it is pushed, the sum of the r - 1
+      largest f values after each of its candidates in one backward pass
+      (:func:`_suffix_largest`); each child's check reads that sum plus the
+      child's own f value, and the largest of those is the r largest that
+      the node's own check subtracts;
     * when no remaining candidate carries flow, every completion is worth F
       and the first one is the prefix plus the next r candidates.
 
     The best so far starts at the demand: a set leaving that much is no
-    violation, so its subtree needs no search.
+    violation, so its subtree needs no search.  The set found does not
+    depend on which max flow a node holds, nor does its back cut: only the
+    number of max flows may.
     """
     t0 = time.perf_counter()
     candidates = _attack_candidates(aug, design)
@@ -235,7 +249,7 @@ def _worst_attack(
     flows = 0
     order = np.array(candidates, dtype=np.intp)
 
-    def flow_of(caps: np.ndarray) -> FlowResult:
+    def flow_of(caps: np.ndarray, start: FlowResult | None) -> FlowResult:
         nonlocal flows
         if (
             flows % CLOCK_POLL_FLOWS == CLOCK_POLL_FLOWS - 1
@@ -244,50 +258,71 @@ def _worst_attack(
         ):
             raise SeparationTimeout("attack search hit the time limit")
         flows += 1
-        return max_flow(aug, ArcMask(aug, caps))
-
-    def largest(res: FlowResult, start: int, count: int) -> np.ndarray:
-        """The ``count`` largest flows of ``res`` on candidates[start:]."""
-        return np.sort(res.flow[order[start:]])[::-1][:count]
+        return max_flow(aug, ArcMask(aug, caps), start=start)
 
     def visit(prefix, start, caps, res):
         """Record or cut the subtree below ``prefix``, or push it to be
-        branched on."""
+        branched on with its children's bounds."""
         nonlocal best_value, best, best_flow
         left = size - len(prefix)
-        carried = largest(res, start, left)
-        bound = max(res.value - int(carried.sum()), 0)  # flows are >= 0
+        carried = res.flow[order[start:]].tolist() if left else []
+        # gain[j]: the most flow that failing candidates[start + j] and
+        # left - 1 candidates after it can remove, which its child's check
+        # reads; the largest gain is the sum of the left largest flows
+        rest = _suffix_largest(carried, left - 1)[1:]
+        gain = list(map(operator.add, carried, rest))
+        most = max(gain, default=0)
+        bound = max(res.value - most, 0)  # flows are >= 0
         if bound >= best_value:
             return
-        if not carried.any():
+        if most == 0:
             # res leaves the completion's arcs empty, so it stays a max flow
             best_value, best_flow = res.value, res
             best = prefix + tuple(candidates[start : start + left])
             return
         children = iter(range(start, len(candidates) - left + 1))
-        stack.append((prefix, caps, res, bound, children))
+        stack.append((prefix, caps, res, bound, gain, start, children))
 
     # an explicit stack: the depth is the attack size, which k alone bounds
     stack = []
     caps = design.mask(aug).capacities
-    visit((), 0, caps, flow_of(caps))
+    visit((), 0, caps, flow_of(caps, None))
     while stack:
-        prefix, caps, res, bound, children = stack[-1]
+        prefix, caps, res, bound, gain, start, children = stack[-1]
         i = next(children, None)
         if i is None or bound >= best_value:
             stack.pop()
             continue
         arc = candidates[i]
-        rest = largest(res, i + 1, size - len(prefix) - 1)
-        if res.value - res.flow[arc] - rest.sum() >= best_value:
+        if res.value - gain[i - start] >= best_value:
             continue
         child_caps = caps.copy()
         child_caps[arc] = 0
-        child = res if res.flow[arc] == 0 else flow_of(child_caps)
+        child = res if res.flow[arc] == 0 else flow_of(child_caps, res)
         visit(prefix + (arc,), i + 1, child_caps, child)
     if best is None:
         return None
     return _Attack(best, best_value, best_flow)
+
+
+def _suffix_largest(values: list[int], count: int) -> list[int]:
+    """``sums[j]``: the sum of the ``count`` largest of ``values[j:]`` (all
+    of them when fewer), for j = 0..len(values); one backward pass keeping
+    the ``count`` largest seen in a min-heap."""
+    sums = [0] * (len(values) + 1)
+    if count <= 0:
+        return sums
+    heap: list[int] = []
+    total = 0
+    for j in range(len(values) - 1, -1, -1):
+        v = values[j]
+        if len(heap) < count:
+            heapq.heappush(heap, v)
+            total += v
+        elif v > heap[0]:
+            total += v - heapq.heapreplace(heap, v)
+        sums[j] = total
+    return sums
 
 
 def separate_cutset(

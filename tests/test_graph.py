@@ -229,6 +229,106 @@ def test_back_cut_rejects_a_flow_that_is_not_maximal():
         back_cut(aug, mask, empty)
 
 
+def _assert_is_flow(aug, mask, res):
+    """``res.flow`` fits the mask, conserves flow at every vertex but the
+    root and the sink, and brings ``res.value`` to the sink."""
+    flow = res.flow
+    assert flow.dtype == np.int64
+    assert np.all(flow >= 0) and np.all(flow <= mask.capacities)
+    net = np.zeros(aug.vertex_count, dtype=np.int64)
+    for i, a in enumerate(aug.arcs):
+        net[a.head] += flow[i]
+        net[a.tail] -= flow[i]
+    assert net[aug.sink] == res.value == -net[aug.root]
+    inner = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    assert not net[inner].any()
+
+
+def _assert_warm_start_matches_cold(aug, mask, start):
+    warm = max_flow(aug, mask, start=start)
+    cold = max_flow(aug, mask)
+    assert warm.value == cold.value
+    _assert_is_flow(aug, mask, warm)
+    assert back_cut(aug, mask, warm) == back_cut(aug, mask, cold)
+
+
+def test_warm_start_matches_cold_dinic_on_the_corpus(suite):
+    rng = random.Random(21)
+    for inst in suite:
+        aug = augment(inst)
+        full = ArcMask.full(aug)
+        start = max_flow(aug, full)
+        _assert_is_flow(aug, full, start)
+        carrying = np.flatnonzero(start.flow).tolist()
+        # one arc lowered below its flow, to zero as the attack search does
+        # and to a random level, then several arcs at once
+        for lowered in ([rng.choice(carrying)], [rng.choice(carrying)],
+                        rng.sample(carrying, min(4, len(carrying)))):
+            caps = full.capacities.copy()
+            for arc in lowered:
+                caps[arc] = rng.randrange(start.flow[arc]) if rng.random() < 0.5 else 0
+            _assert_warm_start_matches_cold(aug, ArcMask(aug, caps), start)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_warm_start_from_other_capacities_matches_cold_dinic(seed):
+    # the start is a max flow under one random mask, the target another:
+    # arcs may rise as well as fall below the start's flow
+    rng = random.Random(seed)
+    aug = _random_augmented(rng)
+    masks = []
+    for _ in range(2):
+        caps = ArcMask.full(aug).capacities.copy()
+        caps[[rng.random() < 0.3 for _ in caps]] = 0
+        masks.append(ArcMask(aug, caps))
+    _assert_warm_start_matches_cold(aug, masks[1], max_flow(aug, masks[0]))
+
+
+def _cycle_instance():
+    """Root 0 feeds terminal 1 by arc 0; arcs 1 (1 -> 2) and 2 (2 -> 1) form
+    a cycle through the terminal; arc 3 is the fictive arc 1 -> sink 3."""
+    inst = Instance(3, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 1, 1, 1)),
+                    root=0, terminals=(1,), k=0, kp=0)
+    aug = augment(inst)
+    # one unit to the sink and one around the cycle
+    return aug, FlowResult(1, np.array([1, 1, 1, 1], dtype=np.int64))
+
+
+def _cancelled(aug, mask, start):
+    """The value and the per-arc flow once the start's excess over the mask
+    is cancelled, before any augmenting path."""
+    value, residual = graph._fit(aug, mask, start)
+    return value, residual[1::2]
+
+
+def test_warm_start_cancels_a_flow_cycle_through_the_lowered_arc():
+    aug, start = _cycle_instance()
+    mask = ArcMask(aug, np.array([1, 0, 1, 1]))
+    # the cycle through arc 1 is cancelled and the unit to the sink stays
+    assert _cancelled(aug, mask, start) == (1, [1, 0, 0, 1])
+    _assert_warm_start_matches_cold(aug, mask, start)
+
+
+def test_warm_start_cancels_a_flow_path_through_the_lowered_arc():
+    aug, start = _cycle_instance()
+    mask = ArcMask(aug, np.array([0, 1, 1, 1]))
+    # no cycle runs through arc 0: the path root -> 1 -> sink is cancelled
+    # and the cycle stays
+    assert _cancelled(aug, mask, start) == (0, [0, 1, 1, 0])
+    _assert_warm_start_matches_cold(aug, mask, start)
+
+
+def test_warm_start_rejects_what_is_not_a_flow_of_the_network():
+    aug, _ = _cycle_instance()
+    mask = ArcMask(aug, np.array([0, 1, 1, 1]))
+    with pytest.raises(GraphError, match="length"):
+        max_flow(aug, mask, start=FlowResult(1, np.ones(3, dtype=np.int64)))
+    # arc 0 carries a unit that goes nowhere
+    stray = FlowResult(0, np.array([1, 0, 0, 0], dtype=np.int64))
+    with pytest.raises(GraphError, match="not a flow"):
+        max_flow(aug, mask, start=stray)
+
+
 class _CountingLayout:
     """Forwards to a layout and counts the attribute reads."""
 

@@ -4,6 +4,7 @@ solves, statuses, determinism."""
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +266,44 @@ def test_time_limit_at_every_node_keeps_valid_bound(monkeypatch):
                 res = solve_mip(model, time_limit_s=n + 0.5, cutoff=cutoff, lazy=lazy)
                 assert res.nodes == n or res.status != SolveStatus.FEASIBLE
                 _assert_timed_out_validly(res, exact, cutoff)
+
+
+def _long_lp(n: int = 3000) -> MilpModel:
+    """A packing LP that takes HiGHS seconds from a cold start: n columns in
+    [0, 10] and n rows of about 20 random nonzeros each."""
+    rng = random.Random(0)
+    model = MilpModel("long_lp")
+    xs = [model.add_var(f"x{j}", 0.0, 10.0) for j in range(n)]
+    model.set_objective({x: -rng.randint(1, 99) for x in xs})
+    for _ in range(n):
+        row = {rng.randrange(n): rng.randint(1, 49) for _ in range(20)}
+        model.add_constr(row, "<=", rng.randint(100, 999))
+    return model
+
+
+def test_time_limit_stops_inside_one_long_lp():
+    # the root LP alone outlasts the limit many times over, so only HiGHS's
+    # own time limit can end it on time
+    limit = 0.25
+    t0 = time.perf_counter()
+    res = solve_mip(_long_lp(), time_limit_s=limit)
+    elapsed = time.perf_counter() - t0
+    assert res.status == SolveStatus.FEASIBLE
+    assert (res.objective, res.values, res.bound, res.nodes) == (None, None, None, 1)
+    assert elapsed < limit + 0.5  # the model's build is inside, too
+
+
+def test_lp_time_limit_counts_from_when_it_is_set():
+    # HiGHS's run clock adds up over the runs of one instance, so each limit
+    # must be read from the time already run: every run here gets its 0.2 s
+    model = _long_lp()
+    lp = _Relaxation(model)
+    lb, ub = model.bounds()
+    for _ in range(3):
+        lp.stop_after(0.2)
+        t0 = time.perf_counter()
+        assert lp.solve(lb, ub) == (SolveStatus.FEASIBLE, None, None)
+        assert 0.15 < time.perf_counter() - t0 < 0.2 + 0.5
 
 
 class _BoxRecorder(milp._Relaxation):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,16 +306,38 @@ def test_attack_search_needs_few_max_flows(monkeypatch):
     design = Design.canonical(aug, range(aug.arc_count))
     calls = []
 
-    def counted(aug, mask):
-        calls.append(mask)
-        return max_flow(aug, mask)
+    def counted(aug, mask, start=None):
+        calls.append(start)
+        return max_flow(aug, mask, start=start)
 
     monkeypatch.setattr(separation, "max_flow", counted)
     violation = separate_scenario(aug, design)
     assert len(calls) <= 500
+    # only the root's max flow starts from zero; each child's starts from
+    # its parent's
+    assert calls[0] is None and None not in calls[1:]
     # the enumeration's answer: the first of the failure sets leaving 1 unit
     assert violation is not None
     assert (violation.value, violation.scenario.sorted_arcs()) == (1, (18, 29, 53))
+
+
+def test_node_bounds_match_sorted_top_sums():
+    # each search node reads its children's bounds from one backward pass:
+    # the sum of the r largest flows on every suffix of its candidates
+    rng = random.Random(4)
+    for _ in range(200):
+        flows = [rng.choice((0, 0, 1, 2, 3, rng.randint(0, 40)))
+                 for _ in range(rng.randint(0, 14))]
+        for r in range(4):
+            sums = separation._suffix_largest(flows, r)
+            assert len(sums) == len(flows) + 1
+            for j in range(len(flows) + 1):
+                assert sums[j] == int(np.sort(flows[j:])[::-1][:r].sum())
+            # the node's own bound: the r + 1 largest from each start are
+            # the first of them plus the r largest after it
+            for j in range(len(flows)):
+                most = max(f + s for f, s in zip(flows[j:], sums[j + 1 :]))
+                assert most == int(np.sort(flows[j:])[::-1][: r + 1].sum())
 
 
 # ---------------------------------------------------------------------------
