@@ -41,14 +41,11 @@ from .formulations import (
     Design,
     FailureScenario,
     append_cut,
-    append_cut_subset,
     append_point,
     append_scenario,
     build_bilevel_master,
     build_cutset_master,
     build_flow_master,
-    cut_fits,
-    worst_subset,
 )
 from .milp import SolveStatus, solve_mip
 from .separation import (
@@ -158,10 +155,8 @@ class Solution:
 
 class CutsetFormulation:
     """Seeded with no cut of its own: the design block already holds the
-    root cut and the cut around each terminal.  A violated cut that fits
-    :data:`~cprsnp.formulations.CUT_ROW_LIMIT` gets its full enumeration; a
-    larger one gets one row per violation, the worst deletion subset of the
-    violating design."""
+    root cut and the cut around each terminal.  Each violated cut goes to
+    :func:`~cprsnp.formulations.append_cut` with the violating design."""
 
     def __init__(self, aug: AugmentedInstance):
         self.aug = aug
@@ -171,11 +166,7 @@ class CutsetFormulation:
         return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
 
     def add(self, violation, design: Design) -> None:
-        cut = violation.cut
-        if cut_fits(self.aug, cut):
-            append_cut(self.master, cut)
-        else:
-            append_cut_subset(self.master, cut, worst_subset(self.aug, cut, design))
+        append_cut(self.master, violation.cut, design)
 
 
 class FlowFormulation:
@@ -314,6 +305,13 @@ def solve(
         gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
         return finish(SolveStatus.FEASIBLE, best, cost, gap)
 
+    def record(bound: float, value: float | None, rows: int, cols: int) -> None:
+        """Append the next iteration record and log it."""
+        records.append(
+            IterationRecord(len(records) + 1, bound, value, rows, cols, elapsed())
+        )
+        log.info(records[-1].line(formulation, include_time=True))
+
     rejected: set[Design] = set()
 
     def check(values, bound: float) -> bool:
@@ -333,17 +331,12 @@ def solve(
         rejected.add(design)
         rows, cols = master.model.num_constraints, master.model.num_vars
         form.add(violation, design)
-        records.append(
-            IterationRecord(
-                len(records) + 1,
-                lower,
-                float(violation.value),
-                master.model.num_constraints - rows,
-                master.model.num_vars - cols,
-                elapsed(),
-            )
+        record(
+            lower,
+            float(violation.value),
+            master.model.num_constraints - rows,
+            master.model.num_vars - cols,
         )
-        log.info(records[-1].line(formulation, include_time=True))
         return True
 
     log.info(
@@ -367,17 +360,12 @@ def solve(
         if incumbent is None:
             return finish(SolveStatus.INFEASIBLE, None, None, None)
         # no survivable design is strictly cheaper than the incumbent
-        records.append(
-            IterationRecord(len(records) + 1, upper, None, 0, 0, elapsed())
-        )
+        record(upper, None, 0, 0)
         return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
     if res.status != SolveStatus.OPTIMAL:
         if res.bound is not None:
             lower = max(lower, res.bound)
         return timeout_solution()
     design = master.design_from(res.values)
-    records.append(
-        IterationRecord(len(records) + 1, res.objective, float(demand), 0, 0, elapsed())
-    )
-    log.info(records[-1].line(formulation, include_time=True))
+    record(res.objective, float(demand), 0, 0)
     return finish(SolveStatus.OPTIMAL, design, design.cost(aug), 0.0)

@@ -31,11 +31,13 @@ and their values (:func:`cut_residual`, :func:`point_row_value`) are the
 untightened ones.
 
 Each builder is the design block plus one appender per item, applied in
-order: :func:`append_cut` (a cut's rows, for a cut that :func:`cut_fits`,
-with :func:`append_cut_subset` for one more deletion subset of a known cut),
-:func:`append_scenario` (a scenario's flow block) and :func:`append_point`
-(a vertex's row).  The engine builds each master once per solve and grows
-it in place with the appenders, while the tree that solves it is open.
+order: :func:`append_cut` (a cut's rows, the one place that decides them:
+the full enumeration for a cut that :func:`cut_fits`, else the row of the
+violating design's worst deletion subset, written by
+:func:`append_cut_subset`), :func:`append_scenario` (a scenario's flow
+block) and :func:`append_point` (a vertex's row).  The engine builds each
+master once per solve and grows it in place with the appenders, while the
+tree that solves it is open.
 
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
@@ -51,8 +53,8 @@ from typing import Iterable, Sequence
 from .graph import ArcMask, AugmentedInstance, CutSet
 from .milp import INT_TOL, MilpModel
 
-# most rows :func:`append_cut` writes for one cut; the engine writes a larger
-# cut one deletion subset per violation instead
+# most rows :func:`append_cut` writes for one cut; a larger cut gets one
+# deletion subset per violating design instead
 CUT_ROW_LIMIT = 20_000
 
 
@@ -321,25 +323,31 @@ def build_cutset_master(aug: AugmentedInstance, cuts: Sequence[CutSet]) -> Maste
     return master
 
 
-def append_cut(master: Master, cut: CutSet) -> None:
-    """Append a cut to a cut-set master: one row per deletion subset of
+def append_cut(master: Master, cut: CutSet, design: Design | None = None) -> None:
+    """Append a cut to a cut-set master: the one place that decides a cut's
+    rows.  A cut that :func:`cut_fits` gets one row per deletion subset of
     exactly ``min(k, m)`` of its ``m`` non-fictive arcs.
 
     With the block's ``p <= y`` rows, the row of a subset implies the row of
     each of its own subsets, the intact row included, so these rows alone
-    are the cut's full enumeration.  A cut that needs more than
-    :data:`CUT_ROW_LIMIT` rows raises :class:`FormulationError`.
+    are the cut's full enumeration.  A larger cut gets the one row of the
+    design's :func:`worst_subset`, the row that cuts that design off;
+    without a design it raises :class:`FormulationError`.
     """
     aug = master.aug
     if cut.sink_side == frozenset({aug.sink}):
         raise FormulationError("cut isolating only the super sink is not allowed")
-    if not cut_fits(aug, cut):
+    if cut_fits(aug, cut):
+        non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
+        subsets = itertools.combinations(non_fictive, min(aug.k, len(non_fictive)))
+    elif design is not None:
+        subsets = [worst_subset(aug, cut, design)]
+    else:
         raise FormulationError(
             f"cut needs {count_cut_rows(aug, cut)} rows, above the limit "
             f"{CUT_ROW_LIMIT}"
         )
-    non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
-    for sub in itertools.combinations(non_fictive, min(aug.k, len(non_fictive))):
+    for sub in subsets:
         append_cut_subset(master, cut, sub)
 
 

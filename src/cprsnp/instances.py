@@ -25,8 +25,6 @@ import bisect
 import io
 import math
 import random
-from collections.abc import Sequence
-from typing import Iterable
 
 from .graph import (
     MAX_CAPACITY,
@@ -270,28 +268,6 @@ class GenerationError(ValueError):
     """Parameter combination cannot yield a feasible instance."""
 
 
-class _AbsentPairs(Sequence):
-    """The vertex pairs ``(i, j)``, ``i != j``, that no chosen arc joins, in
-    sorted order, without listing them: pair ``n`` is found by bisecting the
-    sorted slots of the chosen pairs among all ``nodes * (nodes - 1)``."""
-
-    def __init__(self, nodes: int, chosen: Iterable[tuple[int, int]]):
-        self.nodes = nodes
-        taken = sorted(i * (nodes - 1) + j - (j > i) for i, j in chosen)
-        # the number of absent pairs before each taken slot
-        self.before = [slot - p for p, slot in enumerate(taken)]
-        self.size = nodes * (nodes - 1) - len(taken)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, n: int) -> tuple[int, int]:
-        if not 0 <= n < self.size:
-            raise IndexError(n)
-        i, j = divmod(n + bisect.bisect_right(self.before, n), self.nodes - 1)
-        return i, j + (j >= i)
-
-
 def generate(
     nodes: int,
     terminals: int,
@@ -379,8 +355,15 @@ def generate(
 
     extra = arcs - len(chosen)
     if extra:
-        for tail, head in rng.sample(_AbsentPairs(nodes, chosen), extra):
-            add_arc(tail, head)
+        # draw positions among the vertex pairs (i, j), i != j, that no chosen
+        # arc joins, in sorted order; position n is found by bisecting the
+        # sorted slots of the chosen pairs among all nodes * (nodes - 1)
+        taken = sorted(i * (nodes - 1) + j - (j > i) for i, j in chosen)
+        # the number of absent pairs before each taken slot
+        before = [slot - p for p, slot in enumerate(taken)]
+        for n in rng.sample(range(nodes * (nodes - 1) - len(taken)), extra):
+            i, j = divmod(n + bisect.bisect_right(before, n), nodes - 1)
+            add_arc(i, j + (j >= i))
 
     aug = snapshot()
     if max_flow(aug, ArcMask.full(aug)).value < terminals:

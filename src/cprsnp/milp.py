@@ -8,9 +8,10 @@ first nonzero, the nonzeros' columns and values, and each row's sense as a
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance: the model is passed once, row-wise.  Each later solve
-sends only the column bounds that differ from the ones HiGHS holds, and
-rows or columns appended to the model are sent as the new tail alone, so
-the simplex restarts from the previous basis instead of from scratch.
+sends only the integer column bounds that differ from the ones HiGHS
+holds, and rows or columns appended to the model are sent as the new tail
+alone, so the simplex restarts from the previous basis instead of from
+scratch.
 Solutions are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is
 off and the solver prints nothing.
 
@@ -50,10 +51,10 @@ that instance:
   become the incumbent, and either accepts it or appends rows, and
   continuous zero-cost columns, to the model being solved.  The kernel
   sends that tail to the live HiGHS instance and re-solves the same node
-  from the current basis.  Open nodes keep only the bounds of the integer
-  columns; continuous columns always take the model's current bounds.
-  Bounds of open nodes stay valid, because appended rows only remove
-  integer assignments.  A callback that accepts every point still makes
+  from the current basis.  A node is the bounds of the integer columns;
+  continuous columns keep the bounds they were added with.  Bounds of open
+  nodes stay valid, because appended rows only remove integer
+  assignments.  A callback that accepts every point still makes
   the tree dive, so it may visit other nodes than the same tree without
   one.
 
@@ -226,36 +227,39 @@ class _Relaxation:
     """The LP relaxation of one model, held by one HiGHS instance.
 
     The model is passed once, in the row-wise arrays it keeps.  Each
-    :meth:`solve` sends only the column bounds that differ from the ones
-    HiGHS holds, and :meth:`grow` only the columns and rows appended to the
-    model since, as the tail of those arrays, so the dual simplex restarts
-    from the previous basis.
+    :meth:`solve` sends only the integer column bounds that differ from the
+    ones HiGHS holds, and :meth:`grow` only the columns and rows appended to
+    the model since, as the tail of those arrays, so the dual simplex
+    restarts from the previous basis.  Continuous columns keep the bounds
+    they were passed with.
     """
 
-    def __init__(self, model: MilpModel):
+    def __init__(self, model: MilpModel, int_idx: np.ndarray):
         self.model = model
-        # the column bounds HiGHS holds
-        self.lb, self.ub = model.bounds()
-        self.highs = _open(model, self.lb, self.ub)
+        self.int_idx = int_idx.astype(np.int32)
+        lb, ub = model.bounds()
+        # the integer column bounds HiGHS holds
+        self.ilb, self.iub = lb[int_idx], ub[int_idx]
+        self.highs = _open(model, lb, ub)
+        self.cols = model.num_vars
         self.rows = model.num_constraints
 
     def grow(self) -> None:
         """Send the columns and rows appended to the model since it was
-        opened or last grown.  New columns cost nothing: the objective is
-        fixed once the model is passed."""
+        opened or last grown.  New columns are continuous and cost nothing:
+        the objective is fixed once the model is passed."""
         model, highs = self.model, self.highs
-        lb, ub = model.bounds()
-        old = self.lb.size
-        if lb.size > old:
-            new = lb.size - old
+        first, cols = self.cols, model.num_vars
+        if cols > first:
+            new = cols - first
             if highs.addCols(
-                new, np.zeros(new), lb[old:], ub[old:], 0,
+                new, np.zeros(new),
+                np.array(model._lb[first:]), np.array(model._ub[first:]), 0,
                 np.zeros(new, dtype=np.int32), np.zeros(0, dtype=np.int32),
                 np.zeros(0),
             ) == HighsStatus.kError:
                 raise MilpError(f"HiGHS rejected new columns of {model.name}")
-            self.lb = np.concatenate([self.lb, lb[old:]])
-            self.ub = np.concatenate([self.ub, ub[old:]])
+            self.cols = cols
         first, rows = self.rows, model.num_constraints
         if rows > first:
             nz = model._start[first]
@@ -278,18 +282,18 @@ class _Relaxation:
         # time limit is read against that sum
         self.highs.setOptionValue("time_limit", self.highs.getRunTime() + seconds)
 
-    def solve(self, lb: np.ndarray, ub: np.ndarray):
+    def solve(self, ilb: np.ndarray, iub: np.ndarray):
         """``(status, objective, values)`` of the relaxation under the given
-        column bounds; objective and values are None unless OPTIMAL.  The
-        status is FEASIBLE when HiGHS stopped at the time limit that
-        :meth:`stop_after` set: the LP has no answer yet."""
+        bounds of the integer columns; objective and values are None unless
+        OPTIMAL.  The status is FEASIBLE when HiGHS stopped at the time
+        limit that :meth:`stop_after` set: the LP has no answer yet."""
         highs = self.highs
-        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
+        changed = np.flatnonzero((ilb != self.ilb) | (iub != self.iub))
         if changed.size:
-            clb, cub = lb[changed], ub[changed]
-            highs.changeColsBounds(changed.size, changed.astype(np.int32), clb, cub)
-            self.lb[changed] = clb
-            self.ub[changed] = cub
+            clb, cub = ilb[changed], iub[changed]
+            highs.changeColsBounds(changed.size, self.int_idx[changed], clb, cub)
+            self.ilb[changed] = clb
+            self.iub[changed] = cub
         highs.run()
         status = highs.getModelStatus()
         if status == HighsModelStatus.kOptimal:
@@ -363,18 +367,18 @@ def solve_mip(
     moment.  It returns False to accept the point, or appends rows that cut
     it off to ``model`` itself and returns True; the same node is then
     re-solved on the grown model.  It may also append continuous columns,
-    which cost nothing.  It must keep the objective and the integer columns
-    (indices and bounds), and may only remove integer assignments it would
-    reject.  Returned ``values`` may then be shorter than the final model's
-    columns.  Given ``lazy``, the tree dives to integer points (see the
-    module docstring).
+    which cost nothing.  It must keep the objective and the columns it was
+    given (integrality and bounds), and may only remove integer assignments
+    it would reject.  Returned ``values`` may then be shorter than the final
+    model's columns.  Given ``lazy``, the tree dives to integer points (see
+    the module docstring).
     """
     t0 = time.perf_counter()
     int_idx = model.integer_indices()
-    lb0, ub0 = model.bounds()
-    ilb0, iub0 = lb0[int_idx], ub0[int_idx]
+    lb, ub = model.bounds()
+    ilb0, iub0 = lb[int_idx], ub[int_idx]
     objective0 = dict(model._objective)
-    lp = _Relaxation(model)
+    lp = _Relaxation(model, int_idx)
     integral = _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
@@ -401,17 +405,9 @@ def solve_mip(
             and bound > math.ceil(best_obj - 1e-9) - 1 + INT_OBJ_TOL
         )
 
-    def with_integers(ilb: np.ndarray, iub: np.ndarray):
-        """Full column bounds: the model's, with the integer columns' set."""
-        lb, ub = lb0.copy(), ub0.copy()
-        lb[int_idx] = ilb
-        ub[int_idx] = iub
-        return lb, ub
-
     def rejected(x: np.ndarray, bound: float) -> bool:
         """Ask ``lazy`` about an integer-feasible point; when it grew the
         model, send the growth to the relaxation and return True."""
-        nonlocal lb0, ub0
         if lazy is None or not lazy(x, bound):
             return False
         lb, ub = model.bounds()
@@ -429,14 +425,12 @@ def solve_mip(
             raise MilpError(
                 f"lazy callback rejected a point of {model.name} but appended no row"
             )
-        lb0, ub0 = lb, ub
         lp.grow()
         return True
 
     nodes = 0
     seq = 0
-    # heap entries: (parent bound, -depth, seq, integer lbs, integer ubs);
-    # continuous columns always take the current model's bounds
+    # heap entries: (parent bound, -depth, seq, integer lbs, integer ubs)
     heap: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
         (-math.inf, 0, 0, ilb0, iub0)
     ]
@@ -467,7 +461,7 @@ def solve_mip(
             if out_of_time():
                 status = SolveStatus.FEASIBLE
             else:
-                status, node_bound, x = lp.solve(*with_integers(nlb, nub))
+                status, node_bound, x = lp.solve(nlb, nub)
                 nodes += 1
             if status == SolveStatus.FEASIBLE:
                 # out of time, before this node's LP or inside it
@@ -478,11 +472,7 @@ def solve_mip(
                 break
             if prunes(node_bound):
                 break
-            frac = (
-                np.abs(x[int_idx] - np.round(x[int_idx]))
-                if int_idx.size
-                else np.array([])
-            )
+            frac = np.abs(x[int_idx] - np.round(x[int_idx]))
             fractional = np.flatnonzero(frac > INT_TOL)
             if fractional.size == 0:
                 # the tree's global bound: this node's or the best open node's

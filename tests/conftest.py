@@ -95,16 +95,24 @@ class CheckedRelaxation(_Relaxation):
     instance opened under the same column bounds.  Patch it over
     ``cprsnp.milp._Relaxation`` to check every LP a solve runs."""
 
+    def full_bounds(self, ilb, iub):
+        """Every column's bounds: the model's, with the integer columns'
+        set to ``ilb`` and ``iub``."""
+        lb, ub = self.model.bounds()
+        lb[self.int_idx] = ilb
+        ub[self.int_idx] = iub
+        return lb, ub
+
     def grow(self):
         super().grow()
-        fresh = _open(self.model, self.lb, self.ub)
+        fresh = _open(self.model, *self.full_bounds(self.ilb, self.iub))
         assert lp_data(self.highs.getLp()) == lp_data(fresh.getLp())
 
-    def solve(self, lb, ub):
-        status, objective, x = super().solve(lb, ub)
+    def solve(self, ilb, iub):
+        status, objective, x = super().solve(ilb, iub)
         # a fresh instance opened under the node's bounds: no bound is sent
         # to it later, so it shares no state with the warm one
-        cold = _open(self.model, lb, ub)
+        cold = _open(self.model, *self.full_bounds(ilb, iub))
         cold.run()
         cold_status = cold.getModelStatus()
         # bounded columns leave a cold LP optimal or infeasible, nothing else

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,52 @@ def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
     assert grown == [f"{formulation}_master"] * (sol.iterations - 1)
 
 
+class _BoundsSent:
+    """A HiGHS instance that records the columns of every bound change."""
+
+    def __init__(self, highs):
+        self.highs = highs
+        self.columns = []
+
+    def changeColsBounds(self, n, columns, lb, ub):
+        self.columns.append(np.array(columns))
+        return self.highs.changeColsBounds(n, columns, lb, ub)
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+
+def test_nodes_send_only_integer_column_bounds(monkeypatch):
+    # a node is its integer columns' bounds: after the model is passed, no
+    # bound change names a continuous column, and the columns the flow
+    # master appends keep the bounds they were added with
+    relaxations = []
+
+    class Recorded(milp._Relaxation):
+        def __init__(self, model, int_idx):
+            super().__init__(model, int_idx)
+            self.opened = model.num_vars
+            self.highs = _BoundsSent(self.highs)
+            relaxations.append(self)
+
+    monkeypatch.setattr(milp, "_Relaxation", Recorded)
+    sol = solve(augment(corpus()[22]), "flow", FAST)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 64.0
+    (master,) = [lp for lp in relaxations if lp.model.name == "flow_master"]
+    assert master.model.num_vars > master.opened
+    assert master.highs.columns
+    for lp in relaxations:
+        model, held = lp.model, lp.highs.getLp()
+        for columns in lp.highs.columns:
+            assert np.isin(columns, lp.int_idx).all()
+        # HiGHS holds the last node's integer bounds, and the model's bounds
+        # on every other column, the appended ones included
+        lb, ub = model.bounds()
+        lb[lp.int_idx], ub[lp.int_idx] = lp.ilb, lp.iub
+        assert np.array_equal(held.col_lower_, lb)
+        assert np.array_equal(held.col_upper_, ub)
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
@@ -344,7 +392,7 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
     def cuts_nothing(master, *args):
         master.model.add_constr({master.y_var[0]: 1.0}, "<=", 1.0)
 
-    for name in ("append_cut", "append_cut_subset", "append_scenario", "append_point"):
+    for name in ("append_cut", "append_scenario", "append_point"):
         monkeypatch.setattr(engine, name, cuts_nothing)
     # 6 vertices, 12 arcs, k=1, kp=1: every formulation meets a violation
     # (the design block alone solves the triangle)
@@ -411,6 +459,19 @@ def test_master_without_cheaper_design_proves_incumbent(formulation, monkeypatch
     last = sol.log[-1]
     assert (last.master_objective, last.separation_value) == (4.0, None)
     assert (last.rows_added, last.columns_added) == (0, 0)
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_every_record_is_logged(formulation, caplog):
+    # the tree proves the probe's incumbent optimal here, and the closing
+    # record of that run is logged like every other
+    caplog.set_level(logging.INFO, logger="cprsnp.engine")
+    sol = solve(augment(triangle(k=1, kp=0)), formulation, FAST)
+    logged = [r.getMessage() for r in caplog.records if " iter=" in r.getMessage()]
+    assert all(r.levelno == logging.INFO for r in caplog.records)
+    assert [line.split(" elapsed=")[0] for line in logged] == sol.log_lines()
+    closing = " iter=1 master_obj=4 sep_value=none rows_added=0 cols_added=0"
+    assert sol.log_lines() == [f"formulation={formulation}{closing}"]
 
 
 # ---------------------------------------------------------------------------

@@ -252,18 +252,41 @@ def test_generate_extra_arcs_never_list_absent_pairs():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_absent_pairs_read_like_their_list(data):
+    # extra arcs are drawn as positions among the absent vertex pairs in
+    # sorted order; with no terminal the pairs chosen before the draw are the
+    # backbone alone, which every arc count draws alike
     nodes = data.draw(st.integers(2, 7))
-    pairs = [(i, j) for i in range(nodes) for j in range(nodes) if i != j]
-    chosen = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
-    absent = [pair for pair in pairs if pair not in chosen]
-    lazy = instances._AbsentPairs(nodes, chosen)
-    assert len(lazy) == len(absent)
-    assert list(lazy) == absent
-    # random.sample reads both alike, so the same seed draws the same pairs
+    arcs = data.draw(st.integers(nodes - 1, nodes * (nodes - 1)))
     seed = data.draw(st.integers(0, 2**32))
-    for k in range(len(absent) + 1):
-        want = random.Random(seed).sample(absent, k)
-        assert random.Random(seed).sample(lazy, k) == want
+    tree = generate(nodes, 0, nodes - 1, seed=seed)
+    backbone = {(a.tail, a.head) for a in tree.arcs}
+    pairs = [(i, j) for i in range(nodes) for j in range(nodes) if i != j]
+    absent = [pair for pair in pairs if pair not in backbone]
+    samples = []
+
+    class Recorded(random.Random):
+        def sample(self, population, k, **kwargs):
+            state = self.getstate()
+            drawn = super().sample(population, k, **kwargs)
+            samples.append((state, population, drawn))
+            return drawn
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instances.random, "Random", Recorded)
+        inst = generate(nodes, 0, arcs, seed=seed)
+    got = {(a.tail, a.head) for a in inst.arcs}
+    assert len(got) == arcs and backbone <= got
+    extra = got - backbone
+    if not extra:
+        return
+    state, population, drawn = samples[-1]
+    assert population == range(len(absent)) and len(drawn) == len(extra)
+    assert {absent[n] for n in drawn} == extra
+    # random.sample reads positions as it reads the list, so the same state
+    # draws the same pairs from the list itself
+    rng = random.Random()
+    rng.setstate(state)
+    assert rng.sample(absent, len(drawn)) == [absent[n] for n in drawn]
 
 
 @pytest.mark.parametrize("seed", range(8))

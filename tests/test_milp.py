@@ -297,23 +297,24 @@ def test_lp_time_limit_counts_from_when_it_is_set():
     # HiGHS's run clock adds up over the runs of one instance, so each limit
     # must be read from the time already run: every run here gets its 0.2 s
     model = _long_lp()
-    lp = _Relaxation(model)
-    lb, ub = model.bounds()
+    no_bounds = np.zeros(0)
+    lp = _Relaxation(model, model.integer_indices())
     for _ in range(3):
         lp.stop_after(0.2)
         t0 = time.perf_counter()
-        assert lp.solve(lb, ub) == (SolveStatus.FEASIBLE, None, None)
+        assert lp.solve(no_bounds, no_bounds) == (SolveStatus.FEASIBLE, None, None)
         assert 0.15 < time.perf_counter() - t0 < 0.2 + 0.5
 
 
 class _BoxRecorder(milp._Relaxation):
-    """The kernel's relaxation, recording the column bounds of every node."""
+    """The kernel's relaxation, recording the integer column bounds of every
+    node."""
 
     boxes: list = []
 
-    def solve(self, lb, ub):
-        self.boxes.append((lb.copy(), ub.copy()))
-        return super().solve(lb, ub)
+    def solve(self, ilb, iub):
+        self.boxes.append((ilb.copy(), iub.copy()))
+        return super().solve(ilb, iub)
 
 
 def test_lazy_tree_dives_up_to_its_first_integer_point(monkeypatch):
@@ -527,16 +528,24 @@ def _assert_agrees(model, got_status, got_objective, lb, ub):
 @settings(max_examples=80, deadline=None)
 @given(model=bounded_programs(), data=st.data())
 def test_warm_started_lp_matches_cold_linprog(model, data):
-    relaxation = _Relaxation(model)
+    # the relaxation reads no integrality, so any set of columns can take the
+    # integer columns' part: the only ones whose bounds a node changes
+    movable = np.array(
+        data.draw(
+            st.lists(st.integers(0, model.num_vars - 1), min_size=1, unique=True)
+        )
+    )
+    movable.sort()
+    relaxation = _Relaxation(model, movable)
     lb, ub = model.bounds()
     for step in range(data.draw(st.integers(1, 6))):
         if step:
-            var = data.draw(st.integers(0, model.num_vars - 1))
+            var = data.draw(st.sampled_from(movable.tolist()))
             lo = data.draw(st.integers(int(lb[var]), int(ub[var])))
             hi = data.draw(st.integers(lo, int(ub[var])))
             lb, ub = lb.copy(), ub.copy()
             lb[var], ub[var] = lo, hi
-        status, objective, x = relaxation.solve(lb, ub)
+        status, objective, x = relaxation.solve(lb[movable], ub[movable])
         _assert_agrees(model, status, objective, lb, ub)
         if status == SolveStatus.OPTIMAL:
             assert np.all(x >= lb - 1e-7) and np.all(x <= ub + 1e-7)

@@ -1,5 +1,6 @@
-"""Every function and class in ``src/cprsnp`` has a user in the package
-itself: code that only the tests run belongs under ``tests/``."""
+"""Every function, class and module-level constant in ``src/cprsnp`` has a
+user in the package itself: code that only the tests run belongs under
+``tests/``."""
 
 import ast
 import importlib
@@ -23,10 +24,25 @@ def _definitions(tree: ast.Module):
                         yield node.name, sub.name
 
 
+def _constants(tree: ast.Module):
+    """Every name the module binds by a top-level assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+
+
 def _references(tree: ast.Module):
     """Every name the module reads, as a name, an attribute or an import."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -41,13 +57,19 @@ def _overrides(module: str, owner: str, name: str) -> bool:
     return any(name in vars(base) for base in cls.__mro__[1:])
 
 
-def test_every_definition_is_used_in_the_package():
+def _package():
+    """Each module's syntax tree by name, and every name the package reads
+    or exports."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
     used = {name for tree in trees.values() for name in _references(tree)}
-    used |= set(cprsnp.__all__)
+    return trees, used | set(cprsnp.__all__)
+
+
+def test_every_definition_is_used_in_the_package():
+    trees, used = _package()
     unused = [
         f"{module}.{name if owner is None else f'{owner}.{name}'}"
         for module, tree in trees.items()
@@ -57,3 +79,14 @@ def test_every_definition_is_used_in_the_package():
         and not (owner is not None and _overrides(module, owner, name))
     ]
     assert not unused, f"defined in src/cprsnp but used only outside it: {unused}"
+
+
+def test_every_constant_is_read_in_the_package():
+    trees, used = _package()
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _constants(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in used
+    ]
+    assert not unused, f"assigned in src/cprsnp but read only outside it: {unused}"
