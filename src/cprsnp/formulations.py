@@ -15,9 +15,28 @@ protection variables ``p``:
 
 All three start from one design block: the ``y`` columns, then the ``p``
 columns, the cost objective, the protection budget as row 0, one
-``p_a <= y_a`` row per initial arc, and the cut rows of the root cut and of
-the cut around each terminal.  Each master is a :class:`Master` over that
-block and only adds its own rows and columns after it.
+``p_a <= y_a`` row per initial arc, one flow-balance row per initial arc
+that does not leave the root, and the cut rows of the root cut and of the
+cut around each terminal.  Each master is a :class:`Master` over that block
+and only adds its own rows and columns after it.
+
+The flow-balance row of an arc b = (v, w) is ``y_b <= sum y_a`` over the
+arcs a = (u, v) entering v with u != w (the flow-balance inequalities of
+Koch and Martin, 1998): an arc leaving v needs another selected arc into v,
+and the arc from w, b's head, does not count.  Unlike the tightened rows
+below, these rows cut off integer points, but never every optimum:
+
+* when no selected arc other than (w, v) enters v, no simple root-sink path
+  uses b, since it would have to reach v from some u != w;
+* a max flow under any attack decomposes into simple paths (its cycles can
+  be cancelled), so dropping b, and its protection with it, leaves every
+  attack the same max flow: the design stays survivable;
+* repeating the drop ends in a design that costs no more (costs are
+  nonnegative, which :class:`cprsnp.graph.Instance` enforces) and satisfies
+  every row;
+* so every optimum keeps its cost.  A survivable incumbent that breaks
+  these rows, such as the engine's all-arcs probe, is still proven optimal
+  when the tree finds nothing cheaper.
 
 Cut and vertex rows are written tightened.  The fictive arcs are always
 selected and never protected, so their part of a row moves into its
@@ -285,13 +304,18 @@ def _design_block(name: str, aug: AugmentedInstance) -> Master:
     columns, then the p columns (fictive arcs always selected, never
     protected), the cost objective, the protection budget as row 0, the rows
     ``p_a <= y_a`` of the initial arcs (only selected arcs can be
-    protected), and then the rows :func:`append_cut` writes for each static
-    cut (:func:`_static_cuts`) that :func:`cut_fits`.
+    protected), the flow-balance row ``y_b <= sum y_a`` of each initial arc
+    b = (v, w) with v not the root, over the arcs a = (u, v) with u != w,
+    and then the rows :func:`append_cut` writes for each static cut
+    (:func:`_static_cuts`) that :func:`cut_fits`.
 
-    Every survivable design keeps each static cut at demand, so these rows
-    cut off no design that any formulation accepts; they only tighten the
-    LP relaxation, which without them can carry a terminal's unit on a
-    fraction of one arc."""
+    Every survivable design keeps each static cut at demand, so the cut
+    rows cut off no design that any formulation accepts; they only tighten
+    the LP relaxation, which without them can carry a terminal's unit on a
+    fraction of one arc.  The flow-balance rows do cut off survivable
+    designs, those with an arc that no simple root-sink path uses, but
+    dropping such arcs keeps a design survivable at no more cost (the
+    module docstring gives the argument), so the optimal cost stays."""
     model = MilpModel(name)
     m = aug.arc_count
     fictive = [aug.is_fictive(a) for a in range(m)]
@@ -307,6 +331,12 @@ def _design_block(name: str, aug: AugmentedInstance) -> Master:
     model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
     for a in aug.initial_arcs:
         model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
+    arcs, in_arcs = aug.arcs, aug.layout.in_arcs
+    for b in aug.initial_arcs:
+        v, w = arcs[b].tail, arcs[b].head
+        if v != aug.root:
+            row = {y_var[a]: -1.0 for a in in_arcs[v] if arcs[a].tail != w}
+            model.add_constr({y_var[b]: 1.0, **row}, "<=", 0.0)
     master = Master(model, y_var, p_var, aug)
     for cut in _static_cuts(aug):
         if cut_fits(aug, cut):

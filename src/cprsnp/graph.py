@@ -247,6 +247,17 @@ class ArcMask:
             raise GraphError("mask may not exceed arc capacity")
         self.capacities = capacities
 
+    def without(self, arc: int) -> "ArcMask":
+        """This mask with ``arc`` at capacity 0.  Lowering one capacity of a
+        valid mask keeps it valid, so the constructor's checks of the whole
+        vector are not repeated; only the arc index is checked."""
+        if not 0 <= arc < len(self.capacities):
+            raise GraphError(f"unknown arc index {arc}")
+        mask = object.__new__(ArcMask)
+        mask.capacities = self.capacities.copy()
+        mask.capacities[arc] = 0
+        return mask
+
     @staticmethod
     def full(aug: AugmentedInstance) -> "ArcMask":
         return ArcMask(aug, aug.layout.capacities.copy())

@@ -298,7 +298,7 @@ class _Relaxation:
         status = highs.getModelStatus()
         if status == HighsModelStatus.kOptimal:
             x = np.array(highs.getSolution().col_value)
-            return SolveStatus.OPTIMAL, highs.getInfo().objective_function_value, x
+            return SolveStatus.OPTIMAL, highs.getObjectiveValue(), x
         if status == HighsModelStatus.kInfeasible:
             return SolveStatus.INFEASIBLE, None, None
         if status == HighsModelStatus.kTimeLimit:

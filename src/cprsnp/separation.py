@@ -249,7 +249,7 @@ def _worst_attack(
     flows = 0
     order = np.array(candidates, dtype=np.intp)
 
-    def flow_of(caps: np.ndarray, start: FlowResult | None) -> FlowResult:
+    def flow_of(mask: ArcMask, start: FlowResult | None) -> FlowResult:
         nonlocal flows
         if (
             flows % CLOCK_POLL_FLOWS == CLOCK_POLL_FLOWS - 1
@@ -258,9 +258,9 @@ def _worst_attack(
         ):
             raise SeparationTimeout("attack search hit the time limit")
         flows += 1
-        return max_flow(aug, ArcMask(aug, caps), start=start)
+        return max_flow(aug, mask, start=start)
 
-    def visit(prefix, start, caps, res):
+    def visit(prefix, start, mask, res):
         """Record or cut the subtree below ``prefix``, or push it to be
         branched on with its children's bounds."""
         nonlocal best_value, best, best_flow
@@ -281,14 +281,14 @@ def _worst_attack(
             best = prefix + tuple(candidates[start : start + left])
             return
         children = iter(range(start, len(candidates) - left + 1))
-        stack.append((prefix, caps, res, bound, gain, start, children))
+        stack.append((prefix, mask, res, bound, gain, start, children))
 
     # an explicit stack: the depth is the attack size, which k alone bounds
     stack = []
-    caps = design.mask(aug).capacities
-    visit((), 0, caps, flow_of(caps, None))
+    mask = design.mask(aug)
+    visit((), 0, mask, flow_of(mask, None))
     while stack:
-        prefix, caps, res, bound, gain, start, children = stack[-1]
+        prefix, mask, res, bound, gain, start, children = stack[-1]
         i = next(children, None)
         if i is None or bound >= best_value:
             stack.pop()
@@ -296,10 +296,9 @@ def _worst_attack(
         arc = candidates[i]
         if res.value - gain[i - start] >= best_value:
             continue
-        child_caps = caps.copy()
-        child_caps[arc] = 0
-        child = res if res.flow[arc] == 0 else flow_of(child_caps, res)
-        visit(prefix + (arc,), i + 1, child_caps, child)
+        child_mask = mask.without(arc)
+        child = res if res.flow[arc] == 0 else flow_of(child_mask, res)
+        visit(prefix + (arc,), i + 1, child_mask, child)
     if best is None:
         return None
     return _Attack(best, best_value, best_flow)

@@ -238,6 +238,21 @@ def deep_path(n: int = 1500) -> Instance:
     return Instance(n, arcs, root=0, terminals=(n - 1,), k=0, kp=0)
 
 
+def two_cycle(cycle_cost: float = 0.0) -> Instance:
+    """Root 0, terminal 2, k = 1: the paths 0-1-2 (cost 2) and 0-2 (cost
+    3), plus the 2-cycle 1 -> 3 -> 1 at ``cycle_cost`` per arc.  The arc
+    (3, 1) leaves vertex 3, whose only in-arc comes from 1, its head, so no
+    simple path uses it."""
+    arcs = (
+        Arc(0, 1, 1.0, 1),
+        Arc(0, 2, 3.0, 1),
+        Arc(1, 2, 1.0, 1),
+        Arc(1, 3, cycle_cost, 1),
+        Arc(3, 1, cycle_cost, 1),
+    )
+    return Instance(4, arcs, root=0, terminals=(2,), k=1, kp=0)
+
+
 @pytest.fixture
 def tri_aug() -> AugmentedInstance:
     return augment(triangle())
@@ -245,6 +260,24 @@ def tri_aug() -> AugmentedInstance:
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def balance_rows(aug: AugmentedInstance) -> list[dict[int, float]]:
+    """The design block's flow-balance rows, written out independently of
+    the builder: per initial arc b = (v, w) whose tail v is not the root, in
+    arc order, ``y_b - sum y_a <= 0`` over the arcs a = (u, v) with u != w,
+    as coefficients by y column (the arc index)."""
+    rows = []
+    for b in aug.initial_arcs:
+        v, w = aug.arcs[b].tail, aug.arcs[b].head
+        if v != aug.root:
+            row = {
+                a: -1.0
+                for a, arc in enumerate(aug.arcs)
+                if arc.head == v and arc.tail != w
+            }
+            rows.append({b: 1.0, **row})
+    return rows
 
 
 def lp_max_flow(aug: AugmentedInstance, mask: ArcMask) -> float:

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CheckedRelaxation, corpus, matrices, triangle
+from conftest import (
+    CheckedRelaxation,
+    balance_rows,
+    corpus,
+    deep_path,
+    matrices,
+    triangle,
+    two_cycle,
+)
 
 from cprsnp import augment, engine, formulations, milp, separation
 from cprsnp.engine import (
@@ -184,8 +192,9 @@ def test_oracles_solve_no_mip_while_the_search_applies(
 
 @pytest.mark.parametrize(
     "index, formulation",
-    # the design block alone solves instance 16 for flow, so flow takes 22
-    [(16, "cutset"), (16, "bilevel"), (22, "flow")]
+    # the design block alone solves instances 16 and 22 for flow, so flow
+    # takes 25
+    [(16, "cutset"), (16, "bilevel"), (25, "flow")]
     + [(40, formulation) for formulation in FORMULATIONS],
 )
 def test_one_master_instance_per_solve(monkeypatch, formulation, index):
@@ -218,9 +227,10 @@ def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
             grown.append(self.model.name)
 
     monkeypatch.setattr(milp, "_Relaxation", Counted)
-    # 8 vertices, 16 arcs, k=1, kp=1: three violations in each formulation
-    sol = solve(augment(corpus()[22]), formulation, FAST)
-    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 64.0
+    # 9 vertices, 20 arcs, k=1, kp=1: at least one violation in each
+    # formulation
+    sol = solve(augment(corpus()[25]), formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 94.0
     assert sol.iterations > 1
     assert grown == [f"{formulation}_master"] * (sol.iterations - 1)
 
@@ -254,8 +264,8 @@ def test_nodes_send_only_integer_column_bounds(monkeypatch):
             relaxations.append(self)
 
     monkeypatch.setattr(milp, "_Relaxation", Recorded)
-    sol = solve(augment(corpus()[22]), "flow", FAST)
-    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 64.0
+    sol = solve(augment(corpus()[25]), "flow", FAST)
+    assert sol.status is SolveStatus.OPTIMAL and sol.cost == 94.0
     (master,) = [lp for lp in relaxations if lp.model.name == "flow_master"]
     assert master.model.num_vars > master.opened
     assert master.highs.columns
@@ -289,6 +299,35 @@ def test_log_line_prints_integral_values_exactly(value, text):
     assert rec.line("flow", include_time=True).endswith(" elapsed=0.500")
 
 
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_deep_path_proves_in_one_record(formulation):
+    # 1,500 vertices, k = 0: the all-arcs design is the only survivable
+    # one.  The flow-balance rows chain y_i <= y_{i-1} from the terminal's
+    # cut back to the root, so the root LP is that design and no violation
+    # is needed
+    aug = augment(deep_path())
+    sol = solve(aug, formulation)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == 1499.0
+    assert sol.iterations == 1
+
+
+@pytest.mark.parametrize("cycle_cost", [0.0, 1.0])
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_dangling_arcs_keep_the_exhaustive_optimum(formulation, cycle_cost):
+    # the block cuts off every design holding the arc (3, 1).  At cycle
+    # cost 0 the probe's all-arcs design holds it and already costs the
+    # optimum, so the tree finds nothing cheaper and returns that design;
+    # at cost 1 the tree's own design is returned
+    aug = augment(two_cycle(cycle_cost))
+    cost, _ = exhaustive_optimum(aug)
+    sol = solve(aug, formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == cost == 5.0
+    assert is_survivable(aug, sol.design)[0]
+    assert (4 in sol.design.selected) == (cycle_cost == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # master seeds
 
@@ -308,8 +347,9 @@ def _rows(model):
 
 
 def _block_rows(aug):
-    # the design block: the budget row, one p <= y row per initial arc, and
-    # the rows of its static cuts (none when the row limit is zero)
+    # the design block: the budget row, one p <= y row per initial arc, one
+    # flow-balance row per initial arc not leaving the root, and the rows of
+    # its static cuts (none when the row limit is zero)
     return build_cutset_master(aug, []).model.num_constraints
 
 
@@ -317,10 +357,12 @@ def test_initial_rows_cutset():
     aug = augment(triangle(k=1, kp=0))
     # the design block holds the root cut {1, 2, 3} and the terminal's cut
     # {2, 3}, fully enumerated: one row per arc crossing each; cutset seeds
-    # nothing of its own
+    # nothing of its own; arc 2 = (1, 2) is the one arc not leaving the
+    # root, so the block has one flow-balance row
     root = CutSet.from_sink_side(aug, {1, 2, 3})
     terminal = CutSet.from_sink_side(aug, {2, 3})
-    bare = 1 + aug.initial_arc_count
+    assert len(balance_rows(aug)) == 1
+    bare = 1 + aug.initial_arc_count + 1
     seeded = CutsetFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
     assert seeded.num_constraints == _block_rows(aug) == bare + 2 + 2
@@ -336,7 +378,9 @@ def test_lazy_root_cut_seeds_no_row(monkeypatch):
     aug = augment(triangle(k=1, kp=0))
     seeded = CutsetFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
-    assert seeded.num_constraints == _block_rows(aug) == 1 + aug.initial_arc_count
+    assert seeded.num_constraints == _block_rows(aug) == (
+        1 + aug.initial_arc_count + len(balance_rows(aug))
+    )
     assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
 
 
@@ -364,7 +408,8 @@ def test_initial_rows_bilevel_empty():
     aug = augment(triangle(k=1, kp=0))
     seeded = BilevelFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
-    assert seeded.num_constraints == _block_rows(aug) == 1 + 3 + 2 + 2
+    # budget, p <= y, one flow-balance row, the root and terminal cuts
+    assert seeded.num_constraints == _block_rows(aug) == 1 + 3 + 1 + 2 + 2
 
 
 def test_unknown_formulation_rejected():
@@ -394,9 +439,9 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
 
     for name in ("append_cut", "append_scenario", "append_point"):
         monkeypatch.setattr(engine, name, cuts_nothing)
-    # 6 vertices, 12 arcs, k=1, kp=1: every formulation meets a violation
-    # (the design block alone solves the triangle)
-    aug = augment(corpus()[1])
+    # 9 vertices, 20 arcs, k=1, kp=1: every formulation meets a violation
+    # (the design block alone solves the triangle, and corpus 1 for flow)
+    aug = augment(corpus()[25])
     with pytest.raises(EngineError):
         solve(aug, formulation, EngineOptions(time_limit_s=1.0))
 
@@ -533,9 +578,10 @@ def test_time_limit_must_be_nonnegative(limit):
 
 
 def test_timeout_returns_survivable_incumbent():
-    # large enough that two seconds cannot close the gap (flow needs about
-    # 15 s here), small enough that the upfront feasibility probe finishes
-    aug = augment(generate(20, 5, 90, "uniform", seed=7, k=1, kp=0))
+    # large enough that two seconds cannot close the gap (flow has no proof
+    # after 30 s here), small enough that the upfront feasibility probe
+    # finishes
+    aug = augment(generate(30, 6, 120, "uniform", seed=7, k=2, kp=1))
     sol = solve(aug, "flow", EngineOptions(time_limit_s=2.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is not None

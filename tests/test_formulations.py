@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    balance_rows,
     brute_attack_value,
     brute_worst_loss,
     build_inner_flow,
     matrices,
     random_design,
     triangle,
+    two_cycle,
 )
 from cprsnp import formulations
 from cprsnp.formulations import (
@@ -41,6 +43,7 @@ from cprsnp.separation import (
     separate_scenario,
     strengthen,
 )
+from cprsnp.verify import is_survivable
 
 
 def tri_aug(k=1, kp=0):
@@ -193,12 +196,18 @@ def test_masters_share_the_design_block(seed):
     # then p_a <= y_a for each initial arc, in arc order
     protect = first[4][1 : 1 + len(initial)]
     assert protect == [({a: -1.0, m + a: 1.0}, -math.inf, 0.0) for a in initial]
+    # then y_b <= sum y_a for each initial arc b = (v, w) leaving a vertex
+    # other than the root, over the arcs a = (u, v) with u != w
+    balance = [(row, -math.inf, 0.0) for row in balance_rows(aug)]
+    assert balance
+    end = 1 + len(initial) + len(balance)
+    assert first[4][1 + len(initial) : end] == balance
     # then the tightened rows of the root cut and of each terminal's cut
     sides = [set(range(aug.vertex_count)) - {aug.root}]
     sides += [{t, aug.sink} for t in aug.terminals]
     static = [row for side in sides for row in _tight_cut_rows(aug, side)]
     assert len(static) > len(sides)  # k = 1 gives a cut one row per arc
-    assert first[4][1 + len(initial) :] == static
+    assert first[4][end:] == static
     for master in masters:
         assert master.model.num_vars >= m2
         assert block(master.model) == first
@@ -231,6 +240,75 @@ def _tight_cut_rows(aug, sink_side):
         }
         rows.append((coefs, float(need), math.inf))
     return rows
+
+
+def _drop_dangling(aug, design):
+    """The design without the arcs that no simple root-sink path uses: an
+    initial arc b = (v, w), v not the root, is dropped with its protection
+    while no other selected arc (u, v) with u != w enters v, until no such
+    arc is left."""
+    selected, protected = set(design.selected), set(design.protected)
+    dropped = True
+    while dropped:
+        dropped = False
+        for b in aug.initial_arcs:
+            v, w = aug.arcs[b].tail, aug.arcs[b].head
+            if b in selected and v != aug.root and not any(
+                a in selected and arc.head == v and arc.tail != w
+                for a, arc in enumerate(aug.arcs)
+            ):
+                selected.discard(b)
+                protected.discard(b)
+                dropped = True
+    return Design.canonical(aug, selected, protected)
+
+
+def test_dropping_dangling_arcs_keeps_survivability(oracle_suite):
+    # the dominance argument behind the block's flow-balance rows, on seeded
+    # random designs: the reduced design costs no more and satisfies every
+    # <= row of the block (budget, p <= y, flow balance); it survives
+    # whenever the design does, and then it satisfies every row of the block
+    survived = reduced_survivors = 0
+    for index, inst in enumerate(oracle_suite):
+        aug = augment(inst)
+        rng = random.Random(index)
+        _, block, row_lo, row_hi = matrices(build_cutset_master(aug, []).model)
+        for _ in range(24):
+            keep = rng.choice([0.5, 0.8, 0.95])
+            selected = [a for a in aug.initial_arcs if rng.random() < keep]
+            protected = rng.sample(selected, min(aug.kp, len(selected)))
+            design = Design.canonical(aug, selected, protected)
+            reduced = _drop_dangling(aug, design)
+            assert reduced.selected <= design.selected
+            assert reduced.cost(aug) <= design.cost(aug)
+            lhs = block @ np.array(
+                [float(a in reduced.selected) for a in range(aug.arc_count)]
+                + [float(a in reduced.protected) for a in range(aug.arc_count)]
+            )
+            assert (lhs <= row_hi + 1e-9).all()
+            if is_survivable(aug, design)[0]:
+                survived += 1
+                reduced_survivors += reduced != design
+                assert is_survivable(aug, reduced)[0]
+                assert (lhs >= row_lo - 1e-9).all()
+    # the property is exercised on designs that the drop changes
+    assert survived > reduced_survivors > 0
+
+
+def test_design_block_cuts_off_a_dangling_arc():
+    aug = augment(two_cycle())
+    # every arc: survivable at the optimal cost 5, but arc 4 = (3, 1) has no
+    # selected in-arc other than (1, 3), so its row y_4 <= 0 fails
+    every = Design.canonical(aug, aug.initial_arcs)
+    assert is_survivable(aug, every)[0]
+    assert balance_rows(aug)[-1] == {4: 1.0}
+    res = solve_fixed(build_cutset_master(aug, []), every)
+    assert res.status == SolveStatus.INFEASIBLE
+    # without that arc the block holds the design, 2-cycle half included
+    kept = Design.canonical(aug, [0, 1, 2, 3])
+    res = solve_fixed(build_cutset_master(aug, []), kept)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(5.0)
 
 
 def test_design_block_writes_a_shared_static_cut_once():
@@ -280,20 +358,21 @@ def test_cutset_master_frozen_optima():
 
 
 def test_cutset_master_explicit_subsets_relax():
-    # the cut {1, 3, s} is not in the design block (which alone solves the
-    # triangle); it crosses arcs 0, 2, 10 and the fictive arc 11
-    aug = small_instance(16, k=1, kp=0)
-    cut = CutSet.from_sink_side(aug, {1, 3, aug.sink})
-    assert cut.arcs == (0, 2, 10, 11)
+    # the cut {3, 4, s} is not in the design block (which alone solves the
+    # triangle; its cuts here are {1, ..., 5}, {3, s} and {4, s}); it
+    # crosses arcs 2 to 6, no fictive arc among them
+    aug = small_instance(11, k=1, kp=1)
+    cut = CutSet.from_sink_side(aug, {3, 4, aug.sink})
+    assert cut.arcs == (2, 3, 4, 5, 6)
     partial = build_cutset_master(aug, [])
     val_block = solve_mip(partial.model).objective
-    append_cut_subset(partial, cut, (2,))
+    append_cut_subset(partial, cut, (3,))
     full = build_cutset_master(aug, [cut])
     val_partial = solve_mip(partial.model).objective
     val_full = solve_mip(full.model).objective
     assert val_block < val_partial < val_full
     assert val_partial <= val_full + 1e-9
-    assert (val_block, val_partial, val_full) == pytest.approx((40.0, 44.0, 45.0))
+    assert (val_block, val_partial, val_full) == pytest.approx((37.0, 38.0, 43.0))
     with pytest.raises(FormulationError):
         append_cut_subset(partial, cut, (11,))  # fictive
     with pytest.raises(FormulationError):
@@ -413,9 +492,10 @@ def test_point_rows_hold_iff_the_vertex_reaches_demand(seed):
 def test_protection_off_the_selection_breaks_the_design_block():
     aug = tri_aug(k=1, kp=1)
     _, a, _, row_hi = matrices(build_cutset_master(aug, []).model)
-    # arcs 1, 2 and the fictive arc 3 selected, arc 0 protected
-    lhs = a @ np.array([0, 1, 1, 1] + [1, 0, 0, 0], dtype=float)
-    # the budget (row 0) holds, and p_0 <= y_0 (row 1) fails
+    # arc 1 and the fictive arc 3 selected, arc 0 protected
+    lhs = a @ np.array([0, 1, 0, 1] + [1, 0, 0, 0], dtype=float)
+    # the budget (row 0) and the flow-balance row y_2 <= y_0 (row 4) hold,
+    # and p_0 <= y_0 (row 1) fails
     assert np.flatnonzero(lhs > row_hi + 1e-9).tolist() == [1]
 
 
@@ -436,9 +516,11 @@ def test_flow_master_sizes_and_frozen_optima():
     singles = [FailureScenario.of(aug, [a]) for a in range(3)]
     master = build_flow_master(aug, singles)
     assert master.model.num_vars == 3 * 4 + 2 * 4
-    # budget + p<=y + the root and terminal cuts' two rows each + per
-    # scenario: balances, caps, failure caps
-    assert master.model.num_constraints == 1 + 3 + 2 * 2 + 3 * (3 + 4) + 3
+    # budget + p<=y + the flow-balance row y_2 <= y_0 of arc 2 = (1, 2) +
+    # the root and terminal cuts' two rows each + per scenario: balances,
+    # caps, failure caps
+    assert len(balance_rows(aug)) == 1
+    assert master.model.num_constraints == 1 + 3 + 1 + 2 * 2 + 3 * (3 + 4) + 3
     res = solve_mip(master.model)
     assert res.objective == pytest.approx(4.0)
 

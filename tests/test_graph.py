@@ -116,6 +116,19 @@ def test_mask_for_design():
     assert saved.capacities.tolist() == [1, 0, 1, 1]
 
 
+def test_mask_without_one_arc():
+    aug = augment(triangle())
+    mask = ArcMask.for_design(aug, {0, 2, 3})
+    child = mask.without(2)
+    assert child.capacities.tolist() == [1, 0, 0, 1]
+    # the parent keeps its vector: siblings are built from it later
+    assert mask.capacities.tolist() == [1, 0, 1, 1]
+    assert mask.without(1).capacities.tolist() == [1, 0, 1, 1]
+    for arc in (-1, aug.arc_count):
+        with pytest.raises(GraphError):
+            mask.without(arc)
+
+
 def test_triangle_flow_values():
     aug = augment(triangle())
     assert max_flow(aug, ArcMask.full(aug)).value == 1
