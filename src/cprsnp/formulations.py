@@ -304,18 +304,16 @@ def _design_block(name: str, aug: AugmentedInstance) -> Master:
     columns, then the p columns (fictive arcs always selected, never
     protected), the cost objective, the protection budget as row 0, the rows
     ``p_a <= y_a`` of the initial arcs (only selected arcs can be
-    protected), the flow-balance row ``y_b <= sum y_a`` of each initial arc
-    b = (v, w) with v not the root, over the arcs a = (u, v) with u != w,
-    and then the rows :func:`append_cut` writes for each static cut
-    (:func:`_static_cuts`) that :func:`cut_fits`.
+    protected), the flow-balance row of each initial arc that does not
+    leave the root (defined in the module docstring), and then the rows
+    :func:`append_cut` writes for each static cut (:func:`_static_cuts`)
+    that :func:`cut_fits`.
 
     Every survivable design keeps each static cut at demand, so the cut
     rows cut off no design that any formulation accepts; they only tighten
     the LP relaxation, which without them can carry a terminal's unit on a
-    fraction of one arc.  The flow-balance rows do cut off survivable
-    designs, those with an arc that no simple root-sink path uses, but
-    dropping such arcs keeps a design survivable at no more cost (the
-    module docstring gives the argument), so the optimal cost stays."""
+    fraction of one arc.  The flow-balance rows cut off integer points
+    but keep every optimal cost; the module docstring gives the argument."""
     model = MilpModel(name)
     m = aug.arc_count
     fictive = [aug.is_fictive(a) for a in range(m)]

@@ -374,9 +374,13 @@ def test_cutset_master_explicit_subsets_relax():
     assert val_partial <= val_full + 1e-9
     assert (val_block, val_partial, val_full) == pytest.approx((37.0, 38.0, 43.0))
     with pytest.raises(FormulationError):
-        append_cut_subset(partial, cut, (11,))  # fictive
-    with pytest.raises(FormulationError):
         append_cut_subset(partial, cut, (1,))  # not a cut arc
+    # the sink cut crosses only the fictive arcs 11 and 12, so deleting one
+    # of them is refused by the fictive-arc guard alone
+    fcut = CutSet.from_sink_side(aug, {aug.sink})
+    assert fcut.arcs == (11, 12) and all(aug.is_fictive(a) for a in fcut.arcs)
+    with pytest.raises(FormulationError):
+        append_cut_subset(partial, fcut, (11,))
 
 
 def test_cutset_master_guards(monkeypatch):
