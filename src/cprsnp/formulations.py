@@ -58,6 +58,27 @@ block) and :func:`append_point` (a vertex's row).  The engine builds each
 master once per solve and grows it in place with the appenders, while the
 tree that solves it is open.
 
+The two cut search MIPs (:func:`build_cutset_separation` and
+:func:`build_strengthening`) branch only on mu, the 0/1 root-side indicator
+of each vertex; lam and gam are continuous in [0, 1].  Both declare an
+integral objective (:attr:`cprsnp.milp.MilpModel.integral_objective`), so
+the kernel prunes a node once it cannot beat the incumbent by a whole
+unit.  Fix mu integral, and let C be the arcs it puts across the cut:
+
+* separation: the rows left are ``lam_a + gam_a >= mu_tail - mu_head``, a
+  right-hand side in {-1, 0, 1}, and ``sum gam <= k``.  Each column has a 1
+  in at most one arc row and, for gam, one in the budget row: the incidence
+  matrix of a bipartite graph, which is totally unimodular.  With integral
+  bounds and right-hand sides every vertex is integral, so with integer
+  capacities every optimum is an integer;
+* strengthening: each arc of C needs ``lam_a >= 1 - gam_a``, gam is 0 on
+  fictive arcs and sums to at most k, so ``sum lam >= |C| - min(k, |C
+  non-fictive|)``.  Putting gam on the cut's worst deletion subset
+  (:func:`worst_subset`), then on other non-fictive arcs of C up to that
+  count, and lam on the rest attains the bound and leaves the cut's row at
+  its least value, :func:`cut_residual`.  So whenever some lam and gam
+  complete mu, every optimum equals ``|C| - min(k, |C non-fictive|)``.
+
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
 """
@@ -494,11 +515,13 @@ def append_point(master: Master, point: ExtremePoint) -> None:
 
 @dataclass
 class CutSearchModel:
-    """Shared shape of the min-cut style search MIPs (binary side indicator)."""
+    """Shared shape of the min-cut style search MIPs (binary side indicator):
+    ``lam_var`` and ``gam_var`` map an arc to its column, for the arcs that
+    have one."""
 
     model: MilpModel
-    lam_var: list[int]
-    gam_var: list[int]
+    lam_var: dict[int, int]
+    gam_var: dict[int, int]
     mu_var: list[int]
     aug: AugmentedInstance
 
@@ -516,51 +539,55 @@ class CutSearchModel:
         return CutSet.from_sink_side(self.aug, self.sink_side(values))
 
 
-def _cut_search_base(aug: AugmentedInstance, name: str) -> CutSearchModel:
+def _cut_search_base(
+    aug: AugmentedInstance, name: str, arcs: Sequence[int], attackable: Iterable[int]
+) -> CutSearchModel:
+    """lam on each of ``arcs``, gam on each of those that is ``attackable``,
+    and mu, binary, on every vertex; one row per arc of ``arcs``, that
+    covers it with lam + gam when it leaves the root side, and the budget
+    row of gam.  The objective is declared integral (see the module
+    docstring)."""
     model = MilpModel(name)
-    m = aug.arc_count
-    lam_var = [model.add_var(f"lam{a}", 0.0, 1.0) for a in range(m)]
-    gam_var = [
-        model.add_var(f"gam{a}", 0.0, 0.0 if aug.is_fictive(a) else 1.0)
-        for a in range(m)
-    ]
+    model.integral_objective = True
+    attackable = set(attackable)
+    lam_var = {a: model.add_var(f"lam{a}", 0.0, 1.0) for a in arcs}
+    gam_var = {
+        a: model.add_var(f"gam{a}", 0.0, 1.0) for a in arcs if a in attackable
+    }
     mu_var = []
     for v in range(aug.vertex_count):
         lo = 1.0 if v == aug.root else 0.0
         hi = 0.0 if v == aug.sink else 1.0
         mu_var.append(model.add_var(f"mu{v}", lo, hi, integer=True))
-    for a, arc in enumerate(aug.arcs):
-        model.add_constr(
-            {
-                lam_var[a]: 1.0,
-                gam_var[a]: 1.0,
-                mu_var[arc.tail]: -1.0,
-                mu_var[arc.head]: 1.0,
-            },
-            ">=",
-            0.0,
-        )
-    model.add_constr({gam_var[a]: 1.0 for a in range(m)}, "<=", float(aug.k))
+    for a in arcs:
+        arc = aug.arcs[a]
+        row = {lam_var[a]: 1.0, mu_var[arc.tail]: -1.0, mu_var[arc.head]: 1.0}
+        if a in gam_var:
+            row[gam_var[a]] = 1.0
+        model.add_constr(row, ">=", 0.0)
+    model.add_constr({g: 1.0 for g in gam_var.values()}, "<=", float(aug.k))
     return CutSearchModel(model, lam_var, gam_var, mu_var, aug)
 
 
 def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearchModel:
     """Find the cut whose post-attack capacity under the design is smallest.
 
-    gam marks cut arcs written off as failed (budget k, never fictive); the
-    objective counts the surviving selected capacity, so protected arcs
-    always count.
+    gam marks cut arcs written off as failed (budget k); the objective counts
+    the surviving selected capacity.  Only selected arcs get a row and lam,
+    and only the attack candidates gam: an unselected arc's row holds at
+    lam = 1, which costs nothing, and gam on a protected arc would cost as
+    much as its lam.
     """
-    search = _cut_search_base(aug, "cutset_separation")
-    obj: dict[int, float] = {}
-    for a, arc in enumerate(aug.arcs):
-        if a not in design.selected:
-            continue
-        u = float(arc.capacity)
-        obj[search.lam_var[a]] = u
-        if a in design.protected:
-            obj[search.gam_var[a]] = u
-    search.model.set_objective(obj)
+    candidates = (
+        a for a in design.selected
+        if not aug.is_fictive(a) and a not in design.protected
+    )
+    search = _cut_search_base(
+        aug, "cutset_separation", sorted(design.selected), candidates
+    )
+    search.model.set_objective(
+        {col: float(aug.arcs[a].capacity) for a, col in search.lam_var.items()}
+    )
     return search
 
 
@@ -571,7 +598,12 @@ def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchMode
     design's unprotected arcs; infeasible for survivable designs.  The
     protected term counts capacities, like every other capacity sum.
     """
-    search = _cut_search_base(aug, "cut_strengthening")
+    search = _cut_search_base(
+        aug,
+        "cut_strengthening",
+        range(aug.arc_count),
+        (a for a in range(aug.arc_count) if not aug.is_fictive(a)),
+    )
     row: dict[int, float] = {}
     for a, arc in enumerate(aug.arcs):
         u = float(arc.capacity)
@@ -580,5 +612,5 @@ def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchMode
         if a in design.protected:
             row[search.gam_var[a]] = u
     search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
-    search.model.set_objective({search.lam_var[a]: 1.0 for a in range(aug.arc_count)})
+    search.model.set_objective({col: 1.0 for col in search.lam_var.values()})
     return search

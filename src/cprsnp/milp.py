@@ -44,9 +44,11 @@ that instance:
 * optional cutoff: the objective value of a solution known from elsewhere;
   every node that cannot beat it strictly is pruned, and a model with
   nothing better reads INFEASIBLE,
-* when every objective coefficient is an integer on an integer column, every
-  objective value is an integer, so a node is pruned once its bound exceeds
-  the next integer below the incumbent (``best - 1`` for an integer best),
+* an integral objective prunes by one: a node is pruned once its bound
+  exceeds the next integer below the incumbent (``best - 1`` for an
+  integer best).  The objective is integral when every objective
+  coefficient is an integer on an integer column (inferred), or when the
+  model's builder declares it (:attr:`MilpModel.integral_objective`),
 * an optional lazy callback sees every integer-feasible point before it may
   become the incumbent, and either accepts it or appends rows, and
   continuous zero-cost columns, to the model being solved.  The kernel
@@ -149,10 +151,18 @@ class SolveResult:
 
 class MilpModel:
     """Mutable model container: bounded variables, linear constraints, one
-    objective, minimized."""
+    objective, minimized.
+
+    ``integral_objective`` is a fact its builder may declare: at every
+    assignment of the integer columns that some continuous values complete,
+    the least objective over those values is an integer.  The kernel then
+    prunes as it does for an objective it can see is integral.  A false
+    declaration can prune the optimum.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
+        self.integral_objective = False
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._integer: list[bool] = []
@@ -379,7 +389,7 @@ def solve_mip(
     ilb0, iub0 = lb[int_idx], ub[int_idx]
     objective0 = dict(model._objective)
     lp = _Relaxation(model, int_idx)
-    integral = _integral_objective(model, int_idx)
+    integral = model.integral_objective or _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
         """True once the limit is spent; otherwise HiGHS is told the time

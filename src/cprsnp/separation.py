@@ -19,13 +19,16 @@ a few max flows where enumeration needs one per failure set.  Each of those
 max flows starts from its parent's, which differs by one failed arc, and
 each node computes its children's pruning bounds in one pass.  Larger
 designs go to the one MIP route, the cut search MIP, whose optimal cut
-gives the attack.  The attack is the scenario; the minimum cut of the
-attacked network nearest the sink (:func:`cprsnp.graph.back_cut`) gives
-both the most violated cut and the attacker vertex, by max-flow/min-cut
-duality.
+gives the attack.  Its cutoff is the demand, so it searches only cuts that
+fail, and INFEASIBLE means the design survives.  The attack is the
+scenario; the minimum cut of the attacked network nearest the sink
+(:func:`cprsnp.graph.back_cut`) gives both the most violated cut and the
+attacker vertex, by max-flow/min-cut duality.
 
 :func:`strengthen` trades a violated attacker vertex for a sparser one: the
 vertex of the failing cut that crosses the fewest arcs, read from one MIP.
+The input vertex is a feasible point of that MIP, so its lam count is the
+cutoff, and the input is handed back when no failing cut is sparser.
 """
 
 from __future__ import annotations
@@ -105,15 +108,6 @@ class PointViolation:
     value: int
 
 
-def _solve_or_timeout(model, time_limit_s, what: str):
-    res = solve_mip(model, time_limit_s=time_limit_s)
-    if res.status == SolveStatus.FEASIBLE:
-        raise SeparationTimeout(f"{what} hit the time limit")
-    if res.status != SolveStatus.OPTIMAL:
-        raise SeparationError(f"{what} ended with status {res.status.value}")
-    return res
-
-
 def _as_int(value: float, what: str) -> int:
     r = round(value)
     if abs(value - r) > 1e-5:
@@ -141,8 +135,9 @@ def _attack(
     leaves at least the demand.
 
     While the design has at most ``brute_force_limit`` failure sets this is
-    :func:`_worst_attack`.  Otherwise the cut search MIP finds a cut
-    keeping the least capacity after its worst failure; that failure
+    :func:`_worst_attack`.  Otherwise the cut search MIP, with the demand
+    as its cutoff, finds a cut keeping the least capacity, below the
+    demand, after its worst failure, or proves that none exists; that failure
     (:func:`cprsnp.formulations.worst_subset`), padded to min(k, candidates)
     arcs with the lowest-index other candidates, is the attack, and one max
     flow under it must attain the MIP's value.
@@ -153,10 +148,12 @@ def _attack(
     if math.comb(len(candidates), size) <= brute_force_limit:
         return _worst_attack(aug, design, time_limit_s)
     search = build_cutset_separation(aug, design)
-    res = _solve_or_timeout(search.model, time_limit_s, "cut separation")
-    value = _as_int(res.objective, "cut separation")
-    if value >= aug.demand:
+    res = solve_mip(search.model, time_limit_s=time_limit_s, cutoff=aug.demand)
+    if res.status == SolveStatus.INFEASIBLE:
         return None
+    if res.status == SolveStatus.FEASIBLE:
+        raise SeparationTimeout("cut separation hit the time limit")
+    value = _as_int(res.objective, "cut separation")
     chosen = set(worst_subset(aug, search.cut_from(res.values), design))
     others = (a for a in candidates if a not in chosen)
     chosen.update(itertools.islice(others, size - len(chosen)))
@@ -384,20 +381,29 @@ def strengthen(
     """Replace a violated point with the vertex of a failing cut that
     crosses as few arcs as possible.
 
-    Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017):
-    its cut, attacked by its worst deletion subset, keeps less than the
-    demand, so the vertex of that cut and attack cuts off the design.  The
-    value is the capacity the cut keeps
-    (:func:`cprsnp.formulations.cut_residual`).  Hands back the
-    original violation when the MIP runs out of time; raises
-    :class:`SeparationError` when it finds no failing cut, which the
-    violation given rules out.
+    Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017).
+    The violation's own vertex is a feasible point of that MIP, worth its
+    number of lam arcs, so that number is the cutoff: the MIP looks only
+    for a strictly sparser failing cut, and the violation is handed back
+    when there is none.  A cut the MIP finds, attacked by its worst
+    deletion subset, keeps less than the demand, so the vertex of that cut
+    and attack cuts off the design.  The value is the capacity the cut
+    keeps (:func:`cprsnp.formulations.cut_residual`).  When the MIP runs
+    out of time, its incumbent, if any, is taken, and otherwise the
+    violation is handed back.  Raises :class:`SeparationError` when the
+    violation does not cut off the design.
     """
     _require_canonical(aug, design)
+    point = violation.point
+    row = point_row_value(
+        aug, design.selected, design.protected, point.lam, point.gam, point.ell
+    )
+    if row >= aug.demand:
+        raise SeparationError(f"the point to strengthen keeps {row}, not below demand")
     search = build_strengthening(aug, design)
-    try:
-        res = _solve_or_timeout(search.model, time_limit_s, "cut strengthening")
-    except SeparationTimeout:
+    res = solve_mip(search.model, time_limit_s=time_limit_s, cutoff=sum(point.lam))
+    if res.values is None:
+        # nothing sparser, or out of time before anything sparser was found
         return violation
     cut = search.cut_from(res.values)
     value = cut_residual(aug, cut, design)

@@ -12,6 +12,7 @@ from conftest import (
     brute_attack_value,
     brute_worst_loss,
     build_inner_flow,
+    corpus,
     matrices,
     random_design,
     triangle,
@@ -667,6 +668,58 @@ def test_strengthening_model_feasibility():
     safe = Design.canonical(aug, range(3))
     res = solve_mip(build_strengthening(aug, safe).model)
     assert res.status == SolveStatus.INFEASIBLE
+
+
+def every_cut(aug):
+    """Every root/sink cut, one per sink side."""
+    inner = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    for size in range(len(inner) + 1):
+        for side in itertools.combinations(inner, size):
+            yield CutSet.from_sink_side(aug, {aug.sink, *side})
+
+
+def integral(value):
+    assert value == pytest.approx(round(value), abs=1e-9)
+    return round(value)
+
+
+def test_cut_search_optima_match_every_sink_side():
+    # the separation optimum is the least capacity a cut keeps after its
+    # worst failure; the strengthening optimum is the fewest lam arcs of a
+    # failing cut C, |C| - min(k, |C non-fictive|), and INFEASIBLE when no
+    # cut fails; both are integers, as the models declare
+    seen = set()
+    # the corpus instances of at most 10 vertices: at most 256 sink sides
+    for index, inst in enumerate(corpus()[:30]):
+        aug = augment(inst)
+        rng = random.Random(700 + index)
+        cuts = list(every_cut(aug))
+        # half-selected designs all fail somewhere; every arc often survives
+        designs = [random_design(rng, aug) for _ in range(3)]
+        for design in designs + [Design.canonical(aug, aug.initial_arcs)]:
+            seen.add("protected" if design.protected else "unprotected")
+            seen.add(check_cut_search_optima(aug, design, cuts))
+    assert seen == {"protected", "unprotected", "failing", "survivable"}
+
+
+def check_cut_search_optima(aug, design, cuts):
+    kept = {cut: cut_residual(aug, cut, design) for cut in cuts}
+    res = solve_mip(build_cutset_separation(aug, design).model)
+    assert res.status == SolveStatus.OPTIMAL
+    assert integral(res.objective) == min(kept.values())
+
+    res = solve_mip(build_strengthening(aug, design).model)
+    failing = [cut for cut in cuts if kept[cut] < aug.demand]
+    if not failing:
+        assert res.status == SolveStatus.INFEASIBLE
+        return "survivable"
+    assert res.status == SolveStatus.OPTIMAL
+    fewest = min(
+        len(cut.arcs) - min(aug.k, sum(not aug.is_fictive(a) for a in cut.arcs))
+        for cut in failing
+    )
+    assert integral(res.objective) == fewest
+    return "failing"
 
 
 def test_strengthening_gamma_weighting_toggle():

@@ -160,6 +160,53 @@ def test_mip_matches_enumeration(seed):
         assert check_assignment(model, res.values)
 
 
+def _tied_program(rng: random.Random) -> MilpModel:
+    """A 0/1 knapsack whose value sits on continuous columns, each tied by an
+    equality row to an integer combination of the items, under a cover row
+    that some draws cannot meet: the kernel cannot infer that the objective
+    is integral, yet at every integer point it is."""
+    n = rng.randint(3, 8)
+    model = MilpModel("tied")
+    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(n)]
+    for _ in range(rng.randint(1, 2)):
+        weights = {x: rng.randint(2, 9) for x in xs}
+        model.add_constr(weights, "<=", sum(weights.values()) // 2)
+    cover = rng.sample(xs, rng.randint(1, n))
+    model.add_constr({x: 1 for x in cover}, ">=", rng.randint(0, n // 2 + 1))
+    objective = {}
+    for j in range(rng.randint(1, 2)):
+        combo = {x: rng.randint(0, 7) for x in xs}
+        z = model.add_var(f"z{j}", 0.0, sum(combo.values()))
+        model.add_constr({z: 1, **{x: -c for x, c in combo.items()}}, "=", 0)
+        objective[z] = -rng.randint(1, 3)
+    model.set_objective(objective)
+    return model
+
+
+def test_declared_integral_objective_prunes_by_one():
+    # the declaration keeps every status and optimum, and only ever removes
+    # nodes: a node it prunes holds no integer point that beats the incumbent
+    nodes = {False: 0, True: 0}
+    statuses = set()
+    for seed in range(40):
+        model = _tied_program(random.Random(seed))
+        assert not milp._integral_objective(model, model.integer_indices())
+        plain = solve_mip(model)
+        model.integral_objective = True
+        declared = solve_mip(model)
+        assert declared.status == plain.status
+        statuses.add(plain.status)
+        if plain.status == SolveStatus.OPTIMAL:
+            assert declared.objective == pytest.approx(plain.objective, abs=1e-6)
+            assert declared.objective == pytest.approx(round(plain.objective), abs=1e-6)
+            assert check_assignment(model, declared.values)
+        assert declared.nodes <= plain.nodes
+        nodes[False] += plain.nodes
+        nodes[True] += declared.nodes
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+    assert nodes[True] < nodes[False]
+
+
 def test_mip_without_integers_equals_lp():
     model = MilpModel()
     x = model.add_var("x", 0.0, 2.5)

@@ -447,9 +447,9 @@ def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
     assert violation is not None
     solved = []
 
-    def counting_solve_mip(model, time_limit_s=None):
+    def counting_solve_mip(model, **kwargs):
         solved.append(model.name)
-        return solve_mip(model, time_limit_s=time_limit_s)
+        return solve_mip(model, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("strengthen ran a max flow or an oracle")
@@ -463,16 +463,24 @@ def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
 
 
 def test_strengthened_point_is_the_mip_cut():
-    seen = 0
+    # the MIP's cutoff is the violation's own lam count: a strictly sparser
+    # cut is the MIP's, and without one the violation comes back as it was
+    seen = set()
     for seed in range(200, 220):
         aug, design = seeded_case(seed)
         violation = separate_bilevel(aug, design)
         if violation is None:
             continue
-        seen += 1
         search = build_strengthening(aug, design)
-        cut = search.cut_from(solve_mip(search.model).values)
+        res = solve_mip(search.model, cutoff=sum(violation.point.lam))
         better = strengthen(aug, design, violation)
+        if res.status == SolveStatus.INFEASIBLE:
+            seen.add("nothing sparser")
+            assert better is violation
+            continue
+        seen.add("sparser")
+        assert res.objective < sum(violation.point.lam)
+        cut = search.cut_from(res.values)
         root_side = {v for v, mu in enumerate(better.point.mu) if mu == 1}
         assert root_side == set(range(aug.vertex_count)) - cut.sink_side
         row = point_row_value(
@@ -480,12 +488,12 @@ def test_strengthened_point_is_the_mip_cut():
             better.point.gam, better.point.ell,
         )
         assert better.value == cut_residual(aug, cut, design) == row < aug.demand
-    assert seen >= 5
+    assert seen == {"nothing sparser", "sparser"}
 
 
-def stub_solve_mip(monkeypatch, status):
-    def solve(model, time_limit_s=None):
-        return SolveResult(status, None, None)
+def stub_solve_mip(monkeypatch, status, objective=None, values=None):
+    def solve(model, **kwargs):
+        return SolveResult(status, objective, values)
 
     monkeypatch.setattr(separation, "solve_mip", solve)
 
@@ -496,16 +504,52 @@ def test_strengthen_out_of_time_returns_the_violation(monkeypatch):
     violation = separate_bilevel(aug, weak)
     stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE)
     assert strengthen(aug, weak, violation, time_limit_s=0.0) is violation
+    # INFEASIBLE under the cutoff: no failing cut is sparser than the input
+    stub_solve_mip(monkeypatch, SolveStatus.INFEASIBLE)
+    assert strengthen(aug, weak, violation) is violation
+
+
+def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
+    # a FEASIBLE result with values holds a cut sparser than the input,
+    # which is taken over the input
+    for seed in range(200, 220):
+        aug, design = seeded_case(seed)
+        violation = separate_bilevel(aug, design)
+        if violation is None:
+            continue
+        search = build_strengthening(aug, design)
+        res = solve_mip(search.model, cutoff=sum(violation.point.lam))
+        if res.status == SolveStatus.OPTIMAL:
+            break
+    else:
+        pytest.fail("no seeded case has a sparser failing cut")
+    stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE, res.objective, res.values)
+    better = strengthen(aug, design, violation, time_limit_s=0.0)
+    assert better is not violation
+    cut = search.cut_from(res.values)
+    assert {v for v, mu in enumerate(better.point.mu) if not mu} == cut.sink_side
+    assert better.value == cut_residual(aug, cut, design) < aug.demand
+    # the cut search MIP, by contrast, must return the worst attack, so an
+    # incumbent is not enough there
+    with pytest.raises(SeparationTimeout):
+        separate_bilevel(aug, design, brute_force_limit=0)
 
 
 def test_strengthen_without_a_failing_cut_raises(monkeypatch):
-    # the design was just shown to be violated, so some cut must fail
+    # a point that does not cut off the design has nothing to strengthen:
+    # the vertex that breaks the one-arc design is no violation of the full
+    # one, which survives every attack
     aug = tri_aug(k=1, kp=0)
-    weak = Design.canonical(aug, [1])
-    violation = separate_bilevel(aug, weak)
-    stub_solve_mip(monkeypatch, SolveStatus.INFEASIBLE)
+    violation = separate_bilevel(aug, Design.canonical(aug, [1]))
+    full = Design.canonical(aug, range(3))
+    assert separate_bilevel(aug, full) is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("strengthen solved a MIP for a non-violating point")
+
+    monkeypatch.setattr(separation, "solve_mip", forbidden)
     with pytest.raises(SeparationError):
-        strengthen(aug, weak, violation)
+        strengthen(aug, full, violation)
 
 
 @pytest.mark.parametrize("seed", range(10))
