@@ -11,7 +11,9 @@ protection variables ``p``:
 * flow master: one unit-preserving flow per failure scenario, where failed
   unprotected arcs lose their capacity;
 * attacker-expansion master ("bilevel"): one row per extreme point of the
-  attacker/min-cut polytope, generated on demand.
+  attacker/min-cut polytope, generated on demand.  Each generated point is
+  the vertex of a cut and an attack, and its row is that cut's row with
+  the attacked arcs deleted.
 
 All three start from one design block: the ``y`` columns, then the ``p``
 columns, the cost objective, the protection budget as row 0, one
@@ -38,9 +40,10 @@ below, these rows cut off integer points, but never every optimum:
   these rows, such as the engine's all-arcs probe, is still proven optimal
   when the tree finds nothing cheaper.
 
-Cut and vertex rows are written tightened.  The fictive arcs are always
-selected and never protected, so their part of a row moves into its
-right-hand side r, and every other coefficient is reduced to at most r
+Every cut row is written tightened: the row of a cut for one deletion
+subset, which is also the row of a bilevel vertex.  The fictive arcs are
+always selected and never protected, so their part of the row moves into
+its right-hand side r, and every other coefficient is reduced to at most r
 (coefficient reduction over binary columns).  Every coefficient is
 nonnegative, so a tightened row holds at a 0/1 point exactly when the
 untightened row does: a column with coefficient at least r that is 1
@@ -52,11 +55,12 @@ untightened ones.
 Each builder is the design block plus one appender per item, applied in
 order: :func:`append_cut` (a cut's rows, the one place that decides them:
 the full enumeration for a cut that :func:`cut_fits`, else the row of the
-violating design's worst deletion subset, written by
-:func:`append_cut_subset`), :func:`append_scenario` (a scenario's flow
-block) and :func:`append_point` (a vertex's row).  The engine builds each
-master once per solve and grows it in place with the appenders, while the
-tree that solves it is open.
+violating design's worst deletion subset), :func:`append_scenario` (a
+scenario's flow block) and :func:`append_point` (a vertex's row: its cut's
+row with its attacked arcs deleted).  Cut and vertex rows alike are
+written by :func:`append_cut_subset`, the one writer of a tightened row.
+The engine builds each master once per solve and grows it in place with
+the appenders, while the tree that solves it is open.
 
 The two cut search MIPs (:func:`build_cutset_separation` and
 :func:`build_strengthening`) branch only on mu, the 0/1 root-side indicator
@@ -153,6 +157,15 @@ class Design:
     def mask(self, aug: AugmentedInstance, failed: Iterable[int] = ()) -> ArcMask:
         return ArcMask.for_design(aug, self.selected, self.protected, failed)
 
+    def attack_candidates(self, aug: AugmentedInstance) -> list[int]:
+        """The arcs an attack may fail, in index order: the selected arcs
+        that are neither protected nor fictive."""
+        return sorted(
+            a
+            for a in self.selected
+            if not aug.is_fictive(a) and a not in self.protected
+        )
+
 
 @dataclass(frozen=True)
 class FailureScenario:
@@ -228,16 +241,11 @@ def worst_subset(
     aug: AugmentedInstance, cut: CutSet, design: Design
 ) -> tuple[int, ...]:
     """The cut's worst deletion subset under the design: its k largest
-    capacities among selected, unprotected, non-fictive arcs (all of them if
-    fewer than k), ties to the lower index, returned in index order."""
+    capacities among :meth:`Design.attack_candidates` (all of them if fewer
+    than k), ties to the lower index, returned in index order."""
+    crossing = set(cut.arcs)
     vulnerable = sorted(
-        (
-            a
-            for a in cut.arcs
-            if not aug.is_fictive(a)
-            and a in design.selected
-            and a not in design.protected
-        ),
+        (a for a in design.attack_candidates(aug) if a in crossing),
         key=lambda a: (-aug.arcs[a].capacity, a),
     )
     return tuple(sorted(vulnerable[: aug.k]))
@@ -484,29 +492,20 @@ def build_bilevel_master(
 
 def append_point(master: Master, point: ExtremePoint) -> None:
     """Append the guarantee row of one attacker vertex to a bilevel master,
-    ``sum u lam y + sum u gam p >= |T| - sum u (gam - ell)``, in its
-    tightened form (see the module docstring).
-
-    The fictive arcs' y is fixed at 1 and their p at 0, so their ``u lam``
-    moves into the right-hand side r, and every other coefficient is capped
-    at r; a row with ``r <= 0`` holds everywhere and gets zero coefficients.
-    """
+    ``sum u lam y + sum u gam p >= |T| - sum u (gam - ell)``: the row of its
+    cut (mu) with its attacked arcs (gam = ell) deleted, written by
+    :func:`append_cut_subset`.  Any other point, such as one with lam off
+    the cut or gam on an arc it does not attack, raises
+    :class:`FormulationError`."""
     aug = master.aug
     point.validate(aug)
-    row: dict[int, float] = {}
-    need = float(aug.demand)
-    for a, arc in enumerate(aug.arcs):
-        u = float(arc.capacity)
-        need -= u * point.gam[a] - u * point.ell[a]
-        if aug.is_fictive(a):
-            need -= u * point.lam[a]
-            continue
-        if point.lam[a]:
-            row[master.y_var[a]] = u * point.lam[a]
-        if point.gam[a]:
-            row[master.p_var[a]] = u * point.gam[a]
-    cap = max(need, 0.0)
-    master.model.add_constr({col: min(c, cap) for col, c in row.items()}, ">=", need)
+    cut = CutSet.from_sink_side(aug, (v for v, mu in enumerate(point.mu) if not mu))
+    crossing = set(cut.arcs)
+    deleted = [a for a in cut.arcs if point.gam[a]]
+    lam = tuple(int(a in crossing and not g) for a, g in enumerate(point.gam))
+    if point.ell != point.gam or point.lam != lam or sum(point.gam) != len(deleted):
+        raise FormulationError("point is not the vertex of a cut and an attack")
+    append_cut_subset(master, cut, deleted)
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +577,8 @@ def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearch
     lam = 1, which costs nothing, and gam on a protected arc would cost as
     much as its lam.
     """
-    candidates = (
-        a for a in design.selected
-        if not aug.is_fictive(a) and a not in design.protected
-    )
     search = _cut_search_base(
-        aug, "cutset_separation", sorted(design.selected), candidates
+        aug, "cutset_separation", sorted(design.selected), design.attack_candidates(aug)
     )
     search.model.set_objective(
         {col: float(aug.arcs[a].capacity) for a, col in search.lam_var.items()}

@@ -82,14 +82,6 @@ def _require_canonical(aug: AugmentedInstance, design: Design) -> None:
         raise SeparationError("oracles require a canonical design")
 
 
-def _attack_candidates(aug: AugmentedInstance, design: Design) -> list[int]:
-    return sorted(
-        a
-        for a in design.selected
-        if not aug.is_fictive(a) and a not in design.protected
-    )
-
-
 @dataclass(frozen=True)
 class CutViolation:
     cut: CutSet
@@ -143,10 +135,10 @@ def _attack(
     flow under it must attain the MIP's value.
     """
     _require_canonical(aug, design)
-    candidates = _attack_candidates(aug, design)
+    candidates = design.attack_candidates(aug)
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
-        return _worst_attack(aug, design, time_limit_s)
+        return _worst_attack(aug, design, candidates, time_limit_s)
     search = build_cutset_separation(aug, design)
     res = solve_mip(search.model, time_limit_s=time_limit_s, cutoff=aug.demand)
     if res.status == SolveStatus.INFEASIBLE:
@@ -205,12 +197,15 @@ def _point_violation(
 
 
 def _worst_attack(
-    aug: AugmentedInstance, design: Design, time_limit_s: float | None
+    aug: AugmentedInstance,
+    design: Design,
+    candidates: list[int],
+    time_limit_s: float | None,
 ) -> _Attack | None:
     """The worst attack on the design: the lexicographically first set of
-    ``size`` = min(k, candidates) attack candidates whose failure leaves the
-    least max flow, with that value and a max flow that attains it; None
-    when every such failure leaves at least the demand.
+    ``size`` = min(k, candidates) of its attack candidates, in index order,
+    whose failure leaves the least max flow, with that value and a max flow
+    that attains it; None when every such failure leaves at least the demand.
 
     Depth-first search over failed prefixes in lexicographic order.  A node
     holds a max flow f of value F with its prefix failed, and r arcs left to
@@ -240,7 +235,6 @@ def _worst_attack(
     number of max flows may.
     """
     t0 = time.perf_counter()
-    candidates = _attack_candidates(aug, design)
     size = min(aug.k, len(candidates))
     best_value, best, best_flow = aug.demand, None, None
     flows = 0

@@ -173,6 +173,28 @@ def cut_capacity(cut: CutSet, mask: ArcMask) -> int:
     return int(sum(mask.capacities[i] for i in cut.arcs))
 
 
+def generic_point_row(aug: AugmentedInstance, y_var, p_var, point):
+    """The tightened guarantee row of any validated attacker point, from the
+    generic vertex-row formula ``sum u lam y + sum u gam p >= |T| - sum u
+    (gam - ell)``: the fictive arcs' ``u lam`` moves into the right-hand
+    side r, and every other coefficient is capped at r (at 0 when r <= 0).
+    As ``(coefficients by column, r)``, zero coefficients left out."""
+    row: dict[int, float] = {}
+    need = float(aug.demand)
+    for a, arc in enumerate(aug.arcs):
+        u = float(arc.capacity)
+        need -= u * point.gam[a] - u * point.ell[a]
+        if aug.is_fictive(a):
+            need -= u * point.lam[a]
+            continue
+        if point.lam[a]:
+            row[y_var[a]] = u * point.lam[a]
+        if point.gam[a]:
+            row[p_var[a]] = u * point.gam[a]
+    cap = max(need, 0.0)
+    return {col: min(c, cap) for col, c in row.items() if min(c, cap)}, need
+
+
 def build_inner_flow(aug: AugmentedInstance, design: Design, attack=()) -> MilpModel:
     """LP of the flow the design still carries under a fixed attack, as the
     minimum of minus that flow.

@@ -13,6 +13,7 @@ from conftest import (
     brute_worst_loss,
     build_inner_flow,
     corpus,
+    generic_point_row,
     matrices,
     random_design,
     triangle,
@@ -21,10 +22,12 @@ from conftest import (
 from cprsnp import formulations
 from cprsnp.formulations import (
     Design,
+    ExtremePoint,
     FailureScenario,
     FormulationError,
     append_cut,
     append_cut_subset,
+    append_point,
     build_bilevel_master,
     build_cutset_master,
     build_cutset_separation,
@@ -39,6 +42,7 @@ from cprsnp.graph import Arc, ArcMask, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import (
+    BRUTE_FORCE_LIMIT,
     separate_bilevel,
     separate_cutset,
     separate_scenario,
@@ -592,6 +596,62 @@ def test_bilevel_point_row_cuts_off_design():
     # the new row rejects the separated design
     res = solve_fixed(build_bilevel_master(aug, [point]), design)
     assert res.status == SolveStatus.INFEASIBLE
+
+
+def _last_row(model):
+    """The model's last row as (coefficients by column, lower, upper)."""
+    _, a, row_lo, row_hi = matrices(model)
+    row = a.tocsr()[-1]
+    return dict(zip(row.indices.tolist(), row.data.tolist())), row_lo[-1], row_hi[-1]
+
+
+@pytest.mark.parametrize("limit", [BRUTE_FORCE_LIMIT, 0])
+def test_point_rows_match_the_generic_vertex_row(limit):
+    # every vertex the oracles build, on the search route and on the MIP
+    # route, and every vertex strengthen returns, gets the row of the
+    # generic formula kept in conftest: same columns, coefficients, bounds
+    rng = random.Random(limit)
+    seen = strengthened = 0
+    for inst in corpus():
+        aug = augment(inst)
+        for _ in range(3):
+            design = random_design(rng, aug)
+            violation = separate_bilevel(aug, design, brute_force_limit=limit)
+            if violation is None:
+                continue
+            sparse = strengthen(aug, design, violation)
+            strengthened += sparse.point != violation.point
+            for point in (violation.point, sparse.point):
+                master = build_bilevel_master(aug, [])
+                rows = master.model.num_constraints
+                append_point(master, point)
+                assert master.model.num_constraints == rows + 1
+                coeffs, need = generic_point_row(
+                    aug, master.y_var, master.p_var, point
+                )
+                assert _last_row(master.model) == (coeffs, need, math.inf)
+                seen += 1
+    assert seen >= 200 and strengthened >= 50
+
+
+def test_append_point_rejects_a_point_that_is_not_a_cut_vertex():
+    # triangle: arcs 0 -> 1 (0), 0 -> 2 (1), 1 -> 2 (2), fictive 2 -> s (3);
+    # mu puts {2, s} on the sink side, so arcs 1 and 2 cross the cut
+    aug = tri_aug(k=1, kp=0)
+    mu, none = (1, 1, 0, 0), (0, 0, 0, 0)
+    off_cut = ExtremePoint(  # lam also on arc 0, which does not cross
+        attack=none, lam=(1, 1, 1, 0), gam=none, mu=mu, ell=none
+    )
+    unattacked = ExtremePoint(  # gam on arc 2 with no attack: ell = 0
+        attack=none, lam=(0, 1, 0, 0), gam=(0, 0, 1, 0), mu=mu, ell=none
+    )
+    for point in (off_cut, unattacked):
+        point.validate(aug)
+        master = build_bilevel_master(aug, [])
+        rows = master.model.num_constraints
+        with pytest.raises(FormulationError, match="not the vertex"):
+            append_point(master, point)
+        assert master.model.num_constraints == rows
 
 
 def test_mip_route_frozen_values():

@@ -1,7 +1,10 @@
 """The README's code examples run as written and print what they show."""
 
 import re
+import shlex
 from pathlib import Path
+
+from cprsnp import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,8 +16,39 @@ def _python_block(heading: str) -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
+def _commands(heading: str) -> dict[str, list[str]]:
+    """The ``cprsnp`` commands of the first ```sh block after the given
+    ``## heading``, by subcommand, each as its argument list once its
+    continuation lines are joined."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    script = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = {}
+    for line in script.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "cprsnp"
+            commands[words[1]] = words[1:]
+    return commands
+
+
 def test_library_example_prints_its_comment(capsys):
     code = _python_block("Library")
     assert "# Optimal 69.0" in code
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out == "Optimal 69.0\n"
+
+
+def test_command_line_example_solves_and_verifies(tmp_path, capsys):
+    commands = _commands("Command line")
+    out = []
+    for name in ("gen", "solve", "verify"):
+        # the files the commands write and read go to tmp_path
+        argv = [
+            str(tmp_path / word) if word.endswith(".txt") else word
+            for word in commands[name]
+        ]
+        assert cli.main(argv) == 0, name
+        out += capsys.readouterr().out.splitlines()
+    assert any(line.startswith("status=Optimal ") for line in out)
+    assert any(line.startswith("verified: ") for line in out)
