@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 from .engine import FORMULATIONS, EngineOptions, format_cost, solve
 from .graph import Instance, augment
 from .instances import instance_label
-from .milp import SolveStatus
 
 TABLE_ORDER = ("bilevel", "cutset", "flow")
 TABLE_HEADINGS = {"bilevel": "Bilevel", "cutset": "Cut-set", "flow": "Flow"}

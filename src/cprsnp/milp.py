@@ -7,11 +7,11 @@ first nonzero, the nonzeros' columns and values, and each row's sense as a
 ``row_lo <= A x <= row_hi`` pair.  HiGHS gets those arrays as they are.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
-simplex instance: the model is passed once, row-wise.  Each later solve
-sends only the integer column bounds that differ from the ones HiGHS
-holds, and rows or columns appended to the model are sent as the new tail
-alone, so the simplex restarts from the previous basis instead of from
-scratch.
+simplex instance.  The instance opens empty and takes the model as tails
+of its row-wise arrays: all of it first, and later only the rows and
+columns appended since.  Each solve sends only the integer column bounds
+that differ from the ones HiGHS holds, so the simplex restarts from the
+previous basis instead of from scratch.
 Solutions are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is
 off and the solver prints nothing.
 
@@ -109,10 +109,8 @@ def _load_core(directory: str | os.PathLike) -> ModuleType:
 _core = sys.modules.get(_CORE) or _load_core(
     os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
 )
-HighsLp = _core.HighsLp
 HighsModelStatus = _core.HighsModelStatus
 HighsStatus = _core.HighsStatus
-MatrixFormat = _core.MatrixFormat
 _Highs = _core._Highs
 
 _OPTIONS = (
@@ -236,12 +234,13 @@ class MilpModel:
 class _Relaxation:
     """The LP relaxation of one model, held by one HiGHS instance.
 
-    The model is passed once, in the row-wise arrays it keeps.  Each
-    :meth:`solve` sends only the integer column bounds that differ from the
-    ones HiGHS holds, and :meth:`grow` only the columns and rows appended to
-    the model since, as the tail of those arrays, so the dual simplex
+    The instance opens empty, and the model goes over as tails of the
+    row-wise arrays it keeps: all of it first, then whatever was appended
+    since (:meth:`grow`).  Each :meth:`solve` sends only the integer column
+    bounds that differ from the ones HiGHS holds, so the dual simplex
     restarts from the previous basis.  Continuous columns keep the bounds
-    they were passed with.
+    they were sent with.  The simplex is serial and silent, and presolve is
+    off: its reductions would discard the basis.
     """
 
     def __init__(self, model: MilpModel, int_idx: np.ndarray):
@@ -250,20 +249,25 @@ class _Relaxation:
         lb, ub = model.bounds()
         # the integer column bounds HiGHS holds
         self.ilb, self.iub = lb[int_idx], ub[int_idx]
-        self.highs = _open(model, lb, ub)
-        self.cols = model.num_vars
-        self.rows = model.num_constraints
+        self.highs = _Highs()
+        for option, setting in _OPTIONS:
+            if self.highs.setOptionValue(option, setting) != HighsStatus.kOk:
+                raise MilpError(f"HiGHS rejected option {option}={setting!r}")
+        self.cols = self.rows = 0
+        self.grow()
 
     def grow(self) -> None:
-        """Send the columns and rows appended to the model since it was
-        opened or last grown.  New columns are continuous and cost nothing:
-        the objective is fixed once the model is passed."""
+        """Send the columns and rows appended to the model since they were
+        last sent, as the tail of its arrays: on opening, all of them.  A
+        column goes with its objective coefficient, which is 0 for the
+        columns a lazy callback appends."""
         model, highs = self.model, self.highs
         first, cols = self.cols, model.num_vars
         if cols > first:
             new = cols - first
+            cost = [model._objective.get(v, 0.0) for v in range(first, cols)]
             if highs.addCols(
-                new, np.zeros(new),
+                new, np.array(cost),
                 np.array(model._lb[first:]), np.array(model._ub[first:]), 0,
                 np.zeros(new, dtype=np.int32), np.zeros(0, dtype=np.int32),
                 np.zeros(0),
@@ -316,38 +320,6 @@ class _Relaxation:
         raise MilpError(
             f"LP solver failed on {self.model.name}: {highs.modelStatusToString(status)}"
         )
-
-
-def _open(model: MilpModel, lb: np.ndarray, ub: np.ndarray):
-    """A HiGHS instance loaded with the model's relaxation under the given
-    column bounds, its rows passed row-wise as the model keeps them: serial
-    dual simplex, no presolve (its reductions would discard the basis),
-    silent."""
-    c = np.zeros(model.num_vars)
-    for v, coef in model._objective.items():
-        c[v] = coef
-    lp = HighsLp()
-    lp.num_col_ = model.num_vars
-    lp.num_row_ = model.num_constraints
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = model._row_lo
-    lp.row_upper_ = model._row_hi
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kRowwise
-    matrix.num_col_ = model.num_vars
-    matrix.num_row_ = model.num_constraints
-    matrix.start_ = model._start
-    matrix.index_ = model._col_idx
-    matrix.value_ = model._values
-    highs = _Highs()
-    for option, setting in _OPTIONS:
-        if highs.setOptionValue(option, setting) != HighsStatus.kOk:
-            raise MilpError(f"HiGHS rejected option {option}={setting!r}")
-    if highs.passModel(lp) == HighsStatus.kError:
-        raise MilpError(f"HiGHS rejected the model {model.name}")
-    return highs
 
 
 def _integral_objective(model: MilpModel, int_idx: np.ndarray) -> bool:

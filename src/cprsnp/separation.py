@@ -378,14 +378,16 @@ def strengthen(
     Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017).
     The violation's own vertex is a feasible point of that MIP, worth its
     number of lam arcs, so that number is the cutoff: the MIP looks only
-    for a strictly sparser failing cut, and the violation is handed back
-    when there is none.  A cut the MIP finds, attacked by its worst
-    deletion subset, keeps less than the demand, so the vertex of that cut
-    and attack cuts off the design.  The value is the capacity the cut
-    keeps (:func:`cprsnp.formulations.cut_residual`).  When the MIP runs
-    out of time, its incumbent, if any, is taken, and otherwise the
-    violation is handed back.  Raises :class:`SeparationError` when the
-    violation does not cut off the design.
+    for a failing cut it counts as strictly sparser.  A cut the MIP finds,
+    attacked by its worst deletion subset, keeps less than the demand, so
+    the vertex of that cut and attack cuts off the design.  The value is
+    the capacity the cut keeps (:func:`cprsnp.formulations.cut_residual`).
+    That vertex replaces the violation only when it has strictly fewer lam
+    arcs: the MIP's count may leave out arcs that the vertex's attack
+    keeps.  When the MIP runs out of time, its incumbent, if any, is taken
+    on the same terms.  Otherwise the violation is handed back.  Raises
+    :class:`SeparationError` when the violation does not cut off the
+    design.
     """
     _require_canonical(aug, design)
     point = violation.point
@@ -404,4 +406,7 @@ def strengthen(
     # the MIP's row bounds the capacity the cut keeps by demand - 1
     if value >= aug.demand:
         raise SeparationError(f"strengthened cut keeps {value}, the demand or more")
-    return _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)
+    stronger = _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)
+    if sum(stronger.point.lam) >= sum(point.lam):
+        return violation
+    return stronger

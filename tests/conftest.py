@@ -13,6 +13,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
+from cprsnp import milp
 from cprsnp.formulations import Design, FormulationError
 from cprsnp.graph import (
     Arc,
@@ -24,14 +25,7 @@ from cprsnp.graph import (
     max_flow,
 )
 from cprsnp.instances import generate
-from cprsnp.milp import (
-    HighsModelStatus,
-    MatrixFormat,
-    MilpModel,
-    SolveStatus,
-    _open,
-    _Relaxation,
-)
+from cprsnp.milp import HighsModelStatus, MilpModel, SolveStatus, _Relaxation
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: one line per criterion in the terminal summary
@@ -67,10 +61,10 @@ def lp_data(lp):
     a = lp.a_matrix_
     shape = (lp.num_row_, lp.num_col_)
     data = (np.array(a.value_), np.array(a.index_), np.array(a.start_))
-    if a.format_ == MatrixFormat.kColwise:
+    if a.format_ == milp._core.MatrixFormat.kColwise:
         matrix = scipy.sparse.csc_matrix(data, shape=shape).tocsr()
     else:
-        assert a.format_ == MatrixFormat.kRowwise
+        assert a.format_ == milp._core.MatrixFormat.kRowwise
         matrix = scipy.sparse.csr_matrix(data, shape=shape)
     rows = sorted(
         (
@@ -89,30 +83,30 @@ _COLD_STATUS = {
 }
 
 
+def opened(model, ilb, iub):
+    """A fresh HiGHS instance of the model, with the integer columns'
+    bounds set to ``ilb`` and ``iub`` before it solves anything."""
+    fresh = _Relaxation(model, model.integer_indices())
+    fresh.highs.changeColsBounds(len(ilb), fresh.int_idx, ilb, iub)
+    return fresh.highs
+
+
 class CheckedRelaxation(_Relaxation):
     """The kernel's relaxation, checked after every growth against a fresh
     HiGHS instance of the same model and, at every node, against a cold
     instance opened under the same column bounds.  Patch it over
     ``cprsnp.milp._Relaxation`` to check every LP a solve runs."""
 
-    def full_bounds(self, ilb, iub):
-        """Every column's bounds: the model's, with the integer columns'
-        set to ``ilb`` and ``iub``."""
-        lb, ub = self.model.bounds()
-        lb[self.int_idx] = ilb
-        ub[self.int_idx] = iub
-        return lb, ub
-
     def grow(self):
         super().grow()
-        fresh = _open(self.model, *self.full_bounds(self.ilb, self.iub))
+        fresh = opened(self.model, self.ilb, self.iub)
         assert lp_data(self.highs.getLp()) == lp_data(fresh.getLp())
 
     def solve(self, ilb, iub):
         status, objective, x = super().solve(ilb, iub)
-        # a fresh instance opened under the node's bounds: no bound is sent
-        # to it later, so it shares no state with the warm one
-        cold = _open(self.model, *self.full_bounds(ilb, iub))
+        # a fresh instance under the node's bounds: it has solved nothing,
+        # so it shares no state with the warm one
+        cold = opened(self.model, ilb, iub)
         cold.run()
         cold_status = cold.getModelStatus()
         # bounded columns leave a cold LP optimal or infeasible, nothing else

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 import math
@@ -201,13 +202,13 @@ def test_one_master_instance_per_solve(monkeypatch, formulation, index):
     # every violation is appended to the live HiGHS instance of the master;
     # only separation MIPs (strengthening, here) open instances of their own
     opened = []
-    real_open = milp._open
 
-    def counted(model, *args):
-        opened.append(model.name)
-        return real_open(model, *args)
+    class Counted(milp._Relaxation):
+        def __init__(self, model, int_idx):
+            opened.append(model.name)
+            super().__init__(model, int_idx)
 
-    monkeypatch.setattr(milp, "_open", counted)
+    monkeypatch.setattr(milp, "_Relaxation", Counted)
     sol = solve(augment(corpus()[index]), formulation, FAST)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.iterations > 1
@@ -224,7 +225,7 @@ def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
     class Counted(CheckedRelaxation):
         def grow(self):
             super().grow()
-            grown.append(self.model.name)
+            grown.append(self)
 
     monkeypatch.setattr(milp, "_Relaxation", Counted)
     # 9 vertices, 20 arcs, k=1, kp=1: at least one violation in each
@@ -232,7 +233,12 @@ def test_masters_grown_in_place_match_fresh_ones(monkeypatch, formulation):
     sol = solve(augment(corpus()[25]), formulation, FAST)
     assert sol.status is SolveStatus.OPTIMAL and sol.cost == 94.0
     assert sol.iterations > 1
-    assert grown == [f"{formulation}_master"] * (sol.iterations - 1)
+    # opening a relaxation is its first growth: the master grows once per
+    # iteration, and every other relaxation (strengthening) only opens
+    growths = collections.Counter(grown)
+    (master,) = [lp for lp in growths if lp.model.name == f"{formulation}_master"]
+    assert growths[master] == sol.iterations
+    assert all(n == 1 for lp, n in growths.items() if lp is not master)
 
 
 class _BoundsSent:

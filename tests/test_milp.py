@@ -25,7 +25,6 @@ from cprsnp.milp import (
     MilpError,
     MilpModel,
     SolveStatus,
-    _open,
     _Relaxation,
     solve_mip,
 )
@@ -496,9 +495,55 @@ def test_row_storage_matches_the_rows_given(drawn):
         given.append((*want, tuple(sorted(nonzero.items()))))
     # handed to HiGHS, the model holds exactly those rows, and nothing else
     lb, ub = model.bounds()
-    lp = _open(model, lb, ub).getLp()
+    lp = _Relaxation(model, model.integer_indices()).highs.getLp()
     assert lp_data(lp) == ([0.0] * len(columns), list(lb), list(ub), sorted(given))
     assert check_assignment(model, x, tol) == _check_row_by_row(columns, rows, x, tol)
+
+
+def test_relaxation_holds_the_model_and_its_growth(monkeypatch):
+    # what reaches HiGHS, checked against this test's own data rather than
+    # against another upload of the same model: costs on integer and
+    # continuous columns, bounds and rows, then one lazy growth
+    model = MilpModel("sent")
+    x = model.add_var("x", 0, 3, integer=True)
+    y = model.add_var("y", -1, 2, integer=True)
+    z = model.add_var("z", 0, 2.5)
+    w = model.add_var("w", -1, 1)
+    model.add_constr({x: 1, z: 1}, ">=", 1)
+    model.add_constr({y: 1, w: -1}, "<=", 1)
+    model.set_objective({x: 2, y: -1, z: 3, w: 0.5})
+    costs = [2.0, -1.0, 3.0, 0.5]
+    lb, ub = [0.0, -1.0, 0.0, -1.0], [3.0, 2.0, 2.5, 1.0]
+    rows = [
+        (1.0, math.inf, ((x, 1.0), (z, 1.0))),
+        (-math.inf, 1.0, ((y, 1.0), (w, -1.0))),
+    ]
+    held = []
+
+    class Recorded(_Relaxation):
+        def grow(self):
+            super().grow()
+            held.append(lp_data(self.highs.getLp()))
+
+    def lazy(values, bound):
+        # the root LP is integral at x = 1, y = 2; a zero-cost column v in
+        # [0, 1] and the row x - v >= 2 cut it off
+        if values[x] >= 2:
+            return False
+        v = model.add_var("v", 0, 1)
+        model.add_constr({x: 1, v: -1}, ">=", 2)
+        return True
+
+    monkeypatch.setattr(milp, "_Relaxation", Recorded)
+    res = solve_mip(model, lazy=lazy)
+    assert res.status == SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(2.5)
+    # both growths happen at the root, whose bounds are the model's
+    grown_row = (2.0, math.inf, ((x, 1.0), (4, -1.0)))
+    assert held == [
+        (costs, lb, ub, sorted(rows)),
+        (costs + [0.0], lb + [0.0], ub + [1.0], sorted(rows + [grown_row])),
+    ]
 
 
 # ---------------------------------------------------------------------------

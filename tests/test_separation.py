@@ -462,9 +462,22 @@ def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
     assert solved == ["cut_strengthening"]
 
 
+def vertex_lam_count(aug, design, cut):
+    """Lam arcs of the vertex of a cut under its worst attack: the crossing
+    arcs less the min(k, n) that fail, of the n selected, unprotected, real
+    ones."""
+    vulnerable = [
+        a for a in cut.arcs
+        if a in design.selected and a not in design.protected
+        and not aug.is_fictive(a)
+    ]
+    return len(cut.arcs) - min(aug.k, len(vulnerable))
+
+
 def test_strengthened_point_is_the_mip_cut():
-    # the MIP's cutoff is the violation's own lam count: a strictly sparser
-    # cut is the MIP's, and without one the violation comes back as it was
+    # the MIP's cutoff is the violation's own lam count; the vertex of the
+    # MIP's cut replaces the violation when it has strictly fewer lam arcs,
+    # and otherwise the violation comes back as it was
     seen = set()
     for seed in range(200, 220):
         aug, design = seeded_case(seed)
@@ -472,15 +485,21 @@ def test_strengthened_point_is_the_mip_cut():
         if violation is None:
             continue
         search = build_strengthening(aug, design)
-        res = solve_mip(search.model, cutoff=sum(violation.point.lam))
+        lams = sum(violation.point.lam)
+        res = solve_mip(search.model, cutoff=lams)
         better = strengthen(aug, design, violation)
         if res.status == SolveStatus.INFEASIBLE:
             seen.add("nothing sparser")
             assert better is violation
             continue
-        seen.add("sparser")
-        assert res.objective < sum(violation.point.lam)
+        assert res.objective < lams
         cut = search.cut_from(res.values)
+        if vertex_lam_count(aug, design, cut) >= lams:
+            seen.add("not strictly sparser")
+            assert better is violation
+            continue
+        seen.add("sparser")
+        assert sum(better.point.lam) == vertex_lam_count(aug, design, cut)
         root_side = {v for v, mu in enumerate(better.point.mu) if mu == 1}
         assert root_side == set(range(aug.vertex_count)) - cut.sink_side
         row = point_row_value(
@@ -488,7 +507,21 @@ def test_strengthened_point_is_the_mip_cut():
             better.point.gam, better.point.ell,
         )
         assert better.value == cut_residual(aug, cut, design) == row < aug.demand
-    assert seen == {"nothing sparser", "sparser"}
+    assert seen == {"nothing sparser", "not strictly sparser", "sparser"}
+
+
+def test_strengthen_returns_the_input_or_a_strictly_sparser_vertex():
+    replaced = 0
+    for seed in range(200, 260):
+        aug, design = seeded_case(seed)
+        violation = separate_bilevel(aug, design)
+        if violation is None:
+            continue
+        better = strengthen(aug, design, violation)
+        if better is not violation:
+            replaced += 1
+            assert sum(better.point.lam) < sum(violation.point.lam)
+    assert replaced
 
 
 def stub_solve_mip(monkeypatch, status, objective=None, values=None):
@@ -510,19 +543,22 @@ def test_strengthen_out_of_time_returns_the_violation(monkeypatch):
 
 
 def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
-    # a FEASIBLE result with values holds a cut sparser than the input,
-    # which is taken over the input
+    # a FEASIBLE result with values holds a cut whose vertex is strictly
+    # sparser than the input, which is taken over the input
     for seed in range(200, 220):
         aug, design = seeded_case(seed)
         violation = separate_bilevel(aug, design)
         if violation is None:
             continue
         search = build_strengthening(aug, design)
-        res = solve_mip(search.model, cutoff=sum(violation.point.lam))
-        if res.status == SolveStatus.OPTIMAL:
+        lams = sum(violation.point.lam)
+        res = solve_mip(search.model, cutoff=lams)
+        if res.status == SolveStatus.OPTIMAL and vertex_lam_count(
+            aug, design, search.cut_from(res.values)
+        ) < lams:
             break
     else:
-        pytest.fail("no seeded case has a sparser failing cut")
+        pytest.fail("no seeded case has a strictly sparser failing cut")
     stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE, res.objective, res.values)
     better = strengthen(aug, design, violation, time_limit_s=0.0)
     assert better is not violation

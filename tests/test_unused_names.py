@@ -1,6 +1,6 @@
 """Every function, class and module-level constant in ``src/cprsnp`` has a
 user in the package itself: code that only the tests run belongs under
-``tests/``."""
+``tests/``.  Every name a module imports is read there or exported."""
 
 import ast
 import importlib
@@ -50,6 +50,17 @@ def _references(tree: ast.Module):
             yield node.name
 
 
+def _imports(tree: ast.Module):
+    """Every name the module binds by an import, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
 def _overrides(module: str, owner: str, name: str) -> bool:
     """True when the method replaces one of a base class, whose own code
     calls it (``argparse`` calls ``ArgumentParser.error``)."""
@@ -90,3 +101,18 @@ def test_every_constant_is_read_in_the_package():
         if not (name.startswith("__") and name.endswith("__")) and name not in used
     ]
     assert not unused, f"assigned in src/cprsnp but read only outside it: {unused}"
+
+
+def test_every_import_is_read_in_its_module():
+    trees, _ = _package()
+    unused = []
+    for module, tree in trees.items():
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused += [
+            f"{module}.{name}" for name in _imports(tree)
+            if name not in read and name not in cprsnp.__all__
+        ]
+    assert not unused, f"imported in src/cprsnp but never read there: {unused}"
