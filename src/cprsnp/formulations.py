@@ -11,9 +11,10 @@ protection variables ``p``:
 * flow master: one unit-preserving flow per failure scenario, where failed
   unprotected arcs lose their capacity;
 * attacker-expansion master ("bilevel"): one row per extreme point of the
-  attacker/min-cut polytope, generated on demand.  Each generated point is
-  the vertex of a cut and an attack, and its row is that cut's row with
-  the attacked arcs deleted.
+  attacker/min-cut polytope, generated on demand.  Each point is the
+  vertex of a cut and an attack and is stored as those two
+  (:class:`ExtremePoint`); its row is that cut's row with the attacked
+  arcs deleted.
 
 All three start from one design block: the ``y`` columns, then the ``p``
 columns, the cost objective, the protection budget as row 0, one
@@ -189,48 +190,35 @@ class FailureScenario:
 
 @dataclass(frozen=True)
 class ExtremePoint:
-    """0/1 vertex of the attacker-cut polytope used for master rows.
+    """0/1 vertex of the attacker-cut polytope used for master rows, stored
+    as the cut and the attack it is the vertex of.
 
-    ``attack`` marks failed arcs (at most ``k``, never fictive), ``lam`` and
-    ``gam`` are the two per-arc cut multipliers, ``mu`` the per-vertex side
-    indicator (1 at the root, 0 at the sink), ``ell`` the product
-    ``attack * gam``.
+    ``failed`` is the attack (at most ``k`` arcs, never fictive) and
+    ``arc_count`` the length of the per-arc views.  In the polytope's terms
+    mu is 1 exactly on the cut's root side, gam = ell marks the failed arcs
+    that cross the cut, and lam the other crossing arcs.
     """
 
-    attack: tuple[int, ...]
-    lam: tuple[int, ...]
-    gam: tuple[int, ...]
-    mu: tuple[int, ...]
-    ell: tuple[int, ...]
+    cut: CutSet
+    failed: frozenset[int]
+    arc_count: int
 
-    def validate(self, aug: AugmentedInstance) -> None:
-        m, n = aug.arc_count, aug.vertex_count
-        for name, vec, size in (
-            ("attack", self.attack, m),
-            ("lam", self.lam, m),
-            ("gam", self.gam, m),
-            ("mu", self.mu, n),
-            ("ell", self.ell, m),
-        ):
-            if len(vec) != size:
-                raise FormulationError(f"{name} has length {len(vec)}, expected {size}")
-            if any(v not in (0, 1) for v in vec):
-                raise FormulationError(f"{name} must be 0/1")
-        if sum(self.attack) > aug.k:
-            raise FormulationError("attack exceeds the failure budget")
-        if any(self.attack[a] for a in aug.fictive_arcs):
-            raise FormulationError("attack on a fictive arc")
-        if self.mu[aug.root] != 1 or self.mu[aug.sink] != 0:
-            raise FormulationError("mu must be 1 at the root and 0 at the sink")
-        for i, arc in enumerate(aug.arcs):
-            if self.lam[i] + self.gam[i] - self.mu[arc.tail] + self.mu[arc.head] < 0:
-                raise FormulationError(f"dual feasibility violated on arc {i}")
-            if not (
-                self.ell[i] <= self.attack[i]
-                and self.ell[i] <= self.gam[i]
-                and self.ell[i] >= self.gam[i] + self.attack[i] - 1
-            ):
-                raise FormulationError(f"ell is not attack*gam on arc {i}")
+    @property
+    def deleted(self) -> tuple[int, ...]:
+        """The failed arcs that cross the cut, in ``cut.arcs`` order."""
+        return tuple(a for a in self.cut.arcs if a in self.failed)
+
+    @property
+    def lam(self) -> tuple[int, ...]:
+        crossing = set(self.cut.arcs) - self.failed
+        return tuple(int(a in crossing) for a in range(self.arc_count))
+
+    @property
+    def gam(self) -> tuple[int, ...]:
+        hit = set(self.deleted)
+        return tuple(int(a in hit) for a in range(self.arc_count))
+
+    ell = gam  # attack * gam, which is gam itself
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +481,8 @@ def build_bilevel_master(
 def append_point(master: Master, point: ExtremePoint) -> None:
     """Append the guarantee row of one attacker vertex to a bilevel master,
     ``sum u lam y + sum u gam p >= |T| - sum u (gam - ell)``: the row of its
-    cut (mu) with its attacked arcs (gam = ell) deleted, written by
-    :func:`append_cut_subset`.  Any other point, such as one with lam off
-    the cut or gam on an arc it does not attack, raises
-    :class:`FormulationError`."""
-    aug = master.aug
-    point.validate(aug)
-    cut = CutSet.from_sink_side(aug, (v for v, mu in enumerate(point.mu) if not mu))
-    crossing = set(cut.arcs)
-    deleted = [a for a in cut.arcs if point.gam[a]]
-    lam = tuple(int(a in crossing and not g) for a, g in enumerate(point.gam))
-    if point.ell != point.gam or point.lam != lam or sum(point.gam) != len(deleted):
-        raise FormulationError("point is not the vertex of a cut and an attack")
-    append_cut_subset(master, cut, deleted)
+    cut with its :attr:`ExtremePoint.deleted` arcs deleted."""
+    append_cut_subset(master, point.cut, point.deleted)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ MAX_COST = 2**31 - 1
 # so a file header alone must not decide how much memory a load takes;
 # 2**16 vertices cost a few MB, and exact solving stops far below that
 MAX_VERTICES = 2**16
+# largest arc count, which MAX_CAPACITY's exact sums assume; like the
+# vertex count, a file header or a generator call must not exceed it
+MAX_ARCS = 2**22
 
 
 class GraphError(ValueError):
@@ -89,6 +92,8 @@ class Instance:
             raise GraphError("instance needs at least one vertex")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
+        if len(self.arcs) > MAX_ARCS:
+            raise GraphError(f"arc count {len(self.arcs)} exceeds {MAX_ARCS}")
         if not 0 <= self.root < n:
             raise GraphError(f"root {self.root} out of range")
         seen_pairs: set[tuple[int, int]] = set()

@@ -27,6 +27,7 @@ import math
 import random
 
 from .graph import (
+    MAX_ARCS,
     MAX_CAPACITY,
     MAX_COST,
     MAX_VERTICES,
@@ -113,6 +114,10 @@ def parse_instance(text: str) -> Instance:
                     line_no, f"vertex count {vertex_count} exceeds {MAX_VERTICES}"
                 )
             arc_count = _positive_int(fields[3], line_no, "arc count")
+            if arc_count > MAX_ARCS:
+                raise ParseError(
+                    line_no, f"arc count {arc_count} exceeds {MAX_ARCS}"
+                )
             continue
         if vertex_count is None:
             raise ParseError(line_no, "p line must come before graph data")
@@ -292,6 +297,8 @@ def generate(
         raise GenerationError("need at least nodes-1 arcs for the backbone")
     if arcs > nodes * (nodes - 1):
         raise GenerationError("more arcs than ordered vertex pairs")
+    if arcs > MAX_ARCS:
+        raise GenerationError(f"arc count {arcs} exceeds {MAX_ARCS}")
     if capacity_mode not in ("uniform", "random"):
         raise GenerationError(f"unknown capacity mode {capacity_mode!r}")
     if k + kp > arcs:
@@ -334,12 +341,13 @@ def generate(
         )
         return augment(inst)
 
-    # top up to feasibility: arcs across a minimum cut raise the max flow
+    # top up to feasibility: arcs across a minimum cut raise the max flow,
+    # which is that cut's capacity
     while len(chosen) < arcs:
         aug = snapshot()
-        if max_flow(aug, ArcMask.full(aug)).value >= terminals:
-            break
         cut = min_cut(aug, ArcMask.full(aug))
+        if sum(aug.arcs[a].capacity for a in cut.arcs) >= terminals:
+            break
         side = cut.sink_side
         heads = [j for j in range(nodes) if j in side]
         crossing = [

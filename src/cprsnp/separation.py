@@ -173,21 +173,10 @@ def _point_violation(
     failed: tuple[int, ...],
     value: int,
 ) -> PointViolation:
-    """The attacker vertex of a cut and an attack: mu marks the root side,
-    gam = ell the failed arcs that cross the cut, lam the other crossing
-    arcs.  Its row value at the design is the capacity the cut keeps under
-    the attack, which must be ``value``."""
-    arcs = range(aug.arc_count)
-    crossing = set(cut.arcs)
-    hit = tuple(int(a in crossing and a in failed) for a in arcs)
-    point = ExtremePoint(
-        attack=tuple(int(a in failed) for a in arcs),
-        lam=tuple(int(a in crossing and a not in failed) for a in arcs),
-        gam=hit,
-        mu=tuple(int(v not in cut.sink_side) for v in range(aug.vertex_count)),
-        ell=hit,
-    )
-    point.validate(aug)
+    """The attacker vertex of a cut and an attack.  Its row value at the
+    design is the capacity the cut keeps under the attack, which must be
+    ``value``."""
+    point = ExtremePoint(cut, frozenset(failed), aug.arc_count)
     check = point_row_value(
         aug, design.selected, design.protected, point.lam, point.gam, point.ell
     )

@@ -167,8 +167,27 @@ def cut_capacity(cut: CutSet, mask: ArcMask) -> int:
     return int(sum(mask.capacities[i] for i in cut.arcs))
 
 
+def assert_attacker_vertex(aug: AugmentedInstance, point) -> None:
+    """Assert that a point is a 0/1 vertex of the attacker-cut polytope.
+    mu and the attack vector are rebuilt here from ``point.cut.sink_side``
+    and ``point.failed``; lam, gam and ell are the point's own views."""
+    m = aug.arc_count
+    mu = [int(v not in point.cut.sink_side) for v in range(aug.vertex_count)]
+    attack = [int(a in point.failed) for a in range(m)]
+    lam, gam, ell = point.lam, point.gam, point.ell
+    for vec in (lam, gam, ell):
+        assert len(vec) == m and set(vec) <= {0, 1}
+    assert len(point.failed) <= aug.k
+    assert all(0 <= a < m and not aug.is_fictive(a) for a in point.failed)
+    assert mu[aug.root] == 1 and mu[aug.sink] == 0
+    for a, arc in enumerate(aug.arcs):
+        assert lam[a] + gam[a] - mu[arc.tail] + mu[arc.head] >= 0, f"arc {a}"
+    assert ell == gam
+    assert all(g <= hit for g, hit in zip(gam, attack))
+
+
 def generic_point_row(aug: AugmentedInstance, y_var, p_var, point):
-    """The tightened guarantee row of any validated attacker point, from the
+    """The tightened guarantee row of any attacker vertex, from the
     generic vertex-row formula ``sum u lam y + sum u gam p >= |T| - sum u
     (gam - ell)``: the fictive arcs' ``u lam`` moves into the right-hand
     side r, and every other coefficient is capped at r (at 0 when r <= 0).

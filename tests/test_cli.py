@@ -10,7 +10,13 @@ from conftest import deep_path, triangle
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS
 from cprsnp.formulations import Design
-from cprsnp.graph import MAX_CAPACITY, MAX_COST, MAX_VERTICES, augment
+from cprsnp.graph import (
+    MAX_ARCS,
+    MAX_CAPACITY,
+    MAX_COST,
+    MAX_VERTICES,
+    augment,
+)
 from cprsnp.instances import generate, write_design, write_instance
 from cprsnp.verify import SCENARIO_GUARD
 
@@ -131,6 +137,17 @@ def test_cost_at_the_bound_logs_exactly(tmp_path, capsys, formulation):
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("status=Optimal cost=2147483650 gap=0.0000")
     assert " master_obj=2147483650 sep_value=none " in lines[at - 1]
+
+
+def test_gen_above_the_arc_bound_exits_with_input_error(capsys):
+    # 65536 vertices have room for about 4.29e9 arcs; the arc bound stops
+    # the generator before it draws anything
+    argv = ["gen", "--nodes", "65536", "--terminals", "1",
+            "--arcs", str(MAX_ARCS + 1)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: arc count {MAX_ARCS + 1} exceeds {MAX_ARCS}\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_attacker_vertex,
     balance_rows,
     brute_attack_value,
     brute_worst_loss,
@@ -22,7 +23,6 @@ from conftest import (
 from cprsnp import formulations
 from cprsnp.formulations import (
     Design,
-    ExtremePoint,
     FailureScenario,
     FormulationError,
     append_cut,
@@ -586,7 +586,7 @@ def test_bilevel_point_row_cuts_off_design():
     violation = separate_bilevel(aug, design, brute_force_limit=0)
     assert violation is not None and violation.value == 0
     point = violation.point
-    point.validate(aug)
+    assert_attacker_vertex(aug, point)
     value = point_row_value(
         aug, design.selected, design.protected, point.lam, point.gam, point.ell
     )
@@ -608,8 +608,9 @@ def _last_row(model):
 @pytest.mark.parametrize("limit", [BRUTE_FORCE_LIMIT, 0])
 def test_point_rows_match_the_generic_vertex_row(limit):
     # every vertex the oracles build, on the search route and on the MIP
-    # route, and every vertex strengthen returns, gets the row of the
-    # generic formula kept in conftest: same columns, coefficients, bounds
+    # route, and every vertex strengthen returns, is a vertex of the
+    # attacker-cut polytope by the checker kept in conftest and gets the row
+    # of the generic formula kept there: same columns, coefficients, bounds
     rng = random.Random(limit)
     seen = strengthened = 0
     for inst in corpus():
@@ -622,6 +623,7 @@ def test_point_rows_match_the_generic_vertex_row(limit):
             sparse = strengthen(aug, design, violation)
             strengthened += sparse.point != violation.point
             for point in (violation.point, sparse.point):
+                assert_attacker_vertex(aug, point)
                 master = build_bilevel_master(aug, [])
                 rows = master.model.num_constraints
                 append_point(master, point)
@@ -632,26 +634,6 @@ def test_point_rows_match_the_generic_vertex_row(limit):
                 assert _last_row(master.model) == (coeffs, need, math.inf)
                 seen += 1
     assert seen >= 200 and strengthened >= 50
-
-
-def test_append_point_rejects_a_point_that_is_not_a_cut_vertex():
-    # triangle: arcs 0 -> 1 (0), 0 -> 2 (1), 1 -> 2 (2), fictive 2 -> s (3);
-    # mu puts {2, s} on the sink side, so arcs 1 and 2 cross the cut
-    aug = tri_aug(k=1, kp=0)
-    mu, none = (1, 1, 0, 0), (0, 0, 0, 0)
-    off_cut = ExtremePoint(  # lam also on arc 0, which does not cross
-        attack=none, lam=(1, 1, 1, 0), gam=none, mu=mu, ell=none
-    )
-    unattacked = ExtremePoint(  # gam on arc 2 with no attack: ell = 0
-        attack=none, lam=(0, 1, 0, 0), gam=(0, 0, 1, 0), mu=mu, ell=none
-    )
-    for point in (off_cut, unattacked):
-        point.validate(aug)
-        master = build_bilevel_master(aug, [])
-        rows = master.model.num_constraints
-        with pytest.raises(FormulationError, match="not the vertex"):
-            append_point(master, point)
-        assert master.model.num_constraints == rows
 
 
 def test_mip_route_frozen_values():

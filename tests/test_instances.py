@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import random_design, triangle
 
-from cprsnp import augment, instances
+from cprsnp import augment, graph, instances
 from cprsnp.formulations import Design
-from cprsnp.graph import MAX_VERTICES, ArcMask, GraphError, Instance, max_flow
+from cprsnp.graph import (
+    MAX_ARCS,
+    MAX_VERTICES,
+    Arc,
+    ArcMask,
+    GraphError,
+    Instance,
+    max_flow,
+)
 from cprsnp.instances import (
     FORMAT_NAME,
     GenerationError,
@@ -129,6 +137,26 @@ def test_vertex_count_above_the_bound_rejected_at_the_p_line():
     assert f"vertex count 2000000000 exceeds {MAX_VERTICES}" in str(err.value)
     with pytest.raises(GraphError, match=f"exceeds {MAX_VERTICES}"):
         Instance(2_000_000_000, (), 0, (1,), 0, 0)
+
+
+def test_arc_count_above_the_bound_rejected():
+    # the p line alone asks for more arcs than capacity sums stay exact for
+    text = f"p cprsnp 3 {MAX_ARCS + 1}\nr 1\nt 2\na 1 2 1 1\nb 0 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line_no == 1
+    assert f"arc count {MAX_ARCS + 1} exceeds {MAX_ARCS}" in str(err.value)
+    # checked before the generator draws anything
+    with pytest.raises(GenerationError, match=f"exceeds {MAX_ARCS}"):
+        generate(2**16, 1, MAX_ARCS + 1)
+
+
+def test_instance_rejects_more_arcs_than_the_bound(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_ARCS", 1)
+    arcs = (Arc(0, 1, 1.0, 1), Arc(1, 2, 1.0, 1))
+    with pytest.raises(GraphError, match="arc count 2 exceeds 1"):
+        Instance(3, arcs, 0, (2,), 0, 0)
+    assert Instance(3, arcs[:1], 0, (1,), 0, 0).arcs == arcs[:1]
 
 
 def test_vertex_count_at_the_bound_parses():

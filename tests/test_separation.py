@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_attack_value, cut_capacity, random_design, triangle
+from conftest import (
+    assert_attacker_vertex,
+    brute_attack_value,
+    cut_capacity,
+    random_design,
+    triangle,
+)
 from cprsnp.formulations import (
     Design,
     build_strengthening,
@@ -384,19 +390,18 @@ def assert_search_route_matches_mip(aug, design):
     ]
     assert len(failed) == min(aug.k, len(candidates))
     assert max_flow(aug, design.mask(aug, failed)).value == value
-    assert failed == {a for a, hit in enumerate(point_mip.point.attack) if hit}
-    mip_side = {v for v, mu in enumerate(point_mip.point.mu) if not mu}
-    assert cut_mip.cut.sink_side == mip_side
+    assert failed == point_mip.point.failed
+    assert cut_mip.cut.sink_side == point_mip.point.cut.sink_side
     for violation in (point, point_mip):
         p = violation.point
-        p.validate(aug)
+        assert_attacker_vertex(aug, p)
         row = point_row_value(aug, design.selected, design.protected, p.lam, p.gam, p.ell)
         assert row == value
     # both search answers come from one attack and its back cut: the
     # smallest sink side of every minimum cut of the attacked network
-    attack = [a for a, hit in enumerate(point.point.attack) if hit]
+    attack = point.point.failed
     assert len(attack) <= aug.k
-    assert cut.cut.sink_side == {v for v, mu in enumerate(point.point.mu) if not mu}
+    assert cut.cut.sink_side == point.point.cut.sink_side
     least, sides = minimum_sink_sides(aug, design.mask(aug, failed=attack))
     assert least == value
     assert cut.cut.sink_side in sides
@@ -500,8 +505,8 @@ def test_strengthened_point_is_the_mip_cut():
             continue
         seen.add("sparser")
         assert sum(better.point.lam) == vertex_lam_count(aug, design, cut)
-        root_side = {v for v, mu in enumerate(better.point.mu) if mu == 1}
-        assert root_side == set(range(aug.vertex_count)) - cut.sink_side
+        assert better.point.cut.sink_side == cut.sink_side
+        assert_attacker_vertex(aug, better.point)
         row = point_row_value(
             aug, design.selected, design.protected, better.point.lam,
             better.point.gam, better.point.ell,
@@ -563,7 +568,8 @@ def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
     better = strengthen(aug, design, violation, time_limit_s=0.0)
     assert better is not violation
     cut = search.cut_from(res.values)
-    assert {v for v, mu in enumerate(better.point.mu) if not mu} == cut.sink_side
+    assert better.point.cut.sink_side == cut.sink_side
+    assert_attacker_vertex(aug, better.point)
     assert better.value == cut_residual(aug, cut, design) < aug.demand
     # the cut search MIP, by contrast, must return the worst attack, so an
     # incumbent is not enough there
