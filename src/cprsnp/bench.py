@@ -13,8 +13,8 @@ import io
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .engine import FORMULATIONS, EngineOptions, format_cost, solve
-from .graph import Instance, augment
+from .engine import FORMULATIONS, EngineOptions, solve
+from .graph import Instance, augment, format_cost
 from .instances import instance_label
 
 TABLE_ORDER = ("bilevel", "cutset", "flow")

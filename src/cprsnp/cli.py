@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .engine import FORMULATIONS, EngineOptions, format_cost, solve
+from .engine import FORMULATIONS, EngineOptions, solve
 from .formulations import FormulationError
-from .graph import ArcMask, GraphError, augment, max_flow
+from .graph import ArcMask, GraphError, augment, format_cost, max_flow
 from .instances import (
     GenerationError,
     ParseError,
@@ -50,12 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cprsnp", description=__doc__)
+    time_limit = EngineOptions().time_limit_s
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--formulation", choices=FORMULATIONS, default="bilevel")
-    p_solve.add_argument("--time-limit", type=float, default=2000.0)
+    p_solve.add_argument("--time-limit", type=float, default=time_limit)
     p_solve.add_argument("--design-out", default=None)
 
     p_gen = sub.add_parser("gen", help="generate a random feasible instance")
@@ -84,7 +85,7 @@ def _build_parser() -> _Parser:
         default=",".join(FORMULATIONS),
         help="comma-separated subset of: " + ", ".join(FORMULATIONS),
     )
-    p_bench.add_argument("--time-limit", type=float, default=2000.0)
+    p_bench.add_argument("--time-limit", type=float, default=time_limit)
     p_bench.add_argument("--out", default=None, help="CSV report path")
     return parser
 

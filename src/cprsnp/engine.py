@@ -36,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .graph import AugmentedInstance, ArcMask, max_flow
+from .graph import AugmentedInstance, ArcMask, format_cost, max_flow
 from .formulations import (
     Design,
     FailureScenario,
@@ -77,17 +77,6 @@ class EngineOptions:
                 f"time limit must be a nonnegative number of seconds, "
                 f"got {self.time_limit_s}"
             )
-
-
-def format_cost(cost: float) -> str:
-    """A design cost as text that reads back as the same number: an
-    integral cost as its exact integer, any other as ``:g`` when that
-    round-trips, else as ``repr``."""
-    cost = float(cost)
-    if cost.is_integer():
-        return str(int(cost))
-    short = f"{cost:g}"
-    return short if float(short) == cost else repr(cost)
 
 
 def _log_value(value: float) -> str:
@@ -347,8 +336,6 @@ def solve(
         aug.k,
         aug.kp,
     )
-    if remaining() <= 0:
-        return timeout_solution()
     try:
         # without an incumbent, upper is math.inf and prunes nothing
         res = solve_mip(

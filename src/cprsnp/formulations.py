@@ -145,8 +145,10 @@ class Design:
         return Design(selected=sel, protected=prot)
 
     def is_canonical(self, aug: AugmentedInstance) -> bool:
+        m = aug.arc_count
         return (
-            frozenset(aug.fictive_arcs) <= self.selected
+            all(0 <= a < m for a in self.selected)
+            and frozenset(aug.fictive_arcs) <= self.selected
             and self.protected <= self.selected
             and all(not aug.is_fictive(a) for a in self.protected)
             and len(self.protected) <= aug.kp

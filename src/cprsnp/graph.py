@@ -43,6 +43,15 @@ MAX_CAPACITY = 2**31 - 1
 # largest arc cost: far below the 1e20 that HiGHS reads as infinite, and
 # integer costs keep every design cost exact in float64 like capacities
 MAX_COST = 2**31 - 1
+
+
+def format_cost(cost: float) -> str:
+    """A cost as text that reads back as the same number: an integral cost
+    as its exact integer, any other as ``repr``."""
+    cost = float(cost)
+    return str(int(cost)) if cost.is_integer() else repr(cost)
+
+
 # largest vertex count: the layout and the solvers build per-vertex lists,
 # so a file header alone must not decide how much memory a load takes;
 # 2**16 vertices cost a few MB, and exact solving stops far below that

@@ -37,6 +37,7 @@ from .graph import (
     GraphError,
     Instance,
     augment,
+    format_cost,
     max_flow,
     min_cut,
 )
@@ -202,7 +203,7 @@ def write_instance(instance: Instance) -> str:
     for t in instance.terminals:
         out.write(f"t {t + 1}\n")
     for arc in instance.arcs:
-        cost = int(arc.cost) if float(arc.cost).is_integer() else arc.cost
+        cost = format_cost(arc.cost)
         out.write(f"a {arc.tail + 1} {arc.head + 1} {cost} {arc.capacity}\n")
     out.write(f"b {instance.k} {instance.kp}\n")
     return out.getvalue()
@@ -303,6 +304,10 @@ def generate(
         raise GenerationError(f"unknown capacity mode {capacity_mode!r}")
     if k + kp > arcs:
         raise GenerationError("k + kp exceeds the arc count")
+    if uniform_capacity is not None and not 0 <= uniform_capacity <= MAX_CAPACITY:
+        raise GenerationError(
+            f"uniform capacity {uniform_capacity} must be in 0..{MAX_CAPACITY}"
+        )
     rng = random.Random(seed)
     root = 0
     term_set = sorted(rng.sample(range(1, nodes), terminals))

@@ -77,7 +77,7 @@ import sys
 import time
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import scipy
@@ -317,6 +317,12 @@ class _Relaxation:
             return SolveStatus.INFEASIBLE, None, None
         if status == HighsModelStatus.kTimeLimit:
             return SolveStatus.FEASIBLE, None, None
+        if status == HighsModelStatus.kModelEmpty:
+            # no columns, so every row reads 0
+            model = self.model
+            if all(lo <= 0 <= hi for lo, hi in zip(model._row_lo, model._row_hi)):
+                return SolveStatus.OPTIMAL, 0.0, np.zeros(0)
+            return SolveStatus.INFEASIBLE, None, None
         raise MilpError(
             f"LP solver failed on {self.model.name}: {highs.modelStatusToString(status)}"
         )
@@ -416,29 +422,14 @@ def solve_mip(
     heap: list[tuple[float, int, int, np.ndarray, np.ndarray]] = [
         (-math.inf, 0, 0, ilb0, iub0)
     ]
-    # with ``lazy``, the up child of the last branching, solved next without
-    # a trip through the heap; its down sibling waits there with the same
-    # parent bound
-    held: tuple[float, int, int, np.ndarray, np.ndarray] | None = None
 
-    def finish(status: SolveStatus, open_bounds: Iterable[float]) -> SolveResult:
-        lower = min(list(open_bounds) + [best_obj], default=best_obj)
-        obj = None if best_x is None else best_obj
-        bound = lower if math.isfinite(lower) else None
-        return SolveResult(status, obj, best_x, bound=bound, nodes=nodes)
-
-    while heap or held is not None:
-        if held is not None:
-            # the dive goes on: its parent was not pruned a moment ago and
-            # the incumbent has not changed since
-            (parent_bound, negdepth, _, nlb, nub), held = held, None
-        else:
-            parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
-            if prunes(parent_bound):
-                # best-bound order: everything left is at least as bad
-                heap.clear()
-                break
-        # the node is re-solved for as long as ``lazy`` grows the model
+    while heap:
+        parent_bound, negdepth, _, nlb, nub = heapq.heappop(heap)
+        if prunes(parent_bound):
+            # best-bound order: everything left is at least as bad
+            break
+        # the node is re-solved for as long as ``lazy`` grows the model,
+        # and with ``lazy`` the loop dives on into each up child
         while True:
             if out_of_time():
                 status = SolveStatus.FEASIBLE
@@ -447,8 +438,13 @@ def solve_mip(
                 nodes += 1
             if status == SolveStatus.FEASIBLE:
                 # out of time, before this node's LP or inside it
-                return finish(
-                    SolveStatus.FEASIBLE, [parent_bound] + [h[0] for h in heap]
+                lower = min([parent_bound, best_obj] + [h[0] for h in heap])
+                return SolveResult(
+                    SolveStatus.FEASIBLE,
+                    None if best_x is None else best_obj,
+                    best_x,
+                    bound=lower if math.isfinite(lower) else None,
+                    nodes=nodes,
                 )
             if status == SolveStatus.INFEASIBLE:
                 break
@@ -475,13 +471,13 @@ def solve_mip(
             up_lb[pick] = math.ceil(x[var])
             seq += 1
             heapq.heappush(heap, (node_bound, -depth, seq, nlb, down_ub))
-            seq += 1
-            up = (node_bound, -depth, seq, up_lb, nub)
             if lazy is None:
-                heapq.heappush(heap, up)
-            else:
-                held = up
-            break
+                seq += 1
+                heapq.heappush(heap, (node_bound, -depth, seq, up_lb, nub))
+                break
+            # the dive goes on with the up child: its parent was not pruned
+            # a moment ago and the incumbent has not changed since
+            parent_bound, negdepth, nlb = node_bound, -depth, up_lb
 
     if best_x is None:
         return SolveResult(SolveStatus.INFEASIBLE, None, None, nodes=nodes)

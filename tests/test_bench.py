@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import triangle
 
 import cprsnp.bench as bench_mod
 from cprsnp.bench import BenchResult, bench, csv_report, text_table
-from cprsnp.engine import EngineOptions, format_cost
-from cprsnp.graph import MAX_COST, Arc
+from cprsnp.engine import EngineOptions
+from cprsnp.graph import MAX_COST, Arc, format_cost
 
 
 OPTS = EngineOptions(time_limit_s=60.0)
@@ -54,6 +57,20 @@ def test_csv_report_prints_large_costs_exactly():
 def test_format_cost_reads_back_exactly(cost, text):
     assert format_cost(cost) == text
     assert float(text) == cost
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_cost_is_the_integer_or_repr(cost):
+    text = format_cost(cost)
+    assert text == (str(int(cost)) if cost.is_integer() else repr(cost))
+    assert float(text) == cost
+    # a :g text that reads back is the same text, except below the normal
+    # range, where 5e-324 reads back from :g's 4.94066e-324 too
+    short = f"{cost:g}"
+    if not cost.is_integer() and abs(cost) >= sys.float_info.min:
+        if float(short) == cost:
+            assert short == text
 
 
 def test_bench_budget_override():

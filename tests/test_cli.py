@@ -8,7 +8,7 @@ import pytest
 
 from conftest import deep_path, triangle
 from cprsnp import cli
-from cprsnp.engine import FORMULATIONS
+from cprsnp.engine import FORMULATIONS, EngineOptions
 from cprsnp.formulations import Design
 from cprsnp.graph import (
     MAX_ARCS,
@@ -150,6 +150,20 @@ def test_gen_above_the_arc_bound_exits_with_input_error(capsys):
     assert captured.err == f"error: arc count {MAX_ARCS + 1} exceeds {MAX_ARCS}\n"
 
 
+@pytest.mark.parametrize("capacity", ["-2", "3000000000"])
+def test_gen_uniform_capacity_out_of_range_exits_with_input_error(
+    capsys, capacity
+):
+    argv = ["gen", "--nodes", "3", "--terminals", "1", "--arcs", "3",
+            "--uniform-capacity", capacity]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: uniform capacity {capacity} must be in 0..{MAX_CAPACITY}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [
@@ -240,6 +254,13 @@ def test_bad_time_limit_exits_with_input_error(tmp_path, capsys, command, limit)
     assert captured.out == ""
     assert captured.err.startswith("error: --time-limit: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_time_limit_default_is_the_engine_default(command):
+    target = ["--instance", "x"] if command == "solve" else ["--dir", "x"]
+    args = cli._build_parser().parse_args([command, *target])
+    assert args.time_limit == EngineOptions().time_limit_s
 
 
 def test_infinite_time_limit_means_no_limit(tmp_path, capsys):

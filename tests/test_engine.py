@@ -33,8 +33,8 @@ from cprsnp.engine import (
     IterationRecord,
     solve,
 )
-from cprsnp.formulations import build_cutset_master
-from cprsnp.graph import CutSet
+from cprsnp.formulations import Design, build_cutset_master
+from cprsnp.graph import CutSet, Instance
 from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import SeparationTimeout
@@ -106,6 +106,17 @@ def test_triangle_no_failures(formulation):
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.cost == pytest.approx(2.0)
     assert is_survivable(aug, sol.design)[0]
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_instance_without_arcs_or_terminals(formulation):
+    # its masters have no column, so every LP of the tree is empty
+    aug = augment(Instance(2, (), 0, (), 0, 0))
+    sol = solve(aug, formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == 0.0 and sol.gap == 0.0
+    assert sol.design == Design(frozenset(), frozenset())
+    assert is_survivable(aug, sol.design) == (True, None)
 
 
 @st.composite
@@ -555,8 +566,8 @@ def test_scenario_separation_via_mip(scenarios_via_mip):
 
 def test_zero_budget_keeps_probe_incumbent():
     # the attack search reads the clock only every CLOCK_POLL_FLOWS max
-    # flows, so the feasibility probe still lands an incumbent; the run
-    # then stops before the first master solve
+    # flows, so the feasibility probe still lands an incumbent; the tree
+    # then stops before its first LP
     aug = augment(triangle(k=1, kp=0))
     sol = solve(aug, "cutset", EngineOptions(time_limit_s=0.0))
     assert sol.status is SolveStatus.FEASIBLE

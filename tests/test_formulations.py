@@ -48,7 +48,7 @@ from cprsnp.separation import (
     separate_scenario,
     strengthen,
 )
-from cprsnp.verify import is_survivable
+from cprsnp.verify import VerifyError, is_survivable
 
 
 def tri_aug(k=1, kp=0):
@@ -111,6 +111,17 @@ def test_design_canonical():
         Design.canonical(tri_aug(kp=0), [0, 1], [0])
     with pytest.raises(FormulationError):
         Design.canonical(aug, [99])
+
+
+@pytest.mark.parametrize("extra", [4, 99, -1])
+def test_design_with_an_unknown_arc_is_not_canonical(extra):
+    # canonical() rejects an arc outside 0..m-1; is_canonical must agree,
+    # or the verifier and the oracles accept a design that cost() fails on
+    aug = tri_aug()
+    design = Design(frozenset(range(aug.arc_count)) | {extra}, frozenset())
+    assert not design.is_canonical(aug)
+    with pytest.raises(VerifyError):
+        is_survivable(aug, design)
 
 
 def test_failure_scenario_of():

@@ -16,6 +16,7 @@ from cprsnp import augment, graph, instances
 from cprsnp.formulations import Design
 from cprsnp.graph import (
     MAX_ARCS,
+    MAX_CAPACITY,
     MAX_VERTICES,
     Arc,
     ArcMask,
@@ -351,11 +352,26 @@ def test_generate_costs_within_range(monkeypatch):
         (dict(nodes=4, terminals=2, arcs=13), "ordered vertex pairs"),
         (dict(nodes=4, terminals=2, arcs=8, capacity_mode="lumpy"), "capacity mode"),
         (dict(nodes=4, terminals=2, arcs=4, k=3, kp=2), "exceeds the arc count"),
+        # checked before drawing, so the message names no arc
+        (
+            dict(nodes=3, terminals=1, arcs=3, uniform_capacity=-2),
+            "^uniform capacity -2 must be in 0..2147483647$",
+        ),
+        (
+            dict(nodes=3, terminals=1, arcs=3, uniform_capacity=MAX_CAPACITY + 1),
+            "^uniform capacity 2147483648 must be in 0..2147483647$",
+        ),
     ],
 )
 def test_generate_rejects_bad_parameters(kwargs, needle):
     with pytest.raises(GenerationError, match=needle):
         generate(**kwargs)
+
+
+@pytest.mark.parametrize("capacity", [0, MAX_CAPACITY])
+def test_generate_accepts_a_uniform_capacity_at_its_bounds(capacity):
+    inst = generate(4, 0, 5, uniform_capacity=capacity)
+    assert {a.capacity for a in inst.arcs} == {capacity}
 
 
 def test_instance_label():

@@ -67,6 +67,29 @@ def test_lp_statuses():
         MilpModel().add_var("z", 0.0, math.inf)
 
 
+@pytest.mark.parametrize(
+    "rows, status",
+    [
+        ([], SolveStatus.OPTIMAL),
+        ([(">=", -2.0), ("=", 0.0), ("<=", 1.0)], SolveStatus.OPTIMAL),
+        ([("<=", 1.0), (">=", 1.0)], SolveStatus.INFEASIBLE),
+    ],
+)
+def test_model_without_columns(rows, status):
+    # HiGHS calls a model with no columns empty; each of its rows reads 0
+    model = MilpModel()
+    for sense, rhs in rows:
+        model.add_constr({}, sense, rhs)
+    res = solve_mip(model)
+    assert res.status == status
+    assert res.nodes == 1
+    if status == SolveStatus.OPTIMAL:
+        assert res.objective == 0.0 and res.bound == 0.0
+        assert res.values.shape == (0,)
+    else:
+        assert res.objective is None and res.values is None
+
+
 def test_mip_knapsack_frozen():
     # enumeration: (1,1,0) weighs 5 and pays 9, the best of 8 patterns
     model = knapsack([5, 4, 3], [2, 3, 1], 5)
