@@ -76,13 +76,13 @@ unit.  Fix mu integral, and let C be the arcs it puts across the cut:
   matrix of a bipartite graph, which is totally unimodular.  With integral
   bounds and right-hand sides every vertex is integral, so with integer
   capacities every optimum is an integer;
-* strengthening: each arc of C needs ``lam_a >= 1 - gam_a``, gam is 0 on
-  fictive arcs and sums to at most k, so ``sum lam >= |C| - min(k, |C
-  non-fictive|)``.  Putting gam on the cut's worst deletion subset
-  (:func:`worst_subset`), then on other non-fictive arcs of C up to that
-  count, and lam on the rest attains the bound and leaves the cut's row at
-  its least value, :func:`cut_residual`.  So whenever some lam and gam
-  complete mu, every optimum equals ``|C| - min(k, |C non-fictive|)``.
+* strengthening: each arc of C needs ``lam_a >= 1 - gam_a``, gam lives
+  only on attack candidates and sums to at most k, so ``sum lam >= |C| -
+  min(k, |C candidates|)``.  Gam on the cut's worst deletion subset
+  (:func:`worst_subset`), which has that many arcs, and lam on the rest
+  attain the bound and leave the cut's row at its least value,
+  :func:`cut_residual`.  So whenever some lam and gam complete mu, every
+  optimum is the lam count of the vertex of C and that subset.
 
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -113,6 +114,14 @@ class NonVertexSolution(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # value types
+
+
+def _is_arc(a: object, m: int) -> bool:
+    """True when ``a`` is an integer (:func:`operator.index`) in 0..m-1."""
+    try:
+        return 0 <= operator.index(a) < m
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -140,14 +149,13 @@ class Design:
                 f"{len(prot)} protected arcs exceed the budget {aug.kp}"
             )
         for a in sel:
-            if not 0 <= a < aug.arc_count:
-                raise FormulationError(f"unknown arc index {a}")
+            if not _is_arc(a, aug.arc_count):
+                raise FormulationError(f"unknown arc index {a!r}")
         return Design(selected=sel, protected=prot)
 
     def is_canonical(self, aug: AugmentedInstance) -> bool:
-        m = aug.arc_count
         return (
-            all(0 <= a < m for a in self.selected)
+            all(_is_arc(a, aug.arc_count) for a in self.selected)
             and frozenset(aug.fictive_arcs) <= self.selected
             and self.protected <= self.selected
             and all(not aug.is_fictive(a) for a in self.protected)
@@ -180,10 +188,9 @@ class FailureScenario:
     def of(aug: AugmentedInstance, arcs: Iterable[int]) -> "FailureScenario":
         arcset = frozenset(arcs)
         for a in arcset:
-            if not 0 <= a < aug.arc_count:
-                raise FormulationError(f"unknown arc index {a}")
-            if aug.is_fictive(a):
-                raise FormulationError("fictive arcs cannot fail")
+            # the initial arcs come first; the fictive ones never fail
+            if not _is_arc(a, aug.initial_arc_count):
+                raise FormulationError(f"arc index {a!r} is no initial arc")
         return FailureScenario(arcs=arcset)
 
     def sorted_arcs(self) -> tuple[int, ...]:
@@ -518,26 +525,26 @@ class CutSearchModel:
 
 
 def _cut_search_base(
-    aug: AugmentedInstance, name: str, arcs: Sequence[int], attackable: Iterable[int]
+    aug: AugmentedInstance, name: str, arcs: Iterable[int], design: Design
 ) -> CutSearchModel:
-    """lam on each of ``arcs``, gam on each of those that is ``attackable``,
-    and mu, binary, on every vertex; one row per arc of ``arcs``, that
-    covers it with lam + gam when it leaves the root side, and the budget
-    row of gam.  The objective is declared integral (see the module
-    docstring)."""
+    """lam on each of ``arcs``, gam on each of those that is one of the
+    design's :meth:`Design.attack_candidates`, and mu, binary, on every
+    vertex; one row per arc of ``arcs``, that covers it with lam + gam when
+    it leaves the root side, and the budget row of gam.  The objective is
+    declared integral (see the module docstring)."""
     model = MilpModel(name)
     model.integral_objective = True
-    attackable = set(attackable)
+    attackable = set(design.attack_candidates(aug))
     lam_var = {a: model.add_var(f"lam{a}", 0.0, 1.0) for a in arcs}
     gam_var = {
-        a: model.add_var(f"gam{a}", 0.0, 1.0) for a in arcs if a in attackable
+        a: model.add_var(f"gam{a}", 0.0, 1.0) for a in lam_var if a in attackable
     }
     mu_var = []
     for v in range(aug.vertex_count):
         lo = 1.0 if v == aug.root else 0.0
         hi = 0.0 if v == aug.sink else 1.0
         mu_var.append(model.add_var(f"mu{v}", lo, hi, integer=True))
-    for a in arcs:
+    for a in lam_var:
         arc = aug.arcs[a]
         row = {lam_var[a]: 1.0, mu_var[arc.tail]: -1.0, mu_var[arc.head]: 1.0}
         if a in gam_var:
@@ -551,14 +558,10 @@ def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearch
     """Find the cut whose post-attack capacity under the design is smallest.
 
     gam marks cut arcs written off as failed (budget k); the objective counts
-    the surviving selected capacity.  Only selected arcs get a row and lam,
-    and only the attack candidates gam: an unselected arc's row holds at
-    lam = 1, which costs nothing, and gam on a protected arc would cost as
-    much as its lam.
+    the surviving selected capacity.  Only selected arcs get a row and lam:
+    an unselected arc's row holds at lam = 1, which costs nothing.
     """
-    search = _cut_search_base(
-        aug, "cutset_separation", sorted(design.selected), design.attack_candidates(aug)
-    )
+    search = _cut_search_base(aug, "cutset_separation", sorted(design.selected), design)
     search.model.set_objective(
         {col: float(aug.arcs[a].capacity) for a, col in search.lam_var.items()}
     )
@@ -569,22 +572,16 @@ def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchMode
     """Find a failing cut that touches as few arcs as possible.
 
     Feasible iff some cut drops below demand after at most k failures of the
-    design's unprotected arcs; infeasible for survivable designs.  The
-    protected term counts capacities, like every other capacity sum.
+    design's attack candidates; infeasible for survivable designs.  The
+    optimum of a cut is the number of lam arcs of its vertex under its worst
+    deletion subset (see the module docstring).
     """
-    search = _cut_search_base(
-        aug,
-        "cut_strengthening",
-        range(aug.arc_count),
-        (a for a in range(aug.arc_count) if not aug.is_fictive(a)),
-    )
-    row: dict[int, float] = {}
-    for a, arc in enumerate(aug.arcs):
-        u = float(arc.capacity)
-        if a in design.selected:
-            row[search.lam_var[a]] = u
-        if a in design.protected:
-            row[search.gam_var[a]] = u
+    search = _cut_search_base(aug, "cut_strengthening", range(aug.arc_count), design)
+    row = {
+        col: float(aug.arcs[a].capacity)
+        for a, col in search.lam_var.items()
+        if a in design.selected
+    }
     search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
     search.model.set_objective({col: 1.0 for col in search.lam_var.values()})
     return search

@@ -66,11 +66,15 @@ def _number(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _positive_int(token: str, line_no: int, what: str) -> int:
+def _integer(token: str, line_no: int, what: str) -> int:
     try:
-        value = int(token)
+        return int(token)
     except ValueError:
         raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
+
+
+def _positive_int(token: str, line_no: int, what: str) -> int:
+    value = _integer(token, line_no, what)
     if value <= 0:
         raise ParseError(line_no, f"{what} must be positive, got {value}")
     return value
@@ -114,7 +118,9 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(
                     line_no, f"vertex count {vertex_count} exceeds {MAX_VERTICES}"
                 )
-            arc_count = _positive_int(fields[3], line_no, "arc count")
+            arc_count = _integer(fields[3], line_no, "arc count")
+            if arc_count < 0:
+                raise ParseError(line_no, f"negative arc count {arc_count}")
             if arc_count > MAX_ARCS:
                 raise ParseError(
                     line_no, f"arc count {arc_count} exceeds {MAX_ARCS}"
@@ -163,11 +169,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(line_no, "duplicate b line")
             if len(fields) != 3:
                 raise ParseError(line_no, "expected 'b <k> <kp>'")
-            try:
-                budgets = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                raise ParseError(line_no, "budgets must be integers") from None
-            if budgets[0] < 0 or budgets[1] < 0:
+            budgets = tuple(_integer(token, line_no, "budget") for token in fields[1:])
+            if min(budgets) < 0:
                 raise ParseError(line_no, "budgets must be nonnegative")
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")

@@ -367,16 +367,15 @@ def strengthen(
     Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017).
     The violation's own vertex is a feasible point of that MIP, worth its
     number of lam arcs, so that number is the cutoff: the MIP looks only
-    for a failing cut it counts as strictly sparser.  A cut the MIP finds,
-    attacked by its worst deletion subset, keeps less than the demand, so
-    the vertex of that cut and attack cuts off the design.  The value is
-    the capacity the cut keeps (:func:`cprsnp.formulations.cut_residual`).
-    That vertex replaces the violation only when it has strictly fewer lam
-    arcs: the MIP's count may leave out arcs that the vertex's attack
-    keeps.  When the MIP runs out of time, its incumbent, if any, is taken
-    on the same terms.  Otherwise the violation is handed back.  Raises
+    for a failing cut whose vertex is strictly sparser, since its value for
+    a cut is no less than the lam count of the vertex of that cut and its
+    worst deletion subset.  That cut keeps less than the demand under that
+    attack, so the vertex cuts off the design, valued at the capacity the
+    cut keeps (:func:`cprsnp.formulations.cut_residual`).  When the MIP
+    runs out of time, its incumbent, if any, is taken the same way.
+    Otherwise the violation is handed back.  Raises
     :class:`SeparationError` when the violation does not cut off the
-    design.
+    design, or when the vertex is not strictly sparser.
     """
     _require_canonical(aug, design)
     point = violation.point
@@ -397,5 +396,5 @@ def strengthen(
         raise SeparationError(f"strengthened cut keeps {value}, the demand or more")
     stronger = _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)
     if sum(stronger.point.lam) >= sum(point.lam):
-        return violation
+        raise SeparationError("strengthened vertex is not strictly sparser")
     return stronger

@@ -186,6 +186,18 @@ def assert_attacker_vertex(aug: AugmentedInstance, point) -> None:
     assert all(g <= hit for g, hit in zip(gam, attack))
 
 
+def vertex_lam_count(aug: AugmentedInstance, design: Design, cut) -> int:
+    """Lam arcs of the vertex of a cut under its worst attack: the crossing
+    arcs less the min(k, n) that fail, of the n selected, unprotected, real
+    ones."""
+    vulnerable = [
+        a for a in cut.arcs
+        if a in design.selected and a not in design.protected
+        and not aug.is_fictive(a)
+    ]
+    return len(cut.arcs) - min(aug.k, len(vulnerable))
+
+
 def generic_point_row(aug: AugmentedInstance, y_var, p_var, point):
     """The tightened guarantee row of any attacker vertex, from the
     generic vertex-row formula ``sum u lam y + sum u gam p >= |T| - sum u

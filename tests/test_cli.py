@@ -15,6 +15,7 @@ from cprsnp.graph import (
     MAX_CAPACITY,
     MAX_COST,
     MAX_VERTICES,
+    Instance,
     augment,
 )
 from cprsnp.instances import generate, write_design, write_instance
@@ -67,6 +68,17 @@ def test_solve_writes_only_the_report_to_stdout(tmp_path, capfd, formulation):
             assert re.fullmatch(r"[yp] \d+ \d+", line)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_zero_arc_instance_solves_from_its_file(tmp_path, capsys, formulation):
+    # no terminals and no arcs: the empty design is optimal at cost 0
+    path = tmp_path / "empty.txt"
+    path.write_text(write_instance(Instance(2, (), 0, (), 0, 0)), encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--formulation", formulation]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "status=Optimal cost=0 gap=0.0000"
 
 
 def test_capacity_above_the_bound_exits_with_input_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from conftest import (
     random_design,
     triangle,
     two_cycle,
+    vertex_lam_count,
 )
 from cprsnp import formulations
 from cprsnp.formulations import (
@@ -113,7 +114,7 @@ def test_design_canonical():
         Design.canonical(aug, [99])
 
 
-@pytest.mark.parametrize("extra", [4, 99, -1])
+@pytest.mark.parametrize("extra", [4, 99, -1, 0.5])
 def test_design_with_an_unknown_arc_is_not_canonical(extra):
     # canonical() rejects an arc outside 0..m-1; is_canonical must agree,
     # or the verifier and the oracles accept a design that cost() fails on
@@ -122,6 +123,20 @@ def test_design_with_an_unknown_arc_is_not_canonical(extra):
     assert not design.is_canonical(aug)
     with pytest.raises(VerifyError):
         is_survivable(aug, design)
+
+
+def test_a_non_integral_arc_index_is_rejected():
+    # 0.5 lies between 0 and m but indexes no arc, and cost() would fail on
+    # it; integers of other types still index arcs
+    aug = tri_aug()
+    with pytest.raises(FormulationError, match="unknown arc index 0.5"):
+        Design.canonical(aug, [0.5, 1, 2])
+    with pytest.raises(FormulationError, match="arc index 0.5 is no initial arc"):
+        FailureScenario.of(aug, [0.5])
+    design = Design.canonical(aug, [np.int64(0), True, 2])
+    assert design.is_canonical(aug)
+    assert design.cost(aug) == pytest.approx(4.0)
+    assert FailureScenario.of(aug, [np.int64(2)]).sorted_arcs() == (2,)
 
 
 def test_failure_scenario_of():
@@ -738,9 +753,9 @@ def integral(value):
 
 def test_cut_search_optima_match_every_sink_side():
     # the separation optimum is the least capacity a cut keeps after its
-    # worst failure; the strengthening optimum is the fewest lam arcs of a
-    # failing cut C, |C| - min(k, |C non-fictive|), and INFEASIBLE when no
-    # cut fails; both are integers, as the models declare
+    # worst failure; the strengthening optimum is the fewest lam arcs of the
+    # vertex of a failing cut C, |C| - min(k, |C attack candidates|), and
+    # INFEASIBLE when no cut fails; both are integers, as the models declare
     seen = set()
     # the corpus instances of at most 10 vertices: at most 256 sink sides
     for index, inst in enumerate(corpus()[:30]):
@@ -767,12 +782,25 @@ def check_cut_search_optima(aug, design, cuts):
         assert res.status == SolveStatus.INFEASIBLE
         return "survivable"
     assert res.status == SolveStatus.OPTIMAL
-    fewest = min(
-        len(cut.arcs) - min(aug.k, sum(not aug.is_fictive(a) for a in cut.arcs))
-        for cut in failing
-    )
+    fewest = min(vertex_lam_count(aug, design, cut) for cut in failing)
     assert integral(res.objective) == fewest
     return "failing"
+
+
+def test_cut_search_gam_columns_are_the_attack_candidates():
+    # an attack may fail only the design's attack candidates, in both cut
+    # search MIPs: an unselected or protected arc has no gam column
+    seen = set()
+    for index, inst in enumerate(corpus()[:12]):
+        aug = augment(inst)
+        rng = random.Random(900 + index)
+        designs = [random_design(rng, aug) for _ in range(3)]
+        for design in designs + [Design.canonical(aug, aug.initial_arcs)]:
+            seen.add("protected" if design.protected else "unprotected")
+            candidates = design.attack_candidates(aug)
+            assert sorted(build_cutset_separation(aug, design).gam_var) == candidates
+            assert sorted(build_strengthening(aug, design).gam_var) == candidates
+    assert seen == {"protected", "unprotected"}
 
 
 def test_strengthening_gamma_weighting_toggle():

@@ -62,6 +62,14 @@ def test_write_instance_layout():
     ]
 
 
+def test_zero_arc_instance_round_trip():
+    # Instance takes a network without arcs, and so does the p line
+    inst = Instance(2, (), 0, (), 0, 0)
+    text = write_instance(inst)
+    assert text.splitlines()[0] == "p cprsnp 2 0"
+    assert parse_instance(text) == inst
+
+
 def test_comments_and_blank_lines_ignored():
     text = "c header\n\np cprsnp 2 1\nc mid\nr 1\nt 2\na 1 2 3 1\nb 0 0\n"
     inst = parse_instance(text)
@@ -83,6 +91,8 @@ def test_save_and_load(tmp_path):
         ("p cprsnp 2 1\np cprsnp 2 1\n", 2, "duplicate p line"),
         ("p bad 2 1\nr 1\nb 0 0\n", 1, "expected 'p cprsnp"),
         ("p cprsnp 0 1\n", 1, "must be positive"),
+        ("p cprsnp 2 -1\n", 1, "negative arc count -1"),
+        ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 1 x\n", 4, "budget 'x' is not an integer"),
         ("p cprsnp 2 1\nr 1\nr 2\n", 3, "duplicate r line"),
         ("p cprsnp 2 1\nr 3\n", 2, "outside 1..2"),
         ("p cprsnp 2 1\nr 1\nt 2\nt 2\n", 4, "duplicate terminal"),

@@ -1,9 +1,12 @@
 """The README's code examples run as written and print what they show."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import cprsnp
 from cprsnp import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,3 +55,21 @@ def test_command_line_example_solves_and_verifies(tmp_path, capsys):
         out += capsys.readouterr().out.splitlines()
     assert any(line.startswith("status=Optimal ") for line in out)
     assert any(line.startswith("verified: ") for line in out)
+
+
+def test_module_names_resolve():
+    # a backticked `module.name` whose module is part of cprsnp names
+    # something that module has, so a rename cannot leave the README behind
+    modules = {info.name for info in pkgutil.iter_modules(cprsnp.__path__)}
+    text = README.read_text(encoding="utf-8")
+    checked = 0
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text):
+        first, *rest = name.split(".")
+        if first not in modules:
+            continue
+        target = importlib.import_module(f"cprsnp.{first}")
+        for part in rest:
+            assert hasattr(target, part), name
+            target = getattr(target, part)
+        checked += 1
+    assert checked

@@ -15,6 +15,7 @@ from conftest import (
     cut_capacity,
     random_design,
     triangle,
+    vertex_lam_count,
 )
 from cprsnp.formulations import (
     Design,
@@ -467,22 +468,10 @@ def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
     assert solved == ["cut_strengthening"]
 
 
-def vertex_lam_count(aug, design, cut):
-    """Lam arcs of the vertex of a cut under its worst attack: the crossing
-    arcs less the min(k, n) that fail, of the n selected, unprotected, real
-    ones."""
-    vulnerable = [
-        a for a in cut.arcs
-        if a in design.selected and a not in design.protected
-        and not aug.is_fictive(a)
-    ]
-    return len(cut.arcs) - min(aug.k, len(vulnerable))
-
-
 def test_strengthened_point_is_the_mip_cut():
-    # the MIP's cutoff is the violation's own lam count; the vertex of the
-    # MIP's cut replaces the violation when it has strictly fewer lam arcs,
-    # and otherwise the violation comes back as it was
+    # the MIP's cutoff is the violation's own lam count, and its optimum is
+    # the lam count of the vertex of its cut, which replaces the violation;
+    # with nothing sparser the violation comes back as it was
     seen = set()
     for seed in range(200, 220):
         aug, design = seeded_case(seed)
@@ -497,13 +486,9 @@ def test_strengthened_point_is_the_mip_cut():
             seen.add("nothing sparser")
             assert better is violation
             continue
-        assert res.objective < lams
-        cut = search.cut_from(res.values)
-        if vertex_lam_count(aug, design, cut) >= lams:
-            seen.add("not strictly sparser")
-            assert better is violation
-            continue
         seen.add("sparser")
+        cut = search.cut_from(res.values)
+        assert res.objective == vertex_lam_count(aug, design, cut) < lams
         assert sum(better.point.lam) == vertex_lam_count(aug, design, cut)
         assert better.point.cut.sink_side == cut.sink_side
         assert_attacker_vertex(aug, better.point)
@@ -512,7 +497,7 @@ def test_strengthened_point_is_the_mip_cut():
             better.point.gam, better.point.ell,
         )
         assert better.value == cut_residual(aug, cut, design) == row < aug.demand
-    assert seen == {"nothing sparser", "not strictly sparser", "sparser"}
+    assert seen == {"nothing sparser", "sparser"}
 
 
 def test_strengthen_returns_the_input_or_a_strictly_sparser_vertex():
@@ -575,6 +560,24 @@ def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
     # incumbent is not enough there
     with pytest.raises(SeparationTimeout):
         separate_bilevel(aug, design, brute_force_limit=0)
+
+
+def test_strengthen_raises_on_a_vertex_that_is_not_sparser(monkeypatch):
+    # the MIP's value for a cut is its vertex's lam count, so a cut under
+    # the cutoff whose vertex is no sparser breaks the model: a solver
+    # stubbed to return the violation's own cut must not pass unnoticed
+    aug = tri_aug(k=1, kp=0)
+    weak = Design.canonical(aug, [1])
+    violation = separate_bilevel(aug, weak)
+    search = build_strengthening(aug, weak)
+    values = np.zeros(search.model.num_vars)
+    for v in range(aug.vertex_count):
+        if v not in violation.point.cut.sink_side:
+            values[search.mu_var[v]] = 1.0
+    assert search.cut_from(values) == violation.point.cut
+    stub_solve_mip(monkeypatch, SolveStatus.OPTIMAL, 0.0, values)
+    with pytest.raises(SeparationError, match="not strictly sparser"):
+        strengthen(aug, weak, violation)
 
 
 def test_strengthen_without_a_failing_cut_raises(monkeypatch):
