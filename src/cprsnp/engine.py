@@ -10,7 +10,7 @@ current basis and carries on.
 
 A formulation plugs in as one small, stateless class, chosen once from its
 name in :data:`FORMULATION_CLASSES`.  Its constructor seeds and builds the
-master (``master``) once per solve, ``separate(design, time_limit_s)`` runs
+master (``master``) once per solve, ``separate(design, deadline)`` runs
 the oracle, and ``add(violation, design)`` only appends the violation's rows
 and columns to the master.  The callback keeps the one stall check of every
 formulation: each appended row cuts off the design that it repairs (by at
@@ -24,9 +24,11 @@ it added, as the master's size after the append less its size before.
 
 A survivable incumbent built upfront (exact protection search on the
 all-arcs design) provides the upper bound; the tree is pruned by its cost,
-so a tree with no design strictly cheaper than it proves it optimal.  A
-timeout returns the best survivable design found so far, from the tree or
-the probe.
+so a tree with no design strictly cheaper than it proves it optimal.  The
+time limit is one deadline on the :func:`time.perf_counter` clock, set as
+the solve starts, at which the probe, the tree and every oracle call stop.
+A timeout returns the best survivable design found so far, from the tree
+or the probe.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ class CutsetFormulation:
         self.aug = aug
         self.master = build_cutset_master(aug, [])
 
-    def separate(self, design: Design, time_limit_s: float):
-        return separate_cutset(self.aug, design, time_limit_s=time_limit_s)
+    def separate(self, design: Design, deadline: float):
+        return separate_cutset(self.aug, design, deadline=deadline)
 
     def add(self, violation, design: Design) -> None:
         append_cut(self.master, violation.cut, design)
@@ -167,8 +169,8 @@ class FlowFormulation:
         first = tuple(range(min(aug.k, aug.initial_arc_count)))
         self.master = build_flow_master(aug, [FailureScenario.of(aug, first)])
 
-    def separate(self, design: Design, time_limit_s: float):
-        return separate_scenario(self.aug, design, time_limit_s=time_limit_s)
+    def separate(self, design: Design, deadline: float):
+        return separate_scenario(self.aug, design, deadline=deadline)
 
     def add(self, violation, design: Design) -> None:
         append_scenario(self.master, violation.scenario)
@@ -182,16 +184,10 @@ class BilevelFormulation:
         self.aug = aug
         self.master = build_bilevel_master(aug, [])
 
-    def separate(self, design: Design, time_limit_s: float):
-        deadline = time.perf_counter() + time_limit_s
-        violation = separate_bilevel(self.aug, design, time_limit_s=time_limit_s)
+    def separate(self, design: Design, deadline: float):
+        violation = separate_bilevel(self.aug, design, deadline=deadline)
         if violation is not None:
-            violation = strengthen_point(
-                self.aug,
-                design,
-                violation,
-                time_limit_s=deadline - time.perf_counter(),
-            )
+            violation = strengthen_point(self.aug, design, violation, deadline=deadline)
         return violation
 
     def add(self, violation, design: Design) -> None:
@@ -206,13 +202,13 @@ FORMULATION_CLASSES = {
 FORMULATIONS = tuple(FORMULATION_CLASSES)
 
 
-def _feasible_incumbent(aug: AugmentedInstance, remaining) -> Design | None:
+def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | None:
     """Survivable design used as upper bound: all arcs plus a protection
     search branching on witness scenarios (the all-arcs selection is
     protectable iff the instance is feasible at all)."""
 
     def probe(design: Design, budget: int) -> Design | None:
-        violation = separate_scenario(aug, design, time_limit_s=remaining())
+        violation = separate_scenario(aug, design, deadline=deadline)
         if violation is None:
             return design
         if budget == 0:
@@ -240,14 +236,12 @@ def solve(
     if formulation not in FORMULATION_CLASSES:
         raise ValueError(f"unknown formulation {formulation!r}")
     t0 = time.perf_counter()
+    deadline = t0 + options.time_limit_s
     demand = aug.demand
     records: list[IterationRecord] = []
 
     def elapsed() -> float:
         return time.perf_counter() - t0
-
-    def remaining() -> float:
-        return options.time_limit_s - elapsed()
 
     def finish(status, design, cost, gap) -> Solution:
         sol = Solution(
@@ -273,7 +267,7 @@ def solve(
         return finish(SolveStatus.INFEASIBLE, None, None, None)
 
     try:
-        incumbent = _feasible_incumbent(aug, remaining)
+        incumbent = _feasible_incumbent(aug, deadline)
     except SeparationTimeout:
         incumbent = None  # ran out of time while probing; unresolved
     else:
@@ -313,7 +307,7 @@ def solve(
         design = master.design_from(values)
         if design in rejected:
             raise EngineError("master returned a rejected design; it is stalled")
-        violation = form.separate(design, remaining())
+        violation = form.separate(design, deadline)
         if violation is None:
             found = design
             return False
@@ -338,9 +332,7 @@ def solve(
     )
     try:
         # without an incumbent, upper is math.inf and prunes nothing
-        res = solve_mip(
-            master.model, time_limit_s=remaining(), cutoff=upper, lazy=check
-        )
+        res = solve_mip(master.model, deadline=deadline, cutoff=upper, lazy=check)
     except SeparationTimeout:
         return timeout_solution()
     if res.status == SolveStatus.INFEASIBLE:

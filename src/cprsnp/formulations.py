@@ -92,11 +92,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import ArcMask, AugmentedInstance, CutSet
+from .graph import ArcMask, AugmentedInstance, CutSet, is_index
 from .milp import INT_TOL, MilpModel
 
 # most rows :func:`append_cut` writes for one cut; a larger cut gets one
@@ -114,14 +113,6 @@ class NonVertexSolution(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # value types
-
-
-def _is_arc(a: object, m: int) -> bool:
-    """True when ``a`` is an integer (:func:`operator.index`) in 0..m-1."""
-    try:
-        return 0 <= operator.index(a) < m
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -149,13 +140,13 @@ class Design:
                 f"{len(prot)} protected arcs exceed the budget {aug.kp}"
             )
         for a in sel:
-            if not _is_arc(a, aug.arc_count):
+            if not is_index(a, aug.arc_count):
                 raise FormulationError(f"unknown arc index {a!r}")
         return Design(selected=sel, protected=prot)
 
     def is_canonical(self, aug: AugmentedInstance) -> bool:
         return (
-            all(_is_arc(a, aug.arc_count) for a in self.selected)
+            all(is_index(a, aug.arc_count) for a in self.selected)
             and frozenset(aug.fictive_arcs) <= self.selected
             and self.protected <= self.selected
             and all(not aug.is_fictive(a) for a in self.protected)
@@ -189,7 +180,7 @@ class FailureScenario:
         arcset = frozenset(arcs)
         for a in arcset:
             # the initial arcs come first; the fictive ones never fail
-            if not _is_arc(a, aug.initial_arc_count):
+            if not is_index(a, aug.initial_arc_count):
                 raise FormulationError(f"arc index {a!r} is no initial arc")
         return FailureScenario(arcs=arcset)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -65,6 +66,23 @@ class GraphError(ValueError):
     """Raised for structurally invalid instances, masks, or cuts."""
 
 
+def is_index(value: object, count: int) -> bool:
+    """True when ``value`` is an integer (:func:`operator.index`) in
+    0..count-1: a vertex or arc number."""
+    try:
+        return 0 <= operator.index(value) < count
+    except TypeError:
+        return False
+
+
+def _integer(value: object, what: str) -> int:
+    """``value`` as an integer (:func:`operator.index`), or GraphError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Arc:
     """Directed arc with a nonnegative cost and a nonnegative integer capacity."""
@@ -92,22 +110,24 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "terminals", tuple(sorted(self.terminals)))
+        object.__setattr__(self, "terminals", tuple(self.terminals))
+        # validated first: only vertex numbers are sure to sort
         self._validate()
+        object.__setattr__(self, "terminals", tuple(sorted(self.terminals)))
 
     def _validate(self) -> None:
-        n = self.vertex_count
+        n = _integer(self.vertex_count, "vertex count")
         if n <= 0:
             raise GraphError("instance needs at least one vertex")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
         if len(self.arcs) > MAX_ARCS:
             raise GraphError(f"arc count {len(self.arcs)} exceeds {MAX_ARCS}")
-        if not 0 <= self.root < n:
-            raise GraphError(f"root {self.root} out of range")
+        if not is_index(self.root, n):
+            raise GraphError(f"root {self.root!r} is not a vertex")
         seen_pairs: set[tuple[int, int]] = set()
         for a in self.arcs:
-            if not (0 <= a.tail < n and 0 <= a.head < n):
+            if not (is_index(a.tail, n) and is_index(a.head, n)):
                 raise GraphError(f"arc ({a.tail},{a.head}) references unknown vertex")
             if a.tail == a.head:
                 raise GraphError(f"self-loop on vertex {a.tail}")
@@ -136,19 +156,18 @@ class Instance:
                     f"{MAX_CAPACITY}"
                 )
         terms = self.terminals
-        if len(set(terms)) != len(terms):
-            raise GraphError("duplicate terminal")
         for t in terms:
-            if not 0 <= t < n:
-                raise GraphError(f"terminal {t} out of range")
+            if not is_index(t, n):
+                raise GraphError(f"terminal {t!r} is not a vertex")
             if t == self.root:
                 raise GraphError("root cannot be a terminal")
-        if self.k < 0 or self.kp < 0:
+        if len(set(terms)) != len(terms):
+            raise GraphError("duplicate terminal")
+        k, kp = _integer(self.k, "k"), _integer(self.kp, "kp")
+        if k < 0 or kp < 0:
             raise GraphError("budgets must be nonnegative")
-        if self.k + self.kp > len(self.arcs):
-            raise GraphError(
-                f"k + kp = {self.k + self.kp} exceeds arc count {len(self.arcs)}"
-            )
+        if k + kp > len(self.arcs):
+            raise GraphError(f"k + kp = {k + kp} exceeds arc count {len(self.arcs)}")
 
 
 @dataclass(frozen=True, eq=False)

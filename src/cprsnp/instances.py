@@ -295,6 +295,8 @@ def generate(
     """
     if nodes < 2:
         raise GenerationError("need at least two vertices")
+    if nodes > MAX_VERTICES:
+        raise GenerationError(f"vertex count {nodes} exceeds {MAX_VERTICES}")
     if not 0 <= terminals < nodes:
         raise GenerationError("terminal count must be in 0..nodes-1")
     if arcs < nodes - 1:

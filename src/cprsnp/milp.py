@@ -38,9 +38,9 @@ that instance:
   point the callback accepts.  Lazy rows arrive only at integer points, so
   a dive reaches them early; in trees without them diving cost more LPs
   than it saved,
-* optional wall-clock limit, read before each LP and passed to HiGHS as the
-  time left, so one long LP cannot outlast it either; the reported bound
-  stays valid at all times,
+* optional deadline on the ``time.perf_counter`` clock, read before each
+  LP and passed to HiGHS as the time left, so one long LP cannot outlast
+  it either; the reported bound stays valid at all times,
 * optional cutoff: the objective value of a solution known from elsewhere;
   every node that cannot beat it strictly is pruned, and a model with
   nothing better reads INFEASIBLE,
@@ -337,7 +337,7 @@ def _integral_objective(model: MilpModel, int_idx: np.ndarray) -> bool:
 
 def solve_mip(
     model: MilpModel,
-    time_limit_s: float | None = None,
+    deadline: float = math.inf,
     cutoff: float | None = None,
     lazy: Callable[[np.ndarray, float], bool] | None = None,
 ) -> SolveResult:
@@ -347,8 +347,9 @@ def solve_mip(
     ``cutoff`` is an optional objective value, the cost of a solution the
     caller already holds: the search starts with it as the value to beat,
     so INFEASIBLE then means "no solution strictly better than the cutoff".
-    With a time limit the returned status is FEASIBLE and ``bound`` still
-    underestimates every feasible objective better than the cutoff.
+    Once ``deadline``, a :func:`time.perf_counter` instant, has passed, the
+    status is FEASIBLE and ``bound`` still underestimates every feasible
+    objective better than the cutoff.
 
     ``lazy(values, bound)`` is called on every integer-feasible point before
     it may become the incumbent, with the tree's global bound at that
@@ -361,7 +362,6 @@ def solve_mip(
     model's columns.  Given ``lazy``, the tree dives to integer points (see
     the module docstring).
     """
-    t0 = time.perf_counter()
     int_idx = model.integer_indices()
     lb, ub = model.bounds()
     ilb0, iub0 = lb[int_idx], ub[int_idx]
@@ -370,12 +370,10 @@ def solve_mip(
     integral = model.integral_objective or _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
-        """True once the limit is spent; otherwise HiGHS is told the time
-        left, so that the next LP stops at the limit too."""
-        if time_limit_s is None:
-            return False
-        left = time_limit_s - (time.perf_counter() - t0)
-        if left >= 0:
+        """True once the deadline has passed; before a finite one HiGHS is
+        told the time left, so that the next LP stops at it too."""
+        left = deadline - time.perf_counter()
+        if 0 <= left < math.inf:
             lp.stop_after(left)
         return left < 0
 

@@ -8,8 +8,8 @@ at-most-k failure hurts the design most", in the shape its master needs:
 * :func:`separate_bilevel` returns a violated attacker vertex (or None).
 
 All three agree on the optimal value: the post-attack max flow of the
-design.  Timeouts surface as :class:`SeparationTimeout`, never as a silent
-None.
+design.  Each stops at its ``deadline``, a :func:`time.perf_counter`
+instant, with :class:`SeparationTimeout`, never with a silent None.
 
 All three answer from one worst attack (:func:`_attack`) and a max flow
 under it.  While a design has at most ``brute_force_limit`` failure sets, a
@@ -120,7 +120,7 @@ class _Attack:
 def _attack(
     aug: AugmentedInstance,
     design: Design,
-    time_limit_s: float | None,
+    deadline: float,
     brute_force_limit: int,
 ) -> _Attack | None:
     """The worst attack on a canonical design, or None when every attack
@@ -138,9 +138,9 @@ def _attack(
     candidates = design.attack_candidates(aug)
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
-        return _worst_attack(aug, design, candidates, time_limit_s)
+        return _worst_attack(aug, design, candidates, deadline)
     search = build_cutset_separation(aug, design)
-    res = solve_mip(search.model, time_limit_s=time_limit_s, cutoff=aug.demand)
+    res = solve_mip(search.model, deadline=deadline, cutoff=aug.demand)
     if res.status == SolveStatus.INFEASIBLE:
         return None
     if res.status == SolveStatus.FEASIBLE:
@@ -189,7 +189,7 @@ def _worst_attack(
     aug: AugmentedInstance,
     design: Design,
     candidates: list[int],
-    time_limit_s: float | None,
+    deadline: float,
 ) -> _Attack | None:
     """The worst attack on the design: the lexicographically first set of
     ``size`` = min(k, candidates) of its attack candidates, in index order,
@@ -223,7 +223,6 @@ def _worst_attack(
     depend on which max flow a node holds, nor does its back cut: only the
     number of max flows may.
     """
-    t0 = time.perf_counter()
     size = min(aug.k, len(candidates))
     best_value, best, best_flow = aug.demand, None, None
     flows = 0
@@ -233,8 +232,7 @@ def _worst_attack(
         nonlocal flows
         if (
             flows % CLOCK_POLL_FLOWS == CLOCK_POLL_FLOWS - 1
-            and time_limit_s is not None
-            and time.perf_counter() - t0 > time_limit_s
+            and time.perf_counter() > deadline
         ):
             raise SeparationTimeout("attack search hit the time limit")
         flows += 1
@@ -307,13 +305,13 @@ def _suffix_largest(values: list[int], count: int) -> list[int]:
 def separate_cutset(
     aug: AugmentedInstance,
     design: Design,
-    time_limit_s: float | None = None,
+    deadline: float = math.inf,
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> CutViolation | None:
     """Most violated cut row, or None when every cut survives the worst
     attack: the back cut of the design under the worst attack
     (:func:`_attack`)."""
-    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    attack = _attack(aug, design, deadline, brute_force_limit)
     if attack is None:
         return None
     cut = _attack_cut(aug, design, attack)
@@ -325,14 +323,14 @@ def separate_cutset(
 def separate_scenario(
     aug: AugmentedInstance,
     design: Design,
-    time_limit_s: float | None = None,
+    deadline: float = math.inf,
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> ScenarioViolation | None:
     """A failure scenario minimizing the surviving flow, or None if none drops
     below demand: the worst attack (:func:`_attack`), of min(k, candidates)
     arcs.  On the search route it is the lexicographically first worst
     one."""
-    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    attack = _attack(aug, design, deadline, brute_force_limit)
     if attack is None:
         return None
     return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)
@@ -341,14 +339,14 @@ def separate_scenario(
 def separate_bilevel(
     aug: AugmentedInstance,
     design: Design,
-    time_limit_s: float | None = None,
+    deadline: float = math.inf,
     brute_force_limit: int = BRUTE_FORCE_LIMIT,
 ) -> PointViolation | None:
     """A violated attacker vertex, or None when the design withstands every
     attack: the vertex of the worst attack (:func:`_attack`) and its back
     cut.  On the MIP route a fractional cut from the solver raises
     :class:`cprsnp.formulations.NonVertexSolution`."""
-    attack = _attack(aug, design, time_limit_s, brute_force_limit)
+    attack = _attack(aug, design, deadline, brute_force_limit)
     if attack is None:
         return None
     cut = _attack_cut(aug, design, attack)
@@ -359,7 +357,7 @@ def strengthen(
     aug: AugmentedInstance,
     design: Design,
     violation: PointViolation,
-    time_limit_s: float | None = None,
+    deadline: float = math.inf,
 ) -> PointViolation:
     """Replace a violated point with the vertex of a failing cut that
     crosses as few arcs as possible.
@@ -372,7 +370,7 @@ def strengthen(
     worst deletion subset.  That cut keeps less than the demand under that
     attack, so the vertex cuts off the design, valued at the capacity the
     cut keeps (:func:`cprsnp.formulations.cut_residual`).  When the MIP
-    runs out of time, its incumbent, if any, is taken the same way.
+    reaches ``deadline``, its incumbent, if any, is taken the same way.
     Otherwise the violation is handed back.  Raises
     :class:`SeparationError` when the violation does not cut off the
     design, or when the vertex is not strictly sparser.
@@ -385,7 +383,7 @@ def strengthen(
     if row >= aug.demand:
         raise SeparationError(f"the point to strengthen keeps {row}, not below demand")
     search = build_strengthening(aug, design)
-    res = solve_mip(search.model, time_limit_s=time_limit_s, cutoff=sum(point.lam))
+    res = solve_mip(search.model, deadline=deadline, cutoff=sum(point.lam))
     if res.values is None:
         # nothing sparser, or out of time before anything sparser was found
         return violation

@@ -162,6 +162,17 @@ def test_gen_above_the_arc_bound_exits_with_input_error(capsys):
     assert captured.err == f"error: arc count {MAX_ARCS + 1} exceeds {MAX_ARCS}\n"
 
 
+def test_gen_above_the_vertex_bound_exits_with_input_error(capsys):
+    argv = ["gen", "--nodes", str(MAX_VERTICES + 1), "--terminals", "1",
+            "--arcs", str(MAX_VERTICES)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: vertex count {MAX_VERTICES + 1} exceeds {MAX_VERTICES}\n"
+    )
+
+
 @pytest.mark.parametrize("capacity", ["-2", "3000000000"])
 def test_gen_uniform_capacity_out_of_range_exits_with_input_error(
     capsys, capacity

@@ -6,6 +6,7 @@ import collections
 import functools
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -503,10 +504,8 @@ def test_master_without_cheaper_design_proves_incumbent(formulation, monkeypatch
     calls = []
     real_solve_mip = engine.solve_mip
 
-    def record(model, time_limit_s=None, cutoff=None, lazy=None):
-        res = real_solve_mip(
-            model, time_limit_s=time_limit_s, cutoff=cutoff, lazy=lazy
-        )
+    def record(model, deadline=math.inf, cutoff=None, lazy=None):
+        res = real_solve_mip(model, deadline=deadline, cutoff=cutoff, lazy=lazy)
         calls.append((cutoff, res.status))
         return res
 
@@ -614,10 +613,10 @@ def test_timeout_in_the_tree_returns_its_incumbent(monkeypatch):
     real = engine.separate_cutset
     accepted = []
 
-    def flaky(aug, design, time_limit_s):
+    def flaky(aug, design, deadline):
         if accepted:
             raise SeparationTimeout("out of time")
-        violation = real(aug, design, time_limit_s=time_limit_s)
+        violation = real(aug, design, deadline=deadline)
         if violation is None:
             accepted.append(design)
         return violation
@@ -632,6 +631,46 @@ def test_timeout_in_the_tree_returns_its_incumbent(monkeypatch):
     assert sol.cost == sol.design.cost(aug) < 266.0
     assert is_survivable(aug, sol.design)[0]
     assert 0.0 < sol.gap < 1.0
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_one_deadline_per_solve(monkeypatch, formulation):
+    # the probe, the oracle, strengthening and the master tree all get the
+    # one instant at which the solve's time limit ends
+    seen = collections.defaultdict(list)
+
+    def recording(name, real):
+        def call(*args, deadline, **kwargs):
+            seen[name].append(deadline)
+            return real(*args, deadline=deadline, **kwargs)
+
+        return call
+
+    for name in (
+        "separate_scenario",
+        "separate_cutset",
+        "separate_bilevel",
+        "strengthen_point",
+        "solve_mip",
+    ):
+        monkeypatch.setattr(engine, name, recording(name, getattr(engine, name)))
+    aug = augment(corpus()[1])  # 6 vertices, 12 arcs, k=1, kp=1
+    limit = 60.0
+    before = time.perf_counter() + limit
+    sol = solve(aug, formulation, EngineOptions(time_limit_s=limit))
+    after = time.perf_counter() + limit
+    assert sol.status is SolveStatus.OPTIMAL
+    oracle = {"cutset": "separate_cutset", "flow": "separate_scenario",
+              "bilevel": "separate_bilevel"}[formulation]
+    called = {"separate_scenario", "solve_mip", oracle}
+    if formulation == "bilevel":
+        called.add("strengthen_point")
+    assert set(seen) == called
+    deadlines = {d for values in seen.values() for d in values}
+    assert len(deadlines) == 1
+    (deadline,) = deadlines
+    assert type(deadline) is float
+    assert before <= deadline <= after
 
 
 # ---------------------------------------------------------------------------

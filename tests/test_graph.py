@@ -66,6 +66,31 @@ def test_instance_rejects_bad_structure():
         Instance(2, (Arc(0, 1, 1, 1),), root=0, terminals=(1, 1), k=0, kp=0)
     with pytest.raises(GraphError):
         Instance(2, (Arc(0, 1, 1, 1),), root=0, terminals=(1,), k=1, kp=1)
+    # vertex numbers, the vertex count and the budgets are integers
+    arcs = (Arc(0, 1, 1, 1), Arc(0, 2, 1, 1), Arc(1, 2, 1, 1))
+    fields = dict(vertex_count=3, arcs=arcs, root=0, terminals=(2,), k=0, kp=0)
+    for bad in (
+        dict(k=1.5),
+        dict(kp=0.5),
+        dict(root=0.0),
+        dict(terminals=(2.0,)),
+        dict(terminals=(1, "2")),
+        dict(terminals=(2, None)),
+        dict(vertex_count=3.0),
+        dict(arcs=(Arc(0.0, 1, 1, 1),) + arcs[1:]),
+        dict(arcs=arcs[:2] + (Arc(1, "2", 1, 1),)),
+    ):
+        with pytest.raises(GraphError):
+            Instance(**{**fields, **bad})
+    # bools and numpy integers are integers
+    Instance(
+        np.int64(3),
+        (Arc(False, True, 1, 1), Arc(np.int64(0), 2, 1, 1), Arc(1, 2, 1, 1)),
+        root=np.int32(0),
+        terminals=(np.int64(2),),
+        k=True,
+        kp=np.int64(1),
+    )
 
 
 def test_terminals_are_sorted():

@@ -371,6 +371,10 @@ def test_generate_costs_within_range(monkeypatch):
             dict(nodes=3, terminals=1, arcs=3, uniform_capacity=MAX_CAPACITY + 1),
             "^uniform capacity 2147483648 must be in 0..2147483647$",
         ),
+        (
+            dict(nodes=MAX_VERTICES + 1, terminals=1, arcs=MAX_VERTICES),
+            f"^vertex count {MAX_VERTICES + 1} exceeds {MAX_VERTICES}$",
+        ),
     ],
 )
 def test_generate_rejects_bad_parameters(kwargs, needle):

@@ -301,7 +301,9 @@ def test_time_limit_keeps_valid_bound():
     assert exact.status == SolveStatus.OPTIMAL
     for lazy in (None, _accept_every_point):
         for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
-            res = solve_mip(model, time_limit_s=0.02, cutoff=cutoff, lazy=lazy)
+            res = solve_mip(
+                model, deadline=time.perf_counter() + 0.02, cutoff=cutoff, lazy=lazy
+            )
             _assert_timed_out_validly(res, exact, cutoff)
 
 
@@ -317,9 +319,9 @@ class _TickClock:
 
 
 def test_time_limit_at_every_node_keeps_valid_bound(monkeypatch):
-    # the kernel reads the clock once per node LP, so a limit of n + 0.5
-    # ticks stops the search just before its (n + 1)-th LP: every node of
-    # every dive is a place the limit fires once
+    # the kernel reads the clock once per node LP, so a deadline n + 0.5
+    # ticks after one reading stops the search just before its (n + 1)-th
+    # LP: every node of every dive is a place the limit fires once
     rng = random.Random(11)
     model = knapsack(
         [rng.randint(10, 40) for _ in range(14)],
@@ -327,12 +329,14 @@ def test_time_limit_at_every_node_keeps_valid_bound(monkeypatch):
         200,
     )
     exact = solve_mip(model)
-    monkeypatch.setattr(milp, "time", _TickClock())
+    clock = _TickClock()
+    monkeypatch.setattr(milp, "time", clock)
     for lazy in (None, _accept_every_point):
         for cutoff in (None, exact.objective - 10.0, exact.objective + 10.0):
             nodes = solve_mip(model, cutoff=cutoff, lazy=lazy).nodes
             for n in range(nodes + 1):
-                res = solve_mip(model, time_limit_s=n + 0.5, cutoff=cutoff, lazy=lazy)
+                deadline = clock.perf_counter() + n + 0.5
+                res = solve_mip(model, deadline=deadline, cutoff=cutoff, lazy=lazy)
                 assert res.nodes == n or res.status != SolveStatus.FEASIBLE
                 _assert_timed_out_validly(res, exact, cutoff)
 
@@ -355,7 +359,7 @@ def test_time_limit_stops_inside_one_long_lp():
     # own time limit can end it on time
     limit = 0.25
     t0 = time.perf_counter()
-    res = solve_mip(_long_lp(), time_limit_s=limit)
+    res = solve_mip(_long_lp(), deadline=t0 + limit)
     elapsed = time.perf_counter() - t0
     assert res.status == SolveStatus.FEASIBLE
     assert (res.objective, res.values, res.bound, res.nodes) == (None, None, None, 1)

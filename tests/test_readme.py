@@ -1,5 +1,6 @@
 """The README's code examples run as written and print what they show."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -73,3 +74,30 @@ def test_module_names_resolve():
             target = getattr(target, part)
         checked += 1
     assert checked
+
+
+def _signatures() -> dict[str, set[tuple[str, ...]]]:
+    """The parameter names of every ``def`` in the package, ``self``
+    excluded, by function name."""
+    found: dict[str, set[tuple[str, ...]]] = {}
+    for path in Path(cprsnp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params = tuple(name for name in names if name != "self")
+                found.setdefault(node.name, set()).add(params)
+    return found
+
+
+def test_call_forms_match_their_definitions():
+    # a backticked `name(a, b)` is the signature of every def of that name
+    # in the package (the formulation classes share theirs), so a renamed
+    # parameter cannot leave the README behind
+    signatures = _signatures()
+    text = README.read_text(encoding="utf-8")
+    forms = re.findall(r"`([A-Za-z_]\w*)\(([\w\s,]*)\)`", text)
+    assert forms
+    for name, params in forms:
+        written = tuple(p.strip() for p in params.split(",") if p.strip())
+        assert signatures.get(name) == {written}, f"{name}({params})"

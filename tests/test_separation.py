@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -202,9 +203,9 @@ def test_scenario_size_tracks_candidates():
 def test_separation_timeout_raised():
     aug, design = seeded_case(999)
     with pytest.raises(SeparationTimeout):
-        separate_scenario(aug, design, time_limit_s=0.0, brute_force_limit=0)
+        separate_scenario(aug, design, deadline=time.perf_counter(), brute_force_limit=0)
     with pytest.raises(SeparationTimeout):
-        separate_bilevel(aug, design, time_limit_s=0.0, brute_force_limit=0)
+        separate_bilevel(aug, design, deadline=time.perf_counter(), brute_force_limit=0)
     # the search route: 30-3-60 at (3,1) needs more max flows than the
     # search runs between two clock reads
     inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=1, uniform_capacity=3)
@@ -212,7 +213,7 @@ def test_separation_timeout_raised():
     design = Design.canonical(aug, range(aug.arc_count))
     for separate in (separate_cutset, separate_bilevel):
         with pytest.raises(SeparationTimeout):
-            separate(aug, design, time_limit_s=0.0)
+            separate(aug, design, deadline=time.perf_counter())
 
 
 def test_brute_force_enumeration_polls_its_deadline():
@@ -222,7 +223,7 @@ def test_brute_force_enumeration_polls_its_deadline():
     aug = augment(inst)
     design = Design.canonical(aug, range(aug.arc_count))
     with pytest.raises(SeparationTimeout):
-        separate_scenario(aug, design, time_limit_s=0.0)
+        separate_scenario(aug, design, deadline=time.perf_counter())
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +527,7 @@ def test_strengthen_out_of_time_returns_the_violation(monkeypatch):
     weak = Design.canonical(aug, [1])
     violation = separate_bilevel(aug, weak)
     stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE)
-    assert strengthen(aug, weak, violation, time_limit_s=0.0) is violation
+    assert strengthen(aug, weak, violation, deadline=time.perf_counter()) is violation
     # INFEASIBLE under the cutoff: no failing cut is sparser than the input
     stub_solve_mip(monkeypatch, SolveStatus.INFEASIBLE)
     assert strengthen(aug, weak, violation) is violation
@@ -550,7 +551,7 @@ def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
     else:
         pytest.fail("no seeded case has a strictly sparser failing cut")
     stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE, res.objective, res.values)
-    better = strengthen(aug, design, violation, time_limit_s=0.0)
+    better = strengthen(aug, design, violation, deadline=time.perf_counter())
     assert better is not violation
     cut = search.cut_from(res.values)
     assert better.point.cut.sink_side == cut.sink_side
