@@ -133,25 +133,24 @@ class Design:
         protected: Iterable[int] = (),
     ) -> "Design":
         sel = frozenset(selected) | frozenset(aug.fictive_arcs)
+        for a in sel:
+            if not is_index(a, aug.arc_count):
+                raise FormulationError(f"unknown arc index {a!r}")
         prot = frozenset(protected) & sel
         prot = frozenset(a for a in prot if not aug.is_fictive(a))
         if len(prot) > aug.kp:
             raise FormulationError(
                 f"{len(prot)} protected arcs exceed the budget {aug.kp}"
             )
-        for a in sel:
-            if not is_index(a, aug.arc_count):
-                raise FormulationError(f"unknown arc index {a!r}")
         return Design(selected=sel, protected=prot)
 
     def is_canonical(self, aug: AugmentedInstance) -> bool:
-        return (
-            all(is_index(a, aug.arc_count) for a in self.selected)
-            and frozenset(aug.fictive_arcs) <= self.selected
-            and self.protected <= self.selected
-            and all(not aug.is_fictive(a) for a in self.protected)
-            and len(self.protected) <= aug.kp
-        )
+        """True when :meth:`canonical` of this design's arcs is the design
+        itself."""
+        try:
+            return Design.canonical(aug, self.selected, self.protected) == self
+        except FormulationError:
+            return False
 
     def cost(self, aug: AugmentedInstance) -> float:
         return float(sum(aug.arcs[a].cost for a in self.selected))

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import collections
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -63,7 +64,14 @@ MAX_ARCS = 2**22
 
 
 class GraphError(ValueError):
-    """Raised for structurally invalid instances, masks, or cuts."""
+    """Raised for structurally invalid instances, masks, or cuts.  ``place``
+    names where an :class:`Instance` fault lies: ``("arc", i)``,
+    ``("terminal", j)`` (``j`` in the given order), ``"root"``,
+    ``"budgets"``, ``"vertex_count"``, or None."""
+
+    def __init__(self, message: str, place: object = None):
+        super().__init__(message)
+        self.place = place
 
 
 def is_index(value: object, count: int) -> bool:
@@ -75,12 +83,33 @@ def is_index(value: object, count: int) -> bool:
         return False
 
 
-def _integer(value: object, what: str) -> int:
+def _integer(value: object, what: str, place: object) -> int:
     """``value`` as an integer (:func:`operator.index`), or GraphError."""
     try:
         return operator.index(value)
     except TypeError:
-        raise GraphError(f"{what} must be an integer, got {value!r}") from None
+        raise GraphError(f"{what} must be an integer, got {value!r}", place) from None
+
+
+def _vertex(value: object, count: int, what: str, place: object) -> int:
+    """``value`` as a vertex number in 0..count-1, or GraphError."""
+    if not is_index(value, count):
+        raise GraphError(f"{what} {value!r} is not a vertex", place)
+    return operator.index(value)
+
+
+def _amount(value: object, what: str, bound: int, place: object) -> float:
+    """``value`` itself when it is a real number in 0..bound, else GraphError."""
+    # int and float are tested first: the check against the ABC is slow
+    if not isinstance(value, (int, float, numbers.Real)):
+        raise GraphError(f"{what} {value!r} is not a number", place)
+    if not -math.inf < value < math.inf:
+        raise GraphError(f"{what} {value} is not finite", place)
+    if value < 0:
+        raise GraphError(f"negative {what}", place)
+    if value > bound:
+        raise GraphError(f"{what} exceeds {bound}", place)
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,8 +126,10 @@ class Arc:
 class Instance:
     """Problem input before super-sink augmentation.
 
-    ``terminals`` is kept sorted.  Vertices are numbered from 0; files and
-    outputs show vertex ``v`` as ``v + 1``.
+    Construction checks every value rule of an instance and stores the
+    values in one type each: ``int`` vertex numbers, counts, capacities and
+    budgets, ``float`` costs.  ``terminals`` is kept sorted.  Vertices are
+    numbered from 0; files and outputs show vertex ``v`` as ``v + 1``.
     """
 
     vertex_count: int
@@ -109,65 +140,60 @@ class Instance:
     kp: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "terminals", tuple(self.terminals))
-        # validated first: only vertex numbers are sure to sort
-        self._validate()
-        object.__setattr__(self, "terminals", tuple(sorted(self.terminals)))
+        for field, value in zip(fields(self), self._validated()):
+            object.__setattr__(self, field.name, value)
 
-    def _validate(self) -> None:
-        n = _integer(self.vertex_count, "vertex count")
+    def _validated(self) -> tuple:
+        """The fields as they are stored, in their order, or GraphError
+        naming the place of the first fault found."""
+        n = _integer(self.vertex_count, "vertex count", "vertex_count")
         if n <= 0:
-            raise GraphError("instance needs at least one vertex")
+            raise GraphError("instance needs at least one vertex", "vertex_count")
         if n > MAX_VERTICES:
-            raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}")
-        if len(self.arcs) > MAX_ARCS:
-            raise GraphError(f"arc count {len(self.arcs)} exceeds {MAX_ARCS}")
-        if not is_index(self.root, n):
-            raise GraphError(f"root {self.root!r} is not a vertex")
-        seen_pairs: set[tuple[int, int]] = set()
-        for a in self.arcs:
-            if not (is_index(a.tail, n) and is_index(a.head, n)):
-                raise GraphError(f"arc ({a.tail},{a.head}) references unknown vertex")
-            if a.tail == a.head:
-                raise GraphError(f"self-loop on vertex {a.tail}")
-            if (a.tail, a.head) in seen_pairs:
-                raise GraphError(f"parallel arc ({a.tail},{a.head})")
-            seen_pairs.add((a.tail, a.head))
-            if not math.isfinite(a.cost):
-                raise GraphError(f"non-finite cost on arc ({a.tail},{a.head})")
-            if a.cost < 0:
-                raise GraphError(f"negative cost on arc ({a.tail},{a.head})")
-            if a.cost > MAX_COST:
-                raise GraphError(
-                    f"cost {a.cost} of arc ({a.tail},{a.head}) exceeds {MAX_COST}"
-                )
-            if (
-                not math.isfinite(a.capacity)
-                or a.capacity < 0
-                or int(a.capacity) != a.capacity
+            raise GraphError(f"vertex count {n} exceeds {MAX_VERTICES}", "vertex_count")
+        arcs = tuple(self.arcs)
+        m = len(arcs)
+        if m > MAX_ARCS:
+            raise GraphError(f"arc count {m} exceeds {MAX_ARCS}")
+        root = _vertex(self.root, n, "root", "root")
+        pairs: set[tuple[int, int]] = set()
+        stored = []
+        for i, a in enumerate(arcs):
+            place = ("arc", i)
+            tail = _vertex(a.tail, n, "arc tail", place)
+            head = _vertex(a.head, n, "arc head", place)
+            if tail == head:
+                raise GraphError("self-loop", place)
+            if (tail, head) in pairs:
+                raise GraphError("parallel arc", place)
+            pairs.add((tail, head))
+            cost = _amount(a.cost, "cost", MAX_COST, place)
+            capacity = _amount(a.capacity, "capacity", MAX_CAPACITY, place)
+            if capacity != int(capacity):
+                raise GraphError(f"capacity {capacity} is not an integer", place)
+            # an arc whose fields have the stored types already is kept
+            if not (
+                type(a.tail) is type(a.head) is type(a.capacity) is int
+                and type(a.cost) is float
             ):
-                raise GraphError(
-                    f"capacity of arc ({a.tail},{a.head}) must be a nonnegative integer"
-                )
-            if a.capacity > MAX_CAPACITY:
-                raise GraphError(
-                    f"capacity {a.capacity} of arc ({a.tail},{a.head}) exceeds "
-                    f"{MAX_CAPACITY}"
-                )
-        terms = self.terminals
-        for t in terms:
-            if not is_index(t, n):
-                raise GraphError(f"terminal {t!r} is not a vertex")
-            if t == self.root:
-                raise GraphError("root cannot be a terminal")
-        if len(set(terms)) != len(terms):
-            raise GraphError("duplicate terminal")
-        k, kp = _integer(self.k, "k"), _integer(self.kp, "kp")
+                a = Arc(tail, head, float(cost), int(capacity))
+            stored.append(a)
+        terminals: set[int] = set()
+        for j, t in enumerate(self.terminals):
+            place = ("terminal", j)
+            t = _vertex(t, n, "terminal", place)
+            if t == root:
+                raise GraphError("root cannot be a terminal", place)
+            if t in terminals:
+                raise GraphError("duplicate terminal", place)
+            terminals.add(t)
+        k = _integer(self.k, "k", "budgets")
+        kp = _integer(self.kp, "kp", "budgets")
         if k < 0 or kp < 0:
-            raise GraphError("budgets must be nonnegative")
-        if k + kp > len(self.arcs):
-            raise GraphError(f"k + kp = {k + kp} exceeds arc count {len(self.arcs)}")
+            raise GraphError("budgets must be nonnegative", "budgets")
+        if k + kp > m:
+            raise GraphError(f"k + kp = {k + kp} exceeds arc count {m}", "budgets")
+        return n, tuple(stored), root, tuple(sorted(terminals)), k, kp
 
 
 @dataclass(frozen=True, eq=False)

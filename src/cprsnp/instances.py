@@ -10,8 +10,12 @@ Instance format (one record per line, ``c`` lines are comments)::
     b <k> <kp>
 
 Vertices are 1-based positive integers.  Exactly one ``p``, one ``r`` and
-one ``b`` line; one ``a`` line per arc.  A design file lists selected and
-protected initial arcs::
+one ``b`` line; one ``a`` line per arc.  The reader checks the format: the
+records' shapes and number, token syntax, the ``p`` line's counts, each
+vertex against the vertex count, and the arc count the ``p`` line promises.
+Every rule on the values is :class:`cprsnp.graph.Instance`'s; the reader
+puts such a fault on the line of the record it names, else past the last
+line.  A design file lists selected and protected initial arcs::
 
     y <tail> <head>
     p <tail> <head>
@@ -29,7 +33,6 @@ import random
 from .graph import (
     MAX_ARCS,
     MAX_CAPACITY,
-    MAX_COST,
     MAX_VERTICES,
     Arc,
     ArcMask,
@@ -58,12 +61,9 @@ class ParseError(ValueError):
 
 def _number(token: str, line_no: int, what: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise ParseError(line_no, f"{what} {token!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"{what} {token!r} is not finite")
-    return value
 
 
 def _integer(token: str, line_no: int, what: str) -> int:
@@ -92,8 +92,9 @@ def parse_instance(text: str) -> Instance:
     root: int | None = None
     terminals: list[int] = []
     arcs: list[Arc] = []
-    seen_pairs: set[tuple[int, int]] = set()
     budgets: tuple[int, int] | None = None
+    # the line of each record, keyed by the place a GraphError names
+    line_of: dict[object, int] = {}
 
     def vertex(token: str, line_no: int) -> int:
         v = _positive_int(token, line_no, "vertex")
@@ -114,17 +115,12 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 4 or fields[1] != FORMAT_NAME:
                 raise ParseError(line_no, f"expected 'p {FORMAT_NAME} <vertices> <arcs>'")
             vertex_count = _positive_int(fields[2], line_no, "vertex count")
-            if vertex_count > MAX_VERTICES:
-                raise ParseError(
-                    line_no, f"vertex count {vertex_count} exceeds {MAX_VERTICES}"
-                )
             arc_count = _integer(fields[3], line_no, "arc count")
             if arc_count < 0:
                 raise ParseError(line_no, f"negative arc count {arc_count}")
             if arc_count > MAX_ARCS:
-                raise ParseError(
-                    line_no, f"arc count {arc_count} exceeds {MAX_ARCS}"
-                )
+                raise ParseError(line_no, f"arc count {arc_count} exceeds {MAX_ARCS}")
+            line_of["vertex_count"] = line_no
             continue
         if vertex_count is None:
             raise ParseError(line_no, "p line must come before graph data")
@@ -134,69 +130,41 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 2:
                 raise ParseError(line_no, "expected 'r <vertex>'")
             root = vertex(fields[1], line_no)
+            line_of["root"] = line_no
         elif kind == "t":
             if len(fields) != 2:
                 raise ParseError(line_no, "expected 't <vertex>'")
-            t = vertex(fields[1], line_no)
-            if t in terminals:
-                raise ParseError(line_no, f"duplicate terminal {fields[1]}")
-            terminals.append(t)
+            line_of[("terminal", len(terminals))] = line_no
+            terminals.append(vertex(fields[1], line_no))
         elif kind == "a":
             if len(fields) != 5:
                 raise ParseError(line_no, "expected 'a <tail> <head> <cost> <capacity>'")
-            tail = vertex(fields[1], line_no)
-            head = vertex(fields[2], line_no)
-            if tail == head:
-                raise ParseError(line_no, "self-loop")
-            if (tail, head) in seen_pairs:
-                raise ParseError(line_no, f"parallel arc {fields[1]} -> {fields[2]}")
-            seen_pairs.add((tail, head))
+            line_of[("arc", len(arcs))] = line_no
+            tail, head = vertex(fields[1], line_no), vertex(fields[2], line_no)
             cost = _number(fields[3], line_no, "cost")
-            if cost < 0:
-                raise ParseError(line_no, "negative cost")
-            if cost > MAX_COST:
-                raise ParseError(line_no, f"cost {fields[3]} exceeds {MAX_COST}")
-            capacity = _number(fields[4], line_no, "capacity")
-            if capacity < 0 or capacity != int(capacity):
-                raise ParseError(line_no, "capacity must be a nonnegative integer")
-            if capacity > MAX_CAPACITY:
-                raise ParseError(
-                    line_no, f"capacity {fields[4]} exceeds {MAX_CAPACITY}"
-                )
-            arcs.append(Arc(tail, head, cost, int(capacity)))
+            arcs.append(Arc(tail, head, cost, _number(fields[4], line_no, "capacity")))
         elif kind == "b":
             if budgets is not None:
                 raise ParseError(line_no, "duplicate b line")
             if len(fields) != 3:
                 raise ParseError(line_no, "expected 'b <k> <kp>'")
             budgets = tuple(_integer(token, line_no, "budget") for token in fields[1:])
-            if min(budgets) < 0:
-                raise ParseError(line_no, "budgets must be nonnegative")
+            line_of["budgets"] = line_no
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
 
     last = _end_line(text)
-    if vertex_count is None:
-        raise ParseError(last, "missing p line")
-    if root is None:
-        raise ParseError(last, "missing r line")
-    if budgets is None:
-        raise ParseError(last, "missing b line")
+    for record, value in (("p", vertex_count), ("r", root), ("b", budgets)):
+        if value is None:
+            raise ParseError(last, f"missing {record} line")
     if arc_count != len(arcs):
         raise ParseError(
             last, f"p line promises {arc_count} arcs, file has {len(arcs)}"
         )
     try:
-        return Instance(
-            vertex_count=vertex_count,
-            arcs=tuple(arcs),
-            root=root,
-            terminals=tuple(terminals),
-            k=budgets[0],
-            kp=budgets[1],
-        )
+        return Instance(vertex_count, tuple(arcs), root, tuple(terminals), *budgets)
     except GraphError as exc:
-        raise ParseError(last, str(exc)) from None
+        raise ParseError(line_of.get(exc.place, last), str(exc)) from None
 
 
 def write_instance(instance: Instance) -> str:
@@ -340,21 +308,14 @@ def generate(
         add_arc(rng.choice(reached), v)
         reached.append(v)
 
-    def snapshot() -> AugmentedInstance:
-        inst = Instance(
-            vertex_count=nodes,
-            arcs=tuple(chosen[key] for key in sorted(chosen)),
-            root=root,
-            terminals=tuple(term_set),
-            k=0,
-            kp=0,
-        )
-        return augment(inst)
+    def snapshot(k: int = 0, kp: int = 0) -> Instance:
+        ordered = tuple(chosen[key] for key in sorted(chosen))
+        return Instance(nodes, ordered, root, tuple(term_set), k, kp)
 
     # top up to feasibility: arcs across a minimum cut raise the max flow,
     # which is that cut's capacity
     while len(chosen) < arcs:
-        aug = snapshot()
+        aug = augment(snapshot())
         cut = min_cut(aug, ArcMask.full(aug))
         if sum(aug.arcs[a].capacity for a in cut.arcs) >= terminals:
             break
@@ -383,17 +344,11 @@ def generate(
             i, j = divmod(n + bisect.bisect_right(before, n), nodes - 1)
             add_arc(i, j + (j >= i))
 
-    aug = snapshot()
+    instance = snapshot(k, kp)
+    aug = augment(instance)
     if max_flow(aug, ArcMask.full(aug)).value < terminals:
         raise GenerationError("cannot reach feasibility within the arc budget")
-    return Instance(
-        vertex_count=nodes,
-        arcs=tuple(chosen[key] for key in sorted(chosen)),
-        root=root,
-        terminals=tuple(term_set),
-        k=k,
-        kp=kp,
-    )
+    return instance
 
 
 def instance_label(instance: Instance) -> str:

@@ -90,7 +90,7 @@ def test_capacity_above_the_bound_exits_with_input_error(tmp_path, capsys):
     assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"capacity 1e30 exceeds {MAX_CAPACITY}" in captured.err
+    assert f"line 5: capacity exceeds {MAX_CAPACITY}" in captured.err
 
 
 @pytest.mark.parametrize("cost", ["1e21", str(MAX_COST + 1)])
@@ -104,7 +104,7 @@ def test_cost_above_the_bound_exits_with_input_error(tmp_path, capsys, cost):
     assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"line 4: cost {cost} exceeds {MAX_COST}" in captured.err
+    assert f"line 4: cost exceeds {MAX_COST}" in captured.err
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)

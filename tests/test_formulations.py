@@ -114,13 +114,15 @@ def test_design_canonical():
         Design.canonical(aug, [99])
 
 
-@pytest.mark.parametrize("extra", [4, 99, -1, 0.5])
+@pytest.mark.parametrize("extra", [4, 99, -1, 0.5, "x"])
 def test_design_with_an_unknown_arc_is_not_canonical(extra):
     # canonical() rejects an arc outside 0..m-1; is_canonical must agree,
     # or the verifier and the oracles accept a design that cost() fails on
     aug = tri_aug()
     design = Design(frozenset(range(aug.arc_count)) | {extra}, frozenset())
     assert not design.is_canonical(aug)
+    with pytest.raises(FormulationError, match="unknown arc index"):
+        Design.canonical(aug, [extra], [extra])
     with pytest.raises(VerifyError):
         is_survivable(aug, design)
 

@@ -55,7 +55,7 @@ def test_instance_rejects_bad_structure():
     for cost in (MAX_COST + 1, 1e21):
         with pytest.raises(GraphError, match="exceeds"):
             Instance(2, (Arc(0, 1, cost, 1),), **good)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), "1", None, 1j):
         with pytest.raises(GraphError):
             Instance(2, (Arc(0, 1, bad, 1),), **good)
         with pytest.raises(GraphError):
@@ -91,6 +91,55 @@ def test_instance_rejects_bad_structure():
         k=True,
         kp=np.int64(1),
     )
+
+
+def test_instance_stores_one_type_per_field():
+    inst = Instance(
+        np.int64(3),
+        (Arc(False, True, 1, 1), Arc(0, 2, 1, True), Arc(1, 2, 1, np.float64(2.0))),
+        root=np.int32(0),
+        terminals=(np.int64(2),),
+        k=True,
+        kp=np.int64(1),
+    )
+    numbers = (inst.vertex_count, inst.root, *inst.terminals, inst.k, inst.kp)
+    assert {type(v) for v in numbers} == {int}
+    fields = {tuple(map(type, (a.tail, a.head, a.cost, a.capacity))) for a in inst.arcs}
+    assert fields == {(int, int, float, int)}
+    assert inst.arcs[2] == Arc(1, 2, 1.0, 2)
+    # an arc already in the stored types is kept as it is
+    arc = Arc(0, 1, 1.0, 1)
+    assert Instance(2, (arc,), 0, (1,), 0, 0).arcs[0] is arc
+
+
+@pytest.mark.parametrize(
+    "fields, place",
+    [
+        (dict(vertex_count=0), "vertex_count"),
+        (dict(root=3), "root"),
+        (dict(arcs=(Arc(0, 1, 1, 1), Arc(1, 1, 1, 1))), ("arc", 1)),
+        (dict(arcs=(Arc(0, 1, 1, 1), Arc(0, 1, 2, 1))), ("arc", 1)),
+        (dict(arcs=(Arc(0, 1, -1, 1), Arc(1, 2, 1, 1))), ("arc", 0)),
+        (dict(arcs=(Arc(0, 1, 1, 1), Arc(1, 2, 1, 0.5))), ("arc", 1)),
+        (dict(terminals=(2, 0)), ("terminal", 1)),
+        (dict(terminals=(2, 1, 2)), ("terminal", 2)),
+        (dict(terminals=(1, 5)), ("terminal", 1)),
+        (dict(k=-1), "budgets"),
+        (dict(k=2, kp=1), "budgets"),
+    ],
+)
+def test_instance_fault_names_its_place(fields, place):
+    good = dict(
+        vertex_count=3,
+        arcs=(Arc(0, 1, 1, 1), Arc(1, 2, 1, 1)),
+        root=0,
+        terminals=(2,),
+        k=0,
+        kp=0,
+    )
+    with pytest.raises(GraphError) as err:
+        Instance(**{**good, **fields})
+    assert err.value.place == place
 
 
 def test_terminals_are_sorted():

@@ -6,6 +6,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,20 @@ def test_write_instance_layout():
     ]
 
 
+def test_round_trip_of_bool_and_numpy_fields():
+    # Instance stores plain integers and float costs, so the file shows
+    # numbers the reader takes
+    inst = Instance(
+        np.int64(3),
+        (Arc(False, True, 1, 1), Arc(0, 2, 1, True), Arc(1, 2, 1, np.float64(2.0))),
+        root=np.int32(0),
+        terminals=(np.int64(2),),
+        k=True,
+        kp=np.int64(1),
+    )
+    assert parse_instance(write_instance(inst)) == inst
+
+
 def test_zero_arc_instance_round_trip():
     # Instance takes a network without arcs, and so does the p line
     inst = Instance(2, (), 0, (), 0, 0)
@@ -95,7 +110,7 @@ def test_save_and_load(tmp_path):
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 1 x\n", 4, "budget 'x' is not an integer"),
         ("p cprsnp 2 1\nr 1\nr 2\n", 3, "duplicate r line"),
         ("p cprsnp 2 1\nr 3\n", 2, "outside 1..2"),
-        ("p cprsnp 2 1\nr 1\nt 2\nt 2\n", 4, "duplicate terminal"),
+        ("p cprsnp 2 1\nr 1\nt 2\nt 2\na 1 2 1 1\nb 0 0\n", 4, "duplicate terminal"),
         ("p cprsnp 2 1\nr 1\na 1 1 1 1\nb 0 0\n", 3, "self-loop"),
         (
             "p cprsnp 2 2\nr 1\na 1 2 1 1\na 1 2 2 1\nb 0 0\n",
@@ -106,13 +121,15 @@ def test_save_and_load(tmp_path):
         (
             "p cprsnp 2 1\nr 1\na 1 2 1 1.5\nb 0 0\n",
             3,
-            "capacity must be a nonnegative integer",
+            "capacity 1.5 is not an integer",
         ),
         ("p cprsnp 2 1\nr 1\na 1 2 1 2147483648\nb 0 0\n", 3, "exceeds 2147483647"),
-        ("p cprsnp 2 1\nr 1\na 1 2 2147483648 1\nb 0 0\n", 3, "cost 2147483648 exceeds"),
-        ("p cprsnp 2 1\nr 1\na 1 2 1e21 1\nb 0 0\n", 3, "cost 1e21 exceeds"),
+        ("p cprsnp 2 1\nr 1\na 1 2 2147483648 1\nb 0 0\n", 3, "cost exceeds 2147483647"),
+        ("p cprsnp 2 1\nr 1\na 1 2 1e21 1\nb 0 0\n", 3, "cost exceeds 2147483647"),
         ("p cprsnp 2 1\nr 1\na 1 2 x 1\nb 0 0\n", 3, "not a number"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb -1 0\n", 4, "nonnegative"),
+        ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 1 1\n", 4, "exceeds arc count 1"),
+        ("p cprsnp 2 1\nr 1\nt 1\na 1 2 1 1\nb 0 0\n", 3, "root cannot be a"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nb 0 0\nb 0 0\n", 5, "duplicate b line"),
         ("p cprsnp 2 1\nr 1\na 1 2 1 1\nq 3\nb 0 0\n", 4, "unknown record"),
         ("r 1\n", 1, "p line must come before"),
@@ -175,6 +192,14 @@ def test_vertex_count_at_the_bound_parses():
     text = f"p cprsnp {n} 1\nr 1\nt {n}\na 1 {n} 1 1\nb 0 0\n"
     inst = parse_instance(text)
     assert inst.vertex_count == n
+
+
+def test_every_vertex_but_the_root_as_terminal_parses():
+    # one t line per vertex but the root, the most a file can hold
+    n = MAX_VERTICES
+    lines = [f"p cprsnp {n} 0", "r 1"] + [f"t {v}" for v in range(n, 1, -1)]
+    inst = parse_instance("\n".join(lines + ["b 0 0"]) + "\n")
+    assert inst.terminals == tuple(range(1, n))
 
 
 def test_missing_p_line_reported_at_end():
