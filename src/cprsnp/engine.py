@@ -25,10 +25,13 @@ it added, as the master's size after the append less its size before.
 A survivable incumbent built upfront (exact protection search on the
 all-arcs design) provides the upper bound; the tree is pruned by its cost,
 so a tree with no design strictly cheaper than it proves it optimal.  The
-time limit is one deadline on the :func:`time.perf_counter` clock, set as
-the solve starts, at which the probe, the tree and every oracle call stop.
-A timeout returns the best survivable design found so far, from the tree
-or the probe.
+solve holds one best design: the probe's, then each design the tree
+accepts, which the cutoff makes strictly cheaper than the one before.
+Every outcome hands that design (or none) to one ``finish``, which works
+out its cost and gap.  The time limit is one deadline on the
+:func:`time.perf_counter` clock, set as the solve starts, at which the
+probe, the tree and every oracle call stop; a timeout returns the best
+design.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ class Solution:
     def iterations(self) -> int:
         return len(self.log)
 
-    def log_lines(self, include_time: bool = False) -> list[str]:
-        return [rec.line(self.formulation, include_time) for rec in self.log]
+    def log_lines(self) -> list[str]:
+        return [rec.line(self.formulation) for rec in self.log]
 
 
 # The formulations.  Each is seeded and builds its master in its
@@ -205,7 +208,10 @@ FORMULATIONS = tuple(FORMULATION_CLASSES)
 def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | None:
     """Survivable design used as upper bound: all arcs plus a protection
     search branching on witness scenarios (the all-arcs selection is
-    protectable iff the instance is feasible at all)."""
+    protectable iff the instance is feasible at all).  None means that no
+    design survives."""
+    if max_flow(aug, ArcMask.full(aug)).value < aug.demand:
+        return None  # the full network cannot carry the demand
 
     def probe(design: Design, budget: int) -> Design | None:
         violation = separate_scenario(aug, design, deadline=deadline)
@@ -237,13 +243,17 @@ def solve(
         raise ValueError(f"unknown formulation {formulation!r}")
     t0 = time.perf_counter()
     deadline = t0 + options.time_limit_s
-    demand = aug.demand
     records: list[IterationRecord] = []
+    lower = 0.0  # costs are nonnegative
 
-    def elapsed() -> float:
-        return time.perf_counter() - t0
-
-    def finish(status, design, cost, gap) -> Solution:
+    def finish(status: SolveStatus, design: Design | None = None) -> Solution:
+        """The design's cost and, unless it is optimal, its gap to lower."""
+        cost = gap = None
+        if design is not None:
+            cost = design.cost(aug)
+            gap = 0.0
+            if status != SolveStatus.OPTIMAL:
+                gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
         sol = Solution(
             status=status,
             design=design,
@@ -251,7 +261,7 @@ def solve(
             gap=gap,
             log=tuple(records),
             formulation=formulation,
-            seconds=elapsed(),
+            seconds=time.perf_counter() - t0,
         )
         log.info(
             "formulation=%s status=%s cost=%s gap=%s iterations=%d",
@@ -263,37 +273,24 @@ def solve(
         )
         return sol
 
-    if max_flow(aug, ArcMask.full(aug)).value < demand:
-        return finish(SolveStatus.INFEASIBLE, None, None, None)
-
     try:
-        incumbent = _feasible_incumbent(aug, deadline)
+        best = _feasible_incumbent(aug, deadline)
     except SeparationTimeout:
-        incumbent = None  # ran out of time while probing; unresolved
+        best = None  # ran out of time while probing; unresolved
     else:
-        if incumbent is None:
-            return finish(SolveStatus.INFEASIBLE, None, None, None)
-    upper = incumbent.cost(aug) if incumbent is not None else math.inf
-    lower = 0.0  # costs are nonnegative
+        if best is None:
+            return finish(SolveStatus.INFEASIBLE)
+    upper = best.cost(aug) if best is not None else math.inf
 
     form = FORMULATION_CLASSES[formulation](aug)
     master = form.master
-    found: Design | None = None  # the tree's survivable incumbent
-
-    def timeout_solution() -> Solution:
-        best = found if found is not None else incumbent
-        if best is None:
-            return finish(SolveStatus.FEASIBLE, None, None, None)
-        cost = best.cost(aug)
-        gap = max(0.0, (cost - lower) / max(abs(cost), 1e-9))
-        return finish(SolveStatus.FEASIBLE, best, cost, gap)
 
     def record(bound: float, value: float | None, rows: int, cols: int) -> None:
         """Append the next iteration record and log it."""
-        records.append(
-            IterationRecord(len(records) + 1, bound, value, rows, cols, elapsed())
-        )
-        log.info(records[-1].line(formulation, include_time=True))
+        seconds = time.perf_counter() - t0
+        rec = IterationRecord(len(records) + 1, bound, value, rows, cols, seconds)
+        records.append(rec)
+        log.info(rec.line(formulation, include_time=True))
 
     rejected: set[Design] = set()
 
@@ -302,14 +299,14 @@ def solve(
         the violation the oracle found to the master and return True.  Every
         appended row cuts its design off, so a design rejected once cannot
         come back unless the master has stalled."""
-        nonlocal lower, found
+        nonlocal lower, best
         lower = max(lower, bound)
         design = master.design_from(values)
         if design in rejected:
             raise EngineError("master returned a rejected design; it is stalled")
         violation = form.separate(design, deadline)
         if violation is None:
-            found = design
+            best = design
             return False
         rejected.add(design)
         rows, cols = master.model.num_constraints, master.model.num_vars
@@ -325,26 +322,26 @@ def solve(
     log.info(
         "formulation=%s start demand=%d arcs=%d k=%d kp=%d",
         formulation,
-        demand,
+        aug.demand,
         aug.arc_count,
         aug.k,
         aug.kp,
     )
     try:
-        # without an incumbent, upper is math.inf and prunes nothing
+        # without a design, upper is math.inf and prunes nothing
         res = solve_mip(master.model, deadline=deadline, cutoff=upper, lazy=check)
     except SeparationTimeout:
-        return timeout_solution()
-    if res.status == SolveStatus.INFEASIBLE:
-        if incumbent is None:
-            return finish(SolveStatus.INFEASIBLE, None, None, None)
-        # no survivable design is strictly cheaper than the incumbent
-        record(upper, None, 0, 0)
-        return finish(SolveStatus.OPTIMAL, incumbent, upper, 0.0)
-    if res.status != SolveStatus.OPTIMAL:
+        return finish(SolveStatus.FEASIBLE, best)
+    if res.status == SolveStatus.FEASIBLE:
         if res.bound is not None:
             lower = max(lower, res.bound)
-        return timeout_solution()
-    design = master.design_from(res.values)
-    record(res.objective, float(demand), 0, 0)
-    return finish(SolveStatus.OPTIMAL, design, design.cost(aug), 0.0)
+        return finish(SolveStatus.FEASIBLE, best)
+    if res.status == SolveStatus.OPTIMAL:
+        # the tree's optimum is the last design it accepted
+        record(res.objective, float(aug.demand), 0, 0)
+    elif best is not None:
+        # no survivable design is strictly cheaper than the probe's
+        record(upper, None, 0, 0)
+    else:
+        return finish(SolveStatus.INFEASIBLE)
+    return finish(SolveStatus.OPTIMAL, best)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
+import operator
 import random
 
 from .graph import (
@@ -245,6 +246,14 @@ class GenerationError(ValueError):
     """Parameter combination cannot yield a feasible instance."""
 
 
+def _count(value: object, name: str) -> int:
+    """An integer parameter of :func:`generate`, or GenerationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GenerationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def generate(
     nodes: int,
     terminals: int,
@@ -259,8 +268,15 @@ def generate(
 
     A random arborescence from the root reaches every vertex; extra arcs are
     drawn uniformly from the remaining vertex pairs, preferring arcs across a
-    minimum cut while the network cannot carry the demand yet.
+    minimum cut while the network cannot carry the demand yet.  Every
+    parameter is checked before the first draw.
     """
+    nodes = _count(nodes, "nodes")
+    terminals = _count(terminals, "terminals")
+    arcs = _count(arcs, "arcs")
+    k, kp = _count(k, "k"), _count(kp, "kp")
+    if uniform_capacity is not None:
+        uniform_capacity = _count(uniform_capacity, "uniform capacity")
     if nodes < 2:
         raise GenerationError("need at least two vertices")
     if nodes > MAX_VERTICES:
@@ -275,6 +291,8 @@ def generate(
         raise GenerationError(f"arc count {arcs} exceeds {MAX_ARCS}")
     if capacity_mode not in ("uniform", "random"):
         raise GenerationError(f"unknown capacity mode {capacity_mode!r}")
+    if k < 0 or kp < 0:
+        raise GenerationError("budgets must be nonnegative")
     if k + kp > arcs:
         raise GenerationError("k + kp exceeds the arc count")
     if uniform_capacity is not None and not 0 <= uniform_capacity <= MAX_CAPACITY:

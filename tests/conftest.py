@@ -277,6 +277,14 @@ def triangle(k: int = 1, kp: int = 0) -> Instance:
     )
 
 
+def unreachable_terminal() -> Instance:
+    """Root 0 and terminal 2, but the one arc at the terminal leaves it, so
+    even the full network carries no flow to it."""
+    return Instance(
+        3, (Arc(0, 1, 1.0, 1), Arc(2, 1, 1.0, 1)), root=0, terminals=(2,), k=1, kp=0
+    )
+
+
 def deep_path(n: int = 1500) -> Instance:
     """The path 0 -> 1 -> ... -> n-1 with its last vertex as the one
     terminal: its level graph is n levels deep, beyond the interpreter's

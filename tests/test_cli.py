@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import deep_path, triangle
+from conftest import deep_path, triangle, unreachable_terminal
 from cprsnp import cli
 from cprsnp.engine import FORMULATIONS, EngineOptions
 from cprsnp.formulations import Design
@@ -79,6 +79,15 @@ def test_zero_arc_instance_solves_from_its_file(tmp_path, capsys, formulation):
     assert cli.main(argv) == cli.EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "status=Optimal cost=0 gap=0.0000"
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_network_without_flow_exits_infeasible(tmp_path, capsys, formulation):
+    path = tmp_path / "cut-off.txt"
+    path.write_text(write_instance(unreachable_terminal()), encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--formulation", formulation]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE == 3
+    assert capsys.readouterr().out == "status=Infeasible\n"
 
 
 def test_capacity_above_the_bound_exits_with_input_error(tmp_path, capsys):

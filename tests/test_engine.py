@@ -21,6 +21,7 @@ from conftest import (
     matrices,
     triangle,
     two_cycle,
+    unreachable_terminal,
 )
 
 from cprsnp import augment, engine, formulations, milp, separation
@@ -97,6 +98,20 @@ def test_triangle_infeasible_budget(formulation):
     assert sol.design is None
     assert sol.cost is None
     assert sol.gap is None
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_network_without_flow_is_infeasible_before_the_tree(formulation, monkeypatch):
+    # the probe's all-arcs max flow gives the verdict: no master is built
+    def no_master(*args):
+        raise AssertionError("a master was built")
+
+    for name in ("build_cutset_master", "build_flow_master", "build_bilevel_master"):
+        monkeypatch.setattr(engine, name, no_master)
+    sol = solve(augment(unreachable_terminal()), formulation, FAST)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert (sol.design, sol.cost, sol.gap) == (None, None, None)
+    assert sol.iterations == 0
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -492,7 +507,7 @@ def test_log_lines_shape(formulation):
     for i, line in enumerate(lines, start=1):
         assert line.startswith(f"formulation={formulation} iter={i} ")
         assert "elapsed=" not in line
-    timed = sol.log_lines(include_time=True)
+    timed = [rec.line(formulation, include_time=True) for rec in sol.log]
     assert all("elapsed=" in line for line in timed)
 
 

@@ -151,7 +151,7 @@ def test_failure_scenario_of():
         FailureScenario.of(aug, [9])
 
 
-def test_eval_ms_frozen():
+def test_cut_residual_frozen():
     aug = tri_aug(kp=1)
     cut = CutSet.from_sink_side(aug, {2, 3})
     full = Design.canonical(aug, range(3))
@@ -805,7 +805,7 @@ def test_cut_search_gam_columns_are_the_attack_candidates():
     assert seen == {"protected", "unprotected"}
 
 
-def test_strengthening_gamma_weighting_toggle():
+def test_strengthening_mip_is_infeasible_when_protection_keeps_every_cut():
     aug = tri_aug(k=1, kp=1)
     design = Design.canonical(aug, [1], [1])
     weighted = solve_mip(build_strengthening(aug, design).model)

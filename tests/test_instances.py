@@ -400,9 +400,25 @@ def test_generate_costs_within_range(monkeypatch):
             dict(nodes=MAX_VERTICES + 1, terminals=1, arcs=MAX_VERTICES),
             f"^vertex count {MAX_VERTICES + 1} exceeds {MAX_VERTICES}$",
         ),
+        (dict(nodes=5, terminals=1, arcs=6, k=-1), "^budgets must be nonnegative$"),
+        (dict(nodes=5, terminals=1, arcs=6, kp=-1), "^budgets must be nonnegative$"),
+        (dict(nodes=5, terminals=1, arcs=6, k=1.5), "^k must be an integer, got 1.5$"),
+        (dict(nodes=5, terminals=1, arcs=6, kp="1"), "^kp must be an integer, got '1'$"),
+        (dict(nodes=5, terminals=1.0, arcs=6), "^terminals must be an integer"),
+        (dict(nodes=5.0, terminals=1, arcs=6), "^nodes must be an integer"),
+        (dict(nodes=5, terminals=1, arcs=None), "^arcs must be an integer"),
+        (
+            dict(nodes=3, terminals=1, arcs=3, uniform_capacity=1.5),
+            "^uniform capacity must be an integer, got 1.5$",
+        ),
     ],
 )
-def test_generate_rejects_bad_parameters(kwargs, needle):
+def test_generate_rejects_bad_parameters(kwargs, needle, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("generate built its random generator")
+
+    # every fault is raised before the generator exists, so before any draw
+    monkeypatch.setattr(instances.random, "Random", no_draw)
     with pytest.raises(GenerationError, match=needle):
         generate(**kwargs)
 

@@ -216,7 +216,7 @@ def test_separation_timeout_raised():
             separate(aug, design, deadline=time.perf_counter())
 
 
-def test_brute_force_enumeration_polls_its_deadline():
+def test_attack_search_polls_its_deadline():
     # 30-3-60 at (3,1): the attack search needs more max flows than it runs
     # between two clock reads, so a zero budget stops it
     inst = generate(30, 3, 60, "uniform", seed=7, k=3, kp=1, uniform_capacity=3)
