@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .engine import FORMULATIONS, EngineOptions, solve
-from .graph import Instance, augment, format_cost
+from .graph import GraphError, Instance, augment, format_cost
 from .instances import instance_label
 
 TABLE_ORDER = ("bilevel", "cutset", "flow")
@@ -43,9 +43,12 @@ def bench(
 ) -> list[BenchResult]:
     """One row per (instance, budget pair, formulation), in input order.
 
-    ``budgets`` overrides the (k, kp) baked into each instance; a failed
-    cell (engine error, unexpected exception) is recorded with status
-    ``Error`` rather than aborting the sweep.  ``formulations`` must name
+    ``budgets`` overrides the (k, kp) baked into each instance.  Every
+    cell is built before the first solve, so a budget pair that an instance
+    cannot take raises :class:`~cprsnp.graph.GraphError`, naming the
+    instance and the pair, before any time is spent; a failed solve
+    (engine error, unexpected exception) is recorded with status ``Error``
+    rather than aborting the sweep.  ``formulations`` must name
     at least one formulation, each at most once.
     """
     if not formulations:
@@ -55,24 +58,32 @@ def bench(
             raise ValueError(f"unknown formulation {name!r}")
         if name in formulations[:i]:
             raise ValueError(f"formulation {name!r} listed twice")
-    rows: list[BenchResult] = []
+    cells = []
     for instance in instances:
         pairs = budgets if budgets is not None else [(instance.k, instance.kp)]
         for k, kp in pairs:
-            cell = replace(instance, k=k, kp=kp)
-            aug = augment(cell)
-            for name in formulations:
-                try:
-                    sol = solve(aug, name, options)
-                    outcome = (
-                        sol.status.value, sol.cost, sol.gap, sol.iterations, sol.seconds
-                    )
-                except Exception as exc:  # noqa: BLE001 - keep the sweep alive
-                    outcome = (f"Error: {type(exc).__name__}", None, None, 0, 0.0)
-                row = BenchResult(instance_label(cell), k, kp, name, *outcome)
-                rows.append(row)
-                if progress is not None:
-                    progress(row)
+            try:
+                cells.append(replace(instance, k=k, kp=kp))
+            except GraphError as exc:
+                raise GraphError(
+                    f"instance {instance_label(instance)} at k={k} kp={kp}: {exc}",
+                    exc.place,
+                ) from None
+    rows: list[BenchResult] = []
+    for cell in cells:
+        aug = augment(cell)
+        for name in formulations:
+            try:
+                sol = solve(aug, name, options)
+                outcome = (
+                    sol.status.value, sol.cost, sol.gap, sol.iterations, sol.seconds
+                )
+            except Exception as exc:  # noqa: BLE001 - keep the sweep alive
+                outcome = (f"Error: {type(exc).__name__}", None, None, 0, 0.0)
+            row = BenchResult(instance_label(cell), cell.k, cell.kp, name, *outcome)
+            rows.append(row)
+            if progress is not None:
+                progress(row)
     return rows
 
 

@@ -23,15 +23,15 @@ bound at that moment, the violation's value, and how many rows and columns
 it added, as the master's size after the append less its size before.
 
 A survivable incumbent built upfront (exact protection search on the
-all-arcs design) provides the upper bound; the tree is pruned by its cost,
-so a tree with no design strictly cheaper than it proves it optimal.  The
-solve holds one best design: the probe's, then each design the tree
-accepts, which the cutoff makes strictly cheaper than the one before.
-Every outcome hands that design (or none) to one ``finish``, which works
-out its cost and gap.  The time limit is one deadline on the
-:func:`time.perf_counter` clock, set as the solve starts, at which the
-probe, the tree and every oracle call stop; a timeout returns the best
-design.
+all-arcs design, a depth-first loop over protections) provides the upper
+bound; the tree is pruned by its cost, so a tree with no design strictly
+cheaper than it proves it optimal.  The solve holds one best design: the
+probe's, then each design the tree accepts, which the cutoff makes
+strictly cheaper than the one before.  Every outcome hands that design
+(or none) to one ``finish``, which works out its cost and gap.  The time
+limit is one deadline on the :func:`time.perf_counter` clock, set as the
+solve starts, at which the probe, the tree and every oracle call stop; a
+timeout returns the best design.
 """
 
 from __future__ import annotations
@@ -206,31 +206,28 @@ FORMULATIONS = tuple(FORMULATION_CLASSES)
 
 
 def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | None:
-    """Survivable design used as upper bound: all arcs plus a protection
-    search branching on witness scenarios (the all-arcs selection is
-    protectable iff the instance is feasible at all).  None means that no
-    design survives."""
+    """Survivable design used as upper bound: all arcs plus a depth-first
+    protection search branching on witness scenarios (the all-arcs
+    selection is protectable iff the instance is feasible at all).  None
+    means that no design survives."""
     if max_flow(aug, ArcMask.full(aug)).value < aug.demand:
         return None  # the full network cannot carry the demand
-
-    def probe(design: Design, budget: int) -> Design | None:
+    # complete: more selection never hurts, so the all-arcs design with the
+    # best protection is feasible iff anything is; every feasible protection
+    # must hit each witness scenario, hence the branching below is exhaustive.
+    # The stack pops the first witness arc's child first, in preorder
+    stack = [Design.canonical(aug, range(aug.arc_count))]
+    while stack:
+        design = stack.pop()
         violation = separate_scenario(aug, design, deadline=deadline)
         if violation is None:
             return design
-        if budget == 0:
-            return None
-        for arc in violation.scenario.sorted_arcs():
-            found = probe(
-                Design(design.selected, design.protected | {arc}), budget - 1
+        if len(design.protected) < aug.kp:
+            stack.extend(
+                Design(design.selected, design.protected | {arc})
+                for arc in reversed(violation.scenario.sorted_arcs())
             )
-            if found is not None:
-                return found
-        return None
-
-    # complete: more selection never hurts, so the all-arcs design with the
-    # best protection is feasible iff anything is; every feasible protection
-    # must hit each witness scenario, hence the branching below is exhaustive
-    return probe(Design.canonical(aug, range(aug.arc_count)), aug.kp)
+    return None
 
 
 def solve(

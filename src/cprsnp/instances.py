@@ -42,7 +42,6 @@ from .graph import (
     Instance,
     augment,
     format_cost,
-    max_flow,
     min_cut,
 )
 from .formulations import Design, FormulationError
@@ -331,8 +330,8 @@ def generate(
         return Instance(nodes, ordered, root, tuple(term_set), k, kp)
 
     # top up to feasibility: arcs across a minimum cut raise the max flow,
-    # which is that cut's capacity
-    while len(chosen) < arcs:
+    # which is that cut's capacity; the last cut is the one verdict
+    while True:
         aug = augment(snapshot())
         cut = min_cut(aug, ArcMask.full(aug))
         if sum(aug.arcs[a].capacity for a in cut.arcs) >= terminals:
@@ -346,7 +345,7 @@ def generate(
             for j in heads
             if (i, j) not in chosen
         ]
-        if not crossing:
+        if len(chosen) == arcs or not crossing:
             raise GenerationError("cannot reach feasibility within the arc budget")
         add_arc(*rng.choice(crossing))
 
@@ -362,11 +361,7 @@ def generate(
             i, j = divmod(n + bisect.bisect_right(before, n), nodes - 1)
             add_arc(i, j + (j >= i))
 
-    instance = snapshot(k, kp)
-    aug = augment(instance)
-    if max_flow(aug, ArcMask.full(aug)).value < terminals:
-        raise GenerationError("cannot reach feasibility within the arc budget")
-    return instance
+    return snapshot(k, kp)
 
 
 def instance_label(instance: Instance) -> str:

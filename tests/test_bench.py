@@ -14,7 +14,8 @@ from conftest import triangle
 import cprsnp.bench as bench_mod
 from cprsnp.bench import BenchResult, bench, csv_report, text_table
 from cprsnp.engine import EngineOptions
-from cprsnp.graph import MAX_COST, Arc, format_cost
+from cprsnp.graph import MAX_COST, Arc, GraphError, format_cost
+from cprsnp.instances import generate
 
 
 OPTS = EngineOptions(time_limit_s=60.0)
@@ -87,6 +88,27 @@ def test_bench_budget_override():
     ]
     assert [r.cost for r in rows] == [4.0, 2.0, None]
     assert rows[2].gap is None
+
+
+def test_bench_checks_every_cell_before_the_first_solve(monkeypatch):
+    # the triangle has three arcs, so k + kp = 4 is no cell of it; the
+    # sweep would reach that pair only after both cells of the larger
+    # instance and the triangle's first
+    solved = []
+
+    def boom(aug, name, options):
+        solved.append(name)
+        raise RuntimeError("no cell may be solved")
+
+    monkeypatch.setattr(bench_mod, "solve", boom)
+    larger = generate(6, 2, 12, seed=1)
+    with pytest.raises(GraphError) as info:
+        bench([larger, triangle()], ["cutset"], OPTS, budgets=[(1, 0), (3, 1)])
+    assert str(info.value) == (
+        "instance 3-1-3 at k=3 kp=1: k + kp = 4 exceeds arc count 3"
+    )
+    assert info.value.place == "budgets"
+    assert solved == []
 
 
 def test_bench_rejects_unknown_formulation():

@@ -3,6 +3,7 @@ design, and what reaches fd 1 and fd 2."""
 
 import logging
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -255,6 +256,17 @@ def test_verify_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert capsys.readouterr().out == "verified: design survives any 0 failures\n"
 
 
+def test_probe_deeper_than_the_recursion_limit_exits_infeasible(tmp_path, capsys):
+    # the probe protects 998 arcs of the path, one at a time, before it
+    # runs out of budget
+    path = tmp_path / "i.txt"
+    path.write_text(
+        write_instance(replace(deep_path(1000), k=1, kp=998)), encoding="utf-8"
+    )
+    assert cli.main(["solve", "--instance", str(path)]) == cli.EXIT_INFEASIBLE
+    assert capsys.readouterr().out == "status=Infeasible\n"
+
+
 def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
     # at k=3 the probe takes the MIP route (C(90, 3) failure sets),
     # which a zero budget stops before any incumbent
@@ -331,6 +343,29 @@ def test_bench_kp_flags_need_a_k_flag(tmp_path, capsys, flags):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_bench_rejects_a_bad_budget_pair_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # files run in name order: every cell of the 6-2-12 instance and the
+    # triangle's first cells come before the triangle's k + kp = 4
+    def boom(aug, name, options):
+        raise AssertionError("no cell may be solved")
+
+    monkeypatch.setattr(cli.bench_mod, "solve", boom)
+    (tmp_path / "a.txt").write_text(
+        write_instance(generate(6, 2, 12, seed=1)), encoding="utf-8"
+    )
+    (tmp_path / "b.txt").write_text(write_instance(triangle()), encoding="utf-8")
+    argv = ["bench", "--dir", str(tmp_path), "--k-min", "1", "--k-max", "3",
+            "--kp-min", "0", "--kp-max", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance 3-1-3 at k=3 kp=1: k + kp = 4 exceeds arc count 3\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import functools
 import logging
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from cprsnp.engine import (
     solve,
 )
 from cprsnp.formulations import Design, build_cutset_master
-from cprsnp.graph import CutSet, Instance
+from cprsnp.graph import Arc, CutSet, Instance
 from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import SeparationTimeout
@@ -100,18 +101,49 @@ def test_triangle_infeasible_budget(formulation):
     assert sol.gap is None
 
 
-@pytest.mark.parametrize("formulation", FORMULATIONS)
-def test_network_without_flow_is_infeasible_before_the_tree(formulation, monkeypatch):
-    # the probe's all-arcs max flow gives the verdict: no master is built
-    def no_master(*args):
+@pytest.fixture
+def no_master(monkeypatch):
+    """Building any master fails the test: the probe alone decides."""
+
+    def build(*args):
         raise AssertionError("a master was built")
 
     for name in ("build_cutset_master", "build_flow_master", "build_bilevel_master"):
-        monkeypatch.setattr(engine, name, no_master)
+        monkeypatch.setattr(engine, name, build)
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_network_without_flow_is_infeasible_before_the_tree(formulation, no_master):
+    # the probe's all-arcs max flow gives the verdict: no master is built
     sol = solve(augment(unreachable_terminal()), formulation, FAST)
     assert sol.status is SolveStatus.INFEASIBLE
     assert (sol.design, sol.cost, sol.gap) == (None, None, None)
     assert sol.iterations == 0
+
+
+def test_probe_deeper_than_the_recursion_limit_proves_infeasible(no_master):
+    # one failure cuts the 999-arc path at any unprotected arc, and kp = 998
+    # leaves one unprotected: the probe protects one more arc per witness,
+    # 998 deep, and then has no budget left
+    aug = augment(replace(deep_path(1000), k=1, kp=998))
+    sol = solve(aug, "bilevel")
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert (sol.design, sol.iterations) == (None, 0)
+
+
+def test_probe_finds_a_protection_deeper_than_the_recursion_limit():
+    # the path 0 -> ... -> 999 plus the terminal t = 1000, reached by the
+    # arcs 998 -> t and 999 -> t: protecting the 998 path arcs up to vertex
+    # 998 leaves two ways on to t, so one failure still leaves a unit.  The
+    # probe is called by itself, since the tree would then need about one
+    # violation per protected arc to prove that design
+    path = deep_path(1000)
+    t = path.vertex_count
+    arcs = path.arcs + (Arc(998, t, 1.0, 1), Arc(999, t, 1.0, 1))
+    aug = augment(Instance(t + 1, arcs, root=0, terminals=(t,), k=1, kp=998))
+    design = engine._feasible_incumbent(aug, math.inf)
+    assert len(design.protected) == 998
+    assert is_survivable(aug, design)[0]
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)

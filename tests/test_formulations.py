@@ -163,7 +163,7 @@ def test_cut_residual_frozen():
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_eval_ms_matches_enumeration(seed):
+def test_cut_residual_matches_enumeration(seed):
     rng = random.Random(seed)
     aug = small_instance(seed, k=rng.randint(1, 3))
     design = random_design(rng, aug)
@@ -703,7 +703,7 @@ def test_mip_route_frozen_values():
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_2lp_and_cut_search_match_enumeration(seed):
+def test_mip_route_and_cut_search_match_enumeration(seed):
     rng = random.Random(200 + seed)
     aug = small_instance(seed, k=rng.randint(1, 2))
     design = random_design(rng, aug)

@@ -429,6 +429,22 @@ def test_generate_accepts_a_uniform_capacity_at_its_bounds(capacity):
     assert {a.capacity for a in inst.arcs} == {capacity}
 
 
+@pytest.mark.parametrize(
+    "nodes, terminals, arcs, capacity",
+    [
+        # the backbone spends the whole budget: two arcs of capacity 0
+        (3, 1, 2, 0),
+        # every vertex pair gets an arc and none carries a unit
+        (3, 2, 6, 0),
+    ],
+)
+def test_generate_fails_when_no_arc_is_left_to_add(nodes, terminals, arcs, capacity):
+    with pytest.raises(
+        GenerationError, match="^cannot reach feasibility within the arc budget$"
+    ):
+        generate(nodes, terminals, arcs, seed=0, uniform_capacity=capacity)
+
+
 def test_instance_label():
     assert instance_label(triangle(k=1, kp=0)) == "3-1-3"
 
