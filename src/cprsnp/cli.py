@@ -113,7 +113,7 @@ def _cmd_solve(args) -> int:
     if solution.status == SolveStatus.INFEASIBLE:
         print("status=Infeasible")
         return EXIT_INFEASIBLE
-    if solution.design is None:  # out of time before any incumbent
+    if solution.design is None:  # the probe ran out of time
         print(f"status={solution.status.value} cost=none gap=none")
     else:
         cost = format_cost(solution.cost)

@@ -22,22 +22,21 @@ Each violation is one :class:`IterationRecord`: the tree's global lower
 bound at that moment, the violation's value, and how many rows and columns
 it added, as the master's size after the append less its size before.
 
-A survivable incumbent built upfront (exact protection search on the
-all-arcs design, a depth-first loop over protections) provides the upper
-bound; the tree is pruned by its cost, so a tree with no design strictly
-cheaper than it proves it optimal.  The solve holds one best design: the
-probe's, then each design the tree accepts, which the cutoff makes
-strictly cheaper than the one before.  Every outcome hands that design
-(or none) to one ``finish``, which works out its cost and gap.  The time
-limit is one deadline on the :func:`time.perf_counter` clock, set as the
-solve starts, at which the probe, the tree and every oracle call stop; a
-timeout returns the best design.
+A survivable design found upfront, by a depth-first loop over protections
+of the all-arcs design that separates each protection set once, decides
+every outcome without a design (Infeasible, or out of time) before any
+master is built.  So every tree starts from that design and is pruned by
+its cost: a tree with nothing strictly cheaper proves it optimal.  The
+solve holds one best design, the probe's and then each design the tree
+accepts (the cutoff makes each strictly cheaper), and hands it, or none,
+to one ``finish``, which works out its cost and gap.  The time limit is
+one deadline on the :func:`time.perf_counter` clock, set as the solve
+starts, at which the probe, the tree and every oracle call stop.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -217,8 +216,12 @@ def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | Non
     # must hit each witness scenario, hence the branching below is exhaustive.
     # The stack pops the first witness arc's child first, in preorder
     stack = [Design.canonical(aug, range(aug.arc_count))]
+    seen: set[Design] = set()
     while stack:
         design = stack.pop()
+        if design in seen:
+            continue  # preorder: it and every design below it have failed
+        seen.add(design)
         violation = separate_scenario(aug, design, deadline=deadline)
         if violation is None:
             return design
@@ -235,7 +238,7 @@ def solve(
     formulation: str,
     options: EngineOptions = EngineOptions(),
 ) -> Solution:
-    """Run generation to optimality, infeasibility, or the time limit."""
+    """Probe for a design, then run the tree from it to optimality or the time limit."""
     if formulation not in FORMULATION_CLASSES:
         raise ValueError(f"unknown formulation {formulation!r}")
     t0 = time.perf_counter()
@@ -273,11 +276,10 @@ def solve(
     try:
         best = _feasible_incumbent(aug, deadline)
     except SeparationTimeout:
-        best = None  # ran out of time while probing; unresolved
-    else:
-        if best is None:
-            return finish(SolveStatus.INFEASIBLE)
-    upper = best.cost(aug) if best is not None else math.inf
+        return finish(SolveStatus.FEASIBLE)  # out of time before any design
+    if best is None:
+        return finish(SolveStatus.INFEASIBLE)
+    upper = best.cost(aug)
 
     form = FORMULATION_CLASSES[formulation](aug)
     master = form.master
@@ -325,7 +327,6 @@ def solve(
         aug.kp,
     )
     try:
-        # without a design, upper is math.inf and prunes nothing
         res = solve_mip(master.model, deadline=deadline, cutoff=upper, lazy=check)
     except SeparationTimeout:
         return finish(SolveStatus.FEASIBLE, best)
@@ -336,9 +337,7 @@ def solve(
     if res.status == SolveStatus.OPTIMAL:
         # the tree's optimum is the last design it accepted
         record(res.objective, float(aug.demand), 0, 0)
-    elif best is not None:
-        # no survivable design is strictly cheaper than the probe's
-        record(upper, None, 0, 0)
     else:
-        return finish(SolveStatus.INFEASIBLE)
+        # Infeasible: no survivable design is strictly cheaper than the probe's
+        record(upper, None, 0, 0)
     return finish(SolveStatus.OPTIMAL, best)

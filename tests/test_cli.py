@@ -243,6 +243,25 @@ def test_verify_beyond_the_enumeration_guard_exits_with_input_error(
     )
 
 
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        ("y 1 4\n", "rejected: only 0 of 1 units routed with no failures\n"),
+        ("y 1 3\ny 3 2\n", "rejected: failing 1->3 cuts the demand\n"),
+    ],
+)
+def test_verify_rejects_a_design_with_exit_3(tmp_path, capsys, design, message):
+    # the generated instance routes its one unit along 1->3->2 (capacity 1)
+    instance, path = tmp_path / "i.txt", tmp_path / "d.txt"
+    argv = ["gen", "--nodes", "4", "--terminals", "1", "--arcs", "5",
+            "--seed", "1", "--k", "1", "--out", str(instance)]
+    assert cli.main(argv) == cli.EXIT_OK
+    path.write_text(design, encoding="utf-8")
+    argv = ["verify", "--instance", str(instance), "--design", str(path)]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE == 3
+    assert capsys.readouterr() == (message, "")
+
+
 def test_verify_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
     inst = deep_path()
     aug = augment(inst)
@@ -298,6 +317,38 @@ def test_bad_time_limit_exits_with_input_error(tmp_path, capsys, command, limit)
     assert captured.out == ""
     assert captured.err.startswith("error: --time-limit: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["solve", "--instance", "{file}", "--formulation", "nope"],
+        ["bench", "--dir", "{file}"],
+        ["bench", "--dir", "{empty}"],
+        ["bench", "--dir", "{dir}", "--k-min", "3", "--k-max", "1"],
+    ],
+)
+def test_bad_arguments_exit_with_one_input_error_line(tmp_path, capsys, argv):
+    # argparse itself would exit 2 here, which means a time limit
+    instances, empty = tmp_path / "instances", tmp_path / "empty"
+    instances.mkdir()
+    empty.mkdir()
+    file = instances / "tri.txt"
+    file.write_text(write_instance(triangle()), encoding="utf-8")
+    argv = [word.format(file=file, empty=empty, dir=instances) for word in argv]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .+\n", captured.err)
+
+
+def test_gen_without_out_writes_the_instance_to_stdout(capsys):
+    argv = ["gen", "--nodes", "7", "--terminals", "2", "--arcs", "14",
+            "--capacities", "random", "--seed", "3", "--k", "2", "--kp", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    want = write_instance(generate(7, 2, 14, "random", seed=3, k=2, kp=1))
+    assert capsys.readouterr() == (want, "")
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -146,6 +146,34 @@ def test_probe_finds_a_protection_deeper_than_the_recursion_limit():
     assert is_survivable(aug, design)[0]
 
 
+def test_probe_separates_each_protection_set_once(monkeypatch):
+    # at kp = 3 the probe reaches some protection sets along more than one
+    # order of witness arcs; a set popped again is skipped, since it and
+    # every set below it have already failed
+    separated = []
+    real = engine.separate_scenario
+
+    def recording(aug, design, deadline):
+        separated[-1].append(design)
+        return real(aug, design, deadline=deadline)
+
+    monkeypatch.setattr(engine, "separate_scenario", recording)
+    protections = []
+    for seed in range(20):
+        separated.append([])
+        aug = augment(generate(12, 4, 30, "random", seed=seed, k=2, kp=3))
+        design = engine._feasible_incumbent(aug, math.inf)
+        protections.append(None if design is None else sorted(design.protected))
+    assert all(len(set(designs)) == len(designs) for designs in separated)
+    assert sum(map(len, separated)) == 169
+    assert protections == [
+        [2, 4, 22], [3, 4, 29], None, [2, 3], [1, 8, 26],
+        [1, 3, 16], [0, 2, 18], None, None, [0, 4, 5],
+        None, None, None, None, None,
+        [0, 19], [2, 15, 24], [2, 4, 5], None, [0, 1, 2],
+    ]
+
+
 @pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_triangle_no_failures(formulation):
     # k=0 still has to buy a path to the terminal
@@ -622,14 +650,19 @@ def test_zero_budget_keeps_probe_incumbent():
     assert sol.gap == pytest.approx(1.0)
 
 
-def test_zero_budget_unresolved_without_incumbent(scenarios_via_mip):
-    # forcing separation through the MIP makes the probe itself time out
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_zero_budget_unresolved_without_incumbent(
+    formulation, scenarios_via_mip, no_master
+):
+    # forcing separation through the MIP makes the probe itself time out,
+    # which ends the solve: no master is built
     aug = augment(triangle(k=1, kp=0))
-    sol = solve(aug, "flow", EngineOptions(time_limit_s=0.0))
+    sol = solve(aug, formulation, EngineOptions(time_limit_s=0.0))
     assert sol.status is SolveStatus.FEASIBLE
     assert sol.design is None
     assert sol.cost is None
     assert sol.gap is None
+    assert sol.iterations == 0
 
 
 @pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
