@@ -29,7 +29,6 @@ Example
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
 import operator
@@ -202,14 +201,15 @@ class Layout:
 
     ``out_arcs[v]``/``in_arcs[v]`` list the arcs leaving/entering ``v`` in
     arc-index order.  The residual network has edge 2i for arc i forward
-    and 2i+1 for its reverse; ``edges[v]`` lists the edges leaving ``v`` in
-    arc-index order and ``to[e]`` is the vertex edge ``e`` enters.
-    ``capacities`` is the read-only per-arc capacity vector.
+    and 2i+1 for its reverse; ``edges[v]`` lists the ``(edge, head)`` pair
+    of each edge leaving ``v`` in arc-index order, and ``to[e]`` is the
+    vertex edge ``e`` enters.  ``capacities`` is the read-only per-arc
+    capacity vector.
     """
 
     out_arcs: tuple[tuple[int, ...], ...]
     in_arcs: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[tuple[int, int], ...], ...]
     to: tuple[int, ...]
     capacities: np.ndarray
 
@@ -256,17 +256,17 @@ class AugmentedInstance:
     def layout(self) -> Layout:
         """The network layout, built on first use; not a field, so equality,
         hashing and repr ignore it."""
-        edges: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        edges: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
         to = [0] * (2 * len(self.arcs))
         for i, a in enumerate(self.arcs):
-            edges[a.tail].append(2 * i)
-            edges[a.head].append(2 * i + 1)
+            edges[a.tail].append((2 * i, a.head))
+            edges[a.head].append((2 * i + 1, a.tail))
             to[2 * i], to[2 * i + 1] = a.head, a.tail
         caps = np.array([a.capacity for a in self.arcs], dtype=np.int64)
         caps.flags.writeable = False
         # an arc leaves v as a forward edge and enters v as a reverse one
-        out_arcs = tuple(tuple(e // 2 for e in es if e % 2 == 0) for es in edges)
-        in_arcs = tuple(tuple(e // 2 for e in es if e % 2) for es in edges)
+        out_arcs = tuple(tuple(e // 2 for e, _ in es if e % 2 == 0) for es in edges)
+        in_arcs = tuple(tuple(e // 2 for e, _ in es if e % 2) for es in edges)
         return Layout(out_arcs, in_arcs, tuple(map(tuple, edges)), tuple(to), caps)
 
 
@@ -386,10 +386,11 @@ def _flow_path(
     ``start``."""
     arcs = aug.arcs
     reach = aug.layout.in_arcs if backward else aug.layout.out_arcs
-    via = {start: -1}  # the arc by which each vertex was reached
-    queue = collections.deque([start])
-    while queue:
-        v = queue.popleft()
+    # the arc by which each vertex was reached: -1 at the start, None unseen
+    via: list[int | None] = [None] * aug.vertex_count
+    via[start] = -1
+    frontier = [start]
+    for v in frontier:  # grows as the search reaches vertices
         if v == goal:
             path = []
             while v != start:
@@ -399,9 +400,9 @@ def _flow_path(
             return path
         for a in reach[v]:
             w = arcs[a].tail if backward else arcs[a].head
-            if residual[2 * a + 1] > 0 and w not in via:
+            if residual[2 * a + 1] > 0 and via[w] is None:
                 via[w] = a
-                queue.append(w)
+                frontier.append(w)
     return None
 
 
@@ -412,12 +413,17 @@ def _fit(
     every arc where it exceeds the mask is brought down to the mask's
     capacity.  The excess is cancelled along flow cycles through the arc
     (the value stays) and then along flow paths from the root through it to
-    the sink (the value drops)."""
-    if start.flow.shape != (aug.arc_count,):
+    the sink (the value drops).  Only the start's length, signs and value
+    (its flow on the fictive arcs) are checked: conservation at the inner
+    vertices is the caller's promise."""
+    flow = start.flow
+    if flow.shape != (aug.arc_count,):
         raise GraphError("start flow length must match arc count")
+    if (flow < 0).any() or start.value != flow[aug.initial_arc_count :].sum():
+        raise GraphError("start is not a flow of the network")
     value, residual = start.value, _residual(mask, start)
     # an arc's excess is its negative forward residual
-    for a in np.flatnonzero(start.flow > mask.capacities).tolist():
+    for a in np.flatnonzero(flow > mask.capacities).tolist():
         tail, head = aug.arcs[a].tail, aug.arcs[a].head
         # once no flow cycle runs through the arc, cancelling cannot make one
         cyclic = True
@@ -441,81 +447,71 @@ def _fit(
     return value, residual
 
 
-def _dinic(aug: AugmentedInstance, cap: list[int], total: int) -> int:
-    """Dinic's phases on the residual capacities ``cap`` (per edge of the
-    instance's layout) of a flow of value ``total``, until no augmenting
-    path is left; ``cap`` is updated in place and the max value returned."""
+def _augment(aug: AugmentedInstance, residual: list[int], value: int) -> int:
+    """Shortest augmenting paths (Edmonds and Karp) on the residual
+    capacities ``residual`` (per edge of the instance's layout) of a flow of
+    value ``value``, until the fictive arcs are full or a breadth-first
+    search misses the sink; each search stops once it reaches the sink, and
+    its path is read back from the edge by which each vertex was reached.
+    ``residual`` is updated in place and the max value returned."""
     adj, to = aug.layout.edges, aug.layout.to
     n, source, sink = aug.vertex_count, aug.root, aug.sink
-
-    while True:
-        level = [-1] * n
-        level[source] = 0
-        queue = collections.deque([source])
-        while queue:
-            v = queue.popleft()
-            for e in adj[v]:
-                if cap[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[v] + 1
-                    queue.append(to[e])
-        if level[sink] < 0:
+    # what the fictive arcs, the sink's in-arcs, can still take
+    room = sum(residual[2 * aug.initial_arc_count :: 2])
+    while room > 0:
+        # the edge by which each vertex was reached: -1 at the source
+        via: list[int | None] = [None] * n
+        via[source] = -1
+        frontier = [source]
+        for v in frontier:  # grows as the search reaches vertices
+            for e, w in adj[v]:
+                if residual[e] > 0 and via[w] is None:
+                    via[w] = e
+                    frontier.append(w)
+            if via[sink] is not None:
+                break
+        else:  # the search missed the sink
             break
-        it = [0] * n
-        # depth-first search for augmenting paths in the level graph, kept
-        # on an explicit stack of edges so that deep graphs cannot overflow
-        # the interpreter's stack; ``it[v]`` is v's current arc, and a
-        # vertex with no way forward leaves the level graph
-        path: list[int] = []
-        v = source
-        while True:
-            if v == sink:
-                got = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= got
-                    cap[e ^ 1] += got
-                total += got
-                path.clear()
-                v = source
-                continue
-            edges = adj[v]
-            while it[v] < len(edges):
-                e = edges[it[v]]
-                if cap[e] > 0 and level[to[e]] == level[v] + 1:
-                    break
-                it[v] += 1
-            else:
-                level[v] = -1
-                if not path:
-                    break
-                v = to[path.pop() ^ 1]
-                it[v] += 1
-                continue
+        path, v = [], sink
+        while v != source:
+            e = via[v]
             path.append(e)
-            v = to[e]
-    return total
+            v = to[e ^ 1]
+        got = min([residual[e] for e in path])
+        for e in path:
+            residual[e] -= got
+            residual[e ^ 1] += got
+        value += got
+        room -= got
+    return value
 
 
 def max_flow(
     aug: AugmentedInstance, mask: ArcMask, start: FlowResult | None = None
 ) -> FlowResult:
-    """Exact root/sink max flow under the mask's capacities (integral by
-    construction).
+    """Exact root/sink max flow under the mask's capacities, by shortest
+    augmenting paths (integral by construction).
 
     ``start`` is an optional flow of the same network, such as a max flow
     under other capacities, to begin from instead of the zero flow.  Every
     arc on which it exceeds the mask is first brought down to the mask's
     capacity, by cancelling the excess along a flow cycle through the arc
-    (the value stays) or a flow path through it (the value drops); Dinic's
-    phases then continue from that flow's residual network.  A child of
-    the attack search fails one arc of its parent's max flow, so it needs
-    fewer phases from there than from zero.
+    (the value stays) or a flow path through it (the value drops); the
+    augmenting paths then continue from that flow's residual network.
+
+    Only the fictive arcs, of capacity at most 1, enter the sink, so each
+    path adds at least one unit and no flow exceeds the demand |T|: a max
+    flow from zero takes at most |T| + 1 breadth-first searches, the last
+    one missing the sink, and none once the fictive arcs are full.  A child
+    of the attack search fails one arc of its parent's max flow, so it
+    needs at most that arc's flow plus one searches from there.
     """
     if start is None:
         value, residual = 0, [0] * (2 * aug.arc_count)
         residual[0::2] = mask.capacities.tolist()
     else:
         value, residual = _fit(aug, mask, start)
-    value = _dinic(aug, residual, value)
+    value = _augment(aug, residual, value)
     return FlowResult(value=value, flow=np.array(residual[1::2], dtype=np.int64))
 
 
@@ -533,19 +529,17 @@ def _residual_reach(
 ) -> list[bool]:
     """Vertices reachable from ``start`` in the residual network, or with
     ``backward`` the vertices that can reach it."""
-    adj, to = aug.layout.edges, aug.layout.to
+    adj = aug.layout.edges
     # edge e leaves v for w; its partner e ^ 1 leaves w for v
     flip = int(backward)
     seen = [False] * aug.vertex_count
     seen[start] = True
-    queue = collections.deque([start])
-    while queue:
-        v = queue.popleft()
-        for e in adj[v]:
-            w = to[e]
+    frontier = [start]
+    for v in frontier:  # grows as the search reaches vertices
+        for e, w in adj[v]:
             if residual[e ^ flip] > 0 and not seen[w]:
                 seen[w] = True
-                queue.append(w)
+                frontier.append(w)
     return seen
 
 

@@ -28,6 +28,7 @@ from cprsnp.graph import (
     max_flow,
     min_cut,
 )
+from cprsnp.instances import generate
 
 
 def test_module_docstring_example_runs():
@@ -339,7 +340,7 @@ def _assert_warm_start_matches_cold(aug, mask, start):
     assert back_cut(aug, mask, warm) == back_cut(aug, mask, cold)
 
 
-def test_warm_start_matches_cold_dinic_on_the_corpus(suite):
+def test_warm_start_matches_cold_max_flow_on_the_corpus(suite):
     rng = random.Random(21)
     for inst in suite:
         aug = augment(inst)
@@ -369,6 +370,34 @@ def test_warm_start_from_other_capacities_matches_cold_dinic(seed):
         caps[[rng.random() < 0.3 for _ in caps]] = 0
         masks.append(ArcMask(aug, caps))
     _assert_warm_start_matches_cold(aug, masks[1], max_flow(aug, masks[0]))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_max_flow_on_generated_networks_of_20_to_40_vertices(seed):
+    # the shapes of 20-5-90 and 30-3-60 (uniform capacity 3), scaled to a
+    # seeded vertex count, under a random mask: here a search that stops at
+    # the sink skips most of the network
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    if seed % 2:
+        inst = generate(n, n // 10, 2 * n, "uniform", seed=seed, uniform_capacity=3)
+    else:
+        inst = generate(n, n // 4, 9 * n // 2, rng.choice(["uniform", "random"]),
+                        seed=seed)
+    aug = augment(inst)
+    full = ArcMask.full(aug)
+    caps = full.capacities.copy()
+    caps[[rng.random() < 0.3 for _ in caps]] = 0
+    mask = ArcMask(aug, caps)
+    cold = max_flow(aug, mask)
+    assert cold.value == pytest.approx(lp_max_flow(aug, mask), abs=1e-6)
+    _assert_is_flow(aug, mask, cold)
+    # the attack search's warm start: the full max flow, one carrying arc
+    # failed
+    start = max_flow(aug, full)
+    assert start.value == aug.demand
+    carrying = [a for a in np.flatnonzero(start.flow).tolist() if not aug.is_fictive(a)]
+    _assert_warm_start_matches_cold(aug, full.without(rng.choice(carrying)), start)
 
 
 def _cycle_instance():
@@ -414,6 +443,13 @@ def test_warm_start_rejects_what_is_not_a_flow_of_the_network():
     stray = FlowResult(0, np.array([1, 0, 0, 0], dtype=np.int64))
     with pytest.raises(GraphError, match="not a flow"):
         max_flow(aug, mask, start=stray)
+    aug = augment(triangle())
+    full = ArcMask.full(aug)
+    # the zero flow with a value of 5, and a flow with negative entries
+    for start in (FlowResult(5, np.zeros(4, dtype=np.int64)),
+                  FlowResult(0, np.array([-1, 0, -1, 0], dtype=np.int64))):
+        with pytest.raises(GraphError, match="not a flow"):
+            max_flow(aug, full, start=start)
 
 
 class _CountingLayout:
@@ -452,7 +488,9 @@ def test_layout_lists_arcs_and_residual_edges():
     layout = augment(triangle()).layout
     assert layout.out_arcs == ((0, 1), (2,), (3,), ())
     assert layout.in_arcs == ((), (0,), (1, 2), (3,))
-    assert layout.edges == ((0, 2), (1, 4), (3, 5, 6), (7,))
+    assert layout.edges == (
+        ((0, 1), (2, 2)), ((1, 0), (4, 2)), ((3, 0), (5, 1), (6, 3)), ((7, 2),)
+    )
     assert layout.to == (1, 0, 2, 0, 2, 1, 3, 2)
     assert layout.capacities.tolist() == [1, 1, 1, 1]
     assert not layout.capacities.flags.writeable
