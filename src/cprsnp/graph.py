@@ -18,6 +18,15 @@ first use.  :func:`max_flow`, :func:`min_cut`, :func:`back_cut`,
 :class:`ArcMask` and the flow builders of ``formulations`` all read that one
 layout.
 
+Every max flow runs through one breadth-first kernel, :func:`_push`, that
+moves flow along shortest augmenting paths from a source to a target up to
+a limit.  From zero it pushes from the root to the sink, at most |T| + 1
+searches.  A warm start lowers each arc whose start flow exceeds the mask,
+pushes that excess from the arc's tail to its head (re-routed, the value
+stays) and what is left back to the root and from the sink (the value
+drops), then pushes from the root to the sink again; a child of the attack
+search, which fails one arc carrying x units, needs at most 3x + 2 searches.
+
 Example
 -------
 >>> inst = Instance(3, (Arc(0, 1, 1, 1), Arc(0, 2, 2, 1), Arc(1, 2, 1, 1)),
@@ -331,12 +340,15 @@ class ArcMask:
         selected = set(selected)
         protected = set(protected)
         failed = set(failed)
+        count = aug.arc_count
+        for arc in selected | protected | failed:
+            if not is_index(arc, count):
+                raise GraphError(f"unknown arc index {arc}")
         for arc in failed:
             if aug.is_fictive(arc):
                 raise GraphError("fictive arcs never fail")
         live = [
-            i in selected and (i not in failed or i in protected)
-            for i in range(aug.arc_count)
+            i in selected and (i not in failed or i in protected) for i in range(count)
         ]
         return ArcMask(aug, np.where(live, aug.layout.capacities, 0))
 
@@ -377,113 +389,57 @@ class FlowResult:
     flow: np.ndarray
 
 
-def _flow_path(
-    aug: AugmentedInstance, residual: list[int], start: int, goal: int, backward: bool
-) -> list[int] | None:
-    """Arcs of a path from ``start`` to ``goal`` that each carry flow (a
-    positive residual on the reverse edge), found breadth first, or None
-    when there is none; with ``backward`` the path runs from ``goal`` to
-    ``start``."""
-    arcs = aug.arcs
-    reach = aug.layout.in_arcs if backward else aug.layout.out_arcs
-    # the arc by which each vertex was reached: -1 at the start, None unseen
-    via: list[int | None] = [None] * aug.vertex_count
-    via[start] = -1
-    frontier = [start]
-    for v in frontier:  # grows as the search reaches vertices
-        if v == goal:
-            path = []
-            while v != start:
-                a = via[v]
-                path.append(a)
-                v = arcs[a].head if backward else arcs[a].tail
-            return path
-        for a in reach[v]:
-            w = arcs[a].tail if backward else arcs[a].head
-            if residual[2 * a + 1] > 0 and via[w] is None:
-                via[w] = a
-                frontier.append(w)
-    return None
+def _push(
+    aug: AugmentedInstance, residual: list[int], source: int, target: int, limit: int
+) -> int:
+    """Push up to ``limit`` units from ``source`` to ``target`` along shortest
+    augmenting paths (Edmonds and Karp) on the residual capacities
+    ``residual`` (per edge of the instance's layout), updated in place; the
+    amount pushed is returned.  Each breadth-first search stops once it
+    reaches the target, and its path is read back from the edge by which
+    each vertex was reached; the push ends at the limit or at the first
+    search that misses the target, and a source that is its own target takes
+    the whole limit at once.
 
-
-def _fit(
-    aug: AugmentedInstance, mask: ArcMask, start: FlowResult
-) -> tuple[int, list[int]]:
-    """The value and the residual capacities of ``start`` once the flow on
-    every arc where it exceeds the mask is brought down to the mask's
-    capacity.  The excess is cancelled along flow cycles through the arc
-    (the value stays) and then along flow paths from the root through it to
-    the sink (the value drops).  Only the start's length, signs and value
-    (its flow on the fictive arcs) are checked: conservation at the inner
-    vertices is the caller's promise."""
-    flow = start.flow
-    if flow.shape != (aug.arc_count,):
-        raise GraphError("start flow length must match arc count")
-    if (flow < 0).any() or start.value != flow[aug.initial_arc_count :].sum():
-        raise GraphError("start is not a flow of the network")
-    value, residual = start.value, _residual(mask, start)
-    # an arc's excess is its negative forward residual
-    for a in np.flatnonzero(flow > mask.capacities).tolist():
-        tail, head = aug.arcs[a].tail, aug.arcs[a].head
-        # once no flow cycle runs through the arc, cancelling cannot make one
-        cyclic = True
-        # cancelling an earlier arc's excess may have taken this one's too
-        while (excess := -residual[2 * a]) > 0:
-            path = _flow_path(aug, residual, head, tail, False) if cyclic else None
-            if path is None:
-                cyclic = False
-                into = _flow_path(aug, residual, tail, aug.root, True)
-                out = _flow_path(aug, residual, head, aug.sink, False)
-                if into is None or out is None:
-                    raise GraphError("start is not a flow of the network")
-                path = into + out
-            path.append(a)
-            got = min([excess] + [residual[2 * b + 1] for b in path])
-            for b in path:
-                residual[2 * b] += got
-                residual[2 * b + 1] -= got
-            if not cyclic:
-                value -= got
-    return value, residual
-
-
-def _augment(aug: AugmentedInstance, residual: list[int], value: int) -> int:
-    """Shortest augmenting paths (Edmonds and Karp) on the residual
-    capacities ``residual`` (per edge of the instance's layout) of a flow of
-    value ``value``, until the fictive arcs are full or a breadth-first
-    search misses the sink; each search stops once it reaches the sink, and
-    its path is read back from the edge by which each vertex was reached.
-    ``residual`` is updated in place and the max value returned."""
-    adj, to = aug.layout.edges, aug.layout.to
-    n, source, sink = aug.vertex_count, aug.root, aug.sink
-    # what the fictive arcs, the sink's in-arcs, can still take
-    room = sum(residual[2 * aug.initial_arc_count :: 2])
-    while room > 0:
+    Besides the root-to-sink augmenting of :func:`max_flow`, the warm start
+    pushes a lowered arc's excess from its tail: to its head, which
+    re-routes it, and what is left back to the root, then as much from the
+    sink to its head.  A tail with excess left always reaches its head or
+    the root: the flow on hand, with the excess at the tail and the deficit
+    at the head, decomposes into cycles and into paths that start at the
+    root or the head and end at the sink or the tail, and the paths into the
+    tail carry the whole excess, so their reversed edges lead from the tail
+    back to where they start.  Once no path leads to the head, they all lead
+    to the root, and with the tail balanced, the paths out of the head all
+    end at the sink.
+    """
+    adj, to, n = aug.layout.edges, aug.layout.to, aug.vertex_count
+    pushed = 0
+    while pushed < limit:
         # the edge by which each vertex was reached: -1 at the source
         via: list[int | None] = [None] * n
         via[source] = -1
         frontier = [source]
         for v in frontier:  # grows as the search reaches vertices
+            if via[target] is not None:
+                break
             for e, w in adj[v]:
                 if residual[e] > 0 and via[w] is None:
                     via[w] = e
                     frontier.append(w)
-            if via[sink] is not None:
-                break
-        else:  # the search missed the sink
+        if via[target] is None:  # the search missed the target
             break
-        path, v = [], sink
+        path, v = [], target
         while v != source:
             e = via[v]
             path.append(e)
             v = to[e ^ 1]
-        got = min([residual[e] for e in path])
+        got = min([limit - pushed] + [residual[e] for e in path])
         for e in path:
             residual[e] -= got
             residual[e ^ 1] += got
-        value += got
-        room -= got
-    return value
+        pushed += got
+    return pushed
 
 
 def max_flow(
@@ -493,25 +449,55 @@ def max_flow(
     augmenting paths (integral by construction).
 
     ``start`` is an optional flow of the same network, such as a max flow
-    under other capacities, to begin from instead of the zero flow.  Every
-    arc on which it exceeds the mask is first brought down to the mask's
-    capacity, by cancelling the excess along a flow cycle through the arc
-    (the value stays) or a flow path through it (the value drops); the
-    augmenting paths then continue from that flow's residual network.
+    under other capacities, to begin from instead of the zero flow.  Only
+    its length, signs and value (its flow on the fictive arcs) are checked:
+    conservation at the inner vertices is the caller's promise.  Each arc on
+    which it exceeds the mask has its excess re-read at its turn, since
+    re-routing an earlier arc's excess may have taken it, and its flow is
+    lowered to the mask; :func:`_push` then sends the excess from the arc's
+    tail to its head, which re-routes it and keeps the value, and what is
+    left from the tail to the root and from the sink to the head, which
+    lowers the value by that much.  The augmenting paths then continue from
+    that flow's residual network.
 
     Only the fictive arcs, of capacity at most 1, enter the sink, so each
     path adds at least one unit and no flow exceeds the demand |T|: a max
     flow from zero takes at most |T| + 1 breadth-first searches, the last
     one missing the sink, and none once the fictive arcs are full.  A child
-    of the attack search fails one arc of its parent's max flow, so it
-    needs at most that arc's flow plus one searches from there.
+    of the attack search fails one arc of its parent's max flow, which
+    carries x units, so it needs at most x + 1 searches when all x re-route
+    (the last one missing the sink) and at most 3x + 2 otherwise: r
+    re-routed units, one search that misses the head, 2 (x - r) that return
+    the rest, and at most x - r that augment again plus one that misses.
     """
     if start is None:
         value, residual = 0, [0] * (2 * aug.arc_count)
         residual[0::2] = mask.capacities.tolist()
     else:
-        value, residual = _fit(aug, mask, start)
-    value = _augment(aug, residual, value)
+        flow = start.flow
+        if flow.shape != (aug.arc_count,):
+            raise GraphError("start flow length must match arc count")
+        if (flow < 0).any() or start.value != flow[aug.initial_arc_count :].sum():
+            raise GraphError("start is not a flow of the network")
+        value, residual = start.value, _residual(mask, start)
+        # an arc's excess is its negative forward residual
+        for a in np.flatnonzero(flow > mask.capacities).tolist():
+            excess = -residual[2 * a]
+            if excess <= 0:
+                continue
+            residual[2 * a] = 0
+            residual[2 * a + 1] -= excess
+            tail, head = aug.arcs[a].tail, aug.arcs[a].head
+            left = excess - _push(aug, residual, tail, head, excess)
+            if left and (
+                _push(aug, residual, tail, aug.root, left) < left
+                or _push(aug, residual, aug.sink, head, left) < left
+            ):
+                raise GraphError("start is not a flow of the network")
+            value -= left
+    # what the fictive arcs, the sink's in-arcs, can still take
+    room = sum(residual[2 * aug.initial_arc_count :: 2])
+    value += _push(aug, residual, aug.root, aug.sink, room)
     return FlowResult(value=value, flow=np.array(residual[1::2], dtype=np.int64))
 
 

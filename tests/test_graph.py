@@ -181,6 +181,19 @@ def test_mask_validation():
         ArcMask.for_design(aug, range(4), failed=[3])
 
 
+@pytest.mark.parametrize("arcs", [
+    {"selected": [7]},
+    {"selected": [0, 2, 3], "failed": [9]},
+    {"selected": [0, 2, 3], "failed": [-1]},
+    {"selected": [0, 2, 3], "protected": [-1]},
+])
+def test_mask_for_design_rejects_unknown_arcs(arcs):
+    aug = augment(triangle())
+    (index,) = [i for given in arcs.values() for i in given if not 0 <= i < aug.arc_count]
+    with pytest.raises(GraphError, match=f"unknown arc index {index}"):
+        ArcMask.for_design(aug, **arcs)
+
+
 def test_mask_for_design():
     aug = augment(triangle())
     mask = ArcMask.for_design(aug, {0, 2, 3})
@@ -338,6 +351,7 @@ def _assert_warm_start_matches_cold(aug, mask, start):
     assert warm.value == cold.value
     _assert_is_flow(aug, mask, warm)
     assert back_cut(aug, mask, warm) == back_cut(aug, mask, cold)
+    return warm
 
 
 def test_warm_start_matches_cold_max_flow_on_the_corpus(suite):
@@ -410,28 +424,58 @@ def _cycle_instance():
     return aug, FlowResult(1, np.array([1, 1, 1, 1], dtype=np.int64))
 
 
-def _cancelled(aug, mask, start):
-    """The value and the per-arc flow once the start's excess over the mask
-    is cancelled, before any augmenting path."""
-    value, residual = graph._fit(aug, mask, start)
-    return value, residual[1::2]
+def _assert_warm_result(aug, mask, start, value, flow):
+    warm = _assert_warm_start_matches_cold(aug, mask, start)
+    assert (warm.value, warm.flow.tolist()) == (value, flow)
 
 
-def test_warm_start_cancels_a_flow_cycle_through_the_lowered_arc():
+def test_warm_start_re_routes_the_lowered_arcs_flow_around_a_cycle():
     aug, start = _cycle_instance()
-    mask = ArcMask(aug, np.array([1, 0, 1, 1]))
-    # the cycle through arc 1 is cancelled and the unit to the sink stays
-    assert _cancelled(aug, mask, start) == (1, [1, 0, 0, 1])
-    _assert_warm_start_matches_cold(aug, mask, start)
+    # the unit on arc 1 re-routes from its tail 1 to its head 2 against the
+    # cycle's arc 2, which cancels the cycle; the unit to the sink stays
+    _assert_warm_result(aug, ArcMask(aug, np.array([1, 0, 1, 1])), start, 1, [1, 0, 0, 1])
 
 
-def test_warm_start_cancels_a_flow_path_through_the_lowered_arc():
+def test_warm_start_returns_the_lowered_arcs_flow_to_the_root_and_the_sink():
     aug, start = _cycle_instance()
-    mask = ArcMask(aug, np.array([0, 1, 1, 1]))
-    # no cycle runs through arc 0: the path root -> 1 -> sink is cancelled
-    # and the cycle stays
-    assert _cancelled(aug, mask, start) == (0, [0, 1, 1, 0])
-    _assert_warm_start_matches_cold(aug, mask, start)
+    # nothing leads from the root to terminal 1 but arc 0: its unit returns
+    # to the root and from the sink, and the cycle stays
+    _assert_warm_result(aug, ArcMask(aug, np.array([0, 1, 1, 1])), start, 0, [0, 1, 1, 0])
+
+
+@pytest.mark.parametrize("caps, value, flow", [
+    # both arcs of the cycle: re-routing arc 1's unit cancels arc 2's
+    ([1, 0, 0, 1], 1, [1, 0, 0, 1]),
+    # arc 0 and the fictive arc: returning arc 0's unit from the sink
+    # cancels the fictive arc's
+    ([0, 1, 1, 0], 0, [0, 1, 1, 0]),
+], ids=["cycle", "fictive"])
+def test_warm_start_re_reads_an_excess_that_an_earlier_arc_took(caps, value, flow):
+    aug, start = _cycle_instance()
+    _assert_warm_result(aug, ArcMask(aug, np.array(caps)), start, value, flow)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chained_warm_starts_match_cold_max_flows(seed):
+    # the attack search at depth k: each child fails one more arc that its
+    # parent's max flow carries and starts from that warm max flow; on the
+    # sparse shape (odd seeds) some flow cannot re-route and returns
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    if seed % 2:
+        inst = generate(n, n // 10, 2 * n, "uniform", seed=seed, uniform_capacity=3)
+    else:
+        inst = generate(n, n // 4, 9 * n // 2, rng.choice(["uniform", "random"]),
+                        seed=seed)
+    aug = augment(inst)
+    mask = ArcMask.full(aug)
+    flow = max_flow(aug, mask)
+    for _ in range(3):
+        carrying = [a for a in np.flatnonzero(flow.flow).tolist() if not aug.is_fictive(a)]
+        if not carrying:
+            break
+        mask = mask.without(rng.choice(carrying))
+        flow = _assert_warm_start_matches_cold(aug, mask, flow)
 
 
 def test_warm_start_rejects_what_is_not_a_flow_of_the_network():
