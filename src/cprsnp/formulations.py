@@ -95,7 +95,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import ArcMask, AugmentedInstance, CutSet, is_index
+from .graph import ArcMask, AugmentedInstance, CutSet, is_index, plain_arcs
 from .milp import INT_TOL, MilpModel
 
 # most rows :func:`append_cut` writes for one cut; a larger cut gets one
@@ -132,12 +132,13 @@ class Design:
         selected: Iterable[int],
         protected: Iterable[int] = (),
     ) -> "Design":
-        sel = frozenset(selected) | frozenset(aug.fictive_arcs)
-        for a in sel:
-            if not is_index(a, aug.arc_count):
-                raise FormulationError(f"unknown arc index {a!r}")
-        prot = frozenset(protected) & sel
-        prot = frozenset(a for a in prot if not aug.is_fictive(a))
+        fictive = aug.layout.fictive_set
+        sel = frozenset(selected) | fictive
+        if not plain_arcs(aug, sel):
+            for a in sel:
+                if not is_index(a, aug.arc_count):
+                    raise FormulationError(f"unknown arc index {a!r}")
+        prot = (frozenset(protected) & sel) - fictive
         if len(prot) > aug.kp:
             raise FormulationError(
                 f"{len(prot)} protected arcs exceed the budget {aug.kp}"
@@ -161,11 +162,7 @@ class Design:
     def attack_candidates(self, aug: AugmentedInstance) -> list[int]:
         """The arcs an attack may fail, in index order: the selected arcs
         that are neither protected nor fictive."""
-        return sorted(
-            a
-            for a in self.selected
-            if not aug.is_fictive(a) and a not in self.protected
-        )
+        return sorted(self.selected - self.protected - aug.layout.fictive_set)
 
 
 @dataclass(frozen=True)

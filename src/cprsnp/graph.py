@@ -18,6 +18,11 @@ first use.  :func:`max_flow`, :func:`min_cut`, :func:`back_cut`,
 :class:`ArcMask` and the flow builders of ``formulations`` all read that one
 layout.
 
+Masks, flows and the layout's capacity vector are tuples of ``int``, one
+entry per arc: the max-flow kernel and the attack search read them with no
+conversion.  Their constructors take any integer sequence, numpy arrays
+included.
+
 Every max flow runs through one breadth-first kernel, :func:`_push`, that
 moves flow along shortest augmenting paths from a source to a target up to
 a limit.  From zero it pushes from the root to the sink, at most |T| + 1
@@ -25,7 +30,7 @@ searches.  A warm start lowers each arc whose start flow exceeds the mask,
 pushes that excess from the arc's tail to its head (re-routed, the value
 stays) and what is left back to the root and from the sink (the value
 drops), then pushes from the root to the sink again; a child of the attack
-search, which fails one arc carrying x units, needs at most 3x + 2 searches.
+search, which fails one arc carrying x units, needs at most 3x + 1 searches.
 
 Example
 -------
@@ -38,14 +43,13 @@ Example
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
-
-import numpy as np
 
 # largest arc capacity: sums over every arc of an instance stay exact in
 # int64 and in float64 (below 2**53 for up to 2**22 arcs)
@@ -212,15 +216,18 @@ class Layout:
     arc-index order.  The residual network has edge 2i for arc i forward
     and 2i+1 for its reverse; ``edges[v]`` lists the ``(edge, head)`` pair
     of each edge leaving ``v`` in arc-index order, and ``to[e]`` is the
-    vertex edge ``e`` enters.  ``capacities`` is the read-only per-arc
-    capacity vector.
+    vertex edge ``e`` enters.  ``capacities`` is the per-arc capacity
+    vector, a tuple of ``int``.  ``arc_set`` and ``fictive_set`` hold every
+    arc index and the fictive ones, for checks by set operations.
     """
 
     out_arcs: tuple[tuple[int, ...], ...]
     in_arcs: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[tuple[int, int], ...], ...]
     to: tuple[int, ...]
-    capacities: np.ndarray
+    capacities: tuple[int, ...]
+    arc_set: frozenset[int]
+    fictive_set: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -271,12 +278,28 @@ class AugmentedInstance:
             edges[a.tail].append((2 * i, a.head))
             edges[a.head].append((2 * i + 1, a.tail))
             to[2 * i], to[2 * i + 1] = a.head, a.tail
-        caps = np.array([a.capacity for a in self.arcs], dtype=np.int64)
-        caps.flags.writeable = False
+        caps = tuple(a.capacity for a in self.arcs)
         # an arc leaves v as a forward edge and enters v as a reverse one
         out_arcs = tuple(tuple(e // 2 for e, _ in es if e % 2 == 0) for es in edges)
         in_arcs = tuple(tuple(e // 2 for e, _ in es if e % 2) for es in edges)
-        return Layout(out_arcs, in_arcs, tuple(map(tuple, edges)), tuple(to), caps)
+        return Layout(
+            out_arcs,
+            in_arcs,
+            tuple(map(tuple, edges)),
+            tuple(to),
+            caps,
+            frozenset(range(len(self.arcs))),
+            frozenset(self.fictive_arcs),
+        )
+
+
+def plain_arcs(aug: AugmentedInstance, arcs: frozenset) -> bool:
+    """True when every element of ``arcs`` is an ``int`` arc index of the
+    instance, read by set operations alone.  False does not make an element
+    invalid (a numpy integer is an index too): :func:`is_index` then judges
+    each one.  The type check keeps out values such as 3.0 that equal an
+    index without being one."""
+    return arcs <= aug.layout.arc_set and set(map(type, arcs)) <= {int}
 
 
 def augment(instance: Instance) -> AugmentedInstance:
@@ -300,35 +323,46 @@ class ArcMask:
 
     A selected arc keeps its capacity unless it is failed while
     unprotected; everything else drops to zero.  Fictive arcs can never
-    fail.
+    fail.  ``capacities`` is a tuple of ``int``, one per arc; the
+    constructor takes any integer sequence and checks its length, its
+    entries' type and that each lies in 0..the arc's capacity.
     """
 
     __slots__ = ("capacities",)
 
-    def __init__(self, aug: AugmentedInstance, capacities: np.ndarray):
-        capacities = np.asarray(capacities, dtype=np.int64)
-        if capacities.shape != (aug.arc_count,):
+    def __init__(self, aug: AugmentedInstance, capacities: Iterable[int]):
+        try:
+            capacities = tuple(map(operator.index, capacities))
+        except TypeError:
+            raise GraphError("mask capacities must be integers") from None
+        if len(capacities) != aug.arc_count:
             raise GraphError("mask length must match arc count")
-        if (capacities < 0).any():
+        if min(capacities, default=0) < 0:
             raise GraphError("mask capacities must be nonnegative")
-        if (capacities > aug.layout.capacities).any():
+        if any(map(operator.gt, capacities, aug.layout.capacities)):
             raise GraphError("mask may not exceed arc capacity")
         self.capacities = capacities
+
+    @staticmethod
+    def _of(capacities: tuple[int, ...]) -> "ArcMask":
+        """A mask of capacities known to be valid, with no check."""
+        mask = object.__new__(ArcMask)
+        mask.capacities = capacities
+        return mask
 
     def without(self, arc: int) -> "ArcMask":
         """This mask with ``arc`` at capacity 0.  Lowering one capacity of a
         valid mask keeps it valid, so the constructor's checks of the whole
         vector are not repeated; only the arc index is checked."""
-        if not 0 <= arc < len(self.capacities):
+        if not is_index(arc, len(self.capacities)):
             raise GraphError(f"unknown arc index {arc}")
-        mask = object.__new__(ArcMask)
-        mask.capacities = self.capacities.copy()
-        mask.capacities[arc] = 0
-        return mask
+        capacities = list(self.capacities)
+        capacities[arc] = 0
+        return ArcMask._of(tuple(capacities))
 
     @staticmethod
     def full(aug: AugmentedInstance) -> "ArcMask":
-        return ArcMask(aug, aug.layout.capacities.copy())
+        return ArcMask._of(aug.layout.capacities)
 
     @staticmethod
     def for_design(
@@ -337,20 +371,21 @@ class ArcMask:
         protected: Iterable[int] = (),
         failed: Iterable[int] = (),
     ) -> "ArcMask":
-        selected = set(selected)
-        protected = set(protected)
-        failed = set(failed)
-        count = aug.arc_count
-        for arc in selected | protected | failed:
-            if not is_index(arc, count):
-                raise GraphError(f"unknown arc index {arc}")
-        for arc in failed:
-            if aug.is_fictive(arc):
-                raise GraphError("fictive arcs never fail")
-        live = [
-            i in selected and (i not in failed or i in protected) for i in range(count)
-        ]
-        return ArcMask(aug, np.where(live, aug.layout.capacities, 0))
+        selected = frozenset(selected)
+        protected = frozenset(protected)
+        failed = frozenset(failed)
+        named = selected | protected | failed
+        if not plain_arcs(aug, named):
+            for arc in named:
+                if not is_index(arc, aug.arc_count):
+                    raise GraphError(f"unknown arc index {arc}")
+        if not failed.isdisjoint(aug.layout.fictive_set):
+            raise GraphError("fictive arcs never fail")
+        caps = aug.layout.capacities
+        capacities = [0] * aug.arc_count
+        for i in selected - (failed - protected):
+            capacities[i] = caps[i]
+        return ArcMask._of(tuple(capacities))
 
 
 @dataclass(frozen=True)
@@ -371,7 +406,7 @@ class CutSet:
             raise GraphError("cut sink side must contain the super sink")
         if aug.root in side:
             raise GraphError("cut sink side must not contain the root")
-        if not all(0 <= v < aug.vertex_count for v in side):
+        if not all(is_index(v, aug.vertex_count) for v in side):
             raise GraphError("cut references unknown vertex")
         crossing = tuple(
             i
@@ -383,23 +418,55 @@ class CutSet:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Max-flow value plus one integral per-arc routing that attains it."""
+    """Max-flow value plus one integral per-arc routing that attains it.
+
+    ``flow`` is a tuple of ``int``, one per arc; the constructor takes any
+    integer sequence.  Whether it is a flow of the network is checked where
+    it is used as one, by :func:`max_flow`'s ``start``.
+    """
 
     value: int
-    flow: np.ndarray
+    flow: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            flow = tuple(map(operator.index, self.flow))
+        except TypeError:
+            raise GraphError("flow entries must be integers") from None
+        object.__setattr__(self, "flow", flow)
+
+    @staticmethod
+    def _of(value: int, flow: tuple[int, ...]) -> "FlowResult":
+        """A result from a tuple of ``int`` already, with no conversion."""
+        res = object.__new__(FlowResult)
+        object.__setattr__(res, "value", value)
+        object.__setattr__(res, "flow", flow)
+        return res
 
 
 def _push(
-    aug: AugmentedInstance, residual: list[int], source: int, target: int, limit: int
-) -> int:
+    aug: AugmentedInstance,
+    residual: list[int],
+    source: int,
+    target: int,
+    limit: int,
+    via: list[int | None] | None = None,
+) -> tuple[int, list[int | None] | None]:
     """Push up to ``limit`` units from ``source`` to ``target`` along shortest
     augmenting paths (Edmonds and Karp) on the residual capacities
-    ``residual`` (per edge of the instance's layout), updated in place; the
-    amount pushed is returned.  Each breadth-first search stops once it
-    reaches the target, and its path is read back from the edge by which
-    each vertex was reached; the push ends at the limit or at the first
-    search that misses the target, and a source that is its own target takes
-    the whole limit at once.
+    ``residual`` (per edge of the instance's layout), updated in place.
+    Each breadth-first search stops once it reaches the target, and its path
+    is read back from the edge by which each vertex was reached (``via``,
+    -1 at the source); the push ends at the limit or at the first search
+    that misses the target, and a source that is its own target takes the
+    whole limit at once.  Returned are the amount pushed and the labels of
+    the search that missed, or None when the limit was reached.
+
+    A search that misses has labelled every vertex the source reaches.
+    Passed back as ``via`` with the same source and residual, its labels
+    stand in for the first search to another target: that search would
+    label the vertices in the same order, by the same edges, and stop once
+    it reached the target, so it would find the same path.
 
     Besides the root-to-sink augmenting of :func:`max_flow`, the warm start
     pushes a lowered arc's excess from its tail: to its head, which
@@ -416,19 +483,19 @@ def _push(
     adj, to, n = aug.layout.edges, aug.layout.to, aug.vertex_count
     pushed = 0
     while pushed < limit:
-        # the edge by which each vertex was reached: -1 at the source
-        via: list[int | None] = [None] * n
-        via[source] = -1
-        frontier = [source]
-        for v in frontier:  # grows as the search reaches vertices
-            if via[target] is not None:
-                break
-            for e, w in adj[v]:
-                if residual[e] > 0 and via[w] is None:
-                    via[w] = e
-                    frontier.append(w)
+        if via is None:
+            via = [None] * n
+            via[source] = -1
+            frontier = [source]
+            for v in frontier:  # grows as the search reaches vertices
+                if via[target] is not None:
+                    break
+                for e, w in adj[v]:
+                    if residual[e] > 0 and via[w] is None:
+                        via[w] = e
+                        frontier.append(w)
         if via[target] is None:  # the search missed the target
-            break
+            return pushed, via
         path, v = [], target
         while v != source:
             e = via[v]
@@ -439,7 +506,8 @@ def _push(
             residual[e] -= got
             residual[e ^ 1] += got
         pushed += got
-    return pushed
+        via = None
+    return pushed, None
 
 
 def max_flow(
@@ -466,47 +534,51 @@ def max_flow(
     one missing the sink, and none once the fictive arcs are full.  A child
     of the attack search fails one arc of its parent's max flow, which
     carries x units, so it needs at most x + 1 searches when all x re-route
-    (the last one missing the sink) and at most 3x + 2 otherwise: r
-    re-routed units, one search that misses the head, 2 (x - r) that return
-    the rest, and at most x - r that augment again plus one that misses.
+    (the last one missing the sink) and at most 3x + 1 otherwise: r
+    re-routed units, one search that misses the head, 2 (x - r) - 1 that
+    return the rest (the search that missed gives the first path back to
+    the root), and at most x - r that augment again plus one that misses.
     """
     if start is None:
         value, residual = 0, [0] * (2 * aug.arc_count)
-        residual[0::2] = mask.capacities.tolist()
+        residual[0::2] = mask.capacities
     else:
-        flow = start.flow
-        if flow.shape != (aug.arc_count,):
+        flow, caps = start.flow, mask.capacities
+        if len(flow) != aug.arc_count:
             raise GraphError("start flow length must match arc count")
-        if (flow < 0).any() or start.value != flow[aug.initial_arc_count :].sum():
+        fictive = sum(flow[aug.initial_arc_count :])
+        if min(flow, default=0) < 0 or start.value != fictive:
             raise GraphError("start is not a flow of the network")
         value, residual = start.value, _residual(mask, start)
         # an arc's excess is its negative forward residual
-        for a in np.flatnonzero(flow > mask.capacities).tolist():
+        for a in itertools.compress(range(len(flow)), map(operator.gt, flow, caps)):
             excess = -residual[2 * a]
             if excess <= 0:
                 continue
             residual[2 * a] = 0
             residual[2 * a + 1] -= excess
             tail, head = aug.arcs[a].tail, aug.arcs[a].head
-            left = excess - _push(aug, residual, tail, head, excess)
+            moved, missed = _push(aug, residual, tail, head, excess)
+            left = excess - moved
+            # the search that missed the head starts the push to the root
             if left and (
-                _push(aug, residual, tail, aug.root, left) < left
-                or _push(aug, residual, aug.sink, head, left) < left
+                _push(aug, residual, tail, aug.root, left, missed)[0] < left
+                or _push(aug, residual, aug.sink, head, left)[0] < left
             ):
                 raise GraphError("start is not a flow of the network")
             value -= left
     # what the fictive arcs, the sink's in-arcs, can still take
     room = sum(residual[2 * aug.initial_arc_count :: 2])
-    value += _push(aug, residual, aug.root, aug.sink, room)
-    return FlowResult(value=value, flow=np.array(residual[1::2], dtype=np.int64))
+    value += _push(aug, residual, aug.root, aug.sink, room)[0]
+    return FlowResult._of(value, tuple(residual[1::2]))
 
 
 def _residual(mask: ArcMask, flow: FlowResult) -> list[int]:
     """Residual capacity per edge of the layout under a flow: ``cap - flow``
     forward, ``flow`` back."""
     residual = [0] * (2 * len(flow.flow))
-    residual[0::2] = (mask.capacities - flow.flow).tolist()
-    residual[1::2] = flow.flow.tolist()
+    residual[0::2] = map(operator.sub, mask.capacities, flow.flow)
+    residual[1::2] = flow.flow
     return residual
 
 

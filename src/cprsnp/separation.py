@@ -40,8 +40,6 @@ import operator
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import (
     ArcMask,
     AugmentedInstance,
@@ -206,7 +204,7 @@ def _worst_attack(
       (:func:`cprsnp.graph.max_flow` with ``start``), which only has to
       re-route that arc's flow from its tail to its head, or return what
       cannot go that way to the root and from the sink, and augment again:
-      at most 3x + 2 searches for an arc carrying x units;
+      at most 3x + 1 searches for an arc carrying x units;
     * f decomposes into paths, so failing any r of the remaining candidates
       removes at most the r largest f values among them; a subtree is cut
       once F minus those is no better than the best so far (ties lose to
@@ -228,7 +226,6 @@ def _worst_attack(
     size = min(aug.k, len(candidates))
     best_value, best, best_flow = aug.demand, None, None
     flows = 0
-    order = np.array(candidates, dtype=np.intp)
 
     def flow_of(mask: ArcMask, start: FlowResult | None) -> FlowResult:
         nonlocal flows
@@ -245,7 +242,7 @@ def _worst_attack(
         branched on with its children's bounds."""
         nonlocal best_value, best, best_flow
         left = size - len(prefix)
-        carried = res.flow[order[start:]].tolist() if left else []
+        carried = list(map(res.flow.__getitem__, candidates[start:])) if left else []
         # gain[j]: the most flow that failing candidates[start + j] and
         # left - 1 candidates after it can remove, which its child's check
         # reads; the largest gain is the sum of the left largest flows

@@ -362,7 +362,7 @@ def lp_max_flow(aug: AugmentedInstance, mask: ArcMask) -> float:
         c,
         A_eq=a_eq,
         b_eq=np.zeros(len(row_names)),
-        bounds=list(zip(np.zeros(m), mask.capacities.astype(float))),
+        bounds=[(0.0, float(c)) for c in mask.capacities],
         method="highs",
     )
     assert res.status == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -39,7 +40,16 @@ from cprsnp.formulations import (
     point_row_value,
     worst_subset,
 )
-from cprsnp.graph import Arc, ArcMask, CutSet, Instance, augment, max_flow
+from cprsnp.graph import (
+    Arc,
+    ArcMask,
+    CutSet,
+    GraphError,
+    Instance,
+    augment,
+    is_index,
+    max_flow,
+)
 from cprsnp.instances import generate
 from cprsnp.milp import SolveStatus, solve_mip
 from cprsnp.separation import (
@@ -139,6 +149,32 @@ def test_a_non_integral_arc_index_is_rejected():
     assert design.is_canonical(aug)
     assert design.cost(aug) == pytest.approx(4.0)
     assert FailureScenario.of(aug, [np.int64(2)]).sorted_arcs() == (2,)
+
+
+# two_cycle() has 5 initial arcs and one fictive arc: 6 is its arc count
+@pytest.mark.parametrize(
+    "value", [np.int64(3), True, 3.0, np.float64(3.0), -1, 6, "3", None], ids=repr
+)
+def test_arc_checks_accept_exactly_what_is_index_accepts(value):
+    # the checks by set operations and their per-arc fallback together
+    # accept an arc index exactly when is_index does, and an accepted one
+    # means the same as its int
+    aug = augment(two_cycle())
+    m, initial = aug.arc_count, aug.initial_arc_count
+    assert m == 6
+    checks = [
+        (lambda v: Design.canonical(aug, [v]), FormulationError, m),
+        (lambda v: ArcMask.for_design(aug, [v]).capacities, GraphError, m),
+        (lambda v: ArcMask.for_design(aug, [0], [v]).capacities, GraphError, m),
+        (lambda v: ArcMask.for_design(aug, [0], failed=[v]).capacities, GraphError, m),
+        (lambda v: FailureScenario.of(aug, [v]), FormulationError, initial),
+    ]
+    for check, error, count in checks:
+        if is_index(value, count):
+            assert check(value) == check(operator.index(value))
+        else:
+            with pytest.raises(error):
+                check(value)
 
 
 def test_failure_scenario_of():

@@ -1,7 +1,9 @@
 """Graph model, masks, cuts, and the max-flow kernel."""
 
+import ast
 import doctest
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import (
     lp_max_flow,
     triangle,
 )
-from cprsnp import graph
+from cprsnp import graph, separation
 from cprsnp.graph import (
     MAX_CAPACITY,
     MAX_COST,
@@ -35,6 +37,20 @@ def test_module_docstring_example_runs():
     result = doctest.testmod(graph)
     assert result.failed == 0
     assert result.attempted >= 3
+
+
+def test_the_max_flow_and_the_attack_search_import_no_numpy():
+    # masks and flows stay tuples of int from one end to the other, so no
+    # call of the search converts to numpy and back
+    for module in (graph, separation):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert "numpy" not in {name.split(".")[0] for name in imported}, module
 
 
 def test_instance_rejects_bad_structure():
@@ -170,7 +186,7 @@ def test_augment_layout():
 def test_mask_validation():
     aug = augment(triangle())
     full = ArcMask.full(aug)
-    assert full.capacities.tolist() == [1, 1, 1, 1]
+    assert full.capacities == (1, 1, 1, 1)
     with pytest.raises(GraphError):
         ArcMask(aug, np.array([2, 0, 0, 0]))
     with pytest.raises(GraphError):
@@ -179,6 +195,29 @@ def test_mask_validation():
         ArcMask(aug, np.zeros(3, dtype=int))
     with pytest.raises(GraphError):
         ArcMask.for_design(aug, range(4), failed=[3])
+
+
+def test_mask_stores_plain_ints():
+    aug = augment(triangle())
+    for caps in (np.array([1, 0, 1, 1]), [np.int64(1), False, 1, True], (1, 0, 1, 1)):
+        mask = ArcMask(aug, caps)
+        assert mask.capacities == (1, 0, 1, 1)
+        assert {type(c) for c in mask.capacities} == {int}
+
+
+@pytest.mark.parametrize("caps", [
+    [1.5, 1, 1, 1],
+    [1, 1, 1, "1"],
+    [1.0, 1, 1, 1],
+    [1, None, 1, 1],
+    np.array([1.0, 1.0, 1.0, 1.0]),
+    1,
+], ids=repr)
+def test_mask_rejects_a_capacity_that_is_not_an_integer(caps):
+    # a float was truncated and a string accepted before the entries were
+    # read as integers
+    with pytest.raises(GraphError, match="integers"):
+        ArcMask(augment(triangle()), caps)
 
 
 @pytest.mark.parametrize("arcs", [
@@ -197,24 +236,36 @@ def test_mask_for_design_rejects_unknown_arcs(arcs):
 def test_mask_for_design():
     aug = augment(triangle())
     mask = ArcMask.for_design(aug, {0, 2, 3})
-    assert mask.capacities.tolist() == [1, 0, 1, 1]
+    assert mask.capacities == (1, 0, 1, 1)
     failed = ArcMask.for_design(aug, {0, 2, 3}, failed=[2])
-    assert failed.capacities.tolist() == [1, 0, 0, 1]
+    assert failed.capacities == (1, 0, 0, 1)
     saved = ArcMask.for_design(aug, {0, 2, 3}, protected=[2], failed=[2])
-    assert saved.capacities.tolist() == [1, 0, 1, 1]
+    assert saved.capacities == (1, 0, 1, 1)
 
 
 def test_mask_without_one_arc():
     aug = augment(triangle())
     mask = ArcMask.for_design(aug, {0, 2, 3})
     child = mask.without(2)
-    assert child.capacities.tolist() == [1, 0, 0, 1]
+    assert child.capacities == (1, 0, 0, 1)
     # the parent keeps its vector: siblings are built from it later
-    assert mask.capacities.tolist() == [1, 0, 1, 1]
-    assert mask.without(1).capacities.tolist() == [1, 0, 1, 1]
+    assert mask.capacities == (1, 0, 1, 1)
+    assert mask.without(1).capacities == (1, 0, 1, 1)
     for arc in (-1, aug.arc_count):
         with pytest.raises(GraphError):
             mask.without(arc)
+
+
+def test_mask_without_reads_its_arc_as_an_index():
+    aug = augment(triangle())
+    full = ArcMask.full(aug)
+    # True is the index 1, as for is_index, not a boolean mask of every arc
+    assert full.without(True).capacities == full.without(1).capacities == (1, 0, 1, 1)
+    assert full.without(np.int64(2)).capacities == (1, 1, 0, 1)
+    for arc in (1.0, 1.5, np.float64(1.0), "1", None):
+        with pytest.raises(GraphError, match="unknown arc index"):
+            full.without(arc)
+    assert full.capacities == (1, 1, 1, 1)
 
 
 def test_triangle_flow_values():
@@ -230,7 +281,7 @@ def test_flow_conservation_and_bounds():
     aug = augment(triangle())
     res = max_flow(aug, ArcMask.full(aug))
     flow = res.flow
-    assert np.all(flow >= 0) and np.all(flow <= ArcMask.full(aug).capacities)
+    assert all(0 <= f <= c for f, c in zip(flow, ArcMask.full(aug).capacities))
     for v in range(aug.vertex_count):
         if v in (aug.root, aug.sink):
             continue
@@ -243,7 +294,7 @@ def test_max_flow_on_a_path_deeper_than_the_recursion_limit():
     aug = augment(deep_path())
     res = max_flow(aug, ArcMask.full(aug))
     assert res.value == 1
-    assert res.flow.tolist() == [1] * aug.arc_count
+    assert res.flow == (1,) * aug.arc_count
     assert min_cut(aug, ArcMask.full(aug)).arcs == (0,)
 
 
@@ -258,6 +309,15 @@ def test_cutset_from_sink_side():
         CutSet.from_sink_side(aug, {2})
     with pytest.raises(GraphError):
         CutSet.from_sink_side(aug, {0, 3})
+
+
+@pytest.mark.parametrize("vertex", [1.5, "x", None, 4, -1], ids=repr)
+def test_cutset_rejects_what_is_no_vertex(vertex):
+    # 1.5 lies between two vertices and was ignored, and "x" raised a bare
+    # TypeError, while the side was checked by comparison alone
+    aug = augment(triangle())
+    with pytest.raises(GraphError, match="cut references unknown vertex"):
+        CutSet.from_sink_side(aug, {vertex, aug.sink})
 
 
 def _random_augmented(rng: random.Random):
@@ -275,7 +335,7 @@ def _random_augmented(rng: random.Random):
 def test_max_flow_matches_lp_and_cut_enumeration(seed):
     rng = random.Random(seed)
     aug = _random_augmented(rng)
-    caps = ArcMask.full(aug).capacities.copy()
+    caps = list(ArcMask.full(aug).capacities)
     for i in range(len(caps)):
         if rng.random() < 0.3:
             caps[i] = 0
@@ -307,8 +367,7 @@ def test_min_cut_is_tight_and_valid(seed):
 def test_back_cut_is_tight_and_nearest_the_sink(seed):
     rng = random.Random(100 + seed)
     aug = _random_augmented(rng)
-    caps = ArcMask.full(aug).capacities.copy()
-    caps[[rng.random() < 0.3 for _ in caps]] = 0
+    caps = [0 if rng.random() < 0.3 else c for c in ArcMask.full(aug).capacities]
     mask = ArcMask(aug, caps)
     flow = max_flow(aug, mask)
     cut = back_cut(aug, mask, flow)
@@ -334,8 +393,8 @@ def _assert_is_flow(aug, mask, res):
     """``res.flow`` fits the mask, conserves flow at every vertex but the
     root and the sink, and brings ``res.value`` to the sink."""
     flow = res.flow
-    assert flow.dtype == np.int64
-    assert np.all(flow >= 0) and np.all(flow <= mask.capacities)
+    assert type(flow) is tuple and {type(f) for f in flow} <= {int}
+    assert all(0 <= f <= c for f, c in zip(flow, mask.capacities))
     net = np.zeros(aug.vertex_count, dtype=np.int64)
     for i, a in enumerate(aug.arcs):
         net[a.head] += flow[i]
@@ -366,7 +425,7 @@ def test_warm_start_matches_cold_max_flow_on_the_corpus(suite):
         # and to a random level, then several arcs at once
         for lowered in ([rng.choice(carrying)], [rng.choice(carrying)],
                         rng.sample(carrying, min(4, len(carrying)))):
-            caps = full.capacities.copy()
+            caps = list(full.capacities)
             for arc in lowered:
                 caps[arc] = rng.randrange(start.flow[arc]) if rng.random() < 0.5 else 0
             _assert_warm_start_matches_cold(aug, ArcMask(aug, caps), start)
@@ -380,8 +439,7 @@ def test_warm_start_from_other_capacities_matches_cold_dinic(seed):
     aug = _random_augmented(rng)
     masks = []
     for _ in range(2):
-        caps = ArcMask.full(aug).capacities.copy()
-        caps[[rng.random() < 0.3 for _ in caps]] = 0
+        caps = [0 if rng.random() < 0.3 else c for c in ArcMask.full(aug).capacities]
         masks.append(ArcMask(aug, caps))
     _assert_warm_start_matches_cold(aug, masks[1], max_flow(aug, masks[0]))
 
@@ -400,8 +458,7 @@ def test_max_flow_on_generated_networks_of_20_to_40_vertices(seed):
                         seed=seed)
     aug = augment(inst)
     full = ArcMask.full(aug)
-    caps = full.capacities.copy()
-    caps[[rng.random() < 0.3 for _ in caps]] = 0
+    caps = [0 if rng.random() < 0.3 else c for c in full.capacities]
     mask = ArcMask(aug, caps)
     cold = max_flow(aug, mask)
     assert cold.value == pytest.approx(lp_max_flow(aug, mask), abs=1e-6)
@@ -426,7 +483,7 @@ def _cycle_instance():
 
 def _assert_warm_result(aug, mask, start, value, flow):
     warm = _assert_warm_start_matches_cold(aug, mask, start)
-    assert (warm.value, warm.flow.tolist()) == (value, flow)
+    assert (warm.value, list(warm.flow)) == (value, flow)
 
 
 def test_warm_start_re_routes_the_lowered_arcs_flow_around_a_cycle():
@@ -476,6 +533,37 @@ def test_chained_warm_starts_match_cold_max_flows(seed):
             break
         mask = mask.without(rng.choice(carrying))
         flow = _assert_warm_start_matches_cold(aug, mask, flow)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_start_changes_neither_its_start_nor_the_mask(seed):
+    # the attack search hands a parent's flow to a child unchanged when the
+    # child's failed arc carries none of it, and starts its siblings from the
+    # same flow, so a warm start must leave both its inputs as they were
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    inst = generate(n, n // 10, 2 * n, "uniform", seed=seed, uniform_capacity=3)
+    aug = augment(inst)
+    full = ArcMask.full(aug)
+    start = max_flow(aug, full)
+    kept = (start.value, list(start.flow))
+    for arc in [a for a, f in enumerate(start.flow) if f and not aug.is_fictive(a)]:
+        mask = full.without(arc)
+        caps = list(mask.capacities)
+        warm = max_flow(aug, mask, start=start)
+        assert (start.value, list(start.flow)) == kept
+        assert list(mask.capacities) == caps
+        assert warm.flow is not start.flow and warm.flow[arc] == 0
+    assert full.capacities == tuple(a.capacity for a in aug.arcs)
+
+
+def test_flow_result_stores_plain_ints():
+    res = FlowResult(1, np.array([1, 0, 1, 1]))
+    assert res.flow == (1, 0, 1, 1) and {type(f) for f in res.flow} == {int}
+    assert res == FlowResult(1, [1, 0, True, np.int64(1)])
+    for flow in ([1.5, 0, 1, 1], [1, 0, "1", 1], np.array([1.0, 0.0, 1.0, 1.0])):
+        with pytest.raises(GraphError, match="integers"):
+            FlowResult(1, flow)
 
 
 def test_warm_start_rejects_what_is_not_a_flow_of_the_network():
@@ -536,5 +624,8 @@ def test_layout_lists_arcs_and_residual_edges():
         ((0, 1), (2, 2)), ((1, 0), (4, 2)), ((3, 0), (5, 1), (6, 3)), ((7, 2),)
     )
     assert layout.to == (1, 0, 2, 0, 2, 1, 3, 2)
-    assert layout.capacities.tolist() == [1, 1, 1, 1]
-    assert not layout.capacities.flags.writeable
+    # a tuple of int: read-only like the instance it belongs to
+    assert layout.capacities == (1, 1, 1, 1)
+    assert {type(c) for c in layout.capacities} == {int}
+    assert layout.arc_set == frozenset(range(4))
+    assert layout.fictive_set == frozenset({3})
