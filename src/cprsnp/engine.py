@@ -37,6 +37,7 @@ starts, at which the probe, the tree and every oracle call stop.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -75,11 +76,12 @@ class EngineOptions:
     time_limit_s: float = 2000.0
 
     def __post_init__(self):
-        # NaN fails every comparison, so it would silently remove the limit
-        if not self.time_limit_s >= 0:
+        # NaN fails every comparison, so it would silently remove the limit;
+        # a value that is no real number, such as "5" or None, cannot compare
+        limit = self.time_limit_s
+        if not (isinstance(limit, numbers.Real) and limit >= 0):
             raise ValueError(
-                f"time limit must be a nonnegative number of seconds, "
-                f"got {self.time_limit_s}"
+                f"time limit must be a nonnegative number of seconds, got {limit}"
             )
 
 

@@ -95,7 +95,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import ArcMask, AugmentedInstance, CutSet, is_index, plain_arcs
+from .graph import ArcMask, AugmentedInstance, CutSet, index_set
 from .milp import INT_TOL, MilpModel
 
 # most rows :func:`append_cut` writes for one cut; a larger cut gets one
@@ -132,13 +132,16 @@ class Design:
         selected: Iterable[int],
         protected: Iterable[int] = (),
     ) -> "Design":
+        """The canonical design of these arcs: the fictive arcs are added to
+        the selection, and protection on an arc that is not a selected
+        initial one is dropped.  The selected and protected arcs each pass
+        :func:`cprsnp.graph.index_set` on their own, so every value as given
+        must be an arc index, and the design stores plain ``int``."""
         fictive = aug.layout.fictive_set
-        sel = frozenset(selected) | fictive
-        if not plain_arcs(aug, sel):
-            for a in sel:
-                if not is_index(a, aug.arc_count):
-                    raise FormulationError(f"unknown arc index {a!r}")
-        prot = (frozenset(protected) & sel) - fictive
+        message = "unknown arc index {!r}"
+        sel = index_set(selected, aug.arc_count, FormulationError, message) | fictive
+        prot = index_set(protected, aug.arc_count, FormulationError, message)
+        prot = (prot & sel) - fictive
         if len(prot) > aug.kp:
             raise FormulationError(
                 f"{len(prot)} protected arcs exceed the budget {aug.kp}"
@@ -173,12 +176,10 @@ class FailureScenario:
 
     @staticmethod
     def of(aug: AugmentedInstance, arcs: Iterable[int]) -> "FailureScenario":
-        arcset = frozenset(arcs)
-        for a in arcset:
-            # the initial arcs come first; the fictive ones never fail
-            if not is_index(a, aug.initial_arc_count):
-                raise FormulationError(f"arc index {a!r} is no initial arc")
-        return FailureScenario(arcs=arcset)
+        # the initial arcs come first; the fictive ones never fail
+        message = "arc index {!r} is no initial arc"
+        count = aug.initial_arc_count
+        return FailureScenario(arcs=index_set(arcs, count, FormulationError, message))
 
     def sorted_arcs(self) -> tuple[int, ...]:
         return tuple(sorted(self.arcs))

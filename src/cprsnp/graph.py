@@ -21,7 +21,9 @@ layout.
 Masks, flows and the layout's capacity vector are tuples of ``int``, one
 entry per arc: the max-flow kernel and the attack search read them with no
 conversion.  Their constructors take any integer sequence, numpy arrays
-included.
+included.  Sets of arcs or vertices (designs, attacks, failure scenarios,
+cut sides) pass one check, :func:`index_set`, once per input set: every
+value as given must be an index, and the set stores plain ``int``.
 
 Every max flow runs through one breadth-first kernel, :func:`_push`, that
 moves flow along shortest augmenting paths from a source to a target up to
@@ -30,7 +32,7 @@ searches.  A warm start lowers each arc whose start flow exceeds the mask,
 pushes that excess from the arc's tail to its head (re-routed, the value
 stays) and what is left back to the root and from the sink (the value
 drops), then pushes from the root to the sink again; a child of the attack
-search, which fails one arc carrying x units, needs at most 3x + 1 searches.
+search, which fails one arc carrying x units, needs at most 3x + 2 searches.
 
 Example
 -------
@@ -93,6 +95,29 @@ def is_index(value: object, count: int) -> bool:
         return 0 <= operator.index(value) < count
     except TypeError:
         return False
+
+
+def index_set(
+    values: Iterable[object], count: int, error: type[Exception], message: str
+) -> frozenset[int]:
+    """The indices ``values`` names, as a frozenset of plain ``int``, when
+    every value as given is an index in 0..count-1 (:func:`is_index`), so
+    ``np.int64(3)`` is stored as 3 and True as 1; else ``error`` with
+    ``message.format(value)`` for the first value that is not."""
+    if type(values) is not frozenset:
+        values = tuple(values)
+    if not values:
+        return frozenset()
+    # every value an int, the common case: one type scan, then one sort that
+    # gives both ends of the range (faster than min and max), no call per value
+    if operator.countOf(map(type, values), int) == len(values):
+        ordered = sorted(values)
+        if 0 <= ordered[0] and ordered[-1] < count:
+            return frozenset(values)
+    for value in values:
+        if not is_index(value, count):
+            raise error(message.format(value))
+    return frozenset(map(operator.index, values))
 
 
 def _integer(value: object, what: str, place: object) -> int:
@@ -217,8 +242,8 @@ class Layout:
     and 2i+1 for its reverse; ``edges[v]`` lists the ``(edge, head)`` pair
     of each edge leaving ``v`` in arc-index order, and ``to[e]`` is the
     vertex edge ``e`` enters.  ``capacities`` is the per-arc capacity
-    vector, a tuple of ``int``.  ``arc_set`` and ``fictive_set`` hold every
-    arc index and the fictive ones, for checks by set operations.
+    vector, a tuple of ``int``, and ``fictive_set`` the fictive arcs'
+    indices, for set operations.
     """
 
     out_arcs: tuple[tuple[int, ...], ...]
@@ -226,7 +251,6 @@ class Layout:
     edges: tuple[tuple[tuple[int, int], ...], ...]
     to: tuple[int, ...]
     capacities: tuple[int, ...]
-    arc_set: frozenset[int]
     fictive_set: frozenset[int]
 
 
@@ -288,18 +312,8 @@ class AugmentedInstance:
             tuple(map(tuple, edges)),
             tuple(to),
             caps,
-            frozenset(range(len(self.arcs))),
             frozenset(self.fictive_arcs),
         )
-
-
-def plain_arcs(aug: AugmentedInstance, arcs: frozenset) -> bool:
-    """True when every element of ``arcs`` is an ``int`` arc index of the
-    instance, read by set operations alone.  False does not make an element
-    invalid (a numpy integer is an index too): :func:`is_index` then judges
-    each one.  The type check keeps out values such as 3.0 that equal an
-    index without being one."""
-    return arcs <= aug.layout.arc_set and set(map(type, arcs)) <= {int}
 
 
 def augment(instance: Instance) -> AugmentedInstance:
@@ -371,18 +385,18 @@ class ArcMask:
         protected: Iterable[int] = (),
         failed: Iterable[int] = (),
     ) -> "ArcMask":
-        selected = frozenset(selected)
-        protected = frozenset(protected)
-        failed = frozenset(failed)
-        named = selected | protected | failed
-        if not plain_arcs(aug, named):
-            for arc in named:
-                if not is_index(arc, aug.arc_count):
-                    raise GraphError(f"unknown arc index {arc}")
+        """The mask of a design under a failure set: the selected arcs keep
+        their capacity unless failed and not protected.  Each of the three
+        sets passes :func:`index_set` on its own, so every value as given
+        must be an arc index; a fictive arc never fails."""
+        m, message = aug.arc_count, "unknown arc index {}"
+        selected = index_set(selected, m, GraphError, message)
+        protected = index_set(protected, m, GraphError, message)
+        failed = index_set(failed, m, GraphError, message)
         if not failed.isdisjoint(aug.layout.fictive_set):
             raise GraphError("fictive arcs never fail")
         caps = aug.layout.capacities
-        capacities = [0] * aug.arc_count
+        capacities = [0] * m
         for i in selected - (failed - protected):
             capacities[i] = caps[i]
         return ArcMask._of(tuple(capacities))
@@ -401,13 +415,13 @@ class CutSet:
 
     @staticmethod
     def from_sink_side(aug: AugmentedInstance, vertices: Iterable[int]) -> "CutSet":
-        side = frozenset(vertices)
+        side = index_set(
+            vertices, aug.vertex_count, GraphError, "cut references unknown vertex {!r}"
+        )
         if aug.sink not in side:
             raise GraphError("cut sink side must contain the super sink")
         if aug.root in side:
             raise GraphError("cut sink side must not contain the root")
-        if not all(is_index(v, aug.vertex_count) for v in side):
-            raise GraphError("cut references unknown vertex")
         crossing = tuple(
             i
             for i, a in enumerate(aug.arcs)
@@ -445,28 +459,16 @@ class FlowResult:
 
 
 def _push(
-    aug: AugmentedInstance,
-    residual: list[int],
-    source: int,
-    target: int,
-    limit: int,
-    via: list[int | None] | None = None,
-) -> tuple[int, list[int | None] | None]:
+    aug: AugmentedInstance, residual: list[int], source: int, target: int, limit: int
+) -> int:
     """Push up to ``limit`` units from ``source`` to ``target`` along shortest
     augmenting paths (Edmonds and Karp) on the residual capacities
-    ``residual`` (per edge of the instance's layout), updated in place.
-    Each breadth-first search stops once it reaches the target, and its path
-    is read back from the edge by which each vertex was reached (``via``,
-    -1 at the source); the push ends at the limit or at the first search
-    that misses the target, and a source that is its own target takes the
-    whole limit at once.  Returned are the amount pushed and the labels of
-    the search that missed, or None when the limit was reached.
-
-    A search that misses has labelled every vertex the source reaches.
-    Passed back as ``via`` with the same source and residual, its labels
-    stand in for the first search to another target: that search would
-    label the vertices in the same order, by the same edges, and stop once
-    it reached the target, so it would find the same path.
+    ``residual`` (per edge of the instance's layout), updated in place; the
+    amount pushed is returned.  Each breadth-first search stops once it
+    reaches the target, and its path is read back from the edge by which
+    each vertex was reached; the push ends at the limit or at the first
+    search that misses the target, and a source that is its own target takes
+    the whole limit at once.
 
     Besides the root-to-sink augmenting of :func:`max_flow`, the warm start
     pushes a lowered arc's excess from its tail: to its head, which
@@ -483,19 +485,19 @@ def _push(
     adj, to, n = aug.layout.edges, aug.layout.to, aug.vertex_count
     pushed = 0
     while pushed < limit:
-        if via is None:
-            via = [None] * n
-            via[source] = -1
-            frontier = [source]
-            for v in frontier:  # grows as the search reaches vertices
-                if via[target] is not None:
-                    break
-                for e, w in adj[v]:
-                    if residual[e] > 0 and via[w] is None:
-                        via[w] = e
-                        frontier.append(w)
+        # the edge by which each vertex was reached: -1 at the source
+        via: list[int | None] = [None] * n
+        via[source] = -1
+        frontier = [source]
+        for v in frontier:  # grows as the search reaches vertices
+            if via[target] is not None:
+                break
+            for e, w in adj[v]:
+                if residual[e] > 0 and via[w] is None:
+                    via[w] = e
+                    frontier.append(w)
         if via[target] is None:  # the search missed the target
-            return pushed, via
+            break
         path, v = [], target
         while v != source:
             e = via[v]
@@ -506,8 +508,7 @@ def _push(
             residual[e] -= got
             residual[e ^ 1] += got
         pushed += got
-        via = None
-    return pushed, None
+    return pushed
 
 
 def max_flow(
@@ -534,10 +535,9 @@ def max_flow(
     one missing the sink, and none once the fictive arcs are full.  A child
     of the attack search fails one arc of its parent's max flow, which
     carries x units, so it needs at most x + 1 searches when all x re-route
-    (the last one missing the sink) and at most 3x + 1 otherwise: r
-    re-routed units, one search that misses the head, 2 (x - r) - 1 that
-    return the rest (the search that missed gives the first path back to
-    the root), and at most x - r that augment again plus one that misses.
+    (the last one missing the sink) and at most 3x + 2 otherwise: r
+    re-routed units, one search that misses the head, 2 (x - r) that return
+    the rest, and at most x - r that augment again plus one that misses.
     """
     if start is None:
         value, residual = 0, [0] * (2 * aug.arc_count)
@@ -558,18 +558,16 @@ def max_flow(
             residual[2 * a] = 0
             residual[2 * a + 1] -= excess
             tail, head = aug.arcs[a].tail, aug.arcs[a].head
-            moved, missed = _push(aug, residual, tail, head, excess)
-            left = excess - moved
-            # the search that missed the head starts the push to the root
+            left = excess - _push(aug, residual, tail, head, excess)
             if left and (
-                _push(aug, residual, tail, aug.root, left, missed)[0] < left
-                or _push(aug, residual, aug.sink, head, left)[0] < left
+                _push(aug, residual, tail, aug.root, left) < left
+                or _push(aug, residual, aug.sink, head, left) < left
             ):
                 raise GraphError("start is not a flow of the network")
             value -= left
     # what the fictive arcs, the sink's in-arcs, can still take
     room = sum(residual[2 * aug.initial_arc_count :: 2])
-    value += _push(aug, residual, aug.root, aug.sink, room)[0]
+    value += _push(aug, residual, aug.root, aug.sink, room)
     return FlowResult._of(value, tuple(residual[1::2]))
 
 

@@ -204,7 +204,7 @@ def _worst_attack(
       (:func:`cprsnp.graph.max_flow` with ``start``), which only has to
       re-route that arc's flow from its tail to its head, or return what
       cannot go that way to the root and from the sink, and augment again:
-      at most 3x + 1 searches for an arc carrying x units;
+      at most 3x + 2 searches for an arc carrying x units;
     * f decomposes into paths, so failing any r of the remaining candidates
       removes at most the r largest f values among them; a subtree is cut
       once F minus those is no better than the best so far (ties lose to

@@ -665,9 +665,10 @@ def test_zero_budget_unresolved_without_incumbent(
     assert sol.iterations == 0
 
 
-@pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("limit", [math.nan, -1.0, -math.inf, "5", None])
 def test_time_limit_must_be_nonnegative(limit):
-    # NaN would pass every "elapsed > limit" check; inf means no limit
+    # NaN would pass every "elapsed > limit" check, and "5" or None raised a
+    # bare TypeError from the comparison; inf means no limit
     with pytest.raises(ValueError, match="time limit"):
         EngineOptions(time_limit_s=limit)
     assert EngineOptions(time_limit_s=math.inf).time_limit_s == math.inf

@@ -1,5 +1,6 @@
 """Master builders, attack models, and their agreement with enumeration."""
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -151,27 +152,38 @@ def test_a_non_integral_arc_index_is_rejected():
     assert FailureScenario.of(aug, [np.int64(2)]).sorted_arcs() == (2,)
 
 
-# two_cycle() has 5 initial arcs and one fictive arc: 6 is its arc count
+# two_cycle() has 5 initial arcs and one fictive arc: 6 is its arc count,
+# and 5 its vertex count with the sink
 @pytest.mark.parametrize(
     "value", [np.int64(3), True, 3.0, np.float64(3.0), -1, 6, "3", None], ids=repr
 )
 def test_arc_checks_accept_exactly_what_is_index_accepts(value):
-    # the checks by set operations and their per-arc fallback together
-    # accept an arc index exactly when is_index does, and an accepted one
-    # means the same as its int
-    aug = augment(two_cycle())
-    m, initial = aug.arc_count, aug.initial_arc_count
-    assert m == 6
+    # every check of an arc or vertex set accepts a value exactly when
+    # is_index does, also next to an index equal to it, and an accepted one
+    # means the same as its int and is stored as a plain int
+    aug = augment(dataclasses.replace(two_cycle(), kp=1))
+    m, initial, n = aug.arc_count, aug.initial_arc_count, aug.vertex_count
+    assert (m, n) == (6, 5)
     checks = [
-        (lambda v: Design.canonical(aug, [v]), FormulationError, m),
+        (lambda v: Design.canonical(aug, [v]).selected, FormulationError, m),
+        (lambda v: Design.canonical(aug, [3, v]).selected, FormulationError, m),
+        (lambda v: Design.canonical(aug, range(m), [v]).protected, FormulationError, m),
         (lambda v: ArcMask.for_design(aug, [v]).capacities, GraphError, m),
         (lambda v: ArcMask.for_design(aug, [0], [v]).capacities, GraphError, m),
         (lambda v: ArcMask.for_design(aug, [0], failed=[v]).capacities, GraphError, m),
-        (lambda v: FailureScenario.of(aug, [v]), FormulationError, initial),
+        (
+            lambda v: ArcMask.for_design(aug, range(m), failed=[v]).capacities,
+            GraphError,
+            m,
+        ),
+        (lambda v: FailureScenario.of(aug, [v]).arcs, FormulationError, initial),
+        (lambda v: CutSet.from_sink_side(aug, [v, aug.sink]).sink_side, GraphError, n),
     ]
     for check, error, count in checks:
         if is_index(value, count):
-            assert check(value) == check(operator.index(value))
+            stored = check(value)
+            assert stored == check(operator.index(value))
+            assert {type(entry) for entry in stored} == {int}
         else:
             with pytest.raises(error):
                 check(value)

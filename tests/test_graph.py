@@ -53,6 +53,22 @@ def test_the_max_flow_and_the_attack_search_import_no_numpy():
         assert "numpy" not in {name.split(".")[0] for name in imported}, module
 
 
+def test_only_graph_checks_indices():
+    # every set of arc or vertex indices passes graph.index_set, so no other
+    # module reads is_index and no second check such as plain_arcs exists
+    readers, defined = set(), set()
+    for path in Path(graph.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name, an Attribute or an imported alias reads is_index
+            read = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif "is_index" in read:
+                readers.add(path.name)
+    assert readers == {"graph.py"}
+    assert "index_set" in defined and "plain_arcs" not in defined
+
+
 def test_instance_rejects_bad_structure():
     good = dict(root=0, terminals=(1,), k=0, kp=0)
     with pytest.raises(GraphError):
@@ -627,5 +643,4 @@ def test_layout_lists_arcs_and_residual_edges():
     # a tuple of int: read-only like the instance it belongs to
     assert layout.capacities == (1, 1, 1, 1)
     assert {type(c) for c in layout.capacities} == {int}
-    assert layout.arc_set == frozenset(range(4))
     assert layout.fictive_set == frozenset({3})
