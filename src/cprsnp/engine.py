@@ -23,7 +23,8 @@ bound at that moment, the violation's value, and how many rows and columns
 it added, as the master's size after the append less its size before.
 
 A survivable design found upfront, by a depth-first loop over protections
-of the all-arcs design that separates each protection set once, decides
+of the all-arcs design that branches on one failing attack of each
+protection set (:func:`cprsnp.separation.failing_scenario`), decides
 every outcome without a design (Infeasible, or out of time) before any
 master is built.  So every tree starts from that design and is pruned by
 its cost: a tree with nothing strictly cheaper proves it optimal.  The
@@ -55,6 +56,7 @@ from .formulations import (
 from .milp import SolveStatus, solve_mip
 from .separation import (
     SeparationTimeout,
+    failing_scenario,
     separate_bilevel,
     separate_cutset,
     separate_scenario,
@@ -209,9 +211,14 @@ FORMULATIONS = tuple(FORMULATION_CLASSES)
 def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | None:
     """Survivable design used as upper bound: all arcs plus a depth-first
     protection search branching on witness scenarios (the all-arcs
-    selection is protectable iff the instance is feasible at all).  None
-    means that no design survives."""
-    if max_flow(aug, ArcMask.full(aug)).value < aug.demand:
+    selection is protectable iff the instance is feasible at all).  A
+    witness is any attack of at most k arcs that leaves less than the
+    demand (:func:`cprsnp.separation.failing_scenario`), not necessarily a
+    worst one.  None means that no design survives."""
+    # protection leaves the mask alone, so this one max flow is the root
+    # flow of every witness search below
+    root = max_flow(aug, ArcMask.full(aug))
+    if root.value < aug.demand:
         return None  # the full network cannot carry the demand
     # complete: more selection never hurts, so the all-arcs design with the
     # best protection is feasible iff anything is; every feasible protection
@@ -224,13 +231,13 @@ def _feasible_incumbent(aug: AugmentedInstance, deadline: float) -> Design | Non
         if design in seen:
             continue  # preorder: it and every design below it have failed
         seen.add(design)
-        violation = separate_scenario(aug, design, deadline=deadline)
-        if violation is None:
+        witness = failing_scenario(aug, design, root, deadline=deadline)
+        if witness is None:
             return design
         if len(design.protected) < aug.kp:
             stack.extend(
                 Design(design.selected, design.protected | {arc})
-                for arc in reversed(violation.scenario.sorted_arcs())
+                for arc in reversed(witness.scenario.sorted_arcs())
             )
     return None
 

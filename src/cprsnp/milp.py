@@ -72,6 +72,7 @@ import heapq
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 import time
@@ -188,16 +189,26 @@ class MilpModel:
         self._integer.append(bool(integer))
         return idx
 
+    def _check(self, coeffs: Mapping[int, float], what: str) -> None:
+        """Every key a column, an integer by :func:`operator.index` as an
+        arc index is (so ``1.5`` is no column 1), and every coefficient
+        finite."""
+        for var, coef in coeffs.items():
+            try:
+                known = 0 <= operator.index(var) < len(self._lb)
+            except TypeError:
+                known = False
+            if not known:
+                raise MilpError(f"{what} references unknown variable {var!r}")
+            if not math.isfinite(coef):
+                raise MilpError(f"{what} coefficients must be finite")
+
     def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
         if sense not in ("<=", ">=", "="):
             raise MilpError(f"unknown sense {sense!r}")
         if not math.isfinite(rhs):
             raise MilpError("constraint rhs must be finite")
-        for var, coef in coeffs.items():
-            if not 0 <= var < len(self._lb):
-                raise MilpError(f"constraint references unknown variable {var}")
-            if not math.isfinite(coef):
-                raise MilpError("constraint coefficients must be finite")
+        self._check(coeffs, "constraint")
         for var, coef in coeffs.items():
             if coef != 0.0:
                 self._col_idx.append(int(var))
@@ -207,11 +218,7 @@ class MilpModel:
         self._row_hi.append(math.inf if sense == ">=" else float(rhs))
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        for var, coef in coeffs.items():
-            if not 0 <= var < len(self._lb):
-                raise MilpError(f"objective references unknown variable {var}")
-            if not math.isfinite(coef):
-                raise MilpError("objective coefficients must be finite")
+        self._check(coeffs, "objective")
         self._objective = {int(v): float(c) for v, c in coeffs.items() if c != 0.0}
 
     # -- inspection ---------------------------------------------------

@@ -25,6 +25,12 @@ scenario; the minimum cut of the attacked network nearest the sink
 (:func:`cprsnp.graph.back_cut`) gives both the most violated cut and the
 attacker vertex, by max-flow/min-cut duality.
 
+The engine's protection probe needs only some failing attack of each
+design, since every protection that makes it survive must hit that attack.
+:func:`failing_scenario` runs the same search in its witness mode, which
+stops at the first failing set it meets, or the MIP route's worst attack
+on larger designs; both return None exactly when the design survives.
+
 :func:`strengthen` trades a violated attacker vertex for a sparser one: the
 vertex of the failing cut that crosses the fewest arcs, read from one MIP.
 The input vertex is a feasible point of that MIP, so its lam count is the
@@ -107,8 +113,8 @@ def _as_int(value: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class _Attack:
-    """A worst failure set, the max flow it leaves, and a max flow of the
-    design under it."""
+    """A worst (or, for the probe, a failing) failure set, the max flow it
+    leaves, and a max flow of the design under it."""
 
     arcs: tuple[int, ...]
     value: int
@@ -120,14 +126,18 @@ def _attack(
     design: Design,
     deadline: float,
     brute_force_limit: int,
+    witness: bool = False,
+    root: FlowResult | None = None,
 ) -> _Attack | None:
-    """The worst attack on a canonical design, or None when every attack
-    leaves at least the demand.
+    """The worst attack on a canonical design (with ``witness``, on the
+    search route, a failing one), or None when every attack leaves at least
+    the demand.
 
     While the design has at most ``brute_force_limit`` failure sets this is
-    :func:`_worst_attack`.  Otherwise the cut search MIP, with the demand
-    as its cutoff, finds a cut keeping the least capacity, below the
-    demand, after its worst failure, or proves that none exists; that failure
+    :func:`_worst_attack`, which takes ``witness`` and ``root``.  Otherwise
+    the cut search MIP, with the demand as its cutoff, finds a cut keeping
+    the least capacity, below the demand, after its worst failure, or
+    proves that none exists; that failure
     (:func:`cprsnp.formulations.worst_subset`), padded to min(k, candidates)
     arcs with the lowest-index other candidates, is the attack, and one max
     flow under it must attain the MIP's value.
@@ -136,7 +146,7 @@ def _attack(
     candidates = design.attack_candidates(aug)
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
-        return _worst_attack(aug, design, candidates, deadline)
+        return _worst_attack(aug, design, candidates, deadline, witness, root)
     search = build_cutset_separation(aug, design)
     res = solve_mip(search.model, deadline=deadline, cutoff=aug.demand)
     if res.status == SolveStatus.INFEASIBLE:
@@ -188,11 +198,23 @@ def _worst_attack(
     design: Design,
     candidates: list[int],
     deadline: float,
+    witness: bool = False,
+    root: FlowResult | None = None,
 ) -> _Attack | None:
     """The worst attack on the design: the lexicographically first set of
-    ``size`` = min(k, candidates) of its attack candidates, in index order,
-    whose failure leaves the least max flow, with that value and a max flow
-    that attains it; None when every such failure leaves at least the demand.
+    ``size`` = min(k, candidates) of its attack candidates, in the order
+    given, whose failure leaves the least max flow, with that value and a
+    max flow that attains it; None when every such failure leaves at least
+    the demand.  ``root`` is a max flow of the design with nothing failed,
+    when the caller has one.
+
+    With ``witness`` the search returns the first failing set it meets
+    instead: a prefix whose own max flow is below the demand, which may
+    have fewer than ``size`` arcs, with that flow.  It takes the candidates
+    in decreasing order of their root flow (a stable sort, so ties keep the
+    order given), where a failing set comes soonest.  Its pruning is the
+    same, with the best value held at the demand, so None still proves
+    that every attack leaves at least the demand.
 
     Depth-first search over failed prefixes in lexicographic order.  A node
     holds a max flow f of value F with its prefix failed, and r arcs left to
@@ -241,6 +263,10 @@ def _worst_attack(
         """Record or cut the subtree below ``prefix``, or push it to be
         branched on with its children's bounds."""
         nonlocal best_value, best, best_flow
+        if witness and res.value < best_value:
+            best_value, best, best_flow = res.value, prefix, res
+            stack.clear()  # the first failing set ends the search
+            return
         left = size - len(prefix)
         carried = list(map(res.flow.__getitem__, candidates[start:])) if left else []
         # gain[j]: the most flow that failing candidates[start + j] and
@@ -263,7 +289,11 @@ def _worst_attack(
     # an explicit stack: the depth is the attack size, which k alone bounds
     stack = []
     mask = design.mask(aug)
-    visit((), 0, mask, flow_of(mask, None))
+    if root is None:
+        root = flow_of(mask, None)
+    if witness:
+        candidates = sorted(candidates, key=root.flow.__getitem__, reverse=True)
+    visit((), 0, mask, root)
     while stack:
         prefix, mask, res, bound, gain, start, children = stack[-1]
         i = next(children, None)
@@ -330,6 +360,27 @@ def separate_scenario(
     arcs.  On the search route it is the lexicographically first worst
     one."""
     attack = _attack(aug, design, deadline, brute_force_limit)
+    if attack is None:
+        return None
+    return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)
+
+
+def failing_scenario(
+    aug: AugmentedInstance,
+    design: Design,
+    root: FlowResult,
+    deadline: float = math.inf,
+    brute_force_limit: int = BRUTE_FORCE_LIMIT,
+) -> ScenarioViolation | None:
+    """Some failure scenario of at most k arcs that leaves less than the
+    demand, or None if none does: the engine's protection probe branches
+    on it.  ``root`` is a max flow of the design with nothing failed.  On
+    the search route the scenario is the first failing set that the
+    witness search (:func:`_worst_attack`) meets from that flow; on the MIP
+    route it is the worst attack."""
+    attack = _attack(
+        aug, design, deadline, brute_force_limit, witness=True, root=root
+    )
     if attack is None:
         return None
     return ScenarioViolation(FailureScenario.of(aug, attack.arcs), attack.value)

@@ -25,7 +25,7 @@ from conftest import (
     unreachable_terminal,
 )
 
-from cprsnp import augment, engine, formulations, milp, separation
+from cprsnp import augment, engine, formulations, milp, separation, verify
 from cprsnp.engine import (
     BilevelFormulation,
     CutsetFormulation,
@@ -49,13 +49,14 @@ FAST = EngineOptions(time_limit_s=60.0)
 
 @pytest.fixture
 def scenarios_via_mip(monkeypatch):
-    """Brute limit zero pushes scenario separation onto the cut MIP, in the
-    feasibility probe too."""
-    monkeypatch.setattr(
-        engine,
-        "separate_scenario",
-        functools.partial(engine.separate_scenario, brute_force_limit=0),
-    )
+    """Brute limit zero pushes scenario separation onto the cut MIP, and
+    the feasibility probe's witnesses too."""
+    for name in ("separate_scenario", "failing_scenario"):
+        monkeypatch.setattr(
+            engine,
+            name,
+            functools.partial(getattr(engine, name), brute_force_limit=0),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +152,13 @@ def test_probe_separates_each_protection_set_once(monkeypatch):
     # order of witness arcs; a set popped again is skipped, since it and
     # every set below it have already failed
     separated = []
-    real = engine.separate_scenario
+    real = engine.failing_scenario
 
-    def recording(aug, design, deadline):
+    def recording(aug, design, root, deadline):
         separated[-1].append(design)
-        return real(aug, design, deadline=deadline)
+        return real(aug, design, root, deadline=deadline)
 
-    monkeypatch.setattr(engine, "separate_scenario", recording)
+    monkeypatch.setattr(engine, "failing_scenario", recording)
     protections = []
     for seed in range(20):
         separated.append([])
@@ -165,13 +166,79 @@ def test_probe_separates_each_protection_set_once(monkeypatch):
         design = engine._feasible_incumbent(aug, math.inf)
         protections.append(None if design is None else sorted(design.protected))
     assert all(len(set(designs)) == len(designs) for designs in separated)
-    assert sum(map(len, separated)) == 169
+    assert sum(map(len, separated)) == 134
     assert protections == [
-        [2, 4, 22], [3, 4, 29], None, [2, 3], [1, 8, 26],
+        [2, 4, 22], [3, 4, 29], None, [1, 2, 3], [1, 8, 26],
         [1, 3, 16], [0, 2, 18], None, None, [0, 4, 5],
         None, None, None, None, None,
         [0, 19], [2, 15, 24], [2, 4, 5], None, [0, 1, 2],
     ]
+
+
+def test_probe_runs_one_max_flow_from_zero(monkeypatch):
+    # protection leaves the all-arcs network alone, so the probe's up-front
+    # max flow is the root of every witness search, and every later max
+    # flow starts from another one
+    starts = []
+    for module in (engine, separation):
+
+        def counted(aug, mask, start=None, real=module.max_flow):
+            starts.append(start)
+            return real(aug, mask, start=start)
+
+        monkeypatch.setattr(module, "max_flow", counted)
+    aug = augment(generate(12, 4, 30, "random", seed=3, k=2, kp=3))
+    design = engine._feasible_incumbent(aug, math.inf)
+    assert len(design.protected) == 3
+    assert len(starts) > 1
+    assert starts[0] is None and None not in starts[1:]
+
+
+@pytest.mark.parametrize("limit", [separation.BRUTE_FORCE_LIMIT, 0])
+def test_probe_agrees_with_the_verifier(monkeypatch, limit):
+    # on the corpus and on 20 seeded 12-4-30 instances at (k, kp) = (2, 3),
+    # on the search route and on the MIP route: the probe finds no design
+    # exactly when the verifier's own complete protection search finds none
+    # for the all-arcs design, every design it returns survives, and every
+    # witness it branches on leaves less than the demand when those arcs
+    # alone fail
+    branched = []
+    real = engine.failing_scenario
+
+    def recording(aug, design, root, deadline):
+        witness = real(aug, design, root, deadline=deadline, brute_force_limit=limit)
+        if witness is not None:
+            branched.append((design, witness.scenario))
+        return witness
+
+    monkeypatch.setattr(engine, "failing_scenario", recording)
+    instances = corpus() + [
+        generate(12, 4, 30, "random", seed=seed, k=2, kp=3) for seed in range(20)
+    ]
+    seen = set()
+    for inst in instances:
+        aug = augment(inst)
+        every = frozenset(range(aug.arc_count))
+        branched.clear()
+        design = engine._feasible_incumbent(aug, math.inf)
+        expected = verify._protectable(aug, every, frozenset(), aug.kp)
+        assert (design is None) == (expected is None)
+        if design is not None:
+            assert is_survivable(aug, design) == (True, None)
+        seen.add("infeasible" if design is None else "feasible")
+        for probed, scenario in branched:
+            arcs = scenario.arcs
+            assert 0 < len(arcs) <= aug.k
+            assert arcs <= set(probed.attack_candidates(aug))
+            # protecting every other initial arc leaves the verifier just
+            # this one failure set to try
+            alone = augment(replace(inst, k=len(arcs), kp=len(inst.arcs) - len(arcs)))
+            exposed = Design.canonical(alone, every, set(alone.initial_arcs) - arcs)
+            assert is_survivable(alone, exposed) == (False, scenario)
+            seen.add("short witness" if len(arcs) < aug.k else "full witness")
+    # the MIP route's witness is a worst attack, padded to min(k, candidates)
+    short = {"short witness"} if limit else set()
+    assert seen == {"infeasible", "feasible", "full witness"} | short
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
@@ -728,6 +795,7 @@ def test_one_deadline_per_solve(monkeypatch, formulation):
         return call
 
     for name in (
+        "failing_scenario",
         "separate_scenario",
         "separate_cutset",
         "separate_bilevel",
@@ -743,7 +811,7 @@ def test_one_deadline_per_solve(monkeypatch, formulation):
     assert sol.status is SolveStatus.OPTIMAL
     oracle = {"cutset": "separate_cutset", "flow": "separate_scenario",
               "bilevel": "separate_bilevel"}[formulation]
-    called = {"separate_scenario", "solve_mip", oracle}
+    called = {"failing_scenario", "solve_mip", oracle}
     if formulation == "bilevel":
         called.add("strengthen_point")
     assert set(seen) == called

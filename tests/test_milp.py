@@ -443,6 +443,35 @@ def test_model_validation_errors():
             model.add_var("bad", lb=lb, ub=ub)
 
 
+@pytest.mark.parametrize("key", [1.5, 0.7, 1.0, "0", None])
+def test_add_constr_rejects_a_non_integer_column(key):
+    # 1.5 was stored as column 1: a key is a column only by operator.index
+    model = MilpModel()
+    model.add_var("x", 0.0, 1.0)
+    model.add_var("y", 0.0, 1.0)
+    with pytest.raises(MilpError, match=f"unknown variable {key!r}"):
+        model.add_constr({key: 1.0}, "<=", 1.0)
+    assert model.num_constraints == 0
+    model.add_constr({np.int64(0): 2.0, True: 3.0}, "<=", 1.0)
+    assert (model._col_idx, model._values) == ([0, 1], [2.0, 3.0])
+    assert all(type(col) is int for col in model._col_idx)
+
+
+@pytest.mark.parametrize("key", [0.7, 1.5, 0.0, "0", None])
+def test_set_objective_rejects_a_non_integer_column(key):
+    # 0.7 set column 0's cost
+    model = MilpModel()
+    model.add_var("x", 0.0, 1.0)
+    model.add_var("y", 0.0, 1.0)
+    model.set_objective({0: 4.0})
+    with pytest.raises(MilpError, match=f"unknown variable {key!r}"):
+        model.set_objective({key: 1.0})
+    assert model._objective == {0: 4.0}
+    model.set_objective({np.int64(1): 2.0})
+    assert model._objective == {1: 2.0}
+    assert all(type(col) is int for col in model._objective)
+
+
 def test_check_assignment_and_objective_value():
     model = knapsack([5, 4, 3], [2, 3, 1], 5)
     assert check_assignment(model, [1, 1, 0])

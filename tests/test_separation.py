@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import time
 
@@ -305,6 +306,38 @@ def test_attack_search_matches_enumeration_on_seeded_cases():
 def test_attack_search_matches_enumeration(rng):
     aug, design = attack_case(rng)
     assert_search_matches_enumeration(aug, design, enumerated_attacks(aug, design))
+
+
+def test_attack_search_does_not_depend_on_candidate_order():
+    # any order of the candidates gives the worst value that enumeration
+    # does; the witness mode returns only failing sets of at most k
+    # candidates, and None exactly when that value reaches the demand
+    seen = set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        aug, design = attack_case(rng)
+        value = min(v for v, _ in enumerated_attacks(aug, design))
+        candidates = design.attack_candidates(aug)
+        size = min(aug.k, len(candidates))
+        shuffled = rng.sample(candidates, len(candidates))
+        for order in (candidates, candidates[::-1], shuffled):
+            worst = separation._worst_attack(aug, design, order, math.inf)
+            witness = separation._worst_attack(
+                aug, design, order, math.inf, witness=True
+            )
+            if value >= aug.demand:
+                assert worst is None and witness is None
+                seen.add("survivable")
+                continue
+            assert worst.value == value and len(worst.arcs) == size
+            assert max_flow(aug, design.mask(aug, worst.arcs)).value == value
+            assert witness.value < aug.demand
+            assert len(set(witness.arcs)) == len(witness.arcs) <= size
+            assert set(witness.arcs) <= set(candidates)
+            left = max_flow(aug, design.mask(aug, witness.arcs)).value
+            assert left == witness.flow.value == witness.value
+            seen.add("short witness" if len(witness.arcs) < size else "full witness")
+    assert seen == {"survivable", "short witness", "full witness"}
 
 
 def test_attack_search_needs_few_max_flows(monkeypatch):
