@@ -28,8 +28,11 @@ attacker vertex, by max-flow/min-cut duality.
 The engine's protection probe needs only some failing attack of each
 design, since every protection that makes it survive must hit that attack.
 :func:`failing_scenario` runs the same search in its witness mode, which
-stops at the first failing set it meets, or the MIP route's worst attack
-on larger designs; both return None exactly when the design survives.
+stops at the first failing set it meets.  Above ``brute_force_limit`` the
+search runs first too, within a budget of min(candidates,
+``brute_force_limit``) max flows, and only a search that spends its budget
+with no verdict hands the design to the MIP route's worst attack.  Each
+route returns None exactly when the design survives.
 
 :func:`strengthen` trades a violated attacker vertex for a sparser one: the
 vertex of the failing cut that crosses the fewest arcs, read from one MIP.
@@ -69,7 +72,8 @@ from .milp import SolveStatus, solve_mip
 BRUTE_FORCE_LIMIT = 100_000
 # the attack search reads the clock once per this many max flows: an overrun
 # stays within that many, and a search shorter than that always finishes,
-# so even a zero budget gets its probe incumbent
+# so even a zero time limit gets its probe incumbent, or settles a probe
+# above the limit whose witness search is that short
 CLOCK_POLL_FLOWS = 64
 
 
@@ -79,6 +83,10 @@ class SeparationTimeout(RuntimeError):
 
 class SeparationError(RuntimeError):
     """Internal inconsistency between an oracle's certificate and its value."""
+
+
+class _BudgetSpent(Exception):
+    """The attack search reached its budget of max flows with no verdict."""
 
 
 def _require_canonical(aug: AugmentedInstance, design: Design) -> None:
@@ -134,10 +142,13 @@ def _attack(
     the demand.
 
     While the design has at most ``brute_force_limit`` failure sets this is
-    :func:`_worst_attack`, which takes ``witness`` and ``root``.  Otherwise
-    the cut search MIP, with the demand as its cutoff, finds a cut keeping
-    the least capacity, below the demand, after its worst failure, or
-    proves that none exists; that failure
+    :func:`_worst_attack`, which takes ``witness`` and ``root``.  Above
+    that, a ``witness`` call first runs the search with a budget of
+    min(candidates, ``brute_force_limit``) max flows, and only a search
+    that spends it goes on, like every other call above the limit, to the
+    cut search MIP.  With the demand as its cutoff, that MIP finds a cut
+    keeping the least capacity, below the demand, after its worst failure,
+    or proves that none exists; that failure
     (:func:`cprsnp.formulations.worst_subset`), padded to min(k, candidates)
     arcs with the lowest-index other candidates, is the attack, and one max
     flow under it must attain the MIP's value.
@@ -147,6 +158,12 @@ def _attack(
     size = min(aug.k, len(candidates))
     if math.comb(len(candidates), size) <= brute_force_limit:
         return _worst_attack(aug, design, candidates, deadline, witness, root)
+    budget = min(len(candidates), brute_force_limit)
+    if witness and budget:  # a limit of 0 keeps the MIP route alone
+        try:
+            return _worst_attack(aug, design, candidates, deadline, True, root, budget)
+        except _BudgetSpent:
+            pass  # no verdict within the budget: the MIP gives one
     search = build_cutset_separation(aug, design)
     res = solve_mip(search.model, deadline=deadline, cutoff=aug.demand)
     if res.status == SolveStatus.INFEASIBLE:
@@ -200,13 +217,16 @@ def _worst_attack(
     deadline: float,
     witness: bool = False,
     root: FlowResult | None = None,
+    budget: float = math.inf,
 ) -> _Attack | None:
     """The worst attack on the design: the lexicographically first set of
     ``size`` = min(k, candidates) of its attack candidates, in the order
     given, whose failure leaves the least max flow, with that value and a
     max flow that attains it; None when every such failure leaves at least
     the demand.  ``root`` is a max flow of the design with nothing failed,
-    when the caller has one.
+    when the caller has one.  After ``budget`` max flows with no verdict
+    (the root's included when it is computed here) the search raises
+    :class:`_BudgetSpent`.
 
     With ``witness`` the search returns the first failing set it meets
     instead: a prefix whose own max flow is below the demand, which may
@@ -251,6 +271,8 @@ def _worst_attack(
 
     def flow_of(mask: ArcMask, start: FlowResult | None) -> FlowResult:
         nonlocal flows
+        if flows == budget:
+            raise _BudgetSpent
         if (
             flows % CLOCK_POLL_FLOWS == CLOCK_POLL_FLOWS - 1
             and time.perf_counter() > deadline
@@ -288,7 +310,12 @@ def _worst_attack(
 
     # an explicit stack: the depth is the attack size, which k alone bounds
     stack = []
-    mask = design.mask(aug)
+    # the design is canonical, so selecting as many arcs as there are means
+    # selecting all of them, and with nothing failed protection is moot
+    if len(design.selected) == aug.arc_count:
+        mask = ArcMask.full(aug)
+    else:
+        mask = design.mask(aug)
     if root is None:
         root = flow_of(mask, None)
     if witness:
@@ -374,10 +401,12 @@ def failing_scenario(
 ) -> ScenarioViolation | None:
     """Some failure scenario of at most k arcs that leaves less than the
     demand, or None if none does: the engine's protection probe branches
-    on it.  ``root`` is a max flow of the design with nothing failed.  On
-    the search route the scenario is the first failing set that the
-    witness search (:func:`_worst_attack`) meets from that flow; on the MIP
-    route it is the worst attack."""
+    on it.  ``root`` is a max flow of the design with nothing failed.  The
+    scenario is the first failing set that the witness search
+    (:func:`_worst_attack`) meets from that flow.  Above
+    ``brute_force_limit`` failure sets that search may run only
+    min(candidates, ``brute_force_limit``) max flows, and when it spends
+    them with no verdict the scenario is the MIP route's worst attack."""
     attack = _attack(
         aug, design, deadline, brute_force_limit, witness=True, root=root
     )

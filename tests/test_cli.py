@@ -287,11 +287,12 @@ def test_probe_deeper_than_the_recursion_limit_exits_infeasible(tmp_path, capsys
 
 
 def test_time_limit_without_incumbent_exits_2_with_no_design(tmp_path, capsys):
-    # at k=3 the probe takes the MIP route (C(90, 3) failure sets),
-    # which a zero budget stops before any incumbent
+    # at k=3 the all-arcs design survives and has C(160, 3) failure sets,
+    # so the probe's budgeted witness search outlasts a clock poll, which a
+    # zero time limit stops before any incumbent
     path = tmp_path / "i.txt"
     path.write_text(
-        write_instance(generate(20, 5, 90, "uniform", seed=7, k=3, kp=0)),
+        write_instance(generate(40, 8, 160, "uniform", seed=7, k=3, kp=0)),
         encoding="utf-8",
     )
     design = tmp_path / "design.txt"

@@ -194,19 +194,28 @@ def test_probe_runs_one_max_flow_from_zero(monkeypatch):
     assert starts[0] is None and None not in starts[1:]
 
 
-@pytest.mark.parametrize("limit", [separation.BRUTE_FORCE_LIMIT, 0])
+@pytest.mark.parametrize("limit", [separation.BRUTE_FORCE_LIMIT, 3, 0])
 def test_probe_agrees_with_the_verifier(monkeypatch, limit):
     # on the corpus and on 20 seeded 12-4-30 instances at (k, kp) = (2, 3),
-    # on the search route and on the MIP route: the probe finds no design
-    # exactly when the verifier's own complete protection search finds none
-    # for the all-arcs design, every design it returns survives, and every
-    # witness it branches on leaves less than the demand when those arcs
-    # alone fail
+    # on the search route, on the budgeted search with the MIP behind it,
+    # and on the MIP route: the probe finds no design exactly when the
+    # verifier's own complete protection search finds none for the all-arcs
+    # design, every design it returns survives, and every witness it
+    # branches on leaves less than the demand when those arcs alone fail
     branched = []
     real = engine.failing_scenario
+    mips, routes = [], set()
+
+    def counted(model, *args, **kwargs):
+        mips.append(model.name)
+        return solve_mip(model, *args, **kwargs)
+
+    monkeypatch.setattr(separation, "solve_mip", counted)
 
     def recording(aug, design, root, deadline):
+        before = len(mips)
         witness = real(aug, design, root, deadline=deadline, brute_force_limit=limit)
+        routes.add("mip" if len(mips) > before else "search")
         if witness is not None:
             branched.append((design, witness.scenario))
         return witness
@@ -236,9 +245,14 @@ def test_probe_agrees_with_the_verifier(monkeypatch, limit):
             exposed = Design.canonical(alone, every, set(alone.initial_arcs) - arcs)
             assert is_survivable(alone, exposed) == (False, scenario)
             seen.add("short witness" if len(arcs) < aug.k else "full witness")
-    # the MIP route's witness is a worst attack, padded to min(k, candidates)
+    # the MIP route's witness is a worst attack, padded to min(k, candidates);
+    # the search's may be shorter, also under a budget
     short = {"short witness"} if limit else set()
     assert seen == {"infeasible", "feasible", "full witness"} | short
+    # a budget of 3 max flows leaves some probed designs to the search and
+    # some to the MIP behind it
+    expected_routes = {separation.BRUTE_FORCE_LIMIT: {"search"}, 3: {"search", "mip"}}
+    assert routes == expected_routes.get(limit, {"mip"})
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)

@@ -175,6 +175,84 @@ def test_each_route_solves_its_own_mips(monkeypatch):
         assert solved == mips
 
 
+def probe_designs():
+    """Designs the probe separates: every arc selected, with seeded
+    protections, on seeded cases whose full network carries the demand."""
+    for seed in range(60):
+        aug, _ = seeded_case(seed)
+        rng = random.Random(seed)
+        protected = rng.sample(aug.initial_arcs, rng.randint(0, aug.kp))
+        design = Design.canonical(aug, range(aug.arc_count), protected)
+        root = max_flow(aug, design.mask(aug))
+        if root.value >= aug.demand:
+            yield aug, design, root
+
+
+def test_probe_searches_within_a_budget_before_the_mip(monkeypatch):
+    # above brute_force_limit the witness search runs first, allowed
+    # min(candidates, limit) max flows; only a spent budget reaches the MIP,
+    # limit 0 goes straight to it, and the worst-attack oracles keep their
+    # one MIP route
+    events = []
+
+    def flow(aug, mask, start=None):
+        events.append("flow")
+        return max_flow(aug, mask, start=start)
+
+    def mip(model, *args, **kwargs):
+        events.append("mip")
+        return solve_mip(model, *args, **kwargs)
+
+    monkeypatch.setattr(separation, "max_flow", flow)
+    monkeypatch.setattr(separation, "solve_mip", mip)
+    seen = set()
+    for aug, design, root in probe_designs():
+        candidates = len(design.attack_candidates(aug))
+        size = min(aug.k, candidates)
+        survivable = is_survivable(aug, design)[0]
+        for limit in (0, 1, 3, 10):
+            if math.comb(candidates, size) <= limit:
+                continue
+            events.clear()
+            witness = separation.failing_scenario(
+                aug, design, root, brute_force_limit=limit
+            )
+            searched = events.index("mip") if "mip" in events else len(events)
+            assert searched <= min(candidates, limit)
+            # the MIP runs once, then at most the max flow that checks it
+            assert events[searched:] in ([], ["mip"], ["mip", "flow"])
+            assert (witness is None) == survivable
+            if witness is not None:
+                left = max_flow(aug, design.mask(aug, witness.scenario.arcs))
+                assert left.value == witness.value < aug.demand
+            route = "mip" if searched < len(events) else "search"
+            seen.add((route, "survives" if witness is None else "fails"))
+            if limit == 0:
+                assert route == "mip"
+                continue
+            for separate in (separate_cutset, separate_scenario, separate_bilevel):
+                events.clear()
+                answer = separate(aug, design, brute_force_limit=limit)
+                assert events in (["mip"], ["mip", "flow"])
+                assert answer == separate(aug, design, brute_force_limit=0)
+    assert seen == {
+        ("search", "fails"),
+        ("search", "survives"),
+        ("mip", "fails"),
+        ("mip", "survives"),
+    }
+    # on the triangle with the direct arc protected, the root flow leaves
+    # every candidate empty, so a search would end with no max flow; limit
+    # 0 still asks the MIP
+    aug = tri_aug(k=1, kp=1)
+    design = Design.canonical(aug, range(3), [1])
+    root = max_flow(aug, design.mask(aug))
+    assert root.flow[:3] == (0, 1, 0)
+    events.clear()
+    assert separation.failing_scenario(aug, design, root, brute_force_limit=0) is None
+    assert events == ["mip"]
+
+
 def test_mip_route_rejects_a_max_flow_off_the_cut_value(monkeypatch):
     # the attack read from the cut MIP must leave exactly the MIP's value
     aug, design = seeded_case(101)
