@@ -13,7 +13,8 @@ single feasibility currency: a design survives a failure set iff the
 surviving selected arcs still carry ``|T|`` units.
 
 The augmented instance owns its network layout (:class:`Layout`: per-vertex
-arc lists, the residual edge layout, the capacity vector), built once on
+arc lists, the residual edge layout, the capacity vector) and its arc
+connectivity (the fewest arcs of any root/sink cut), each computed once on
 first use.  :func:`max_flow`, :func:`min_cut`, :func:`back_cut`,
 :class:`ArcMask` and the flow builders of ``formulations`` all read that one
 layout.
@@ -314,6 +315,14 @@ class AugmentedInstance:
             caps,
             frozenset(self.fictive_arcs),
         )
+
+    @cached_property
+    def arc_connectivity(self) -> int:
+        """The fewest arcs that any root/sink cut crosses, whatever their
+        capacity: a max flow with every arc at capacity 1, computed on
+        first use.  At most the demand, since the fictive arcs cross the
+        cut around the sink."""
+        return max_flow(self, ArcMask._of((1,) * len(self.arcs))).value
 
 
 def augment(instance: Instance) -> AugmentedInstance:

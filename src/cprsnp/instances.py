@@ -290,6 +290,8 @@ def generate(
         raise GenerationError(f"arc count {arcs} exceeds {MAX_ARCS}")
     if capacity_mode not in ("uniform", "random"):
         raise GenerationError(f"unknown capacity mode {capacity_mode!r}")
+    if capacity_mode == "random" and uniform_capacity is not None:
+        raise GenerationError("a uniform capacity needs capacity mode 'uniform'")
     if k < 0 or kp < 0:
         raise GenerationError("budgets must be nonnegative")
     if k + kp > arcs:

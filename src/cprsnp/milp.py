@@ -4,14 +4,22 @@ Every model minimizes, and every column has finite bounds, so an LP
 relaxation is either Optimal or Infeasible: none can be unbounded.  A model
 keeps its rows once, row-wise, in the arrays HiGHS reads: each row's
 first nonzero, the nonzeros' columns and values, and each row's sense as a
-``row_lo <= A x <= row_hi`` pair.  HiGHS gets those arrays as they are.
+``row_lo <= A x <= row_hi`` pair.  Those arrays and the column bounds are
+typed buffers (:class:`array.array` of C doubles, ints and signed chars),
+so a tail of each reaches HiGHS as a copy of its bytes, with no conversion
+of one element at a time.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
-simplex instance.  The instance opens empty and takes the model as tails
-of its row-wise arrays: all of it first, and later only the rows and
-columns appended since.  Each solve sends only the integer column bounds
-that differ from the ones HiGHS holds, so the simplex restarts from the
-previous basis instead of from scratch.
+simplex instance.  The instance holds no model when a solve takes it, and
+takes the model as tails of its row-wise arrays: all of it first, and later
+only the rows and columns appended since.  Each solve sends only the
+integer column bounds that differ from the ones HiGHS holds, so the simplex
+restarts from the previous basis instead of from scratch.  Instances are
+reused: a finished solve clears its instance's model, resets its time
+limit and puts it on a stack of idle instances, where the next solve takes
+it instead of creating and configuring a new one; a cleared instance
+solves as a new one would.  A solve nested in a lazy callback takes an
+instance of its own.
 Solutions are basic, with HiGHS's 1e-7 feasibility tolerances; presolve is
 off and the solver prints nothing.
 
@@ -76,6 +84,7 @@ import operator
 import os
 import sys
 import time
+from array import array
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Callable, Mapping
@@ -162,17 +171,18 @@ class MilpModel:
     def __init__(self, name: str = "model"):
         self.name = name
         self.integral_objective = False
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._integer: list[bool] = []
+        # typed buffers: float64 ("d"), int32 ("i") and int8 ("b")
+        self._lb = array("d")
+        self._ub = array("d")
+        self._integer = array("b")
         self._objective: dict[int, float] = {}
         # the rows, row-wise: row r's nonzeros are the columns and values
         # at _start[r]:_start[r + 1]
-        self._start: list[int] = [0]
-        self._col_idx: list[int] = []
-        self._values: list[float] = []
-        self._row_lo: list[float] = []
-        self._row_hi: list[float] = []
+        self._start = array("i", [0])
+        self._col_idx = array("i")
+        self._values = array("d")
+        self._row_lo = array("d")
+        self._row_hi = array("d")
 
     # -- construction -------------------------------------------------
 
@@ -184,42 +194,50 @@ class MilpModel:
         if lb > ub:
             raise MilpError(f"variable {name}: lb {lb} > ub {ub}")
         idx = len(self._lb)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
+        # a "d" buffer stores any real number as a float
+        self._lb.append(lb)
+        self._ub.append(ub)
         self._integer.append(bool(integer))
         return idx
 
-    def _check(self, coeffs: Mapping[int, float], what: str) -> None:
-        """Every key a column, an integer by :func:`operator.index` as an
-        arc index is (so ``1.5`` is no column 1), and every coefficient
+    def _nonzeros(
+        self, coeffs: Mapping[int, float], what: str
+    ) -> tuple[list[int], list[float]]:
+        """The columns and values of the nonzero coefficients, once every
+        key is a column, an integer by :func:`operator.index` as an arc
+        index is (so ``1.5`` is no column 1), and every coefficient
         finite."""
+        count = len(self._lb)
+        cols: list[int] = []
+        values: list[float] = []
         for var, coef in coeffs.items():
             try:
-                known = 0 <= operator.index(var) < len(self._lb)
+                col = operator.index(var)
             except TypeError:
-                known = False
-            if not known:
+                col = -1
+            if not 0 <= col < count:
                 raise MilpError(f"{what} references unknown variable {var!r}")
             if not math.isfinite(coef):
                 raise MilpError(f"{what} coefficients must be finite")
+            if coef != 0.0:
+                cols.append(col)
+                values.append(float(coef))
+        return cols, values
 
     def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
         if sense not in ("<=", ">=", "="):
             raise MilpError(f"unknown sense {sense!r}")
         if not math.isfinite(rhs):
             raise MilpError("constraint rhs must be finite")
-        self._check(coeffs, "constraint")
-        for var, coef in coeffs.items():
-            if coef != 0.0:
-                self._col_idx.append(int(var))
-                self._values.append(float(coef))
+        cols, values = self._nonzeros(coeffs, "constraint")
+        self._col_idx.fromlist(cols)
+        self._values.fromlist(values)
         self._start.append(len(self._values))
-        self._row_lo.append(-math.inf if sense == "<=" else float(rhs))
-        self._row_hi.append(math.inf if sense == ">=" else float(rhs))
+        self._row_lo.append(-math.inf if sense == "<=" else rhs)
+        self._row_hi.append(math.inf if sense == ">=" else rhs)
 
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        self._check(coeffs, "objective")
-        self._objective = {int(v): float(c) for v, c in coeffs.items() if c != 0.0}
+        self._objective = dict(zip(*self._nonzeros(coeffs, "objective")))
 
     # -- inspection ---------------------------------------------------
 
@@ -232,18 +250,35 @@ class MilpModel:
         return len(self._row_lo)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the column bounds: the model may still grow, so no
+        array may keep a view of its buffers."""
         return np.array(self._lb), np.array(self._ub)
 
     def integer_indices(self) -> np.ndarray:
-        return np.flatnonzero(np.array(self._integer, dtype=bool))
+        return np.flatnonzero(np.array(self._integer))
+
+
+# configured HiGHS instances that hold no model, for the next solve to take
+_IDLE: list[_Highs] = []
+
+
+def _new_highs() -> _Highs:
+    """A new HiGHS instance with the kernel's options."""
+    highs = _Highs()
+    for option, setting in _OPTIONS:
+        if highs.setOptionValue(option, setting) != HighsStatus.kOk:
+            raise MilpError(f"HiGHS rejected option {option}={setting!r}")
+    return highs
 
 
 class _Relaxation:
     """The LP relaxation of one model, held by one HiGHS instance.
 
-    The instance opens empty, and the model goes over as tails of the
-    row-wise arrays it keeps: all of it first, then whatever was appended
-    since (:meth:`grow`).  Each :meth:`solve` sends only the integer column
+    The instance comes off the idle stack, or is new when the stack is
+    empty, and :meth:`release` clears it and puts it back.  It holds no
+    model when taken, and the model goes over as tails of the row-wise
+    buffers it keeps: all of it first, then whatever was appended since
+    (:meth:`grow`).  Each :meth:`solve` sends only the integer column
     bounds that differ from the ones HiGHS holds, so the dual simplex
     restarts from the previous basis.  Continuous columns keep the bounds
     they were sent with.  The simplex is serial and silent, and presolve is
@@ -256,16 +291,24 @@ class _Relaxation:
         lb, ub = model.bounds()
         # the integer column bounds HiGHS holds
         self.ilb, self.iub = lb[int_idx], ub[int_idx]
-        self.highs = _Highs()
-        for option, setting in _OPTIONS:
-            if self.highs.setOptionValue(option, setting) != HighsStatus.kOk:
-                raise MilpError(f"HiGHS rejected option {option}={setting!r}")
+        try:
+            self.highs = _IDLE.pop()
+        except IndexError:
+            self.highs = _new_highs()
         self.cols = self.rows = 0
         self.grow()
 
+    def release(self) -> None:
+        """Clear the instance's model, lift its time limit and put it on the
+        idle stack; the relaxation is not used after this."""
+        highs = self.highs
+        highs.clearModel()
+        highs.setOptionValue("time_limit", math.inf)
+        _IDLE.append(highs)
+
     def grow(self) -> None:
         """Send the columns and rows appended to the model since they were
-        last sent, as the tail of its arrays: on opening, all of them.  A
+        last sent, as the tail of its buffers: on opening, all of them.  A
         column goes with its objective coefficient, which is 0 for the
         columns a lazy callback appends."""
         model, highs = self.model, self.highs
@@ -289,8 +332,8 @@ class _Relaxation:
                 np.array(model._row_lo[first:]),
                 np.array(model._row_hi[first:]),
                 model._start[rows] - nz,
-                np.array(model._start[first:rows], dtype=np.int32) - nz,
-                np.array(model._col_idx[nz:], dtype=np.int32),
+                np.array(model._start[first:rows]) - np.int32(nz),
+                np.array(model._col_idx[nz:]),
                 np.array(model._values[nz:]),
             ) == HighsStatus.kError:
                 raise MilpError(f"HiGHS rejected new rows of {model.name}")
@@ -367,13 +410,29 @@ def solve_mip(
     given (integrality and bounds), and may only remove integer assignments
     it would reject.  Returned ``values`` may then be shorter than the final
     model's columns.  Given ``lazy``, the tree dives to integer points (see
-    the module docstring).
+    the module docstring).  The relaxation's HiGHS instance goes back to
+    the idle stack however the solve ends.
     """
     int_idx = model.integer_indices()
+    lp = _Relaxation(model, int_idx)
+    try:
+        return _branch_and_bound(model, lp, int_idx, deadline, cutoff, lazy)
+    finally:
+        lp.release()
+
+
+def _branch_and_bound(
+    model: MilpModel,
+    lp: _Relaxation,
+    int_idx: np.ndarray,
+    deadline: float,
+    cutoff: float | None,
+    lazy: Callable[[np.ndarray, float], bool] | None,
+) -> SolveResult:
+    """The search of :func:`solve_mip` on the model's relaxation ``lp``."""
     lb, ub = model.bounds()
     ilb0, iub0 = lb[int_idx], ub[int_idx]
     objective0 = dict(model._objective)
-    lp = _Relaxation(model, int_idx)
     integral = model.integral_objective or _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:

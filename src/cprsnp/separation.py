@@ -37,7 +37,12 @@ route returns None exactly when the design survives.
 :func:`strengthen` trades a violated attacker vertex for a sparser one: the
 vertex of the failing cut that crosses the fewest arcs, read from one MIP.
 The input vertex is a feasible point of that MIP, so its lam count is the
-cutoff, and the input is handed back when no failing cut is sparser.
+cutoff, and the input is handed back when no failing cut is sparser.  No
+cut crosses fewer than the instance's arc connectivity λ
+(:attr:`cprsnp.graph.AugmentedInstance.arc_connectivity`) arcs, and an
+attack takes at most k of them off the lam count, so when λ - k is at least
+the input's lam count the MIP is Infeasible, and the input is handed back
+without it.
 """
 
 from __future__ import annotations
@@ -453,6 +458,13 @@ def strengthen(
     Otherwise the violation is handed back.  Raises
     :class:`SeparationError` when the violation does not cut off the
     design, or when the vertex is not strictly sparser.
+
+    The MIP is skipped, and the violation handed back, when it cannot
+    succeed.  A cut crosses at least λ arcs, the instance's arc
+    connectivity, and a vertex writes off at most k of them, the failed
+    ones, so its lam count is at least λ - k.  When that is already the
+    violation's lam count or more, no vertex is strictly sparser: the MIP,
+    with an integral objective and that count as its cutoff, is Infeasible.
     """
     _require_canonical(aug, design)
     point = violation.point
@@ -461,8 +473,11 @@ def strengthen(
     )
     if row >= aug.demand:
         raise SeparationError(f"the point to strengthen keeps {row}, not below demand")
+    lam_count = sum(point.lam)
+    if aug.arc_connectivity - aug.k >= lam_count:
+        return violation
     search = build_strengthening(aug, design)
-    res = solve_mip(search.model, deadline=deadline, cutoff=sum(point.lam))
+    res = solve_mip(search.model, deadline=deadline, cutoff=lam_count)
     if res.values is None:
         # nothing sparser, or out of time before anything sparser was found
         return violation
@@ -472,6 +487,6 @@ def strengthen(
     if value >= aug.demand:
         raise SeparationError(f"strengthened cut keeps {value}, the demand or more")
     stronger = _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)
-    if sum(stronger.point.lam) >= sum(point.lam):
+    if sum(stronger.point.lam) >= lam_count:
         raise SeparationError("strengthened vertex is not strictly sparser")
     return stronger

@@ -85,7 +85,10 @@ _COLD_STATUS = {
 
 def opened(model, ilb, iub):
     """A fresh HiGHS instance of the model, with the integer columns'
-    bounds set to ``ilb`` and ``iub`` before it solves anything."""
+    bounds set to ``ilb`` and ``iub`` before it solves anything.  The
+    relaxation takes the top of the idle stack, so a never-used instance
+    goes there first: it shares no state with any instance a solve used."""
+    milp._IDLE.append(milp._new_highs())
     fresh = _Relaxation(model, model.integer_indices())
     fresh.highs.changeColsBounds(len(ilb), fresh.int_idx, ilb, iub)
     return fresh.highs

@@ -197,6 +197,18 @@ def test_gen_uniform_capacity_out_of_range_exits_with_input_error(
     )
 
 
+def test_gen_uniform_capacity_with_random_capacities_exits_with_input_error(capsys):
+    # random capacities ignored the flag, printed an instance and exited 0
+    argv = ["gen", "--nodes", "6", "--terminals", "2", "--arcs", "12",
+            "--capacities", "random", "--uniform-capacity", "3"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a uniform capacity needs capacity mode 'uniform'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [

@@ -437,15 +437,22 @@ def test_nodes_send_only_integer_column_bounds(monkeypatch):
             self.highs = _BoundsSent(self.highs)
             relaxations.append(self)
 
+        def release(self):
+            # a released instance holds no model: keep what it held, and put
+            # the instance itself, not its proxy, back on the idle stack
+            self.held, self.columns = self.highs.getLp(), self.highs.columns
+            self.highs = self.highs.highs
+            super().release()
+
     monkeypatch.setattr(milp, "_Relaxation", Recorded)
     sol = solve(augment(corpus()[25]), "flow", FAST)
     assert sol.status is SolveStatus.OPTIMAL and sol.cost == 94.0
     (master,) = [lp for lp in relaxations if lp.model.name == "flow_master"]
     assert master.model.num_vars > master.opened
-    assert master.highs.columns
+    assert master.columns
     for lp in relaxations:
-        model, held = lp.model, lp.highs.getLp()
-        for columns in lp.highs.columns:
+        model, held = lp.model, lp.held
+        for columns in lp.columns:
             assert np.isin(columns, lp.int_idx).all()
         # HiGHS holds the last node's integer bounds, and the model's bounds
         # on every other column, the appended ones included

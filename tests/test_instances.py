@@ -411,6 +411,12 @@ def test_generate_costs_within_range(monkeypatch):
             dict(nodes=3, terminals=1, arcs=3, uniform_capacity=1.5),
             "^uniform capacity must be an integer, got 1.5$",
         ),
+        # random capacities would silently ignore it
+        (
+            dict(nodes=6, terminals=2, arcs=12, capacity_mode="random",
+                 uniform_capacity=3),
+            "^a uniform capacity needs capacity mode 'uniform'$",
+        ),
     ],
 )
 def test_generate_rejects_bad_parameters(kwargs, needle, monkeypatch):

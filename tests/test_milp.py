@@ -380,6 +380,74 @@ def test_lp_time_limit_counts_from_when_it_is_set():
         assert 0.15 < time.perf_counter() - t0 < 0.2 + 0.5
 
 
+def test_a_reused_instance_solves_as_a_new_one():
+    # solves share HiGHS instances through the idle stack: A, then B, which
+    # its deadline stops inside its one LP, then A again, all on the
+    # instance at the top of the stack.  HiGHS's run clock keeps adding up
+    # on that instance, so a time limit that B left behind would stop A's
+    # first LP at once
+    rng = random.Random(5)
+    a = knapsack(
+        [rng.randint(10, 40) for _ in range(12)],
+        [rng.randint(5, 30) for _ in range(12)],
+        120,
+    )
+    first = solve_mip(a)
+    highs = milp._IDLE[-1]
+    b = _long_lp()
+    res = solve_mip(b, deadline=time.perf_counter() + 0.2)
+    assert (res.status, res.nodes) == (SolveStatus.FEASIBLE, 1)
+    assert milp._IDLE[-1] is highs
+    assert (highs.getNumCol(), highs.getNumRow()) == (0, 0)
+    again = solve_mip(a)
+    assert milp._IDLE[-1] is highs
+    assert first.status == again.status == SolveStatus.OPTIMAL
+    assert (again.objective, again.bound, again.nodes) == (
+        first.objective, first.bound, first.nodes
+    )
+    assert np.array_equal(again.values, first.values)
+
+
+def test_a_raising_lazy_callback_returns_its_instance():
+    class Stop(Exception):
+        pass
+
+    def lazy(values, bound):
+        raise Stop
+
+    solve_mip(_three_binaries())  # at least one idle instance
+    idle = list(milp._IDLE)
+    with pytest.raises(Stop):
+        solve_mip(_three_binaries(), lazy=lazy)
+    assert len(milp._IDLE) == len(idle)
+    assert all(got is want for got, want in zip(milp._IDLE, idle))
+    assert milp._IDLE[-1].getNumCol() == 0
+
+
+def test_a_solve_nested_in_a_lazy_callback_holds_its_own_instance(monkeypatch):
+    # a separation MIP solved inside the master's callback must not take the
+    # master's instance, which still holds the master
+    held = []
+
+    class Recorded(_Relaxation):
+        def __init__(self, model, int_idx):
+            super().__init__(model, int_idx)
+            held.append((model.name, self.highs))
+
+    inner = knapsack([3, 4, 5], [2, 3, 4], 5)
+
+    def lazy(values, bound):
+        assert solve_mip(inner).objective == pytest.approx(-7.0)
+        return False
+
+    monkeypatch.setattr(milp, "_Relaxation", Recorded)
+    res = solve_mip(_three_binaries(), lazy=lazy)
+    assert res.objective == pytest.approx(solve_mip(_three_binaries()).objective)
+    outer = [h for name, h in held if name == "three"][0]
+    nested = [h for name, h in held if name == "knapsack"]
+    assert nested and all(h is not outer for h in nested)
+
+
 class _BoxRecorder(milp._Relaxation):
     """The kernel's relaxation, recording the integer column bounds of every
     node."""
@@ -453,7 +521,7 @@ def test_add_constr_rejects_a_non_integer_column(key):
         model.add_constr({key: 1.0}, "<=", 1.0)
     assert model.num_constraints == 0
     model.add_constr({np.int64(0): 2.0, True: 3.0}, "<=", 1.0)
-    assert (model._col_idx, model._values) == ([0, 1], [2.0, 3.0])
+    assert (list(model._col_idx), list(model._values)) == ([0, 1], [2.0, 3.0])
     assert all(type(col) is int for col in model._col_idx)
 
 

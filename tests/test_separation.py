@@ -25,7 +25,7 @@ from cprsnp.formulations import (
     cut_residual,
     point_row_value,
 )
-from cprsnp.graph import CutSet, augment, max_flow
+from cprsnp.graph import Arc, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
 from cprsnp import separation
 from cprsnp.milp import SolveResult, SolveStatus, solve_mip
@@ -578,6 +578,62 @@ def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
         monkeypatch.setattr(separation, name, forbidden)
     strengthen(aug, design, violation)
     assert solved == ["cut_strengthening"]
+
+
+def _fewest_cut_arcs(aug) -> int:
+    """The fewest arcs entering any sink side, by enumeration."""
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    return min(
+        len(CutSet.from_sink_side(aug, {aug.sink, *side}).arcs)
+        for size in range(len(others) + 1)
+        for side in itertools.combinations(others, size)
+    )
+
+
+def test_arc_connectivity_counts_arcs_not_capacity():
+    # the triangle's one fictive arc is a cut of one arc
+    assert tri_aug().arc_connectivity == 1
+    # two arcs in parallel from the root count as two, whatever their
+    # capacities: 5 counts once, and 0 counts too
+    arcs = (Arc(0, 1, 1.0, 5), Arc(0, 2, 1.0, 0), Arc(1, 2, 1.0, 1))
+    aug = augment(Instance(3, arcs, root=0, terminals=(1, 2), k=1, kp=0))
+    assert aug.arc_connectivity == 2 == _fewest_cut_arcs(aug)
+    for seed in range(200, 230):
+        aug, _ = seeded_case(seed)
+        assert aug.arc_connectivity == _fewest_cut_arcs(aug)
+
+
+def test_strengthen_skips_the_mip_when_no_cut_can_be_sparser(monkeypatch):
+    # a cut crosses at least arc_connectivity arcs and an attack writes off
+    # at most k of them: when that leaves the violation's lam count or more,
+    # strengthen hands the violation back without building the MIP, which
+    # would be Infeasible
+    built = []
+
+    def counting_solve_mip(model, **kwargs):
+        built.append(model.name)
+        return solve_mip(model, **kwargs)
+
+    monkeypatch.setattr(separation, "solve_mip", counting_solve_mip)
+    skipped = solved = 0
+    for seed in range(200, 260):
+        aug, design = seeded_case(seed)
+        violation = separate_bilevel(aug, design)
+        if violation is None:
+            continue
+        lam_count = sum(violation.point.lam)
+        built.clear()
+        out = strengthen(aug, design, violation)
+        if aug.arc_connectivity - aug.k >= lam_count:
+            skipped += 1
+            assert built == [] and out is violation
+            search = build_strengthening(aug, design)
+            res = solve_mip(search.model, cutoff=lam_count)
+            assert res.status == SolveStatus.INFEASIBLE
+        else:
+            solved += 1
+            assert built == ["cut_strengthening"]
+    assert skipped and solved
 
 
 def test_strengthened_point_is_the_mip_cut():
