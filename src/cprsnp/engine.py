@@ -8,11 +8,13 @@ design may become the tree's incumbent, and a violation is appended to the
 master in place, on which the tree re-solves the same node from its
 current basis and carries on.
 
-A formulation plugs in as one small, stateless class, chosen once from its
-name in :data:`FORMULATION_CLASSES`.  Its constructor seeds and builds the
-master (``master``) once per solve, ``separate(design, deadline)`` runs
-the oracle, and ``add(violation, design)`` only appends the violation's rows
-and columns to the master.  The callback keeps the one stall check of every
+A formulation plugs in as one small class that holds only its master
+(``master``; the instance is ``master.aug``), chosen once from its name in
+:data:`FORMULATION_CLASSES`.  Its constructor builds the master's design
+block once per solve, and the flow formulation then appends its seed
+scenario.  ``separate(design, deadline)`` runs the oracle, and
+``add(violation, design)`` only appends the violation's rows and columns
+to the master.  The callback keeps the one stall check of every
 formulation: each appended row cuts off the design that it repairs (by at
 least one unit, as capacities are integer), so a design that the master
 returns after it was rejected raises :class:`EngineError`.  Designs are
@@ -144,7 +146,7 @@ class Solution:
         return [rec.line(self.formulation) for rec in self.log]
 
 
-# The formulations.  Each is seeded and builds its master in its
+# The formulations.  Each builds its master's design block in its
 # constructor, and ``add`` grows that master in place.  The build_*_master
 # functions and the oracles are called through this module's globals, where
 # the benchmark's per-layer trace (perfbench/tracer.py) wraps them.
@@ -156,11 +158,10 @@ class CutsetFormulation:
     :func:`~cprsnp.formulations.append_cut` with the violating design."""
 
     def __init__(self, aug: AugmentedInstance):
-        self.aug = aug
-        self.master = build_cutset_master(aug, [])
+        self.master = build_cutset_master(aug)
 
     def separate(self, design: Design, deadline: float):
-        return separate_cutset(self.aug, design, deadline=deadline)
+        return separate_cutset(self.master.aug, design, deadline=deadline)
 
     def add(self, violation, design: Design) -> None:
         append_cut(self.master, violation.cut, design)
@@ -168,15 +169,16 @@ class CutsetFormulation:
 
 class FlowFormulation:
     """Seeded with the lexicographically first k-subset of initial arcs as
-    its one failure scenario."""
+    its one failure scenario, appended to the design block like any
+    other."""
 
     def __init__(self, aug: AugmentedInstance):
-        self.aug = aug
-        first = tuple(range(min(aug.k, aug.initial_arc_count)))
-        self.master = build_flow_master(aug, [FailureScenario.of(aug, first)])
+        self.master = build_flow_master(aug)
+        first = range(min(aug.k, aug.initial_arc_count))
+        append_scenario(self.master, FailureScenario.of(aug, first))
 
     def separate(self, design: Design, deadline: float):
-        return separate_scenario(self.aug, design, deadline=deadline)
+        return separate_scenario(self.master.aug, design, deadline=deadline)
 
     def add(self, violation, design: Design) -> None:
         append_scenario(self.master, violation.scenario)
@@ -187,13 +189,13 @@ class BilevelFormulation:
     before it is returned."""
 
     def __init__(self, aug: AugmentedInstance):
-        self.aug = aug
-        self.master = build_bilevel_master(aug, [])
+        self.master = build_bilevel_master(aug)
 
     def separate(self, design: Design, deadline: float):
-        violation = separate_bilevel(self.aug, design, deadline=deadline)
+        aug = self.master.aug
+        violation = separate_bilevel(aug, design, deadline=deadline)
         if violation is not None:
-            violation = strengthen_point(self.aug, design, violation, deadline=deadline)
+            violation = strengthen_point(aug, design, violation, deadline=deadline)
         return violation
 
     def add(self, violation, design: Design) -> None:

@@ -17,7 +17,8 @@ protection variables ``p``:
   arcs deleted.
 
 All three start from one design block: the ``y`` columns, then the ``p``
-columns, the cost objective, the protection budget as row 0, one
+columns (``y_a`` is column ``a`` and ``p_a`` column ``m + a`` of the m
+arcs), the cost objective, the protection budget as row 0, one
 ``p_a <= y_a`` row per initial arc, one flow-balance row per initial arc
 that does not leave the root, and the cut rows of the root cut and of the
 cut around each terminal.  Each master is a :class:`Master` over that block
@@ -53,15 +54,16 @@ their integer points and only their LP relaxations get tighter; the oracles
 and their values (:func:`cut_residual`, :func:`point_row_value`) are the
 untightened ones.
 
-Each builder is the design block plus one appender per item, applied in
-order: :func:`append_cut` (a cut's rows, the one place that decides them:
-the full enumeration for a cut that :func:`cut_fits`, else the row of the
-violating design's worst deletion subset), :func:`append_scenario` (a
-scenario's flow block) and :func:`append_point` (a vertex's row: its cut's
-row with its attacked arcs deleted).  Cut and vertex rows alike are
-written by :func:`append_cut_subset`, the one writer of a tightened row.
-The engine builds each master once per solve and grows it in place with
-the appenders, while the tree that solves it is open.
+Each builder takes only the instance and returns its design block.  Only
+the appenders grow a master, one item at a time: :func:`append_cut` (a
+cut's rows, the one place that decides them: the full enumeration for a
+cut that :func:`cut_fits`, else the row of the violating design's worst
+deletion subset), :func:`append_scenario` (a scenario's flow block) and
+:func:`append_point` (a vertex's row: its cut's row with its attacked arcs
+deleted).  Cut and vertex rows alike are written by
+:func:`append_cut_subset`, the one writer of a tightened row.  The engine
+builds each master once per solve and grows it in place with the
+appenders, while the tree that solves it is open.
 
 The two cut search MIPs (:func:`build_cutset_separation` and
 :func:`build_strengthening`) branch only on mu, the 0/1 root-side indicator
@@ -291,16 +293,19 @@ def cut_fits(aug: AugmentedInstance, cut: CutSet) -> bool:
 @dataclass
 class Master:
     """A restricted master: the design block plus the rows of one
-    formulation (only the flow master adds columns, after the first 2m)."""
+    formulation.  The block fixes the column layout: of the m arcs, ``y_a``
+    is column ``a`` and ``p_a`` is column ``m + a``; only the flow master
+    adds columns, after these first 2m."""
 
     model: MilpModel
-    y_var: list[int]
-    p_var: list[int]
     aug: AugmentedInstance
 
     def design_from(self, values) -> Design:
-        sel = {a for a in range(self.aug.arc_count) if values[self.y_var[a]] > 0.5}
-        prot = {a for a in range(self.aug.arc_count) if values[self.p_var[a]] > 0.5}
+        """The canonical design of a solution: the arcs whose ``y``, and
+        those whose ``p``, read above one half."""
+        m = self.aug.arc_count
+        sel = {a for a in range(m) if values[a] > 0.5}
+        prot = {a for a in range(m) if values[m + a] > 0.5}
         return Design.canonical(self.aug, sel, prot)
 
 
@@ -315,13 +320,13 @@ def _static_cuts(aug: AugmentedInstance) -> list[CutSet]:
 
 def _design_block(name: str, aug: AugmentedInstance) -> Master:
     """A master holding the block every formulation starts with: the y
-    columns, then the p columns (fictive arcs always selected, never
-    protected), the cost objective, the protection budget as row 0, the rows
-    ``p_a <= y_a`` of the initial arcs (only selected arcs can be
-    protected), the flow-balance row of each initial arc that does not
-    leave the root (defined in the module docstring), and then the rows
-    :func:`append_cut` writes for each static cut (:func:`_static_cuts`)
-    that :func:`cut_fits`.
+    columns, then the p columns, in :class:`Master`'s layout (fictive arcs
+    always selected, never protected), the cost objective, the protection
+    budget as row 0, the rows ``p_a <= y_a`` of the initial arcs (only
+    selected arcs can be protected), the flow-balance row of each initial
+    arc that does not leave the root (defined in the module docstring), and
+    then the rows :func:`append_cut` writes for each static cut
+    (:func:`_static_cuts`) that :func:`cut_fits`.
 
     Every survivable design keeps each static cut at demand, so the cut
     rows cut off no design that any formulation accepts; they only tighten
@@ -331,38 +336,31 @@ def _design_block(name: str, aug: AugmentedInstance) -> Master:
     model = MilpModel(name)
     m = aug.arc_count
     fictive = [aug.is_fictive(a) for a in range(m)]
-    y_var = [
+    for a in range(m):
         model.add_var(f"y{a}", lb=float(fictive[a]), ub=1.0, integer=True)
-        for a in range(m)
-    ]
-    p_var = [
+    for a in range(m):
         model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
-        for a in range(m)
-    ]
-    model.set_objective({y_var[a]: aug.arcs[a].cost for a in range(m)})
-    model.add_constr({p_var[a]: 1.0 for a in range(m)}, "<=", float(aug.kp))
+    model.set_objective({a: aug.arcs[a].cost for a in range(m)})
+    model.add_constr({m + a: 1.0 for a in range(m)}, "<=", float(aug.kp))
     for a in aug.initial_arcs:
-        model.add_constr({p_var[a]: 1.0, y_var[a]: -1.0}, "<=", 0.0)
+        model.add_constr({m + a: 1.0, a: -1.0}, "<=", 0.0)
     arcs, in_arcs = aug.arcs, aug.layout.in_arcs
     for b in aug.initial_arcs:
         v, w = arcs[b].tail, arcs[b].head
         if v != aug.root:
-            row = {y_var[a]: -1.0 for a in in_arcs[v] if arcs[a].tail != w}
-            model.add_constr({y_var[b]: 1.0, **row}, "<=", 0.0)
-    master = Master(model, y_var, p_var, aug)
+            row = {a: -1.0 for a in in_arcs[v] if arcs[a].tail != w}
+            model.add_constr({b: 1.0, **row}, "<=", 0.0)
+    master = Master(model, aug)
     for cut in _static_cuts(aug):
         if cut_fits(aug, cut):
             append_cut(master, cut)
     return master
 
 
-def build_cutset_master(aug: AugmentedInstance, cuts: Sequence[CutSet]) -> Master:
-    """Selection/protection master constrained by the given cuts, each
-    appended by :func:`append_cut`."""
-    master = _design_block("cutset_master", aug)
-    for cut in cuts:
-        append_cut(master, cut)
-    return master
+def build_cutset_master(aug: AugmentedInstance) -> Master:
+    """The design block of the cut-set master, which :func:`append_cut`
+    grows."""
+    return _design_block("cutset_master", aug)
 
 
 def append_cut(master: Master, cut: CutSet, design: Design | None = None) -> None:
@@ -411,25 +409,15 @@ def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> Non
     row = {}
     for a in cut.arcs:
         if not aug.is_fictive(a):
-            col = master.p_var[a] if a in deleted else master.y_var[a]
+            col = aug.arc_count + a if a in deleted else a
             row[col] = float(min(aug.arcs[a].capacity, need))
     master.model.add_constr(row, ">=", float(need))
 
 
-def build_flow_master(
-    aug: AugmentedInstance, scenarios: Sequence[FailureScenario]
-) -> Master:
-    """Selection/protection master with one explicit flow per failure
-    scenario, each appended by :func:`append_scenario`."""
-    seen: set[frozenset[int]] = set()
-    for sc in scenarios:
-        if sc.arcs in seen:
-            raise FormulationError("duplicate failure scenario")
-        seen.add(sc.arcs)
-    master = _design_block("flow_master", aug)
-    for scenario in scenarios:
-        append_scenario(master, scenario)
-    return master
+def build_flow_master(aug: AugmentedInstance) -> Master:
+    """The design block of the flow master, which :func:`append_scenario`
+    grows by one explicit flow per failure scenario."""
+    return _design_block("flow_master", aug)
 
 
 def append_scenario(master: Master, scenario: FailureScenario) -> None:
@@ -437,12 +425,12 @@ def append_scenario(master: Master, scenario: FailureScenario) -> None:
     per arc, flow balance at every inner vertex, the demand at the sink,
     the selection capacity of every arc, and the protection capacity of
     every failed arc."""
-    aug, model = master.aug, master.model
+    aug, model, m = master.aug, master.model, master.aug.arc_count
     if any(aug.is_fictive(a) for a in scenario.arcs):
         raise FormulationError("scenario contains a fictive arc")
     xs = [
         model.add_var(f"x{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
-        for a in range(aug.arc_count)
+        for a in range(m)
     ]
     in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
     for v in range(aug.vertex_count):
@@ -454,25 +442,16 @@ def append_scenario(master: Master, scenario: FailureScenario) -> None:
         model.add_constr(row, "=", 0.0)
     sink_row = {xs[a]: 1.0 for a in in_arcs[aug.sink]}
     model.add_constr(sink_row, "=", float(aug.demand))
-    for a in range(aug.arc_count):
-        model.add_constr(
-            {xs[a]: 1.0, master.y_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
-        )
+    for a in range(m):
+        model.add_constr({xs[a]: 1.0, a: -float(aug.arcs[a].capacity)}, "<=", 0.0)
     for a in scenario.sorted_arcs():
-        model.add_constr(
-            {xs[a]: 1.0, master.p_var[a]: -float(aug.arcs[a].capacity)}, "<=", 0.0
-        )
+        model.add_constr({xs[a]: 1.0, m + a: -float(aug.arcs[a].capacity)}, "<=", 0.0)
 
 
-def build_bilevel_master(
-    aug: AugmentedInstance, points: Sequence[ExtremePoint]
-) -> Master:
-    """Selection/protection master with one guarantee row per attacker
-    vertex, each appended by :func:`append_point`."""
-    master = _design_block("bilevel_master", aug)
-    for pt in points:
-        append_point(master, pt)
-    return master
+def build_bilevel_master(aug: AugmentedInstance) -> Master:
+    """The design block of the bilevel master, which :func:`append_point`
+    grows by one guarantee row per attacker vertex."""
+    return _design_block("bilevel_master", aug)
 
 
 def append_point(master: Master, point: ExtremePoint) -> None:
@@ -498,18 +477,17 @@ class CutSearchModel:
     mu_var: list[int]
     aug: AugmentedInstance
 
-    def sink_side(self, values) -> frozenset[int]:
+    def cut_from(self, values) -> CutSet:
+        """The cut whose sink side is the vertices with mu 0, which must
+        read 0 or 1."""
         side = set()
-        for v in range(self.aug.vertex_count):
-            val = float(values[self.mu_var[v]])
+        for v, col in enumerate(self.mu_var):
+            val = float(values[col])
             if abs(val - round(val)) > INT_TOL:
                 raise NonVertexSolution(f"mu{v} has non-binary value {val!r}")
             if val <= 0.5:
                 side.add(v)
-        return frozenset(side)
-
-    def cut_from(self, values) -> CutSet:
-        return CutSet.from_sink_side(self.aug, self.sink_side(values))
+        return CutSet.from_sink_side(self.aug, frozenset(side))
 
 
 def _cut_search_base(

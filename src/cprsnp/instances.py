@@ -270,6 +270,7 @@ def generate(
     minimum cut while the network cannot carry the demand yet.  Every
     parameter is checked before the first draw.
     """
+    seed = _count(seed, "seed")
     nodes = _count(nodes, "nodes")
     terminals = _count(terminals, "terminals")
     arcs = _count(arcs, "arcs")

@@ -430,8 +430,9 @@ def _branch_and_bound(
     lazy: Callable[[np.ndarray, float], bool] | None,
 ) -> SolveResult:
     """The search of :func:`solve_mip` on the model's relaxation ``lp``."""
-    lb, ub = model.bounds()
-    ilb0, iub0 = lb[int_idx], ub[int_idx]
+    # the model's integer bounds, which ``lp`` holds until its first solve
+    # overwrites them in place
+    ilb0, iub0 = lp.ilb.copy(), lp.iub.copy()
     objective0 = dict(model._objective)
     integral = model.integral_objective or _integral_objective(model, int_idx)
 

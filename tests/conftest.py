@@ -201,12 +201,20 @@ def vertex_lam_count(aug: AugmentedInstance, design: Design, cut) -> int:
     return len(cut.arcs) - min(aug.k, len(vulnerable))
 
 
-def generic_point_row(aug: AugmentedInstance, y_var, p_var, point):
+def grown(master, append, items):
+    """The master after ``append(master, item)`` for each item, in order."""
+    for item in items:
+        append(master, item)
+    return master
+
+
+def generic_point_row(aug: AugmentedInstance, point):
     """The tightened guarantee row of any attacker vertex, from the
     generic vertex-row formula ``sum u lam y + sum u gam p >= |T| - sum u
     (gam - ell)``: the fictive arcs' ``u lam`` moves into the right-hand
     side r, and every other coefficient is capped at r (at 0 when r <= 0).
-    As ``(coefficients by column, r)``, zero coefficients left out."""
+    As ``(coefficients by column, r)``, zero coefficients left out, with
+    ``y_a`` at column ``a`` and ``p_a`` at column ``m + a``."""
     row: dict[int, float] = {}
     need = float(aug.demand)
     for a, arc in enumerate(aug.arcs):
@@ -216,9 +224,9 @@ def generic_point_row(aug: AugmentedInstance, y_var, p_var, point):
             need -= u * point.lam[a]
             continue
         if point.lam[a]:
-            row[y_var[a]] = u * point.lam[a]
+            row[a] = u * point.lam[a]
         if point.gam[a]:
-            row[p_var[a]] = u * point.gam[a]
+            row[aug.arc_count + a] = u * point.gam[a]
     cap = max(need, 0.0)
     return {col: min(c, cap) for col, c in row.items() if min(c, cap)}, need
 

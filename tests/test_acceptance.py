@@ -16,13 +16,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import build_inner_flow, random_design
+from conftest import build_inner_flow, grown, random_design
 
 from cprsnp.bench import bench, csv_report, text_table
 from cprsnp.engine import FORMULATIONS, EngineOptions, solve
 from cprsnp.formulations import (
     Design,
     FailureScenario,
+    append_point,
+    append_scenario,
     build_bilevel_master,
     build_flow_master,
     point_row_value,
@@ -330,7 +332,7 @@ def test_acceptance_7_master_growth(acceptance):
                 FailureScenario.of(aug, combo)
                 for combo in itertools.combinations(range(m), k)
             ]
-            model = build_flow_master(aug, scenarios).model
+            model = grown(build_flow_master(aug), append_scenario, scenarios).model
             expected = math.comb(m, k) * aug.arc_count + 2 * aug.arc_count
             if model.num_vars != expected:
                 problems.append(
@@ -346,9 +348,10 @@ def test_acceptance_7_master_growth(acceptance):
         violation = separate_bilevel(aug, random_design(rng, aug))
         if violation is not None and violation.point not in points:
             points.append(violation.point)
-    base = build_bilevel_master(aug, []).model.num_constraints
+    base = build_bilevel_master(aug).model.num_constraints
     for n in range(len(points) + 1):
-        rows = build_bilevel_master(aug, points[:n]).model.num_constraints
+        master = grown(build_bilevel_master(aug), append_point, points[:n])
+        rows = master.model.num_constraints
         if rows != base + n:
             problems.append(f"bilevel master: {rows} rows with {n} points")
 

@@ -19,6 +19,7 @@ from conftest import (
     balance_rows,
     corpus,
     deep_path,
+    grown,
     matrices,
     triangle,
     two_cycle,
@@ -36,7 +37,7 @@ from cprsnp.engine import (
     IterationRecord,
     solve,
 )
-from cprsnp.formulations import Design, build_cutset_master
+from cprsnp.formulations import Design, append_cut, build_cutset_master
 from cprsnp.graph import Arc, CutSet, Instance
 from cprsnp.instances import GenerationError, generate
 from cprsnp.milp import SolveStatus, solve_mip
@@ -531,7 +532,7 @@ def _block_rows(aug):
     # the design block: the budget row, one p <= y row per initial arc, one
     # flow-balance row per initial arc not leaving the root, and the rows of
     # its static cuts (none when the row limit is zero)
-    return build_cutset_master(aug, []).model.num_constraints
+    return build_cutset_master(aug).model.num_constraints
 
 
 def test_initial_rows_cutset():
@@ -547,8 +548,10 @@ def test_initial_rows_cutset():
     seeded = CutsetFormulation(aug).master.model
     assert seeded.num_vars == 2 * aug.arc_count
     assert seeded.num_constraints == _block_rows(aug) == bare + 2 + 2
-    assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
-    with_both = _rows(build_cutset_master(aug, [root, terminal]).model)
+    assert _rows(seeded) == _rows(build_cutset_master(aug).model)
+    with_both = _rows(
+        grown(build_cutset_master(aug), append_cut, [root, terminal]).model
+    )
     # writing the two cuts again repeats exactly the block's last four rows
     assert with_both[1][: seeded.num_constraints] == _rows(seeded)[1]
     assert with_both[1][seeded.num_constraints :] == _rows(seeded)[1][bare:]
@@ -562,19 +565,18 @@ def test_lazy_root_cut_seeds_no_row(monkeypatch):
     assert seeded.num_constraints == _block_rows(aug) == (
         1 + aug.initial_arc_count + len(balance_rows(aug))
     )
-    assert _rows(seeded) == _rows(build_cutset_master(aug, []).model)
+    assert _rows(seeded) == _rows(build_cutset_master(aug).model)
 
 
 def _seeded_scenario(aug) -> frozenset[int]:
     """The failed arcs of a flow master's one seeded scenario: the p columns
-    that its rows after the design block read."""
+    (column m + a for arc a) that its rows after the design block read."""
     master = FlowFormulation(aug).master
-    assert master.model.num_vars == 3 * aug.arc_count  # one flow column per arc
+    m = aug.arc_count
+    assert master.model.num_vars == 3 * m  # one flow column per arc
     _, a, _, _ = matrices(master.model)
     rows = a.tocsr()[_block_rows(aug):]
-    return frozenset(
-        arc for arc in range(aug.arc_count) if rows[:, master.p_var[arc]].nnz
-    )
+    return frozenset(arc for arc in range(m) if rows[:, m + arc].nnz)
 
 
 def test_initial_rows_flow_clamps_to_candidates():
@@ -616,7 +618,7 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
         monkeypatch.setattr(formulations, name, value)
 
     def cuts_nothing(master, *args):
-        master.model.add_constr({master.y_var[0]: 1.0}, "<=", 1.0)
+        master.model.add_constr({0: 1.0}, "<=", 1.0)
 
     for name in ("append_cut", "append_scenario", "append_point"):
         monkeypatch.setattr(engine, name, cuts_nothing)

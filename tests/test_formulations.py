@@ -17,6 +17,7 @@ from conftest import (
     build_inner_flow,
     corpus,
     generic_point_row,
+    grown,
     matrices,
     random_design,
     triangle,
@@ -31,6 +32,7 @@ from cprsnp.formulations import (
     append_cut,
     append_cut_subset,
     append_point,
+    append_scenario,
     build_bilevel_master,
     build_cutset_master,
     build_cutset_separation,
@@ -70,10 +72,10 @@ def tri_aug(k=1, kp=0):
 def solve_fixed(master, design):
     """Solve the master with its y/p columns fixed to the design by added
     rows: OPTIMAL at the design's cost iff the master admits the design."""
-    model = master.model
-    for a in range(master.aug.arc_count):
-        model.add_constr({master.y_var[a]: 1.0}, "=", float(a in design.selected))
-        model.add_constr({master.p_var[a]: 1.0}, "=", float(a in design.protected))
+    model, m = master.model, master.aug.arc_count
+    for a in range(m):
+        model.add_constr({a: 1.0}, "=", float(a in design.selected))
+        model.add_constr({m + a: 1.0}, "=", float(a in design.protected))
     return solve_mip(model)
 
 
@@ -240,13 +242,13 @@ def test_masters_share_the_design_block(seed):
     # the empty selection carries no flow, so every instance has its vertex
     point = separate_bilevel(aug, Design.canonical(aug, ())).point
     masters = [
-        build_cutset_master(aug, all_cuts(aug)[:2]),
-        build_flow_master(aug, [FailureScenario.of(aug, [0])]),
-        build_bilevel_master(aug, [point]),
+        grown(build_cutset_master(aug), append_cut, all_cuts(aug)[:2]),
+        grown(build_flow_master(aug), append_scenario, [FailureScenario.of(aug, [0])]),
+        grown(build_bilevel_master(aug), append_point, [point]),
     ]
     m, m2 = aug.arc_count, 2 * aug.arc_count
     initial = list(aug.initial_arcs)
-    block_rows = build_cutset_master(aug, []).model.num_constraints
+    block_rows = build_cutset_master(aug).model.num_constraints
 
     def block(model):
         lb, ub = model.bounds()
@@ -298,6 +300,27 @@ def test_masters_share_the_design_block(seed):
         assert res.status == SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(optimum.cost(aug))
         assert master.design_from(res.values) == optimum
+
+
+@pytest.mark.parametrize(
+    "build", [build_cutset_master, build_flow_master, build_bilevel_master]
+)
+def test_design_from_reads_y_at_a_and_p_at_m_plus_a(build):
+    # the block fixes the layout, so values past the first 2m (the flow
+    # master's flow columns) never reach the design
+    aug = small_instance(0, k=1, kp=2)
+    m = aug.arc_count
+    rng, noise = random.Random(0), np.random.default_rng(0)
+    for _ in range(10):
+        design = random_design(rng, aug)
+        values = np.concatenate(
+            [
+                [float(a in design.selected) for a in range(m)],
+                [float(a in design.protected) for a in range(m)],
+                noise.random(2 * m),
+            ]
+        )
+        assert build(aug).design_from(values) == design
 
 
 def _tight_cut_rows(aug, sink_side):
@@ -353,7 +376,7 @@ def test_dropping_dangling_arcs_keeps_survivability(oracle_suite):
     for index, inst in enumerate(oracle_suite):
         aug = augment(inst)
         rng = random.Random(index)
-        _, block, row_lo, row_hi = matrices(build_cutset_master(aug, []).model)
+        _, block, row_lo, row_hi = matrices(build_cutset_master(aug).model)
         for _ in range(24):
             keep = rng.choice([0.5, 0.8, 0.95])
             selected = [a for a in aug.initial_arcs if rng.random() < keep]
@@ -383,11 +406,11 @@ def test_design_block_cuts_off_a_dangling_arc():
     every = Design.canonical(aug, aug.initial_arcs)
     assert is_survivable(aug, every)[0]
     assert balance_rows(aug)[-1] == {4: 1.0}
-    res = solve_fixed(build_cutset_master(aug, []), every)
+    res = solve_fixed(build_cutset_master(aug), every)
     assert res.status == SolveStatus.INFEASIBLE
     # without that arc the block holds the design, 2-cycle half included
     kept = Design.canonical(aug, [0, 1, 2, 3])
-    res = solve_fixed(build_cutset_master(aug, []), kept)
+    res = solve_fixed(build_cutset_master(aug), kept)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(5.0)
 
@@ -395,7 +418,7 @@ def test_design_block_cuts_off_a_dangling_arc():
 def test_design_block_writes_a_shared_static_cut_once():
     # with one vertex besides the root, the root cut is the terminal's cut
     aug = augment(Instance(2, (Arc(0, 1, 1.0, 3),), 0, (1,), k=0, kp=1))
-    _, a, row_lo, _ = matrices(build_cutset_master(aug, []).model)
+    _, a, row_lo, _ = matrices(build_cutset_master(aug).model)
     # budget, p_0 <= y_0, and the cut's one intact row 1 * y_0 >= 1
     assert a.shape[0] == 3
     assert a.tocsr()[2].toarray().tolist() == [[1.0, 0.0, 0.0, 0.0]]
@@ -408,14 +431,14 @@ def test_design_block_writes_a_shared_static_cut_once():
 
 def test_cutset_master_without_cuts_selects_nothing(monkeypatch):
     # the design block's root and terminal cuts already force the triangle
-    master = build_cutset_master(tri_aug(), [])
+    master = build_cutset_master(tri_aug())
     res = solve_mip(master.model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(4.0)
     assert master.design_from(res.values).selected == frozenset({0, 1, 2, 3})
     # with no static cut within the row limit, the bare block selects nothing
     monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 0)
-    master = build_cutset_master(tri_aug(), [])
+    master = build_cutset_master(tri_aug())
     res = solve_mip(master.model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(0.0)
@@ -425,12 +448,12 @@ def test_cutset_master_without_cuts_selects_nothing(monkeypatch):
 
 def test_cutset_master_frozen_optima():
     aug = tri_aug(k=1, kp=0)
-    res = solve_mip(build_cutset_master(aug, all_cuts(aug)).model)
+    res = solve_mip(grown(build_cutset_master(aug), append_cut, all_cuts(aug)).model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(4.0)
 
     shielded = tri_aug(k=1, kp=1)
-    master = build_cutset_master(shielded, all_cuts(shielded))
+    master = grown(build_cutset_master(shielded), append_cut, all_cuts(shielded))
     res = solve_mip(master.model)
     assert res.objective == pytest.approx(2.0)
     design = master.design_from(res.values)
@@ -445,10 +468,10 @@ def test_cutset_master_explicit_subsets_relax():
     aug = small_instance(11, k=1, kp=1)
     cut = CutSet.from_sink_side(aug, {3, 4, aug.sink})
     assert cut.arcs == (2, 3, 4, 5, 6)
-    partial = build_cutset_master(aug, [])
+    partial = build_cutset_master(aug)
     val_block = solve_mip(partial.model).objective
     append_cut_subset(partial, cut, (3,))
-    full = build_cutset_master(aug, [cut])
+    full = grown(build_cutset_master(aug), append_cut, [cut])
     val_partial = solve_mip(partial.model).objective
     val_full = solve_mip(full.model).objective
     assert val_block < val_partial < val_full
@@ -467,28 +490,28 @@ def test_cutset_master_explicit_subsets_relax():
 def test_cutset_master_guards(monkeypatch):
     aug = tri_aug()
     with pytest.raises(FormulationError):
-        build_cutset_master(aug, [CutSet.from_sink_side(aug, {3})])
+        append_cut(build_cutset_master(aug), CutSet.from_sink_side(aug, {3}))
     monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 1)
     with pytest.raises(FormulationError):
-        build_cutset_master(aug, all_cuts(aug))
+        grown(build_cutset_master(aug), append_cut, all_cuts(aug))
 
 
 def test_cutset_master_fixed_design():
     aug = tri_aug(k=1, kp=0)
     full = Design.canonical(aug, range(3))
-    res = solve_fixed(build_cutset_master(aug, all_cuts(aug)), full)
+    res = solve_fixed(grown(build_cutset_master(aug), append_cut, all_cuts(aug)), full)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(4.0)
     # a design violating a cut row is cut off
     weak = Design.canonical(aug, [0])
-    res = solve_fixed(build_cutset_master(aug, all_cuts(aug)), weak)
+    res = solve_fixed(grown(build_cutset_master(aug), append_cut, all_cuts(aug)), weak)
     assert res.status == SolveStatus.INFEASIBLE
 
 
 def _cut_rows_hold(aug, cut, subset, assignments):
     """Per assignment, whether every row the appender writes holds: the
     cut's full enumeration (``subset=None``) or one deletion subset."""
-    master = build_cutset_master(aug, [])
+    master = build_cutset_master(aug)
     if subset is None:
         append_cut(master, cut)
     else:
@@ -496,7 +519,7 @@ def _cut_rows_hold(aug, cut, subset, assignments):
     _, a, row_lo, _ = matrices(master.model)
     assert master.model.num_vars == 2 * aug.arc_count  # no column of its own
     # the design block, then one row per deletion subset
-    block = build_cutset_master(aug, []).model.num_constraints
+    block = build_cutset_master(aug).model.num_constraints
     cut_rows = count_cut_rows(aug, cut) if subset is None else 1
     assert master.model.num_constraints == block + cut_rows
     lhs = a[block:] @ np.asarray(assignments, dtype=float).T
@@ -545,7 +568,7 @@ def test_point_rows_hold_iff_the_vertex_reaches_demand(seed):
     assert points
     outcomes = set()
     for point in points:
-        master = build_bilevel_master(aug, [point])
+        master = grown(build_bilevel_master(aug), append_point, [point])
         _, a, row_lo, _ = matrices(master.model)
         row, need = a.tocsr()[-1], row_lo[-1]
         support = [
@@ -576,7 +599,7 @@ def test_point_rows_hold_iff_the_vertex_reaches_demand(seed):
 
 def test_protection_off_the_selection_breaks_the_design_block():
     aug = tri_aug(k=1, kp=1)
-    _, a, _, row_hi = matrices(build_cutset_master(aug, []).model)
+    _, a, _, row_hi = matrices(build_cutset_master(aug).model)
     # arc 1 and the fictive arc 3 selected, arc 0 protected
     lhs = a @ np.array([0, 1, 0, 1] + [1, 0, 0, 0], dtype=float)
     # the budget (row 0) and the flow-balance row y_2 <= y_0 (row 4) hold,
@@ -592,14 +615,14 @@ def test_flow_master_sizes_and_frozen_optima():
     # k = 0, so that the block's cuts leave the cheapest routing open
     intact = tri_aug(k=0, kp=0)
     no_failure = [FailureScenario.of(intact, ())]
-    master = build_flow_master(intact, no_failure)
+    master = grown(build_flow_master(intact), append_scenario, no_failure)
     assert master.model.num_vars == 1 * 4 + 2 * 4
     res = solve_mip(master.model)
     assert res.objective == pytest.approx(2.0)
 
     aug = tri_aug(k=1, kp=0)
     singles = [FailureScenario.of(aug, [a]) for a in range(3)]
-    master = build_flow_master(aug, singles)
+    master = grown(build_flow_master(aug), append_scenario, singles)
     assert master.model.num_vars == 3 * 4 + 2 * 4
     # budget + p<=y + the flow-balance row y_2 <= y_0 of arc 2 = (1, 2) +
     # the root and terminal cuts' two rows each + per scenario: balances,
@@ -611,8 +634,10 @@ def test_flow_master_sizes_and_frozen_optima():
 
     shielded = tri_aug(k=1, kp=1)
     res = solve_mip(
-        build_flow_master(
-            shielded, [FailureScenario.of(shielded, [a]) for a in range(3)]
+        grown(
+            build_flow_master(shielded),
+            append_scenario,
+            [FailureScenario.of(shielded, [a]) for a in range(3)],
         ).model
     )
     assert res.objective == pytest.approx(2.0)
@@ -620,22 +645,19 @@ def test_flow_master_sizes_and_frozen_optima():
 
 def test_flow_master_rejects_bad_scenarios():
     aug = tri_aug()
-    sc = FailureScenario.of(aug, [0])
     with pytest.raises(FormulationError):
-        build_flow_master(aug, [sc, FailureScenario.of(aug, [0])])
-    with pytest.raises(FormulationError):
-        build_flow_master(aug, [FailureScenario(frozenset({3}))])
+        append_scenario(build_flow_master(aug), FailureScenario(frozenset({3})))
 
 
 def test_flow_master_fixed_design():
     aug = tri_aug(k=1, kp=0)
     singles = [FailureScenario.of(aug, [a]) for a in range(3)]
     full = Design.canonical(aug, range(3))
-    res = solve_fixed(build_flow_master(aug, singles), full)
+    res = solve_fixed(grown(build_flow_master(aug), append_scenario, singles), full)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(4.0)
     weak = Design.canonical(aug, [1])
-    res = solve_fixed(build_flow_master(aug, singles), weak)
+    res = solve_fixed(grown(build_flow_master(aug), append_scenario, singles), weak)
     assert res.status == SolveStatus.INFEASIBLE
 
 
@@ -645,13 +667,13 @@ def test_flow_master_fixed_design():
 
 def test_bilevel_master_grows_linearly():
     aug = tri_aug(k=1, kp=0)
-    empty = build_bilevel_master(aug, [])
+    empty = build_bilevel_master(aug)
     # the design block's root and terminal cuts alone force all three arcs
     assert solve_mip(empty.model).objective == pytest.approx(4.0)
     base_rows = empty.model.num_constraints
 
     point = separate_bilevel(aug, Design.canonical(aug, [1])).point
-    master = build_bilevel_master(aug, [point, point])
+    master = grown(build_bilevel_master(aug), append_point, [point, point])
     assert master.model.num_constraints == base_rows + 2
     assert master.model.num_vars == empty.model.num_vars
 
@@ -670,7 +692,7 @@ def test_bilevel_point_row_cuts_off_design():
     assert value < aug.demand
 
     # the new row rejects the separated design
-    res = solve_fixed(build_bilevel_master(aug, [point]), design)
+    res = solve_fixed(grown(build_bilevel_master(aug), append_point, [point]), design)
     assert res.status == SolveStatus.INFEASIBLE
 
 
@@ -700,13 +722,11 @@ def test_point_rows_match_the_generic_vertex_row(limit):
             strengthened += sparse.point != violation.point
             for point in (violation.point, sparse.point):
                 assert_attacker_vertex(aug, point)
-                master = build_bilevel_master(aug, [])
+                master = build_bilevel_master(aug)
                 rows = master.model.num_constraints
                 append_point(master, point)
                 assert master.model.num_constraints == rows + 1
-                coeffs, need = generic_point_row(
-                    aug, master.y_var, master.p_var, point
-                )
+                coeffs, need = generic_point_row(aug, point)
                 assert _last_row(master.model) == (coeffs, need, math.inf)
                 seen += 1
     assert seen >= 200 and strengthened >= 50

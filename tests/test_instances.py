@@ -255,6 +255,8 @@ def test_generate_is_deterministic():
     b = generate(12, 4, 30, "random", seed=9, k=2, kp=1)
     assert write_instance(a) == write_instance(b)
     assert a != generate(12, 4, 30, "random", seed=10, k=2, kp=1)
+    # a numpy integer seed is the same seed
+    assert generate(12, 4, 30, "random", seed=np.int64(9), k=2, kp=1) == a
 
 
 # SHA-256 of write_instance over the conftest corpus, then 20-5-90 and 30-3-60
@@ -417,6 +419,13 @@ def test_generate_costs_within_range(monkeypatch):
                  uniform_capacity=3),
             "^a uniform capacity needs capacity mode 'uniform'$",
         ),
+        # None would seed from the operating system, so no run could repeat
+        (dict(nodes=6, terminals=2, arcs=12, seed=None),
+         "^seed must be an integer, got None$"),
+        (dict(nodes=6, terminals=2, arcs=12, seed="x"),
+         "^seed must be an integer, got 'x'$"),
+        (dict(nodes=6, terminals=2, arcs=12, seed=1.5),
+         "^seed must be an integer, got 1.5$"),
     ],
 )
 def test_generate_rejects_bad_parameters(kwargs, needle, monkeypatch):

@@ -1,12 +1,19 @@
 """The benchmark's per-layer trace wraps package names from outside the
 package (``perfbench/tracer.py``); a name that no longer resolves silently
-reads as zero there, so every wrapped name must still exist."""
+reads as zero there, so every wrapped name must still exist, and each info
+callback must still read what the wrapped call returns."""
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+from conftest import corpus
+
+from cprsnp.engine import FORMULATIONS, EngineOptions, solve
+from cprsnp.graph import augment
+from cprsnp.milp import SolveStatus
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
@@ -36,3 +43,41 @@ def test_trace_hook_resolves(module, attr):
 @pytest.mark.parametrize("module, attr", sorted(STALE))
 def test_stale_hook_is_absent(module, attr):
     assert not hasattr(importlib.import_module(module), attr)
+
+
+# the hooks the traced run reaches in one solve of each formulation, with
+# the type of what each info callback reads from the call
+REACHED = {
+    "cutset": {"separation.cutset": bool},
+    "flow": {"separation.scenario": bool},
+    "bilevel": {
+        "separation.bilevel": bool,
+        "separation.strengthen": bool,
+        "separation.mip": int,
+    },
+}
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_trace_hooks_read_what_the_engine_hands_them(formulation):
+    # the engine calls every wrapped name as in the traced run, and each
+    # info callback reads the call's result (a builder's ``.model``, the
+    # ``.point`` of strengthen's result and third argument, a MIP's
+    # ``.nodes``): a changed signature or result fails here, not there
+    aug = augment(corpus()[1])  # its bilevel solve runs a strengthening MIP
+    spans = tracer.Tracer()
+    with tracer.patched(spans):
+        sol = solve(aug, formulation, EngineOptions(time_limit_s=60.0))
+    assert sol.status is SolveStatus.OPTIMAL
+    infos = defaultdict(list)
+    for name, _, _, _, _, info in spans.spans:
+        if info is not None:
+            infos[name].append(info)
+    reached = {"formulations.build_master": tuple, "engine.master_mip": int}
+    reached |= REACHED[formulation]
+    assert set(infos) == set(reached)
+    for name, kind in reached.items():
+        assert all(type(info) is kind for info in infos[name])
+    # the builder hands back the design block: y and p columns only
+    [(rows, cols)] = infos["formulations.build_master"]
+    assert (type(rows), cols) == (int, 2 * aug.arc_count)
