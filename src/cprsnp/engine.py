@@ -296,11 +296,13 @@ def solve(
     master = form.master
 
     def record(bound: float, value: float | None, rows: int, cols: int) -> None:
-        """Append the next iteration record and log it."""
+        """Append the next iteration record and log it; its line is built
+        only when the logger emits INFO."""
         seconds = time.perf_counter() - t0
         rec = IterationRecord(len(records) + 1, bound, value, rows, cols, seconds)
         records.append(rec)
-        log.info(rec.line(formulation, include_time=True))
+        if log.isEnabledFor(logging.INFO):
+            log.info(rec.line(formulation, include_time=True))
 
     rejected: set[Design] = set()
 

@@ -86,6 +86,14 @@ unit.  Fix mu integral, and let C be the arcs it puts across the cut:
   :func:`cut_residual`.  So whenever some lam and gam complete mu, every
   optimum is the lam count of the vertex of C and that subset.
 
+An oracle builds a fresh cut search MIP on each call, so both are built as
+whole blocks (:meth:`cprsnp.milp.MilpModel.add_vars` and
+:meth:`cprsnp.milp.MilpModel.add_constrs`) from arrays read off the
+instance's layout, with no per-arc Python work; their columns, rows and
+nonzeros are the ones, in the order, that writing one row at a time would
+give.  The masters stay on the one-at-a-time methods: each is built once
+per solve and then grown one cut, scenario or vertex at a time.
+
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
 """
@@ -96,6 +104,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graph import ArcMask, AugmentedInstance, CutSet, index_set
 from .milp import INT_TOL, MilpModel
@@ -152,11 +162,25 @@ class Design:
 
     def is_canonical(self, aug: AugmentedInstance) -> bool:
         """True when :meth:`canonical` of this design's arcs is the design
-        itself."""
+        itself, checked without building that design: every fictive arc is
+        selected, every protected arc is a selected initial arc, protection
+        keeps to the budget, and every arc passes
+        :func:`cprsnp.graph.index_set`."""
+        fictive = aug.layout.fictive_set
+        if not (
+            fictive <= self.selected
+            and len(self.protected) <= aug.kp
+            and self.protected <= self.selected
+            and self.protected.isdisjoint(fictive)
+        ):
+            return False
+        message = "unknown arc index {!r}"
         try:
-            return Design.canonical(aug, self.selected, self.protected) == self
+            index_set(self.selected, aug.arc_count, FormulationError, message)
+            index_set(self.protected, aug.arc_count, FormulationError, message)
         except FormulationError:
             return False
+        return True
 
     def cost(self, aug: AugmentedInstance) -> float:
         return float(sum(aug.arcs[a].cost for a in self.selected))
@@ -465,59 +489,114 @@ def append_point(master: Master, point: ExtremePoint) -> None:
 # separation models
 
 
-@dataclass
+@dataclass(eq=False)
 class CutSearchModel:
-    """Shared shape of the min-cut style search MIPs (binary side indicator):
-    ``lam_var`` and ``gam_var`` map an arc to its column, for the arcs that
-    have one."""
+    """Shared shape of the min-cut style search MIPs (binary side indicator).
+    The columns are lam, one per arc the model covers, then gam, one per arc
+    of ``gam_arcs`` in that order, then mu, one per vertex: ``mu_var`` holds
+    vertex v's column at position v."""
 
     model: MilpModel
-    lam_var: dict[int, int]
-    gam_var: dict[int, int]
-    mu_var: list[int]
+    gam_arcs: np.ndarray
+    mu_var: range
     aug: AugmentedInstance
 
     def cut_from(self, values) -> CutSet:
         """The cut whose sink side is the vertices with mu 0, which must
         read 0 or 1."""
-        side = set()
-        for v, col in enumerate(self.mu_var):
-            val = float(values[col])
-            if abs(val - round(val)) > INT_TOL:
-                raise NonVertexSolution(f"mu{v} has non-binary value {val!r}")
-            if val <= 0.5:
-                side.add(v)
-        return CutSet.from_sink_side(self.aug, frozenset(side))
+        mu = np.asarray(values, dtype=float)[self.mu_var.start : self.mu_var.stop]
+        # not "> INT_TOL", so that NaN is no vertex either
+        off = ~(np.abs(mu - np.round(mu)) <= INT_TOL)
+        if off.any():
+            v = int(np.argmax(off))
+            raise NonVertexSolution(f"mu{v} has non-binary value {float(mu[v])!r}")
+        return CutSet.from_sink_side(self.aug, np.flatnonzero(mu <= 0.5).tolist())
 
 
 def _cut_search_base(
-    aug: AugmentedInstance, name: str, arcs: Iterable[int], design: Design
+    aug: AugmentedInstance,
+    name: str,
+    design: Design,
+    arcs: np.ndarray,
+    lam_cost: np.ndarray,
+    selected: np.ndarray,
+    capacity_row: tuple[np.ndarray, float] | None = None,
 ) -> CutSearchModel:
-    """lam on each of ``arcs``, gam on each of those that is one of the
-    design's :meth:`Design.attack_candidates`, and mu, binary, on every
-    vertex; one row per arc of ``arcs``, that covers it with lam + gam when
-    it leaves the root side, and the budget row of gam.  The objective is
-    declared integral (see the module docstring)."""
+    """lam on each of ``arcs`` at cost ``lam_cost``, gam on each of those
+    that is one of the design's :meth:`Design.attack_candidates`, and mu,
+    binary, on every vertex; one row per arc of ``arcs``, that covers it
+    with lam + gam when it leaves the root side, the budget row of gam and,
+    given ``capacity_row`` (coefficients on the lam columns ``selected``,
+    right-hand side), one more row bounding those from above.  ``selected``
+    holds the design's selected arcs in index order.  The objective is
+    declared integral (see the module docstring).
+
+    The model is built from arrays: each arc row holds lam, the tail's mu,
+    the head's mu and gam, in that order, with gam left out of the rows of
+    arcs that have none."""
     model = MilpModel(name)
     model.integral_objective = True
-    attackable = set(design.attack_candidates(aug))
-    lam_var = {a: model.add_var(f"lam{a}", 0.0, 1.0) for a in arcs}
-    gam_var = {
-        a: model.add_var(f"gam{a}", 0.0, 1.0) for a in lam_var if a in attackable
-    }
-    mu_var = []
-    for v in range(aug.vertex_count):
-        lo = 1.0 if v == aug.root else 0.0
-        hi = 0.0 if v == aug.sink else 1.0
-        mu_var.append(model.add_var(f"mu{v}", lo, hi, integer=True))
-    for a in lam_var:
-        arc = aug.arcs[a]
-        row = {lam_var[a]: 1.0, mu_var[arc.tail]: -1.0, mu_var[arc.head]: 1.0}
-        if a in gam_var:
-            row[gam_var[a]] = 1.0
-        model.add_constr(row, ">=", 0.0)
-    model.add_constr({g: 1.0 for g in gam_var.values()}, "<=", float(aug.k))
-    return CutSearchModel(model, lam_var, gam_var, mu_var, aug)
+    m, n = aug.arc_count, aug.vertex_count
+    # the attack candidates: selected arcs, neither fictive nor protected
+    attackable = np.zeros(m, dtype=bool)
+    attackable[selected] = True
+    attackable[aug.initial_arc_count :] = False
+    attackable[list(design.protected)] = False
+    has_gam = attackable[arcs]
+    gam_arcs = arcs[has_gam]
+    nl, ng = arcs.size, gam_arcs.size
+    mu0 = nl + ng  # the first mu column
+    lb, ub, cost = np.zeros(mu0 + n), np.ones(mu0 + n), np.zeros(mu0 + n)
+    lb[mu0 + aug.root] = 1.0
+    ub[mu0 + aug.sink] = 0.0
+    cost[:nl] = lam_cost
+    integer = np.zeros(mu0 + n, dtype=bool)
+    integer[mu0:] = True
+    model.add_vars(lb, ub, integer, cost)
+    # the arc rows, one per lam column, then the budget row over every gam
+    gam_cols = np.arange(nl, mu0)
+    entries = np.empty((nl, 4), dtype=np.intp)
+    entries[:, 0] = np.arange(nl)
+    # the layout's edge 2i enters arc i's head, and edge 2i + 1 its tail;
+    # shifted by mu0, a vertex is its mu column
+    ends = np.fromiter(aug.layout.to, np.intp, 2 * m)
+    ends += mu0
+    entries[:, 1] = ends[1::2][arcs]
+    entries[:, 2] = ends[0::2][arcs]
+    entries[has_gam, 3] = gam_cols
+    used = np.ones((nl, 4), dtype=bool)
+    used[:, 3] = has_gam
+    rows = nl + 1 if capacity_row is None else nl + 2
+    start = np.empty(rows + 1, dtype=np.intp)
+    start[0] = 0
+    np.add(has_gam, 3, out=start[1 : nl + 1])
+    start[nl + 1] = ng
+    cols = [entries[used], gam_cols]
+    if capacity_row is not None:
+        start[nl + 2] = selected.size
+        cols.append(selected)
+    start = start.cumsum()
+    values = np.ones(start[-1])
+    values[start[:nl] + 1] = -1.0  # the tail's mu
+    row_lo, row_hi = np.zeros(rows), np.full(rows, math.inf)
+    row_lo[nl:] = -math.inf
+    row_hi[nl] = aug.k
+    if capacity_row is not None:
+        coefficients, rhs = capacity_row
+        values[start[nl + 1] :] = coefficients
+        row_hi[nl + 1] = rhs
+    model.add_constrs(start, np.concatenate(cols), values, row_lo, row_hi)
+    return CutSearchModel(model, gam_arcs, range(mu0, mu0 + n), aug)
+
+
+def _selected_and_capacities(
+    aug: AugmentedInstance, design: Design
+) -> tuple[np.ndarray, np.ndarray]:
+    """The design's selected arcs in index order, and every arc's capacity."""
+    selected = np.fromiter(design.selected, np.intp, len(design.selected))
+    selected.sort()
+    capacity = np.fromiter(aug.layout.capacities, float, aug.arc_count)
+    return selected, capacity
 
 
 def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearchModel:
@@ -527,11 +606,10 @@ def build_cutset_separation(aug: AugmentedInstance, design: Design) -> CutSearch
     the surviving selected capacity.  Only selected arcs get a row and lam:
     an unselected arc's row holds at lam = 1, which costs nothing.
     """
-    search = _cut_search_base(aug, "cutset_separation", sorted(design.selected), design)
-    search.model.set_objective(
-        {col: float(aug.arcs[a].capacity) for a, col in search.lam_var.items()}
+    selected, capacity = _selected_and_capacities(aug, design)
+    return _cut_search_base(
+        aug, "cutset_separation", design, selected, capacity[selected], selected
     )
-    return search
 
 
 def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchModel:
@@ -540,14 +618,18 @@ def build_strengthening(aug: AugmentedInstance, design: Design) -> CutSearchMode
     Feasible iff some cut drops below demand after at most k failures of the
     design's attack candidates; infeasible for survivable designs.  The
     optimum of a cut is the number of lam arcs of its vertex under its worst
-    deletion subset (see the module docstring).
+    deletion subset (see the module docstring).  The last row keeps the
+    selected capacity across the cut below the demand; arc a's lam column
+    is column a.
     """
-    search = _cut_search_base(aug, "cut_strengthening", range(aug.arc_count), design)
-    row = {
-        col: float(aug.arcs[a].capacity)
-        for a, col in search.lam_var.items()
-        if a in design.selected
-    }
-    search.model.add_constr(row, "<=", float(aug.demand) - 1.0)
-    search.model.set_objective({col: 1.0 for col in search.lam_var.values()})
-    return search
+    m = aug.arc_count
+    selected, capacity = _selected_and_capacities(aug, design)
+    return _cut_search_base(
+        aug,
+        "cut_strengthening",
+        design,
+        np.arange(m),
+        np.ones(m),
+        selected,
+        (capacity[selected], float(aug.demand) - 1.0),
+    )

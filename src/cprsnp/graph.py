@@ -424,9 +424,13 @@ class CutSet:
 
     @staticmethod
     def from_sink_side(aug: AugmentedInstance, vertices: Iterable[int]) -> "CutSet":
+        """The cut with these vertices as its sink side.  The side is built
+        from its vertices in increasing order, whatever iterable they come
+        in, so equal cuts have one ``repr``."""
         side = index_set(
             vertices, aug.vertex_count, GraphError, "cut references unknown vertex {!r}"
         )
+        side = frozenset(sorted(side))
         if aug.sink not in side:
             raise GraphError("cut sink side must contain the super sink")
         if aug.root in side:

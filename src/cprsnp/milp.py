@@ -7,7 +7,18 @@ first nonzero, the nonzeros' columns and values, and each row's sense as a
 ``row_lo <= A x <= row_hi`` pair.  Those arrays and the column bounds are
 typed buffers (:class:`array.array` of C doubles, ints and signed chars),
 so a tail of each reaches HiGHS as a copy of its bytes, with no conversion
-of one element at a time.
+of one element at a time.  The objective is one more such buffer, a cost
+per column, so new columns go to HiGHS with their costs in one copy too.
+
+A model grows one column (:meth:`MilpModel.add_var`) or one row
+(:meth:`MilpModel.add_constr`, a mapping from column to coefficient) at a
+time, or by whole blocks: :meth:`MilpModel.add_vars` appends columns from
+arrays of bounds, integrality and costs, and :meth:`MilpModel.add_constrs`
+appends rows from arrays in the layout the model keeps (each row's first
+nonzero, then the nonzeros' columns and values, then each row's bounds).
+A block passes the checks of the one-at-a-time methods, run on whole
+arrays, and lands in the buffers exactly as the same columns and rows added
+one at a time would.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance.  The instance holds no model when a solve takes it, and
@@ -175,7 +186,8 @@ class MilpModel:
         self._lb = array("d")
         self._ub = array("d")
         self._integer = array("b")
-        self._objective: dict[int, float] = {}
+        # the objective: a cost per column, 0 until set
+        self._cost = array("d")
         # the rows, row-wise: row r's nonzeros are the columns and values
         # at _start[r]:_start[r + 1]
         self._start = array("i", [0])
@@ -198,7 +210,35 @@ class MilpModel:
         self._lb.append(lb)
         self._ub.append(ub)
         self._integer.append(bool(integer))
+        self._cost.append(0.0)
         return idx
+
+    def add_vars(self, lb, ub, integer, cost) -> range:
+        """Append one column per entry of the equal-length 1-D arrays ``lb``,
+        ``ub``, ``integer`` (true for an integer column) and ``cost`` (its
+        objective coefficient); returns the new columns.  Bounds must be
+        finite with ``lb <= ub`` and costs finite, as :meth:`add_var` and
+        :meth:`set_objective` require; nothing is appended unless every
+        column passes."""
+        lb, ub, cost = (_reals(x, "column") for x in (lb, ub, cost))
+        integer = np.asarray(integer, dtype=bool)
+        count = lb.size
+        first = len(self._lb)
+        if not lb.shape == ub.shape == cost.shape == integer.shape == (count,):
+            raise MilpError("column arrays must be 1-D and of one length")
+        # one pass over every number; a failure is told apart afterwards
+        if not (_every(lb <= ub) and _finite(np.concatenate((lb, ub, cost)))):
+            if not (_finite(lb) and _finite(ub)):
+                raise MilpError("column bounds must be finite")
+            if not _finite(cost):
+                raise MilpError("objective coefficients must be finite")
+            raise MilpError("column lb above its ub")
+        self._lb.frombytes(lb.tobytes())
+        self._ub.frombytes(ub.tobytes())
+        self._integer.frombytes(integer.tobytes())
+        # adding 0.0 turns a cost of -0.0 into the 0.0 of a column with none
+        self._cost.frombytes((cost + 0.0).tobytes())
+        return range(first, first + count)
 
     def _nonzeros(
         self, coeffs: Mapping[int, float], what: str
@@ -236,8 +276,67 @@ class MilpModel:
         self._row_lo.append(-math.inf if sense == "<=" else rhs)
         self._row_hi.append(math.inf if sense == ">=" else rhs)
 
+    def add_constrs(self, start, cols, values, row_lo, row_hi) -> None:
+        """Append rows given as arrays in the model's own layout: row r has
+        the nonzeros ``cols[start[r]:start[r + 1]]`` with coefficients
+        ``values[...]`` and reads ``row_lo[r] <= A x <= row_hi[r]``.
+
+        The checks of :meth:`add_constr` run on the whole block.  Columns
+        are integers of an integer array, each a column of the model;
+        coefficients are finite, and zeros are dropped.  Each row's bounds
+        say one sense with a finite right-hand side: ``(-inf, rhs)`` for
+        ``<=``, ``(rhs, inf)`` for ``>=``, ``(rhs, rhs)`` for ``=``.
+        Nothing is appended unless every row passes.  A column given twice
+        in one row, which a mapping cannot hold, is not looked for here:
+        HiGHS rejects that row when a solve sends it, and the solve raises
+        :class:`MilpError`."""
+        start = np.asarray(start)
+        cols = np.asarray(cols)
+        values, row_lo, row_hi = (_reals(x, "constraint") for x in (values, row_lo, row_hi))
+        rows = row_lo.size
+        if not (
+            start.dtype.kind in "iu"
+            and start.shape == (rows + 1,)
+            and row_lo.shape == row_hi.shape == (rows,)
+            and cols.ndim == values.ndim == 1
+            and start[0] == 0
+            and start[-1] == cols.size == values.size
+            and _every(start[:-1] <= start[1:])
+        ):
+            raise MilpError("row arrays do not describe one block of rows")
+        # a column is an integer, as a key of add_constr is by operator.index
+        if cols.dtype.kind not in "biu":
+            raise MilpError(f"constraint columns must be integers, not {cols.dtype}")
+        count = len(self._lb)
+        unknown = (cols < 0) | (cols >= count)
+        if np.count_nonzero(unknown):
+            bad = cols[unknown][0].item()
+            raise MilpError(f"constraint references unknown variable {bad!r}")
+        # a row's rhs is hi for <=, else lo: it must be finite, and then lo
+        # is -inf or the rhs, so the row is sensed when hi is inf or the rhs
+        rhs = np.where(row_lo == -math.inf, row_hi, row_lo)
+        sensed = _every((row_hi == rhs) | (row_hi == math.inf))
+        if not (sensed and _finite(np.concatenate((values, rhs)))):
+            if not _finite(values):
+                raise MilpError("constraint coefficients must be finite")
+            raise MilpError("constraint bounds must be one sense and a finite rhs")
+        if np.count_nonzero(values) < values.size:
+            kept = values != 0.0
+            start = np.concatenate(([0], np.cumsum(kept)))[start]
+            cols, values = cols[kept], values[kept]
+        nz = len(self._values)
+        self._col_idx.frombytes(cols.astype(np.intc).tobytes())
+        self._values.frombytes(values.tobytes())
+        self._start.frombytes((start[1:] + nz).astype(np.intc).tobytes())
+        self._row_lo.frombytes(row_lo.tobytes())
+        self._row_hi.frombytes(row_hi.tobytes())
+
     def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        self._objective = dict(zip(*self._nonzeros(coeffs, "objective")))
+        """Make the objective the given cost per column, 0 on the others."""
+        cols, values = self._nonzeros(coeffs, "objective")
+        cost = np.zeros(self.num_vars)
+        cost[cols] = values
+        self._cost = array("d", cost.tobytes())
 
     # -- inspection ---------------------------------------------------
 
@@ -256,6 +355,30 @@ class MilpModel:
 
     def integer_indices(self) -> np.ndarray:
         return np.flatnonzero(np.array(self._integer))
+
+    def objective(self) -> np.ndarray:
+        """A copy of the cost of every column."""
+        return np.array(self._cost)
+
+
+def _every(mask: np.ndarray) -> bool:
+    """True when every entry of the boolean array is true (faster than
+    ``mask.all()`` on the small arrays a model is built from)."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _finite(values: np.ndarray) -> bool:
+    """True when every entry of the float array is finite."""
+    return _every(np.isfinite(values))
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array when it holds real numbers, else
+    TypeError, which :func:`math.isfinite` raises on one such value."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"{what} arrays must hold real numbers, not {arr.dtype}")
+    return arr if arr.dtype.char == "d" else arr.astype(np.float64)
 
 
 # configured HiGHS instances that hold no model, for the next solve to take
@@ -315,9 +438,8 @@ class _Relaxation:
         first, cols = self.cols, model.num_vars
         if cols > first:
             new = cols - first
-            cost = [model._objective.get(v, 0.0) for v in range(first, cols)]
             if highs.addCols(
-                new, np.array(cost),
+                new, np.array(model._cost[first:]),
                 np.array(model._lb[first:]), np.array(model._ub[first:]), 0,
                 np.zeros(new, dtype=np.int32), np.zeros(0, dtype=np.int32),
                 np.zeros(0),
@@ -381,8 +503,10 @@ class _Relaxation:
 def _integral_objective(model: MilpModel, int_idx: np.ndarray) -> bool:
     """True when every objective coefficient is an integer on an integer
     column, so that every feasible objective value is an integer."""
-    ints = set(int_idx.tolist())
-    return all(v in ints and c.is_integer() for v, c in model._objective.items())
+    cost = model.objective()
+    continuous = np.ones(cost.size, dtype=bool)
+    continuous[int_idx] = False
+    return not cost[continuous].any() and bool((cost == np.round(cost)).all())
 
 
 def solve_mip(
@@ -433,7 +557,7 @@ def _branch_and_bound(
     # the model's integer bounds, which ``lp`` holds until its first solve
     # overwrites them in place
     ilb0, iub0 = lp.ilb.copy(), lp.iub.copy()
-    objective0 = dict(model._objective)
+    cost0 = model.objective()
     integral = model.integral_objective or _integral_objective(model, int_idx)
 
     def out_of_time() -> bool:
@@ -464,8 +588,10 @@ def _branch_and_bound(
         if lazy is None or not lazy(x, bound):
             return False
         lb, ub = model.bounds()
+        cost = model.objective()
         if (
-            model._objective != objective0
+            not np.array_equal(cost[: cost0.size], cost0)
+            or cost[cost0.size :].any()
             or not np.array_equal(model.integer_indices(), int_idx)
             or not np.array_equal(lb[int_idx], ilb0)
             or not np.array_equal(ub[int_idx], iub0)

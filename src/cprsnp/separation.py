@@ -95,6 +95,8 @@ class _BudgetSpent(Exception):
 
 
 def _require_canonical(aug: AugmentedInstance, design: Design) -> None:
+    """Raise :class:`SeparationError` unless the design is canonical
+    (:meth:`cprsnp.formulations.Design.is_canonical`)."""
     if not design.is_canonical(aug):
         raise SeparationError("oracles require a canonical design")
 

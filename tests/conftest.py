@@ -132,9 +132,7 @@ class CheckedRelaxation(_Relaxation):
 def matrices(model: MilpModel):
     """``(c, a, row_lo, row_hi)``: the objective, the rows as a sparse
     matrix, and their bounds ``row_lo <= a @ x <= row_hi``."""
-    c = np.zeros(model.num_vars)
-    for v, coef in model._objective.items():
-        c[v] = coef
+    c = model.objective()
     a = scipy.sparse.csr_matrix(
         (np.array(model._values, dtype=float), model._col_idx, model._start),
         shape=(model.num_constraints, model.num_vars),
@@ -162,7 +160,7 @@ def check_assignment(model: MilpModel, values, tol: float = 1e-6) -> bool:
 def objective_value(model: MilpModel, values) -> float:
     """The model's objective at an assignment."""
     x = np.asarray(values, dtype=float)
-    return float(sum(c * x[v] for v, c in model._objective.items()))
+    return float(sum(c * x[v] for v, c in enumerate(model.objective()) if c))
 
 
 def cut_capacity(cut: CutSet, mask: ArcMask) -> int:

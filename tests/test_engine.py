@@ -700,6 +700,24 @@ def test_every_record_is_logged(formulation, caplog):
     assert sol.log_lines() == [f"formulation={formulation}{closing}"]
 
 
+def test_record_lines_are_built_only_for_an_emitting_logger(monkeypatch, caplog):
+    # with INFO off, the solve formats no record line; the records stay
+    built = []
+    line = IterationRecord.line
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        return line(self, *args, **kwargs)
+
+    monkeypatch.setattr(IterationRecord, "line", counted)
+    caplog.set_level(logging.WARNING, logger="cprsnp.engine")
+    sol = solve(augment(triangle(k=1, kp=0)), "cutset", FAST)
+    assert len(sol.log) == 1 and built == []
+    caplog.set_level(logging.INFO, logger="cprsnp.engine")
+    solve(augment(triangle(k=1, kp=0)), "cutset", FAST)
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # option plumbing
 

@@ -1,6 +1,7 @@
 """Master builders, attack models, and their agreement with enumeration."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import operator
@@ -8,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_attacker_vertex,
@@ -29,6 +32,7 @@ from cprsnp.formulations import (
     Design,
     FailureScenario,
     FormulationError,
+    NonVertexSolution,
     append_cut,
     append_cut_subset,
     append_point,
@@ -253,7 +257,7 @@ def test_masters_share_the_design_block(seed):
     def block(model):
         lb, ub = model.bounds()
         integer = [i for i in model.integer_indices() if i < m2]
-        cost = [model._objective.get(i, 0.0) for i in range(m2)]
+        cost = list(model.objective()[:m2])
         _, a, row_lo, row_hi = matrices(model)
         rows = a.tocsr()
         return (
@@ -868,9 +872,126 @@ def test_cut_search_gam_columns_are_the_attack_candidates():
         for design in designs + [Design.canonical(aug, aug.initial_arcs)]:
             seen.add("protected" if design.protected else "unprotected")
             candidates = design.attack_candidates(aug)
-            assert sorted(build_cutset_separation(aug, design).gam_var) == candidates
-            assert sorted(build_strengthening(aug, design).gam_var) == candidates
+            assert list(build_cutset_separation(aug, design).gam_arcs) == candidates
+            assert list(build_strengthening(aug, design).gam_arcs) == candidates
     assert seen == {"protected", "unprotected"}
+
+
+def _pinned_cases():
+    """Every corpus instance, three seeded instances of 20-5-90 and one of
+    30-3-60, and a small one with a zero-capacity arc, each under three
+    random designs, the empty and the full one, and the full one with its
+    first kp arcs protected."""
+    augs = [augment(inst) for inst in corpus()]
+    augs += [
+        augment(generate(20, 5, 90, capacity_mode="random", seed=s, k=k, kp=kp))
+        for s, (k, kp) in enumerate([(2, 0), (3, 1), (2, 2)])
+    ]
+    augs.append(augment(generate(30, 3, 60, seed=7, k=2, kp=1)))
+    arcs = (
+        Arc(0, 1, 1.0, 1),
+        Arc(1, 3, 1.0, 0),
+        Arc(0, 2, 2.0, 2),
+        Arc(2, 3, 1.0, 1),
+        Arc(1, 2, 1.0, 1),
+    )
+    augs.append(augment(Instance(4, arcs, root=0, terminals=(3,), k=1, kp=1)))
+    for index, aug in enumerate(augs):
+        rng = random.Random(1000 + index)
+        designs = [random_design(rng, aug) for _ in range(3)]
+        designs += [Design.canonical(aug, ()), Design.canonical(aug, aug.initial_arcs)]
+        designs.append(Design.canonical(aug, aug.initial_arcs, range(aug.kp)))
+        for design in designs:
+            yield aug, design
+
+
+def test_cut_search_buffers_are_pinned():
+    # the SHA-256 of both cut search models' buffers, as HiGHS receives
+    # them, over fixed cases: taken from the models built one row at a time
+    # before they were built from arrays, so the columns, rows, nonzeros and
+    # their order and values stay as they were
+    digest = hashlib.sha256()
+    for aug, design in _pinned_cases():
+        for build in (build_cutset_separation, build_strengthening):
+            model = build(aug, design).model
+            buffers = (
+                (model._lb, "f8"),
+                (model._ub, "f8"),
+                (model._integer, "i1"),
+                (model.objective(), "f8"),
+                (model._start, "i4"),
+                (model._col_idx, "i4"),
+                (model._values, "f8"),
+                (model._row_lo, "f8"),
+                (model._row_hi, "f8"),
+            )
+            for buffer, dtype in buffers:
+                data = np.asarray(buffer, dtype=dtype)
+                digest.update(np.int64(data.size).tobytes())
+                digest.update(data.tobytes())
+    pinned = "f8cf1181a7afabec829eb57148b13c056265b570c4591584b17f7eaf54cf36a0"
+    assert digest.hexdigest() == pinned
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-3, math.nan])
+@pytest.mark.parametrize("build", [build_cutset_separation, build_strengthening])
+def test_cut_from_rejects_a_fractional_mu(build, bad):
+    aug = tri_aug()
+    search = build(aug, Design.canonical(aug, range(3)))
+    values = np.zeros(search.model.num_vars)
+    values[search.mu_var[aug.root]] = 1.0
+    assert search.cut_from(values).sink_side == frozenset({1, 2, 3})
+    values[search.mu_var[1]] = bad
+    with pytest.raises(NonVertexSolution, match="mu1 has non-binary value"):
+        search.cut_from(values)
+
+
+def _arc_entries(m):
+    """Values a design's arc sets may hold: arcs and numbers next to them,
+    as ints, numpy integers, bools and floats."""
+    return st.one_of(
+        st.integers(-1, m),
+        st.integers(0, m - 1).map(np.int64),
+        st.booleans(),
+        st.sampled_from([0.5, 2.0]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_is_canonical_agrees_with_rebuilding_the_design(data):
+    # is_canonical checks a design without building it; its verdict must be
+    # that of comparing the design with canonical() of its own arcs
+    aug = augment(dataclasses.replace(two_cycle(), kp=data.draw(st.integers(0, 2))))
+    m = aug.arc_count
+    selected = data.draw(st.frozensets(_arc_entries(m), max_size=m + 1))
+    if data.draw(st.booleans()):
+        selected |= aug.layout.fictive_set
+    pool = sorted(selected, key=repr) + list(aug.fictive_arcs)
+    protected = data.draw(
+        st.frozensets(st.one_of(st.sampled_from(pool), _arc_entries(m)), max_size=3)
+    )
+    design = Design(selected, protected)
+    try:
+        rebuilt = Design.canonical(aug, selected, protected) == design
+    except FormulationError:
+        rebuilt = False
+    assert design.is_canonical(aug) == rebuilt
+
+
+def test_is_canonical_covers_every_verdict():
+    # the property above draws each way a design can fail, and passing ones
+    aug = augment(dataclasses.replace(two_cycle(), kp=1))
+    full = frozenset(range(aug.arc_count))
+    fictive = aug.layout.fictive_set
+    assert Design(full, frozenset({0})).is_canonical(aug)
+    assert Design(frozenset(map(np.int64, full)), frozenset({True})).is_canonical(aug)
+    assert not Design(full - fictive, frozenset()).is_canonical(aug)
+    assert not Design(full, fictive).is_canonical(aug)
+    assert not Design(full, frozenset({0, 1})).is_canonical(aug)
+    assert not Design(full - {0}, frozenset({0})).is_canonical(aug)
+    assert not Design(full | {aug.arc_count}, frozenset()).is_canonical(aug)
+    assert not Design(full, frozenset({2.0})).is_canonical(aug)
 
 
 def test_strengthening_mip_is_infeasible_when_protection_keeps_every_cut():

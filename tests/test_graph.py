@@ -327,6 +327,18 @@ def test_cutset_from_sink_side():
         CutSet.from_sink_side(aug, {0, 3})
 
 
+def test_equal_sink_sides_have_one_repr():
+    # a frozenset copied from a set of these vertices iterates 17, 2, 40,
+    # 27, 13, 30, while one built in increasing order iterates 2, 40, 13,
+    # 17, 27, 30; the cut must not keep whichever it was given
+    aug = augment(deep_path(40))
+    side = [2, 13, 17, 27, 30, aug.sink]
+    given = [set(side), frozenset(set(side)), side, np.array(side)]
+    reprs = {repr(CutSet.from_sink_side(aug, vertices)) for vertices in given}
+    assert len(reprs) == 1
+    assert len({repr(frozenset(set(side))), repr(frozenset(side))}) == 2
+
+
 @pytest.mark.parametrize("vertex", [1.5, "x", None, 4, -1], ids=repr)
 def test_cutset_rejects_what_is_no_vertex(vertex):
     # 1.5 lies between two vertices and was ignored, and "x" raised a bare

@@ -534,10 +534,9 @@ def test_set_objective_rejects_a_non_integer_column(key):
     model.set_objective({0: 4.0})
     with pytest.raises(MilpError, match=f"unknown variable {key!r}"):
         model.set_objective({key: 1.0})
-    assert model._objective == {0: 4.0}
+    assert list(model.objective()) == [4.0, 0.0]
     model.set_objective({np.int64(1): 2.0})
-    assert model._objective == {1: 2.0}
-    assert all(type(col) is int for col in model._objective)
+    assert list(model.objective()) == [0.0, 2.0]
 
 
 def test_check_assignment_and_objective_value():
@@ -623,6 +622,145 @@ def test_row_storage_matches_the_rows_given(drawn):
     lp = _Relaxation(model, model.integer_indices()).highs.getLp()
     assert lp_data(lp) == ([0.0] * len(columns), list(lb), list(ub), sorted(given))
     assert check_assignment(model, x, tol) == _check_row_by_row(columns, rows, x, tol)
+
+
+def _as_block(rows):
+    """``add_constrs`` arguments for rows given as (coefficients, sense,
+    rhs), in the order given."""
+    start = np.cumsum([0] + [len(coeffs) for coeffs, _, _ in rows])
+    cols = np.array([v for coeffs, _, _ in rows for v in coeffs], dtype=np.int64)
+    values = np.array([c for coeffs, _, _ in rows for c in coeffs.values()])
+    bounds = [
+        {"<=": (-math.inf, rhs), ">=": (rhs, math.inf), "=": (rhs, rhs)}[sense]
+        for _, sense, rhs in rows
+    ]
+    row_lo = np.array([lo for lo, _ in bounds])
+    row_hi = np.array([hi for _, hi in bounds])
+    return start, cols, values, row_lo, row_hi
+
+
+def _buffers(model):
+    return [
+        bytes(buffer)
+        for buffer in (
+            model._lb, model._ub, model._integer, model._cost, model._start,
+            model._col_idx, model._values, model._row_lo, model._row_hi,
+        )
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=rows_and_points(), split=st.integers(0, 5), costs=st.data())
+def test_blocks_land_as_one_column_and_one_row_at_a_time(drawn, split, costs):
+    # the bulk methods append exactly the bytes that add_var, add_constr and
+    # set_objective append, zero coefficients dropped, in two row blocks
+    model, columns, rows, _, _ = drawn
+    cost = costs.draw(st.lists(st.integers(-3, 3), min_size=len(columns),
+                               max_size=len(columns)))
+    model.set_objective(dict(enumerate(cost)))
+    bulk = MilpModel("rows")
+    lb, ub, integer = (np.array(part) for part in zip(*columns))
+    assert bulk.add_vars(lb, ub, integer, np.array(cost)) == range(len(columns))
+    bulk.add_constrs(*_as_block(rows[:split]))
+    bulk.add_constrs(*_as_block(rows[split:]))
+    assert _buffers(bulk) == _buffers(model)
+
+
+def _malformed_columns():
+    """(add_var arguments, add_vars arguments) for a column add_var rejects."""
+    cases = []
+    for lb, ub in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0),
+                   (0.0, math.inf), (math.inf, math.inf), (2.0, 1.0)):
+        cases.append(((lb, ub), ([0.0, lb], [1.0, ub], [False, False], [0.0, 0.0])))
+    cases.append((("0", 1.0), (np.array(["0"]), [1.0], [False], [0.0])))
+    return cases
+
+
+@pytest.mark.parametrize("single, block", _malformed_columns(), ids=repr)
+def test_add_vars_rejects_what_add_var_rejects(single, block):
+    model = MilpModel()
+    with pytest.raises(Exception) as rejected:
+        model.add_var("x", *single)
+    with pytest.raises(rejected.type):
+        model.add_vars(*block)
+    assert model.num_vars == 0
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+def test_add_vars_rejects_what_set_objective_rejects(cost):
+    model = MilpModel()
+    model.add_var("x", 0.0, 1.0)
+    with pytest.raises(MilpError):
+        model.set_objective({0: cost})
+    with pytest.raises(MilpError):
+        model.add_vars([0.0], [1.0], [False], [cost])
+    assert model.num_vars == 1
+
+
+def _malformed_rows():
+    """(add_constr arguments, add_constrs arguments) for a row that
+    add_constr rejects, given after a valid row."""
+    ok = ({0: 1.0}, "<=", 1.0)
+    cases = []
+    for coeffs, sense, rhs in (
+        ({0: 1.0}, "<=", math.nan),
+        ({0: 1.0}, ">=", math.inf),
+        ({0: 1.0}, "=", -math.inf),
+        ({0: math.nan}, "<=", 1.0),
+        ({1: math.inf}, ">=", 1.0),
+        ({2: 1.0}, "<=", 1.0),
+        ({-1: 1.0}, "<=", 1.0),
+        ({0: "1"}, "<=", 1.0),
+        ({0: 1.0}, "<=", "1"),
+    ):
+        cases.append(((coeffs, sense, rhs), _as_block([ok, (coeffs, sense, rhs)])))
+    # no sense: both bounds open, or two different finite ones
+    for lo, hi in ((-math.inf, math.inf), (0.0, 1.0), (1.0, 0.0)):
+        block = ([0, 1, 2], [0, 1], [1.0, 1.0], [-math.inf, lo], [1.0, hi])
+        cases.append((({0: 1.0}, "==", 1.0), block))
+    # a column that is no integer: 1.5 is no column 1
+    cases.append((({1.5: 1.0}, "<=", 1.0), ([0, 1], [1.5], [1.0], [-math.inf], [1.0])))
+    return cases
+
+
+@pytest.mark.parametrize("single, block", _malformed_rows(), ids=repr)
+def test_add_constrs_rejects_what_add_constr_rejects(single, block):
+    model = MilpModel()
+    model.add_var("x", 0.0, 1.0)
+    model.add_var("y", 0.0, 1.0)
+    with pytest.raises(Exception) as rejected:
+        model.add_constr(*single)
+    with pytest.raises(rejected.type):
+        model.add_constrs(*(np.asarray(part) for part in block))
+    assert model.num_constraints == 0
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        ([0, 2], [0], [1.0], [0.0], [0.0]),  # start past the nonzeros
+        ([1, 1], [0], [1.0], [0.0], [0.0]),  # first start not 0
+        ([0, 1], [0], [1.0, 2.0], [0.0], [0.0]),  # more values than columns
+        ([0, 1], [0], [1.0], [0.0, 0.0], [0.0]),  # lo and hi disagree in rows
+        ([0.0, 1.0], [0], [1.0], [0.0], [0.0]),  # starts that are no integers
+        ([0, 1, 0, 1], [0], [1.0], [0.0] * 3, [0.0] * 3),  # row 1 ends first
+    ],
+)
+def test_add_constrs_rejects_a_block_that_is_no_block(block):
+    model = MilpModel()
+    model.add_var("x", 0.0, 1.0)
+    with pytest.raises(MilpError, match="one block of rows"):
+        model.add_constrs(*(np.asarray(part) for part in block))
+    assert model.num_constraints == 0
+
+
+def test_a_column_twice_in_one_row_fails_the_solve():
+    # add_constrs leaves this to HiGHS, which rejects the row when it is sent
+    model = MilpModel("twice")
+    model.add_var("x", 0.0, 1.0)
+    model.add_constrs([0, 2], [0, 0], [1.0, 1.0], [-math.inf], [1.0])
+    with pytest.raises(MilpError, match="rejected new rows"):
+        solve_mip(model)
 
 
 def test_relaxation_holds_the_model_and_its_growth(monkeypatch):
