@@ -97,6 +97,19 @@ def _read_text(path) -> str:
         raise _CliError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
+def _output_path(path: str | None, flag: str) -> None:
+    """Raise unless ``path`` is None or a file that can be written where it
+    is: its parent is a directory and it is none itself.  Checked before
+    any work, so that a bad path fails with nothing printed."""
+    if path is None:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise _CliError(f"{flag} {path}: {target.parent} is not a directory")
+    if target.is_dir():
+        raise _CliError(f"{flag} {path}: is a directory")
+
+
 def _options(time_limit: float) -> EngineOptions:
     try:
         return EngineOptions(time_limit_s=time_limit)
@@ -106,6 +119,7 @@ def _options(time_limit: float) -> EngineOptions:
 
 def _cmd_solve(args) -> int:
     options = _options(args.time_limit)
+    _output_path(args.design_out, "--design-out")
     aug = augment(parse_instance(_read_text(args.instance)))
     solution = solve(aug, args.formulation, options)
     for line in solution.log_lines():
@@ -177,6 +191,7 @@ def _bound_range(low: int | None, high: int | None) -> range | None:
 
 def _cmd_bench(args) -> int:
     options = _options(args.time_limit)
+    _output_path(args.out, "--out")
     directory = Path(args.dir)
     if not directory.is_dir():
         raise _CliError(f"{args.dir} is not a directory")

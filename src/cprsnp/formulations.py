@@ -103,6 +103,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -219,7 +220,9 @@ class ExtremePoint:
     ``failed`` is the attack (at most ``k`` arcs, never fictive) and
     ``arc_count`` the length of the per-arc views.  In the polytope's terms
     mu is 1 exactly on the cut's root side, gam = ell marks the failed arcs
-    that cross the cut, and lam the other crossing arcs.
+    that cross the cut, and lam the other crossing arcs.  The views are
+    built once, on first use; they are no fields, so equality, hashing and
+    repr ignore them.
     """
 
     cut: CutSet
@@ -231,17 +234,25 @@ class ExtremePoint:
         """The failed arcs that cross the cut, in ``cut.arcs`` order."""
         return tuple(a for a in self.cut.arcs if a in self.failed)
 
-    @property
+    def _indicator(self, arcs: Iterable[int]) -> tuple[int, ...]:
+        """1 on each of ``arcs``, 0 on every other arc."""
+        view = [0] * self.arc_count
+        for a in arcs:
+            view[a] = 1
+        return tuple(view)
+
+    @cached_property
     def lam(self) -> tuple[int, ...]:
-        crossing = set(self.cut.arcs) - self.failed
-        return tuple(int(a in crossing) for a in range(self.arc_count))
+        return self._indicator(a for a in self.cut.arcs if a not in self.failed)
+
+    @cached_property
+    def gam(self) -> tuple[int, ...]:
+        return self._indicator(self.deleted)
 
     @property
-    def gam(self) -> tuple[int, ...]:
-        hit = set(self.deleted)
-        return tuple(int(a in hit) for a in range(self.arc_count))
-
-    ell = gam  # attack * gam, which is gam itself
+    def ell(self) -> tuple[int, ...]:
+        """attack * gam, which is gam itself."""
+        return self.gam
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ surviving selected arcs still carry ``|T|`` units.
 The augmented instance owns its network layout (:class:`Layout`: per-vertex
 arc lists, the residual edge layout, the capacity vector) and its arc
 connectivity (the fewest arcs of any root/sink cut), each computed once on
-first use.  :func:`max_flow`, :func:`min_cut`, :func:`back_cut`,
-:class:`ArcMask` and the flow builders of ``formulations`` all read that one
-layout.
+first use.  :func:`max_flow`, :func:`min_cut`, :func:`front_cut`,
+:func:`back_cut`, :class:`ArcMask` and the flow builders of ``formulations``
+all read that one layout.
 
 Masks, flows and the layout's capacity vector are tuples of ``int``, one
 entry per arc: the max-flow kernel and the attack search read them with no
@@ -29,11 +29,13 @@ value as given must be an index, and the set stores plain ``int``.
 Every max flow runs through one breadth-first kernel, :func:`_push`, that
 moves flow along shortest augmenting paths from a source to a target up to
 a limit.  From zero it pushes from the root to the sink, at most |T| + 1
-searches.  A warm start lowers each arc whose start flow exceeds the mask,
-pushes that excess from the arc's tail to its head (re-routed, the value
-stays) and what is left back to the root and from the sink (the value
-drops), then pushes from the root to the sink again; a child of the attack
-search, which fails one arc carrying x units, needs at most 3x + 2 searches.
+searches (under :meth:`ArcMask.weighted` weights, one per unit of the
+value plus one).  A warm start lowers each arc whose start flow exceeds
+the mask, pushes that excess from the arc's tail to its head (re-routed,
+the value stays) and what is left back to the root and from the sink (the
+value drops), then pushes from the root to the sink again; a child of the
+attack search, which fails one arc carrying x units, needs at most 3x + 2
+searches.
 
 Example
 -------
@@ -322,7 +324,7 @@ class AugmentedInstance:
         capacity: a max flow with every arc at capacity 1, computed on
         first use.  At most the demand, since the fictive arcs cross the
         cut around the sink."""
-        return max_flow(self, ArcMask._of((1,) * len(self.arcs))).value
+        return max_flow(self, ArcMask.weighted(self, (1,) * len(self.arcs))).value
 
 
 def augment(instance: Instance) -> AugmentedInstance:
@@ -354,6 +356,15 @@ class ArcMask:
     __slots__ = ("capacities",)
 
     def __init__(self, aug: AugmentedInstance, capacities: Iterable[int]):
+        capacities = ArcMask._checked(aug, capacities)
+        if any(map(operator.gt, capacities, aug.layout.capacities)):
+            raise GraphError("mask may not exceed arc capacity")
+        self.capacities = capacities
+
+    @staticmethod
+    def _checked(aug: AugmentedInstance, capacities: Iterable[int]) -> tuple[int, ...]:
+        """``capacities`` as a tuple of ``int``, one nonnegative entry per
+        arc, or GraphError."""
         try:
             capacities = tuple(map(operator.index, capacities))
         except TypeError:
@@ -362,9 +373,18 @@ class ArcMask:
             raise GraphError("mask length must match arc count")
         if min(capacities, default=0) < 0:
             raise GraphError("mask capacities must be nonnegative")
-        if any(map(operator.gt, capacities, aug.layout.capacities)):
-            raise GraphError("mask may not exceed arc capacity")
-        self.capacities = capacities
+        return capacities
+
+    @staticmethod
+    def weighted(aug: AugmentedInstance, weights: Iterable[int]) -> "ArcMask":
+        """A mask of arbitrary nonnegative integer weights, one per arc,
+        which the arc capacities do not bound.  :func:`max_flow` reads it
+        like any mask, and :func:`front_cut` and :func:`back_cut` read the
+        two minimum cuts from that flow, so the cut value counts arcs in
+        these weights rather than in capacity: the arc connectivity gives
+        every arc weight 1.  The checks are the constructor's but the
+        capacity bound."""
+        return ArcMask._of(ArcMask._checked(aug, weights))
 
     @staticmethod
     def _of(capacities: tuple[int, ...]) -> "ArcMask":
@@ -551,6 +571,13 @@ def max_flow(
     (the last one missing the sink) and at most 3x + 2 otherwise: r
     re-routed units, one search that misses the head, 2 (x - r) that return
     the rest, and at most x - r that augment again plus one that misses.
+
+    Under :meth:`ArcMask.weighted` weights a fictive arc may take more than
+    one unit, so the value is at most the fictive arcs' total weight, and
+    every path still adds at least one unit: from zero, or from a start
+    that the mask does not lower anywhere (a max flow under weights that
+    only grew), a max flow takes at most one search per unit it adds, plus
+    the one that misses.
     """
     if start is None:
         value, residual = 0, [0] * (2 * aug.arc_count)
@@ -615,10 +642,17 @@ def _residual_reach(
 def min_cut(aug: AugmentedInstance, mask: ArcMask) -> CutSet:
     """A minimum root/sink cut under the mask; its capacity equals max_flow.
     Its root side is the smallest of any minimum cut."""
-    residual = _residual(mask, max_flow(aug, mask))
-    # vertices still reachable in the residual network form the root side
-    reachable = _residual_reach(aug, residual, aug.root, backward=False)
-    side = frozenset(v for v in range(aug.vertex_count) if not reachable[v])
+    return front_cut(aug, mask, max_flow(aug, mask))
+
+
+def front_cut(aug: AugmentedInstance, mask: ArcMask, flow: FlowResult) -> CutSet:
+    """The minimum root/sink cut nearest the root, read from a max flow
+    under the mask: its root side, the vertices still reachable from the
+    root in the residual network, is the smallest of any minimum cut.  A
+    flow that is not maximal leaves the sink on the root side and raises
+    :class:`GraphError`."""
+    reached = _residual_reach(aug, _residual(mask, flow), aug.root, backward=False)
+    side = frozenset(v for v in range(aug.vertex_count) if not reached[v])
     return CutSet.from_sink_side(aug, side)
 
 

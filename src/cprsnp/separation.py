@@ -35,14 +35,17 @@ with no verdict hands the design to the MIP route's worst attack.  Each
 route returns None exactly when the design survives.
 
 :func:`strengthen` trades a violated attacker vertex for a sparser one: the
-vertex of the failing cut that crosses the fewest arcs, read from one MIP.
-The input vertex is a feasible point of that MIP, so its lam count is the
-cutoff, and the input is handed back when no failing cut is sparser.  No
-cut crosses fewer than the instance's arc connectivity λ
-(:attr:`cprsnp.graph.AugmentedInstance.arc_connectivity`) arcs, and an
-attack takes at most k of them off the lam count, so when λ - k is at least
-the input's lam count the MIP is Infeasible, and the input is handed back
-without it.
+vertex of the failing cut that crosses the fewest arcs.  Min cuts under
+design weights settle most calls: every arc weighs 1 and each attack
+candidate θ, and ⌈λ_θ - θk⌉, with λ_θ the least weight of a cut, is at most
+every vertex's lam count (:func:`_weighted_min_cuts`).  θ = 1 gives the
+instance's arc connectivity λ
+(:attr:`cprsnp.graph.AugmentedInstance.arc_connectivity`) less k; θ = 0,
+1/4, 1/2 and 3/4 cost one max flow each, and their min cuts that fail under
+the design are sparse candidates.  Once that bound reaches the lam count of
+the input or of the best candidate, that vertex is returned.  Otherwise one
+MIP looks for a strictly sparser failing cut, with the best count as its
+cutoff, and INFEASIBLE returns the best vertex so far.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import (
     ArcMask,
@@ -60,6 +64,7 @@ from .graph import (
     CutSet,
     FlowResult,
     back_cut,
+    front_cut,
     max_flow,
 )
 from .formulations import (
@@ -80,6 +85,9 @@ BRUTE_FORCE_LIMIT = 100_000
 # so even a zero time limit gets its probe incumbent, or settles a probe
 # above the limit whose witness search is that short
 CLOCK_POLL_FLOWS = 64
+# the weight of an attack candidate in the min cuts of strengthen's bound,
+# in quarters of another arc's weight: θ = 0, 1/4, 1/2, 3/4
+CANDIDATE_QUARTERS = (0, 1, 2, 3)
 
 
 class SeparationTimeout(RuntimeError):
@@ -439,6 +447,35 @@ def separate_bilevel(
     return _point_violation(aug, design, cut, attack.arcs, attack.value)
 
 
+def _weighted_min_cuts(
+    aug: AugmentedInstance, design: Design
+) -> Iterator[tuple[int, ArcMask, FlowResult]]:
+    """The lower bounds of :func:`strengthen`, one per θ of
+    :data:`CANDIDATE_QUARTERS` in order, each with the weights and max flow
+    it was read from.
+
+    Every arc weighs 1 and each of the design's attack candidates θ; with
+    λ_θ the least weight of a root/sink cut, ⌈λ_θ - θk⌉ is at most the lam
+    count of every cut's vertex.  A cut C with c candidates among its arcs
+    has a vertex that fails min(k, c) of them, so its lam count is
+    |C| - c + max(0, c - k), at least |C| - c + θ (c - k), its weight less
+    θk.  The weights are counted in quarters, so each λ_θ is one integer
+    max flow (:meth:`cprsnp.graph.ArcMask.weighted`), started from the
+    previous θ's, whose weights were no larger anywhere.  A generator: a
+    caller that stops early runs no further max flow.
+    """
+    candidates = design.attack_candidates(aug)
+    weights = [4] * aug.arc_count
+    flow = None
+    for quarter in CANDIDATE_QUARTERS:
+        for a in candidates:
+            weights[a] = quarter
+        mask = ArcMask.weighted(aug, weights)
+        flow = max_flow(aug, mask, start=flow)
+        # ⌈(4 λ_θ - 4 θ k) / 4⌉, with flow.value = 4 λ_θ
+        yield -((quarter * aug.k - flow.value) // 4), mask, flow
+
+
 def strengthen(
     aug: AugmentedInstance,
     design: Design,
@@ -448,25 +485,32 @@ def strengthen(
     """Replace a violated point with the vertex of a failing cut that
     crosses as few arcs as possible.
 
-    Solves the strengthening MIP once (Fischetti, Ljubic & Sinnl, 2017).
-    The violation's own vertex is a feasible point of that MIP, worth its
-    number of lam arcs, so that number is the cutoff: the MIP looks only
-    for a failing cut whose vertex is strictly sparser, since its value for
-    a cut is no less than the lam count of the vertex of that cut and its
-    worst deletion subset.  That cut keeps less than the demand under that
-    attack, so the vertex cuts off the design, valued at the capacity the
-    cut keeps (:func:`cprsnp.formulations.cut_residual`).  When the MIP
-    reaches ``deadline``, its incumbent, if any, is taken the same way.
-    Otherwise the violation is handed back.  Raises
-    :class:`SeparationError` when the violation does not cut off the
-    design, or when the vertex is not strictly sparser.
+    That is the optimum of the strengthening MIP (Fischetti, Ljubic &
+    Sinnl, 2017), whose value for a cut is no less than the lam count of
+    the vertex of that cut and its worst deletion subset.  Such a cut keeps
+    less than the demand under that attack, so the vertex cuts off the
+    design, valued at the capacity the cut keeps
+    (:func:`cprsnp.formulations.cut_residual`).  The violation's own vertex
+    is a feasible point of that MIP, worth its number of lam arcs.
 
-    The MIP is skipped, and the violation handed back, when it cannot
-    succeed.  A cut crosses at least λ arcs, the instance's arc
-    connectivity, and a vertex writes off at most k of them, the failed
-    ones, so its lam count is at least λ - k.  When that is already the
-    violation's lam count or more, no vertex is strictly sparser: the MIP,
-    with an integral objective and that count as its cutoff, is Infeasible.
+    Design-weighted min cuts settle most calls before the MIP (Wood's 1993
+    min-cut interdiction model, the Lagrangian of its attack budget row).
+    A cut crosses at least λ arcs, the instance's arc connectivity, and a
+    vertex writes off at most k of them, so no lam count is below λ - k:
+    the θ = 1 case of :func:`_weighted_min_cuts`, whose four max flows
+    then raise that lower bound.  The front and back min cut of each of
+    their networks (:func:`cprsnp.graph.front_cut`,
+    :func:`cprsnp.graph.back_cut`) that fails under the design is a
+    candidate, and the sparsest one so far, first found on a tie, replaces
+    the violation when it is strictly sparser.  Once the bound reaches the
+    lam count of the best vertex so far, no vertex is strictly sparser, and
+    that vertex is returned with no more max flows.  Otherwise the MIP runs
+    with that count as its cutoff, so it looks only for a strictly sparser
+    failing cut, and INFEASIBLE, or a deadline reached before it found one,
+    returns the best vertex so far.  When the MIP reaches ``deadline`` with
+    an incumbent, that is taken like an optimum.  Raises
+    :class:`SeparationError` when the violation does not cut off the
+    design, or when the vertex returned is not strictly sparser.
     """
     _require_canonical(aug, design)
     point = violation.point
@@ -475,17 +519,42 @@ def strengthen(
     )
     if row >= aug.demand:
         raise SeparationError(f"the point to strengthen keeps {row}, not below demand")
-    lam_count = sum(point.lam)
-    if aug.arc_connectivity - aug.k >= lam_count:
-        return violation
+    best_count = sum(point.lam)
+    best = violation
+    bound = aug.arc_connectivity - aug.k
+    if bound < best_count:
+        candidates = set(design.attack_candidates(aug))
+        for low, mask, flow in _weighted_min_cuts(aug, design):
+            bound = max(bound, low)
+            for read in (back_cut, front_cut):
+                if bound >= best_count:
+                    break
+                cut = read(aug, mask, flow)
+                # the lam count of the cut's vertex
+                hit = min(aug.k, len(candidates.intersection(cut.arcs)))
+                lams = len(cut.arcs) - hit
+                if lams < best_count and cut_residual(aug, cut, design) < aug.demand:
+                    best = _sparser_vertex(aug, design, cut, best_count)
+                    best_count = sum(best.point.lam)
+            if bound >= best_count:
+                break
+    if bound >= best_count:
+        return best
     search = build_strengthening(aug, design)
-    res = solve_mip(search.model, deadline=deadline, cutoff=lam_count)
+    res = solve_mip(search.model, deadline=deadline, cutoff=best_count)
     if res.values is None:
         # nothing sparser, or out of time before anything sparser was found
-        return violation
-    cut = search.cut_from(res.values)
+        return best
+    return _sparser_vertex(aug, design, search.cut_from(res.values), best_count)
+
+
+def _sparser_vertex(
+    aug: AugmentedInstance, design: Design, cut: CutSet, lam_count: int
+) -> PointViolation:
+    """The vertex of a failing cut and its worst deletion subset, which
+    must keep less than the demand and have fewer than ``lam_count`` lam
+    arcs, or :class:`SeparationError`."""
     value = cut_residual(aug, cut, design)
-    # the MIP's row bounds the capacity the cut keeps by demand - 1
     if value >= aug.demand:
         raise SeparationError(f"strengthened cut keeps {value}, the demand or more")
     stronger = _point_violation(aug, design, cut, worst_subset(aug, cut, design), value)

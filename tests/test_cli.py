@@ -471,3 +471,35 @@ def test_bench_rejects_an_empty_or_repeated_formulation_list(
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not report.exists()
+
+
+@pytest.mark.parametrize("where", ["missing parent", "file parent", "directory"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_unwritable_output_path_fails_before_any_solve(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    # the output path is checked before the solve or the grid runs, so a
+    # path that cannot be written exits 4 with nothing on stdout
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{command} ran with an unwritable output path")
+
+    monkeypatch.setattr(cli, "solve", forbidden)
+    monkeypatch.setattr(cli.bench_mod, "bench", forbidden)
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    path = instances / "tri.txt"
+    path.write_text(write_instance(triangle()), encoding="utf-8")
+    out = {
+        "missing parent": tmp_path / "missing" / "out.txt",
+        "file parent": path / "out.txt",
+        "directory": tmp_path,
+    }[where]
+    if command == "solve":
+        argv = ["solve", "--instance", str(path), "--design-out", str(out)]
+    else:
+        argv = ["bench", "--dir", str(instances), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .+\n", captured.err)
+    assert not (tmp_path / "missing").exists()

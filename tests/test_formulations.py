@@ -30,6 +30,7 @@ from conftest import (
 from cprsnp import formulations
 from cprsnp.formulations import (
     Design,
+    ExtremePoint,
     FailureScenario,
     FormulationError,
     NonVertexSolution,
@@ -1025,3 +1026,29 @@ def test_inner_flow_rejects_fictive_attack():
     aug = tri_aug()
     with pytest.raises(FormulationError):
         build_inner_flow(aug, Design.canonical(aug, range(3)), [3])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_extreme_point_views_are_built_once(seed):
+    # lam and gam are stored on first use, each the per-arc indicator of
+    # the crossing arcs that do not fail and of those that do; ell is gam;
+    # the stored views are no fields, so equality, hashing and repr see
+    # only the cut, the attack and the arc count
+    rng = random.Random(seed)
+    aug = small_instance(seed, k=rng.randint(1, 3), kp=rng.randint(0, 2))
+    violation = None
+    while violation is None:
+        violation = separate_bilevel(aug, random_design(rng, aug))
+    point = violation.point
+    fresh = ExtremePoint(point.cut, point.failed, point.arc_count)
+    assert repr(fresh) == repr(point) and fresh == point and hash(fresh) == hash(point)
+    crossing = set(point.cut.arcs)
+    lam = tuple(int(a in crossing - point.failed) for a in range(aug.arc_count))
+    gam = tuple(int(a in crossing & point.failed) for a in range(aug.arc_count))
+    assert point.lam == lam and point.gam == gam
+    assert {type(x) for x in point.lam + point.gam} == {int}
+    assert point.lam is point.lam and point.gam is point.gam
+    assert point.ell is point.gam
+    assert repr(fresh) == repr(point) and fresh == point and hash(fresh) == hash(point)
+    assert dataclasses.replace(point) == point
+

@@ -27,6 +27,7 @@ from cprsnp.graph import (
     Instance,
     augment,
     back_cut,
+    front_cut,
     max_flow,
     min_cut,
 )
@@ -415,6 +416,64 @@ def test_back_cut_rejects_a_flow_that_is_not_maximal():
     empty = FlowResult(0, np.zeros(aug.arc_count, dtype=np.int64))
     with pytest.raises(GraphError):
         back_cut(aug, mask, empty)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_weighted_masks_give_min_cuts_in_their_weights(seed):
+    # weights above the arc capacities are no capacity: max_flow reads them
+    # like one, chained warm starts over weights that only grow match cold
+    # max flows, and the front and back cuts are the minimum cuts in those
+    # weights nearest the root and nearest the sink
+    rng = random.Random(300 + seed)
+    aug = _random_augmented(rng)
+    weights = [rng.randint(0, 4) for _ in range(aug.arc_count)]
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    sides = [
+        {aug.sink} | {v for i, v in enumerate(others) if bits >> i & 1}
+        for bits in range(1 << len(others))
+    ]
+    flow = None
+    for _ in range(3):
+        mask = ArcMask.weighted(aug, weights)
+        assert mask.capacities == tuple(weights)
+        flow = max_flow(aug, mask, start=flow)
+        assert flow.value == max_flow(aug, mask).value
+        assert flow.value == brute_min_cut_value(aug, mask)
+        # only the fictive arcs enter the sink, whatever they weigh
+        assert flow.value <= sum(weights[aug.initial_arc_count :])
+        _assert_is_flow(aug, mask, flow)
+        front, back = front_cut(aug, mask, flow), back_cut(aug, mask, flow)
+        assert cut_capacity(front, mask) == cut_capacity(back, mask) == flow.value
+        assert back.sink_side <= front.sink_side
+        for side in sides:
+            if cut_capacity(CutSet.from_sink_side(aug, side), mask) == flow.value:
+                assert back.sink_side <= side <= front.sink_side
+        assert front == min_cut(aug, mask)
+        weights = [w + rng.randint(0, 3) for w in weights]
+
+
+def test_weighted_mask_checks_all_but_the_capacity_bound():
+    aug = augment(triangle())
+    assert ArcMask.weighted(aug, np.array([5, 0, 9, 3])).capacities == (5, 0, 9, 3)
+    assert {type(w) for w in ArcMask.weighted(aug, np.ones(4, int)).capacities} == {int}
+    for bad, match in (
+        ([1, 1, 1], "length"),
+        ([1, -1, 1, 1], "nonnegative"),
+        ([1.5, 1, 1, 1], "integers"),
+        (np.ones(4), "integers"),
+    ):
+        with pytest.raises(GraphError, match=match):
+            ArcMask.weighted(aug, bad)
+    with pytest.raises(GraphError, match="exceed"):
+        ArcMask(aug, [5, 0, 9, 3])
+
+
+def test_front_cut_rejects_a_flow_that_is_not_maximal():
+    aug = augment(triangle())
+    mask = ArcMask.full(aug)
+    empty = FlowResult(0, np.zeros(aug.arc_count, dtype=np.int64))
+    with pytest.raises(GraphError):
+        front_cut(aug, mask, empty)
 
 
 def _assert_is_flow(aug, mask, res):

@@ -24,6 +24,7 @@ from cprsnp.formulations import (
     build_strengthening,
     cut_residual,
     point_row_value,
+    worst_subset,
 )
 from cprsnp.graph import Arc, CutSet, Instance, augment, max_flow
 from cprsnp.instances import generate
@@ -559,25 +560,61 @@ def test_strengthen_keeps_violation_valid():
     assert better.value < aug.demand
 
 
-def test_strengthen_solves_one_mip_and_no_flow(monkeypatch):
-    aug, design = seeded_case(203)
-    violation = separate_bilevel(aug, design)
-    assert violation is not None
-    solved = []
+def _bound_weights(aug, design) -> list[tuple[int, ...]]:
+    """The weights of strengthen's min cuts, one vector per θ in order: 4 on
+    every arc and 4θ on each attack candidate."""
+    candidates = set(design.attack_candidates(aug))
+    return [
+        tuple(q if a in candidates else 4 for a in range(aug.arc_count))
+        for q in separation.CANDIDATE_QUARTERS
+    ]
+
+
+def test_strengthen_solves_at_most_one_mip_and_only_the_bounds_flows(monkeypatch):
+    # strengthen runs no oracle, at most one strengthening MIP, and max flows
+    # only under the bound's weights, in θ order, each started from the one
+    # before; when λ - k settles the call it runs neither
+    solved, flows = [], []
 
     def counting_solve_mip(model, **kwargs):
         solved.append(model.name)
         return solve_mip(model, **kwargs)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("strengthen ran a max flow or an oracle")
+    def counting_max_flow(aug, mask, start=None):
+        res = max_flow(aug, mask, start=start)
+        flows.append((mask.capacities, start, res))
+        return res
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("strengthen ran an oracle")
+
+    cases = [(aug, design, separate_bilevel(aug, design))
+             for aug, design in map(seeded_case, range(200, 260))]
     monkeypatch.setattr(separation, "solve_mip", counting_solve_mip)
-    for name in ("max_flow", "separate_cutset", "separate_scenario",
-                 "separate_bilevel"):
+    monkeypatch.setattr(separation, "max_flow", counting_max_flow)
+    for name in ("separate_cutset", "separate_scenario", "separate_bilevel"):
         monkeypatch.setattr(separation, name, forbidden)
-    strengthen(aug, design, violation)
-    assert solved == ["cut_strengthening"]
+    seen = set()
+    for aug, design, violation in cases:
+        if violation is None:
+            continue
+        solved.clear()
+        flows.clear()
+        strengthen(aug, design, violation)
+        assert solved in ([], ["cut_strengthening"])
+        weights = _bound_weights(aug, design)
+        assert [w for w, _, _ in flows] == weights[: len(flows)]
+        starts = [s for _, s, _ in flows]
+        assert starts == [None, *(r for _, _, r in flows)][: len(flows)]
+        if aug.arc_connectivity - aug.k >= sum(violation.point.lam):
+            assert solved == [] and flows == []
+            seen.add("λ")
+        elif solved:
+            assert len(flows) == len(weights)
+            seen.add("mip")
+        else:
+            seen.add("bound")
+    assert seen == {"λ", "mip", "bound"}
 
 
 def _fewest_cut_arcs(aug) -> int:
@@ -606,16 +643,24 @@ def test_arc_connectivity_counts_arcs_not_capacity():
 def test_strengthen_skips_the_mip_when_no_cut_can_be_sparser(monkeypatch):
     # a cut crosses at least arc_connectivity arcs and an attack writes off
     # at most k of them: when that leaves the violation's lam count or more,
-    # strengthen hands the violation back without building the MIP, which
-    # would be Infeasible
-    built = []
+    # strengthen hands the violation back with no max flow and no MIP; the
+    # weighted min cuts skip it too, handing back the violation or their
+    # sparsest failing cut, once their bound reaches its lam count.  Every
+    # skip is proven by the MIP: under the cutoff of the lam count handed
+    # back, it is Infeasible
+    built, flows = [], []
 
     def counting_solve_mip(model, **kwargs):
         built.append(model.name)
         return solve_mip(model, **kwargs)
 
+    def counting_max_flow(*args, **kwargs):
+        flows.append(args)
+        return max_flow(*args, **kwargs)
+
     monkeypatch.setattr(separation, "solve_mip", counting_solve_mip)
-    skipped = solved = 0
+    monkeypatch.setattr(separation, "max_flow", counting_max_flow)
+    skipped, solved = set(), 0
     for seed in range(200, 260):
         aug, design = seeded_case(seed)
         violation = separate_bilevel(aug, design)
@@ -623,23 +668,29 @@ def test_strengthen_skips_the_mip_when_no_cut_can_be_sparser(monkeypatch):
             continue
         lam_count = sum(violation.point.lam)
         built.clear()
+        flows.clear()
         out = strengthen(aug, design, violation)
         if aug.arc_connectivity - aug.k >= lam_count:
-            skipped += 1
-            assert built == [] and out is violation
-            search = build_strengthening(aug, design)
-            res = solve_mip(search.model, cutoff=lam_count)
-            assert res.status == SolveStatus.INFEASIBLE
-        else:
+            assert built == [] and flows == [] and out is violation
+            skipped.add("λ")
+        elif built:
             solved += 1
             assert built == ["cut_strengthening"]
-    assert skipped and solved
+            continue
+        else:
+            skipped.add("input" if out is violation else "cut")
+        search = build_strengthening(aug, design)
+        res = solve_mip(search.model, cutoff=sum(out.point.lam))
+        assert res.status == SolveStatus.INFEASIBLE
+    assert skipped == {"λ", "input", "cut"} and solved
 
 
-def test_strengthened_point_is_the_mip_cut():
-    # the MIP's cutoff is the violation's own lam count, and its optimum is
-    # the lam count of the vertex of its cut, which replaces the violation;
-    # with nothing sparser the violation comes back as it was
+def test_strengthened_point_is_a_sparsest_failing_cut():
+    # the MIP under the violation's own lam count as its cutoff gives the
+    # fewest lam arcs of any failing cut's vertex, and strengthen returns a
+    # vertex with exactly that many, of a failing cut whose row value is the
+    # capacity that cut keeps; with nothing sparser the violation comes
+    # back as it was
     seen = set()
     for seed in range(200, 220):
         aug, design = seeded_case(seed)
@@ -655,17 +706,87 @@ def test_strengthened_point_is_the_mip_cut():
             assert better is violation
             continue
         seen.add("sparser")
+        assert res.status == SolveStatus.OPTIMAL
         cut = search.cut_from(res.values)
         assert res.objective == vertex_lam_count(aug, design, cut) < lams
-        assert sum(better.point.lam) == vertex_lam_count(aug, design, cut)
-        assert better.point.cut.sink_side == cut.sink_side
+        assert sum(better.point.lam) == res.objective
+        assert sum(better.point.lam) == vertex_lam_count(aug, design, better.point.cut)
         assert_attacker_vertex(aug, better.point)
+        assert better.point.failed == set(worst_subset(aug, better.point.cut, design))
         row = point_row_value(
             aug, design.selected, design.protected, better.point.lam,
             better.point.gam, better.point.ell,
         )
-        assert better.value == cut_residual(aug, cut, design) == row < aug.demand
+        value = cut_residual(aug, better.point.cut, design)
+        assert better.value == value == row < aug.demand
     assert seen == {"nothing sparser", "sparser"}
+
+
+def test_strengthen_agrees_with_the_mip_on_every_route(monkeypatch):
+    # the MIP alone, under the violation's lam count as its cutoff, decides
+    # strengthen's answer: the lam count returned is its optimum, and the
+    # violation comes back exactly when it is Infeasible; the weighted min
+    # cuts settle some calls and leave the MIP the others
+    called = []
+
+    def counting_solve_mip(model, **kwargs):
+        called.append(kwargs["cutoff"])
+        return solve_mip(model, **kwargs)
+
+    monkeypatch.setattr(separation, "solve_mip", counting_solve_mip)
+    routes = set()
+    for seed in range(200, 260):
+        aug, design = seeded_case(seed)
+        violation = separate_bilevel(aug, design)
+        if violation is None:
+            continue
+        lams = sum(violation.point.lam)
+        called.clear()
+        better = strengthen(aug, design, violation)
+        res = solve_mip(build_strengthening(aug, design).model, cutoff=lams)
+        if res.status == SolveStatus.INFEASIBLE:
+            assert better is violation
+        else:
+            assert res.status == SolveStatus.OPTIMAL
+            assert better is not violation
+            assert sum(better.point.lam) == res.objective
+        assert len(called) <= 1 and all(c <= lams for c in called)
+        routes.add("mip" if called else "bound")
+    assert routes == {"mip", "bound"}
+
+
+def _vertex_lam_counts(aug, design):
+    """The weight of every sink side's cut in quarters under each θ's
+    weights, and the lam count of its vertex, by enumeration."""
+    weights = _bound_weights(aug, design)
+    others = [v for v in range(aug.vertex_count) if v not in (aug.root, aug.sink)]
+    for size in range(len(others) + 1):
+        for side in itertools.combinations(others, size):
+            cut = CutSet.from_sink_side(aug, {aug.sink, *side})
+            yield (
+                [sum(w[a] for a in cut.arcs) for w in weights],
+                vertex_lam_count(aug, design, cut),
+            )
+
+
+def test_weighted_min_cut_bounds_every_vertex_lam_count():
+    # each θ's max flow is the least weight of any cut, and ⌈λ_θ - θk⌉ is
+    # at most the lam count of every cut's vertex, failing or not
+    bounded = 0
+    for seed in range(200, 240):
+        aug, design = seeded_case(seed)
+        rows = list(_vertex_lam_counts(aug, design))
+        fewest = min(lams for _, lams in rows)
+        bounds = list(separation._weighted_min_cuts(aug, design))
+        assert len(bounds) == len(separation.CANDIDATE_QUARTERS)
+        for j, (low, mask, flow) in enumerate(bounds):
+            quarter = separation.CANDIDATE_QUARTERS[j]
+            assert flow.value == min(weight[j] for weight, _ in rows)
+            assert low == math.ceil((flow.value - quarter * aug.k) / 4)
+            assert low <= fewest
+        bounded += max(low for low, _, _ in bounds) == fewest
+        assert max(aug.arc_connectivity - aug.k, 0) <= fewest
+    assert bounded
 
 
 def test_strengthen_returns_the_input_or_a_strictly_sparser_vertex():
@@ -700,28 +821,45 @@ def test_strengthen_out_of_time_returns_the_violation(monkeypatch):
     assert strengthen(aug, weak, violation) is violation
 
 
+def _case_reaching_the_mip(monkeypatch, found):
+    """The first seeded case whose strengthen call solves its MIP with a
+    result that ``found`` accepts: the case, its violation, that MIP and
+    the cutoff and result strengthen solved it with."""
+    calls = []
+
+    def recording_solve_mip(model, **kwargs):
+        res = solve_mip(model, **kwargs)
+        calls.append((kwargs["cutoff"], res))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(separation, "solve_mip", recording_solve_mip)
+        for seed in range(200, 260):
+            aug, design = seeded_case(seed)
+            violation = separate_bilevel(aug, design)
+            if violation is None:
+                continue
+            calls.clear()
+            strengthen(aug, design, violation)
+            if calls and found(calls[0][1]):
+                search = build_strengthening(aug, design)
+                return aug, design, violation, search, *calls[0]
+    pytest.fail("no seeded case solves such a strengthening MIP")
+
+
 def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
     # a FEASIBLE result with values holds a cut whose vertex is strictly
-    # sparser than the input, which is taken over the input
-    for seed in range(200, 220):
-        aug, design = seeded_case(seed)
-        violation = separate_bilevel(aug, design)
-        if violation is None:
-            continue
-        search = build_strengthening(aug, design)
-        lams = sum(violation.point.lam)
-        res = solve_mip(search.model, cutoff=lams)
-        if res.status == SolveStatus.OPTIMAL and vertex_lam_count(
-            aug, design, search.cut_from(res.values)
-        ) < lams:
-            break
-    else:
-        pytest.fail("no seeded case has a strictly sparser failing cut")
+    # sparser than the best one so far, which is taken over it
+    aug, design, violation, search, cutoff, res = _case_reaching_the_mip(
+        monkeypatch, lambda res: res.status == SolveStatus.OPTIMAL
+    )
+    cut = search.cut_from(res.values)
+    assert vertex_lam_count(aug, design, cut) < cutoff
     stub_solve_mip(monkeypatch, SolveStatus.FEASIBLE, res.objective, res.values)
     better = strengthen(aug, design, violation, deadline=time.perf_counter())
     assert better is not violation
-    cut = search.cut_from(res.values)
     assert better.point.cut.sink_side == cut.sink_side
+    assert sum(better.point.lam) == vertex_lam_count(aug, design, cut)
     assert_attacker_vertex(aug, better.point)
     assert better.value == cut_residual(aug, cut, design) < aug.demand
     # the cut search MIP, by contrast, must return the worst attack, so an
@@ -733,11 +871,12 @@ def test_strengthen_out_of_time_keeps_the_incumbent(monkeypatch):
 def test_strengthen_raises_on_a_vertex_that_is_not_sparser(monkeypatch):
     # the MIP's value for a cut is its vertex's lam count, so a cut under
     # the cutoff whose vertex is no sparser breaks the model: a solver
-    # stubbed to return the violation's own cut must not pass unnoticed
-    aug = tri_aug(k=1, kp=0)
-    weak = Design.canonical(aug, [1])
-    violation = separate_bilevel(aug, weak)
-    search = build_strengthening(aug, weak)
+    # stubbed to return the violation's own cut, which is no sparser than
+    # the cutoff, must not pass unnoticed
+    aug, design, violation, search, cutoff, _ = _case_reaching_the_mip(
+        monkeypatch, lambda res: True
+    )
+    assert vertex_lam_count(aug, design, violation.point.cut) >= cutoff
     values = np.zeros(search.model.num_vars)
     for v in range(aug.vertex_count):
         if v not in violation.point.cut.sink_side:
@@ -745,7 +884,7 @@ def test_strengthen_raises_on_a_vertex_that_is_not_sparser(monkeypatch):
     assert search.cut_from(values) == violation.point.cut
     stub_solve_mip(monkeypatch, SolveStatus.OPTIMAL, 0.0, values)
     with pytest.raises(SeparationError, match="not strictly sparser"):
-        strengthen(aug, weak, violation)
+        strengthen(aug, design, violation)
 
 
 def test_strengthen_without_a_failing_cut_raises(monkeypatch):
