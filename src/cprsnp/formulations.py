@@ -60,10 +60,18 @@ cut's rows, the one place that decides them: the full enumeration for a
 cut that :func:`cut_fits`, else the row of the violating design's worst
 deletion subset), :func:`append_scenario` (a scenario's flow block) and
 :func:`append_point` (a vertex's row: its cut's row with its attacked arcs
-deleted).  Cut and vertex rows alike are written by
-:func:`append_cut_subset`, the one writer of a tightened row.  The engine
-builds each master once per solve and grows it in place with the
-appenders, while the tree that solves it is open.
+deleted).  Cut and vertex rows alike are the row that
+:func:`append_cut_subset` appends, written by the one writer of a
+tightened row.  The engine builds each master once per solve and grows it
+in place with the appenders, while the tree that solves it is open.
+
+A master grows by blocks only (:meth:`cprsnp.milp.MilpModel.add_vars` and
+:meth:`cprsnp.milp.MilpModel.add_constrs`), one per item.  Its rows are
+written as mappings from column to coefficient and appended together:
+the design block is one block of columns and one of rows, its static cut
+rows included; each cut, with all its subset rows, and each vertex row
+is one block of rows; and each scenario is one block of columns and one
+of rows.
 
 The two cut search MIPs (:func:`build_cutset_separation` and
 :func:`build_strengthening`) branch only on mu, the 0/1 root-side indicator
@@ -87,12 +95,8 @@ unit.  Fix mu integral, and let C be the arcs it puts across the cut:
   optimum is the lam count of the vertex of C and that subset.
 
 An oracle builds a fresh cut search MIP on each call, so both are built as
-whole blocks (:meth:`cprsnp.milp.MilpModel.add_vars` and
-:meth:`cprsnp.milp.MilpModel.add_constrs`) from arrays read off the
-instance's layout, with no per-arc Python work; their columns, rows and
-nonzeros are the ones, in the order, that writing one row at a time would
-give.  The masters stay on the one-at-a-time methods: each is built once
-per solve and then grown one cut, scenario or vertex at a time.
+blocks from arrays read off the instance's layout, with no per-arc Python
+work.
 
 The builders only assemble models; the delayed generation lives in
 :mod:`cprsnp.separation` and :mod:`cprsnp.engine`.
@@ -347,10 +351,33 @@ class Master:
 def _static_cuts(aug: AugmentedInstance) -> list[CutSet]:
     """The cuts every master holds from the start: the root cut, then for
     each terminal t the cut with sink side ``{t, s}``, each distinct cut
-    once."""
+    once.  A cut whose sink side is the super sink alone, the root cut of a
+    one-vertex instance, is left out: no terminal needs it, and
+    :func:`append_cut` rejects it."""
     root_cut = frozenset(range(aug.vertex_count)) - {aug.root}
     sides = [root_cut] + [frozenset({t, aug.sink}) for t in aug.terminals]
-    return [CutSet.from_sink_side(aug, side) for side in dict.fromkeys(sides)]
+    return [
+        CutSet.from_sink_side(aug, side)
+        for side in dict.fromkeys(sides)
+        if side != {aug.sink}
+    ]
+
+
+def _append_rows(model: MilpModel, rows: Iterable[tuple]) -> None:
+    """Append rows, each a mapping from column to coefficient, a sense
+    (``"<="``, ``">="`` or ``"="``) and a right-hand side, to the model as
+    one block, in order; zero coefficients are dropped."""
+    start, cols, values, row_lo, row_hi = [0], [], [], [], []
+    for coeffs, sense, rhs in rows:
+        cols += coeffs
+        values += coeffs.values()
+        start.append(len(cols))
+        row_lo.append(-math.inf if sense == "<=" else rhs)
+        row_hi.append(math.inf if sense == ">=" else rhs)
+    model.add_constrs(
+        np.array(start, dtype=np.intp), np.array(cols, dtype=np.intp),
+        values, row_lo, row_hi,
+    )
 
 
 def _design_block(name: str, aug: AugmentedInstance) -> Master:
@@ -370,26 +397,27 @@ def _design_block(name: str, aug: AugmentedInstance) -> Master:
     but keep every optimal cost; the module docstring gives the argument."""
     model = MilpModel(name)
     m = aug.arc_count
-    fictive = [aug.is_fictive(a) for a in range(m)]
-    for a in range(m):
-        model.add_var(f"y{a}", lb=float(fictive[a]), ub=1.0, integer=True)
-    for a in range(m):
-        model.add_var(f"p{a}", lb=0.0, ub=float(not fictive[a]), integer=True)
-    model.set_objective({a: aug.arcs[a].cost for a in range(m)})
-    model.add_constr({m + a: 1.0 for a in range(m)}, "<=", float(aug.kp))
-    for a in aug.initial_arcs:
-        model.add_constr({m + a: 1.0, a: -1.0}, "<=", 0.0)
+    fictive = np.arange(m) >= aug.initial_arc_count
+    cost = np.fromiter((arc.cost for arc in aug.arcs), float, m)
+    model.add_vars(
+        np.concatenate((fictive, np.zeros(m))),
+        np.concatenate((np.ones(m), ~fictive)),
+        np.ones(2 * m, dtype=bool),
+        np.concatenate((cost, np.zeros(m))),
+    )
+    rows = [({m + a: 1.0 for a in range(m)}, "<=", float(aug.kp))]
+    rows += [({m + a: 1.0, a: -1.0}, "<=", 0.0) for a in aug.initial_arcs]
     arcs, in_arcs = aug.arcs, aug.layout.in_arcs
     for b in aug.initial_arcs:
         v, w = arcs[b].tail, arcs[b].head
         if v != aug.root:
             row = {a: -1.0 for a in in_arcs[v] if arcs[a].tail != w}
-            model.add_constr({b: 1.0, **row}, "<=", 0.0)
-    master = Master(model, aug)
+            rows.append(({b: 1.0, **row}, "<=", 0.0))
     for cut in _static_cuts(aug):
         if cut_fits(aug, cut):
-            append_cut(master, cut)
-    return master
+            rows += _cut_rows(aug, cut)
+    _append_rows(model, rows)
+    return Master(model, aug)
 
 
 def build_cutset_master(aug: AugmentedInstance) -> Master:
@@ -412,6 +440,12 @@ def append_cut(master: Master, cut: CutSet, design: Design | None = None) -> Non
     aug = master.aug
     if cut.sink_side == frozenset({aug.sink}):
         raise FormulationError("cut isolating only the super sink is not allowed")
+    _append_rows(master.model, _cut_rows(aug, cut, design))
+
+
+def _cut_rows(aug: AugmentedInstance, cut: CutSet, design: Design | None = None):
+    """The rows :func:`append_cut` writes for a cut, one per deletion
+    subset, as :func:`_subset_row` writes them."""
     if cut_fits(aug, cut):
         non_fictive = [a for a in cut.arcs if not aug.is_fictive(a)]
         subsets = itertools.combinations(non_fictive, min(aug.k, len(non_fictive)))
@@ -422,8 +456,7 @@ def append_cut(master: Master, cut: CutSet, design: Design | None = None) -> Non
             f"cut needs {count_cut_rows(aug, cut)} rows, above the limit "
             f"{CUT_ROW_LIMIT}"
         )
-    for sub in subsets:
-        append_cut_subset(master, cut, sub)
+    return [_subset_row(aug, cut, sub) for sub in subsets]
 
 
 def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> None:
@@ -436,7 +469,12 @@ def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> Non
     with coefficients reduced to the need ``r = |T| - F``:
     ``sum_{C-S} min(u, r) y + sum_S min(u, r) p >= r``.
     """
-    aug = master.aug
+    _append_rows(master.model, [_subset_row(master.aug, cut, subset)])
+
+
+def _subset_row(aug: AugmentedInstance, cut: CutSet, subset: Sequence[int]) -> tuple:
+    """The row of :func:`append_cut_subset`, the one writer of a tightened
+    row."""
     deleted = set(subset)
     if any(aug.is_fictive(a) for a in deleted) or not deleted <= set(cut.arcs):
         raise FormulationError("deletion subset must hold non-fictive cut arcs")
@@ -446,7 +484,7 @@ def append_cut_subset(master: Master, cut: CutSet, subset: Sequence[int]) -> Non
         if not aug.is_fictive(a):
             col = aug.arc_count + a if a in deleted else a
             row[col] = float(min(aug.arcs[a].capacity, need))
-    master.model.add_constr(row, ">=", float(need))
+    return row, ">=", float(need)
 
 
 def build_flow_master(aug: AugmentedInstance) -> Master:
@@ -463,24 +501,23 @@ def append_scenario(master: Master, scenario: FailureScenario) -> None:
     aug, model, m = master.aug, master.model, master.aug.arc_count
     if any(aug.is_fictive(a) for a in scenario.arcs):
         raise FormulationError("scenario contains a fictive arc")
-    xs = [
-        model.add_var(f"x{a}", lb=0.0, ub=float(aug.arcs[a].capacity))
-        for a in range(m)
-    ]
+    capacity = np.fromiter(aug.layout.capacities, float, m)
+    xs = model.add_vars(np.zeros(m), capacity, np.zeros(m, dtype=bool), np.zeros(m))
     in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
+    rows = []
     for v in range(aug.vertex_count):
         if v in (aug.root, aug.sink):
             continue
         row = {xs[a]: 1.0 for a in in_arcs[v]}
         for a in out_arcs[v]:
             row[xs[a]] = row.get(xs[a], 0.0) - 1.0
-        model.add_constr(row, "=", 0.0)
-    sink_row = {xs[a]: 1.0 for a in in_arcs[aug.sink]}
-    model.add_constr(sink_row, "=", float(aug.demand))
-    for a in range(m):
-        model.add_constr({xs[a]: 1.0, a: -float(aug.arcs[a].capacity)}, "<=", 0.0)
-    for a in scenario.sorted_arcs():
-        model.add_constr({xs[a]: 1.0, m + a: -float(aug.arcs[a].capacity)}, "<=", 0.0)
+        rows.append((row, "=", 0.0))
+    rows.append(({xs[a]: 1.0 for a in in_arcs[aug.sink]}, "=", float(aug.demand)))
+    rows += [({xs[a]: 1.0, a: -capacity[a]}, "<=", 0.0) for a in range(m)]
+    rows += [
+        ({xs[a]: 1.0, m + a: -capacity[a]}, "<=", 0.0) for a in scenario.sorted_arcs()
+    ]
+    _append_rows(model, rows)
 
 
 def build_bilevel_master(aug: AugmentedInstance) -> Master:

@@ -10,15 +10,13 @@ so a tail of each reaches HiGHS as a copy of its bytes, with no conversion
 of one element at a time.  The objective is one more such buffer, a cost
 per column, so new columns go to HiGHS with their costs in one copy too.
 
-A model grows one column (:meth:`MilpModel.add_var`) or one row
-(:meth:`MilpModel.add_constr`, a mapping from column to coefficient) at a
-time, or by whole blocks: :meth:`MilpModel.add_vars` appends columns from
-arrays of bounds, integrality and costs, and :meth:`MilpModel.add_constrs`
-appends rows from arrays in the layout the model keeps (each row's first
-nonzero, then the nonzeros' columns and values, then each row's bounds).
-A block passes the checks of the one-at-a-time methods, run on whole
-arrays, and lands in the buffers exactly as the same columns and rows added
-one at a time would.
+A model grows only by blocks: :meth:`MilpModel.add_vars` appends columns
+from arrays of bounds, integrality and costs, and
+:meth:`MilpModel.add_constrs` appends rows from arrays in the layout the
+model keeps (each row's first nonzero, then the nonzeros' columns and
+values, then each row's bounds).  Each checks its whole block before it
+appends any of it, and the bytes a model ends with do not depend on how
+its columns and rows were split into blocks.
 
 Every LP relaxation of a model is solved by one persistent HiGHS dual
 simplex instance.  The instance holds no model when a solve takes it, and
@@ -91,14 +89,13 @@ import heapq
 import importlib.machinery
 import importlib.util
 import math
-import operator
 import os
 import sys
 import time
 from array import array
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -198,28 +195,12 @@ class MilpModel:
 
     # -- construction -------------------------------------------------
 
-    def add_var(
-        self, name: str, lb: float, ub: float, integer: bool = False
-    ) -> int:
-        if not (math.isfinite(lb) and math.isfinite(ub)):
-            raise MilpError(f"variable {name}: bounds [{lb}, {ub}] must be finite")
-        if lb > ub:
-            raise MilpError(f"variable {name}: lb {lb} > ub {ub}")
-        idx = len(self._lb)
-        # a "d" buffer stores any real number as a float
-        self._lb.append(lb)
-        self._ub.append(ub)
-        self._integer.append(bool(integer))
-        self._cost.append(0.0)
-        return idx
-
     def add_vars(self, lb, ub, integer, cost) -> range:
         """Append one column per entry of the equal-length 1-D arrays ``lb``,
         ``ub``, ``integer`` (true for an integer column) and ``cost`` (its
         objective coefficient); returns the new columns.  Bounds must be
-        finite with ``lb <= ub`` and costs finite, as :meth:`add_var` and
-        :meth:`set_objective` require; nothing is appended unless every
-        column passes."""
+        finite with ``lb <= ub`` and costs finite; nothing is appended
+        unless every column passes."""
         lb, ub, cost = (_reals(x, "column") for x in (lb, ub, cost))
         integer = np.asarray(integer, dtype=bool)
         count = lb.size
@@ -240,52 +221,15 @@ class MilpModel:
         self._cost.frombytes((cost + 0.0).tobytes())
         return range(first, first + count)
 
-    def _nonzeros(
-        self, coeffs: Mapping[int, float], what: str
-    ) -> tuple[list[int], list[float]]:
-        """The columns and values of the nonzero coefficients, once every
-        key is a column, an integer by :func:`operator.index` as an arc
-        index is (so ``1.5`` is no column 1), and every coefficient
-        finite."""
-        count = len(self._lb)
-        cols: list[int] = []
-        values: list[float] = []
-        for var, coef in coeffs.items():
-            try:
-                col = operator.index(var)
-            except TypeError:
-                col = -1
-            if not 0 <= col < count:
-                raise MilpError(f"{what} references unknown variable {var!r}")
-            if not math.isfinite(coef):
-                raise MilpError(f"{what} coefficients must be finite")
-            if coef != 0.0:
-                cols.append(col)
-                values.append(float(coef))
-        return cols, values
-
-    def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> None:
-        if sense not in ("<=", ">=", "="):
-            raise MilpError(f"unknown sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise MilpError("constraint rhs must be finite")
-        cols, values = self._nonzeros(coeffs, "constraint")
-        self._col_idx.fromlist(cols)
-        self._values.fromlist(values)
-        self._start.append(len(self._values))
-        self._row_lo.append(-math.inf if sense == "<=" else rhs)
-        self._row_hi.append(math.inf if sense == ">=" else rhs)
-
     def add_constrs(self, start, cols, values, row_lo, row_hi) -> None:
         """Append rows given as arrays in the model's own layout: row r has
         the nonzeros ``cols[start[r]:start[r + 1]]`` with coefficients
         ``values[...]`` and reads ``row_lo[r] <= A x <= row_hi[r]``.
 
-        The checks of :meth:`add_constr` run on the whole block.  Columns
-        are integers of an integer array, each a column of the model;
-        coefficients are finite, and zeros are dropped.  Each row's bounds
-        say one sense with a finite right-hand side: ``(-inf, rhs)`` for
-        ``<=``, ``(rhs, inf)`` for ``>=``, ``(rhs, rhs)`` for ``=``.
+        Columns are integers of an integer array, each a column of the
+        model; coefficients are finite, and zeros are dropped.  Each row's
+        bounds say one sense with a finite right-hand side: ``(-inf, rhs)``
+        for ``<=``, ``(rhs, inf)`` for ``>=``, ``(rhs, rhs)`` for ``=``.
         Nothing is appended unless every row passes.  A column given twice
         in one row, which a mapping cannot hold, is not looked for here:
         HiGHS rejects that row when a solve sends it, and the solve raises
@@ -304,7 +248,7 @@ class MilpModel:
             and _every(start[:-1] <= start[1:])
         ):
             raise MilpError("row arrays do not describe one block of rows")
-        # a column is an integer, as a key of add_constr is by operator.index
+        # a column is an integer, so 1.5 is no column 1
         if cols.dtype.kind not in "biu":
             raise MilpError(f"constraint columns must be integers, not {cols.dtype}")
         count = len(self._lb)
@@ -330,13 +274,6 @@ class MilpModel:
         self._start.frombytes((start[1:] + nz).astype(np.intc).tobytes())
         self._row_lo.frombytes(row_lo.tobytes())
         self._row_hi.frombytes(row_hi.tobytes())
-
-    def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        """Make the objective the given cost per column, 0 on the others."""
-        cols, values = self._nonzeros(coeffs, "objective")
-        cost = np.zeros(self.num_vars)
-        cost[cols] = values
-        self._cost = array("d", cost.tobytes())
 
     # -- inspection ---------------------------------------------------
 

@@ -41,8 +41,9 @@ candidate θ, and ⌈λ_θ - θk⌉, with λ_θ the least weight of a cut, is at
 every vertex's lam count (:func:`_weighted_min_cuts`).  θ = 1 gives the
 instance's arc connectivity λ
 (:attr:`cprsnp.graph.AugmentedInstance.arc_connectivity`) less k; θ = 0,
-1/4, 1/2 and 3/4 cost one max flow each, and their min cuts that fail under
-the design are sparse candidates.  Once that bound reaches the lam count of
+1/4, 1/2 and 3/4 cost one max flow each, and the back min cut of each, the
+one nearest the sink, is a sparse candidate when it fails under the design.
+Once that bound reaches the lam count of
 the input or of the best candidate, that vertex is returned.  Otherwise one
 MIP looks for a strictly sparser failing cut, with the best count as its
 cutoff, and INFEASIBLE returns the best vertex so far.
@@ -64,7 +65,6 @@ from .graph import (
     CutSet,
     FlowResult,
     back_cut,
-    front_cut,
     max_flow,
 )
 from .formulations import (
@@ -498,11 +498,11 @@ def strengthen(
     A cut crosses at least λ arcs, the instance's arc connectivity, and a
     vertex writes off at most k of them, so no lam count is below λ - k:
     the θ = 1 case of :func:`_weighted_min_cuts`, whose four max flows
-    then raise that lower bound.  The front and back min cut of each of
-    their networks (:func:`cprsnp.graph.front_cut`,
-    :func:`cprsnp.graph.back_cut`) that fails under the design is a
-    candidate, and the sparsest one so far, first found on a tie, replaces
-    the violation when it is strictly sparser.  Once the bound reaches the
+    then raise that lower bound.  The back min cut of each of their
+    networks (:func:`cprsnp.graph.back_cut`, the min cut nearest the sink)
+    that fails under the design is a candidate, and the sparsest one so
+    far, first found on a tie, replaces the violation when it is strictly
+    sparser.  Once the bound reaches the
     lam count of the best vertex so far, no vertex is strictly sparser, and
     that vertex is returned with no more max flows.  Otherwise the MIP runs
     with that count as its cutoff, so it looks only for a strictly sparser
@@ -526,10 +526,8 @@ def strengthen(
         candidates = set(design.attack_candidates(aug))
         for low, mask, flow in _weighted_min_cuts(aug, design):
             bound = max(bound, low)
-            for read in (back_cut, front_cut):
-                if bound >= best_count:
-                    break
-                cut = read(aug, mask, flow)
+            if bound < best_count:
+                cut = back_cut(aug, mask, flow)
                 # the lam count of the cut's vertex
                 hit = min(aug.k, len(candidates.intersection(cut.arcs)))
                 lams = len(cut.arcs) - hit

@@ -6,6 +6,7 @@ random corpus the cross-validation tests sweep over.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,29 @@ class CheckedRelaxation(_Relaxation):
             want = cold.getInfo().objective_function_value
             assert objective == pytest.approx(want, abs=1e-6)
         return status, objective, x
+
+
+# ---------------------------------------------------------------------------
+# one column or one row at a time, as a block of one: the kernel grows a
+# model only by blocks.  The adapter checks nothing itself, so every
+# rejection a test sees is the block method's
+
+
+def add_var(model: MilpModel, lb, ub, integer=False, cost=0.0) -> int:
+    """Append one column; returns its index."""
+    return model.add_vars([lb], [ub], [integer], [cost])[0]
+
+
+def add_constr(model: MilpModel, coeffs, sense: str, rhs) -> None:
+    """Append one row given as a mapping from column to coefficient.  The
+    keys go to ``add_constrs`` as the array numpy makes of them, so a key
+    that is no integer meets the block's own check; ``"<="`` reads
+    ``(-inf, rhs)``, ``">="`` ``(rhs, inf)`` and any other sense
+    ``(rhs, rhs)``."""
+    cols = np.array(list(coeffs)) if coeffs else np.zeros(0, dtype=int)
+    row_lo = -math.inf if sense == "<=" else rhs
+    row_hi = math.inf if sense == ">=" else rhs
+    model.add_constrs([0, len(cols)], cols, list(coeffs.values()), [row_lo], [row_hi])
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +266,28 @@ def build_inner_flow(aug: AugmentedInstance, design: Design, attack=()) -> MilpM
         if aug.is_fictive(a):
             raise FormulationError("fictive arcs cannot fail")
     model = MilpModel("inner_flow")
+    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
+    # minus the flow out of the root, plus any flow back into it
+    cost = [0.0] * aug.arc_count
+    for a in out_arcs[aug.root]:
+        cost[a] -= 1.0
+    for a in in_arcs[aug.root]:
+        cost[a] += 1.0
     x_var = []
     for a, arc in enumerate(aug.arcs):
         cap = float(arc.capacity) if a in design.selected else 0.0
-        x_var.append(model.add_var(f"x{a}", 0.0, cap))
-    in_arcs, out_arcs = aug.layout.in_arcs, aug.layout.out_arcs
+        x_var.append(add_var(model, 0.0, cap, cost=cost[a]))
     for v in range(aug.vertex_count):
         if v in (aug.root, aug.sink):
             continue
         row = {x_var[a]: 1.0 for a in in_arcs[v]}
         for a in out_arcs[v]:
             row[x_var[a]] = row.get(x_var[a], 0.0) - 1.0
-        model.add_constr(row, "=", 0.0)
+        add_constr(model, row, "=", 0.0)
     for a in aug.initial_arcs:
         u = float(aug.arcs[a].capacity)
         limit = u * (1.0 - (a in failed) + (a in design.protected))
-        model.add_constr({x_var[a]: 1.0}, "<=", limit)
-    obj = {x_var[a]: -1.0 for a in out_arcs[aug.root]}
-    for a in in_arcs[aug.root]:
-        obj[x_var[a]] = obj.get(x_var[a], 0.0) + 1.0
-    model.set_objective(obj)
+        add_constr(model, {x_var[a]: 1.0}, "<=", limit)
     return model
 
 

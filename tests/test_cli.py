@@ -83,6 +83,18 @@ def test_zero_arc_instance_solves_from_its_file(tmp_path, capsys, formulation):
 
 
 @pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_one_vertex_instance_solves_from_its_file(tmp_path, capsys, formulation):
+    # the root alone: its cut would isolate only the super sink, which the
+    # masters do not write, and the empty design is optimal at cost 0
+    path = tmp_path / "one.txt"
+    path.write_text("p cprsnp 1 0\nr 1\nb 0 0\n", encoding="utf-8")
+    argv = ["solve", "--instance", str(path), "--formulation", formulation]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "status=Optimal cost=0 gap=0.0000"
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
 def test_network_without_flow_exits_infeasible(tmp_path, capsys, formulation):
     path = tmp_path / "cut-off.txt"
     path.write_text(write_instance(unreachable_terminal()), encoding="utf-8")

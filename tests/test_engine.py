@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CheckedRelaxation,
+    add_constr,
     balance_rows,
     corpus,
     deep_path,
@@ -510,6 +511,17 @@ def test_dangling_arcs_keep_the_exhaustive_optimum(formulation, cycle_cost):
     assert (4 in sol.design.selected) == (cycle_cost == 0.0)
 
 
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_one_vertex_instance_is_optimal_with_the_empty_design(formulation):
+    # the root's cut has sink side {sink}, which no static cut may have
+    aug = augment(Instance(1, (), 0, (), 0, 0))
+    cost, design = exhaustive_optimum(aug)
+    sol = solve(aug, formulation, FAST)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.cost == cost == 0.0
+    assert sol.design == design == Design(frozenset(), frozenset())
+
+
 # ---------------------------------------------------------------------------
 # master seeds
 
@@ -618,7 +630,7 @@ def test_repeated_violation_stalls(formulation, options, monkeypatch):
         monkeypatch.setattr(formulations, name, value)
 
     def cuts_nothing(master, *args):
-        master.model.add_constr({0: 1.0}, "<=", 1.0)
+        add_constr(master.model, {0: 1.0}, "<=", 1.0)
 
     for name in ("append_cut", "append_scenario", "append_point"):
         monkeypatch.setattr(engine, name, cuts_nothing)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    add_constr,
     assert_attacker_vertex,
     balance_rows,
     brute_attack_value,
@@ -59,7 +60,7 @@ from cprsnp.graph import (
     max_flow,
 )
 from cprsnp.instances import generate
-from cprsnp.milp import SolveStatus, solve_mip
+from cprsnp.milp import MilpModel, SolveStatus, solve_mip
 from cprsnp.separation import (
     BRUTE_FORCE_LIMIT,
     separate_bilevel,
@@ -79,8 +80,8 @@ def solve_fixed(master, design):
     rows: OPTIMAL at the design's cost iff the master admits the design."""
     model, m = master.model, master.aug.arc_count
     for a in range(m):
-        model.add_constr({a: 1.0}, "=", float(a in design.selected))
-        model.add_constr({m + a: 1.0}, "=", float(a in design.protected))
+        add_constr(model, {a: 1.0}, "=", float(a in design.selected))
+        add_constr(model, {m + a: 1.0}, "=", float(a in design.protected))
     return solve_mip(model)
 
 
@@ -906,6 +907,29 @@ def _pinned_cases():
             yield aug, design
 
 
+MASTER_BUILDERS = (build_cutset_master, build_flow_master, build_bilevel_master)
+
+
+def _digest_buffers(digest, model) -> None:
+    """Feed the model's nine buffers, as HiGHS receives them, each with its
+    length, to ``digest``."""
+    buffers = (
+        (model._lb, "f8"),
+        (model._ub, "f8"),
+        (model._integer, "i1"),
+        (model.objective(), "f8"),
+        (model._start, "i4"),
+        (model._col_idx, "i4"),
+        (model._values, "f8"),
+        (model._row_lo, "f8"),
+        (model._row_hi, "f8"),
+    )
+    for buffer, dtype in buffers:
+        data = np.asarray(buffer, dtype=dtype)
+        digest.update(np.int64(data.size).tobytes())
+        digest.update(data.tobytes())
+
+
 def test_cut_search_buffers_are_pinned():
     # the SHA-256 of both cut search models' buffers, as HiGHS receives
     # them, over fixed cases: taken from the models built one row at a time
@@ -914,24 +938,122 @@ def test_cut_search_buffers_are_pinned():
     digest = hashlib.sha256()
     for aug, design in _pinned_cases():
         for build in (build_cutset_separation, build_strengthening):
-            model = build(aug, design).model
-            buffers = (
-                (model._lb, "f8"),
-                (model._ub, "f8"),
-                (model._integer, "i1"),
-                (model.objective(), "f8"),
-                (model._start, "i4"),
-                (model._col_idx, "i4"),
-                (model._values, "f8"),
-                (model._row_lo, "f8"),
-                (model._row_hi, "f8"),
-            )
-            for buffer, dtype in buffers:
-                data = np.asarray(buffer, dtype=dtype)
-                digest.update(np.int64(data.size).tobytes())
-                digest.update(data.tobytes())
+            _digest_buffers(digest, build(aug, design).model)
     pinned = "f8cf1181a7afabec829eb57148b13c056265b570c4591584b17f7eaf54cf36a0"
     assert digest.hexdigest() == pinned
+
+
+def _grown_masters(aug, seed):
+    """The three masters of ``aug``, each grown by the engine's seed and
+    then by what its oracle returns on up to six seeded designs: five random
+    ones and the full one."""
+    cutset, flow, bilevel = (build(aug) for build in MASTER_BUILDERS)
+    first = range(min(aug.k, aug.initial_arc_count))
+    append_scenario(flow, FailureScenario.of(aug, first))
+    rng = random.Random(seed)
+    designs = [random_design(rng, aug) for _ in range(5)]
+    designs.append(Design.canonical(aug, aug.initial_arcs))
+    for design in designs:
+        violation = separate_cutset(aug, design)
+        if violation is not None:
+            append_cut(cutset, violation.cut, design)
+        violation = separate_scenario(aug, design)
+        if violation is not None:
+            append_scenario(flow, violation.scenario)
+        violation = separate_bilevel(aug, design)
+        if violation is not None:
+            append_point(bilevel, violation.point)
+    return cutset, flow, bilevel
+
+
+def test_master_buffers_are_pinned(monkeypatch):
+    # the SHA-256 of the three masters' buffers, built and grown on fixed
+    # cases: every corpus instance, 20-5-90, 30-3-60 with capacity 3 and a
+    # random 12-4-30, then the last three again under a row limit of 3, so
+    # that large static cuts are skipped and large cuts get the worst
+    # subset's row.  Taken from the masters written one row at a time,
+    # before they were written as one block per appended item
+    augs = [augment(inst) for inst in corpus()]
+    augs += [
+        augment(generate(20, 5, 90, "uniform", seed=7, k=2)),
+        augment(generate(30, 3, 60, "uniform", seed=7, k=2, kp=1, uniform_capacity=3)),
+        augment(generate(12, 4, 30, "random", seed=8, k=2, kp=1)),
+    ]
+    digest = hashlib.sha256()
+    for index, aug in enumerate(augs):
+        for master in _grown_masters(aug, 1100 + index):
+            _digest_buffers(digest, master.model)
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", 3)
+    for index, aug in enumerate(augs[-3:]):
+        for master in _grown_masters(aug, 1200 + index):
+            _digest_buffers(digest, master.model)
+    pinned = "1a109c460cb121a1639b733274028b0c6e90418f6f9549658cc6b61589cbdf76"
+    assert digest.hexdigest() == pinned
+
+
+def test_one_vertex_instance_has_no_static_cut():
+    # the root's cut would isolate only the super sink: the block holds no
+    # cut, and every master holds only the budget row, over no column
+    aug = augment(Instance(1, (), 0, (), 0, 0))
+    assert formulations._static_cuts(aug) == []
+    for build in MASTER_BUILDERS:
+        model = build(aug).model
+        assert (model.num_vars, model.num_constraints) == (0, 1)
+
+
+@pytest.mark.parametrize("limit", [formulations.CUT_ROW_LIMIT, 3])
+def test_every_master_item_is_one_block(monkeypatch, limit):
+    # the design block and each scenario are one add_vars call and one
+    # add_constrs call; each cut, with all its subset rows, and each vertex
+    # row are one add_constrs call.  Under a row limit of 3 large cuts get
+    # the worst subset's row
+    monkeypatch.setattr(formulations, "CUT_ROW_LIMIT", limit)
+    calls = []
+    for method in ("add_vars", "add_constrs"):
+        real = getattr(MilpModel, method)
+
+        def counted(self, *args, real=real, method=method):
+            calls.append(method)
+            return real(self, *args)
+
+        monkeypatch.setattr(MilpModel, method, counted)
+
+    def blocks(step, *args):
+        """The block calls that ``step(*args)`` makes, and what it returns."""
+        calls.clear()
+        result = step(*args)
+        return calls.copy(), result
+
+    both, rows_only = ["add_vars", "add_constrs"], ["add_constrs"]
+    insts = corpus()[:54:6] + [generate(20, 5, 90, "uniform", seed=7, k=2)]
+    kinds = set()
+    for index, inst in enumerate(insts):
+        aug = augment(inst)
+        masters = []
+        for build in MASTER_BUILDERS:
+            made, master = blocks(build, aug)
+            assert made == both
+            masters.append(master)
+        cutset, flow, bilevel = masters
+        rng = random.Random(1300 + index)
+        for design in [random_design(rng, aug) for _ in range(4)]:
+            cut = separate_cutset(aug, design)
+            if cut is None:
+                continue
+            rows = cutset.model.num_constraints
+            assert blocks(append_cut, cutset, cut.cut, design)[0] == rows_only
+            fits = count_cut_rows(aug, cut.cut) <= limit
+            kinds.add(fits)
+            added = count_cut_rows(aug, cut.cut) if fits else 1
+            assert cutset.model.num_constraints == rows + added
+            subset = worst_subset(aug, cut.cut, design)
+            assert blocks(append_cut_subset, cutset, cut.cut, subset)[0] == rows_only
+            scenario = separate_scenario(aug, design).scenario
+            assert blocks(append_scenario, flow, scenario)[0] == both
+            point = separate_bilevel(aug, design).point
+            assert blocks(append_point, bilevel, point)[0] == rows_only
+    # both routes of append_cut ran under the small limit
+    assert kinds == ({True} if limit > 3 else {True, False})
 
 
 @pytest.mark.parametrize("bad", [0.5, 1e-3, math.nan])

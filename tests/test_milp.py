@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     CheckedRelaxation,
+    add_constr,
+    add_var,
     check_assignment,
     lp_data,
     matrices,
@@ -34,20 +36,18 @@ def knapsack(values, weights, cap) -> MilpModel:
     """The most valuable items within the capacity, found as the minimum of
     minus their value."""
     model = MilpModel("knapsack")
-    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(len(values))]
-    model.add_constr({x: w for x, w in zip(xs, weights)}, "<=", cap)
-    model.set_objective({x: -v for x, v in zip(xs, values)})
+    xs = [add_var(model, 0.0, 1.0, integer=True, cost=-v) for v in values]
+    add_constr(model, dict(zip(xs, weights)), "<=", cap)
     return model
 
 
 def test_lp_known_optimum():
     # max 3x + 2y as min -3x - 2y; no integer column, so one LP
     model = MilpModel()
-    x = model.add_var("x", 0.0, 10.0)
-    y = model.add_var("y", 0.0, 10.0)
-    model.add_constr({x: 1, y: 1}, "<=", 4)
-    model.add_constr({x: 1, y: 3}, "<=", 6)
-    model.set_objective({x: -3, y: -2})
+    x = add_var(model, 0.0, 10.0, cost=-3)
+    y = add_var(model, 0.0, 10.0, cost=-2)
+    add_constr(model, {x: 1, y: 1}, "<=", 4)
+    add_constr(model, {x: 1, y: 3}, "<=", 6)
     res = solve_mip(model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.nodes == 1
@@ -58,13 +58,13 @@ def test_lp_known_optimum():
 
 def test_lp_statuses():
     model = MilpModel()
-    x = model.add_var("x", 0.0, 1.0)
-    model.add_constr({x: 1}, ">=", 2)
+    x = add_var(model, 0.0, 1.0)
+    add_constr(model, {x: 1}, ">=", 2)
     assert solve_mip(model).status == SolveStatus.INFEASIBLE
 
     # an LP that could be unbounded cannot be built
     with pytest.raises(MilpError):
-        MilpModel().add_var("z", 0.0, math.inf)
+        add_var(MilpModel(), 0.0, math.inf)
 
 
 @pytest.mark.parametrize(
@@ -79,7 +79,7 @@ def test_model_without_columns(rows, status):
     # HiGHS calls a model with no columns empty; each of its rows reads 0
     model = MilpModel()
     for sense, rhs in rows:
-        model.add_constr({}, sense, rhs)
+        add_constr(model, {}, sense, rhs)
     res = solve_mip(model)
     assert res.status == status
     assert res.nodes == 1
@@ -103,10 +103,9 @@ def test_mip_knapsack_frozen():
 def test_mip_mixed_frozen():
     # integer x forced to 2, continuous y fills the rest: 2 + 0.85
     model = MilpModel()
-    x = model.add_var("x", 0.0, 3.0, integer=True)
-    y = model.add_var("y", 0.0, 1.0)
-    model.add_constr({x: 1, y: 2}, ">=", 3.7)
-    model.set_objective({x: 1, y: 1})
+    x = add_var(model, 0.0, 3.0, integer=True, cost=1)
+    y = add_var(model, 0.0, 1.0, cost=1)
+    add_constr(model, {x: 1, y: 2}, ">=", 3.7)
     res = solve_mip(model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(2.85)
@@ -119,11 +118,10 @@ def test_integer_costs_on_continuous_columns_do_not_prune_by_one():
     # -2.5 (b = 1, x = 2, y = 0.5) is not, so a node within one unit of the
     # incumbent must still be searched
     model = MilpModel()
-    x = model.add_var("x", 0.0, 2.0)
-    y = model.add_var("y", 0.0, 2.0)
-    b = model.add_var("b", 0.0, 1.0, integer=True)
-    model.add_constr({y: 2, x: -1, b: -2}, ">=", -3)
-    model.set_objective({x: -1, y: 1, b: -1})
+    x = add_var(model, 0.0, 2.0, cost=-1)
+    y = add_var(model, 0.0, 2.0, cost=1)
+    b = add_var(model, 0.0, 1.0, integer=True, cost=-1)
+    add_constr(model, {y: 2, x: -1, b: -2}, ">=", -3)
     res = solve_mip(model)
     assert res.status == SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(-2.5)
@@ -131,13 +129,13 @@ def test_integer_costs_on_continuous_columns_do_not_prune_by_one():
 
 def test_mip_infeasible_and_unbounded():
     model = MilpModel()
-    x = model.add_var("x", 0.0, 1.0, integer=True)
-    model.add_constr({x: 1}, ">=", 2)
+    x = add_var(model, 0.0, 1.0, integer=True)
+    add_constr(model, {x: 1}, ">=", 2)
     assert solve_mip(model).status == SolveStatus.INFEASIBLE
 
     # a MIP that could be unbounded cannot be built
     with pytest.raises(MilpError):
-        MilpModel().add_var("z", -math.inf, 0.0, integer=True)
+        add_var(MilpModel(), -math.inf, 0.0, integer=True)
 
 
 def _random_binary_program(rng: random.Random) -> MilpModel:
@@ -145,14 +143,18 @@ def _random_binary_program(rng: random.Random) -> MilpModel:
     m = rng.randint(1, 4)
     # about half the programs are maximizations, minimized as their negation
     sign = 1 if rng.random() < 0.5 else -1
-    model = MilpModel("random")
-    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(n)]
+    xs = range(n)
+    rows = []
     for _ in range(m):
         coeffs = {x: rng.randint(-4, 4) for x in rng.sample(xs, rng.randint(1, n))}
         sense = rng.choice(["<=", ">="])
         rhs = rng.randint(-3, 6)
-        model.add_constr(coeffs, sense, rhs)
-    model.set_objective({x: sign * rng.randint(-5, 5) for x in xs})
+        rows.append((coeffs, sense, rhs))
+    model = MilpModel("random")
+    for _ in xs:
+        add_var(model, 0.0, 1.0, integer=True, cost=sign * rng.randint(-5, 5))
+    for row in rows:
+        add_constr(model, *row)
     return model
 
 
@@ -189,19 +191,16 @@ def _tied_program(rng: random.Random) -> MilpModel:
     is integral, yet at every integer point it is."""
     n = rng.randint(3, 8)
     model = MilpModel("tied")
-    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(n)]
+    xs = [add_var(model, 0.0, 1.0, integer=True) for _ in range(n)]
     for _ in range(rng.randint(1, 2)):
         weights = {x: rng.randint(2, 9) for x in xs}
-        model.add_constr(weights, "<=", sum(weights.values()) // 2)
+        add_constr(model, weights, "<=", sum(weights.values()) // 2)
     cover = rng.sample(xs, rng.randint(1, n))
-    model.add_constr({x: 1 for x in cover}, ">=", rng.randint(0, n // 2 + 1))
-    objective = {}
-    for j in range(rng.randint(1, 2)):
+    add_constr(model, {x: 1 for x in cover}, ">=", rng.randint(0, n // 2 + 1))
+    for _ in range(rng.randint(1, 2)):
         combo = {x: rng.randint(0, 7) for x in xs}
-        z = model.add_var(f"z{j}", 0.0, sum(combo.values()))
-        model.add_constr({z: 1, **{x: -c for x, c in combo.items()}}, "=", 0)
-        objective[z] = -rng.randint(1, 3)
-    model.set_objective(objective)
+        z = add_var(model, 0.0, sum(combo.values()), cost=-rng.randint(1, 3))
+        add_constr(model, {z: 1, **{x: -c for x, c in combo.items()}}, "=", 0)
     return model
 
 
@@ -231,10 +230,9 @@ def test_declared_integral_objective_prunes_by_one():
 
 def test_mip_without_integers_equals_lp():
     model = MilpModel()
-    x = model.add_var("x", 0.0, 2.5)
-    y = model.add_var("y", 0.0, 2.5)
-    model.add_constr({x: 1, y: 1}, "<=", 4)
-    model.set_objective({x: -1, y: -1})
+    x = add_var(model, 0.0, 2.5, cost=-1)
+    y = add_var(model, 0.0, 2.5, cost=-1)
+    add_constr(model, {x: 1, y: 1}, "<=", 4)
     res = solve_mip(model)
     assert res.nodes == 1
     status, objective = _cold_linprog(model, *model.bounds())
@@ -288,9 +286,8 @@ def _cover_26() -> MilpModel:
     master: buy items at least cost until their weights reach the half."""
     values, weights = _items_26()
     model = MilpModel("cover")
-    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(26)]
-    model.add_constr(dict(zip(xs, weights)), ">=", sum(weights) // 2)
-    model.set_objective(dict(zip(xs, values)))
+    xs = [add_var(model, 0.0, 1.0, integer=True, cost=v) for v in values]
+    add_constr(model, dict(zip(xs, weights)), ">=", sum(weights) // 2)
     return model
 
 
@@ -346,11 +343,11 @@ def _long_lp(n: int = 3000) -> MilpModel:
     [0, 10] and n rows of about 20 random nonzeros each."""
     rng = random.Random(0)
     model = MilpModel("long_lp")
-    xs = [model.add_var(f"x{j}", 0.0, 10.0) for j in range(n)]
-    model.set_objective({x: -rng.randint(1, 99) for x in xs})
+    for _ in range(n):
+        add_var(model, 0.0, 10.0, cost=-rng.randint(1, 99))
     for _ in range(n):
         row = {rng.randrange(n): rng.randint(1, 49) for _ in range(20)}
-        model.add_constr(row, "<=", rng.randint(100, 999))
+        add_constr(model, row, "<=", rng.randint(100, 999))
     return model
 
 
@@ -491,52 +488,38 @@ def test_tree_without_lazy_keeps_best_bound_order():
 
 def test_model_validation_errors():
     model = MilpModel()
-    x = model.add_var("x", 0.0, 1.0)
+    x = add_var(model, 0.0, 1.0)
     with pytest.raises(MilpError):
-        model.add_var("bad", lb=2.0, ub=1.0)
+        add_var(model, 2.0, 1.0)
     with pytest.raises(MilpError):
-        model.add_constr({x: 1}, "==", 1.0)
+        # no sense: two different finite bounds
+        model.add_constrs([0, 1], [x], [1.0], [0.0], [1.0])
     with pytest.raises(MilpError):
-        model.add_constr({x + 5: 1}, "<=", 1.0)
+        add_constr(model, {x + 5: 1}, "<=", 1.0)
     with pytest.raises(MilpError):
-        model.add_constr({x: float("nan")}, "<=", 1.0)
-    with pytest.raises(MilpError):
-        model.set_objective({x + 5: 1})
+        add_constr(model, {x: float("nan")}, "<=", 1.0)
     for bad in (float("nan"), math.inf, -math.inf):
         with pytest.raises(MilpError):
-            model.set_objective({x: bad})
+            add_var(model, 0.0, 1.0, cost=bad)
     for lb, ub in ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf),
                    (-math.inf, -math.inf), (0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(MilpError):
-            model.add_var("bad", lb=lb, ub=ub)
+            add_var(model, lb, ub)
+    assert (model.num_vars, model.num_constraints) == (1, 0)
 
 
 @pytest.mark.parametrize("key", [1.5, 0.7, 1.0, "0", None])
 def test_add_constr_rejects_a_non_integer_column(key):
-    # 1.5 was stored as column 1: a key is a column only by operator.index
+    # 1.5 is no column 1: a column is an integer of an integer array
     model = MilpModel()
-    model.add_var("x", 0.0, 1.0)
-    model.add_var("y", 0.0, 1.0)
-    with pytest.raises(MilpError, match=f"unknown variable {key!r}"):
-        model.add_constr({key: 1.0}, "<=", 1.0)
+    add_var(model, 0.0, 1.0)
+    add_var(model, 0.0, 1.0)
+    with pytest.raises(MilpError, match="constraint columns must be integers"):
+        add_constr(model, {key: 1.0}, "<=", 1.0)
     assert model.num_constraints == 0
-    model.add_constr({np.int64(0): 2.0, True: 3.0}, "<=", 1.0)
+    add_constr(model, {np.int64(0): 2.0, True: 3.0}, "<=", 1.0)
     assert (list(model._col_idx), list(model._values)) == ([0, 1], [2.0, 3.0])
     assert all(type(col) is int for col in model._col_idx)
-
-
-@pytest.mark.parametrize("key", [0.7, 1.5, 0.0, "0", None])
-def test_set_objective_rejects_a_non_integer_column(key):
-    # 0.7 set column 0's cost
-    model = MilpModel()
-    model.add_var("x", 0.0, 1.0)
-    model.add_var("y", 0.0, 1.0)
-    model.set_objective({0: 4.0})
-    with pytest.raises(MilpError, match=f"unknown variable {key!r}"):
-        model.set_objective({key: 1.0})
-    assert list(model.objective()) == [4.0, 0.0]
-    model.set_objective({np.int64(1): 2.0})
-    assert list(model.objective()) == [0.0, 2.0]
 
 
 def test_check_assignment_and_objective_value():
@@ -548,7 +531,7 @@ def test_check_assignment_and_objective_value():
 
 
 # ---------------------------------------------------------------------------
-# row storage: the matrices keep exactly the rows given to add_constr, and
+# row storage: the matrices keep exactly the rows given, and
 # conftest's check_assignment agrees with a row-by-row evaluation of those rows
 
 
@@ -565,14 +548,14 @@ def rows_and_points(draw):
         lb = draw(st.integers(-2, 1))
         ub = lb + draw(st.integers(0, 3))
         integer = draw(st.booleans())
-        model.add_var(f"x{len(columns)}", lb, ub, integer=integer)
+        add_var(model, lb, ub, integer)
         columns.append((lb, ub, integer))
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         coeffs = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3)))
         sense = draw(st.sampled_from(["<=", ">=", "="]))
         rhs = draw(st.integers(-4, 4)) / 2
-        model.add_constr(coeffs, sense, rhs)
+        add_constr(model, coeffs, sense, rhs)
         rows.append((coeffs, sense, rhs))
     # mostly inside the bounds, integral on most integer columns, so that
     # the rows decide
@@ -649,90 +632,128 @@ def _buffers(model):
     ]
 
 
+def _split(data, count: int) -> list[tuple[int, int]]:
+    """A drawn split of ``range(count)`` into consecutive, possibly empty,
+    ``(start, stop)`` blocks."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+    ends = [0, *cuts, count]
+    return list(zip(ends, ends[1:]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(drawn=rows_and_points(), split=st.integers(0, 5), costs=st.data())
-def test_blocks_land_as_one_column_and_one_row_at_a_time(drawn, split, costs):
-    # the bulk methods append exactly the bytes that add_var, add_constr and
-    # set_objective append, zero coefficients dropped, in two row blocks
-    model, columns, rows, _, _ = drawn
-    cost = costs.draw(st.lists(st.integers(-3, 3), min_size=len(columns),
-                               max_size=len(columns)))
-    model.set_objective(dict(enumerate(cost)))
-    bulk = MilpModel("rows")
+@given(drawn=rows_and_points(), data=st.data())
+def test_blocks_land_as_one_column_and_one_row_at_a_time(drawn, data):
+    # any split of the same columns and rows into blocks lands the bytes
+    # that blocks of one column and one row land, zero coefficients dropped
+    _, columns, rows, _, _ = drawn
+    cost = data.draw(st.lists(st.integers(-3, 3), min_size=len(columns),
+                              max_size=len(columns)))
+    single = MilpModel("rows")
+    for (lb, ub, integer), c in zip(columns, cost):
+        add_var(single, lb, ub, integer, cost=c)
+    for row in rows:
+        add_constr(single, *row)
+    split = MilpModel("rows")
     lb, ub, integer = (np.array(part) for part in zip(*columns))
-    assert bulk.add_vars(lb, ub, integer, np.array(cost)) == range(len(columns))
-    bulk.add_constrs(*_as_block(rows[:split]))
-    bulk.add_constrs(*_as_block(rows[split:]))
-    assert _buffers(bulk) == _buffers(model)
+    cost = np.array(cost)
+    for a, b in _split(data, len(columns)):
+        assert split.add_vars(lb[a:b], ub[a:b], integer[a:b], cost[a:b]) == range(a, b)
+    for a, b in _split(data, len(rows)):
+        split.add_constrs(*_as_block(rows[a:b]))
+    assert _buffers(split) == _buffers(single)
+
+
+def _case_ids(cases) -> list[str]:
+    """A case's id: the malformed column or row, then the block that
+    holds it."""
+    return [f"{case!r}-{block!r}" for case, block, _ in cases]
 
 
 def _malformed_columns():
-    """(add_var arguments, add_vars arguments) for a column add_var rejects."""
+    """(a malformed column's bounds, an ``add_vars`` block holding it after
+    a valid column, what the block raises) for each kind of column the
+    block methods reject."""
     cases = []
     for lb, ub in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 0.0),
                    (0.0, math.inf), (math.inf, math.inf), (2.0, 1.0)):
-        cases.append(((lb, ub), ([0.0, lb], [1.0, ub], [False, False], [0.0, 0.0])))
-    cases.append((("0", 1.0), (np.array(["0"]), [1.0], [False], [0.0])))
+        block = ([0.0, lb], [1.0, ub], [False, False], [0.0, 0.0])
+        cases.append(((lb, ub), block, MilpError))
+    cases.append((("0", 1.0), (np.array(["0"]), [1.0], [False], [0.0]), TypeError))
     return cases
 
 
-@pytest.mark.parametrize("single, block", _malformed_columns(), ids=repr)
-def test_add_vars_rejects_what_add_var_rejects(single, block):
+_COLUMNS = _malformed_columns()
+
+
+@pytest.mark.parametrize("column, block, error", _COLUMNS, ids=_case_ids(_COLUMNS))
+def test_add_vars_rejects_what_add_var_rejects(column, block, error):
+    # the column is rejected alone and after a valid one, and nothing lands
     model = MilpModel()
-    with pytest.raises(Exception) as rejected:
-        model.add_var("x", *single)
-    with pytest.raises(rejected.type):
+    empty = _buffers(model)
+    with pytest.raises(error):
+        add_var(model, *column)
+    with pytest.raises(error):
         model.add_vars(*block)
-    assert model.num_vars == 0
+    assert _buffers(model) == empty
 
 
 @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
 def test_add_vars_rejects_what_set_objective_rejects(cost):
+    # a cost that is not finite is rejected alone and after a valid column
     model = MilpModel()
-    model.add_var("x", 0.0, 1.0)
+    add_var(model, 0.0, 1.0)
+    before = _buffers(model)
     with pytest.raises(MilpError):
-        model.set_objective({0: cost})
+        add_var(model, 0.0, 1.0, cost=cost)
     with pytest.raises(MilpError):
-        model.add_vars([0.0], [1.0], [False], [cost])
-    assert model.num_vars == 1
+        model.add_vars([0.0, 0.0], [1.0, 1.0], [False, False], [0.0, cost])
+    assert _buffers(model) == before
 
 
 def _malformed_rows():
-    """(add_constr arguments, add_constrs arguments) for a row that
-    add_constr rejects, given after a valid row."""
+    """(a malformed row as a mapping, sense and right-hand side, an
+    ``add_constrs`` block holding it after a valid row, what the block
+    raises) for each kind of row the block methods reject."""
     ok = ({0: 1.0}, "<=", 1.0)
     cases = []
-    for coeffs, sense, rhs in (
-        ({0: 1.0}, "<=", math.nan),
-        ({0: 1.0}, ">=", math.inf),
-        ({0: 1.0}, "=", -math.inf),
-        ({0: math.nan}, "<=", 1.0),
-        ({1: math.inf}, ">=", 1.0),
-        ({2: 1.0}, "<=", 1.0),
-        ({-1: 1.0}, "<=", 1.0),
-        ({0: "1"}, "<=", 1.0),
-        ({0: 1.0}, "<=", "1"),
+    for row, error in (
+        (({0: 1.0}, "<=", math.nan), MilpError),
+        (({0: 1.0}, ">=", math.inf), MilpError),
+        (({0: 1.0}, "=", -math.inf), MilpError),
+        (({0: math.nan}, "<=", 1.0), MilpError),
+        (({1: math.inf}, ">=", 1.0), MilpError),
+        (({2: 1.0}, "<=", 1.0), MilpError),
+        (({-1: 1.0}, "<=", 1.0), MilpError),
+        (({0: "1"}, "<=", 1.0), TypeError),
+        (({0: 1.0}, "<=", "1"), TypeError),
     ):
-        cases.append(((coeffs, sense, rhs), _as_block([ok, (coeffs, sense, rhs)])))
+        cases.append((row, _as_block([ok, row]), error))
     # no sense: both bounds open, or two different finite ones
     for lo, hi in ((-math.inf, math.inf), (0.0, 1.0), (1.0, 0.0)):
         block = ([0, 1, 2], [0, 1], [1.0, 1.0], [-math.inf, lo], [1.0, hi])
-        cases.append((({0: 1.0}, "==", 1.0), block))
-    # a column that is no integer: 1.5 is no column 1
-    cases.append((({1.5: 1.0}, "<=", 1.0), ([0, 1], [1.5], [1.0], [-math.inf], [1.0])))
+        cases.append((({0: 1.0}, "==", 1.0), block, MilpError))
+    # columns that are no integers: 1.5 is no column 1, nor "0" column 0
+    for key in (1.5, "0", None):
+        block = ([0, 1], [key], [1.0], [-math.inf], [1.0])
+        cases.append((({key: 1.0}, "<=", 1.0), block, MilpError))
     return cases
 
 
-@pytest.mark.parametrize("single, block", _malformed_rows(), ids=repr)
-def test_add_constrs_rejects_what_add_constr_rejects(single, block):
+_ROWS = _malformed_rows()
+
+
+@pytest.mark.parametrize(
+    "block, error", [case[1:] for case in _ROWS], ids=_case_ids(_ROWS)
+)
+def test_add_constrs_rejects_what_add_constr_rejects(block, error):
+    # nothing of the block lands, its valid first row included
     model = MilpModel()
-    model.add_var("x", 0.0, 1.0)
-    model.add_var("y", 0.0, 1.0)
-    with pytest.raises(Exception) as rejected:
-        model.add_constr(*single)
-    with pytest.raises(rejected.type):
+    add_var(model, 0.0, 1.0)
+    add_var(model, 0.0, 1.0)
+    before = _buffers(model)
+    with pytest.raises(error):
         model.add_constrs(*(np.asarray(part) for part in block))
-    assert model.num_constraints == 0
+    assert _buffers(model) == before
 
 
 @pytest.mark.parametrize(
@@ -748,7 +769,7 @@ def test_add_constrs_rejects_what_add_constr_rejects(single, block):
 )
 def test_add_constrs_rejects_a_block_that_is_no_block(block):
     model = MilpModel()
-    model.add_var("x", 0.0, 1.0)
+    add_var(model, 0.0, 1.0)
     with pytest.raises(MilpError, match="one block of rows"):
         model.add_constrs(*(np.asarray(part) for part in block))
     assert model.num_constraints == 0
@@ -757,7 +778,7 @@ def test_add_constrs_rejects_a_block_that_is_no_block(block):
 def test_a_column_twice_in_one_row_fails_the_solve():
     # add_constrs leaves this to HiGHS, which rejects the row when it is sent
     model = MilpModel("twice")
-    model.add_var("x", 0.0, 1.0)
+    add_var(model, 0.0, 1.0)
     model.add_constrs([0, 2], [0, 0], [1.0, 1.0], [-math.inf], [1.0])
     with pytest.raises(MilpError, match="rejected new rows"):
         solve_mip(model)
@@ -768,13 +789,12 @@ def test_relaxation_holds_the_model_and_its_growth(monkeypatch):
     # against another upload of the same model: costs on integer and
     # continuous columns, bounds and rows, then one lazy growth
     model = MilpModel("sent")
-    x = model.add_var("x", 0, 3, integer=True)
-    y = model.add_var("y", -1, 2, integer=True)
-    z = model.add_var("z", 0, 2.5)
-    w = model.add_var("w", -1, 1)
-    model.add_constr({x: 1, z: 1}, ">=", 1)
-    model.add_constr({y: 1, w: -1}, "<=", 1)
-    model.set_objective({x: 2, y: -1, z: 3, w: 0.5})
+    x = add_var(model, 0, 3, integer=True, cost=2)
+    y = add_var(model, -1, 2, integer=True, cost=-1)
+    z = add_var(model, 0, 2.5, cost=3)
+    w = add_var(model, -1, 1, cost=0.5)
+    add_constr(model, {x: 1, z: 1}, ">=", 1)
+    add_constr(model, {y: 1, w: -1}, "<=", 1)
     costs = [2.0, -1.0, 3.0, 0.5]
     lb, ub = [0.0, -1.0, 0.0, -1.0], [3.0, 2.0, 2.5, 1.0]
     rows = [
@@ -793,8 +813,8 @@ def test_relaxation_holds_the_model_and_its_growth(monkeypatch):
         # [0, 1] and the row x - v >= 2 cut it off
         if values[x] >= 2:
             return False
-        v = model.add_var("v", 0, 1)
-        model.add_constr({x: 1, v: -1}, ">=", 2)
+        v = add_var(model, 0, 1)
+        add_constr(model, {x: 1, v: -1}, ">=", 2)
         return True
 
     monkeypatch.setattr(milp, "_Relaxation", Recorded)
@@ -841,35 +861,37 @@ def _cold_linprog(model: MilpModel, lb, ub):
 @st.composite
 def bounded_programs(draw, integer_share=0.0):
     n = draw(st.integers(1, 6))
-    model = MilpModel("drawn")
-    for i in range(n):
+    columns = []
+    for _ in range(n):
         lb = draw(st.integers(-3, 2))
         width = draw(st.integers(0, 4))
         binary = draw(st.floats(0, 1, exclude_max=True)) < integer_share
         if binary:
-            model.add_var(f"x{i}", 0.0, 1.0, integer=True)
+            columns.append((0.0, 1.0, True))
         else:
-            model.add_var(f"x{i}", float(lb), float(lb + width))
+            columns.append((float(lb), float(lb + width), False))
     coef = st.integers(-4, 4)
+    rows = []
     for _ in range(draw(st.integers(0, 4))):
         support = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-        model.add_constr(
+        rows.append((
             {v: draw(coef) for v in support},
             draw(st.sampled_from(["<=", ">=", "="])),
             draw(st.integers(-4, 6)),
-        )
+        ))
     # costs on integer columns only make every objective value an integer,
     # which lets branch and bound prune by one unit; halves never do
     costs = draw(st.sampled_from(["every column", "integer columns", "halves"]))
-    objective = {}
-    for v in range(n):
+    model = MilpModel("drawn")
+    for lb, ub, integer in columns:
         c = draw(coef)
         if costs == "halves":
             c /= 2
-        elif costs == "integer columns" and v not in model.integer_indices():
+        elif costs == "integer columns" and not integer:
             c = 0
-        objective[v] = c
-    model.set_objective(objective)
+        add_var(model, lb, ub, integer, cost=c)
+    for row in rows:
+        add_constr(model, *row)
     return model
 
 
@@ -1009,9 +1031,9 @@ def hidden_programs(draw):
 
     def append(model: MilpModel, cols, rows) -> None:
         for lb, ub, integer in cols:
-            model.add_var(f"x{model.num_vars}", lb, ub, integer=integer)
-        for coeffs, sense, rhs in rows:
-            model.add_constr(coeffs, sense, rhs)
+            add_var(model, lb, ub, integer, cost=objective.get(model.num_vars, 0.0))
+        for row in rows:
+            add_constr(model, *row)
 
     def reveal(model: MilpModel, i: int) -> None:
         append(model, *pieces[i])
@@ -1019,7 +1041,6 @@ def hidden_programs(draw):
     def build(revealed: int) -> MilpModel:
         model = MilpModel(f"hidden{revealed}")
         append(model, columns, visible)
-        model.set_objective(objective)
         for i in range(revealed):
             reveal(model, i)
         return model
@@ -1082,20 +1103,19 @@ def test_lazy_pieces_match_the_whole_model(drawn, cutoff):
 
 def _three_binaries() -> MilpModel:
     model = MilpModel("three")
-    xs = [model.add_var(f"x{i}", 0.0, 1.0, integer=True) for i in range(3)]
-    model.add_constr({x: w for x, w in zip(xs, (2, 3, 1))}, "<=", 5)
-    model.set_objective(dict(zip(xs, (-5, -4, -3))))
+    xs = [add_var(model, 0.0, 1.0, integer=True, cost=c) for c in (-5, -4, -3)]
+    add_constr(model, dict(zip(xs, (2, 3, 1))), "<=", 5)
     return model
 
 
-def _change(model: MilpModel, extra=None, ub0=None, values=None):
+def _change(model: MilpModel, extra=None, ub0=None, cost2=None):
     """Change a model in place the way a callback must not."""
     if extra is not None:
-        model.add_var("extra", 0.0, 1.0, integer=extra)
+        add_var(model, 0.0, 1.0, integer=extra)
     if ub0 is not None:
         model._ub[0] = ub0
-    if values is not None:
-        model.set_objective(dict(enumerate(values)))
+    if cost2 is not None:
+        model._cost[2] = cost2
 
 
 @pytest.mark.parametrize(
@@ -1103,7 +1123,7 @@ def _change(model: MilpModel, extra=None, ub0=None, values=None):
     [
         {"extra": True},  # a new integer column
         {"ub0": 2.0},  # a wider integer column
-        {"values": (-5, -4, -4)},  # another objective
+        {"cost2": -4.0},  # another objective
     ],
 )
 def test_lazy_model_must_keep_objective_and_integer_columns(grown):
@@ -1112,7 +1132,7 @@ def test_lazy_model_must_keep_objective_and_integer_columns(grown):
 
     def lazy(values, bound):
         _change(model, **grown)
-        model.add_constr({0: 1.0}, "<=", 0.0)
+        add_constr(model, {0: 1.0}, "<=", 0.0)
         return True
 
     with pytest.raises(MilpError):
@@ -1131,8 +1151,8 @@ def test_lazy_model_may_add_a_continuous_column():
     def lazy(values, bound):
         if values.size == 4:
             return False
-        extra = model.add_var("extra", 0.0, 1.0)
-        model.add_constr({extra: 1.0, 0: 1.0}, "<=", 2.0)
+        extra = add_var(model, 0.0, 1.0)
+        add_constr(model, {extra: 1.0, 0: 1.0}, "<=", 2.0)
         return True
 
     res = solve_mip(model, lazy=lazy)
